@@ -12,7 +12,8 @@ use qvisor_sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
 
 const N: usize = 1_024;
 
-fn packets() -> Vec<Packet> {
+/// `N` packets with ranks uniform in `[base, base + span)`.
+fn packets(base: u64, span: u64) -> Vec<Packet> {
     let mut rng = SimRng::seed_from(7);
     (0..N)
         .map(|i| {
@@ -23,7 +24,7 @@ fn packets() -> Vec<Packet> {
                 1_500,
                 NodeId(0),
                 NodeId(1),
-                rng.below(100_000),
+                base + rng.below(span),
                 Nanos::ZERO,
             );
             p.txf_rank = p.rank;
@@ -33,7 +34,11 @@ fn packets() -> Vec<Packet> {
 }
 
 fn bench_queue<Q: PacketQueue, F: Fn() -> Q>(name: &str, make: F) {
-    let pkts = packets();
+    bench_ranks(name, 0, 100_000, make);
+}
+
+fn bench_ranks<Q: PacketQueue, F: Fn() -> Q>(name: &str, base: u64, span: u64, make: F) {
+    let pkts = packets(base, span);
     bench_batched(
         name,
         || (make(), pkts.clone()),
@@ -52,6 +57,14 @@ fn main() {
     let cap = Capacity::packets(256, 1_500);
     bench_queue("fifo_1k_pkts", move || FifoQueue::new(cap));
     bench_queue("pifo_1k_pkts", move || PifoQueue::new(cap));
+    // The exact PIFO's two tiers: every rank below 4096 (bucketed), and
+    // every rank at or above 2^32 (ordered map).
+    bench_ranks("pifo_bounded_ranks_1k_pkts", 0, 4_096, move || {
+        PifoQueue::new(cap)
+    });
+    bench_ranks("pifo_wide_ranks_1k_pkts", 1 << 32, 100_000, move || {
+        PifoQueue::new(cap)
+    });
     bench_queue("sp_pifo8_1k_pkts", move || {
         StrictPriorityBank::new(SpPifoMapper::new(8), cap)
     });

@@ -4,9 +4,17 @@
 //! the tenant's transformation chain, rewrite the rank, and forward to the
 //! hardware scheduler. The lookup is a dense array indexed by tenant id and
 //! each chain is a few integer ops — the "line rate" budget.
+//!
+//! Chains of the shape the synthesizer emits (`Normalize → [Stride] →
+//! [Shift]`) are *compiled* when the table is built: folded into one flat
+//! record of constants that evaluates in `u64` with no saturation checks,
+//! after checked arithmetic at the chain's top input has proved none can
+//! trigger. Any other chain is interpreted through
+//! [`TransformChain::apply`], which stays the reference the verifier and
+//! the fuzzer evaluate.
 
 use crate::synth::JointPolicy;
-use crate::transform::TransformChain;
+use crate::transform::{RankTransform, TransformChain};
 use qvisor_sim::{Packet, Rank, TenantId};
 
 /// What to do with packets from tenants the joint policy doesn't know.
@@ -35,11 +43,114 @@ pub struct PreprocTenantStats {
     pub processed: u64,
 }
 
+/// A `Normalize → [Stride] → [Shift]` chain folded into constants:
+/// `q = ((clamp(rank, lo, hi) - lo) * mul + half) / span`, then
+/// `(q / width) * every + q % width + add`.
+#[derive(Clone, Copy, Debug)]
+struct CompiledChain {
+    lo: Rank,
+    hi: Rank,
+    /// `levels - 1`, or 0 for a degenerate normalize (then `span` is 1 and
+    /// `half` 0, so `q` is 0 without a branch).
+    mul: u64,
+    span: u64,
+    half: u64,
+    every: u64,
+    width: u64,
+    /// Stride offset plus shift offset.
+    add: u64,
+}
+
+impl CompiledChain {
+    /// Fold `chain`, or `None` when it is not of the synthesizer's shape or
+    /// some step could saturate (the interpreter saturates; this record
+    /// would wrap).
+    fn compile(chain: &TransformChain) -> Option<CompiledChain> {
+        let [RankTransform::Normalize { input, levels }, rest @ ..] = chain.ops() else {
+            return None;
+        };
+        let ((every, width, offset), rest) = match rest {
+            [RankTransform::Stride {
+                every,
+                width,
+                offset,
+            }, rest @ ..] => ((*every, *width, *offset), rest),
+            _ => ((1, 1, 0), rest),
+        };
+        let shift = match rest {
+            [] => 0,
+            [RankTransform::Shift { offset }] => *offset,
+            _ => return None,
+        };
+        if width == 0 {
+            return None;
+        }
+        let range = input.max.checked_sub(input.min)?;
+        let (mul, span, half) = if range == 0 || *levels <= 1 {
+            (0, 1, 0)
+        } else {
+            (levels - 1, range, range / 2)
+        };
+        // Upper bounds on every intermediate over all inputs: where none
+        // overflows, no step of the interpreter saturates and none here
+        // wraps, so the two agree.
+        let top_q = range.checked_mul(mul)?.checked_add(half)? / span;
+        (top_q / width)
+            .checked_mul(every)?
+            .checked_add(offset)?
+            .checked_add(top_q.min(width - 1))?
+            .checked_add(shift)?;
+        Some(CompiledChain {
+            lo: input.min,
+            hi: input.max,
+            mul,
+            span,
+            half,
+            every,
+            width,
+            add: offset + shift,
+        })
+    }
+
+    #[inline]
+    fn apply(&self, rank: Rank) -> Rank {
+        let r = rank.clamp(self.lo, self.hi);
+        let q = ((r - self.lo) * self.mul + self.half) / self.span;
+        (q / self.width) * self.every + q % self.width + self.add
+    }
+}
+
+/// One slot of the dense tenant table.
+#[derive(Clone, Debug)]
+enum Entry {
+    /// No such tenant in the joint policy.
+    Unknown,
+    Compiled(CompiledChain),
+    Interpreted(TransformChain),
+}
+
+impl Entry {
+    fn of(chain: &TransformChain) -> Entry {
+        match CompiledChain::compile(chain) {
+            Some(compiled) => Entry::Compiled(compiled),
+            None => Entry::Interpreted(chain.clone()),
+        }
+    }
+
+    fn apply(&self, rank: Rank) -> Option<Rank> {
+        match self {
+            Entry::Unknown => None,
+            Entry::Compiled(c) => Some(c.apply(rank)),
+            Entry::Interpreted(chain) => Some(chain.apply(rank)),
+        }
+    }
+}
+
 /// The packet pre-processor: applies the synthesized transformation chains.
 #[derive(Clone, Debug)]
 pub struct PreProcessor {
     /// Dense chain table indexed by `TenantId::index()`.
-    chains: Vec<Option<TransformChain>>,
+    table: Vec<Entry>,
     stats: Vec<PreprocTenantStats>,
     /// Rank assigned to unknown-tenant traffic under `BestEffort`.
     worst_rank: Rank,
@@ -57,13 +168,13 @@ impl PreProcessor {
             .max()
             .map(|m| m + 1)
             .unwrap_or(0);
-        let mut chains = vec![None; max_id];
+        let mut table = vec![Entry::Unknown; max_id];
         for (tenant, chain) in joint.chains() {
-            chains[tenant.index()] = Some(chain.clone());
+            table[tenant.index()] = Entry::of(chain);
         }
         let stats = vec![PreprocTenantStats::default(); max_id];
         PreProcessor {
-            chains,
+            table,
             stats,
             // One past the joint span: strictly below every scheduled tenant.
             worst_rank: joint.output_span().max.saturating_add(1),
@@ -75,24 +186,23 @@ impl PreProcessor {
     /// Transform the rank of a raw rank value for `tenant` (pure lookup,
     /// used by tests and benches).
     pub fn transform(&self, tenant: TenantId, rank: Rank) -> Option<Rank> {
-        self.chains
-            .get(tenant.index())
-            .and_then(|c| c.as_ref())
-            .map(|c| c.apply(rank))
+        self.table.get(tenant.index())?.apply(rank)
     }
 
     /// Process one packet in place: set `txf_rank` and return the verdict.
     ///
     /// Only payload packets are transformed; control traffic (ACKs) passes
     /// through at its existing (highest) priority.
+    #[inline]
     pub fn process(&mut self, p: &mut Packet) -> Verdict {
         if !p.is_payload() {
             return Verdict::Forward;
         }
-        match self.chains.get(p.tenant.index()).and_then(|c| c.as_ref()) {
-            Some(chain) => {
-                p.txf_rank = chain.apply(p.rank);
-                self.stats[p.tenant.index()].processed += 1;
+        let slot = p.tenant.index();
+        match self.table.get(slot).and_then(|e| e.apply(p.rank)) {
+            Some(rank) => {
+                p.txf_rank = rank;
+                self.stats[slot].processed += 1;
                 Verdict::Forward
             }
             None => {
@@ -124,7 +234,7 @@ impl PreProcessor {
                 stats[i] = *s;
             }
         }
-        self.chains = fresh.chains;
+        self.table = fresh.table;
         self.worst_rank = fresh.worst_rank;
         self.stats = stats;
     }
@@ -213,6 +323,156 @@ mod tests {
         let pre = PreProcessor::new(&fig3_joint(), UnknownTenantAction::Drop);
         assert_eq!(pre.transform(TenantId(1), 8), Some(2));
         assert_eq!(pre.transform(TenantId(42), 8), None);
+    }
+
+    fn normalize(min: Rank, max: Rank, levels: u64) -> RankTransform {
+        RankTransform::Normalize {
+            input: RankRange::new(min, max),
+            levels,
+        }
+    }
+
+    /// The table entry for `ops` and the chain it must equal, compared on
+    /// `0..=upto` and the top of `u64`.
+    fn entry_equal_to_chain(ops: Vec<RankTransform>, upto: Rank) -> Entry {
+        let chain = TransformChain::from_ops(ops);
+        let entry = Entry::of(&chain);
+        for input in (0..=upto).chain(u64::MAX - 2..=u64::MAX) {
+            assert_eq!(
+                entry.apply(input),
+                Some(chain.apply(input)),
+                "{chain} at {input}"
+            );
+        }
+        entry
+    }
+
+    #[track_caller]
+    fn assert_compiles(ops: Vec<RankTransform>, upto: Rank) {
+        let entry = entry_equal_to_chain(ops, upto);
+        assert!(
+            matches!(entry, Entry::Compiled(_)),
+            "interpreted: {entry:?}"
+        );
+    }
+
+    #[track_caller]
+    fn assert_falls_back(ops: Vec<RankTransform>) {
+        let entry = entry_equal_to_chain(ops, 64);
+        assert!(
+            matches!(entry, Entry::Interpreted(_)),
+            "compiled: {entry:?}"
+        );
+    }
+
+    #[test]
+    fn synthesized_chains_compile() {
+        let joint = fig3_joint();
+        let pre = PreProcessor::new(&joint, UnknownTenantAction::Drop);
+        for (tenant, chain) in joint.chains() {
+            assert!(matches!(pre.table[tenant.index()], Entry::Compiled(_)));
+            for rank in 0..=12 {
+                assert_eq!(pre.transform(tenant, rank), Some(chain.apply(rank)));
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_degenerate_normalize() {
+        let stride = RankTransform::Stride {
+            every: 3,
+            width: 1,
+            offset: 2,
+        };
+        let shift = RankTransform::Shift { offset: 40 };
+        // One level, and a single-rank input: both quantize to level 0.
+        assert_compiles(vec![normalize(0, 100, 1), stride, shift], 128);
+        assert_compiles(vec![normalize(5, 5, 4), stride, shift], 16);
+        assert_compiles(vec![normalize(5, 5, 4)], 16);
+    }
+
+    #[test]
+    fn compiled_weighted_stride() {
+        // Weight 2 of 5: levels map to slots {3,4} of every 5-slot cycle.
+        let stride = RankTransform::Stride {
+            every: 5,
+            width: 2,
+            offset: 3,
+        };
+        let shift = RankTransform::Shift { offset: 100 };
+        assert_compiles(vec![normalize(10, 9_999, 256), stride, shift], 10_100);
+        assert_compiles(vec![normalize(10, 9_999, 256), stride], 10_100);
+        // Non-monotone (every < width) is still the synthesizer's shape.
+        let backwards = RankTransform::Stride {
+            every: 1,
+            width: 4,
+            offset: 0,
+        };
+        assert_compiles(vec![normalize(0, 63, 64), backwards], 70);
+    }
+
+    #[test]
+    fn other_shapes_fall_back_to_the_interpreter() {
+        let stride = RankTransform::Stride {
+            every: 2,
+            width: 1,
+            offset: 1,
+        };
+        let shift = RankTransform::Shift { offset: 7 };
+        let clamp = RankTransform::Clamp {
+            range: RankRange::new(8, 12),
+        };
+        assert_falls_back(vec![]);
+        assert_falls_back(vec![normalize(0, 63, 8), shift, clamp]);
+        assert_falls_back(vec![shift, normalize(0, 63, 8)]);
+        assert_falls_back(vec![normalize(0, 63, 8), shift, stride]);
+        assert_falls_back(vec![normalize(0, 63, 8), shift, shift]);
+        let zero_width = RankTransform::Stride {
+            every: 2,
+            width: 0,
+            offset: 1,
+        };
+        assert_falls_back(vec![normalize(0, 63, 8), zero_width]);
+    }
+
+    #[test]
+    fn chains_that_could_saturate_fall_back_never_wrap() {
+        // Shift: 3 + (MAX - 1) saturates in the interpreter.
+        let far = RankTransform::Shift {
+            offset: u64::MAX - 1,
+        };
+        assert_falls_back(vec![normalize(0, 10, 4), far]);
+        let chain = TransformChain::from_ops(vec![normalize(0, 10, 4), far]);
+        assert_eq!(Entry::of(&chain).apply(10), Some(u64::MAX));
+        // Stride multiply, and the normalize product (u128 in the
+        // interpreter) — each alone overflows u64.
+        let wide = RankTransform::Stride {
+            every: u64::MAX / 2,
+            width: 1,
+            offset: 0,
+        };
+        assert_falls_back(vec![normalize(0, 10, 4), wide]);
+        assert_falls_back(vec![normalize(0, u64::MAX, u64::MAX)]);
+        // Exactly at the edge everything still fits, so it compiles.
+        let edge = RankTransform::Shift {
+            offset: u64::MAX - 3,
+        };
+        assert_compiles(vec![normalize(0, 10, 4), edge], 16);
+
+        // The synthesizer's own near-MAX `first_rank` lands in the table
+        // as the interpreter.
+        let specs = vec![
+            TenantSpec::new(TenantId(1), "T1", "pFabric", RankRange::new(7, 9)).with_levels(3),
+            TenantSpec::new(TenantId(2), "T2", "EDF", RankRange::new(1, 3)).with_levels(2),
+        ];
+        let config = SynthConfig {
+            first_rank: u64::MAX - 2,
+            ..SynthConfig::default()
+        };
+        let joint = synthesize(&specs, &Policy::parse("T1 >> T2").unwrap(), config).unwrap();
+        let pre = PreProcessor::new(&joint, UnknownTenantAction::Drop);
+        assert!(matches!(pre.table[2], Entry::Interpreted(_)));
+        assert_eq!(pre.transform(TenantId(2), 3), Some(u64::MAX));
     }
 
     #[test]

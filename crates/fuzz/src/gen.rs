@@ -31,6 +31,8 @@ const STREAM_GEN: u64 = 1;
 pub(crate) const STREAM_ORACLE: u64 = 2;
 /// RNG stream label for scenario workload parameters.
 pub(crate) const STREAM_SCENARIO: u64 = 3;
+/// RNG stream label for the pre-processor oracle's input sampling.
+pub(crate) const STREAM_PREPROC: u64 = 4;
 
 /// One generated deployment: the config under test plus the tenant
 /// rank-function mix used when the case is materialized into a scenario.

@@ -1,8 +1,13 @@
 //! The differential oracle: does the static verifier's verdict agree with
 //! what actually happens on an exact PIFO?
 //!
-//! Three independent cross-checks per case:
+//! Four independent cross-checks per case:
 //!
+//! * **Pre-processor oracle** — the data plane's compiled chain table
+//!   (`PreProcessor::transform`) must equal the interpreter
+//!   (`TransformChain::apply`) for every scheduled tenant at the declared
+//!   range's ends, the ranks just outside them, `0`, `u64::MAX` and
+//!   sampled in-range inputs, whatever the verifier's verdict.
 //! * **Witness replay** — every diagnostic carrying a [`Witness`] is
 //!   re-executed through the real `TransformChain::apply`. The recorded
 //!   outputs must match, the inputs must lie in the declared range, and
@@ -32,7 +37,10 @@
 
 use std::collections::BTreeMap;
 
-use qvisor_core::{verify, DiagCode, Diagnostic, JointPolicy, Severity, SpecPaths, VerifyReport};
+use qvisor_core::{
+    verify, DiagCode, Diagnostic, JointPolicy, PreProcessor, Severity, SpecPaths,
+    UnknownTenantAction, VerifyReport,
+};
 use qvisor_netsim::scenario::{
     FlowDecl, QvisorSpec, SchedulerSpec, ScopeSpec, SimSpec, SynthSpec, TenantDecl, TimeRef,
     TopologySpec, WorkloadSpec,
@@ -42,7 +50,7 @@ use qvisor_scheduler::{Capacity, FifoQueue, InstrumentedQueue, PacketQueue, Pifo
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, TenantId};
 use qvisor_telemetry::{Telemetry, TraceConfig, TraceData, TraceKind, Tracer};
 
-use crate::gen::{FuzzCase, STREAM_ORACLE, STREAM_SCENARIO};
+use crate::gen::{FuzzCase, STREAM_ORACLE, STREAM_PREPROC, STREAM_SCENARIO};
 
 /// The verifier's verdict class for a case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,6 +141,7 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
             };
         }
     };
+    preproc_oracle(case, &joint, &mut disagreements);
     let report = verify(&joint, &SpecPaths::config());
     let verdict = Verdict::of(&report);
     let codes: Vec<String> = {
@@ -206,6 +215,41 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
         cross_inversions,
         scenario_ran,
         disagreements,
+    }
+}
+
+/// Compare the pre-processor's table against the chains it was built
+/// from, reporting the first differing input per tenant.
+fn preproc_oracle(case: &FuzzCase, joint: &JointPolicy, disagreements: &mut Vec<String>) {
+    const SAMPLES: usize = 32;
+    let pre = PreProcessor::new(joint, UnknownTenantAction::Drop);
+    let mut rng = case.rng(STREAM_PREPROC);
+    for spec in &joint.specs {
+        let Some(chain) = joint.chain(spec.id) else {
+            continue;
+        };
+        let (min, max) = (spec.range.min, spec.range.max);
+        let edges = [
+            min,
+            max,
+            min.saturating_sub(1),
+            max.saturating_add(1),
+            0,
+            u64::MAX,
+        ];
+        let samples = (0..SAMPLES).map(|_| sample_input(&mut rng, min, max));
+        let differs = edges
+            .into_iter()
+            .chain(samples)
+            .find(|&input| pre.transform(spec.id, input) != Some(chain.apply(input)));
+        if let Some(input) = differs {
+            disagreements.push(format!(
+                "pre-processor table disagrees with {}'s chain: table f({input}) = {:?}, chain.apply = {}",
+                spec.name,
+                pre.transform(spec.id, input),
+                chain.apply(input),
+            ));
+        }
     }
 }
 

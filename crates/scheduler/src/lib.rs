@@ -27,6 +27,7 @@ pub mod instrument;
 pub mod pifo;
 pub mod pifo_tree;
 pub mod queue;
+mod rank_index;
 pub mod shaper;
 pub mod sp_pifo;
 pub mod strict;

@@ -7,8 +7,8 @@
 //! under congestion.
 
 use crate::queue::{Capacity, Enqueue, PacketQueue};
+use crate::rank_index::RankIndex;
 use qvisor_sim::{Nanos, Packet, Rank};
-use std::collections::BTreeMap;
 
 /// An exact PIFO with byte capacity and worst-rank drop.
 ///
@@ -16,51 +16,38 @@ use std::collections::BTreeMap;
 /// reordered — the behaviour the paper's Fig. 3 example assumes.
 #[derive(Debug)]
 pub struct PifoQueue {
-    /// Sorted by (rank, arrival sequence): first entry = next to dequeue,
-    /// last entry = first to drop.
-    entries: BTreeMap<(Rank, u64), Packet>,
+    /// Ordered by (rank, arrival): first entry = next to dequeue, last
+    /// entry = first to drop.
+    entries: RankIndex<Packet>,
     capacity: Capacity,
     bytes: u64,
-    arrivals: u64,
 }
 
 impl PifoQueue {
     /// An empty PIFO with the given byte capacity.
     pub fn new(capacity: Capacity) -> PifoQueue {
         PifoQueue {
-            entries: BTreeMap::new(),
+            entries: RankIndex::new(),
             capacity,
             bytes: 0,
-            arrivals: 0,
         }
     }
 
     /// Rank of the worst (last-to-dequeue) packet, if any.
     pub fn worst_rank(&self) -> Option<Rank> {
-        self.entries.keys().next_back().map(|&(r, _)| r)
+        self.entries.last_rank()
     }
-}
 
-impl PacketQueue for PifoQueue {
-    fn enqueue(&mut self, p: Packet, _now: Nanos) -> Enqueue {
+    /// Priority drop for an arrival that does not fit. Plan first, commit
+    /// after: victims are the worst residents *strictly* worse than the
+    /// arrival (ties keep residents — they arrived first). Only if those
+    /// free enough bytes is the arrival admitted; otherwise the arrival is
+    /// the victim and the queue is left untouched.
+    fn enqueue_full(&mut self, p: Packet) -> Enqueue {
         let size = p.size as u64;
-        let key = (p.txf_rank, self.arrivals);
-        self.arrivals += 1;
-
-        if self.capacity.fits(self.bytes, size) {
-            self.bytes += size;
-            self.entries.insert(key, p);
-            return Enqueue::Accepted;
-        }
-
-        // Priority drop. Plan first, commit after: victims are the worst
-        // residents *strictly* worse than the arrival (ties keep residents —
-        // they arrived first). Only if those free enough bytes is the
-        // arrival admitted; otherwise the arrival is the victim and the
-        // queue is left untouched.
         let mut freed = 0u64;
-        let mut victims: Vec<(Rank, u64)> = Vec::new();
-        for (&(rank, seq), resident) in self.entries.iter().rev() {
+        let mut victims = 0usize;
+        for (rank, resident) in self.entries.iter_rev() {
             if self.capacity.fits(self.bytes - freed, size) {
                 break;
             }
@@ -68,30 +55,41 @@ impl PacketQueue for PifoQueue {
                 return Enqueue::Rejected(Box::new(p));
             }
             freed += resident.size as u64;
-            victims.push((rank, seq));
+            victims += 1;
         }
         if !self.capacity.fits(self.bytes - freed, size) {
             // Not enough strictly-worse bytes (or empty queue with an
             // oversized arrival): reject the arrival.
             return Enqueue::Rejected(Box::new(p));
         }
-        let dropped: Vec<Packet> = victims
-            .into_iter()
-            .map(|k| self.entries.remove(&k).expect("victim key just observed"))
+        // The planned victims are a prefix of the worst-first order, which
+        // is the order `pop_last` removes in; there is at least one, since
+        // the arrival did not fit before any was freed.
+        let dropped: Vec<Packet> = (0..victims)
+            .map(|_| self.entries.pop_last().expect("planned victim exists").1)
             .collect();
         self.bytes -= freed;
         self.bytes += size;
-        self.entries.insert(key, p);
-        if dropped.is_empty() {
-            Enqueue::Accepted
-        } else {
-            Enqueue::AcceptedDropped(dropped)
+        self.entries.push(p.txf_rank, p);
+        Enqueue::AcceptedDropped(dropped)
+    }
+}
+
+impl PacketQueue for PifoQueue {
+    #[inline]
+    fn enqueue(&mut self, p: Packet, _now: Nanos) -> Enqueue {
+        let size = p.size as u64;
+        if self.capacity.fits(self.bytes, size) {
+            self.bytes += size;
+            self.entries.push(p.txf_rank, p);
+            return Enqueue::Accepted;
         }
+        self.enqueue_full(p)
     }
 
+    #[inline]
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
-        let (&key, _) = self.entries.first_key_value()?;
-        let p = self.entries.remove(&key).expect("key just observed");
+        let (_, p) = self.entries.pop_first()?;
         self.bytes -= p.size as u64;
         Some(p)
     }
@@ -105,7 +103,7 @@ impl PacketQueue for PifoQueue {
     }
 
     fn head_rank(&self) -> Option<Rank> {
-        self.entries.keys().next().map(|&(r, _)| r)
+        self.entries.first_rank()
     }
 
     fn kind(&self) -> &'static str {

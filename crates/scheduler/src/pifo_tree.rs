@@ -9,8 +9,8 @@
 //! each" with per-group isolation of the fair shares.
 
 use crate::queue::{Capacity, Enqueue, PacketQueue};
+use crate::rank_index::RankIndex;
 use qvisor_sim::{Nanos, Packet, Rank};
-use std::collections::BTreeMap;
 
 /// One step of a packet's path: the rank to use at that tree level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,13 +58,11 @@ pub enum TreeShape {
 enum Node {
     Internal {
         children: Vec<usize>,
-        /// PIFO over child *occurrences*: (rank, seq) -> child slot index.
-        pifo: BTreeMap<(Rank, u64), usize>,
-        seq: u64,
+        /// PIFO over child *occurrences*: each entry is a child slot index.
+        pifo: RankIndex<usize>,
     },
     Leaf {
-        pifo: BTreeMap<(Rank, u64), Packet>,
-        seq: u64,
+        pifo: RankIndex<Packet>,
     },
 }
 
@@ -110,8 +108,7 @@ impl<C: TreeClassifier> PifoTree<C> {
         match shape {
             TreeShape::Leaf => {
                 nodes.push(Node::Leaf {
-                    pifo: BTreeMap::new(),
-                    seq: 0,
+                    pifo: RankIndex::new(),
                 });
                 nodes.len() - 1
             }
@@ -120,8 +117,7 @@ impl<C: TreeClassifier> PifoTree<C> {
                     children.iter().map(|c| Self::build(c, nodes)).collect();
                 nodes.push(Node::Internal {
                     children: child_ids,
-                    pifo: BTreeMap::new(),
-                    seq: 0,
+                    pifo: RankIndex::new(),
                 });
                 nodes.len() - 1
             }
@@ -139,28 +135,22 @@ impl<C: TreeClassifier> PifoTree<C> {
         let mut at = self.root;
         for step in &path.steps {
             match &mut self.nodes[at] {
-                Node::Internal {
-                    children,
-                    pifo,
-                    seq,
-                } => {
+                Node::Internal { children, pifo } => {
                     assert!(
                         step.child < children.len(),
                         "classifier path step out of range"
                     );
-                    pifo.insert((step.rank, *seq), step.child);
-                    *seq += 1;
+                    pifo.push(step.rank, step.child);
                     at = children[step.child];
                 }
                 Node::Leaf { .. } => panic!("classifier path longer than tree depth"),
             }
         }
         match &mut self.nodes[at] {
-            Node::Leaf { pifo, seq } => {
+            Node::Leaf { pifo } => {
                 self.bytes += p.size as u64;
                 self.len += 1;
-                pifo.insert((path.leaf_rank, *seq), p);
-                *seq += 1;
+                pifo.push(path.leaf_rank, p);
             }
             Node::Internal { .. } => panic!("classifier path shorter than tree depth"),
         }
@@ -170,8 +160,8 @@ impl<C: TreeClassifier> PifoTree<C> {
     /// order (`k = 0` is the very last scheduling decision).
     fn rank_from_back(&self, k: usize) -> Option<Rank> {
         match &self.nodes[self.root] {
-            Node::Internal { pifo, .. } => pifo.keys().rev().nth(k).map(|&(r, _)| r),
-            Node::Leaf { pifo, .. } => pifo.keys().rev().nth(k).map(|&(r, _)| r),
+            Node::Internal { pifo, .. } => pifo.iter_rev().nth(k).map(|(r, _)| r),
+            Node::Leaf { pifo } => pifo.iter_rev().nth(k).map(|(r, _)| r),
         }
     }
 
@@ -182,15 +172,14 @@ impl<C: TreeClassifier> PifoTree<C> {
     /// cursors aligned with [`PifoTree::pop_back`]'s removal order.
     fn size_from_back(&self, node: usize, taken: &mut [usize]) -> Option<u64> {
         match &self.nodes[node] {
-            Node::Internal { children, pifo, .. } => {
-                let (_, &slot) = pifo.iter().rev().nth(taken[node])?;
+            Node::Internal { children, pifo } => {
+                let (_, &slot) = pifo.iter_rev().nth(taken[node])?;
                 taken[node] += 1;
                 self.size_from_back(children[slot], taken)
             }
-            Node::Leaf { pifo, .. } => {
+            Node::Leaf { pifo } => {
                 let size = pifo
-                    .iter()
-                    .rev()
+                    .iter_rev()
                     .nth(taken[node])
                     .map(|(_, p)| p.size as u64)?;
                 taken[node] += 1;
@@ -207,14 +196,12 @@ impl<C: TreeClassifier> PifoTree<C> {
         let mut at = self.root;
         loop {
             match &mut self.nodes[at] {
-                Node::Internal { children, pifo, .. } => {
-                    let (&key, _) = pifo.last_key_value()?;
-                    let child = pifo.remove(&key).expect("key just observed");
+                Node::Internal { children, pifo } => {
+                    let (_, child) = pifo.pop_last()?;
                     at = children[child];
                 }
-                Node::Leaf { pifo, .. } => {
-                    let (&key, _) = pifo.last_key_value()?;
-                    let p = pifo.remove(&key).expect("key just observed");
+                Node::Leaf { pifo } => {
+                    let (_, p) = pifo.pop_last()?;
                     self.bytes -= p.size as u64;
                     self.len -= 1;
                     return Some(p);
@@ -269,14 +256,12 @@ impl<C: TreeClassifier> PacketQueue for PifoTree<C> {
         let mut at = self.root;
         loop {
             match &mut self.nodes[at] {
-                Node::Internal { children, pifo, .. } => {
-                    let (&key, _) = pifo.first_key_value()?;
-                    let child = pifo.remove(&key).expect("key just observed");
+                Node::Internal { children, pifo } => {
+                    let (_, child) = pifo.pop_first()?;
                     at = children[child];
                 }
-                Node::Leaf { pifo, .. } => {
-                    let (&key, _) = pifo.first_key_value()?;
-                    let p = pifo.remove(&key).expect("key just observed");
+                Node::Leaf { pifo } => {
+                    let (_, p) = pifo.pop_first()?;
                     self.bytes -= p.size as u64;
                     self.len -= 1;
                     return Some(p);
@@ -296,8 +281,8 @@ impl<C: TreeClassifier> PacketQueue for PifoTree<C> {
     fn head_rank(&self) -> Option<Rank> {
         // The root's best entry rank (the tree's next scheduling decision).
         match &self.nodes[self.root] {
-            Node::Internal { pifo, .. } => pifo.keys().next().map(|&(r, _)| r),
-            Node::Leaf { pifo, .. } => pifo.keys().next().map(|&(r, _)| r),
+            Node::Internal { pifo, .. } => pifo.first_rank(),
+            Node::Leaf { pifo } => pifo.first_rank(),
         }
     }
 

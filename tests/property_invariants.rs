@@ -309,45 +309,128 @@ fn pifo_tree_conserves_packets() {
     }
 }
 
-/// A PIFO is *exactly* a stable sorted vector: for any interleaving of
-/// enqueues and dequeues (unbounded capacity, so admission never differs),
-/// the dequeue stream equals the model's `(rank, arrival)` minimum — not
-/// just nondecreasing, but the identical packet every time.
+/// The documented exact PIFO as a naive stable-sorted `Vec`: entries are
+/// `(rank, arrival, size)` in dequeue order. A full buffer evicts from the
+/// back — worst rank first, latest arrival first within a rank — only
+/// residents *strictly* worse than the arrival, and only if those free
+/// enough bytes; otherwise the arrival is rejected and nothing moves.
+struct SortedVecPifo {
+    entries: Vec<(u64, u64, u32)>,
+    capacity: u64,
+    bytes: u64,
+}
+
+impl SortedVecPifo {
+    /// `Ok(evicted arrivals, in eviction order)` or `Err(())` = rejected.
+    fn enqueue(&mut self, rank: u64, arrival: u64, size: u32) -> Result<Vec<u64>, ()> {
+        let mut keep = self.entries.len();
+        let mut bytes = self.bytes;
+        while bytes.saturating_add(size as u64) > self.capacity {
+            if keep == 0 || self.entries[keep - 1].0 <= rank {
+                return Err(());
+            }
+            keep -= 1;
+            bytes -= self.entries[keep].2 as u64;
+        }
+        let evicted = self.entries.drain(keep..).rev().map(|e| e.1).collect();
+        let at = self.entries.partition_point(|e| e.0 <= rank);
+        self.entries.insert(at, (rank, arrival, size));
+        self.bytes = bytes + size as u64;
+        Ok(evicted)
+    }
+
+    fn dequeue(&mut self) -> Option<(u64, u64)> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let (rank, arrival, size) = self.entries.remove(0);
+        self.bytes -= size as u64;
+        Some((rank, arrival))
+    }
+}
+
+/// A PIFO is *exactly* a stable sorted vector with priority drop: for any
+/// interleaving of enqueues and dequeues, bounded or not, every dequeue
+/// returns the identical packet, every enqueue evicts the identical
+/// victims in the identical order (or is rejected alike), and `len`,
+/// `bytes`, `head_rank` and `worst_rank` agree after every step. Ranks
+/// come from four families — a small domain (ties), the queue's tier
+/// boundary at 4096, wide ranks and the top of `u64` — and sizes are mixed,
+/// so multi-victim evictions and "not enough strictly-worse bytes" occur
+/// within and across both of the queue's tiers.
 #[test]
 fn pifo_matches_stable_sorted_vec_model() {
     let mut rng = SimRng::seed_from(0xB1);
+    let (mut multi_evictions, mut starved_rejects) = (0u64, 0u64);
     for case in 0..CASES {
         let n = between(&mut rng, 1, 300);
-        let mut q = PifoQueue::new(Capacity::UNBOUNDED);
-        // Model: Vec of (rank, arrival-seq), popped by minimum.
-        let mut model: Vec<(u64, u64)> = Vec::new();
+        let capacity = if case % 5 == 0 {
+            Capacity::UNBOUNDED
+        } else {
+            Capacity::bytes(between(&mut rng, 300, 3_000))
+        };
+        let families = 1 + case % 4;
+        let mut q = PifoQueue::new(capacity);
+        let mut model = SortedVecPifo {
+            entries: Vec::new(),
+            capacity: capacity.bytes,
+            bytes: 0,
+        };
         for i in 0..n {
-            let rank = rng.below(50); // small domain => many rank ties
-            q.enqueue(packet(i, rank, 100), Nanos::ZERO);
-            model.push((rank, i));
-            if rng.below(3) == 0 {
-                if let Some(p) = q.dequeue(Nanos::ZERO) {
-                    let min = *model.iter().min().unwrap();
-                    assert_eq!((p.txf_rank, p.seq), min, "case {case}");
-                    model.retain(|&e| e != min);
+            let rank = match rng.below(families) {
+                0 => rng.below(50),
+                1 => between(&mut rng, 4_090, 4_102),
+                2 => (1 << 40) + rng.below(8),
+                _ => u64::MAX - rng.below(4),
+            };
+            let size = [40, 100, 250, 600][rng.below(4) as usize];
+            let worse_bytes: u64 = model
+                .entries
+                .iter()
+                .filter(|e| e.0 > rank)
+                .map(|e| e.2 as u64)
+                .sum();
+            let want = model.enqueue(rank, i, size);
+            let got = match q.enqueue(packet(i, rank, size), Nanos::ZERO) {
+                Enqueue::Rejected(p) => {
+                    assert_eq!(p.seq, i, "case {case}: rejected another packet");
+                    Err(())
                 }
+                admitted => Ok(admitted.dropped().iter().map(|p| p.seq).collect()),
+            };
+            assert_eq!(got, want, "case {case} step {i}: rank {rank} size {size}");
+            match &want {
+                Ok(evicted) => multi_evictions += (evicted.len() > 1) as u64,
+                Err(()) => starved_rejects += (worse_bytes > 0) as u64,
             }
+            if rng.below(3) == 0 {
+                let got = q.dequeue(Nanos::ZERO).map(|p| (p.txf_rank, p.seq));
+                assert_eq!(got, model.dequeue(), "case {case} step {i}");
+            }
+            assert_eq!(q.len(), model.entries.len(), "case {case} step {i}");
+            assert_eq!(q.bytes(), model.bytes, "case {case} step {i}");
+            assert_eq!(q.head_rank(), model.entries.first().map(|e| e.0));
+            assert_eq!(q.worst_rank(), model.entries.last().map(|e| e.0));
         }
-        // Final drain: with no further arrivals the stream must be exactly
-        // the model's sorted order, hence nondecreasing in rank.
-        let mut drain: Vec<u64> = Vec::new();
+        // Final drain: with no further arrivals the stream is the model's
+        // sorted order.
         while let Some(p) = q.dequeue(Nanos::ZERO) {
-            let min = *model.iter().min().unwrap();
-            assert_eq!((p.txf_rank, p.seq), min, "case {case}");
-            model.retain(|&e| e != min);
-            drain.push(p.txf_rank);
+            assert_eq!(Some((p.txf_rank, p.seq)), model.dequeue(), "case {case}");
         }
-        assert!(model.is_empty(), "case {case}: model retained packets");
         assert!(
-            drain.windows(2).all(|w| w[0] <= w[1]),
-            "case {case}: unsorted drain {drain:?}"
+            model.entries.is_empty(),
+            "case {case}: model retained packets"
         );
+        assert_eq!((q.len(), q.bytes()), (0, 0), "case {case}");
     }
+    assert!(
+        multi_evictions > 0,
+        "no enqueue evicted more than one victim"
+    );
+    assert!(
+        starved_rejects > 0,
+        "no arrival was rejected for want of strictly-worse bytes"
+    );
 }
 
 /// Independent rank-inversion oracle: mirrors queue residency in a
