@@ -23,13 +23,25 @@ use qvisor_telemetry::{
 };
 use std::collections::BTreeMap;
 
-/// Identity of a resident packet: `(flow, seq, is_ack)`. ACKs share
-/// `(flow, seq)` with the data packet they acknowledge, so the flag keeps
-/// the two distinct in the mirror.
-type Resident = (u64, u64, bool);
+/// A resident packet as the mirror knows it. ACKs share `(flow, seq)` with
+/// the data packet they acknowledge, so `ack` keeps the two distinct; the
+/// tenant tells a cross-tenant inversion from a tenant reordering its own
+/// packets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Resident {
+    flow: u64,
+    seq: u64,
+    ack: bool,
+    tenant: u16,
+}
 
 fn identity(p: &Packet) -> Resident {
-    (p.flow.0, p.seq, matches!(p.kind, PacketKind::Ack { .. }))
+    Resident {
+        flow: p.flow.0,
+        seq: p.seq,
+        ack: matches!(p.kind, PacketKind::Ack { .. }),
+        tenant: p.tenant.0,
+    }
 }
 
 /// Wraps any [`PacketQueue`] and reports its behaviour as telemetry.
@@ -114,8 +126,11 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
 
     /// Attach a streaming SLO monitor: every dequeue feeds the packet's
     /// tenant, its queueing delay, and whether the dequeue was a
-    /// cross-tenant rank inversion. An enabled monitor activates the
-    /// wrapper even when telemetry and tracing are both disabled.
+    /// cross-tenant rank inversion — some resident of a *different* tenant
+    /// had a strictly lower rank. (`sched_rank_inversions` and the
+    /// tracer's inversion spans count any lower-ranked resident.) An
+    /// enabled monitor activates the wrapper even when telemetry and
+    /// tracing are both disabled.
     pub fn with_monitor(mut self, monitor: &SloMonitor) -> InstrumentedQueue<Q> {
         self.enabled = self.enabled || monitor.is_enabled();
         self.monitor = monitor.clone();
@@ -226,27 +241,33 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
                 wait_ns: wait,
             },
         );
-        let mut inverted = false;
+        let mut cross_tenant = false;
         if let Some((&best, ids)) = self.ranks.first_key_value() {
             if best < p.txf_rank {
-                inverted = true;
                 self.inversions.inc();
                 // The overtaken packet: oldest resident at the best rank.
-                if let Some(&(loser_flow, loser_seq, _)) = ids.first() {
+                if let Some(loser) = ids.first() {
                     self.trace(
                         &p,
                         now,
                         TraceKind::Inversion {
                             rank: p.txf_rank,
-                            loser_flow,
-                            loser_seq,
+                            loser_flow: loser.flow,
+                            loser_seq: loser.seq,
                             loser_rank: best,
                         },
                     );
                 }
+                // Only the monitor asks whose packet was overtaken, and
+                // only here: an exact PIFO never reaches this walk.
+                cross_tenant = self.monitor.is_enabled()
+                    && self
+                        .ranks
+                        .range(..p.txf_rank)
+                        .any(|(_, ids)| ids.iter().any(|r| r.tenant != p.tenant.0));
             }
         }
-        self.monitor.on_dequeue(now, p.tenant.0, wait, inverted);
+        self.monitor.on_dequeue(now, p.tenant.0, wait, cross_tenant);
         self.sojourn_ns.record(wait);
         self.update_depth();
         Some(p)
@@ -282,9 +303,13 @@ mod tests {
     }
 
     fn flow_pkt(flow: u64, seq: u64, rank: Rank) -> Packet {
+        tenant_pkt(0, flow, seq, rank)
+    }
+
+    fn tenant_pkt(tenant: u16, flow: u64, seq: u64, rank: Rank) -> Packet {
         let mut p = Packet::data(
             FlowId(flow),
-            TenantId(0),
+            TenantId(tenant),
             seq,
             100,
             NodeId(0),
@@ -350,25 +375,53 @@ mod tests {
         assert_eq!(counter(&t, "sched_dequeued_pkts", "q0", "pifo"), 2);
     }
 
-    #[test]
-    fn monitor_feed_sees_waits_and_inversions() {
+    fn inversion_monitor() -> SloMonitor {
         use qvisor_telemetry::{AlertMetric, AlertRule};
-        let t = Telemetry::disabled();
-        let monitor = SloMonitor::enabled(vec![AlertRule {
+        SloMonitor::enabled(vec![AlertRule {
             metric: AlertMetric::InversionRate,
             tenant: 0,
             window_ns: 1_000,
             threshold: 0.4,
-        }]);
+        }])
+    }
+
+    #[test]
+    fn monitor_feed_sees_waits_and_inversions() {
+        let t = Telemetry::disabled();
+        let monitor = inversion_monitor();
         let mut q = InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &t, "q0")
             .with_monitor(&monitor);
-        q.enqueue(pkt(0, 9), Nanos::ZERO);
-        q.enqueue(pkt(1, 1), Nanos::ZERO);
-        q.dequeue(Nanos(500)); // rank 9 leaves while rank 1 waits: inversion
+        q.enqueue(tenant_pkt(0, 1, 0, 9), Nanos::ZERO);
+        q.enqueue(tenant_pkt(1, 2, 0, 1), Nanos::ZERO);
+        // Tenant 0's rank 9 leaves while tenant 1's rank 1 waits.
+        q.dequeue(Nanos(500));
         assert_eq!(monitor.alerts_fired(), 1, "1/1 inversions over 0.4");
         let export = monitor.export_jsonl();
         assert!(export.contains("slo_rank_inversions"), "{export}");
         assert!(export.contains("slo_queue_delay_p50_ns"), "{export}");
+    }
+
+    #[test]
+    fn monitor_ignores_a_tenants_own_reordering() {
+        let t = Telemetry::enabled();
+        let monitor = inversion_monitor();
+        let mut q = InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &t, "q0")
+            .with_monitor(&monitor);
+        q.enqueue(tenant_pkt(0, 1, 0, 9), Nanos::ZERO);
+        q.enqueue(tenant_pkt(0, 1, 1, 1), Nanos::ZERO);
+        q.enqueue(tenant_pkt(1, 2, 0, 9), Nanos::ZERO);
+        // Rank 9 overtakes the same tenant's rank 1; the other tenant's
+        // packet ranks no lower, so no isolation promise was broken.
+        q.dequeue(Nanos(500));
+        assert_eq!(q.inversion_count(), 1, "still a scheduling inversion");
+        assert_eq!(monitor.alerts_fired(), 0);
+        assert!(
+            monitor
+                .export_jsonl()
+                .contains(r#""name":"slo_rank_inversions","labels":{"tenant":"T0"},"value":0"#),
+            "{}",
+            monitor.export_jsonl()
+        );
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! Software models of the schedulers QVISOR targets: the ideal
 //! [`PifoQueue`], the commodity [`FifoQueue`] and [`StrictPriorityBank`],
 //! and the published PIFO approximations [`SpPifoMapper`] (SP-PIFO,
-//! NSDI '20) and [`AifoQueue`] (AIFO, SIGCOMM '21), plus a [`DrrQueue`]
-//! fairness baseline, a [`TokenBucket`] shaper, and an [`InstrumentedQueue`]
-//! wrapper reporting drops, occupancy, queueing delay, and rank inversions
-//! through the `qvisor-telemetry` subsystem ([`AuditedQueue`] is a
-//! self-contained convenience over it).
+//! NSDI '20) and [`AifoQueue`] (AIFO, SIGCOMM '21), plus an
+//! [`InstrumentedQueue`] wrapper reporting drops, occupancy, queueing
+//! delay, and rank inversions through the `qvisor-telemetry` subsystem
+//! ([`AuditedQueue`] is a self-contained convenience over it).
 //!
 //! Hierarchical scheduling is covered by [`PifoTree`] (PIFO trees,
 //! SIGCOMM '16 — the §5 expressivity extension) and a rotating
@@ -21,26 +20,22 @@
 pub mod aifo;
 pub mod audit;
 pub mod calendar;
-pub mod drr;
 pub mod fifo;
 pub mod instrument;
 pub mod pifo;
 pub mod pifo_tree;
 pub mod queue;
 mod rank_index;
-pub mod shaper;
 pub mod sp_pifo;
 pub mod strict;
 
 pub use aifo::AifoQueue;
 pub use audit::{AuditedQueue, QueueStats};
 pub use calendar::CalendarQueue;
-pub use drr::DrrQueue;
 pub use fifo::FifoQueue;
 pub use instrument::InstrumentedQueue;
 pub use pifo::PifoQueue;
 pub use pifo_tree::{PathStep, PifoTree, TreeClassifier, TreePath, TreeShape};
 pub use queue::{Capacity, Enqueue, PacketQueue};
-pub use shaper::{ShapedQueue, TokenBucket};
 pub use sp_pifo::SpPifoMapper;
 pub use strict::{QueueMapper, StaticRangeMapper, StrictPriorityBank};

@@ -35,7 +35,7 @@ impl Enqueue {
 ///
 /// Schedulers sort on [`Packet::txf_rank`] — the rank *after* QVISOR's
 /// pre-processor — never on the tenant's raw rank. `now` is threaded through
-/// so stateful disciplines (shapers, virtual clocks) can use time.
+/// so stateful disciplines (virtual clocks, calendars) can use time.
 pub trait PacketQueue {
     /// Offer a packet. May drop the offered packet or resident ones.
     fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue;

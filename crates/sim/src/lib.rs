@@ -25,5 +25,5 @@ pub use id::{FlowId, NodeId, Rank, TenantId};
 pub use packet::{Packet, PacketArena, PacketKind, PacketSlot};
 pub use rng::{stable_hash, SimRng};
 pub use shard::{Mailbox, MailboxGrid, ShardClock};
-pub use stats::{jain_fairness, Ewma, Log2Histogram, OnlineStats, PercentileCollector};
+pub use stats::{jain_fairness, Log2Histogram, OnlineStats, PercentileCollector};
 pub use time::{gbps, mbps, transmission_time, Nanos};

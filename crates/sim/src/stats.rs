@@ -208,36 +208,6 @@ impl Log2Histogram {
     }
 }
 
-/// Exponentially-weighted moving average.
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` is the weight of the newest sample, in `(0, 1]`.
-    pub fn new(alpha: f64) -> Ewma {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in a sample and return the updated average.
-    pub fn record(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any sample has been recorded.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// Jain's fairness index over a set of allocations: `(Σx)² / (n·Σx²)`.
 ///
 /// 1.0 = perfectly fair; `1/n` = one party takes everything. Returns `None`
@@ -322,26 +292,6 @@ mod tests {
         assert_eq!(h.quantile_bound(1.0), Some(1023));
         h.clear();
         assert_eq!(h.quantile_bound(0.5), None);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.record(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.record(0.0);
-        assert_eq!(e.value(), Some(5.0));
-        for _ in 0..64 {
-            e.record(3.0);
-        }
-        assert!((e.value().unwrap() - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]

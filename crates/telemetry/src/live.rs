@@ -442,7 +442,7 @@ impl Telemetry {
                 .set("type", "profile")
                 .set("name", name.as_str())
                 .set("count", s.count)
-                .set("total_ns", s.total_ns)
+                .set("total_ns", s.total_ns())
                 .set("min_ns", s.min_ns)
                 .set("max_ns", s.max_ns)
                 .set("mean_ns", s.mean_ns());

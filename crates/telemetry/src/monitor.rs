@@ -8,9 +8,12 @@
 //! maintains sliding sim-time-windowed per-tenant health:
 //!
 //! * **drop rate** — dropped / (delivered + dropped) over the window,
-//! * **rank-inversion rate** — cross-tenant inversions / dequeues,
+//! * **rank-inversion rate** — cross-tenant inversions / dequeues (a
+//!   dequeue counts when a *different* tenant's packet with a strictly
+//!   lower rank kept waiting; a tenant reordering its own packets is not
+//!   an isolation failure),
 //! * **queueing-delay and FCT quantiles** — via a deterministic streaming
-//!   [`QuantileSketch`] (sparse log-linear buckets, property-tested against
+//!   [`QuantileSketch`] (dense log-linear buckets, property-tested against
 //!   exact sorted-vec quantiles).
 //!
 //! Declarative [`AlertRule`]s (`{metric, tenant, window_ns, threshold}`)
@@ -71,23 +74,46 @@ fn sketch_range(index: u16) -> (u64, u64) {
     (lo, lo.saturating_add(width - 1))
 }
 
+/// Nearest-rank target of the `p`-quantile among `total` samples: the
+/// 1-based position, in sorted order, of the sample that answers it.
+fn nearest_rank(p: f64, total: u64) -> u64 {
+    ((p.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1)
+}
+
 /// A deterministic streaming quantile sketch over `u64` values.
 ///
-/// Same log-linear binning idea as [`LogHistogram`](crate::LogHistogram)
-/// but sparse (a `BTreeMap` of occupied buckets) and *subtractable*, which
-/// is what sliding-window aggregation needs: the window keeps one sketch
-/// per ring slice plus a rolling aggregate, and expiring a slice subtracts
-/// its sketch from the aggregate in O(occupied buckets).
+/// Same log-linear binning idea as [`LogHistogram`](crate::LogHistogram):
+/// a dense bucket array indexed by [`sketch_index`], grown on demand to the
+/// highest bucket seen (at most 976 buckets for the whole `u64` range), so
+/// recording is one add. It is also *subtractable*, which is what
+/// sliding-window aggregation needs: the window keeps one sketch per ring
+/// slice plus a rolling aggregate, and expiring a slice subtracts its
+/// sketch from the aggregate.
 ///
 /// The quantile estimate is the upper bound of the bucket holding the
 /// nearest-rank target, so it never undershoots the exact quantile and
 /// overshoots by less than one bucket width (see
 /// [`bucket_width`](Self::bucket_width)).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct QuantileSketch {
-    counts: BTreeMap<u16, u64>,
+    /// `counts[i]` samples fell in bucket `i`; buckets past the end hold 0.
+    counts: Vec<u64>,
     total: u64,
 }
+
+/// Equal when they hold the same samples per bucket, however far each
+/// one's array happens to have grown.
+impl PartialEq for QuantileSketch {
+    fn eq(&self, other: &QuantileSketch) -> bool {
+        let n = self.counts.len().min(other.counts.len());
+        self.total == other.total
+            && self.counts[..n] == other.counts[..n]
+            && self.counts[n..].iter().all(|&c| c == 0)
+            && other.counts[n..].iter().all(|&c| c == 0)
+    }
+}
+
+impl Eq for QuantileSketch {}
 
 impl QuantileSketch {
     /// An empty sketch.
@@ -95,10 +121,19 @@ impl QuantileSketch {
         QuantileSketch::default()
     }
 
+    /// The count cell of bucket `index`, growing the array to reach it.
+    #[inline]
+    fn cell(&mut self, index: usize) -> &mut u64 {
+        if index >= self.counts.len() {
+            self.counts.resize(index + 1, 0);
+        }
+        &mut self.counts[index]
+    }
+
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        *self.counts.entry(sketch_index(v)).or_insert(0) += 1;
+        *self.cell(sketch_index(v) as usize) += 1;
         self.total += 1;
     }
 
@@ -118,22 +153,23 @@ impl QuantileSketch {
         if self.total == 0 {
             return None;
         }
-        let target = ((p.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
+        let target = nearest_rank(p, self.total);
         let mut acc = 0u64;
-        for (&index, &c) in &self.counts {
+        for (index, &c) in self.counts.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return Some(sketch_range(index).1);
+                return Some(sketch_range(index as u16).1);
             }
         }
-        // Unreachable when counts sum to total; defensive for safety.
-        self.counts.keys().next_back().map(|&i| sketch_range(i).1)
+        unreachable!("bucket counts sum to the total")
     }
 
     /// Merge another sketch into this one.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&k, &c) in &other.counts {
-            *self.counts.entry(k).or_insert(0) += c;
+        for (index, &c) in other.counts.iter().enumerate() {
+            if c > 0 {
+                *self.cell(index) += c;
+            }
         }
         self.total += other.total;
     }
@@ -141,20 +177,19 @@ impl QuantileSketch {
     /// Remove `other`'s counts from this sketch. `other` must be a subset
     /// of what was merged or recorded here (the sliding-window invariant).
     pub fn subtract(&mut self, other: &QuantileSketch) {
-        for (&k, &c) in &other.counts {
-            let e = self
-                .counts
-                .get_mut(&k)
-                .expect("subtracting counts never recorded");
-            *e = e.checked_sub(c).expect("sketch subtraction underflow");
-            if *e == 0 {
-                self.counts.remove(&k);
+        for (index, &c) in other.counts.iter().enumerate() {
+            if c > 0 {
+                let e = self
+                    .counts
+                    .get_mut(index)
+                    .expect("subtracting counts never recorded");
+                *e = e.checked_sub(c).expect("sketch subtraction underflow");
             }
         }
         self.total -= other.total;
     }
 
-    /// Reset to empty.
+    /// Reset to empty (the bucket array keeps its allocation).
     pub fn clear(&mut self) {
         self.counts.clear();
         self.total = 0;
@@ -215,23 +250,48 @@ impl SlidingCounter {
     }
 }
 
-/// A [`QuantileSketch`] over a sliding sim-time window: one sketch per
-/// ring slice plus a rolling aggregate kept current by subtraction.
+/// A [`QuantileSketch`] over a sliding sim-time window, watched against
+/// one threshold: one sketch per ring slice plus a rolling aggregate kept
+/// current by subtraction.
+///
+/// Beside the sketches it counts, per slice and in aggregate, the samples
+/// in buckets whose estimate (the bucket's upper bound) does *not* exceed
+/// the threshold. Those buckets are a prefix of the bucket order, and the
+/// `p`-quantile estimate is the bound of the first bucket at which the
+/// running count reaches the nearest-rank target — so the estimate exceeds
+/// the threshold exactly when the prefix holds fewer samples than the
+/// target. [`exceeds`](Self::exceeds) is that comparison, O(1); the bucket
+/// walk of [`quantile`](Self::quantile) is only needed for the value
+/// itself.
 #[derive(Clone, Debug)]
 struct SlidingSketch {
     slice_ns: u64,
     cur: u64,
     ring: [QuantileSketch; SLICES as usize],
     agg: QuantileSketch,
+    /// Buckets `0..below_limit` are those whose upper bound, as the `f64`
+    /// an alert compares, is not above the threshold.
+    below_limit: u16,
+    ring_below: [u64; SLICES as usize],
+    agg_below: u64,
 }
 
 impl SlidingSketch {
-    fn new(window_ns: u64) -> SlidingSketch {
+    fn new(window_ns: u64, threshold: f64) -> SlidingSketch {
+        // Bucket bounds ascend, so the first one above the threshold ends
+        // the prefix. `value > NaN` is false for every value: a NaN
+        // threshold keeps every bucket in it.
+        let below_limit = (0..=sketch_index(u64::MAX))
+            .take_while(|&i| threshold.is_nan() || sketch_range(i).1 as f64 <= threshold)
+            .count() as u16;
         SlidingSketch {
             slice_ns: window_ns.div_ceil(SLICES).max(1),
             cur: 0,
             ring: std::array::from_fn(|_| QuantileSketch::new()),
             agg: QuantileSketch::new(),
+            below_limit,
+            ring_below: [0; SLICES as usize],
+            agg_below: 0,
         }
     }
 
@@ -246,6 +306,8 @@ impl SlidingSketch {
             if !self.ring[slot].is_empty() {
                 self.agg.subtract(&self.ring[slot]);
                 self.ring[slot].clear();
+                self.agg_below -= self.ring_below[slot];
+                self.ring_below[slot] = 0;
             }
         }
         self.cur = s;
@@ -253,13 +315,29 @@ impl SlidingSketch {
 
     fn record(&mut self, t: u64, v: u64) {
         self.advance(t);
-        self.ring[(self.cur % SLICES) as usize].record(v);
+        let slot = (self.cur % SLICES) as usize;
+        self.ring[slot].record(v);
         self.agg.record(v);
+        if sketch_index(v) < self.below_limit {
+            self.ring_below[slot] += 1;
+            self.agg_below += 1;
+        }
     }
 
     fn quantile(&mut self, t: u64, p: f64) -> Option<u64> {
         self.advance(t);
         self.agg.quantile(p)
+    }
+
+    /// Whether the windowed `p`-quantile at sim-time `t` exceeds the
+    /// threshold; an empty window reads as 0, like [`RuleRt::value`].
+    fn exceeds(&mut self, t: u64, p: f64) -> bool {
+        self.advance(t);
+        match self.agg.count() {
+            // 0 is bucket 0's bound: above the threshold iff the prefix is empty.
+            0 => self.below_limit == 0,
+            total => self.agg_below < nearest_rank(p, total),
+        }
     }
 }
 
@@ -359,7 +437,7 @@ enum RuleState {
         den: SlidingCounter,
     },
     Quantile {
-        sketch: SlidingSketch,
+        sketch: Box<SlidingSketch>,
         p: f64,
     },
 }
@@ -379,7 +457,7 @@ impl RuleRt {
                 den: SlidingCounter::new(rule.window_ns),
             },
             Some(p) => RuleState::Quantile {
-                sketch: SlidingSketch::new(rule.window_ns),
+                sketch: Box::new(SlidingSketch::new(rule.window_ns, rule.threshold)),
                 p,
             },
         };
@@ -403,6 +481,17 @@ impl RuleRt {
             }
             RuleState::Quantile { sketch, p } => sketch.quantile(t, *p).unwrap_or(0) as f64,
         }
+    }
+
+    /// Whether [`value`](Self::value) is above the rule's threshold at
+    /// sim-time `t`, without walking a sketch.
+    fn exceeds(&mut self, t: u64) -> bool {
+        let RuleState::Quantile { sketch, p } = &mut self.state else {
+            return self.value(t) > self.rule.threshold;
+        };
+        let exceeds = sketch.exceeds(t, *p);
+        debug_assert_eq!(exceeds, self.value(t) > self.rule.threshold);
+        exceeds
     }
 }
 
@@ -496,13 +585,10 @@ impl MonitorState {
             if !relevant {
                 continue;
             }
-            let value = rt.value(t.0);
-            if !rt.firing && value > rt.rule.threshold {
-                rt.firing = true;
-                transitions.push((i, value));
-            } else if rt.firing && value <= rt.rule.threshold {
-                rt.firing = false;
-                transitions.push((i, value));
+            let exceeds = rt.exceeds(t.0);
+            if exceeds != rt.firing {
+                rt.firing = exceeds;
+                transitions.push((i, rt.value(t.0)));
             }
         }
         for (i, value) in transitions {
@@ -593,8 +679,8 @@ impl SloMonitor {
     }
 
     /// Feed: a dequeue for `tenant` that waited `wait_ns`; `inverted` marks
-    /// a cross-tenant rank inversion (a lower-ranked packet of another
-    /// tenant was waiting behind this one).
+    /// a cross-tenant rank inversion (a strictly lower-ranked packet of
+    /// *another* tenant kept waiting while this one left).
     #[inline]
     pub fn on_dequeue(&self, t: Nanos, tenant: u16, wait_ns: u64, inverted: bool) {
         if let Some(inner) = &self.inner {
@@ -920,13 +1006,91 @@ mod tests {
 
     #[test]
     fn sliding_sketch_expires_by_sim_time() {
-        let mut s = SlidingSketch::new(800);
+        let mut s = SlidingSketch::new(800, 0.0);
         s.record(0, 1_000);
         s.record(50, 2_000);
         assert!(s.quantile(750, 1.0).unwrap() >= 2_000);
         assert_eq!(s.quantile(850, 1.0), None, "window drained");
         s.record(900, 7);
         assert_eq!(s.quantile(900, 0.5), Some(7));
+    }
+
+    #[test]
+    fn prop_constant_time_exceed_test_matches_the_quantile_walk() {
+        // Property: at every step of a seeded random stream — bursts,
+        // gaps that expire single slices and gaps that drain the whole
+        // window — `exceeds` answers exactly what comparing the walked
+        // quantile to the threshold answers, for thresholds on bucket
+        // bounds, between them, at 0, below 0, above every sample, and NaN.
+        let root = SimRng::seed_from(0x0a1e_a7ed);
+        let bound = |v: u64| sketch_range(sketch_index(v)).1 as f64;
+        let thresholds = [
+            -1.0,
+            0.0,
+            0.5,
+            15.0,
+            bound(1_000),
+            bound(1_000) + 1.0,
+            bound(50_000) - 1.0,
+            bound(50_000),
+            3_000_000.0,
+            1e30,
+            f64::NAN,
+        ];
+        let mut evaluated = 0u64;
+        for case in 0..thresholds.len() as u64 * 4 {
+            let mut rng = root.derive(case);
+            let threshold = thresholds[case as usize % thresholds.len()];
+            let p = [0.5, 0.9, 0.99, 1.0][case as usize / thresholds.len()];
+            let window_ns = 1 + rng.below(10_000);
+            let mut s = SlidingSketch::new(window_ns, threshold);
+            let mut t = 0u64;
+            for _ in 0..600 {
+                t += match rng.below(10) {
+                    0 => window_ns + rng.below(window_ns), // drains the window
+                    1..=3 => rng.below(window_ns / 4 + 1), // expires a slice or two
+                    _ => rng.below(3),                     // a burst
+                };
+                let v = match rng.below(4) {
+                    0 => rng.below(20),
+                    1 => rng.exponential(50_000.0) as u64,
+                    2 => rng.below(2_000),
+                    _ => 1u64 << rng.below(40),
+                };
+                s.record(t, v);
+                let walked = s.quantile(t, p).unwrap_or(0) as f64;
+                assert_eq!(
+                    s.exceeds(t, p),
+                    walked > threshold,
+                    "case {case} t {t} p {p}: quantile {walked} vs threshold {threshold}"
+                );
+                evaluated += 1;
+                // Between feeds the window can be empty; it then reads 0.
+                if rng.below(8) == 0 {
+                    let later = t + rng.below(2 * window_ns);
+                    let walked = s.quantile(later, p).unwrap_or(0) as f64;
+                    assert_eq!(s.exceeds(later, p), walked > threshold, "case {case}");
+                    t = later;
+                }
+            }
+        }
+        assert_eq!(evaluated, thresholds.len() as u64 * 4 * 600);
+    }
+
+    #[test]
+    fn sketch_equality_ignores_how_far_the_bucket_array_grew() {
+        let mut grown = QuantileSketch::new();
+        grown.record(1 << 40);
+        let mut other = QuantileSketch::new();
+        other.record(1 << 40);
+        grown.subtract(&other);
+        assert_eq!(grown, QuantileSketch::new());
+        grown.record(3);
+        other.clear();
+        other.record(3);
+        assert_eq!(grown, other);
+        other.record(4);
+        assert_ne!(grown, other);
     }
 
     #[test]

@@ -20,55 +20,93 @@
 //! } // guard drop records the elapsed wall time
 //! ```
 //!
+//! Every scope is *counted*, but the clock is read on one scope in
+//! `TIMING_STRIDE` only: an `Instant::now()` pair costs tens of
+//! nanoseconds and the simulator opens a dozen scopes per packet, so
+//! timing all of them would make the profiler the largest single cost of an
+//! observed run. The exported `total_ns` is therefore an *estimate* — the
+//! timed scopes' total scaled by `count / timed` — while `count` stays
+//! exact; `min_ns`/`max_ns` range over the timed scopes. A timed scope
+//! subtracts what one clock read costs, measured by two reads back to back
+//! as it starts: its interval contains that much clock latency, the
+//! untimed scopes pay none, and scaled up it would count for a third of a
+//! ~100 ns site. Durations handed to [`Profiler::record_ns`] were measured
+//! by the caller and are always kept exactly.
+//!
 //! With the `enabled` feature off, both types are zero-sized and every
 //! method is an empty inlined body — no `Instant::now` calls survive.
+
+/// [`Profiler::time`] reads the clock on scopes `0, STRIDE, 2·STRIDE, …` of
+/// each site.
+#[cfg(feature = "enabled")]
+const TIMING_STRIDE: u64 = 64;
 
 /// Aggregated wall-clock statistics for one profiled site.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfileStat {
-    /// Number of recorded scopes.
+    /// Number of scopes, timed or not.
     pub count: u64,
-    /// Total wall-clock nanoseconds across all scopes.
-    pub total_ns: u64,
-    /// Shortest scope, 0 if none recorded.
+    /// Number of scopes whose duration was measured.
+    pub timed: u64,
+    /// Total wall-clock nanoseconds across the timed scopes.
+    pub timed_ns: u64,
+    /// Shortest timed scope, 0 if none.
     pub min_ns: u64,
-    /// Longest scope.
+    /// Longest timed scope.
     pub max_ns: u64,
 }
 
 impl ProfileStat {
-    /// Fold one scope's elapsed time into the aggregate.
+    /// Count one scope and fold its measured duration into the aggregate.
     pub fn record(&mut self, ns: u64) {
-        self.min_ns = if self.count == 0 {
+        self.count += 1;
+        self.record_timed(ns);
+    }
+
+    /// Fold in the duration of a scope that was already counted.
+    fn record_timed(&mut self, ns: u64) {
+        self.min_ns = if self.timed == 0 {
             ns
         } else {
             self.min_ns.min(ns)
         };
         self.max_ns = self.max_ns.max(ns);
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
+        self.timed += 1;
+        self.timed_ns = self.timed_ns.saturating_add(ns);
     }
 
-    /// Mean nanoseconds per scope (0 if none recorded).
+    /// Estimated wall-clock nanoseconds across *all* scopes: the timed
+    /// total scaled by `count / timed` (exact when every scope was timed,
+    /// 0 if none was).
+    pub fn total_ns(&self) -> u64 {
+        if self.timed == 0 {
+            return 0;
+        }
+        let scaled = u128::from(self.timed_ns) * u128::from(self.count) / u128::from(self.timed);
+        u64::try_from(scaled).unwrap_or(u64::MAX)
+    }
+
+    /// Mean nanoseconds per timed scope (0 if none).
     pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
+        self.timed_ns.checked_div(self.timed).unwrap_or(0)
     }
 
     /// Fold another site's aggregate in (the sharded engine's telemetry
     /// merge: each worker profiles its own dispatch loop, and the merged
     /// stat describes all of them together).
     pub fn merge(&mut self, other: &ProfileStat) {
-        if other.count == 0 {
+        self.count += other.count;
+        if other.timed == 0 {
             return;
         }
-        self.min_ns = if self.count == 0 {
+        self.min_ns = if self.timed == 0 {
             other.min_ns
         } else {
             self.min_ns.min(other.min_ns)
         };
         self.max_ns = self.max_ns.max(other.max_ns);
-        self.count += other.count;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.timed += other.timed;
+        self.timed_ns = self.timed_ns.saturating_add(other.timed_ns);
     }
 }
 
@@ -77,10 +115,10 @@ pub use live_profiler::{ProfileSpan, Profiler};
 
 #[cfg(feature = "enabled")]
 mod live_profiler {
-    use super::ProfileStat;
+    use super::{ProfileStat, TIMING_STRIDE};
     use std::cell::RefCell;
     use std::rc::Rc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Handle to one profiled site's aggregate. Cloning shares the
     /// aggregate; the default value is disabled (records nothing).
@@ -94,18 +132,35 @@ mod live_profiler {
     }
 
     impl Profiler {
-        /// Start a scope; the elapsed wall time is recorded when the
-        /// returned guard drops. Disabled handles never read the clock.
+        /// Start a scope. It is counted at once; on one scope in
+        /// `TIMING_STRIDE` the clock is read too, and the elapsed wall
+        /// time is recorded when the returned guard drops. Disabled
+        /// handles never read the clock.
         #[inline]
         pub fn time(&self) -> ProfileSpan {
-            ProfileSpan(
-                self.0
-                    .as_ref()
-                    .map(|stat| (Instant::now(), Rc::clone(stat))),
-            )
+            ProfileSpan(self.0.as_ref().and_then(|stat| {
+                let nth = {
+                    let mut s = stat.borrow_mut();
+                    s.count += 1;
+                    s.count - 1
+                };
+                nth.is_multiple_of(TIMING_STRIDE).then(|| {
+                    // Two reads back to back: their distance is what one
+                    // read costs, and the scope's own interval will
+                    // contain as much again (the tail of `started`, the
+                    // head of the closing read).
+                    let before = Instant::now();
+                    let started = Instant::now();
+                    Timed {
+                        started,
+                        clock_cost: started - before,
+                        stat: Rc::clone(stat),
+                    }
+                })
+            }))
         }
 
-        /// Record an externally measured scope duration.
+        /// Record an externally measured scope duration (always exact).
         #[inline]
         pub fn record_ns(&self, ns: u64) {
             if let Some(stat) = &self.0 {
@@ -121,16 +176,79 @@ mod live_profiler {
         }
     }
 
-    /// Scope guard returned by [`Profiler::time`]; records on drop.
+    /// Scope guard returned by [`Profiler::time`]; a timed scope records
+    /// its duration on drop.
     #[must_use = "dropping immediately records a ~0ns scope"]
-    pub struct ProfileSpan(Option<(Instant, Rc<RefCell<ProfileStat>>)>);
+    pub struct ProfileSpan(Option<Timed>);
+
+    /// The one scope in `TIMING_STRIDE` whose duration is measured.
+    struct Timed {
+        started: Instant,
+        /// What one clock read cost just before `started`.
+        clock_cost: Duration,
+        stat: Rc<RefCell<ProfileStat>>,
+    }
 
     impl Drop for ProfileSpan {
+        #[inline]
         fn drop(&mut self) {
-            if let Some((started, stat)) = self.0.take() {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                stat.borrow_mut().record(ns);
+            if let Some(timed) = self.0.take() {
+                let elapsed = timed.started.elapsed().saturating_sub(timed.clock_cost);
+                let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+                timed.stat.borrow_mut().record_timed(ns);
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use crate::{ProfileStat, Telemetry};
+
+        #[test]
+        fn every_scope_is_counted_and_one_in_stride_is_timed() {
+            let t = Telemetry::enabled();
+            let p = t.profiler("site");
+            for _ in 0..1_000 {
+                let _span = p.time();
+            }
+            let stat = p.stat();
+            assert_eq!(stat.count, 1_000);
+            assert_eq!(stat.timed, 16, "scopes 0, 64, ..., 960");
+            // The estimate scales the timed total up to every scope.
+            assert!(stat.total_ns() >= stat.timed_ns);
+            assert!(stat.min_ns <= stat.mean_ns() && stat.mean_ns() <= stat.max_ns);
+        }
+
+        #[test]
+        fn disabled_handle_never_reads_the_clock() {
+            let p = Telemetry::disabled().profiler("site");
+            for _ in 0..130 {
+                assert!(p.time().0.is_none(), "a disabled scope took a timestamp");
+            }
+            p.record_ns(5);
+            assert_eq!(p.stat(), ProfileStat::default());
+        }
+
+        #[test]
+        fn scope_guard_records_on_drop() {
+            let t = Telemetry::enabled();
+            let p = t.profiler("unit_test_site");
+            {
+                let _span = p.time();
+                std::hint::black_box(42);
+            }
+            p.record_ns(1_000);
+            let stat = p.stat();
+            assert_eq!((stat.count, stat.timed), (2, 2));
+            assert!(stat.total_ns() >= 1_000);
+        }
+
+        #[test]
+        fn refetching_shares_the_aggregate() {
+            let t = Telemetry::enabled();
+            t.profiler("site").record_ns(7);
+            t.profiler("site").record_ns(3);
+            assert_eq!(t.profiler("site").stat().count, 2);
         }
     }
 }
@@ -180,8 +298,8 @@ mod tests {
         for ns in [30, 10, 20] {
             s.record(ns);
         }
-        assert_eq!(s.count, 3);
-        assert_eq!(s.total_ns, 60);
+        assert_eq!((s.count, s.timed), (3, 3));
+        assert_eq!(s.total_ns(), 60, "exact when every scope was timed");
         assert_eq!(s.min_ns, 10);
         assert_eq!(s.max_ns, 30);
         assert_eq!(s.mean_ns(), 20);
@@ -191,40 +309,56 @@ mod tests {
     fn empty_stat_is_all_zero() {
         let s = ProfileStat::default();
         assert_eq!(s.mean_ns(), 0);
+        assert_eq!(s.total_ns(), 0);
         assert_eq!(s.min_ns, 0);
     }
 
-    #[cfg(feature = "enabled")]
-    mod live {
-        #[test]
-        fn scope_guard_records_on_drop() {
-            let t = crate::Telemetry::enabled();
-            let p = t.profiler("unit_test_site");
-            {
-                let _span = p.time();
-                std::hint::black_box(42);
-            }
-            p.record_ns(1_000);
-            let stat = p.stat();
-            assert_eq!(stat.count, 2);
-            assert!(stat.total_ns >= 1_000);
-        }
+    #[test]
+    fn total_is_the_timed_total_scaled_to_every_scope() {
+        let s = ProfileStat {
+            count: 640,
+            timed: 10,
+            timed_ns: 1_000,
+            min_ns: 50,
+            max_ns: 150,
+        };
+        assert_eq!(s.total_ns(), 64_000);
+        assert_eq!(s.mean_ns(), 100);
+        // Counted but never timed: nothing to scale.
+        let untimed = ProfileStat {
+            count: 9,
+            ..ProfileStat::default()
+        };
+        assert_eq!(untimed.total_ns(), 0);
+    }
 
-        #[test]
-        fn disabled_profiler_records_nothing() {
-            let t = crate::Telemetry::disabled();
-            let p = t.profiler("site");
-            drop(p.time());
-            p.record_ns(5);
-            assert_eq!(p.stat(), super::super::ProfileStat::default());
-        }
-
-        #[test]
-        fn refetching_shares_the_aggregate() {
-            let t = crate::Telemetry::enabled();
-            t.profiler("site").record_ns(7);
-            t.profiler("site").record_ns(3);
-            assert_eq!(t.profiler("site").stat().count, 2);
-        }
+    #[test]
+    fn merge_sums_scopes_and_timed_scopes() {
+        let mut a = ProfileStat {
+            count: 128,
+            timed: 2,
+            timed_ns: 300,
+            min_ns: 100,
+            max_ns: 200,
+        };
+        let b = ProfileStat {
+            count: 64,
+            timed: 1,
+            timed_ns: 40,
+            min_ns: 40,
+            max_ns: 40,
+        };
+        a.merge(&b);
+        assert_eq!((a.count, a.timed, a.timed_ns), (192, 3, 340));
+        assert_eq!((a.min_ns, a.max_ns), (40, 200));
+        // A shard that counted scopes but timed none still adds its count.
+        a.merge(&ProfileStat {
+            count: 8,
+            ..ProfileStat::default()
+        });
+        assert_eq!((a.count, a.timed, a.min_ns), (200, 3, 40));
+        let mut empty = ProfileStat::default();
+        empty.merge(&b);
+        assert_eq!(empty, b);
     }
 }

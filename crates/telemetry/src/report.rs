@@ -48,15 +48,16 @@ pub struct HistLine {
 pub struct ProfileLine {
     /// Profiled site name.
     pub name: String,
-    /// Number of recorded scopes.
+    /// Number of scopes (exact).
     pub count: u64,
-    /// Total wall-clock nanoseconds.
+    /// Total wall-clock nanoseconds, estimated from the timed scopes
+    /// (see [`crate::profile`]).
     pub total_ns: u64,
-    /// Shortest scope.
+    /// Shortest timed scope.
     pub min_ns: u64,
-    /// Longest scope.
+    /// Longest timed scope.
     pub max_ns: u64,
-    /// Mean nanoseconds per scope.
+    /// Mean nanoseconds per timed scope.
     pub mean_ns: u64,
 }
 

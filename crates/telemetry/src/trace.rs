@@ -143,6 +143,54 @@ impl TraceKind {
             TraceKind::Ack { .. } => "ack",
         }
     }
+
+    /// The kind's payload as `(JSONL key, value)` pairs, in export order.
+    fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+        match *self {
+            TraceKind::FlowStart { size } => f("size", size),
+            TraceKind::RankComputed { rank }
+            | TraceKind::Enqueue { rank }
+            | TraceKind::Drop { rank } => f("rank", rank),
+            TraceKind::Transform { pre, post } => {
+                f("pre", pre);
+                f("post", post);
+            }
+            TraceKind::Dequeue { rank, wait_ns } => {
+                f("rank", rank);
+                f("wait_ns", wait_ns);
+            }
+            TraceKind::Inversion {
+                rank,
+                loser_flow,
+                loser_seq,
+                loser_rank,
+            } => {
+                f("rank", rank);
+                f("loser_flow", loser_flow);
+                f("loser_seq", loser_seq);
+                f("loser_rank", loser_rank);
+            }
+            TraceKind::TxStart {
+                bytes,
+                tx_ns,
+                prop_ns,
+            } => {
+                f("bytes", bytes);
+                f("tx_ns", tx_ns);
+                f("prop_ns", prop_ns);
+            }
+            TraceKind::Deliver { latency_ns } | TraceKind::Ack { latency_ns } => {
+                f("latency_ns", latency_ns)
+            }
+        }
+    }
+}
+
+/// Append `,"key":value` to a JSON object under construction. `key` must
+/// need no escaping (every caller passes a literal).
+fn push_field(out: &mut String, key: &str, value: u64) {
+    use std::fmt::Write;
+    let _ = write!(out, ",\"{key}\":{value}");
 }
 
 /// One recorded span/event of a sampled packet's lifecycle.
@@ -221,8 +269,12 @@ impl TraceData {
     /// Serialize as JSON lines: one `trace_meta` line, then one `span`
     /// line per record (oldest first, labels inlined as strings). The
     /// output is byte-deterministic given the records.
+    ///
+    /// Span lines are written straight into the output — a full ring is a
+    /// quarter of a million of them — in exactly the bytes the compact
+    /// [`Value`] rendering of the same object would have.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 + self.records.len() * 96);
+        let mut out = String::with_capacity(64 + self.records.len() * 128);
         let meta = Value::object()
             .set("type", "trace_meta")
             .set("schema", TRACE_SCHEMA_VERSION)
@@ -232,52 +284,30 @@ impl TraceData {
             .set("seed", self.seed);
         out.push_str(&meta.to_compact());
         out.push('\n');
+        // Each label's `,"queue":"<escaped>"` fragment, rendered once.
+        let queues: Vec<String> = self
+            .labels
+            .iter()
+            .map(|label| format!(",\"queue\":{}", Value::from(label.as_str()).to_compact()))
+            .collect();
         for r in &self.records {
-            let mut line = Value::object()
-                .set("type", "span")
-                .set("t_ns", r.t)
-                .set("flow", r.flow)
-                .set("seq", r.seq)
-                .set("tenant", r.tenant);
+            out.push_str("{\"type\":\"span\"");
+            push_field(&mut out, "t_ns", r.t.as_nanos());
+            push_field(&mut out, "flow", r.flow);
+            push_field(&mut out, "seq", r.seq);
+            push_field(&mut out, "tenant", u64::from(r.tenant));
             if r.ack {
-                line = line.set("ack", true);
+                out.push_str(",\"ack\":true");
             }
-            if let Some(label) = self.label_of(r) {
-                line = line.set("queue", label);
+            if let Some(queue) = queues.get(r.label as usize) {
+                out.push_str(queue);
             }
-            line = line.set("kind", r.kind.tag());
-            line = match r.kind {
-                TraceKind::FlowStart { size } => line.set("size", size),
-                TraceKind::RankComputed { rank } => line.set("rank", rank),
-                TraceKind::Transform { pre, post } => line.set("pre", pre).set("post", post),
-                TraceKind::Enqueue { rank } => line.set("rank", rank),
-                TraceKind::Dequeue { rank, wait_ns } => {
-                    line.set("rank", rank).set("wait_ns", wait_ns)
-                }
-                TraceKind::Drop { rank } => line.set("rank", rank),
-                TraceKind::Inversion {
-                    rank,
-                    loser_flow,
-                    loser_seq,
-                    loser_rank,
-                } => line
-                    .set("rank", rank)
-                    .set("loser_flow", loser_flow)
-                    .set("loser_seq", loser_seq)
-                    .set("loser_rank", loser_rank),
-                TraceKind::TxStart {
-                    bytes,
-                    tx_ns,
-                    prop_ns,
-                } => line
-                    .set("bytes", bytes)
-                    .set("tx_ns", tx_ns)
-                    .set("prop_ns", prop_ns),
-                TraceKind::Deliver { latency_ns } => line.set("latency_ns", latency_ns),
-                TraceKind::Ack { latency_ns } => line.set("latency_ns", latency_ns),
-            };
-            out.push_str(&line.to_compact());
-            out.push('\n');
+            out.push_str(",\"kind\":\"");
+            out.push_str(r.kind.tag());
+            out.push('"');
+            r.kind
+                .for_each_field(|key, value| push_field(&mut out, key, value));
+            out.push_str("}\n");
         }
         out
     }
@@ -372,12 +402,19 @@ mod live_tracer {
     use super::{TraceConfig, TraceData, TraceRecord};
     use qvisor_sim::rng::stable_hash;
     use std::cell::RefCell;
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::BTreeMap;
     use std::rc::Rc;
 
     #[derive(Default)]
     struct TraceBuf {
-        records: VecDeque<TraceRecord>,
+        /// The ring. It grows by `push` until it holds `capacity` records
+        /// — never reserved up front: most tracers (one per fuzz case)
+        /// record a few hundred spans, and a default-capacity ring is
+        /// 18.9 MB — and from then on the oldest record, at `head`, is
+        /// overwritten in place.
+        records: Vec<TraceRecord>,
+        /// Index of the oldest record once the ring is full; 0 before.
+        head: usize,
         labels: Vec<String>,
         label_ids: BTreeMap<String, u32>,
         dropped: u64,
@@ -462,16 +499,20 @@ mod live_tracer {
         #[inline]
         pub fn record(&self, record: TraceRecord) {
             if let Some(buf) = &self.inner {
-                let mut buf = buf.borrow_mut();
-                if self.capacity == 0 {
-                    buf.dropped += 1;
+                let buf = &mut *buf.borrow_mut();
+                if buf.records.len() < self.capacity {
+                    buf.records.push(record);
                     return;
                 }
-                if buf.records.len() == self.capacity {
-                    buf.records.pop_front();
-                    buf.dropped += 1;
+                buf.dropped += 1;
+                // `None` only for a ring of capacity 0, which keeps nothing.
+                if let Some(oldest) = buf.records.get_mut(buf.head) {
+                    *oldest = record;
+                    buf.head += 1;
+                    if buf.head == self.capacity {
+                        buf.head = 0;
+                    }
                 }
-                buf.records.push_back(record);
             }
         }
 
@@ -495,8 +536,9 @@ mod live_tracer {
             match &self.inner {
                 Some(buf) => {
                     let buf = buf.borrow();
+                    let (newest, oldest) = buf.records.split_at(buf.head);
                     TraceData {
-                        records: buf.records.iter().copied().collect(),
+                        records: [oldest, newest].concat(),
                         labels: buf.labels.clone(),
                         dropped: buf.dropped,
                         capacity: self.capacity as u64,
@@ -797,6 +839,137 @@ mod tests {
         }
     }
 
+    /// The export as the compact [`Value`] rendering of one object per
+    /// line — the definition `to_jsonl`'s direct writes must reproduce.
+    fn value_jsonl(data: &TraceData) -> String {
+        let mut out = Value::object()
+            .set("type", "trace_meta")
+            .set("schema", TRACE_SCHEMA_VERSION)
+            .set("dropped", data.dropped)
+            .set("capacity", data.capacity)
+            .set("sample_one_in", data.sample_one_in)
+            .set("seed", data.seed)
+            .to_compact();
+        out.push('\n');
+        for r in &data.records {
+            let mut line = Value::object()
+                .set("type", "span")
+                .set("t_ns", r.t)
+                .set("flow", r.flow)
+                .set("seq", r.seq)
+                .set("tenant", r.tenant);
+            if r.ack {
+                line = line.set("ack", true);
+            }
+            if let Some(label) = data.label_of(r) {
+                line = line.set("queue", label);
+            }
+            line = line.set("kind", r.kind.tag());
+            line = match r.kind {
+                TraceKind::FlowStart { size } => line.set("size", size),
+                TraceKind::RankComputed { rank } => line.set("rank", rank),
+                TraceKind::Transform { pre, post } => line.set("pre", pre).set("post", post),
+                TraceKind::Enqueue { rank } => line.set("rank", rank),
+                TraceKind::Dequeue { rank, wait_ns } => {
+                    line.set("rank", rank).set("wait_ns", wait_ns)
+                }
+                TraceKind::Drop { rank } => line.set("rank", rank),
+                TraceKind::Inversion {
+                    rank,
+                    loser_flow,
+                    loser_seq,
+                    loser_rank,
+                } => line
+                    .set("rank", rank)
+                    .set("loser_flow", loser_flow)
+                    .set("loser_seq", loser_seq)
+                    .set("loser_rank", loser_rank),
+                TraceKind::TxStart {
+                    bytes,
+                    tx_ns,
+                    prop_ns,
+                } => line
+                    .set("bytes", bytes)
+                    .set("tx_ns", tx_ns)
+                    .set("prop_ns", prop_ns),
+                TraceKind::Deliver { latency_ns } => line.set("latency_ns", latency_ns),
+                TraceKind::Ack { latency_ns } => line.set("latency_ns", latency_ns),
+            };
+            out.push_str(&line.to_compact());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Every kind, with and without `ack` and a label, a label that needs
+    /// every sort of escape, and fields at both ends of `u64`.
+    fn exhaustive_data() -> TraceData {
+        let max = u64::MAX;
+        let kinds = [
+            TraceKind::FlowStart { size: max },
+            TraceKind::RankComputed { rank: 0 },
+            TraceKind::Transform { pre: max, post: 0 },
+            TraceKind::Enqueue { rank: max },
+            TraceKind::Dequeue {
+                rank: 7,
+                wait_ns: max,
+            },
+            TraceKind::Drop { rank: max },
+            TraceKind::Inversion {
+                rank: max,
+                loser_flow: max,
+                loser_seq: max,
+                loser_rank: max - 1,
+            },
+            TraceKind::TxStart {
+                bytes: max,
+                tx_ns: 0,
+                prop_ns: max,
+            },
+            TraceKind::Deliver { latency_ns: max },
+            TraceKind::Ack { latency_ns: 0 },
+        ];
+        let mut records = Vec::new();
+        for (i, &kind) in kinds.iter().enumerate() {
+            for (label, ack) in [(NO_LABEL, false), (0, true), (1, false), (1, true)] {
+                let t = if i % 2 == 0 {
+                    Nanos(max)
+                } else {
+                    Nanos(i as u64)
+                };
+                records.push(
+                    TraceRecord::new(t, max - i as u64, i as u64, u16::MAX, kind)
+                        .at_label(label)
+                        .as_ack(ack),
+                );
+            }
+        }
+        TraceData {
+            records,
+            labels: vec![
+                "n0.p0".to_string(),
+                "q\"uo\\te\n\ttab\u{1}\u{8}\u{c}\r é→".to_string(),
+            ],
+            dropped: max,
+            capacity: 3,
+            sample_one_in: max,
+            seed: max,
+        }
+    }
+
+    #[test]
+    fn direct_jsonl_equals_the_value_rendering() {
+        for data in [sample_data(), exhaustive_data(), TraceData::default()] {
+            let jsonl = data.to_jsonl();
+            assert_eq!(jsonl, value_jsonl(&data));
+            assert_eq!(TraceData::parse(&jsonl).unwrap(), data);
+        }
+        // A label id past the table renders, like `NO_LABEL`, as no queue.
+        let mut dangling = sample_data();
+        dangling.records[2].label = 9;
+        assert_eq!(dangling.to_jsonl(), value_jsonl(&dangling));
+    }
+
     #[test]
     fn jsonl_round_trip_is_byte_identical() {
         let data = sample_data();
@@ -886,13 +1059,14 @@ mod tests {
             assert!((0..100).all(|f| all.sampled(f)));
         }
 
-        #[test]
-        fn ring_buffer_evicts_oldest_and_counts() {
+        /// `(retained timestamps, dropped)` after `pushes` records stamped
+        /// `0, 1, 2, …` into a ring of `capacity`.
+        fn ring_after(capacity: usize, pushes: u64) -> (Vec<u64>, u64) {
             let t = Tracer::enabled(TraceConfig {
-                capacity: 3,
+                capacity,
                 ..TraceConfig::default()
             });
-            for i in 0..5u64 {
+            for i in 0..pushes {
                 t.record(TraceRecord::new(
                     Nanos(i),
                     i,
@@ -901,12 +1075,27 @@ mod tests {
                     TraceKind::FlowStart { size: i },
                 ));
             }
-            assert_eq!(t.len(), 3);
-            assert_eq!(t.dropped(), 2);
             let snap = t.snapshot();
-            let ts: Vec<u64> = snap.records.iter().map(|r| r.t.as_nanos()).collect();
-            assert_eq!(ts, vec![2, 3, 4]);
-            assert_eq!(snap.dropped, 2);
+            assert_eq!(t.len(), snap.records.len());
+            assert_eq!(t.dropped(), snap.dropped);
+            (
+                snap.records.iter().map(|r| r.t.as_nanos()).collect(),
+                snap.dropped,
+            )
+        }
+
+        #[test]
+        fn ring_buffer_evicts_oldest_and_counts() {
+            assert_eq!(ring_after(3, 2), (vec![0, 1], 0), "not yet full");
+            assert_eq!(ring_after(3, 3), (vec![0, 1, 2], 0), "exactly full");
+            assert_eq!(ring_after(3, 4), (vec![1, 2, 3], 1), "first overwrite");
+            assert_eq!(ring_after(3, 5), (vec![2, 3, 4], 2));
+            assert_eq!(ring_after(3, 9), (vec![6, 7, 8], 6), "wrapped twice");
+            assert_eq!(ring_after(4, 12), (vec![8, 9, 10, 11], 8));
+            assert_eq!(ring_after(1, 1), (vec![0], 0));
+            assert_eq!(ring_after(1, 4), (vec![3], 3));
+            assert_eq!(ring_after(0, 0), (vec![], 0));
+            assert_eq!(ring_after(0, 4), (vec![], 4), "capacity 0 keeps nothing");
         }
 
         #[test]

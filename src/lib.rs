@@ -42,7 +42,7 @@ pub mod topology {
 }
 
 /// Scheduler models: PIFO, FIFO, strict-priority banks, SP-PIFO, AIFO,
-/// DRR, token buckets.
+/// calendar queues, PIFO trees.
 pub mod scheduler {
     pub use qvisor_scheduler::*;
 }
