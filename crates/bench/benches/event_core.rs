@@ -1,16 +1,29 @@
-//! Event-core microbenchmark: hierarchical timing wheel vs binary heap.
+//! Event-core microbenchmark: calendar queue (`EventCore::Wheel`) vs
+//! binary heap.
 //!
-//! Two access patterns bound the simulator's hot loop:
+//! Two **synthetic** patterns bound the core from outside what a run does
+//! (10^4–10^7 pending, uniform delays up to 1 ms with a 1 % tail to
+//! 8.5 ms — a guess that predates any measurement, kept as the stress
+//! shape):
 //!
-//! * `drain` — schedule N events, pop them all (startup/teardown shape);
+//! * `drain` — schedule N events over one second, pop them all;
 //! * `churn` — hold N pending events while repeatedly popping one and
-//!   scheduling a replacement (the steady-state shape of a packet-level
-//!   run, where every pop schedules a PortFree/Arrive/Timeout successor).
+//!   scheduling a replacement.
 //!
-//! Delays follow the netsim's mix: mostly sub-millisecond serialization/
-//! propagation delays with a tail of RTO-scale timers. Both cores are
-//! cross-checked for identical pop checksums before anything is timed, so
-//! the bench doubles as a coarse differential test.
+//! One **measured** pattern replays the mix `fig4_fabric` was recorded
+//! scheduling (11.57 M operations, 2.5 k pending on average, 3.9 k at
+//! most):
+//!
+//! * `fabric` — ~210 packets in flight; popping an arrival schedules the
+//!   port's `PortFree` one serialization time later (128 / 512 / 3 k /
+//!   12 k ns) and the next arrival 1 µs after that, and one send in ten
+//!   arms a 500 µs retransmission timer that pops stale, so ~5 % of the
+//!   events are timers and they are most of the pending set. Keys and
+//!   payloads have the netsim's sizes (a 72-byte entry).
+//!
+//! Both cores are cross-checked for identical pop checksums on every
+//! pattern before anything is timed, so the bench doubles as a coarse
+//! differential test.
 //!
 //! Usage: `cargo bench -p qvisor-bench --bench event_core [-- --smoke|--full]`
 //! (`--smoke`/`--test` = 10^4 only, for CI bit-rot protection; `--full`
@@ -57,6 +70,51 @@ fn drain((mut q, _): (EventQueue<u64>, SimRng)) -> u64 {
     acc
 }
 
+/// The netsim's event queue in size: a 24-byte content key and a 32-byte
+/// payload. Key fields are `(class, node, a, b)` as in `EventKey`.
+type FabricQueue = EventQueue<[u64; 4], (u8, u32, u64, u64)>;
+
+const PORT_FREE: u8 = 3;
+const ARRIVE: u8 = 4;
+const TIMEOUT: u8 = 2;
+
+/// Pop one event of the measured mix and schedule what it causes.
+fn fabric_step(q: &mut FabricQueue, rng: &mut SimRng) -> u64 {
+    let (now, (class, ..), payload) = q.pop_keyed().expect("packets stay in flight");
+    if class == ARRIVE {
+        let tx = [128, 512, 3_000, 12_000][rng.below(4) as usize];
+        let (port, id) = (rng.below(600) as u32, rng.next());
+        q.schedule_keyed(now + Nanos(tx), (PORT_FREE, port, 0, 0), [id; 4]);
+        let arrive = (ARRIVE, port, now.as_nanos(), id);
+        q.schedule_keyed(now + Nanos(tx + 1_000), arrive, [id; 4]);
+        if rng.below(10) == 0 {
+            q.schedule_keyed(now + Nanos(500_000), (TIMEOUT, port, id, 0), [id; 4]);
+        }
+    }
+    now.as_nanos().wrapping_add(payload[0])
+}
+
+/// A queue in the measured mix's steady state: the packets in flight,
+/// then 600 µs of simulated time so the timer population has saturated.
+fn fabric_prefill(core: EventCore, seed: u64) -> (FabricQueue, SimRng) {
+    let mut q = FabricQueue::with_core(core);
+    let mut rng = SimRng::seed_from(seed);
+    for i in 0..210 {
+        let at = Nanos(rng.below(5_000));
+        q.schedule_keyed(at, (ARRIVE, i, 0, i as u64), [i as u64; 4]);
+    }
+    while q.now() < Nanos(600_000) {
+        fabric_step(&mut q, &mut rng);
+    }
+    (q, rng)
+}
+
+fn fabric((mut q, mut rng): (FabricQueue, SimRng), ops: usize) -> u64 {
+    (0..ops).fold(0u64, |acc, _| {
+        acc.wrapping_add(fabric_step(&mut q, &mut rng))
+    })
+}
+
 fn label(op: &str, core: EventCore, pending: usize) -> String {
     let core = match core {
         EventCore::Wheel => "wheel",
@@ -93,7 +151,28 @@ fn main() {
         );
     }
 
-    print_header("event_core: timing wheel vs binary heap (ns/iter = whole pattern)");
+    let (q, _) = fabric_prefill(EventCore::Wheel, 7);
+    let pending = q.len();
+    assert!(
+        (2_000..3_200).contains(&pending),
+        "fabric mix drifted from the measured ~2.5 k pending: {pending}"
+    );
+    assert_eq!(
+        fabric(fabric_prefill(EventCore::Wheel, 7), churn_ops),
+        fabric(fabric_prefill(EventCore::Heap, 7), churn_ops),
+        "cores disagree on fabric"
+    );
+
+    print_header("event_core: calendar (wheel) vs binary heap (ns/iter = whole pattern)");
+    println!("measured mix (fig4_fabric's recorded schedule):");
+    for core in [EventCore::Wheel, EventCore::Heap] {
+        bench_batched(
+            &format!("{}_x{churn_ops}", label("fabric", core, pending)),
+            || fabric_prefill(core, 42),
+            |q| fabric(q, churn_ops),
+        );
+    }
+    println!("synthetic mixes (uniform delays, 10^4-10^7 pending):");
     for &n in sizes {
         for core in [EventCore::Wheel, EventCore::Heap] {
             bench_batched(&label("drain", core, n), || prefill(core, n, 42), drain);

@@ -137,7 +137,7 @@ pub struct SimConfig {
     /// QVISOR deployment, if any.
     pub qvisor: Option<QvisorSetup>,
     /// Data structure backing the simulator's event queue. The default
-    /// (timing wheel) and the binary-heap oracle are observationally
+    /// (calendar queue) and the binary-heap oracle are observationally
     /// identical — the differential suite proves byte-identical reports —
     /// so this knob exists for oracle runs and perf comparisons only.
     pub event_core: EventCore,

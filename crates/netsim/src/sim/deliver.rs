@@ -81,7 +81,7 @@ impl Simulation {
                     FlowState::Reliable { sender, .. } => sender.on_ack(acked_seq, now),
                     FlowState::Cbr { .. } => unreachable!("ACK on CBR flow"),
                 };
-                for req in outcome.sends {
+                if let Some(req) = outcome.sends {
                     self.send_data(p.flow, req, 0, now);
                 }
                 if outcome.completed {
@@ -116,9 +116,7 @@ impl Simulation {
                 let payload = p.size.saturating_sub(self.cfg.header_bytes);
                 let (met, missed) = match &mut self.flows[p.flow.index()] {
                     FlowState::Cbr { sink, .. } => {
-                        let before = (sink.received(),);
                         sink.on_datagram(p.sent_at, p.deadline, now);
-                        let _ = before;
                         match p.deadline {
                             Some(d) if now <= d => (1, 0),
                             Some(_) => (0, 1),

@@ -5,7 +5,6 @@ use super::{EventKey, Simulation};
 use qvisor_core::Verdict;
 use qvisor_sim::{stable_hash, transmission_time, Nanos, NodeId, Packet, PacketKind};
 use qvisor_telemetry::{TraceKind, TraceRecord};
-use qvisor_topology::NodeKind;
 
 impl Simulation {
     /// Move a packet sitting at `at` one hop toward its destination.
@@ -26,20 +25,7 @@ impl Simulation {
         }
         // Pre-processor at the configured scope (idempotent: transforms
         // the original tenant rank, so re-applying per hop is safe).
-        let scope = self
-            .cfg
-            .qvisor
-            .as_ref()
-            .map(|q| q.scope)
-            .unwrap_or_default();
-        let apply_here = match scope {
-            crate::config::PreprocScope::Everywhere => true,
-            crate::config::PreprocScope::SwitchesOnly => {
-                self.topo.node(at).kind == NodeKind::Switch
-            }
-            crate::config::PreprocScope::FirstHopOnly => at == p.src,
-        };
-        if apply_here {
+        if self.preproc_at[at.index()] || (self.preproc_first_hop && at == p.src) {
             let raw_rank = p.rank;
             if let Some(pre) = self.preproc.as_mut() {
                 if pre.process(&mut p) == Verdict::Drop {
@@ -59,7 +45,7 @@ impl Simulation {
             }
         }
         let next = self.routes.ecmp_next_hop(at, p.dst, p.flow);
-        let port = self.port_of[at.index()][&next.0];
+        let port = self.port_of[at.index()][next.index()] as usize;
         let outcome = self.ports[at.index()][port].queue.enqueue(p, now);
         for victim in outcome.dropped() {
             self.drop_packet(&victim, at, now);

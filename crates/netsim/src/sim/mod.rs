@@ -29,7 +29,7 @@ mod traffic;
 pub use sharded::run_sharded;
 pub use traffic::{NewCbr, NewFlow};
 
-use crate::config::SimConfig;
+use crate::config::{PreprocScope, SimConfig};
 use crate::report::SimReport;
 use qvisor_core::{JointPolicy, Policy, PreProcessor, QvisorError, RuntimeAdapter, RuntimeMonitor};
 use qvisor_ranking::{RankCtx, RankFn};
@@ -38,7 +38,7 @@ use qvisor_sim::{
     PacketSlot, TenantId,
 };
 use qvisor_telemetry::{Profiler, TraceKind, TraceRecord};
-use qvisor_topology::{Routes, Topology};
+use qvisor_topology::{NodeKind, Routes, Topology};
 use std::collections::BTreeMap;
 
 use queues::{Port, TenantMetrics};
@@ -186,7 +186,12 @@ pub struct Simulation {
     pub(in crate::sim) arena: PacketArena,
     pub(in crate::sim) ports: Vec<Vec<Port>>,
     /// `port_of[node][neighbor raw id]` = port index.
-    pub(in crate::sim) port_of: Vec<BTreeMap<u32, usize>>,
+    pub(in crate::sim) port_of: Vec<Vec<u32>>,
+    /// `preproc_at[node]`: the pre-processor runs on every packet leaving
+    /// `node` — the deployment's `PreprocScope`, resolved once at build.
+    pub(in crate::sim) preproc_at: Vec<bool>,
+    /// `PreprocScope::FirstHopOnly`: it runs where the packet was sent.
+    pub(in crate::sim) preproc_first_hop: bool,
     pub(in crate::sim) flows: Vec<FlowState>,
     pub(in crate::sim) rank_fns: Vec<Option<Box<dyn RankFn>>>,
     pub(in crate::sim) report: SimReport,
@@ -259,6 +264,16 @@ impl Simulation {
         };
 
         let (ports, port_of) = queues::build_ports(&topo, &cfg, joint.as_ref())?;
+        let scope = cfg.qvisor.as_ref().map(|q| q.scope).unwrap_or_default();
+        let preproc_at = topo
+            .nodes()
+            .iter()
+            .map(|node| match scope {
+                PreprocScope::Everywhere => true,
+                PreprocScope::SwitchesOnly => node.kind == NodeKind::Switch,
+                PreprocScope::FirstHopOnly => false,
+            })
+            .collect();
         let events = EventQueue::with_core(cfg.event_core);
         let dispatch_prof = cfg.telemetry.profiler("event_dispatch");
         Ok(Simulation {
@@ -273,6 +288,8 @@ impl Simulation {
             arena: PacketArena::with_capacity(64),
             ports,
             port_of,
+            preproc_at,
+            preproc_first_hop: scope == PreprocScope::FirstHopOnly,
             flows: Vec::new(),
             rank_fns: Vec::new(),
             report: SimReport::default(),

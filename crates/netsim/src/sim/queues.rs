@@ -10,7 +10,6 @@ use qvisor_scheduler::{
 use qvisor_sim::{Nanos, NodeId, Packet};
 use qvisor_telemetry::{Counter, Histogram};
 use qvisor_topology::{NodeKind, Topology};
-use std::collections::BTreeMap;
 
 pub(in crate::sim) struct Port {
     pub(in crate::sim) to: NodeId,
@@ -36,9 +35,10 @@ pub(in crate::sim) struct TenantMetrics {
     pub(in crate::sim) fct_ns: Histogram,
 }
 
-/// Per-node port tables paired with the `port_of[node][neighbor raw id]
-/// -> port index` maps.
-pub(in crate::sim) type PortTables = (Vec<Vec<Port>>, Vec<BTreeMap<u32, usize>>);
+/// Per-node port tables paired with the dense `port_of[node][neighbor raw
+/// id] -> port index` tables (sized to the node's highest neighbor id;
+/// `u32::MAX` where there is no link).
+pub(in crate::sim) type PortTables = (Vec<Vec<Port>>, Vec<Vec<u32>>);
 
 /// Build every output port of every node: one scheduler-model queue per
 /// link (wrapped with instrumentation when telemetry or tracing is live),
@@ -56,7 +56,7 @@ pub(in crate::sim) fn build_ports(
             _ => cfg.scheduler,
         };
         let mut node_ports = Vec::new();
-        let mut map = BTreeMap::new();
+        let mut port_to = Vec::new();
         for link in topo.out_links(node.id) {
             let label = format!("n{}.p{}", node.id.0, node_ports.len());
             let base = make_queue_of(kind, cfg, joint)?;
@@ -71,7 +71,10 @@ pub(in crate::sim) fn build_ports(
                 base
             };
             let link_labels = [("link", label.as_str())];
-            map.insert(link.to.0, node_ports.len());
+            if port_to.len() <= link.to.index() {
+                port_to.resize(link.to.index() + 1, u32::MAX);
+            }
+            port_to[link.to.index()] = node_ports.len() as u32;
             node_ports.push(Port {
                 to: link.to,
                 rate_bps: link.rate_bps,
@@ -84,7 +87,7 @@ pub(in crate::sim) fn build_ports(
             });
         }
         ports.push(node_ports);
-        port_of.push(map);
+        port_of.push(port_to);
     }
     Ok((ports, port_of))
 }

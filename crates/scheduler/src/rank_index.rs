@@ -11,8 +11,8 @@
 //!   is the first arrival of rank `r`; its `prev` is the last). A 64-word
 //!   occupancy bitmap plus one summary word finds the smallest or largest
 //!   occupied rank with two bit scans (Eiffel's find-first-set queue, the
-//!   layout `qvisor_sim`'s timing wheel uses per level), so push and both
-//!   pops are O(1) and move the value exactly once.
+//!   layout each ring of `qvisor_sim`'s calendar queue uses), so push and
+//!   both pops are O(1) and move the value exactly once.
 //! * **Overflow tier** — ranks at or above it, in a
 //!   `BTreeMap<(Rank, u64), T>` where the `u64` is an arrival counter.
 //!

@@ -11,9 +11,10 @@
 //!
 //! Two interchangeable cores implement that contract:
 //!
-//! * [`EventCore::Wheel`] — a hierarchical timing wheel
-//!   (`crate::wheel`): O(1) amortised schedule/pop, the default. This is
-//!   the hot path of every packet-level experiment.
+//! * [`EventCore::Wheel`] — a calendar queue (`crate::calendar`: a ring
+//!   of 256 ns buckets, sorted as the clock enters each): O(1) amortised
+//!   schedule/pop, the default. This is the hot path of every
+//!   packet-level experiment.
 //! * [`EventCore::Heap`] — the original `BinaryHeap` on `(at, key, seq)`:
 //!   O(log n), kept alive as the *differential oracle*. The test suite
 //!   drives both cores with identical traces and asserts identical
@@ -23,16 +24,16 @@
 //! core to the heap, so the whole workspace test suite can be re-run
 //! against the oracle without touching call sites.
 
+use crate::calendar::Calendar;
 use crate::time::Nanos;
-use crate::wheel::TimingWheel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Which data structure backs an [`EventQueue`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventCore {
-    /// Hierarchical timing wheel with an overflow heap — O(1) amortised,
-    /// the production core.
+    /// Calendar queue (bucket rings with an overflow heap) — O(1)
+    /// amortised, the production core.
     Wheel,
     /// Comparison-based binary heap — the reference implementation used
     /// as the differential-testing oracle.
@@ -50,40 +51,39 @@ impl Default for EventCore {
     }
 }
 
-struct Entry<E, K> {
-    at: Nanos,
-    key: K,
-    seq: u64,
-    event: E,
-}
-
-impl<E, K: Ord> PartialEq for Entry<E, K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key && self.seq == other.seq
-    }
-}
-impl<E, K: Ord> Eq for Entry<E, K> {}
-
-impl<E, K: Ord> PartialOrd for Entry<E, K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// One scheduled event, ordered latest-`(at, key, seq)`-first.
+pub(crate) struct Entry<E, K> {
+    pub(crate) at: Nanos,
+    pub(crate) key: K,
+    pub(crate) seq: u64,
+    pub(crate) event: E,
 }
 
 impl<E, K: Ord> Ord for Entry<E, K> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest (then
         // lowest key, then lowest seq) first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.at, &other.key, other.seq).cmp(&(self.at, &self.key, self.seq))
     }
 }
+impl<E, K: Ord> PartialOrd for Entry<E, K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E, K: Ord> PartialEq for Entry<E, K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl<E, K: Ord> Eq for Entry<E, K> {}
 
+// A queue is built once per simulation and lives where it is built; boxing
+// the calendar (its bitmaps and the open bucket's 256 list heads are
+// inline) would put a pointer chase on every schedule and pop.
+#[allow(clippy::large_enum_variant)]
 enum Core<E, K> {
-    Wheel(TimingWheel<E, K>),
+    Wheel(Calendar<E, K>),
     Heap(BinaryHeap<Entry<E, K>>),
 }
 
@@ -112,7 +112,7 @@ impl<E, K: Ord + Copy> Default for EventQueue<E, K> {
 
 impl<E, K: Ord + Copy> EventQueue<E, K> {
     /// An empty queue with the clock at time zero, on the default core
-    /// (the timing wheel, unless built with the `heap-core` feature).
+    /// (the calendar, unless built with the `heap-core` feature).
     pub fn new() -> Self {
         Self::with_core(EventCore::default())
     }
@@ -123,7 +123,7 @@ impl<E, K: Ord + Copy> EventQueue<E, K> {
     pub fn with_core(core: EventCore) -> Self {
         EventQueue {
             core: match core {
-                EventCore::Wheel => Core::Wheel(TimingWheel::new()),
+                EventCore::Wheel => Core::Wheel(Calendar::new()),
                 EventCore::Heap => Core::Heap(BinaryHeap::new()),
             },
             seq: 0,
@@ -156,14 +156,15 @@ impl<E, K: Ord + Copy> EventQueue<E, K> {
             "event scheduled in the past: at={at:?} now={:?}",
             self.now
         );
+        let entry = Entry {
+            at,
+            key,
+            seq: self.seq,
+            event,
+        };
         match &mut self.core {
-            Core::Wheel(w) => w.push(at.0, key, self.seq, event),
-            Core::Heap(h) => h.push(Entry {
-                at,
-                key,
-                seq: self.seq,
-                event,
-            }),
+            Core::Wheel(w) => w.push(entry),
+            Core::Heap(h) => h.push(entry),
         }
         self.seq += 1;
     }
@@ -180,25 +181,19 @@ impl<E, K: Ord + Copy> EventQueue<E, K> {
     /// which lands *between* two same-instant events — from merged shard
     /// histories.
     pub fn pop_keyed(&mut self) -> Option<(Nanos, K, E)> {
-        let (at, key, event) = match &mut self.core {
-            Core::Wheel(w) => {
-                let (at, key, _, event) = w.pop()?;
-                (Nanos(at), key, event)
-            }
-            Core::Heap(h) => {
-                let entry = h.pop()?;
-                (entry.at, entry.key, entry.event)
-            }
+        let entry = match &mut self.core {
+            Core::Wheel(w) => w.pop()?,
+            Core::Heap(h) => h.pop()?,
         };
-        debug_assert!(at >= self.now);
-        self.now = at;
-        Some((at, key, event))
+        debug_assert!(entry.at >= self.now);
+        self.now = entry.at;
+        Some((entry.at, entry.key, entry.event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Nanos> {
         match &self.core {
-            Core::Wheel(w) => w.peek_time().map(Nanos),
+            Core::Wheel(w) => w.peek_time(),
             Core::Heap(h) => h.peek().map(|e| e.at),
         }
     }

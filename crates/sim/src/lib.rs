@@ -10,6 +10,7 @@
 //! it can be reused by the scheduler models, the hypervisor, and the
 //! packet-level network simulator without cycles.
 
+mod calendar;
 pub mod events;
 pub mod id;
 pub mod json;
@@ -18,7 +19,6 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-mod wheel;
 
 pub use events::{EventCore, EventQueue};
 pub use id::{FlowId, NodeId, Rank, TenantId};

@@ -113,17 +113,34 @@ impl SimRng {
     }
 }
 
-/// Deterministic 64-bit hash for ECMP-style decisions (FNV-1a).
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Deterministic 64-bit hash for ECMP-style decisions: FNV-1a over the
+/// little-endian bytes of `parts`.
 ///
 /// Not a general-purpose hasher; just a stable, platform-independent mix of
-/// a few integers.
+/// a few integers. Ids, sequence numbers and timestamps are mostly high
+/// zero bytes, and hashing a zero byte is a bare multiply, so each word's
+/// run of them is folded into one multiply by a precomputed power.
 pub fn stable_hash(parts: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &p in parts {
-        for b in p.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let zeros = (p.leading_zeros() / 8) as usize;
+        for &b in &p.to_le_bytes()[..8 - zeros] {
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
         }
+        h = h.wrapping_mul(FNV_PRIME_POW[zeros]);
     }
     h
 }
@@ -217,7 +234,33 @@ mod tests {
     #[test]
     fn stable_hash_is_stable() {
         // Pinned value: determinism across runs/platforms is the contract.
-        assert_eq!(stable_hash(&[1, 2, 3]), stable_hash(&[1, 2, 3]));
+        assert_eq!(stable_hash(&[1, 2, 3]), 0xda2b_fb22_5e0d_1f05);
         assert_ne!(stable_hash(&[1, 2, 3]), stable_hash(&[3, 2, 1]));
+    }
+
+    #[test]
+    fn stable_hash_equals_bytewise_fnv1a() {
+        fn reference(parts: &[u64]) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in parts.iter().flat_map(|p| p.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            h
+        }
+        let edges = [0, 1, 0xFF, 0x100, 1 << 56, u64::MAX >> 8, u64::MAX];
+        for a in edges {
+            for b in edges {
+                assert_eq!(stable_hash(&[a, b]), reference(&[a, b]), "{a:#x} {b:#x}");
+            }
+        }
+        assert_eq!(stable_hash(&[]), reference(&[]));
+        let mut rng = SimRng::seed_from(0xF17);
+        for case in 0..100_000 {
+            // Every byte width, so every zero-run length is exercised.
+            let parts: Vec<u64> = (0..1 + case % 7)
+                .map(|_| rng.next() >> (8 * rng.below(9)).min(63))
+                .collect();
+            assert_eq!(stable_hash(&parts), reference(&parts), "{parts:x?}");
+        }
     }
 }

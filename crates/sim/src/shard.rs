@@ -1,10 +1,10 @@
 //! Conservative-lookahead shard synchronization primitives.
 //!
 //! The sharded simulation engine (see `qvisor-netsim`) partitions the
-//! topology across shards, each owning its own [`EventQueue`] timing
-//! wheel. Shards advance independently inside barrier-synchronized
-//! *windows*: given the earliest pending event time across all shards,
-//! every event strictly before
+//! topology across shards, each owning its own [`EventQueue`]. Shards
+//! advance independently inside barrier-synchronized *windows*: given the
+//! earliest pending event time across all shards, every event strictly
+//! before
 //!
 //! ```text
 //! bound = min_pending + lookahead

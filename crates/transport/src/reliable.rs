@@ -28,10 +28,11 @@ pub struct SendReq {
 }
 
 /// Outcome of delivering an ACK to the sender.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AckOutcome {
-    /// New packets the window now admits.
-    pub sends: Vec<SendReq>,
+    /// The new packet the window now admits: the window is kept full, so
+    /// one ACK frees one slot and admits at most one packet.
+    pub sends: Option<SendReq>,
     /// The flow just completed (all bytes acknowledged).
     pub completed: bool,
 }
@@ -113,25 +114,25 @@ impl ReliableSender {
         self.completed
     }
 
-    fn fill_window(&mut self) -> Vec<SendReq> {
-        let mut sends = Vec::new();
-        while (self.unacked.len() as u32) < self.cwnd && self.next_seq < self.total_pkts {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.unacked.insert(seq);
-            sends.push(SendReq {
-                seq,
-                payload: self.payload_of(seq),
-                retransmit: false,
-            });
+    /// Send the next never-sent packet, if the window has room for it.
+    fn send_next(&mut self) -> Option<SendReq> {
+        if self.unacked.len() as u32 >= self.cwnd || self.next_seq >= self.total_pkts {
+            return None;
         }
-        sends
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.unacked.insert(seq);
+        Some(SendReq {
+            seq,
+            payload: self.payload_of(seq),
+            retransmit: false,
+        })
     }
 
     /// Start the flow: emit the initial window.
     pub fn on_start(&mut self, _now: Nanos) -> Vec<SendReq> {
         debug_assert_eq!(self.next_seq, 0, "on_start called twice");
-        self.fill_window()
+        std::iter::from_fn(|| self.send_next()).collect()
     }
 
     /// Deliver an ACK for `seq`. Duplicate ACKs are ignored.
@@ -144,12 +145,17 @@ impl ReliableSender {
             self.completed = true;
             debug_assert!(self.unacked.is_empty());
             return AckOutcome {
-                sends: Vec::new(),
+                sends: None,
                 completed: true,
             };
         }
+        let sends = self.send_next();
+        debug_assert!(
+            self.unacked.len() as u32 == self.cwnd || self.next_seq == self.total_pkts,
+            "one ACK reopened more than one slot"
+        );
         AckOutcome {
-            sends: self.fill_window(),
+            sends,
             completed: false,
         }
     }
@@ -172,7 +178,11 @@ impl ReliableSender {
 /// seen so duplicates (from retransmissions) aren't double counted.
 #[derive(Clone, Debug, Default)]
 pub struct ReliableReceiver {
-    received: BTreeSet<u64>,
+    /// Every sequence below this has been received.
+    delivered_prefix: u64,
+    /// Received sequences above `delivered_prefix` (never that sequence
+    /// itself): what loss and reordering left ahead of the first gap.
+    out_of_order: BTreeSet<u64>,
     received_bytes: u64,
     duplicate_pkts: u64,
 }
@@ -186,13 +196,21 @@ impl ReliableReceiver {
     /// A data packet arrived; returns true if it carried new bytes.
     /// (An ACK is generated either way — the sender needs it.)
     pub fn on_data(&mut self, seq: u64, payload: u32) -> bool {
-        if self.received.insert(seq) {
-            self.received_bytes += payload as u64;
+        let fresh = if seq == self.delivered_prefix {
+            self.delivered_prefix += 1;
+            while self.out_of_order.remove(&self.delivered_prefix) {
+                self.delivered_prefix += 1;
+            }
             true
         } else {
+            seq > self.delivered_prefix && self.out_of_order.insert(seq)
+        };
+        if fresh {
+            self.received_bytes += payload as u64;
+        } else {
             self.duplicate_pkts += 1;
-            false
         }
+        fresh
     }
 
     /// Distinct payload bytes received.
@@ -250,11 +268,11 @@ mod tests {
         let out = s.on_ack(0, Nanos::ZERO);
         assert_eq!(
             out.sends,
-            vec![SendReq {
+            Some(SendReq {
                 seq: 2,
                 payload: 1_000,
                 retransmit: false
-            }]
+            })
         );
         assert!(!out.completed);
         s.on_ack(1, Nanos::ZERO);
@@ -323,6 +341,56 @@ mod tests {
         assert!(!r.on_data(0, 1_000));
         assert_eq!(r.received_bytes(), 1_500);
         assert_eq!(r.duplicates(), 1);
+    }
+
+    /// The receiver against the model it replaced: a set of every sequence
+    /// ever seen. Random permutations with duplicates and gaps.
+    #[test]
+    fn receiver_matches_the_keep_everything_model() {
+        let mut rng = qvisor_sim::SimRng::seed_from(0xACE);
+        for case in 0..200u64 {
+            let n = 1 + rng.below(300);
+            // Arrival order: in order, a local shuffle (reordering), or a
+            // full shuffle; then drop some (gaps) and repeat some
+            // (retransmissions), possibly much later.
+            let mut arrivals: Vec<u64> = (0..n).collect();
+            let reach = [0, 4, n][(case % 3) as usize];
+            for i in 0..arrivals.len() {
+                let j = (i as u64 + rng.below(reach + 1)).min(n - 1) as usize;
+                arrivals.swap(i, j);
+            }
+            arrivals.retain(|_| rng.below(10) != 0);
+            let repeats = if arrivals.is_empty() { 0 } else { rng.below(n) };
+            for _ in 0..repeats {
+                let dup = arrivals[rng.below(arrivals.len() as u64) as usize];
+                let at = rng.below(arrivals.len() as u64 + 1) as usize;
+                arrivals.insert(at, dup);
+            }
+            let mut receiver = ReliableReceiver::new();
+            let mut seen = BTreeSet::new();
+            let (mut bytes, mut duplicates) = (0u64, 0u64);
+            for seq in arrivals {
+                let payload = 1 + (seq % 1_460) as u32;
+                let fresh = seen.insert(seq);
+                if fresh {
+                    bytes += payload as u64;
+                } else {
+                    duplicates += 1;
+                }
+                assert_eq!(
+                    receiver.on_data(seq, payload),
+                    fresh,
+                    "case {case} seq {seq}"
+                );
+                assert_eq!(receiver.received_bytes(), bytes, "case {case}");
+                assert_eq!(receiver.duplicates(), duplicates, "case {case}");
+                assert!(
+                    receiver.out_of_order.len() + receiver.delivered_prefix as usize == seen.len()
+                        && !receiver.out_of_order.contains(&receiver.delivered_prefix),
+                    "case {case}: prefix not maximal"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Differential lockdown of the event core.
 //!
-//! The timing wheel ([`EventCore::Wheel`]) is a perf rewrite of a
+//! The calendar queue ([`EventCore::Wheel`]) is a perf rewrite of a
 //! determinism-critical structure, so it is only shippable if it is
 //! *observationally identical* to the binary-heap oracle
 //! ([`EventCore::Heap`]). Two layers prove that:
 //!
 //! 1. Randomized traces (seeded [`SimRng`], so failures reproduce) drive
 //!    both cores through identical schedule/pop sequences — including
-//!    same-timestamp bursts, every wheel level, the 2^48 overflow
-//!    boundary, and `schedule_in` saturation near `Nanos::MAX` — and
+//!    same-timestamp bursts, every tier of the calendar (the open 256 ns
+//!    bucket, the 2^20 ns fine ring, the 2^32 ns coarse ring, the heap
+//!    beyond it), and `schedule_in` saturation near `Nanos::MAX` — and
 //!    compare every observable (`pop`, `peek_time`, `len`, `now`) at
 //!    every step.
 //! 2. End-to-end netsim worlds run under both cores and must produce
@@ -22,11 +23,12 @@ use qvisor::telemetry::Telemetry;
 use qvisor::topology::{LeafSpine, LeafSpineConfig};
 use qvisor::workloads::{EmpiricalCdf, PoissonFlowGen};
 
-const CASES: u64 = 48;
+const CASES: u64 = 56;
 
-/// Time spreads exercising dense level-0 traffic, every cascade level, and
-/// the overflow heap (spreads beyond 2^48).
-const SPREADS: [u64; 6] = [64, 50_000, 1 << 20, 1 << 34, 1 << 49, u64::MAX / 2];
+/// Time spreads that stay inside the open bucket, inside the fine ring,
+/// straddle the fine/coarse edge (2^20 ns), sit inside the coarse ring,
+/// straddle the coarse/heap edge (2^32 ns), and live in the heap.
+const SPREADS: [u64; 7] = [64, 50_000, 1 << 21, 1 << 27, 1 << 33, 1 << 49, u64::MAX / 2];
 
 /// One random trace applied to both cores in lockstep; every observable is
 /// compared after every operation.
@@ -97,16 +99,18 @@ fn random_traces_pop_identically_on_both_cores() {
 }
 
 /// Adversarial hand-built trace: monotone bursts that ride the clock right
-/// at wheel window boundaries, where cascade bookkeeping is touchiest.
+/// at the calendar's tier boundaries, where relinking is touchiest.
 #[test]
 fn window_boundary_bursts_pop_identically() {
     let mut wheel: EventQueue<u64> = EventQueue::with_core(EventCore::Wheel);
     let mut heap: EventQueue<u64> = EventQueue::with_core(EventCore::Heap);
     let mut id = 0;
-    // Land events exactly on and around every level boundary 2^(8k)±1,
-    // then interleave pops so the cursor crosses the boundaries mid-trace.
-    for k in [8u32, 16, 24, 32, 40, 48, 56] {
-        for fuzz in [-1i64, 0, 1, 255] {
+    // Land events exactly on and around the bucket width (2^8), the fine
+    // horizon (2^20), the coarse horizon (2^32) and the ring-index wraps
+    // beyond them (2^44, 2^56), then interleave pops so the cursor crosses
+    // the boundaries mid-trace.
+    for k in [8u32, 20, 32, 44, 56] {
+        for fuzz in [-1i64, 0, 1, 255, 256] {
             let at = Nanos(((1u64 << k) as i64 + fuzz) as u64);
             for _ in 0..3 {
                 wheel.schedule(at, id);
