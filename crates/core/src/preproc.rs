@@ -315,7 +315,7 @@ mod tests {
         let mut ack = data.ack_for(64, Nanos::ZERO);
         assert_eq!(pre.process(&mut ack), Verdict::Forward);
         assert_eq!(ack.txf_rank, 0, "ACKs keep top priority");
-        assert_eq!(ack.kind, PacketKind::Ack { acked_seq: 0 });
+        assert_eq!(ack.kind, PacketKind::Ack);
     }
 
     #[test]

@@ -1,31 +1,20 @@
 //! Destination-side delivery, ACK generation, and per-tenant stats
 //! collection (report counters plus cached telemetry handles).
 
-use super::queues::TenantMetrics;
-use super::{FlowState, Simulation};
-use crate::report::TenantTraffic;
+use super::queues::TenantState;
+use super::{arrival_tie, FlowState, Simulation};
 use qvisor_sim::{json::Value, Nanos, Packet, PacketKind, TenantId};
 use qvisor_telemetry::{TraceKind, TraceRecord};
 use qvisor_transport::FlowRecord;
 
 impl Simulation {
-    pub(in crate::sim) fn tenant_mut(&mut self, t: TenantId) -> &mut TenantTraffic {
-        self.report.tenants.entry(t).or_default()
-    }
-
-    pub(in crate::sim) fn metrics(&mut self, t: TenantId) -> &TenantMetrics {
+    /// `t`'s slot of the per-tenant table, created on first touch.
+    pub(in crate::sim) fn tenant(&mut self, t: TenantId) -> &mut TenantState {
+        if self.tenants.len() <= t.index() {
+            self.tenants.resize_with(t.index() + 1, || None);
+        }
         let telemetry = &self.cfg.telemetry;
-        self.tenant_metrics.entry(t).or_insert_with(|| {
-            let tenant = format!("T{}", t.0);
-            let labels = [("tenant", tenant.as_str())];
-            TenantMetrics {
-                sent_pkts: telemetry.counter("net_sent_pkts", &labels),
-                delivered_pkts: telemetry.counter("net_delivered_pkts", &labels),
-                delivered_bytes: telemetry.counter("net_delivered_bytes", &labels),
-                dropped_pkts: telemetry.counter("net_dropped_pkts", &labels),
-                fct_ns: telemetry.histogram("net_fct_ns", &labels),
-            }
-        })
+        self.tenants[t.index()].get_or_insert_with(|| TenantState::new(telemetry, t))
     }
 
     /// Record a lifecycle span for `p` on the flight recorder, if its flow
@@ -35,7 +24,7 @@ impl Simulation {
         if tracer.sampled(p.flow.0) {
             tracer.record(
                 TraceRecord::new(now, p.flow.0, p.seq, p.tenant.0, kind)
-                    .as_ack(matches!(p.kind, PacketKind::Ack { .. })),
+                    .as_ack(p.kind == PacketKind::Ack),
             );
         }
     }
@@ -48,7 +37,7 @@ impl Simulation {
         self.trace_pkt(
             &p,
             now,
-            if matches!(p.kind, PacketKind::Ack { .. }) {
+            if p.kind == PacketKind::Ack {
                 TraceKind::Ack { latency_ns }
             } else {
                 TraceKind::Deliver { latency_ns }
@@ -62,23 +51,17 @@ impl Simulation {
                     FlowState::Cbr { .. } => unreachable!("data packet on CBR flow"),
                 };
                 if fresh {
-                    let t = self.tenant_mut(p.tenant);
-                    t.delivered_pkts += 1;
-                    t.delivered_bytes += payload as u64;
-                    *self.window_bytes.entry(p.tenant).or_insert(0) += payload as u64;
-                    let m = self.metrics(p.tenant);
-                    m.delivered_pkts.inc();
-                    m.delivered_bytes.add(payload as u64);
-                    self.cfg.monitor.on_delivered(now, p.tenant.0);
+                    self.count_delivery(p.tenant, payload, now);
                 }
                 // Always ACK (sender dedupes).
-                let ack = p.ack_for(self.cfg.ack_bytes, now);
+                let mut ack = p.ack_for(self.cfg.ack_bytes, now);
+                ack.tie = arrival_tie(&ack);
                 self.in_flight += 1;
                 self.forward(ack.src, ack, now);
             }
-            PacketKind::Ack { acked_seq } => {
+            PacketKind::Ack => {
                 let outcome = match &mut self.flows[p.flow.index()] {
-                    FlowState::Reliable { sender, .. } => sender.on_ack(acked_seq, now),
+                    FlowState::Reliable { sender, .. } => sender.on_ack(p.seq, now),
                     FlowState::Cbr { .. } => unreachable!("ACK on CBR flow"),
                 };
                 if let Some(req) = outcome.sends {
@@ -97,7 +80,10 @@ impl Simulation {
                         end: now,
                     });
                     let fct = now.saturating_sub(def.start);
-                    self.metrics(def.tenant).fct_ns.record(fct.as_nanos());
+                    self.tenant(def.tenant)
+                        .metrics
+                        .fct_ns
+                        .record(fct.as_nanos());
                     self.cfg.monitor.on_fct(now, def.tenant.0, fct.as_nanos());
                     self.cfg.telemetry.event(
                         now,
@@ -125,17 +111,23 @@ impl Simulation {
                     }
                     FlowState::Reliable { .. } => unreachable!("datagram on reliable flow"),
                 };
-                let t = self.tenant_mut(p.tenant);
-                t.delivered_pkts += 1;
-                t.delivered_bytes += payload as u64;
-                t.deadline_met += met;
-                t.deadline_missed += missed;
-                *self.window_bytes.entry(p.tenant).or_insert(0) += payload as u64;
-                let m = self.metrics(p.tenant);
-                m.delivered_pkts.inc();
-                m.delivered_bytes.add(payload as u64);
-                self.cfg.monitor.on_delivered(now, p.tenant.0);
+                let t = self.tenant(p.tenant);
+                t.traffic.deadline_met += met;
+                t.traffic.deadline_missed += missed;
+                self.count_delivery(p.tenant, payload, now);
             }
         }
+    }
+
+    /// Account `payload` fresh bytes delivered to `tenant`: report row,
+    /// sampling window, telemetry and the SLO monitor.
+    fn count_delivery(&mut self, tenant: TenantId, payload: u32, now: Nanos) {
+        let t = self.tenant(tenant);
+        t.traffic.delivered_pkts += 1;
+        t.traffic.delivered_bytes += payload as u64;
+        t.window_bytes += payload as u64;
+        t.metrics.delivered_pkts.inc();
+        t.metrics.delivered_bytes.add(payload as u64);
+        self.cfg.monitor.on_delivered(now, tenant.0);
     }
 }

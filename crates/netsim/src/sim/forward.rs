@@ -1,5 +1,6 @@
 //! Device/port forwarding: the runtime monitor and pre-processor hookup,
-//! queueing, link serialization, and arrival-side loss.
+//! the output-port state machine (cut-through, queueing, transmit-complete
+//! on demand), link serialization, and arrival-side loss.
 
 use super::{EventKey, Simulation};
 use qvisor_core::Verdict;
@@ -44,13 +45,57 @@ impl Simulation {
                 );
             }
         }
-        let next = self.routes.ecmp_next_hop(at, p.dst, p.flow);
-        let port = self.port_of[at.index()][next.index()] as usize;
-        let outcome = self.ports[at.index()][port].queue.enqueue(p, now);
-        for victim in outcome.dropped() {
-            self.drop_packet(&victim, at, now);
+        let port = self.port_base[at.index()] + self.routes.ecmp_port(at, p.dst, p.flow) as u32;
+        self.offer(at, port, p, now);
+    }
+
+    /// Hand `p` to output port `port` of `node`: onto the wire if the port
+    /// is idle, into the queue behind the transmission in progress if not.
+    fn offer(&mut self, node: NodeId, port: u32, p: Packet, now: Nanos) {
+        let port_ref = &mut self.ports[port as usize];
+        let free = port_ref.is_free(now, self.before_port_free);
+        // A free port's queue is empty: all it could still do to `p` is
+        // refuse it for being larger than the whole buffer.
+        debug_assert!(!free || (port_ref.queue.is_empty() && !port_ref.armed));
+        if free && port_ref.queue.cuts_through() && self.cfg.buffer.fits(0, p.size as u64) {
+            return self.transmit(node, port, p, now);
         }
-        self.try_transmit(at, port, now);
+        let outcome = port_ref.queue.enqueue(p, now);
+        for victim in outcome.dropped() {
+            self.drop_packet(&victim, node, now);
+        }
+        let port_ref = &mut self.ports[port as usize];
+        if free {
+            if let Some(p) = port_ref.queue.dequeue(now) {
+                self.transmit(node, port, p, now);
+            }
+        } else if !port_ref.armed && !port_ref.queue.is_empty() {
+            // First to wait behind this transmission (which may end
+            // this very instant): ask to be woken when it does.
+            self.arm(node, port);
+        }
+    }
+
+    /// Schedule the port's one pending `PortFree`, at its `free_at`.
+    fn arm(&mut self, node: NodeId, port: u32) {
+        let port_ref = &mut self.ports[port as usize];
+        debug_assert!(!port_ref.armed, "PortFree armed twice");
+        port_ref.armed = true;
+        self.events.schedule_keyed(
+            port_ref.free_at.expect("a busy port has transmitted"),
+            EventKey::port_free(node, port - self.port_base[node.index()]),
+            (super::Event::PortFree { node, port }, None),
+        );
+    }
+
+    /// The transmission is over and something waits (unless dropped).
+    pub(in crate::sim) fn on_port_free(&mut self, node: NodeId, port: u32, now: Nanos) {
+        let port_ref = &mut self.ports[port as usize];
+        debug_assert!(port_ref.armed && port_ref.free_at == Some(now));
+        port_ref.armed = false;
+        if let Some(p) = port_ref.queue.dequeue(now) {
+            self.transmit(node, port, p, now);
+        }
     }
 
     pub(in crate::sim) fn drop_packet(&mut self, p: &Packet, at: NodeId, now: Nanos) {
@@ -61,36 +106,23 @@ impl Simulation {
         self.in_flight -= 1;
         *self.report.node_drops.entry(at).or_insert(0) += 1;
         if p.is_payload() {
-            self.tenant_mut(p.tenant).dropped_pkts += 1;
-            self.metrics(p.tenant).dropped_pkts.inc();
+            let t = self.tenant(p.tenant);
+            t.traffic.dropped_pkts += 1;
+            t.metrics.dropped_pkts.inc();
             self.cfg.monitor.on_drop(now, p.tenant.0);
         }
     }
 
-    pub(in crate::sim) fn try_transmit(&mut self, node: NodeId, port: usize, now: Nanos) {
-        let p = {
-            let port_ref = &mut self.ports[node.index()][port];
-            if port_ref.busy {
-                return;
-            }
-            match port_ref.queue.dequeue(now) {
-                Some(p) => p,
-                None => return,
-            }
-        };
-        let (rate, delay, to, trace_label) = {
-            let port_ref = &mut self.ports[node.index()][port];
-            port_ref.busy = true;
-            port_ref.tx_pkts.inc();
-            port_ref.tx_bytes.add(p.size as u64);
-            (
-                port_ref.rate_bps,
-                port_ref.delay,
-                port_ref.to,
-                port_ref.trace_label,
-            )
-        };
-        let tx = transmission_time(p.size as u64, rate);
+    /// Put `p` on the wire of an idle port.
+    fn transmit(&mut self, node: NodeId, port: u32, p: Packet, now: Nanos) {
+        let port_ref = &mut self.ports[port as usize];
+        let tx = transmission_time(p.size as u64, port_ref.rate_bps);
+        let free_at = now + tx;
+        port_ref.free_at = Some(free_at);
+        port_ref.tx_pkts.inc();
+        port_ref.tx_bytes.add(p.size as u64);
+        let (delay, to, trace_label) = (port_ref.delay, port_ref.to, port_ref.trace_label);
+        let waiting = !port_ref.queue.is_empty();
         if self.cfg.tracer.sampled(p.flow.0) {
             self.cfg.tracer.record(
                 TraceRecord::new(
@@ -105,15 +137,20 @@ impl Simulation {
                     },
                 )
                 .at_label(trace_label)
-                .as_ack(matches!(p.kind, PacketKind::Ack { .. })),
+                .as_ack(p.kind == PacketKind::Ack),
             );
         }
-        self.events.schedule_keyed(
-            now + tx,
-            EventKey::port_free(node, port),
-            (super::Event::PortFree { node, port }, None),
-        );
-        let arrive_at = now + tx + delay;
+        // The transmit-complete is an event of the run whether or not
+        // anything waits for it: count it here (and give the profiler's
+        // `event_dispatch` site its scope), schedule it only if needed.
+        if free_at <= self.cfg.horizon {
+            self.count_event(free_at);
+            drop(self.dispatch_prof.time());
+        }
+        if waiting {
+            self.arm(node, port);
+        }
+        let arrive_at = free_at + delay;
         if !self.owns(to) {
             // The receiving node lives on another shard: hand the packet
             // to the coordinator instead of the local event queue. Cut

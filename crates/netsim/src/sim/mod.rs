@@ -13,10 +13,15 @@
 //! * `traffic` — traffic sources: reliable flows and CBR streams, packet
 //!   emission, and retransmission timers;
 //! * `forward` — device/port forwarding: the pre-processor and monitor
-//!   hookup, queueing, and link serialization;
+//!   hookup, the output-port state machine, and link serialization;
 //! * `deliver` — destination-side delivery, ACK generation, and per-tenant
 //!   stats collection;
-//! * `queues` — per-port scheduler-model queue construction.
+//! * `queues` — per-port scheduler-model queue construction, port state
+//!   and the per-tenant table.
+//!
+//! A port costs events only under contention: an idle one sends straight
+//! to the wire, and its transmit-complete is a scheduled `PortFree` only
+//! when a packet waits for it (DESIGN.md, "Port state machine").
 
 mod deliver;
 mod forward;
@@ -39,18 +44,18 @@ use qvisor_sim::{
 };
 use qvisor_telemetry::{Profiler, TraceKind, TraceRecord};
 use qvisor_topology::{NodeKind, Routes, Topology};
-use std::collections::BTreeMap;
 
-use queues::{Port, TenantMetrics};
+use queues::{Port, TenantState};
 use traffic::FlowState;
 
 #[derive(Clone, Copy, Debug)]
 pub(in crate::sim) enum Event {
     FlowStart(FlowId),
     CbrEmit(FlowId),
+    /// `port` (flat table index; `node`'s) is done and a packet waits.
     PortFree {
         node: NodeId,
-        port: usize,
+        port: u32,
     },
     Arrive {
         node: NodeId,
@@ -91,7 +96,7 @@ pub(in crate::sim) struct EventKey {
 pub(in crate::sim) fn kind_tag(kind: &PacketKind) -> u64 {
     match kind {
         PacketKind::Data => 0,
-        PacketKind::Ack { .. } => 1,
+        PacketKind::Ack => 1,
         PacketKind::Datagram => 2,
     }
 }
@@ -135,7 +140,8 @@ impl EventKey {
         }
     }
 
-    pub(in crate::sim) fn port_free(node: NodeId, port: usize) -> EventKey {
+    /// `port` counts within `node` (its position among the out-links).
+    pub(in crate::sim) fn port_free(node: NodeId, port: u32) -> EventKey {
         EventKey {
             class: 3,
             node: node.index() as u32,
@@ -156,15 +162,21 @@ impl EventKey {
     /// starvation. The hash varies per packet, so residual tie winners
     /// alternate pseudo-randomly and no flow is structurally preferred.
     /// (Queue admission is priority-drop, so fairness never hinges on
-    /// arrival-tie order — see `PifoTree`'s drop policy.)
+    /// arrival-tie order — see `PifoTree`'s drop policy.) The hash is
+    /// [`arrival_tie`], computed once at emission into `Packet::tie`.
     pub(in crate::sim) fn arrive(to: NodeId, p: &Packet) -> EventKey {
         EventKey {
             class: 4,
             node: to.index() as u32,
             a: p.sent_at.as_nanos(),
-            b: stable_hash(&[p.flow.0, p.seq, kind_tag(&p.kind), p.sent_at.as_nanos()]),
+            b: p.tie,
         }
     }
+}
+
+/// The packet-identity hash every emission site stores in `Packet::tie`.
+pub(in crate::sim) fn arrival_tie(p: &Packet) -> u64 {
+    stable_hash(&[p.flow.0, p.seq, kind_tag(&p.kind), p.sent_at.as_nanos()])
 }
 
 /// The simulator. Build with [`Simulation::new`], register tenant rank
@@ -184,9 +196,13 @@ pub struct Simulation {
     /// In-flight packet storage (freelist-recycled; no per-packet allocation
     /// on the forwarding path).
     pub(in crate::sim) arena: PacketArena,
-    pub(in crate::sim) ports: Vec<Vec<Port>>,
-    /// `port_of[node][neighbor raw id]` = port index.
-    pub(in crate::sim) port_of: Vec<Vec<u32>>,
+    /// Every output port of every node; node `n` owns
+    /// `ports[port_base[n]..port_base[n + 1]]`, in out-link order.
+    pub(in crate::sim) ports: Vec<Port>,
+    pub(in crate::sim) port_base: Vec<u32>,
+    /// The event being dispatched sorts before a same-instant `PortFree`
+    /// (`FlowStart`, `CbrEmit`, `Timeout`); see `Port::is_free`.
+    pub(in crate::sim) before_port_free: bool,
     /// `preproc_at[node]`: the pre-processor runs on every packet leaving
     /// `node` — the deployment's `PreprocScope`, resolved once at build.
     pub(in crate::sim) preproc_at: Vec<bool>,
@@ -204,9 +220,8 @@ pub struct Simulation {
     /// across shards (and the sequential engine's single instance) is the
     /// true count.
     pub(in crate::sim) in_flight: i64,
-    /// Bytes delivered per tenant since the last sampling tick.
-    pub(in crate::sim) window_bytes: BTreeMap<TenantId, u64>,
-    pub(in crate::sim) tenant_metrics: BTreeMap<TenantId, TenantMetrics>,
+    /// Indexed by `TenantId`; `None` for a tenant not seen here.
+    pub(in crate::sim) tenants: Vec<Option<TenantState>>,
     /// Wall-clock cost of handling one event (self-profiler site).
     pub(in crate::sim) dispatch_prof: Profiler,
     /// Ownership view when this instance is one shard of a sharded run;
@@ -263,7 +278,7 @@ impl Simulation {
             }
         };
 
-        let (ports, port_of) = queues::build_ports(&topo, &cfg, joint.as_ref())?;
+        let (ports, port_base) = queues::build_ports(&topo, &cfg, joint.as_ref())?;
         let scope = cfg.qvisor.as_ref().map(|q| q.scope).unwrap_or_default();
         let preproc_at = topo
             .nodes()
@@ -287,7 +302,8 @@ impl Simulation {
             events,
             arena: PacketArena::with_capacity(64),
             ports,
-            port_of,
+            port_base,
+            before_port_free: false,
             preproc_at,
             preproc_first_hop: scope == PreprocScope::FirstHopOnly,
             flows: Vec::new(),
@@ -297,8 +313,7 @@ impl Simulation {
             reliable_done: 0,
             cbr_live: 0,
             in_flight: 0,
-            window_bytes: BTreeMap::new(),
-            tenant_metrics: BTreeMap::new(),
+            tenants: Vec::new(),
             dispatch_prof,
             shard: None,
             outbox: Vec::new(),
@@ -354,11 +369,18 @@ impl Simulation {
             .schedule_keyed(at, key, (Event::Arrive { node: to }, Some(slot)));
     }
 
+    /// Count one event of the run at `t` — ahead of the clock for a
+    /// transmit-complete, which `transmit` counts at transmit start.
+    pub(in crate::sim) fn count_event(&mut self, t: Nanos) {
+        self.report.events += 1;
+        self.report.end_time = self.report.end_time.max(t);
+    }
+
     /// Advance through every local event strictly before `bound` — the
-    /// sharded engine's inner loop. Dispatch is identical to
-    /// [`Simulation::run`]'s, but counted events land in the shard `book`
-    /// (feeding the coordinator's quiescence rewind) instead of the
-    /// report, and packets leaving the shard accumulate in `outbox`.
+    /// sharded engine's inner loop. Dispatch and counting are identical to
+    /// [`Simulation::run`]'s; the shard `book` additionally logs what the
+    /// coordinator's quiescence rewind needs, and packets leaving the
+    /// shard accumulate in `outbox`.
     pub(in crate::sim) fn advance_below(&mut self, bound: Nanos, book: &mut sharded::ShardBook) {
         while let Some(t) = self.events.peek_time() {
             if t >= bound {
@@ -367,6 +389,7 @@ impl Simulation {
             let (now, key, (ev, packet)) = self.events.pop_keyed().expect("peeked");
             let before = (self.reliable_done, self.cbr_live, self.in_flight);
             if self.dispatch_event(now, ev, packet) {
+                self.count_event(now);
                 let progressed = (self.reliable_done, self.cbr_live, self.in_flight) != before;
                 book.record(now, key, progressed);
             }
@@ -401,12 +424,14 @@ impl Simulation {
         }
     }
 
-    /// Process one popped event. Returns `false` when the event was a
-    /// stale no-op — a retransmission timer for an already-acknowledged
-    /// sequence. Those are *silently skipped*: no `report.events` count,
-    /// no `end_time` advance. A sharded run drains stale timers past the
-    /// point where the sequential engine breaks out of its loop, so
-    /// counting them would make the engines diverge on dead work.
+    /// Process one popped event. Returns `false` when the caller must not
+    /// count it: a stale no-op — a retransmission timer for an
+    /// already-acknowledged sequence — or a `PortFree`, which `transmit`
+    /// counted when the transmission started. Stale timers are *silently
+    /// skipped*: no `report.events` count, no `end_time` advance. A
+    /// sharded run drains them past the point where the sequential engine
+    /// breaks out of its loop, so counting them would make the engines
+    /// diverge on dead work.
     pub(in crate::sim) fn dispatch_event(
         &mut self,
         now: Nanos,
@@ -414,6 +439,10 @@ impl Simulation {
         packet: Option<PacketSlot>,
     ) -> bool {
         let _dispatch = self.dispatch_prof.time();
+        self.before_port_free = matches!(
+            ev,
+            Event::FlowStart(_) | Event::CbrEmit(_) | Event::Timeout { .. }
+        );
         match ev {
             Event::FlowStart(flow) => {
                 if self.cfg.tracer.sampled(flow.0) {
@@ -438,8 +467,8 @@ impl Simulation {
             }
             Event::CbrEmit(flow) => self.emit_cbr(flow, now),
             Event::PortFree { node, port } => {
-                self.ports[node.index()][port].busy = false;
-                self.try_transmit(node, port, now);
+                self.on_port_free(node, port, now);
+                return false;
             }
             Event::Arrive { node } => {
                 let p = self.arena.take(packet.expect("Arrive carries a packet"));
@@ -484,12 +513,21 @@ impl Simulation {
     /// Close the current goodput sampling window at `at`: push every
     /// tenant's non-zero delivered-byte count and reset the window.
     pub(in crate::sim) fn flush_window(&mut self, at: Nanos) {
-        for (&tenant, bytes) in self.window_bytes.iter_mut() {
-            if *bytes > 0 {
-                self.report.samples.push((at, tenant, *bytes));
-                *bytes = 0;
+        for (id, state) in self.tenants.iter_mut().enumerate() {
+            if let Some(state) = state.as_mut().filter(|s| s.window_bytes > 0) {
+                let bytes = std::mem::take(&mut state.window_bytes);
+                self.report.samples.push((at, TenantId(id as u16), bytes));
             }
         }
+    }
+
+    /// The report so far, with a `tenants` row per tenant seen.
+    pub(in crate::sim) fn take_report(&mut self) -> SimReport {
+        let mut report = std::mem::take(&mut self.report);
+        report.tenants = (self.tenants.iter().enumerate())
+            .filter_map(|(id, state)| Some((TenantId(id as u16), state.as_ref()?.traffic)))
+            .collect();
+        report
     }
 
     /// Run to quiescence or the horizon; returns the report.
@@ -519,8 +557,7 @@ impl Simulation {
             }
             let (now, (ev, packet)) = self.events.pop().expect("peeked");
             if self.dispatch_event(now, ev, packet) {
-                self.report.events += 1;
-                self.report.end_time = now;
+                self.count_event(now);
             }
         }
         // Flush the final partial sampling window so the series sums to
@@ -528,8 +565,9 @@ impl Simulation {
         if self.cfg.sample_interval.is_some() {
             self.flush_window(self.report.end_time);
         }
-        self.report.incomplete_flows = self.reliable_total - self.reliable_done;
-        self.report.fct.sort_canonical();
-        self.report
+        let mut report = self.take_report();
+        report.incomplete_flows = self.reliable_total - self.reliable_done;
+        report.fct.sort_canonical();
+        report
     }
 }

@@ -1,28 +1,101 @@
-//! Per-port scheduler-model queue construction and the port/metric state
-//! cached per device.
+//! Per-port scheduler-model queue construction, the port state machine's
+//! state, and the per-tenant table.
 
 use crate::config::{SchedulerKind, SimConfig};
+use crate::report::TenantTraffic;
 use qvisor_core::{Backend, JointPolicy, QvisorError, SpAdaptation};
 use qvisor_scheduler::{
-    AifoQueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep, PifoQueue, PifoTree,
+    AifoQueue, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep, PifoQueue, PifoTree,
     SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
 };
-use qvisor_sim::{Nanos, NodeId, Packet};
-use qvisor_telemetry::{Counter, Histogram};
+use qvisor_sim::{Nanos, NodeId, Packet, TenantId};
+use qvisor_telemetry::{Counter, Histogram, Telemetry};
 use qvisor_topology::{NodeKind, Topology};
+
+/// A port's scheduler-model queue: the two stateless exact disciplines
+/// inline (static dispatch), every stateful or wrapping one behind `Other`.
+// The PIFO's 512-byte bitmap makes the variants uneven; holding it in the
+// port, not behind a pointer, is the point.
+#[allow(clippy::large_enum_variant)]
+pub(in crate::sim) enum PortQueue {
+    Fifo(FifoQueue),
+    Pifo(PifoQueue),
+    Other(Box<dyn PacketQueue>),
+}
+
+impl PortQueue {
+    #[inline]
+    pub(in crate::sim) fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue {
+        match self {
+            PortQueue::Fifo(q) => q.enqueue(p, now),
+            PortQueue::Pifo(q) => q.enqueue(p, now),
+            PortQueue::Other(q) => q.enqueue(p, now),
+        }
+    }
+
+    #[inline]
+    pub(in crate::sim) fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        match self {
+            PortQueue::Fifo(q) => q.dequeue(now),
+            PortQueue::Pifo(q) => q.dequeue(now),
+            PortQueue::Other(q) => q.dequeue(now),
+        }
+    }
+
+    pub(in crate::sim) fn is_empty(&self) -> bool {
+        match self {
+            PortQueue::Fifo(q) => q.is_empty(),
+            PortQueue::Pifo(q) => q.is_empty(),
+            PortQueue::Other(q) => q.is_empty(),
+        }
+    }
+
+    /// May a free port send a packet that fits the empty buffer around
+    /// this (empty) queue? Enqueue-then-dequeue is the identity on an
+    /// empty FIFO or exact PIFO; `Other` may keep per-packet state or be
+    /// an observer owed every enqueue and dequeue.
+    pub(in crate::sim) fn cuts_through(&self) -> bool {
+        !matches!(self, PortQueue::Other(_))
+    }
+
+    fn boxed(self) -> Box<dyn PacketQueue> {
+        match self {
+            PortQueue::Fifo(q) => Box::new(q),
+            PortQueue::Pifo(q) => Box::new(q),
+            PortQueue::Other(q) => q,
+        }
+    }
+}
 
 pub(in crate::sim) struct Port {
     pub(in crate::sim) to: NodeId,
     pub(in crate::sim) rate_bps: u64,
     pub(in crate::sim) delay: Nanos,
-    pub(in crate::sim) queue: Box<dyn PacketQueue>,
-    pub(in crate::sim) busy: bool,
+    pub(in crate::sim) queue: PortQueue,
+    /// When the transmission in progress — or the last one — completes;
+    /// `None` until the port first transmits.
+    pub(in crate::sim) free_at: Option<Nanos>,
+    /// A `PortFree` is pending at `free_at`: packets wait for the wire.
+    pub(in crate::sim) armed: bool,
     /// Packets serialized onto the link (telemetry; no-op when disabled).
     pub(in crate::sim) tx_pkts: Counter,
     /// Bytes serialized onto the link.
     pub(in crate::sim) tx_bytes: Counter,
     /// Interned trace label of this port's queue/link track.
     pub(in crate::sim) trace_label: u32,
+}
+
+impl Port {
+    /// Is the wire free for an event at `now`? Transmit-complete sorts as
+    /// a class-3 event at `free_at`: an event of that instant that sorts
+    /// before it (`before_port_free`) still finds the port busy.
+    #[inline]
+    pub(in crate::sim) fn is_free(&self, now: Nanos, before_port_free: bool) -> bool {
+        match self.free_at {
+            None => true,
+            Some(free_at) => now > free_at || (now == free_at && !before_port_free),
+        }
+    }
 }
 
 /// Cached per-tenant telemetry handles (one registry lookup per tenant,
@@ -35,71 +108,94 @@ pub(in crate::sim) struct TenantMetrics {
     pub(in crate::sim) fct_ns: Histogram,
 }
 
-/// Per-node port tables paired with the dense `port_of[node][neighbor raw
-/// id] -> port index` tables (sized to the node's highest neighbor id;
-/// `u32::MAX` where there is no link).
-pub(in crate::sim) type PortTables = (Vec<Vec<Port>>, Vec<Vec<u32>>);
+/// One slot of the per-tenant table (indexed by `TenantId`; a slot exists
+/// once the tenant has sent, lost or received a packet here).
+pub(in crate::sim) struct TenantState {
+    /// The tenant's row of `SimReport::tenants`.
+    pub(in crate::sim) traffic: TenantTraffic,
+    /// Bytes delivered since the last sampling tick.
+    pub(in crate::sim) window_bytes: u64,
+    pub(in crate::sim) metrics: TenantMetrics,
+}
 
-/// Build every output port of every node: one scheduler-model queue per
-/// link (wrapped with instrumentation when telemetry or tracing is live),
-/// plus the neighbor-to-port maps.
+impl TenantState {
+    pub(in crate::sim) fn new(telemetry: &Telemetry, t: TenantId) -> TenantState {
+        let tenant = format!("T{}", t.0);
+        let labels = [("tenant", tenant.as_str())];
+        TenantState {
+            traffic: TenantTraffic::default(),
+            window_bytes: 0,
+            metrics: TenantMetrics {
+                sent_pkts: telemetry.counter("net_sent_pkts", &labels),
+                delivered_pkts: telemetry.counter("net_delivered_pkts", &labels),
+                delivered_bytes: telemetry.counter("net_delivered_bytes", &labels),
+                dropped_pkts: telemetry.counter("net_dropped_pkts", &labels),
+                fct_ns: telemetry.histogram("net_fct_ns", &labels),
+            },
+        }
+    }
+}
+
+/// Build every output port into one table: one scheduler-model queue per
+/// link (instrumented when telemetry, tracing or the SLO monitor is live).
+/// Node `n`'s ports are `ports[base[n]..base[n + 1]]`, in the out-link
+/// order `Routes::ecmp_port` counts in.
 pub(in crate::sim) fn build_ports(
     topo: &Topology,
     cfg: &SimConfig,
     joint: Option<&JointPolicy>,
-) -> Result<PortTables, QvisorError> {
-    let mut ports = Vec::with_capacity(topo.node_count());
-    let mut port_of = Vec::with_capacity(topo.node_count());
+) -> Result<(Vec<Port>, Vec<u32>), QvisorError> {
+    let instrument =
+        cfg.telemetry.is_enabled() || cfg.tracer.is_enabled() || cfg.monitor.is_enabled();
+    let mut ports = Vec::with_capacity(topo.links().len());
+    let mut base = Vec::with_capacity(topo.node_count() + 1);
     for node in topo.nodes() {
         let kind = match (node.kind, cfg.host_scheduler) {
             (NodeKind::Host, Some(host_kind)) => host_kind,
             _ => cfg.scheduler,
         };
-        let mut node_ports = Vec::new();
-        let mut port_to = Vec::new();
+        let first = ports.len();
+        base.push(first as u32);
         for link in topo.out_links(node.id) {
-            let label = format!("n{}.p{}", node.id.0, node_ports.len());
-            let base = make_queue_of(kind, cfg, joint)?;
-            let instrument =
-                cfg.telemetry.is_enabled() || cfg.tracer.is_enabled() || cfg.monitor.is_enabled();
-            let queue: Box<dyn PacketQueue> = if instrument {
-                Box::new(
-                    InstrumentedQueue::with_tracer(base, &cfg.telemetry, &cfg.tracer, &label)
-                        .with_monitor(&cfg.monitor),
-                )
-            } else {
-                base
-            };
-            let link_labels = [("link", label.as_str())];
-            if port_to.len() <= link.to.index() {
-                port_to.resize(link.to.index() + 1, u32::MAX);
+            let label = format!("n{}.p{}", node.id.0, ports.len() - first);
+            let mut queue = make_queue_of(kind, cfg, joint)?;
+            if instrument {
+                queue = PortQueue::Other(Box::new(
+                    InstrumentedQueue::with_tracer(
+                        queue.boxed(),
+                        &cfg.telemetry,
+                        &cfg.tracer,
+                        &label,
+                    )
+                    .with_monitor(&cfg.monitor),
+                ));
             }
-            port_to[link.to.index()] = node_ports.len() as u32;
-            node_ports.push(Port {
+            let link_labels = [("link", label.as_str())];
+            ports.push(Port {
                 to: link.to,
                 rate_bps: link.rate_bps,
                 delay: link.delay,
                 queue,
-                busy: false,
+                free_at: None,
+                armed: false,
                 tx_pkts: cfg.telemetry.counter("net_link_tx_pkts", &link_labels),
                 tx_bytes: cfg.telemetry.counter("net_link_tx_bytes", &link_labels),
                 trace_label: cfg.tracer.intern(&label),
             });
         }
-        ports.push(node_ports);
-        port_of.push(port_to);
     }
-    Ok((ports, port_of))
+    base.push(u32::try_from(ports.len()).expect("port table exceeds u32 entries"));
+    Ok((ports, base))
 }
 
 pub(in crate::sim) fn make_queue_of(
     kind: SchedulerKind,
     cfg: &SimConfig,
     joint: Option<&JointPolicy>,
-) -> Result<Box<dyn PacketQueue>, QvisorError> {
-    Ok(match kind {
-        SchedulerKind::Fifo => Box::new(FifoQueue::new(cfg.buffer)),
-        SchedulerKind::Pifo => Box::new(PifoQueue::new(cfg.buffer)),
+) -> Result<PortQueue, QvisorError> {
+    let other: Box<dyn PacketQueue> = match kind {
+        SchedulerKind::Fifo => return Ok(PortQueue::Fifo(FifoQueue::new(cfg.buffer))),
+        SchedulerKind::Pifo => return Ok(PortQueue::Pifo(PifoQueue::new(cfg.buffer))),
         SchedulerKind::SpPifo { queues } => Box::new(StrictPriorityBank::new(
             SpPifoMapper::new(queues),
             cfg.buffer,
@@ -145,5 +241,6 @@ pub(in crate::sim) fn make_queue_of(
             };
             Box::new(PifoTree::new(&shape, classifier, cfg.buffer))
         }
-    })
+    };
+    Ok(PortQueue::Other(other))
 }

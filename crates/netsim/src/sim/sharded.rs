@@ -41,10 +41,11 @@
 //!   doneness counter: `reliable_done`, `cbr_live`, `in_flight`) plus the
 //!   counted events after it. Progress events are totally ordered across
 //!   shards (keys embed the owned node), the done state is absorbing, and
-//!   overrun events are report-invisible no-ops (port frees over empty
-//!   queues, stale timers), so the maximum last-progress point across
-//!   shards *is* where the sequential loop broke: counted events past it
-//!   are subtracted and `end_time` rewinds to it.
+//!   overrun events are report-invisible no-ops (stale timers), so the
+//!   maximum last-progress point across shards *is* where the sequential
+//!   loop broke: counted events past it are subtracted and `end_time`
+//!   rewinds to it. Transmit-completes, counted when the transmission
+//!   starts, never lie past it (see [`ShardBook`]).
 
 use super::{EventKey, Simulation};
 use crate::report::SimReport;
@@ -71,39 +72,26 @@ pub(in crate::sim) struct Handoff {
     pub packet: Packet,
 }
 
-/// Per-shard bookkeeping feeding the coordinator's quiescence rewind.
-#[derive(Clone, Debug)]
+/// Per-shard bookkeeping feeding the coordinator's quiescence rewind: the
+/// popped events the shard counted (`Simulation::count_event` holds the
+/// count itself, in the shard's report). Transmit-completes are counted
+/// without being popped and are not logged: every transmission's packet
+/// is delivered or dropped — a progress event — at or after its
+/// transmit-complete, so none can lie beyond the progress cut.
+#[derive(Clone, Debug, Default)]
 pub(in crate::sim) struct ShardBook {
-    /// Counted (non-stale) events processed so far.
-    pub counted: u64,
-    /// Time of the latest counted event.
-    pub end_time: Nanos,
     /// `(time, key)` of the last progress event — one that changed a
     /// doneness counter.
     pub last_progress: Option<(Nanos, EventKey)>,
-    /// Counted events processed after `last_progress`, oldest first.
+    /// Counted events popped after `last_progress`, oldest first.
     /// Cleared on every progress event, so it only ever holds the
-    /// trailing no-op run (bounded in practice by a handful of port
-    /// frees and dead timers).
+    /// trailing no-op run.
     pub tail: Vec<(Nanos, EventKey)>,
 }
 
-impl Default for ShardBook {
-    fn default() -> ShardBook {
-        ShardBook {
-            counted: 0,
-            end_time: Nanos::ZERO,
-            last_progress: None,
-            tail: Vec::new(),
-        }
-    }
-}
-
 impl ShardBook {
-    /// Log one counted event.
+    /// Log one counted, popped event.
     pub fn record(&mut self, t: Nanos, key: EventKey, progress: bool) {
-        self.counted += 1;
-        self.end_time = self.end_time.max(t);
         if progress {
             self.last_progress = Some((t, key));
             self.tail.clear();
@@ -112,12 +100,11 @@ impl ShardBook {
         }
     }
 
-    /// Counted events at or before the global progress cut. (`None < Some`
-    /// for the cut, so with no progress anywhere every tail entry — i.e.
+    /// Counted events beyond the global progress cut. (`None < Some` for
+    /// the cut, so with no progress anywhere every tail entry — i.e.
     /// every counted event — is beyond the cut.)
-    fn kept_below(&self, cut: Option<(Nanos, EventKey)>) -> u64 {
-        let beyond = self.tail.iter().filter(|&&e| Some(e) > cut).count() as u64;
-        self.counted - beyond
+    fn beyond(&self, cut: Option<(Nanos, EventKey)>) -> u64 {
+        self.tail.iter().filter(|&&e| Some(e) > cut).count() as u64
     }
 }
 
@@ -135,6 +122,9 @@ struct Stepped {
     next_pending: Option<Nanos>,
     outbox: Vec<Handoff>,
     counters: Counters,
+    /// Events the shard has counted, and the time of the latest.
+    counted: u64,
+    end_time: Nanos,
     book: ShardBook,
 }
 
@@ -316,7 +306,7 @@ fn worker<B, P>(
                 if let Some(at) = flush_at {
                     flush(&mut sim, &mut flush_marks, at);
                 }
-                let report = std::mem::take(&mut sim.report);
+                let report = sim.take_report();
                 let telemetry = sim.cfg.telemetry.snapshot();
                 let _ = tx.send(FromWorker::Finished(Box::new(Finished {
                     report,
@@ -344,6 +334,8 @@ fn barrier_state(sim: &mut Simulation, book: &ShardBook) -> Stepped {
             cbr_live: sim.cbr_live,
             in_flight: sim.in_flight,
         },
+        counted: sim.report.events,
+        end_time: sim.report.end_time,
         book: book.clone(),
     }
 }
@@ -501,15 +493,15 @@ fn coordinate(
     let (events, end_time) = match outcome {
         Outcome::Quiesced => {
             let cut = states.iter().map(|s| s.book.last_progress).max().flatten();
-            let kept: u64 = states.iter().map(|s| s.book.kept_below(cut)).sum();
+            let kept: u64 = states.iter().map(|s| s.counted - s.book.beyond(cut)).sum();
             let progress_end = cut.map(|(t, _)| t).unwrap_or(Nanos::ZERO);
             (ticks + kept, tick_end.max(progress_end))
         }
         Outcome::Exhausted => {
-            let counted: u64 = states.iter().map(|s| s.book.counted).sum();
+            let counted: u64 = states.iter().map(|s| s.counted).sum();
             let local_end = states
                 .iter()
-                .map(|s| s.book.end_time)
+                .map(|s| s.end_time)
                 .max()
                 .unwrap_or(Nanos::ZERO);
             (ticks + counted, tick_end.max(local_end))

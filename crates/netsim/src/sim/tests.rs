@@ -1,5 +1,5 @@
 use super::*;
-use crate::config::SimConfig;
+use crate::config::{SchedulerKind, SimConfig};
 use qvisor_ranking::PFabric;
 use qvisor_sim::{gbps, Nanos, TenantId};
 use qvisor_topology::Dumbbell;
@@ -382,4 +382,298 @@ fn rejects_non_host_endpoints() {
         ));
     }));
     assert!(result.is_err());
+}
+
+// ---- The output-port state machine (DESIGN.md, "Port state machine") ----
+
+/// Dispatch every pending event at or before `until` — `run`'s loop
+/// without the doneness check — asserting at every `PortFree` pop that it
+/// is the one and only pending wake-up of its port: the port is armed and
+/// its transmission ends exactly now. (A port armed twice would pop a
+/// second time disarmed, or armed for a later transmit-complete.)
+fn step_through(sim: &mut Simulation, until: Nanos) -> u64 {
+    let mut port_frees = 0;
+    while sim.events.peek_time().is_some_and(|t| t <= until) {
+        let (now, (ev, slot)) = sim.events.pop().expect("peeked");
+        if let Event::PortFree { node, port } = ev {
+            let p = &sim.ports[port as usize];
+            assert!(p.armed, "PortFree popped on a disarmed port at {now}");
+            assert_eq!(p.free_at, Some(now), "PortFree popped off its instant");
+            assert!((sim.port_base[node.index()]..sim.port_base[node.index() + 1]).contains(&port));
+            port_frees += 1;
+        }
+        if sim.dispatch_event(now, ev, slot) {
+            sim.count_event(now);
+        }
+    }
+    port_frees
+}
+
+/// A rank function that replays a fixed list of ranks, one per packet.
+struct Scripted(std::collections::VecDeque<u64>);
+
+impl Scripted {
+    fn new(ranks: &[u64]) -> Box<Scripted> {
+        Box::new(Scripted(ranks.iter().copied().collect()))
+    }
+}
+
+impl qvisor_ranking::RankFn for Scripted {
+    fn rank(&mut self, _: &qvisor_ranking::RankCtx) -> u64 {
+        self.0.pop_front().expect("script covers every packet")
+    }
+    fn range(&self) -> qvisor_ranking::RankRange {
+        qvisor_ranking::RankRange::new(0, 100)
+    }
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+}
+
+/// What waits in `port`'s queue, in dequeue order, as `(flow, seq)`.
+fn drain_port(sim: &mut Simulation, port: u32) -> Vec<(u64, u64)> {
+    std::iter::from_fn(|| sim.ports[port as usize].queue.dequeue(Nanos::ZERO))
+        .map(|p| (p.flow.0, p.seq))
+        .collect()
+}
+
+#[test]
+fn flow_start_at_free_at_sends_the_min_rank_packet() {
+    // Same-instant order: a FlowStart (class 1) at exactly the instant a
+    // transmission ends sorts *before* the transmit-complete (class 3),
+    // so its burst queues behind a port that is still busy, and the
+    // transmit-complete then picks the burst's minimum rank — not the
+    // packet that happened to be offered first.
+    let d = dumbbell();
+    let mut sim = Simulation::new(d.topology.clone(), base_cfg()).unwrap();
+    sim.register_rank_fn(TenantId(1), Scripted::new(&[5]));
+    sim.register_rank_fn(TenantId(2), Scripted::new(&[9, 1]));
+    let wire = Nanos::from_micros(12); // 1 500 B at 1 Gbps
+    let src = d.senders[0];
+    sim.add_flow(NewFlow::new(
+        TenantId(1),
+        src,
+        d.receivers[0],
+        1_460,
+        Nanos::ZERO,
+    ));
+    sim.add_flow(NewFlow::new(
+        TenantId(2),
+        src,
+        d.receivers[0],
+        2 * 1_460,
+        wire,
+    ));
+    let port = sim.port_base[src.index()];
+    assert!(
+        sim.ports[port as usize].is_free(Nanos::ZERO, true),
+        "never sent"
+    );
+    step_through(&mut sim, Nanos(wire.as_nanos() - 1));
+    assert_eq!(sim.ports[port as usize].free_at, Some(wire));
+    assert!(
+        !sim.ports[port as usize].armed,
+        "nothing waits: no PortFree"
+    );
+    assert_eq!(
+        step_through(&mut sim, wire),
+        1,
+        "armed at `now`, popped at `now`"
+    );
+    let p = &sim.ports[port as usize];
+    assert_eq!((p.free_at, p.armed), (Some(wire + wire), true));
+    assert_eq!(
+        drain_port(&mut sim, port),
+        vec![(1, 0)],
+        "rank 9 still waits"
+    );
+}
+
+#[test]
+fn arrive_at_free_at_transmits_immediately() {
+    // ...while an Arrive (class 4) at that same instant sorts *after* the
+    // transmit-complete: it finds the port free and goes out at once,
+    // whatever its rank; a second same-instant arrival waits behind it.
+    let d = Dumbbell::build(3, gbps(1), gbps(1), Nanos::from_micros(1));
+    let mut sim = Simulation::new(d.topology.clone(), base_cfg()).unwrap();
+    sim.register_rank_fn(TenantId(1), Scripted::new(&[5]));
+    sim.register_rank_fn(TenantId(2), Scripted::new(&[9]));
+    sim.register_rank_fn(TenantId(3), Scripted::new(&[1]));
+    // X (1 500 B) reaches the left switch at 13 µs and holds the
+    // bottleneck until 25 µs; Y (1 500 B, rank 9, sent at 12 µs) and Z
+    // (540 B, rank 1, sent at 19.68 µs) both arrive at exactly 25 µs, Y
+    // first (older `sent_at`).
+    let free_at = Nanos(25_000);
+    for (tenant, sender, size, start) in [
+        (1, 0, 1_460, 0),
+        (2, 1, 1_460, 12_000),
+        (3, 2, 500, 25_000 - 1_000 - 540 * 8),
+    ] {
+        sim.add_flow(NewFlow::new(
+            TenantId(tenant),
+            d.senders[sender],
+            d.receivers[0],
+            size,
+            Nanos(start),
+        ));
+    }
+    let bottleneck = sim.port_base[d.left_switch.index()]
+        + (d.topology.neighbors(d.left_switch))
+            .position(|n| n == d.right_switch)
+            .unwrap() as u32;
+    step_through(&mut sim, Nanos(free_at.as_nanos() - 1));
+    let p = &sim.ports[bottleneck as usize];
+    assert_eq!((p.free_at, p.armed), (Some(free_at), false));
+    assert_eq!(
+        step_through(&mut sim, free_at),
+        0,
+        "no PortFree needed at 25 µs"
+    );
+    let p = &sim.ports[bottleneck as usize];
+    assert_eq!((p.free_at, p.armed), (Some(free_at + Nanos(12_000)), true));
+    assert_eq!(
+        drain_port(&mut sim, bottleneck),
+        vec![(2, 0)],
+        "Z waits, Y left"
+    );
+}
+
+#[test]
+fn a_twelve_packet_burst_drains_without_a_timer() {
+    // Every transmit start must re-arm while packets wait, or the tail of
+    // a burst sits in the queue until its retransmission timers fire.
+    let d = dumbbell();
+    let mut sim = Simulation::new(d.topology.clone(), base_cfg()).unwrap();
+    sim.add_flow(NewFlow::new(
+        TenantId(1),
+        d.senders[0],
+        d.receivers[0],
+        12 * 1_460,
+        Nanos::ZERO,
+    ));
+    let r = sim.run();
+    let t = r.tenant(TenantId(1));
+    assert_eq!((t.sent_pkts, t.delivered_pkts, t.dropped_pkts), (12, 12, 0));
+    assert_eq!(r.incomplete_flows, 0);
+    // 12 back-to-back packets over three hops and the last ACK's return:
+    // well inside the first 500 µs retransmission timeout.
+    assert!(r.end_time < Nanos::from_micros(200), "took {}", r.end_time);
+}
+
+fn contended_world(horizon: Nanos) -> Simulation {
+    let d = Dumbbell::build(3, gbps(1), 500_000_000, Nanos::from_micros(1));
+    let cfg = SimConfig {
+        horizon,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
+    sim.register_rank_fn(TenantId(1), Box::new(PFabric::default_datacenter()));
+    for i in 0..3 {
+        sim.add_flow(NewFlow::new(
+            TenantId(1),
+            d.senders[i],
+            d.receivers[(i + 1) % 3],
+            60_000 + 25_000 * i as u64,
+            Nanos::from_micros(7 * i as u64),
+        ));
+    }
+    sim
+}
+
+#[test]
+fn port_free_is_armed_at_most_once_per_port() {
+    // Three windows into a half-rate bottleneck: queues build, drain and
+    // priority-drop. `step_through` checks every PortFree pop.
+    let mut sim = contended_world(Nanos::from_secs(2));
+    let port_frees = step_through(&mut sim, Nanos::from_secs(2));
+    assert!(port_frees > 200, "the world is contended: {port_frees}");
+    assert_eq!(sim.reliable_done, 3);
+    assert!(sim.ports.iter().all(|p| !p.armed && p.queue.is_empty()));
+}
+
+#[test]
+fn event_counts_match_the_engine_that_popped_every_port_free() {
+    // `(horizon, events, end_time, incomplete)` recorded from the commit
+    // whose every transmission scheduled, popped and counted a PortFree.
+    // 12 µs and 37 µs end exactly on a transmit-complete; 36.999 µs,
+    // 100 µs, 123.456 µs, 300 µs and 700 µs cut transmissions in
+    // progress; the last row quiesces.
+    for (horizon, events, end_time, incomplete) in [
+        (12_000, 3, 12_000, 3),
+        (36_999, 14, 36_000, 3),
+        (37_000, 16, 37_000, 3),
+        (100_000, 72, 99_320, 3),
+        (123_456, 94, 123_320, 3),
+        (300_000, 205, 295_280, 3),
+        (650_000, 467, 650_000, 3),
+        (700_000, 501, 699_320, 3),
+        (2_000_000_000, 2_506, 4_680_560, 0),
+    ] {
+        let r = contended_world(Nanos(horizon)).run();
+        assert_eq!(
+            (r.events, r.end_time, r.incomplete_flows),
+            (events, Nanos(end_time), incomplete),
+            "horizon {horizon}"
+        );
+    }
+}
+
+#[test]
+fn cut_through_equals_enqueue_then_dequeue() {
+    use qvisor_scheduler::{Capacity, FifoQueue, PacketQueue, PifoQueue};
+    use qvisor_sim::{FlowId, SimRng};
+    let buffer = Capacity::bytes(3_000);
+    for scheduler in [SchedulerKind::Fifo, SchedulerKind::Pifo] {
+        let d = dumbbell();
+        let cfg = SimConfig {
+            scheduler,
+            buffer,
+            ..base_cfg()
+        };
+        let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
+        let mut model: Box<dyn PacketQueue> = match scheduler {
+            SchedulerKind::Fifo => Box::new(FifoQueue::new(buffer)),
+            _ => Box::new(PifoQueue::new(buffer)),
+        };
+        let (src, dst) = (d.senders[0], d.receivers[0]);
+        let mut rng = SimRng::seed_from(0xC077);
+        let mut now = Nanos::ZERO;
+        let (mut cut, mut refused) = (0, 0);
+        for i in 0..400u64 {
+            // Sizes around the whole-buffer boundary; ranks in the PIFO's
+            // dense tier, on its edge, and in the overflow tier.
+            let size = [40, 1_500, 2_999, 3_000, 3_001, 9_000][rng.below(6) as usize];
+            let rank = [0, 7, 4_095, 4_096, 1 << 40][rng.below(5) as usize];
+            let mut p = Packet::data(FlowId(i), TenantId(1), i, size, src, dst, rank, now);
+            p.txf_rank = rank / 2;
+            p.tie = rng.next();
+            sim.in_flight += 1;
+            sim.forward(src, p.clone(), now);
+            let offered = model.enqueue(p, now);
+            match model.dequeue(now) {
+                Some(expect) => {
+                    let (at, (ev, slot)) = sim.events.pop().expect("the packet is on the wire");
+                    assert!(matches!(ev, Event::Arrive { .. }));
+                    let sent = sim.arena.take(slot.expect("Arrive carries a packet"));
+                    assert_eq!(format!("{sent:?}"), format!("{expect:?}"));
+                    now = at;
+                    cut += 1;
+                }
+                None => {
+                    // Larger than the whole buffer: refused, as a queue
+                    // would, never sent around it.
+                    assert!(!offered.accepted() && size > 3_000);
+                    refused += 1;
+                    assert_eq!(sim.report.node_drops[&src], refused);
+                }
+            }
+            assert!(sim.events.is_empty() && sim.in_flight == cut as i64);
+            let port = &sim.ports[sim.port_base[src.index()] as usize];
+            assert!(port.queue.is_empty() && !port.armed);
+        }
+        assert!(
+            cut > 200 && refused > 80,
+            "{cut} cut through, {refused} refused"
+        );
+    }
 }

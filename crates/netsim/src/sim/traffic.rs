@@ -1,7 +1,7 @@
 //! Traffic sources: reliable flows and CBR streams, packet emission, and
 //! retransmission timers.
 
-use super::{Event, EventKey, Simulation};
+use super::{arrival_tie, Event, EventKey, Simulation};
 use qvisor_ranking::RankCtx;
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, PacketKind, TenantId};
 use qvisor_telemetry::TraceKind;
@@ -187,6 +187,14 @@ impl Simulation {
         self.cfg.rto * (1u64 << attempt.min(4))
     }
 
+    /// Account one payload packet entering the network.
+    fn count_sent(&mut self, tenant: TenantId) {
+        let t = self.tenant(tenant);
+        t.traffic.sent_pkts += 1;
+        t.metrics.sent_pkts.inc();
+        self.in_flight += 1;
+    }
+
     /// Emit one data packet of a reliable flow. `attempt` is 0 for fresh
     /// sends and increments per retransmission of the same sequence.
     pub(in crate::sim) fn send_data(
@@ -223,10 +231,9 @@ impl Simulation {
             now,
         );
         p.deadline = def.deadline;
+        p.tie = arrival_tie(&p);
         self.trace_pkt(&p, now, TraceKind::RankComputed { rank });
-        self.tenant_mut(def.tenant).sent_pkts += 1;
-        self.metrics(def.tenant).sent_pkts.inc();
-        self.in_flight += 1;
+        self.count_sent(def.tenant);
         let rto = self.rto_for(attempt);
         self.events.schedule_keyed(
             now + rto,
@@ -275,6 +282,7 @@ impl Simulation {
         );
         p.kind = PacketKind::Datagram;
         p.deadline = Some(deadline);
+        p.tie = arrival_tie(&p);
         if seq == 0 {
             self.trace_pkt(
                 &p,
@@ -285,9 +293,7 @@ impl Simulation {
             );
         }
         self.trace_pkt(&p, now, TraceKind::RankComputed { rank });
-        self.tenant_mut(def.tenant).sent_pkts += 1;
-        self.metrics(def.tenant).sent_pkts.inc();
-        self.in_flight += 1;
+        self.count_sent(def.tenant);
         self.forward(def.src, p, now);
 
         // Schedule the next emission or retire the stream.

@@ -39,7 +39,7 @@ fn identity(p: &Packet) -> Resident {
     Resident {
         flow: p.flow.0,
         seq: p.seq,
-        ack: matches!(p.kind, PacketKind::Ack { .. }),
+        ack: matches!(p.kind, PacketKind::Ack),
         tenant: p.tenant.0,
     }
 }
@@ -182,7 +182,7 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
             self.tracer.record(
                 TraceRecord::new(now, p.flow.0, p.seq, p.tenant.0, kind)
                     .at_label(self.trace_label)
-                    .as_ack(matches!(p.kind, PacketKind::Ack { .. })),
+                    .as_ack(matches!(p.kind, PacketKind::Ack)),
             );
         }
     }

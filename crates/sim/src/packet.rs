@@ -8,12 +8,10 @@ use crate::time::Nanos;
 pub enum PacketKind {
     /// A data segment of a reliable flow; `seq` identifies it for ACKing.
     Data,
-    /// An acknowledgement for `acked_seq` of the reverse-direction flow.
-    /// ACKs are scheduled at the highest priority (rank 0) like in pFabric.
-    Ack {
-        /// Sequence number being acknowledged.
-        acked_seq: u64,
-    },
+    /// An acknowledgement of the data packet with the same `seq`, travelling
+    /// the reverse direction. ACKs are scheduled at the highest priority
+    /// (rank 0) like in pFabric.
+    Ack,
     /// An unreliable datagram (CBR / deadline traffic): never retransmitted.
     Datagram,
 }
@@ -53,6 +51,11 @@ pub struct Packet {
     /// instrumentation wrappers to measure queueing delay; `Nanos::ZERO`
     /// until then. Never consulted by scheduling logic.
     pub enqueued_at: Nanos,
+    /// Same-instant arrival tie-break: a hash of the packet instance's
+    /// identity, set once by whoever emits the packet into a network and
+    /// read at every hop. Zero from the constructors here — a queue never
+    /// looks at it.
+    pub tie: u64,
 }
 
 impl Packet {
@@ -81,6 +84,7 @@ impl Packet {
             sent_at,
             deadline: None,
             enqueued_at: Nanos::ZERO,
+            tie: 0,
         }
     }
 
@@ -97,12 +101,11 @@ impl Packet {
             dst: self.src,
             rank: 0,
             txf_rank: 0,
-            kind: PacketKind::Ack {
-                acked_seq: self.seq,
-            },
+            kind: PacketKind::Ack,
             sent_at: now,
             deadline: None,
             enqueued_at: Nanos::ZERO,
+            tie: 0,
         }
     }
 
@@ -227,9 +230,18 @@ mod tests {
         assert_eq!(ack.dst, p.src);
         assert_eq!(ack.rank, 0);
         assert_eq!(ack.txf_rank, 0);
-        assert_eq!(ack.kind, PacketKind::Ack { acked_seq: 7 });
+        assert_eq!(ack.kind, PacketKind::Ack);
+        assert_eq!(ack.seq, 7, "the ACK names the sequence it acknowledges");
         assert_eq!(ack.size, 64);
         assert!(!ack.is_payload());
+    }
+
+    #[test]
+    fn packet_stays_within_88_bytes() {
+        // The arena, every queue and every event hand packets around by
+        // value: the one-byte kind pays for the cached arrival tie.
+        assert_eq!(std::mem::size_of::<PacketKind>(), 1);
+        assert_eq!(std::mem::size_of::<Packet>(), 88);
     }
 
     #[test]

@@ -9,12 +9,20 @@ use crate::graph::{NodeKind, Topology};
 use qvisor_sim::{stable_hash, FlowId, NodeId};
 use std::collections::VecDeque;
 
-/// Precomputed ECMP route tables.
+/// Precomputed ECMP routes: one flat (CSR) table.
+///
+/// Row `dst * n + at` of `starts` delimits, inside `hops`, the
+/// shortest-path next hops from `at` towards `dst` in
+/// `Topology::neighbors(at)` order; `ports` runs parallel and holds each
+/// hop's position among `Topology::out_links(at)`. Destination-major, the
+/// order the per-destination BFS writes it in. A row is empty when `dst`
+/// is unreachable, is not a host, or `at == dst`.
 #[derive(Clone, Debug)]
 pub struct Routes {
-    /// `next_hops[node][dst]` = shortest-path next hops from `node` to `dst`.
-    /// Empty when `dst` is unreachable or `node == dst`.
-    next_hops: Vec<Vec<Vec<NodeId>>>,
+    nodes: usize,
+    starts: Vec<u32>,
+    hops: Vec<NodeId>,
+    ports: Vec<u16>,
 }
 
 impl Routes {
@@ -31,15 +39,22 @@ impl Routes {
             rev[l.to.index()].push(l.from);
         }
 
-        let mut next_hops = vec![vec![Vec::new(); n]; n];
-        for dst in topo.nodes().iter().map(|nd| nd.id) {
-            if topo.node(dst).kind != NodeKind::Host {
-                continue; // only hosts terminate traffic
+        let mut starts = Vec::with_capacity(n * n + 1);
+        let mut hops = Vec::new();
+        let mut ports = Vec::new();
+        let mut dist = vec![u32::MAX; n];
+        let mut q = VecDeque::new();
+        for dst in topo.nodes() {
+            if dst.kind != NodeKind::Host {
+                // Only hosts terminate traffic: n empty rows.
+                starts.resize(starts.len() + n, hops.len() as u32);
+                continue;
             }
+            let dst = dst.id;
             // BFS distances to dst over reversed edges.
-            let mut dist = vec![u32::MAX; n];
+            dist.fill(u32::MAX);
             dist[dst.index()] = 0;
-            let mut q = VecDeque::from([dst]);
+            q.push_back(dst);
             while let Some(v) = q.pop_front() {
                 for &u in &rev[v.index()] {
                     if dist[u.index()] == u32::MAX {
@@ -51,24 +66,51 @@ impl Routes {
             // next hop of u: any neighbor v with dist[v] == dist[u] - 1.
             for node in topo.nodes() {
                 let u = node.id;
+                starts.push(hops.len() as u32);
                 if u == dst || dist[u.index()] == u32::MAX {
                     continue;
                 }
-                let hops: Vec<NodeId> = topo
-                    .neighbors(u)
-                    .filter(|v| {
-                        dist[v.index()] != u32::MAX && dist[v.index()] + 1 == dist[u.index()]
-                    })
-                    .collect();
-                next_hops[u.index()][dst.index()] = hops;
+                for (port, v) in topo.neighbors(u).enumerate() {
+                    if dist[v.index()] != u32::MAX && dist[v.index()] + 1 == dist[u.index()] {
+                        hops.push(v);
+                        ports.push(u16::try_from(port).expect("a node has at most 65536 ports"));
+                    }
+                }
             }
         }
-        Routes { next_hops }
+        starts.push(u32::try_from(hops.len()).expect("route table exceeds u32 entries"));
+        Routes {
+            nodes: n,
+            starts,
+            hops,
+            ports,
+        }
+    }
+
+    /// The `hops`/`ports` range holding the next hops from `at` to `dst`.
+    fn row(&self, at: NodeId, dst: NodeId) -> std::ops::Range<usize> {
+        assert!(at.index() < self.nodes, "unknown node {at}");
+        let row = dst.index() * self.nodes + at.index();
+        self.starts[row] as usize..self.starts[row + 1] as usize
     }
 
     /// All equal-cost next hops from `at` towards `dst`.
     pub fn next_hops(&self, at: NodeId, dst: NodeId) -> &[NodeId] {
-        &self.next_hops[at.index()][dst.index()]
+        &self.hops[self.row(at, dst)]
+    }
+
+    /// Index into `hops`/`ports` of the ECMP choice for `flow`.
+    fn ecmp_slot(&self, at: NodeId, dst: NodeId, flow: FlowId) -> usize {
+        let row = self.row(at, dst);
+        assert!(
+            !row.is_empty(),
+            "no route from {at} to {dst} (unreachable or at == dst)"
+        );
+        if row.len() == 1 {
+            return row.start;
+        }
+        let h = stable_hash(&[flow.0, at.0 as u64, dst.0 as u64]);
+        row.start + (h % row.len() as u64) as usize
     }
 
     /// The ECMP next hop for `flow` from `at` towards `dst`.
@@ -79,16 +121,13 @@ impl Routes {
     /// # Panics
     /// Panics if `dst` is unreachable from `at`.
     pub fn ecmp_next_hop(&self, at: NodeId, dst: NodeId, flow: FlowId) -> NodeId {
-        let hops = self.next_hops(at, dst);
-        assert!(
-            !hops.is_empty(),
-            "no route from {at} to {dst} (unreachable or at == dst)"
-        );
-        if hops.len() == 1 {
-            return hops[0];
-        }
-        let h = stable_hash(&[flow.0, at.0 as u64, dst.0 as u64]);
-        hops[(h % hops.len() as u64) as usize]
+        self.hops[self.ecmp_slot(at, dst, flow)]
+    }
+
+    /// The position among `Topology::out_links(at)` of the link to
+    /// [`Routes::ecmp_next_hop`]`(at, dst, flow)`; panics as it does.
+    pub fn ecmp_port(&self, at: NodeId, dst: NodeId, flow: FlowId) -> usize {
+        self.ports[self.ecmp_slot(at, dst, flow)] as usize
     }
 
     /// The full ECMP path of `flow` from `src` to `dst`, inclusive of both
@@ -99,10 +138,7 @@ impl Routes {
         while at != dst {
             at = self.ecmp_next_hop(at, dst, flow);
             path.push(at);
-            assert!(
-                path.len() <= self.next_hops.len(),
-                "routing loop from {src} to {dst}"
-            );
+            assert!(path.len() <= self.nodes, "routing loop from {src} to {dst}");
         }
         path
     }
@@ -111,9 +147,9 @@ impl Routes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{LeafSpine, LeafSpineConfig};
+    use crate::builders::{Dumbbell, FatTree, LeafSpine, LeafSpineConfig};
     use crate::graph::Topology;
-    use qvisor_sim::Nanos;
+    use qvisor_sim::{gbps, Nanos, SimRng};
     use std::collections::HashSet;
 
     fn line() -> Topology {
@@ -196,4 +232,91 @@ mod tests {
         let r = Routes::compute(&t);
         let _ = r.ecmp_next_hop(h0, NodeId(1), FlowId(0));
     }
+
+    #[test]
+    #[should_panic(expected = "(unreachable or at == dst)")]
+    fn next_hop_at_the_destination_panics() {
+        let r = Routes::compute(&line());
+        let _ = r.ecmp_next_hop(NodeId(3), NodeId(3), FlowId(0));
+    }
+
+    /// Shortest-path next hops by the textbook definition, one forward BFS
+    /// per source: nothing shared with `Routes::compute` but the topology.
+    fn reference_hops(t: &Topology, at: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let dist_to_dst = |from: NodeId| -> Option<u32> {
+            let mut dist = vec![None; t.node_count()];
+            dist[from.index()] = Some(0u32);
+            let mut q = VecDeque::from([from]);
+            while let Some(u) = q.pop_front() {
+                for v in t.neighbors(u) {
+                    if dist[v.index()].is_none() {
+                        dist[v.index()] = dist[u.index()].map(|d| d + 1);
+                        q.push_back(v);
+                    }
+                }
+            }
+            dist[dst.index()]
+        };
+        if at == dst || t.node(dst).kind != NodeKind::Host {
+            return Vec::new();
+        }
+        let Some(d) = dist_to_dst(at) else {
+            return Vec::new();
+        };
+        t.neighbors(at)
+            .filter(|&v| dist_to_dst(v) == Some(d - 1))
+            .collect()
+    }
+
+    #[test]
+    fn table_matches_a_reference_bfs() {
+        let topologies = [
+            line(),
+            Dumbbell::build(3, gbps(1), gbps(1), Nanos(1_000)).topology,
+            LeafSpine::build(&LeafSpineConfig::paper()).topology,
+            FatTree::build(4, gbps(1), Nanos(1_000)).topology,
+        ];
+        for t in &topologies {
+            let r = Routes::compute(t);
+            for at in t.nodes().iter().map(|n| n.id) {
+                let neighbors: Vec<NodeId> = t.neighbors(at).collect();
+                // The reference BFS is per (at, dst): sample destinations
+                // on the 157-node fabric, take every one elsewhere.
+                let stride = if t.node_count() > 100 { 7 } else { 1 };
+                for dst in t.nodes().iter().map(|n| n.id).step_by(stride) {
+                    let hops = r.next_hops(at, dst);
+                    assert_eq!(hops, reference_hops(t, at, dst), "{at} -> {dst}");
+                    // The port column names the same links, in port order.
+                    for (i, &hop) in hops.iter().enumerate() {
+                        let flow = (0..)
+                            .map(FlowId)
+                            .find(|&f| r.ecmp_next_hop(at, dst, f) == hop);
+                        let port = r.ecmp_port(at, dst, flow.unwrap());
+                        assert_eq!(neighbors[port], hop, "{at} -> {dst} hop {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ecmp_paths_match_the_nested_table_they_replaced() {
+        // FNV-1a over 10^4 random (src, dst, flow) paths on the paper's
+        // fabric, recorded from the commit before the table went flat.
+        let ls = LeafSpine::build(&LeafSpineConfig::paper());
+        let r = Routes::compute(&ls.topology);
+        let hosts = ls.all_hosts();
+        let mut rng = SimRng::seed_from(0x0EC3);
+        let mut words = Vec::new();
+        for _ in 0..10_000 {
+            let src = hosts[rng.below(hosts.len() as u64) as usize];
+            let dst = hosts[rng.below(hosts.len() as u64) as usize];
+            let flow = FlowId(rng.next());
+            words.extend(r.ecmp_path(src, dst, flow).iter().map(|n| n.0 as u64));
+            words.push(u64::MAX);
+        }
+        assert_eq!(stable_hash(&words), PINNED_PATHS_HASH);
+    }
+
+    const PINNED_PATHS_HASH: u64 = 0x517d_8d8e_e4d4_6a2f;
 }

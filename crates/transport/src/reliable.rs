@@ -14,7 +14,7 @@
 
 use crate::flow::FlowDef;
 use qvisor_sim::Nanos;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A request from the sender to emit one data packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +47,10 @@ pub struct ReliableSender {
     total_pkts: u64,
     /// Next never-sent sequence.
     next_seq: u64,
-    /// Sequences sent and not yet acknowledged.
-    unacked: BTreeSet<u64>,
+    /// Sequences sent and not yet acknowledged, ascending: never more
+    /// than `cwnd` of them. Sends append (sequences only grow) and ACKs
+    /// mostly retire the front — O(1) in a ring — so it does a tree's job.
+    unacked: VecDeque<u64>,
     /// Acknowledged payload bytes.
     acked_bytes: u64,
     completed: bool,
@@ -71,7 +73,7 @@ impl ReliableSender {
             cwnd,
             total_pkts,
             next_seq: 0,
-            unacked: BTreeSet::new(),
+            unacked: VecDeque::with_capacity(cwnd as usize),
             acked_bytes: 0,
             completed: false,
         }
@@ -121,7 +123,7 @@ impl ReliableSender {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.unacked.insert(seq);
+        self.unacked.push_back(seq);
         Some(SendReq {
             seq,
             payload: self.payload_of(seq),
@@ -137,9 +139,13 @@ impl ReliableSender {
 
     /// Deliver an ACK for `seq`. Duplicate ACKs are ignored.
     pub fn on_ack(&mut self, seq: u64, _now: Nanos) -> AckOutcome {
-        if self.completed || !self.unacked.remove(&seq) {
+        if self.completed {
             return AckOutcome::default();
         }
+        let Ok(slot) = self.unacked.binary_search(&seq) else {
+            return AckOutcome::default();
+        };
+        self.unacked.remove(slot);
         self.acked_bytes += self.payload_of(seq) as u64;
         if self.acked_bytes >= self.def.size {
             self.completed = true;
@@ -163,7 +169,7 @@ impl ReliableSender {
     /// The retransmission timer for `seq` fired. Returns the packet to
     /// resend, or `None` if it was acknowledged in the meantime.
     pub fn on_timeout(&mut self, seq: u64, _now: Nanos) -> Option<SendReq> {
-        if self.completed || !self.unacked.contains(&seq) {
+        if self.completed || self.unacked.binary_search(&seq).is_err() {
             return None;
         }
         Some(SendReq {
@@ -331,6 +337,74 @@ mod tests {
         let dup = s.on_ack(0, Nanos::ZERO);
         assert!(!dup.completed);
         assert!(s.is_complete());
+    }
+
+    /// The sender against the model it replaced: a set of every unacked
+    /// sequence. Random ACK orders with losses, duplicates, ACKs for
+    /// sequences never sent, and timeouts for live and dead sequences.
+    #[test]
+    fn sender_matches_the_set_model() {
+        let mut rng = qvisor_sim::SimRng::seed_from(0x5E9D);
+        for case in 0..300u64 {
+            let cwnd = 1 + rng.below(16) as u32;
+            let pkts = 1 + rng.below(120);
+            let size = pkts * 1_000 - rng.below(1_000);
+            let mut sender = ReliableSender::new(def(size), 1_000, cwnd);
+            let (mut model, mut next, mut acked) = (BTreeSet::new(), 0u64, 0u64);
+            // The model's window: admit while |unacked| < cwnd.
+            let admit = |model: &mut BTreeSet<u64>, next: &mut u64| {
+                (model.len() < cwnd as usize && *next < pkts).then(|| {
+                    model.insert(*next);
+                    *next += 1;
+                    *next - 1
+                })
+            };
+            let started: Vec<u64> = sender.on_start(Nanos::ZERO).iter().map(|r| r.seq).collect();
+            let expect: Vec<u64> = std::iter::from_fn(|| admit(&mut model, &mut next)).collect();
+            assert_eq!(started, expect, "case {case}: initial window");
+            let mut in_flight = started; // ACKs that may still arrive
+            for _step in 0..10_000 {
+                if model.is_empty() {
+                    break;
+                }
+                let seq = match rng.below(10) {
+                    // Mostly: an ACK for something sent, in random order
+                    // (kept in `in_flight`, so duplicates arrive too).
+                    0..=6 => in_flight[rng.below(in_flight.len() as u64) as usize],
+                    // The oldest outstanding (the in-order common case).
+                    7 => *model.first().unwrap(),
+                    // Anything, sent or not.
+                    _ => rng.below(pkts + 2),
+                };
+                if rng.below(5) == 0 {
+                    let live = model.contains(&seq);
+                    let got = sender.on_timeout(seq, Nanos::ZERO);
+                    assert_eq!(got.map(|r| r.seq), live.then_some(seq), "case {case}");
+                    assert!(got.is_none_or(|r| r.retransmit));
+                    continue;
+                }
+                let out = sender.on_ack(seq, Nanos::ZERO);
+                if !model.remove(&seq) {
+                    assert_eq!(out, AckOutcome::default(), "case {case}: dead ACK {seq}");
+                    continue;
+                }
+                acked += sender.payload_of(seq) as u64;
+                assert_eq!(sender.remaining_bytes(), size - acked, "case {case}");
+                let admitted = admit(&mut model, &mut next);
+                assert_eq!(out.sends.map(|r| r.seq), admitted, "case {case}: slide");
+                assert_eq!(out.completed, model.is_empty(), "case {case}");
+                in_flight.extend(admitted);
+                assert!(
+                    sender.unacked.iter().copied().eq(model.iter().copied()),
+                    "case {case}: {:?} vs {model:?}",
+                    sender.unacked
+                );
+                assert!(sender.unacked.len() <= cwnd as usize);
+            }
+            assert!(sender.is_complete(), "case {case} did not finish");
+            assert_eq!(sender.on_ack(0, Nanos::ZERO), AckOutcome::default());
+            assert_eq!(sender.on_timeout(0, Nanos::ZERO), None);
+        }
     }
 
     #[test]
