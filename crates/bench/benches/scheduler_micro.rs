@@ -5,8 +5,8 @@
 
 use qvisor_bench::harness::{bench_batched, print_header};
 use qvisor_scheduler::{
-    AifoQueue, CalendarQueue, Capacity, FifoQueue, PacketQueue, PathStep, PifoQueue, PifoTree,
-    SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
+    AifoQueue, Capacity, FifoQueue, PacketQueue, PathStep, PifoQueue, PifoTree, SpPifoMapper,
+    StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
 };
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
 
@@ -72,9 +72,6 @@ fn main() {
         StrictPriorityBank::new(StaticRangeMapper::new(0, 100_000, 8), cap)
     });
     bench_queue("aifo_1k_pkts", move || AifoQueue::new(cap, 64, 0.1));
-    bench_queue("calendar64_1k_pkts", move || {
-        CalendarQueue::new(64, 2_000, cap)
-    });
     bench_queue("pifo_tree4_1k_pkts", move || {
         let shape = TreeShape::Internal(vec![
             TreeShape::Leaf,

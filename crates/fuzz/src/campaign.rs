@@ -1,10 +1,9 @@
 //! Parallel fuzz campaigns with byte-deterministic summaries.
 //!
 //! A campaign runs `cases` generated deployments through the full
-//! differential oracle, fanned over OS threads with the same atomic
-//! work-index pattern as the parallel sweep runner: workers claim case
-//! indices from an `AtomicUsize`, send `(index, outcome)` down a channel,
-//! and the results are merged back in case order. Every case is a pure
+//! differential oracle, fanned over OS threads by
+//! [`qvisor_sim::ordered_par_map`] (as the sweep runner's grid points
+//! are) and merged back in case order. Every case is a pure
 //! function of `(seed, index)` and every worker builds its own (Rc-based)
 //! telemetry world, so the merged report — and therefore the rendered
 //! summary — is byte-identical at any `--jobs` level.
@@ -13,10 +12,8 @@
 //! itself deterministic) and surface as [`CaseFailure`]s carrying a
 //! replayable corpus document.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-
 use qvisor_sim::json::Value;
+use qvisor_sim::ordered_par_map;
 use std::collections::BTreeMap;
 
 use crate::corpus::corpus_value;
@@ -79,36 +76,12 @@ fn run_indexed(seed: u64, index: u64) -> (CaseOutcome, Option<CaseFailure>) {
 /// Run a campaign. The returned report (and its summary rendering) is a
 /// pure function of `(seed, cases)` — `jobs` only changes wall-clock.
 pub fn run_campaign(opts: &CampaignOpts) -> CampaignReport {
-    let total = opts.cases as usize;
-    let jobs = opts.jobs.max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, (CaseOutcome, Option<CaseFailure>))>();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= total {
-                    break;
-                }
-                let result = run_indexed(opts.seed, idx as u64);
-                if tx.send((idx, result)).is_err() {
-                    break;
-                }
-            });
-        }
+    let results = ordered_par_map(opts.cases as usize, opts.jobs, |idx| {
+        run_indexed(opts.seed, idx as u64)
     });
-    drop(tx);
-    let mut slots: Vec<Option<(CaseOutcome, Option<CaseFailure>)>> =
-        (0..total).map(|_| None).collect();
-    for (idx, result) in rx {
-        slots[idx] = Some(result);
-    }
-    let mut outcomes = Vec::with_capacity(total);
+    let mut outcomes = Vec::with_capacity(results.len());
     let mut failures = Vec::new();
-    for slot in slots {
-        let (outcome, failure) = slot.expect("every case reports exactly once");
+    for (outcome, failure) in results {
         outcomes.push(outcome);
         failures.extend(failure);
     }

@@ -333,9 +333,6 @@ fn sim_value(s: &SimSpec) -> Value {
     if let Some(ns) = s.adaptation_interval_ns {
         v = v.set("adaptation_interval_ns", ns);
     }
-    if s.shards != 1 {
-        v = v.set("shards", s.shards as u64);
-    }
     v
 }
 
@@ -354,7 +351,6 @@ fn sim_from(v: &Value, path: &str) -> Result<SimSpec, ScenarioError> {
             "random_loss",
             "sample_interval_ns",
             "adaptation_interval_ns",
-            "shards",
         ],
     )?;
     let d = SimSpec::default();
@@ -378,7 +374,6 @@ fn sim_from(v: &Value, path: &str) -> Result<SimSpec, ScenarioError> {
         },
         sample_interval_ns: opt_u64(v, path, "sample_interval_ns")?,
         adaptation_interval_ns: opt_u64(v, path, "adaptation_interval_ns")?,
-        shards: opt_u64(v, path, "shards")?.map_or(1, |n| n as usize),
     })
 }
 

@@ -15,7 +15,7 @@ use crate::config::{PreprocScope, QvisorSetup, SchedulerKind, SimConfig};
 use crate::report::SimReport;
 use crate::sim::Simulation;
 use qvisor_core::{
-    synthesize, verify, MonitorConfig, Policy, QvisorError, SpecPaths, SynthConfig, TenantSpec,
+    synthesize, verify, MonitorConfig, Policy, SpecPaths, SynthConfig, TenantSpec,
     UnknownTenantAction, VerifyReport, ViolationAction,
 };
 use qvisor_ranking::RankRange;
@@ -112,96 +112,50 @@ impl Engine {
         if report.gate_fails(self.deny_warnings) {
             return Err(ScenarioError::Verify(Box::new(report)));
         }
-        let prep = prepare(spec)?;
-        let cfg = sim_config(
-            spec,
-            prep.last_arrival,
-            self.event_core,
-            self.telemetry.clone(),
-            self.tracer.clone(),
-            self.monitor.clone(),
-        );
-        let mut sim = Simulation::new(prep.topology.clone(), cfg).map_err(ScenarioError::Build)?;
-        populate(spec, &prep, &mut sim)?;
+        let (topology, prep) = prepare(spec)?;
+        let cfg = self.sim_config(spec, prep.last_arrival);
+        let mut sim = Simulation::new(topology, cfg).map_err(ScenarioError::Build)?;
+        populate(spec, &prep, &mut sim);
         Ok(sim)
     }
 
-    /// Build and run `spec` to completion. `sim.shards > 1` dispatches to
-    /// the sharded parallel engine; the report is byte-identical either
-    /// way (the sequential engine is the differential oracle).
+    /// Build and run `spec` to completion.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<SimReport, ScenarioError> {
-        if spec.sim.shards > 1 {
-            return self.run_sharded(spec);
-        }
         Ok(self.build(spec)?.run())
     }
 
-    /// The sharded path: every worker thread materializes its own complete
-    /// simulation from `Sync` ingredients (the spec and the pre-generated
-    /// workloads), because the engine's observability handles are
-    /// thread-local `Rc` graphs. Worker telemetry snapshots merge into
-    /// this engine's registry; the flight recorder and streaming SLO
-    /// monitor have no shard merge, so they must be disabled.
-    fn run_sharded(&self, spec: &ScenarioSpec) -> Result<SimReport, ScenarioError> {
-        spec.validate()?;
-        let report = verify_qvisor(spec, &SpecPaths::scenario())?;
-        if report.gate_fails(self.deny_warnings) {
-            return Err(ScenarioError::Verify(Box::new(report)));
+    /// Assemble the [`SimConfig`] for `spec`: a pure function of the spec
+    /// and the last reliable arrival, plus this engine's observability
+    /// handles and event core.
+    fn sim_config(&self, spec: &ScenarioSpec, last_arrival: Nanos) -> SimConfig {
+        SimConfig {
+            seed: spec.seed,
+            mss: spec.sim.mss,
+            header_bytes: spec.sim.header_bytes,
+            ack_bytes: spec.sim.ack_bytes,
+            cwnd: spec.sim.cwnd,
+            rto: Nanos(spec.sim.rto_ns),
+            buffer: Capacity::bytes(spec.sim.buffer_bytes),
+            scheduler: build_scheduler(&spec.scheduler),
+            host_scheduler: spec.host_scheduler.as_ref().map(build_scheduler),
+            horizon: resolve(spec.sim.horizon, last_arrival),
+            random_loss: spec.sim.random_loss,
+            sample_interval: spec.sim.sample_interval_ns.map(Nanos),
+            adaptation_interval: spec.sim.adaptation_interval_ns.map(Nanos),
+            qvisor: spec.qvisor.as_ref().map(build_qvisor),
+            event_core: self.event_core,
+            telemetry: self.telemetry.clone(),
+            tracer: self.tracer.clone(),
+            monitor: self.monitor.clone(),
         }
-        if self.tracer.is_enabled() {
-            return Err(super::field_err(
-                "sim.shards",
-                "packet tracing requires a single shard \
-                 (the flight recorder is not shard-merged)",
-            ));
-        }
-        if self.monitor.is_enabled() {
-            return Err(super::field_err(
-                "sim.shards",
-                "the streaming SLO monitor requires a single shard \
-                 (its sliding windows span all shards' traffic)",
-            ));
-        }
-        let prep = prepare(spec)?;
-        let event_core = self.event_core;
-        let journal_capacity = self.telemetry.journal_capacity();
-        let build = || {
-            let telemetry = match journal_capacity {
-                Some(capacity) => Telemetry::with_journal_capacity(capacity),
-                None => Telemetry::disabled(),
-            };
-            Simulation::new(
-                prep.topology.clone(),
-                sim_config(
-                    spec,
-                    prep.last_arrival,
-                    event_core,
-                    telemetry,
-                    Tracer::disabled(),
-                    SloMonitor::disabled(),
-                ),
-            )
-        };
-        let add_traffic = |sim: &mut Simulation| {
-            populate(spec, &prep, sim).map_err(|e| QvisorError::Deployment(e.to_string()))
-        };
-        crate::sim::run_sharded(
-            &prep.topology,
-            spec.sim.shards,
-            &self.telemetry,
-            build,
-            add_traffic,
-        )
-        .map_err(ScenarioError::Build)
     }
 }
 
-/// Everything deterministic and thread-shareable that materialization
-/// needs: the topology, the canonical host list, and the pre-generated
+/// What materialization needs besides the topology before a
+/// [`Simulation`] exists: the canonical host list and the pre-generated
 /// random workloads (each drawn on its own derived RNG stream, so the
 /// result is a pure function of the spec).
 struct Prepared {
-    topology: Topology,
     hosts: Vec<NodeId>,
     generated: Vec<Option<Vec<GeneratedFlow>>>,
     fleets: Vec<Option<Vec<GeneratedCbr>>>,
@@ -215,7 +169,7 @@ fn resolve(t: TimeRef, last_arrival: Nanos) -> Nanos {
     }
 }
 
-fn prepare(spec: &ScenarioSpec) -> Result<Prepared, ScenarioError> {
+fn prepare(spec: &ScenarioSpec) -> Result<(Topology, Prepared), ScenarioError> {
     let (topology, hosts) = build_topology(spec);
 
     // Phase 1: generate Poisson flows (each workload on its own RNG
@@ -305,59 +259,18 @@ fn prepare(spec: &ScenarioSpec) -> Result<Prepared, ScenarioError> {
         });
     }
 
-    Ok(Prepared {
-        topology,
+    let prep = Prepared {
         hosts,
         generated,
         fleets,
         last_arrival,
-    })
-}
-
-/// Assemble a [`SimConfig`] for `spec`. Everything except the
-/// observability handles is a pure function of the spec, so the sharded
-/// engine can call this once per worker with a fresh thread-local
-/// telemetry registry and get otherwise-identical configurations.
-fn sim_config(
-    spec: &ScenarioSpec,
-    last_arrival: Nanos,
-    event_core: EventCore,
-    telemetry: Telemetry,
-    tracer: Tracer,
-    monitor: SloMonitor,
-) -> SimConfig {
-    SimConfig {
-        seed: spec.seed,
-        mss: spec.sim.mss,
-        header_bytes: spec.sim.header_bytes,
-        ack_bytes: spec.sim.ack_bytes,
-        cwnd: spec.sim.cwnd,
-        rto: Nanos(spec.sim.rto_ns),
-        buffer: Capacity::bytes(spec.sim.buffer_bytes),
-        scheduler: build_scheduler(&spec.scheduler),
-        host_scheduler: spec.host_scheduler.as_ref().map(build_scheduler),
-        horizon: resolve(spec.sim.horizon, last_arrival),
-        random_loss: spec.sim.random_loss,
-        sample_interval: spec.sim.sample_interval_ns.map(Nanos),
-        adaptation_interval: spec.sim.adaptation_interval_ns.map(Nanos),
-        qvisor: spec.qvisor.as_ref().map(build_qvisor),
-        event_core,
-        telemetry,
-        tracer,
-        monitor,
-    }
+    };
+    Ok((topology, prep))
 }
 
 /// Register rank functions and load every workload into `sim`, in
-/// declaration order (flow ids and ECMP hashing are stable). Shard-safe:
-/// the simulation's ownership mask decides which flows each shard
-/// actually schedules, so every worker loads the full traffic matrix
-/// identically.
-fn populate(
-    spec: &ScenarioSpec,
-    prep: &Prepared,
-    sim: &mut Simulation,
-) -> Result<(), ScenarioError> {
+/// declaration order (flow ids and ECMP hashing are stable).
+fn populate(spec: &ScenarioSpec, prep: &Prepared, sim: &mut Simulation) {
     for (tenant, rank_fn) in &spec.rank_fns {
         sim.register_rank_fn(TenantId(*tenant), rank_fn.build());
     }
@@ -402,7 +315,6 @@ fn populate(
             }
         }
     }
-    Ok(())
 }
 
 /// Synthesize the scenario's QVISOR policy and run the static verifier

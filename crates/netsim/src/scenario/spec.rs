@@ -85,31 +85,6 @@ impl TopologySpec {
             TopologySpec::FatTree { rate_bps, .. } => rate_bps,
         }
     }
-
-    /// Number of partition units the built topology offers the sharded
-    /// engine — one per switch (hosts follow their home switch; see
-    /// `qvisor_topology::Partition`). `sim.shards` may not exceed this.
-    pub fn unit_count(&self) -> usize {
-        match *self {
-            TopologySpec::LeafSpine { leaves, spines, .. } => leaves + spines,
-            TopologySpec::Dumbbell { .. } => 2,
-            // (k/2)^2 core switches plus k pods of k switches each.
-            TopologySpec::FatTree { arity, .. } => arity * arity / 4 + arity * arity,
-        }
-    }
-
-    /// The switch-to-switch propagation delay — the sharded engine's
-    /// conservative lookahead comes from cut links, which are always
-    /// switch-to-switch (hosts are co-located with their home switch).
-    pub fn fabric_delay_ns(&self) -> u64 {
-        match *self {
-            TopologySpec::LeafSpine {
-                fabric_delay_ns, ..
-            } => fabric_delay_ns,
-            TopologySpec::Dumbbell { delay_ns, .. } => delay_ns,
-            TopologySpec::FatTree { delay_ns, .. } => delay_ns,
-        }
-    }
 }
 
 /// Scalar simulation parameters (mirrors the plain fields of
@@ -137,10 +112,6 @@ pub struct SimSpec {
     pub sample_interval_ns: Option<u64>,
     /// Run the QVISOR runtime controller every interval (ns).
     pub adaptation_interval_ns: Option<u64>,
-    /// Worker shards for the parallel engine; 1 (the default) runs the
-    /// sequential engine. Any value produces byte-identical reports — the
-    /// sequential engine is the sharded engine's differential oracle.
-    pub shards: usize,
 }
 
 impl Default for SimSpec {
@@ -157,7 +128,6 @@ impl Default for SimSpec {
             random_loss: 0.0,
             sample_interval_ns: None,
             adaptation_interval_ns: None,
-            shards: 1,
         }
     }
 }
@@ -595,7 +565,6 @@ impl ScenarioSpec {
         if self.sim.adaptation_interval_ns == Some(0) {
             return Err(field_err("sim.adaptation_interval_ns", "must be positive"));
         }
-        self.check_shards()?;
         check_scheduler(&self.scheduler, "scheduler", self.sim.buffer_bytes)?;
         if let Some(hs) = &self.host_scheduler {
             check_scheduler(hs, "host_scheduler", self.sim.buffer_bytes)?;
@@ -694,67 +663,6 @@ impl ScenarioSpec {
                 return Err(field_err(
                     format!("alerts.{i}.threshold"),
                     "must be finite and >= 0",
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The `sim.shards` constraints: the topology must offer enough
-    /// partition units and positive cut-link lookahead, and every feature
-    /// whose state is global to the run — runtime adaptation, the runtime
-    /// monitor, streaming SLO alerts, STFQ's virtual clock — requires a
-    /// single shard.
-    fn check_shards(&self) -> Result<(), ScenarioError> {
-        if self.sim.shards == 0 {
-            return Err(field_err("sim.shards", "must be >= 1"));
-        }
-        if self.sim.shards == 1 {
-            return Ok(());
-        }
-        let units = self.topology.unit_count();
-        if self.sim.shards > units {
-            return Err(field_err(
-                "sim.shards",
-                format!("exceeds the topology's {units} partition units (one per switch)"),
-            ));
-        }
-        if self.topology.fabric_delay_ns() == 0 {
-            return Err(field_err(
-                "sim.shards",
-                "sharded runs need positive switch-to-switch propagation delay \
-                 (zero lookahead admits no conservative window)",
-            ));
-        }
-        if self.sim.adaptation_interval_ns.is_some() {
-            return Err(field_err(
-                "sim.shards",
-                "runtime adaptation requires a single shard \
-                 (control ticks act on global state)",
-            ));
-        }
-        if self.qvisor.as_ref().is_some_and(|q| q.monitor.is_some()) {
-            return Err(field_err(
-                "sim.shards",
-                "the runtime monitor requires a single shard \
-                 (its observation state is global)",
-            ));
-        }
-        if !self.alerts.is_empty() {
-            return Err(field_err(
-                "sim.shards",
-                "streaming SLO alerts require a single shard \
-                 (sliding windows span all tenants' traffic)",
-            ));
-        }
-        for (i, (_, f)) in self.rank_fns.iter().enumerate() {
-            if matches!(f, RankFnSpec::Stfq { .. }) {
-                return Err(field_err(
-                    "sim.shards",
-                    format!(
-                        "rank_fns.{i}: STFQ keeps a cross-flow virtual clock \
-                         that shards cannot replicate; use a single shard"
-                    ),
                 ));
             }
         }

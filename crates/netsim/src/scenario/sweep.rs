@@ -9,8 +9,7 @@
 
 use super::{field_err, Engine, ScenarioError, ScenarioSpec};
 use qvisor_sim::json::Value;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use qvisor_sim::ordered_par_map;
 
 /// One sweep dimension: a dotted path into the scenario JSON and the
 /// values it takes. Path segments index objects by key and arrays by
@@ -233,41 +232,12 @@ pub fn run_sweep(
     deny_warnings: bool,
 ) -> Result<Vec<SweepPointResult>, ScenarioError> {
     let points = spec.points()?;
-    if points.is_empty() {
-        return Ok(Vec::new());
-    }
-    let jobs = jobs.max(1).min(points.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<SweepPointResult, ScenarioError>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let points = &points;
-            let next = &next;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= points.len() {
-                    break;
-                }
-                let point = &points[idx];
-                let result = run_point(point, with_telemetry, deny_warnings);
-                if tx.send((idx, result)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<Result<SweepPointResult, ScenarioError>>> =
-        (0..points.len()).map(|_| None).collect();
-    for (idx, result) in rx {
-        slots[idx] = Some(result);
-    }
-    let mut results = Vec::with_capacity(points.len());
-    for slot in slots {
-        results.push(slot.expect("every grid point reports exactly once")?);
-    }
-    Ok(results)
+    // Collecting stops at the first error in grid order.
+    ordered_par_map(points.len(), jobs, |idx| {
+        run_point(&points[idx], with_telemetry, deny_warnings)
+    })
+    .into_iter()
+    .collect()
 }
 
 fn run_point(

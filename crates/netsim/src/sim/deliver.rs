@@ -30,8 +30,7 @@ impl Simulation {
     }
 
     pub(in crate::sim) fn deliver(&mut self, p: Packet, now: Nanos) {
-        // See `drop_packet`: per-shard in-flight counts may be negative.
-        debug_assert!(self.shard.is_some() || self.in_flight > 0);
+        debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
         let latency_ns = now.saturating_sub(p.sent_at).as_nanos();
         self.trace_pkt(

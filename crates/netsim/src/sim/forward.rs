@@ -99,10 +99,7 @@ impl Simulation {
     }
 
     pub(in crate::sim) fn drop_packet(&mut self, p: &Packet, at: NodeId, now: Nanos) {
-        // Shards decrement for packets whose increment happened on the
-        // sending shard, so local in-flight counts legitimately go
-        // negative; only the sequential engine's must stay positive.
-        debug_assert!(self.shard.is_some() || self.in_flight > 0);
+        debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
         *self.report.node_drops.entry(at).or_insert(0) += 1;
         if p.is_payload() {
@@ -151,18 +148,6 @@ impl Simulation {
             self.arm(node, port);
         }
         let arrive_at = free_at + delay;
-        if !self.owns(to) {
-            // The receiving node lives on another shard: hand the packet
-            // to the coordinator instead of the local event queue. Cut
-            // edges have delay >= the partition lookahead, so `arrive_at`
-            // is always at or past the destination's window bound.
-            self.outbox.push(super::sharded::Handoff {
-                at: arrive_at,
-                to,
-                packet: p,
-            });
-            return;
-        }
         let arrive_key = EventKey::arrive(to, &p);
         let slot = self.arena.insert(p);
         self.events.schedule_keyed(
@@ -174,8 +159,7 @@ impl Simulation {
 
     /// Pure per-packet loss draw in `[0, 1)`: a deterministic hash of the
     /// packet instance's identity. Unlike a stateful RNG stream, the draw
-    /// is independent of arrival-processing order, so the sequential and
-    /// sharded engines make identical loss decisions.
+    /// is independent of arrival-processing order.
     fn loss_draw(&self, node: NodeId, p: &Packet) -> f64 {
         const LOSS_SALT: u64 = 0x5157_4953_4C4F_5353; // "QWISLOSS"
         let h = stable_hash(&[

@@ -26,12 +26,10 @@
 mod deliver;
 mod forward;
 mod queues;
-mod sharded;
 #[cfg(test)]
 mod tests;
 mod traffic;
 
-pub use sharded::run_sharded;
 pub use traffic::{NewCbr, NewFlow};
 
 use crate::config::{PreprocScope, SimConfig};
@@ -76,15 +74,12 @@ pub(in crate::sim) enum Event {
 ///
 /// Events scheduled for the same nanosecond pop in `(class, node, a, b)`
 /// order, every component a pure function of the event's *content* — never
-/// of the order the scheduling code happened to run in. That makes the pop
-/// order identical between the sequential engine and the sharded engine,
-/// where cross-shard arrivals are injected at window barriers, i.e. in a
-/// scheduling order the sequential engine never sees.
+/// of the order the scheduling code happened to run in. The pinned report
+/// and export bytes depend on this order, so a change to the scheduling
+/// code (a cut-through, a reordered branch) cannot move them.
 ///
 /// Class 0 (control/sample ticks) sorts before every packet event, so a
-/// delivery at exactly a sampling instant counts toward the *next* window
-/// in both engines — matching the sharded coordinator, which flushes the
-/// window at the barrier before processing events at the tick time.
+/// delivery at exactly a sampling instant counts toward the *next* window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(in crate::sim) struct EventKey {
     class: u8,
@@ -214,22 +209,12 @@ pub struct Simulation {
     pub(in crate::sim) reliable_total: u64,
     pub(in crate::sim) reliable_done: u64,
     pub(in crate::sim) cbr_live: u64,
-    /// Packets in flight *as accounted by this engine instance*. Signed:
-    /// a shard decrements for packets whose increment happened on the
-    /// sending shard, so per-shard values go negative; only the sum
-    /// across shards (and the sequential engine's single instance) is the
-    /// true count.
-    pub(in crate::sim) in_flight: i64,
+    /// Packets emitted and not yet delivered or dropped.
+    pub(in crate::sim) in_flight: u64,
     /// Indexed by `TenantId`; `None` for a tenant not seen here.
     pub(in crate::sim) tenants: Vec<Option<TenantState>>,
     /// Wall-clock cost of handling one event (self-profiler site).
     pub(in crate::sim) dispatch_prof: Profiler,
-    /// Ownership view when this instance is one shard of a sharded run;
-    /// `None` in the sequential engine (this instance owns every node).
-    pub(in crate::sim) shard: Option<sharded::ShardView>,
-    /// Cross-shard handoffs produced in the current window: packets whose
-    /// next hop lands on a node another shard owns. Drained at barriers.
-    pub(in crate::sim) outbox: Vec<sharded::Handoff>,
 }
 
 impl Simulation {
@@ -315,8 +300,6 @@ impl Simulation {
             in_flight: 0,
             tenants: Vec::new(),
             dispatch_prof,
-            shard: None,
-            outbox: Vec::new(),
         })
     }
 
@@ -349,51 +332,11 @@ impl Simulation {
         self.reliable_done == self.reliable_total && self.cbr_live == 0 && self.in_flight == 0
     }
 
-    /// Does this engine instance own `node`? The sequential engine owns
-    /// everything; a shard owns the nodes its partition assigned to it.
-    pub(in crate::sim) fn owns(&self, node: NodeId) -> bool {
-        match &self.shard {
-            Some(view) => view.owner[node.index()] == view.index,
-            None => true,
-        }
-    }
-
-    /// Schedule a cross-shard arrival received at a window barrier. The
-    /// coordinator guarantees `at` is at or past every event this shard
-    /// has already processed (conservative lookahead), so the schedule
-    /// never violates event-queue monotonicity.
-    pub(in crate::sim) fn inject_arrival(&mut self, at: Nanos, to: NodeId, p: Packet) {
-        let key = EventKey::arrive(to, &p);
-        let slot = self.arena.insert(p);
-        self.events
-            .schedule_keyed(at, key, (Event::Arrive { node: to }, Some(slot)));
-    }
-
     /// Count one event of the run at `t` — ahead of the clock for a
     /// transmit-complete, which `transmit` counts at transmit start.
     pub(in crate::sim) fn count_event(&mut self, t: Nanos) {
         self.report.events += 1;
         self.report.end_time = self.report.end_time.max(t);
-    }
-
-    /// Advance through every local event strictly before `bound` — the
-    /// sharded engine's inner loop. Dispatch and counting are identical to
-    /// [`Simulation::run`]'s; the shard `book` additionally logs what the
-    /// coordinator's quiescence rewind needs, and packets leaving the
-    /// shard accumulate in `outbox`.
-    pub(in crate::sim) fn advance_below(&mut self, bound: Nanos, book: &mut sharded::ShardBook) {
-        while let Some(t) = self.events.peek_time() {
-            if t >= bound {
-                break;
-            }
-            let (now, key, (ev, packet)) = self.events.pop_keyed().expect("peeked");
-            let before = (self.reliable_done, self.cbr_live, self.in_flight);
-            if self.dispatch_event(now, ev, packet) {
-                self.count_event(now);
-                let progressed = (self.reliable_done, self.cbr_live, self.in_flight) != before;
-                book.record(now, key, progressed);
-            }
-        }
     }
 
     /// One control-plane tick: feed the monitor's view to the adapter;
@@ -428,10 +371,9 @@ impl Simulation {
     /// count it: a stale no-op — a retransmission timer for an
     /// already-acknowledged sequence — or a `PortFree`, which `transmit`
     /// counted when the transmission started. Stale timers are *silently
-    /// skipped*: no `report.events` count, no `end_time` advance. A
-    /// sharded run drains them past the point where the sequential engine
-    /// breaks out of its loop, so counting them would make the engines
-    /// diverge on dead work.
+    /// skipped*: no `report.events` count, no `end_time` advance, so the
+    /// pinned event counts measure work and not which dead timers happen
+    /// to be pending.
     pub(in crate::sim) fn dispatch_event(
         &mut self,
         now: Nanos,
@@ -521,15 +463,6 @@ impl Simulation {
         }
     }
 
-    /// The report so far, with a `tenants` row per tenant seen.
-    pub(in crate::sim) fn take_report(&mut self) -> SimReport {
-        let mut report = std::mem::take(&mut self.report);
-        report.tenants = (self.tenants.iter().enumerate())
-            .filter_map(|(id, state)| Some((TenantId(id as u16), state.as_ref()?.traffic)))
-            .collect();
-        report
-    }
-
     /// Run to quiescence or the horizon; returns the report.
     pub fn run(mut self) -> SimReport {
         if let Some(interval) = self.cfg.adaptation_interval {
@@ -565,7 +498,10 @@ impl Simulation {
         if self.cfg.sample_interval.is_some() {
             self.flush_window(self.report.end_time);
         }
-        let mut report = self.take_report();
+        let mut report = self.report;
+        report.tenants = (self.tenants.iter().enumerate())
+            .filter_map(|(id, state)| Some((TenantId(id as u16), state.as_ref()?.traffic)))
+            .collect();
         report.incomplete_flows = self.reliable_total - self.reliable_done;
         report.fct.sort_canonical();
         report

@@ -203,171 +203,6 @@ fn telemetry_observes_the_run() {
     assert!(!export.counters.is_empty());
 }
 
-/// Run the same workload sequentially and sharded; the reports must be
-/// *equal in every field*, and the sanitized telemetry exports must be
-/// byte-identical — the sharded engine's contract.
-///
-/// `make_cfg` is a factory, not a value: a `SimConfig` carries `Rc`-based
-/// telemetry handles, so each worker thread must construct its own.
-fn assert_shards_match<C, P>(d: &Dumbbell, make_cfg: C, shards: usize, populate: P)
-where
-    C: Fn() -> SimConfig + Sync,
-    P: Fn(&mut Simulation) -> Result<(), qvisor_core::QvisorError> + Sync,
-{
-    use crate::scenario::sanitize_export;
-    use qvisor_telemetry::Telemetry;
-    let seq_telemetry = Telemetry::enabled();
-    let sequential = {
-        let cfg = SimConfig {
-            telemetry: seq_telemetry.clone(),
-            ..make_cfg()
-        };
-        let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
-        populate(&mut sim).unwrap();
-        sim.run()
-    };
-    let sink = Telemetry::enabled();
-    let build = || {
-        Simulation::new(
-            d.topology.clone(),
-            SimConfig {
-                telemetry: Telemetry::enabled(),
-                ..make_cfg()
-            },
-        )
-    };
-    let sharded = run_sharded(&d.topology, shards, &sink, build, populate).unwrap();
-    assert_eq!(sequential, sharded, "shards={shards}");
-    assert_eq!(
-        sanitize_export(&seq_telemetry.export_jsonl()),
-        sanitize_export(&sink.export_jsonl()),
-        "telemetry diverged at shards={shards}"
-    );
-}
-
-#[test]
-fn sharded_run_matches_sequential_under_congestion() {
-    // Two senders into a half-rate bottleneck: drops, retransmissions,
-    // and cross-shard traffic in both directions (data one way, ACKs the
-    // other), with goodput sampling on.
-    let d = Dumbbell::build(2, gbps(1), 500_000_000, Nanos::from_micros(1));
-    let cfg = || SimConfig {
-        sample_interval: Some(Nanos::from_millis(1)),
-        ..base_cfg()
-    };
-    for shards in [1, 2] {
-        assert_shards_match(&d, cfg, shards, |sim| {
-            sim.register_rank_fn(TenantId(1), Box::new(PFabric::default_datacenter()));
-            sim.register_rank_fn(TenantId(2), Box::new(PFabric::default_datacenter()));
-            for i in 0..2 {
-                sim.add_flow(NewFlow::new(
-                    TenantId(1 + i as u16),
-                    d.senders[i],
-                    d.receivers[i],
-                    400_000,
-                    Nanos::ZERO,
-                ));
-            }
-            Ok(())
-        });
-    }
-}
-
-#[test]
-fn sharded_run_matches_sequential_with_cbr_and_loss() {
-    let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(5));
-    let cfg = || SimConfig {
-        random_loss: 0.02,
-        sample_interval: Some(Nanos::from_micros(250)),
-        ..base_cfg()
-    };
-    for shards in [1, 2] {
-        assert_shards_match(&d, cfg, shards, |sim| {
-            sim.register_rank_fn(TenantId(1), Box::new(PFabric::default_datacenter()));
-            sim.add_flow(NewFlow::new(
-                TenantId(1),
-                d.senders[0],
-                d.receivers[1],
-                120_000,
-                Nanos::ZERO,
-            ));
-            sim.add_cbr(NewCbr {
-                tenant: TenantId(2),
-                src: d.senders[1],
-                dst: d.receivers[0],
-                rate_bps: 200_000_000,
-                pkt_size: 1_500,
-                start: Nanos::ZERO,
-                stop: Nanos::from_millis(1),
-                deadline_offset: Nanos::from_micros(200),
-            });
-            Ok(())
-        });
-    }
-}
-
-#[test]
-fn sharded_run_matches_sequential_at_the_horizon() {
-    // A flow too big to finish: the run must exhaust the horizon, and the
-    // incomplete accounting must match.
-    let d = dumbbell();
-    let cfg = || SimConfig {
-        horizon: Nanos::from_micros(300),
-        sample_interval: Some(Nanos::from_micros(100)),
-        ..SimConfig::default()
-    };
-    for shards in [1, 2] {
-        assert_shards_match(&d, cfg, shards, |sim| {
-            sim.add_flow(NewFlow::new(
-                TenantId(1),
-                d.senders[0],
-                d.receivers[0],
-                10_000_000,
-                Nanos::ZERO,
-            ));
-            Ok(())
-        });
-    }
-}
-
-#[test]
-fn sharded_run_rejects_adaptation() {
-    let d = dumbbell();
-    let err = run_sharded(
-        &d.topology,
-        2,
-        &qvisor_telemetry::Telemetry::disabled(),
-        || {
-            Simulation::new(
-                d.topology.clone(),
-                SimConfig {
-                    adaptation_interval: Some(Nanos::from_millis(1)),
-                    ..base_cfg()
-                },
-            )
-        },
-        |_| Ok(()),
-    )
-    .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("adaptation"), "unexpected error: {msg}");
-}
-
-#[test]
-fn sharded_run_rejects_too_many_shards() {
-    let d = dumbbell();
-    let err = run_sharded(
-        &d.topology,
-        9,
-        &qvisor_telemetry::Telemetry::disabled(),
-        || Simulation::new(d.topology.clone(), base_cfg()),
-        |_| Ok(()),
-    )
-    .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("shard"), "unexpected error: {msg}");
-}
-
 #[test]
 fn rejects_non_host_endpoints() {
     let d = dumbbell();
@@ -667,7 +502,7 @@ fn cut_through_equals_enqueue_then_dequeue() {
                     assert_eq!(sim.report.node_drops[&src], refused);
                 }
             }
-            assert!(sim.events.is_empty() && sim.in_flight == cut as i64);
+            assert!(sim.events.is_empty() && sim.in_flight == cut as u64);
             let port = &sim.ports[sim.port_base[src.index()] as usize];
             assert!(port.queue.is_empty() && !port.armed);
         }

@@ -103,17 +103,12 @@ impl Simulation {
             sender: ReliableSender::new(def, self.cfg.mss, self.cfg.cwnd),
             receiver: ReliableReceiver::new(),
         });
-        // Every engine instance records the flow state (the receiver half
-        // runs on the destination's shard), but only the source's owner
-        // schedules the start event and counts the flow toward doneness.
-        if self.owns(f.src) {
-            self.reliable_total += 1;
-            self.events.schedule_keyed(
-                f.start,
-                EventKey::flow_event(f.src, id),
-                (Event::FlowStart(id), None),
-            );
-        }
+        self.reliable_total += 1;
+        self.events.schedule_keyed(
+            f.start,
+            EventKey::flow_event(f.src, id),
+            (Event::FlowStart(id), None),
+        );
         id
     }
 
@@ -140,16 +135,12 @@ impl Simulation {
             source,
             sink: DatagramSink::new(),
         });
-        // As with reliable flows: the sink exists everywhere, but only the
-        // source's owner emits and counts the stream as live.
-        if self.owns(c.src) {
-            self.cbr_live += 1;
-            self.events.schedule_keyed(
-                first,
-                EventKey::flow_event(c.src, id),
-                (Event::CbrEmit(id), None),
-            );
-        }
+        self.cbr_live += 1;
+        self.events.schedule_keyed(
+            first,
+            EventKey::flow_event(c.src, id),
+            (Event::CbrEmit(id), None),
+        );
         id
     }
 

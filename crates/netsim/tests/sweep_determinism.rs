@@ -99,3 +99,46 @@ fn oversubscribed_jobs_clamp_to_the_grid() {
         assert!(r.telemetry_jsonl.is_none());
     }
 }
+
+/// Two points fail for different reasons; whichever worker finishes first,
+/// the sweep reports the one that comes first in grid order.
+#[test]
+fn the_first_failing_point_in_grid_order_is_the_error() {
+    use qvisor_netsim::ScenarioError;
+    use qvisor_sim::json::Value;
+    let base = Value::parse(SWEEP).unwrap().get("base").unwrap().clone();
+    // Refused by the verifier gate (every band saturates) ...
+    let synth = |first_rank: u64| {
+        Value::object()
+            .set("default_levels", 8u64)
+            .set("first_rank", first_rank)
+            .set("pref_bias_divisor", 2u64)
+    };
+    let refuted = Value::object()
+        .set("path", "qvisor.synth")
+        .set("values", Value::from(vec![synth(0), synth(u64::MAX - 460)]));
+    // ... and refused at materialization (the fleet would stop before it starts).
+    let late = Value::object()
+        .set("path", "workloads.1.cbr_fleet.start_ns")
+        .set(
+            "values",
+            Value::from(vec![Value::from(0u64), Value::from(u64::MAX / 2)]),
+        );
+    for (axes, verify_first) in [
+        (vec![late.clone(), refuted.clone()], true),
+        (vec![refuted, late], false),
+    ] {
+        let sweep = Value::object()
+            .set("base", base.clone())
+            .set("axes", Value::from(axes));
+        let spec = SweepSpec::from_value(&sweep).unwrap();
+        for jobs in [1, 4] {
+            let err = run_sweep(&spec, jobs, false, false).unwrap_err();
+            assert_eq!(
+                matches!(err, ScenarioError::Verify(_)),
+                verify_first,
+                "jobs={jobs}: {err}"
+            );
+        }
+    }
+}

@@ -11,15 +11,13 @@
 //! ([`AuditedQueue`] is a self-contained convenience over it).
 //!
 //! Hierarchical scheduling is covered by [`PifoTree`] (PIFO trees,
-//! SIGCOMM '16 — the §5 expressivity extension) and a rotating
-//! [`CalendarQueue`].
+//! SIGCOMM '16 — the §5 expressivity extension).
 //!
 //! All models implement [`PacketQueue`] and sort on `Packet::txf_rank`, the
 //! rank *after* QVISOR's pre-processor.
 
 pub mod aifo;
 pub mod audit;
-pub mod calendar;
 pub mod fifo;
 pub mod instrument;
 pub mod pifo;
@@ -31,7 +29,6 @@ pub mod strict;
 
 pub use aifo::AifoQueue;
 pub use audit::{AuditedQueue, QueueStats};
-pub use calendar::CalendarQueue;
 pub use fifo::FifoQueue;
 pub use instrument::InstrumentedQueue;
 pub use pifo::PifoQueue;

@@ -5,9 +5,9 @@
 //! as the key (FIFO tie-break), while [`EventQueue::schedule_keyed`]
 //! accepts a caller-supplied content key so the pop order is a pure
 //! function of *what* was scheduled rather than the order the scheduling
-//! code happened to run in — the property the sharded engine's
-//! byte-exactness oracle rests on. Duplicate keys fall back to insertion
-//! order, so every queue is deterministic on its own trace regardless.
+//! code happened to run in — the property the simulator's pinned report
+//! bytes rest on. Duplicate keys fall back to insertion order, so every
+//! queue is deterministic on its own trace regardless.
 //!
 //! Two interchangeable cores implement that contract:
 //!
@@ -175,11 +175,6 @@ impl<E, K: Ord + Copy> EventQueue<E, K> {
     }
 
     /// Pop the earliest event together with its tie-break key.
-    ///
-    /// The sharded engine logs `(time, key)` per processed event so the
-    /// coordinator can replay the sequential engine's quiescence cut —
-    /// which lands *between* two same-instant events — from merged shard
-    /// histories.
     pub fn pop_keyed(&mut self) -> Option<(Nanos, K, E)> {
         let entry = match &mut self.core {
             Core::Wheel(w) => w.pop()?,

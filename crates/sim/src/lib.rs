@@ -15,15 +15,15 @@ pub mod events;
 pub mod id;
 pub mod json;
 pub mod packet;
+mod par;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
 pub use events::{EventCore, EventQueue};
 pub use id::{FlowId, NodeId, Rank, TenantId};
 pub use packet::{Packet, PacketArena, PacketKind, PacketSlot};
+pub use par::ordered_par_map;
 pub use rng::{stable_hash, SimRng};
-pub use shard::{Mailbox, MailboxGrid, ShardClock};
 pub use stats::{jain_fairness, Log2Histogram, OnlineStats, PercentileCollector};
 pub use time::{gbps, mbps, transmission_time, Nanos};

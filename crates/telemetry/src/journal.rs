@@ -97,13 +97,6 @@ impl Journal {
         self.evicted
     }
 
-    /// Fold another journal's eviction count in, so a merged journal's
-    /// `meta` line reports losses that happened before the merge (the
-    /// sharded engine's telemetry absorb).
-    pub fn absorb_evicted(&mut self, n: u64) {
-        self.evicted += n;
-    }
-
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -55,12 +55,12 @@ pub use trace::{TraceConfig, TraceData, TraceKind, TraceRecord, Tracer};
 #[cfg(feature = "enabled")]
 mod live;
 #[cfg(feature = "enabled")]
-pub use live::{Counter, Gauge, Histogram, Telemetry, TelemetrySnapshot};
+pub use live::{Counter, Gauge, Histogram, Telemetry};
 
 #[cfg(not(feature = "enabled"))]
 mod noop;
 #[cfg(not(feature = "enabled"))]
-pub use noop::{Counter, Gauge, Histogram, Telemetry, TelemetrySnapshot};
+pub use noop::{Counter, Gauge, Histogram, Telemetry};
 
 /// Version tag written into the `meta` line of every JSONL export.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -39,27 +39,6 @@ struct Registry {
     journal: Journal,
 }
 
-/// A `Send` snapshot of one registry's contents — the hand-off format
-/// between sharded-simulation worker threads (whose registries are
-/// thread-local `Rc` graphs) and the coordinator registry that merges and
-/// exports them. Opaque: produced by [`Telemetry::snapshot`], consumed by
-/// [`Telemetry::absorb`].
-#[derive(Clone, Debug, Default)]
-pub struct TelemetrySnapshot {
-    counters: Vec<(MetricKey, u64)>,
-    gauges: Vec<(MetricKey, i64)>,
-    histograms: Vec<(MetricKey, LogHistogram)>,
-    profiles: Vec<(String, ProfileStat)>,
-    events: Vec<JournalEvent>,
-    journal_evicted: u64,
-}
-
-// The whole point of the snapshot is to cross a thread boundary.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<TelemetrySnapshot>();
-};
-
 /// A monotonically increasing counter. Cloning shares the underlying cell.
 #[derive(Clone, Default)]
 pub struct Counter(Option<Rc<Cell<u64>>>);
@@ -198,14 +177,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// The journal's retained-event bound, `None` when disabled — lets the
-    /// sharded engine give worker registries the same bound as the sink.
-    pub fn journal_capacity(&self) -> Option<usize> {
-        self.inner
-            .as_ref()
-            .map(|reg| reg.borrow().journal.capacity())
-    }
-
     /// Register (or re-fetch) the counter `name` with the given labels.
     ///
     /// Re-registering with the same name and labels returns a handle to the
@@ -286,87 +257,6 @@ impl Telemetry {
         }
     }
 
-    /// Copy everything collected so far into a [`TelemetrySnapshot`] that
-    /// can be sent across threads (empty when disabled).
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let Some(reg) = &self.inner else {
-            return TelemetrySnapshot::default();
-        };
-        let reg = reg.borrow();
-        TelemetrySnapshot {
-            counters: reg
-                .counters
-                .iter()
-                .map(|(k, c)| (k.clone(), c.get()))
-                .collect(),
-            gauges: reg
-                .gauges
-                .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
-                .collect(),
-            histograms: reg
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.borrow().clone()))
-                .collect(),
-            profiles: reg
-                .profiles
-                .iter()
-                .map(|(k, s)| (k.clone(), *s.borrow()))
-                .collect(),
-            events: reg.journal.events().cloned().collect(),
-            journal_evicted: reg.journal.evicted(),
-        }
-    }
-
-    /// Merge a snapshot into this registry: counters, histogram buckets,
-    /// and profile aggregates add; gauges keep the maximum (in a sharded
-    /// run each gauge has one true writer — the shard owning the node it
-    /// describes — while every other shard leaves the registered default
-    /// of zero); journal events append through the bounded ring, with
-    /// evictions surfaced exactly like [`Telemetry::event`] does.
-    ///
-    /// Absorbing the per-shard snapshots in shard order reproduces the
-    /// sequential registry byte-for-byte in [`Telemetry::export_jsonl`],
-    /// *provided no journal ring evicted* — per-shard rings bound memory
-    /// per shard, so under eviction the retained-event sets can differ
-    /// from a sequential run's (the `meta` line's `journal_evicted` makes
-    /// that visible).
-    pub fn absorb(&self, snap: TelemetrySnapshot) {
-        let Some(reg) = &self.inner else {
-            return;
-        };
-        let mut reg = reg.borrow_mut();
-        for (key, v) in snap.counters {
-            let cell = reg.counters.entry(key).or_default();
-            cell.set(cell.get().wrapping_add(v));
-        }
-        for (key, v) in snap.gauges {
-            let cell = reg.gauges.entry(key).or_default();
-            cell.set(cell.get().max(v));
-        }
-        for (key, h) in snap.histograms {
-            reg.histograms
-                .entry(key)
-                .or_default()
-                .borrow_mut()
-                .merge(&h);
-        }
-        for (name, s) in snap.profiles {
-            reg.profiles.entry(name).or_default().borrow_mut().merge(&s);
-        }
-        reg.journal.absorb_evicted(snap.journal_evicted);
-        for event in snap.events {
-            if reg.journal.push(event) {
-                let cell = reg
-                    .counters
-                    .entry(metric_key("telemetry_journal_dropped", &[]))
-                    .or_default();
-                cell.set(cell.get() + 1);
-            }
-        }
-    }
-
     /// Serialise everything collected so far as JSON lines.
     ///
     /// The first line is a `meta` record carrying the schema version and the
@@ -374,9 +264,8 @@ impl Telemetry {
     /// histogram (in deterministic name/label order), one `profile` line per
     /// profiled site, then retained journal events in canonical
     /// `(time, serialised bytes)` order — a total order over event
-    /// *content*, so a registry merged from per-shard snapshots exports
-    /// the same journal section as the sequential run that recorded the
-    /// same events in one ring. Returns an empty string when disabled.
+    /// *content*, independent of the order same-instant events were
+    /// recorded in. Returns an empty string when disabled.
     pub fn export_jsonl(&self) -> String {
         let Some(reg) = &self.inner else {
             return String::new();
@@ -563,60 +452,6 @@ mod tests {
         let roomy = Telemetry::enabled();
         roomy.event(Nanos(1), "tick", &[]);
         assert!(!roomy.export_jsonl().contains("telemetry_journal_dropped"));
-    }
-
-    /// The shard-count-invariance contract in miniature: two registries
-    /// splitting the recording work, absorbed in order, must export the
-    /// same bytes as one registry that saw everything.
-    #[test]
-    fn absorbed_snapshots_export_like_one_registry() {
-        let record = |t: &Telemetry, half: u64| {
-            // Disjoint work per half for counters/histograms/journal; the
-            // gauge has a single writer (half 0), as sharded gauges do.
-            t.counter("pkts", &[("tenant", "0")]).add(10 + half);
-            if half == 0 {
-                t.gauge("depth", &[]).set(7);
-                t.event(Nanos(5), "alpha", &[("x", Value::from(1u64))]);
-            } else {
-                t.gauge("depth", &[]); // registered, default 0
-                t.event(Nanos(2), "beta", &[]);
-                t.event(Nanos(5), "alpha", &[("x", Value::from(9u64))]);
-            }
-            t.histogram("lat", &[]).record(100 * (half + 1));
-        };
-        let whole = Telemetry::enabled();
-        record(&whole, 0);
-        record(&whole, 1);
-
-        let sink = Telemetry::enabled();
-        for half in 0..2 {
-            let part = Telemetry::enabled();
-            record(&part, half);
-            sink.absorb(part.snapshot());
-        }
-        assert_eq!(sink.export_jsonl(), whole.export_jsonl());
-        assert_eq!(sink.counter("pkts", &[("tenant", "0")]).get(), 21);
-        assert_eq!(sink.gauge("depth", &[]).get(), 7);
-        assert_eq!(sink.histogram("lat", &[]).count(), 2);
-    }
-
-    #[test]
-    fn absorb_carries_eviction_counts_through_the_ring() {
-        let part = Telemetry::with_journal_capacity(1);
-        part.event(Nanos(1), "a", &[]);
-        part.event(Nanos(2), "b", &[]); // evicts "a"
-        let sink = Telemetry::with_journal_capacity(1);
-        sink.event(Nanos(0), "pre", &[]);
-        sink.absorb(part.snapshot());
-        let out = sink.export_jsonl();
-        // One eviction inside the shard, one more absorbing "b" over "pre".
-        assert!(out.contains(r#""journal_evicted":2"#), "{out}");
-        assert!(out.contains(r#""kind":"b""#), "{out}");
-        // Disabled sinks and sources are inert.
-        let disabled = Telemetry::disabled();
-        disabled.absorb(part.snapshot());
-        assert_eq!(disabled.export_jsonl(), "");
-        assert!(Telemetry::disabled().snapshot().counters.is_empty());
     }
 
     #[test]

@@ -69,10 +69,6 @@ impl Histogram {
     }
 }
 
-/// No-op snapshot (telemetry compiled out).
-#[derive(Clone, Copy, Default, Debug)]
-pub struct TelemetrySnapshot;
-
 /// No-op telemetry entry point (the `enabled` feature is off).
 #[derive(Clone, Copy, Default)]
 pub struct Telemetry;
@@ -105,12 +101,6 @@ impl Telemetry {
         false
     }
 
-    /// Always `None`.
-    #[inline(always)]
-    pub fn journal_capacity(&self) -> Option<usize> {
-        None
-    }
-
     /// A no-op counter.
     #[inline(always)]
     pub fn counter(&self, _name: &str, _labels: &[(&str, &str)]) -> Counter {
@@ -138,16 +128,6 @@ impl Telemetry {
     /// No-op.
     #[inline(always)]
     pub fn event(&self, _t: Nanos, _kind: &str, _fields: &[(&str, Value)]) {}
-
-    /// An empty snapshot.
-    #[inline(always)]
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn absorb(&self, _snap: TelemetrySnapshot) {}
 
     /// Always empty.
     pub fn export_jsonl(&self) -> String {

@@ -90,24 +90,6 @@ impl ProfileStat {
     pub fn mean_ns(&self) -> u64 {
         self.timed_ns.checked_div(self.timed).unwrap_or(0)
     }
-
-    /// Fold another site's aggregate in (the sharded engine's telemetry
-    /// merge: each worker profiles its own dispatch loop, and the merged
-    /// stat describes all of them together).
-    pub fn merge(&mut self, other: &ProfileStat) {
-        self.count += other.count;
-        if other.timed == 0 {
-            return;
-        }
-        self.min_ns = if self.timed == 0 {
-            other.min_ns
-        } else {
-            self.min_ns.min(other.min_ns)
-        };
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.timed += other.timed;
-        self.timed_ns = self.timed_ns.saturating_add(other.timed_ns);
-    }
 }
 
 #[cfg(feature = "enabled")]
@@ -330,35 +312,5 @@ mod tests {
             ..ProfileStat::default()
         };
         assert_eq!(untimed.total_ns(), 0);
-    }
-
-    #[test]
-    fn merge_sums_scopes_and_timed_scopes() {
-        let mut a = ProfileStat {
-            count: 128,
-            timed: 2,
-            timed_ns: 300,
-            min_ns: 100,
-            max_ns: 200,
-        };
-        let b = ProfileStat {
-            count: 64,
-            timed: 1,
-            timed_ns: 40,
-            min_ns: 40,
-            max_ns: 40,
-        };
-        a.merge(&b);
-        assert_eq!((a.count, a.timed, a.timed_ns), (192, 3, 340));
-        assert_eq!((a.min_ns, a.max_ns), (40, 200));
-        // A shard that counted scopes but timed none still adds its count.
-        a.merge(&ProfileStat {
-            count: 8,
-            ..ProfileStat::default()
-        });
-        assert_eq!((a.count, a.timed, a.min_ns), (200, 3, 40));
-        let mut empty = ProfileStat::default();
-        empty.merge(&b);
-        assert_eq!(empty, b);
     }
 }

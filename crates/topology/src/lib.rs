@@ -10,10 +10,8 @@
 
 pub mod builders;
 pub mod graph;
-pub mod partition;
 pub mod routing;
 
 pub use builders::{Dumbbell, FatTree, LeafSpine, LeafSpineConfig};
 pub use graph::{Link, Node, NodeKind, Topology, TopologyBuilder};
-pub use partition::{unit_count, CutEdge, Partition, PartitionError};
 pub use routing::Routes;

@@ -80,19 +80,13 @@ impl FctCollector {
 
     /// Sort records into the canonical `(end, start, flow)` order.
     ///
-    /// Completion *recording* order is an artifact of event processing —
-    /// the sharded engine concatenates per-shard collectors in shard
-    /// order, not time order — and the float statistics stream over
-    /// records in order, so they are only byte-stable on a canonical
-    /// ordering. Both engines canonicalize before reporting.
+    /// Completion *recording* order is an artifact of event processing
+    /// (which of two same-instant ACKs is dispatched first), and the float
+    /// statistics stream over records in order, so they are only
+    /// byte-stable on a canonical ordering. The engine canonicalizes before
+    /// reporting.
     pub fn sort_canonical(&mut self) {
         self.records.sort_by_key(|r| (r.end, r.start, r.flow.0));
-    }
-
-    /// Absorb another collector's records (the sharded engine's merge
-    /// step). Call [`FctCollector::sort_canonical`] afterwards.
-    pub fn merge(&mut self, other: FctCollector) {
-        self.records.extend(other.records);
     }
 
     /// Completed-flow count for a tenant (all tenants when `None`).

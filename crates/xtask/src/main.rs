@@ -14,9 +14,10 @@
 //!   from it diverges between identical runs (use `BTreeMap`/`BTreeSet`,
 //!   or sort before consuming),
 //! - **detached threads** — `std::thread::spawn` creates a thread whose
-//!   lifetime and scheduling are unobservable; simulation concurrency must
-//!   go through the sharded executor's scoped, barrier-synchronized
-//!   workers (`std::thread::scope`), whose merges are canonical.
+//!   lifetime and scheduling are unobservable; a simulation is one thread,
+//!   and independent simulations fan out through
+//!   `qvisor_sim::ordered_par_map` (`std::thread::scope` workers, joined,
+//!   results in index order).
 //!
 //! Sanctioned exceptions carry an inline waiver comment on the offending
 //! line: `// determinism: allowed (<why>)`. The current waivers are the
@@ -86,8 +87,8 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ),
     (
         "std::thread::spawn",
-        "detached thread; simulation concurrency must use the sharded \
-         executor's scoped, barrier-synchronized workers",
+        "detached thread; run independent simulations through \
+         qvisor_sim::ordered_par_map (std::thread::scope workers, joined)",
     ),
 ];
 

@@ -112,10 +112,9 @@ USAGE:
                [--deny-warnings] [--jsonl]       (config, scenario, or sweep)
     qvisor run <scenario.json>                   run a declarative scenario
                [--telemetry PATH] [--trace PATH] [--monitor PATH]
-               [--shards N] [--deny-warnings]
-    qvisor sweep <sweep.json> [--jobs N]         run a scenario grid in parallel
-               [--out PATH] [--telemetry PREFIX] [--shards N]
                [--deny-warnings]
+    qvisor sweep <sweep.json> [--jobs N]         run a scenario grid in parallel
+               [--out PATH] [--telemetry PREFIX] [--deny-warnings]
     qvisor serve <config.json>                   run the control-plane daemon
                [--listen ADDR] [--deny-warnings] (line-delimited JSON over TCP)
     qvisor monitor <addr|export.jsonl|->         live per-tenant SLO health view
@@ -136,12 +135,8 @@ Report commands accept '-' in place of a file to read from stdin.
 Scenario files describe a full simulation declaratively (topology, workloads,
 schedulers, QVISOR deployment); see examples/scenarios/. Sweep files add a
 grid of overrides on top of a base scenario; see examples/sweeps/. Sweep
-output is byte-identical at any --jobs level.
-
-`--shards N` (or `sim.shards` in the scenario) partitions the discrete-event
-engine across N worker threads, one topology region each, with conservative
-lookahead windows on the cut links. The report and telemetry export are
-byte-identical at any shard count — the sequential engine is the oracle.
+output is byte-identical at any --jobs level. One run is one thread; --jobs
+(grid points for `sweep`, cases for `fuzz`) is how the tool goes parallel.
 
 Scenarios may declare `alerts` rules ({metric, tenant, window_ns, threshold});
 `run --monitor PATH` evaluates them over sliding sim-time windows and writes
@@ -363,9 +358,6 @@ pub struct RunOpts {
     /// Write the SLO monitor export (JSONL) here; enables the streaming
     /// monitor and evaluates the scenario's declared alert rules.
     pub monitor: Option<String>,
-    /// Override `sim.shards`: partition the engine across this many worker
-    /// threads (the report stays byte-identical at any value).
-    pub shards: Option<usize>,
     /// Refuse to run when the verifier finds warnings (errors always refuse).
     pub deny_warnings: bool,
 }
@@ -396,17 +388,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunOpts, CliError> {
                     args.get(i + 1)
                         .ok_or_else(|| CliError::Usage("--monitor needs a path".into()))?
                         .clone(),
-                );
-                i += 2;
-            }
-            "--shards" => {
-                opts.shards = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&s| s >= 1)
-                        .ok_or_else(|| {
-                            CliError::Usage("--shards needs a positive number".into())
-                        })?,
                 );
                 i += 2;
             }
@@ -551,9 +532,6 @@ pub struct SweepOpts {
     pub out: Option<String>,
     /// Write per-point telemetry snapshots as `PREFIX.point<i>.telemetry.jsonl`.
     pub telemetry: Option<String>,
-    /// Override `sim.shards` in the base scenario: every grid point runs
-    /// on the sharded engine (reports stay byte-identical at any value).
-    pub shards: Option<usize>,
     /// Refuse to run when the verifier finds warnings (errors always refuse).
     pub deny_warnings: bool,
 }
@@ -564,7 +542,6 @@ impl Default for SweepOpts {
             jobs: 1,
             out: None,
             telemetry: None,
-            shards: None,
             deny_warnings: false,
         }
     }
@@ -596,17 +573,6 @@ fn parse_sweep_flags(args: &[String]) -> Result<SweepOpts, CliError> {
                     args.get(i + 1)
                         .ok_or_else(|| CliError::Usage("--telemetry needs a prefix".into()))?
                         .clone(),
-                );
-                i += 2;
-            }
-            "--shards" => {
-                opts.shards = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&s| s >= 1)
-                        .ok_or_else(|| {
-                            CliError::Usage("--shards needs a positive number".into())
-                        })?,
                 );
                 i += 2;
             }
@@ -754,10 +720,7 @@ fn verify_banner(engine: &Engine, spec: &ScenarioSpec) -> Result<String, CliErro
 /// `--deny-warnings`).
 pub fn cmd_run(scenario_json: &str, opts: &RunOpts) -> Result<String, CliError> {
     use qvisor_telemetry::{SloMonitor, Telemetry, TraceConfig, Tracer};
-    let mut spec = ScenarioSpec::from_json(scenario_json)?;
-    if let Some(n) = opts.shards {
-        spec.sim.shards = n;
-    }
+    let spec = ScenarioSpec::from_json(scenario_json)?;
     let telemetry = if opts.telemetry.is_some() {
         Telemetry::enabled()
     } else {
@@ -803,17 +766,7 @@ pub fn cmd_run(scenario_json: &str, opts: &RunOpts) -> Result<String, CliError> 
 /// merged results document (byte-identical at any `--jobs` level).
 pub fn cmd_sweep(sweep_json: &str, opts: &SweepOpts) -> Result<String, CliError> {
     use qvisor_netsim::scenario::{merged_value, run_sweep};
-    let mut spec = SweepSpec::from_json(sweep_json)?;
-    if let Some(n) = opts.shards {
-        use qvisor_sim::json::Value;
-        let sim = spec
-            .base
-            .get("sim")
-            .cloned()
-            .unwrap_or_else(Value::object)
-            .set("shards", n as u64);
-        spec.base = std::mem::replace(&mut spec.base, Value::Null).set("sim", sim);
-    }
+    let spec = SweepSpec::from_json(sweep_json)?;
     let results = run_sweep(
         &spec,
         opts.jobs,

@@ -91,6 +91,40 @@ fn usage_errors_exit_one() {
     assert_eq!(missing_file.status.code(), Some(1), "{:?}", missing_file);
 }
 
+/// `sim.shards` and `--shards` selected a second, thread-partitioned
+/// engine that no longer exists. A document or script written for it must
+/// fail with the path of what it asked for, not run as if it had not.
+#[test]
+fn the_removed_shards_knob_is_refused_by_name() {
+    let examples = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let incast = std::fs::read_to_string(examples.join("scenarios/incast.json")).unwrap();
+    let old = incast.replacen("\"sim\": {", "\"sim\": {\"shards\": 2,", 1);
+    assert_ne!(old, incast);
+    let path = temp_config("shards", &old);
+    let out = qvisor(&["run", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{:?}", out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("scenario field `sim.shards`: unknown field (allowed: mss,"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&path);
+
+    for (cmd, file) in [
+        ("run", "scenarios/incast.json"),
+        ("sweep", "sweeps/fig4_grid.json"),
+    ] {
+        let file = examples.join(file);
+        let out = qvisor(&[cmd, file.to_str().unwrap(), "--shards", "2"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag '--shards'"),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn a_matching_fuzz_corpus_document_exits_zero() {
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/overflow.json");

@@ -8,9 +8,8 @@
 use qvisor::core::{synthesize, Policy, RankTransform, SynthConfig, TenantSpec, TransformChain};
 use qvisor::ranking::RankRange;
 use qvisor::scheduler::{
-    AifoQueue, CalendarQueue, Capacity, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue,
-    PathStep, PifoQueue, PifoTree, QueueMapper, SpPifoMapper, StrictPriorityBank, TreePath,
-    TreeShape,
+    AifoQueue, Capacity, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep, PifoQueue,
+    PifoTree, QueueMapper, SpPifoMapper, StrictPriorityBank, TreePath, TreeShape,
 };
 use qvisor::sim::{EventQueue, FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
 use qvisor::telemetry::Telemetry;
@@ -222,36 +221,6 @@ fn event_queue_total_order() {
             assert_eq!(Nanos(times[idx]), at, "case {case}");
             last = Some((at, idx));
         }
-    }
-}
-
-/// A calendar queue with monotone (virtual-clock) arrivals dequeues in
-/// exact rank order, however enqueues and dequeues interleave.
-#[test]
-fn calendar_exact_for_monotone_ranks() {
-    let mut rng = SimRng::seed_from(0xA8);
-    for case in 0..CASES {
-        let len = between(&mut rng, 1, 300);
-        let increments = rand_vec(&mut rng, len, 100);
-        let buckets = between(&mut rng, 2, 32) as usize;
-        let width = between(&mut rng, 1, 200);
-        let drain_every = between(&mut rng, 1, 6) as usize;
-        let mut q = CalendarQueue::new(buckets, width, Capacity::UNBOUNDED);
-        let mut rank = 0u64;
-        let mut expect = std::collections::VecDeque::new();
-        for (i, inc) in increments.iter().enumerate() {
-            rank += inc;
-            q.enqueue(packet(i as u64, rank, 100), Nanos::ZERO);
-            expect.push_back(rank);
-            if i % drain_every == 0 {
-                let got = q.dequeue(Nanos::ZERO).unwrap().txf_rank;
-                assert_eq!(got, expect.pop_front().unwrap(), "case {case}");
-            }
-        }
-        while let Some(p) = q.dequeue(Nanos::ZERO) {
-            assert_eq!(p.txf_rank, expect.pop_front().unwrap(), "case {case}");
-        }
-        assert!(expect.is_empty(), "case {case}");
     }
 }
 
