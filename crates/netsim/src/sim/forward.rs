@@ -4,6 +4,7 @@
 
 use super::{EventKey, Simulation};
 use qvisor_core::Verdict;
+use qvisor_scheduler::PacketQueue;
 use qvisor_sim::{stable_hash, transmission_time, Nanos, NodeId, Packet, PacketKind};
 use qvisor_telemetry::{TraceKind, TraceRecord};
 
@@ -58,7 +59,8 @@ impl Simulation {
         // refuse it for being larger than the whole buffer.
         debug_assert!(!free || (port_ref.queue.is_empty() && !port_ref.armed));
         if free && port_ref.queue.cuts_through() && self.cfg.buffer.fits(0, p.size as u64) {
-            return self.transmit(node, port, p, now);
+            let p = port_ref.queue.pass(p, now);
+            return self.transmit(port, p, now);
         }
         let outcome = port_ref.queue.enqueue(p, now);
         for victim in outcome.dropped() {
@@ -67,7 +69,7 @@ impl Simulation {
         let port_ref = &mut self.ports[port as usize];
         if free {
             if let Some(p) = port_ref.queue.dequeue(now) {
-                self.transmit(node, port, p, now);
+                self.transmit(port, p, now);
             }
         } else if !port_ref.armed && !port_ref.queue.is_empty() {
             // First to wait behind this transmission (which may end
@@ -94,7 +96,12 @@ impl Simulation {
         debug_assert!(port_ref.armed && port_ref.free_at == Some(now));
         port_ref.armed = false;
         if let Some(p) = port_ref.queue.dequeue(now) {
-            self.transmit(node, port, p, now);
+            self.transmit(port, p, now);
+            // Only here can a transmission start with packets behind it:
+            // `offer` transmits from an empty queue.
+            if !self.ports[port as usize].queue.is_empty() {
+                self.arm(node, port);
+            }
         }
     }
 
@@ -111,7 +118,7 @@ impl Simulation {
     }
 
     /// Put `p` on the wire of an idle port.
-    fn transmit(&mut self, node: NodeId, port: u32, p: Packet, now: Nanos) {
+    fn transmit(&mut self, port: u32, p: Packet, now: Nanos) {
         let port_ref = &mut self.ports[port as usize];
         let tx = transmission_time(p.size as u64, port_ref.rate_bps);
         let free_at = now + tx;
@@ -119,7 +126,6 @@ impl Simulation {
         port_ref.tx_pkts.inc();
         port_ref.tx_bytes.add(p.size as u64);
         let (delay, to, trace_label) = (port_ref.delay, port_ref.to, port_ref.trace_label);
-        let waiting = !port_ref.queue.is_empty();
         if self.cfg.tracer.sampled(p.flow.0) {
             self.cfg.tracer.record(
                 TraceRecord::new(
@@ -143,9 +149,6 @@ impl Simulation {
         if free_at <= self.cfg.horizon {
             self.count_event(free_at);
             drop(self.dispatch_prof.time());
-        }
-        if waiting {
-            self.arm(node, port);
         }
         let arrive_at = free_at + delay;
         let arrive_key = EventKey::arrive(to, &p);

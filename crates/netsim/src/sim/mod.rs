@@ -21,7 +21,10 @@
 //!
 //! A port costs events only under contention: an idle one sends straight
 //! to the wire, and its transmit-complete is a scheduled `PortFree` only
-//! when a packet waits for it (DESIGN.md, "Port state machine").
+//! when a packet waits for it. Observers do not change that: they are paid
+//! in observations, not in queue operations — an observed idle port still
+//! sends around its queue and its `InstrumentedQueue` reports the enqueue
+//! and dequeue that would have happened (DESIGN.md, "Port state machine").
 
 mod deliver;
 mod forward;

@@ -8,12 +8,13 @@ use qvisor_scheduler::{
     AifoQueue, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep, PifoQueue, PifoTree,
     SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
 };
-use qvisor_sim::{Nanos, NodeId, Packet, TenantId};
+use qvisor_sim::{Nanos, NodeId, Packet, Rank, TenantId};
 use qvisor_telemetry::{Counter, Histogram, Telemetry};
 use qvisor_topology::{NodeKind, Topology};
 
 /// A port's scheduler-model queue: the two stateless exact disciplines
-/// inline (static dispatch), every stateful or wrapping one behind `Other`.
+/// inline (static dispatch), every stateful one behind `Other`, and any of
+/// the three under its observers as `Observed` (never nested).
 // The PIFO's 512-byte bitmap makes the variants uneven; holding it in the
 // port, not behind a pointer, is the point.
 #[allow(clippy::large_enum_variant)]
@@ -21,48 +22,72 @@ pub(in crate::sim) enum PortQueue {
     Fifo(FifoQueue),
     Pifo(PifoQueue),
     Other(Box<dyn PacketQueue>),
+    Observed(Box<InstrumentedQueue<PortQueue>>),
+}
+
+/// `match` with the same arm for every variant: static dispatch to the
+/// queue inside.
+macro_rules! dispatch {
+    ($port:expr, $q:ident => $call:expr) => {
+        match $port {
+            PortQueue::Fifo($q) => $call,
+            PortQueue::Pifo($q) => $call,
+            PortQueue::Other($q) => $call,
+            PortQueue::Observed($q) => $call,
+        }
+    };
+}
+
+impl PacketQueue for PortQueue {
+    #[inline]
+    fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue {
+        dispatch!(self, q => q.enqueue(p, now))
+    }
+
+    #[inline]
+    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        dispatch!(self, q => q.dequeue(now))
+    }
+
+    fn len(&self) -> usize {
+        dispatch!(self, q => q.len())
+    }
+
+    fn bytes(&self) -> u64 {
+        dispatch!(self, q => q.bytes())
+    }
+
+    fn head_rank(&self) -> Option<Rank> {
+        dispatch!(self, q => q.head_rank())
+    }
+
+    fn kind(&self) -> &'static str {
+        dispatch!(self, q => q.kind())
+    }
 }
 
 impl PortQueue {
-    #[inline]
-    pub(in crate::sim) fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue {
-        match self {
-            PortQueue::Fifo(q) => q.enqueue(p, now),
-            PortQueue::Pifo(q) => q.enqueue(p, now),
-            PortQueue::Other(q) => q.enqueue(p, now),
-        }
-    }
-
-    #[inline]
-    pub(in crate::sim) fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
-        match self {
-            PortQueue::Fifo(q) => q.dequeue(now),
-            PortQueue::Pifo(q) => q.dequeue(now),
-            PortQueue::Other(q) => q.dequeue(now),
-        }
-    }
-
-    pub(in crate::sim) fn is_empty(&self) -> bool {
-        match self {
-            PortQueue::Fifo(q) => q.is_empty(),
-            PortQueue::Pifo(q) => q.is_empty(),
-            PortQueue::Other(q) => q.is_empty(),
-        }
-    }
-
     /// May a free port send a packet that fits the empty buffer around
     /// this (empty) queue? Enqueue-then-dequeue is the identity on an
-    /// empty FIFO or exact PIFO; `Other` may keep per-packet state or be
-    /// an observer owed every enqueue and dequeue.
+    /// empty FIFO or exact PIFO; `Other` may keep per-packet state. An
+    /// observer is paid in observations, not in queue operations: over an
+    /// exact discipline it reports the pair itself ([`Self::pass`]).
     pub(in crate::sim) fn cuts_through(&self) -> bool {
-        !matches!(self, PortQueue::Other(_))
+        match self {
+            PortQueue::Fifo(_) | PortQueue::Pifo(_) => true,
+            PortQueue::Other(_) => false,
+            PortQueue::Observed(q) => q.passes(),
+        }
     }
 
-    fn boxed(self) -> Box<dyn PacketQueue> {
+    /// Take `p` around the queue ([`Self::cuts_through`] holds): the
+    /// identity, plus the observations of an enqueue and a dequeue when
+    /// someone is watching.
+    #[inline]
+    pub(in crate::sim) fn pass(&mut self, p: Packet, now: Nanos) -> Packet {
         match self {
-            PortQueue::Fifo(q) => Box::new(q),
-            PortQueue::Pifo(q) => Box::new(q),
-            PortQueue::Other(q) => q,
+            PortQueue::Observed(q) => q.pass(p, now),
+            _ => p,
         }
     }
 }
@@ -160,14 +185,9 @@ pub(in crate::sim) fn build_ports(
             let label = format!("n{}.p{}", node.id.0, ports.len() - first);
             let mut queue = make_queue_of(kind, cfg, joint)?;
             if instrument {
-                queue = PortQueue::Other(Box::new(
-                    InstrumentedQueue::with_tracer(
-                        queue.boxed(),
-                        &cfg.telemetry,
-                        &cfg.tracer,
-                        &label,
-                    )
-                    .with_monitor(&cfg.monitor),
+                queue = PortQueue::Observed(Box::new(
+                    InstrumentedQueue::with_tracer(queue, &cfg.telemetry, &cfg.tracer, &label)
+                        .with_monitor(&cfg.monitor),
                 ));
             }
             let link_labels = [("link", label.as_str())];

@@ -1,6 +1,7 @@
 use super::*;
 use crate::config::{SchedulerKind, SimConfig};
 use qvisor_ranking::PFabric;
+use qvisor_scheduler::PacketQueue;
 use qvisor_sim::{gbps, Nanos, TenantId};
 use qvisor_topology::Dumbbell;
 use qvisor_transport::SizeBucket;
@@ -455,7 +456,7 @@ fn event_counts_match_the_engine_that_popped_every_port_free() {
 
 #[test]
 fn cut_through_equals_enqueue_then_dequeue() {
-    use qvisor_scheduler::{Capacity, FifoQueue, PacketQueue, PifoQueue};
+    use qvisor_scheduler::{Capacity, FifoQueue, PifoQueue};
     use qvisor_sim::{FlowId, SimRng};
     let buffer = Capacity::bytes(3_000);
     for scheduler in [SchedulerKind::Fifo, SchedulerKind::Pifo] {
@@ -510,5 +511,62 @@ fn cut_through_equals_enqueue_then_dequeue() {
             cut > 200 && refused > 80,
             "{cut} cut through, {refused} refused"
         );
+    }
+}
+
+/// An observed port passes packets around its queue exactly where a bare
+/// one cuts through: over `fifo` and `pifo`, never over a discipline that
+/// keeps per-packet state — and the pass reports an enqueue and a dequeue
+/// that never touched the queue.
+#[test]
+fn an_observed_idle_port_passes_only_over_an_exact_discipline() {
+    use qvisor_ranking::RankRange;
+    use qvisor_scheduler::Capacity;
+    use qvisor_sim::FlowId;
+    let span = RankRange { min: 0, max: 99 };
+    for (scheduler, exact) in [
+        (SchedulerKind::Fifo, true),
+        (SchedulerKind::Pifo, true),
+        (SchedulerKind::StrictStatic { queues: 4, span }, false),
+        (SchedulerKind::SpPifo { queues: 4 }, false),
+        (
+            SchedulerKind::Aifo {
+                window: 8,
+                burst: 0.1,
+            },
+            false,
+        ),
+        (SchedulerKind::FairTree { tenants: 2 }, false),
+    ] {
+        let d = dumbbell();
+        let telemetry = qvisor_telemetry::Telemetry::enabled();
+        let cfg = SimConfig {
+            scheduler,
+            buffer: Capacity::bytes(3_000),
+            telemetry: telemetry.clone(),
+            ..base_cfg()
+        };
+        let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
+        for port in &sim.ports {
+            assert!(matches!(port.queue, queues::PortQueue::Observed(_)));
+            assert_eq!(port.queue.cuts_through(), exact, "{scheduler:?}");
+        }
+        let (src, dst) = (d.senders[0], d.receivers[0]);
+        let p = Packet::data(FlowId(1), TenantId(1), 0, 1_500, src, dst, 7, Nanos::ZERO);
+        sim.in_flight += 1;
+        sim.forward(src, p, Nanos::ZERO);
+        let port = &sim.ports[sim.port_base[src.index()] as usize];
+        assert!(port.queue.is_empty() && !port.armed && port.free_at.is_some());
+        let labels = [("queue", "n2.p0"), ("kind", port.queue.kind())];
+        for counter in [
+            "sched_offered_pkts",
+            "sched_admitted_pkts",
+            "sched_dequeued_pkts",
+        ] {
+            assert_eq!(telemetry.counter(counter, &labels).get(), 1, "{counter}");
+        }
+        for site in ["sched_enqueue", "sched_dequeue"] {
+            assert_eq!(telemetry.profiler(site).stat().count, 1, "{site}");
+        }
     }
 }

@@ -15,13 +15,18 @@
 //!
 //! When both the [`Telemetry`] handle and the [`Tracer`] are disabled the
 //! wrapper keeps no mirror state and each operation adds only a branch.
+//!
+//! The wrapper is owed observations, not queue operations: a caller that
+//! knows the queue is empty and would dequeue at once may hand the packet
+//! to [`InstrumentedQueue::pass`], which reports what that enqueue and
+//! dequeue would have reported and touches neither the queue nor the mirror.
 
 use crate::queue::{Enqueue, PacketQueue};
+use crate::rank_index::RankIndex;
 use qvisor_sim::{Nanos, Packet, PacketKind, Rank};
 use qvisor_telemetry::{
     Counter, Gauge, Histogram, Profiler, SloMonitor, Telemetry, TraceKind, TraceRecord, Tracer,
 };
-use std::collections::BTreeMap;
 
 /// A resident packet as the mirror knows it. ACKs share `(flow, seq)` with
 /// the data packet they acknowledge, so `ack` keeps the two distinct; the
@@ -65,11 +70,14 @@ fn identity(p: &Packet) -> Resident {
 pub struct InstrumentedQueue<Q: PacketQueue> {
     inner: Q,
     enabled: bool,
-    /// Mirror of resident packets: rank -> identities in arrival order.
-    /// Keeps inversion detection O(log n) per operation and independent of
-    /// the inner model, and lets an inversion name the overtaken packet.
+    /// The inner discipline is an exact `fifo` or `pifo`: enqueue then
+    /// dequeue on it, empty, is the identity on the packet.
+    exact: bool,
+    /// Mirror of resident packets: identities by rank, arrival order within
+    /// a rank. Keeps inversion detection O(1) per operation and independent
+    /// of the inner model, and lets an inversion name the overtaken packet.
     /// Empty when disabled.
-    ranks: BTreeMap<Rank, Vec<Resident>>,
+    ranks: RankIndex<Resident>,
     tracer: Tracer,
     /// Streaming SLO monitor fed per-tenant dequeue waits and inversions
     /// (disabled by default; attach with [`Self::with_monitor`]).
@@ -106,7 +114,8 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         let labels = [("queue", queue_label), ("kind", inner.kind())];
         InstrumentedQueue {
             enabled: telemetry.is_enabled() || tracer.is_enabled(),
-            ranks: BTreeMap::new(),
+            exact: matches!(inner.kind(), "fifo" | "pifo"),
+            ranks: RankIndex::new(),
             tracer: tracer.clone(),
             monitor: SloMonitor::disabled(),
             trace_label: tracer.intern(queue_label),
@@ -152,24 +161,46 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         self.inversions.get()
     }
 
-    fn note_resident(&mut self, rank: Rank, id: Resident) {
-        self.ranks.entry(rank).or_default().push(id);
+    /// Whether [`Self::pass`] may stand in for enqueue-then-dequeue on this
+    /// queue while it is empty: only over an exact `fifo` or `pifo`. Every
+    /// other discipline keeps per-packet state (SP-PIFO's bounds, AIFO's
+    /// window, a tree's virtual times) that an enqueue must update.
+    pub fn passes(&self) -> bool {
+        self.exact
+    }
+
+    /// Report `p` as enqueued and dequeued at `now` without queueing it:
+    /// exactly what [`PacketQueue::enqueue`] then [`PacketQueue::dequeue`]
+    /// emit on an empty queue, in the same order, with the inner queue and
+    /// the mirror left alone (both would end as they began). The caller
+    /// guarantees [`Self::passes`], an empty queue, and that `p` fits the
+    /// empty buffer.
+    pub fn pass(&mut self, mut p: Packet, now: Nanos) -> Packet {
+        debug_assert!(self.exact && self.inner.is_empty());
+        if !self.enabled {
+            return p;
+        }
+        let rank = p.txf_rank;
+        {
+            let _scope = self.enq_prof.time();
+            self.offered.inc();
+            p.enqueued_at = now;
+            self.trace(&p, now, TraceKind::Enqueue { rank });
+            self.admitted.inc();
+        }
+        let _scope = self.deq_prof.time();
+        self.dequeued.inc();
+        self.trace(&p, now, TraceKind::Dequeue { rank, wait_ns: 0 });
+        self.monitor.on_dequeue(now, p.tenant.0, 0, false);
+        self.sojourn_ns.record(0);
+        self.depth_pkts.set(0);
+        self.depth_bytes.set(0);
+        p
     }
 
     fn forget_resident(&mut self, rank: Rank, id: Resident) {
-        match self.ranks.get_mut(&rank) {
-            Some(ids) => {
-                if let Some(pos) = ids.iter().position(|&r| r == id) {
-                    ids.remove(pos);
-                } else {
-                    debug_assert!(false, "packet {id:?} not resident at rank {rank}");
-                }
-                if ids.is_empty() {
-                    self.ranks.remove(&rank);
-                }
-            }
-            None => debug_assert!(false, "rank {rank} not resident"),
-        }
+        let found = self.ranks.remove_first_where(rank, |&r| r == id);
+        debug_assert!(found.is_some(), "packet {id:?} not resident at rank {rank}");
     }
 
     fn update_depth(&self) {
@@ -203,11 +234,11 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
         match &outcome {
             Enqueue::Accepted => {
                 self.admitted.inc();
-                self.note_resident(rank, id);
+                self.ranks.push(rank, id);
             }
             Enqueue::AcceptedDropped(dropped) => {
                 self.admitted.inc();
-                self.note_resident(rank, id);
+                self.ranks.push(rank, id);
                 self.dropped.add(dropped.len() as u64);
                 // Evicted packets were residents; drop them from the mirror.
                 for d in dropped {
@@ -242,30 +273,23 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
             },
         );
         let mut cross_tenant = false;
-        if let Some((&best, ids)) = self.ranks.first_key_value() {
-            if best < p.txf_rank {
-                self.inversions.inc();
-                // The overtaken packet: oldest resident at the best rank.
-                if let Some(loser) = ids.first() {
-                    self.trace(
-                        &p,
-                        now,
-                        TraceKind::Inversion {
-                            rank: p.txf_rank,
-                            loser_flow: loser.flow,
-                            loser_seq: loser.seq,
-                            loser_rank: best,
-                        },
-                    );
-                }
-                // Only the monitor asks whose packet was overtaken, and
-                // only here: an exact PIFO never reaches this walk.
-                cross_tenant = self.monitor.is_enabled()
-                    && self
-                        .ranks
-                        .range(..p.txf_rank)
-                        .any(|(_, ids)| ids.iter().any(|r| r.tenant != p.tenant.0));
-            }
+        // The overtaken packet: oldest resident at the best rank.
+        if let Some((best, loser)) = self.ranks.first().filter(|&(best, _)| best < p.txf_rank) {
+            self.inversions.inc();
+            self.trace(
+                &p,
+                now,
+                TraceKind::Inversion {
+                    rank: p.txf_rank,
+                    loser_flow: loser.flow,
+                    loser_seq: loser.seq,
+                    loser_rank: best,
+                },
+            );
+            // Only the monitor asks whose packet was overtaken, and
+            // only here: an exact PIFO never reaches this walk.
+            cross_tenant = self.monitor.is_enabled()
+                && self.ranks.any_below(p.txf_rank, |r| r.tenant != p.tenant.0);
         }
         self.monitor.on_dequeue(now, p.tenant.0, wait, cross_tenant);
         self.sojourn_ns.record(wait);
@@ -430,11 +454,264 @@ mod tests {
         let mut q = InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &t, "q0");
         q.enqueue(pkt(0, 9), Nanos::ZERO);
         assert_eq!(q.len(), 1);
-        assert!(q.ranks.is_empty(), "no mirror state when disabled");
+        assert_eq!(q.ranks.len(), 0, "no mirror state when disabled");
         let p = q.dequeue(Nanos(5)).unwrap();
         // Disabled instrumentation must not stamp packets.
         assert_eq!(p.enqueued_at, Nanos::ZERO);
         assert_eq!(q.dequeued_count(), 0);
+    }
+
+    /// The three observers of one wrapper, everything they export about
+    /// simulated behaviour, and the self-profiler's scope counts.
+    struct Observers {
+        telemetry: Telemetry,
+        tracer: Tracer,
+        monitor: SloMonitor,
+    }
+
+    impl Observers {
+        fn enabled() -> Observers {
+            Observers {
+                telemetry: Telemetry::enabled(),
+                tracer: Tracer::enabled(qvisor_telemetry::TraceConfig::default()),
+                monitor: inversion_monitor(),
+            }
+        }
+
+        fn wrap<Q: PacketQueue>(&self, inner: Q) -> InstrumentedQueue<Q> {
+            InstrumentedQueue::with_tracer(inner, &self.telemetry, &self.tracer, "q0")
+                .with_monitor(&self.monitor)
+        }
+
+        /// `[trace, monitor, telemetry minus its host-wall-clock lines]`,
+        /// then the `sched_enqueue` / `sched_dequeue` scope counts.
+        fn exports(&self) -> ([String; 3], [u64; 2]) {
+            let simulated: String = (self.telemetry.export_jsonl().lines())
+                .filter(|line| !line.starts_with("{\"type\":\"profile\""))
+                .flat_map(|line| [line, "\n"])
+                .collect();
+            (
+                [
+                    self.tracer.snapshot().to_jsonl(),
+                    self.monitor.export_jsonl(),
+                    simulated,
+                ],
+                ["sched_enqueue", "sched_dequeue"]
+                    .map(|site| self.telemetry.profiler(site).stat().count),
+            )
+        }
+    }
+
+    /// `pass` ≡ `enqueue` then `dequeue` on an empty queue: every export,
+    /// every count, and the packet handed back.
+    fn pass_matches_enqueue_then_dequeue<Q: PacketQueue>(make: impl Fn() -> Q) {
+        let (passed, queued) = (Observers::enabled(), Observers::enabled());
+        let (mut a, mut b) = (passed.wrap(make()), queued.wrap(make()));
+        assert!(a.passes());
+        let mut rng = qvisor_sim::SimRng::seed_from(22);
+        let mut now = Nanos::ZERO;
+        for seq in 0..500 {
+            now += Nanos(rng.below(2_000));
+            let rank = [rng.below(8), 4_090 + rng.below(12), u64::MAX - rng.below(3)]
+                [rng.below(3) as usize];
+            let mut p = tenant_pkt(rng.below(3) as u16, rng.below(5), seq, rank);
+            if rng.below(4) == 0 {
+                p = p.ack_for(40, now);
+                p.txf_rank = rank;
+            }
+            let out = a.pass(p.clone(), now);
+            assert!(b.enqueue(p, now).accepted());
+            assert_eq!(format!("{:?}", Some(out)), format!("{:?}", b.dequeue(now)));
+            assert_eq!((a.len(), a.bytes(), a.ranks.len()), (0, 0, 0));
+        }
+        assert_eq!(a.dequeued_count(), 500);
+        assert_eq!(a.dequeued_count(), b.dequeued_count());
+        assert_eq!(passed.exports(), queued.exports());
+    }
+
+    #[test]
+    fn pass_is_enqueue_then_dequeue_on_an_empty_exact_queue() {
+        pass_matches_enqueue_then_dequeue(|| PifoQueue::new(Capacity::bytes(3_000)));
+        pass_matches_enqueue_then_dequeue(|| FifoQueue::new(Capacity::bytes(3_000)));
+    }
+
+    #[test]
+    fn pass_on_a_disabled_wrapper_is_the_identity() {
+        let t = Telemetry::disabled();
+        let mut q = InstrumentedQueue::new(PifoQueue::new(Capacity::UNBOUNDED), &t, "q0");
+        let p = pkt(0, 9);
+        assert_eq!(
+            format!("{:?}", q.pass(p.clone(), Nanos(5))),
+            format!("{p:?}")
+        );
+        assert_eq!(q.dequeued_count(), 0);
+    }
+
+    #[test]
+    fn only_an_exact_inner_offers_the_pass() {
+        use crate::{AifoQueue, PathStep, PifoTree, TreePath, TreeShape};
+        use crate::{SpPifoMapper, StaticRangeMapper, StrictPriorityBank};
+        let t = Telemetry::enabled();
+        let cap = Capacity::bytes(3_000);
+        let passes = |inner: Box<dyn PacketQueue>| InstrumentedQueue::new(inner, &t, "q").passes();
+        assert!(passes(Box::new(FifoQueue::new(cap))));
+        assert!(passes(Box::new(PifoQueue::new(cap))));
+        assert!(!passes(Box::new(AifoQueue::new(cap, 8, 0.1))));
+        assert!(!passes(Box::new(StrictPriorityBank::new(
+            SpPifoMapper::new(4),
+            cap
+        ))));
+        assert!(!passes(Box::new(StrictPriorityBank::new(
+            StaticRangeMapper::new(0, 9, 4),
+            cap
+        ))));
+        let classify = |p: &Packet| TreePath {
+            steps: vec![PathStep { child: 0, rank: 0 }],
+            leaf_rank: p.txf_rank,
+        };
+        let shape = TreeShape::Internal(vec![TreeShape::Leaf]);
+        assert!(!passes(Box::new(PifoTree::new(&shape, classify, cap))));
+    }
+
+    /// The mirror this wrapper kept before it was a `RankIndex`: rank →
+    /// identities in arrival order. The reference the new one must match.
+    #[derive(Default)]
+    struct ModelMirror(std::collections::BTreeMap<Rank, Vec<Resident>>);
+
+    impl ModelMirror {
+        fn note(&mut self, p: &Packet) {
+            self.0.entry(p.txf_rank).or_default().push(identity(p));
+        }
+
+        fn forget(&mut self, p: &Packet) {
+            let ids = self.0.get_mut(&p.txf_rank).expect("rank resident");
+            let pos = ids.iter().position(|&r| r == identity(p));
+            ids.remove(pos.expect("packet resident"));
+            if ids.is_empty() {
+                self.0.remove(&p.txf_rank);
+            }
+        }
+
+        /// `(loser, loser_rank, cross_tenant)` if `p` leaving is an inversion.
+        fn overtaken_by(&self, p: &Packet) -> Option<(Resident, Rank, bool)> {
+            let (&best, ids) = self.0.first_key_value()?;
+            (best < p.txf_rank).then(|| {
+                let cross = (self.0.range(..p.txf_rank))
+                    .any(|(_, ids)| ids.iter().any(|r| r.tenant != p.tenant.0));
+                (ids[0], best, cross)
+            })
+        }
+    }
+
+    /// Cross-tenant inversions the monitor has counted against `tenant`.
+    fn monitored_inversions(monitor: &SloMonitor, tenant: u16) -> u64 {
+        let key =
+            format!(r#""name":"slo_rank_inversions","labels":{{"tenant":"T{tenant}"}},"value":"#);
+        let export = monitor.export_jsonl();
+        let Some(at) = export.find(&key) else {
+            return 0;
+        };
+        let digits = export[at + key.len()..].split(|c: char| !c.is_ascii_digit());
+        digits.into_iter().next().unwrap().parse().unwrap()
+    }
+
+    /// Random enqueue / evicting enqueue / reject / dequeue streams, ranks on
+    /// both sides of `DENSE_RANKS`, four tenants: after every dequeue the
+    /// wrapper's inversion count, the span naming the overtaken packet and
+    /// the monitor's cross-tenant count are what the model mirror says.
+    fn mirror_matches_model<Q: PacketQueue>(inner: Q, seed: u64) {
+        let obs = Observers {
+            // A four-record ring: the newest spans, cheap to snapshot.
+            tracer: Tracer::enabled(qvisor_telemetry::TraceConfig {
+                capacity: 4,
+                ..Default::default()
+            }),
+            ..Observers::enabled()
+        };
+        let mut q = obs.wrap(inner);
+        let mut model = ModelMirror::default();
+        let mut rng = qvisor_sim::SimRng::seed_from(seed);
+        let (mut inversions, mut cross) = (0u64, [0u64; 4]);
+        let (mut evicted, mut rejected) = (0, 0);
+        for step in 0..4_000u64 {
+            let now = Nanos(step);
+            if rng.below(5) < 3 {
+                let rank = [
+                    rng.below(6),
+                    crate::rank_index::DENSE_RANKS - 2 + rng.below(4),
+                    u64::MAX - rng.below(2),
+                ][rng.below(3) as usize];
+                // Few flows and sequence numbers: identities repeat.
+                let mut p = tenant_pkt(rng.below(4) as u16, rng.below(3), rng.below(4), rank);
+                if rng.below(3) == 0 {
+                    p = p.ack_for(100, now);
+                    p.txf_rank = rank;
+                }
+                match q.enqueue(p.clone(), now) {
+                    Enqueue::Accepted => model.note(&p),
+                    Enqueue::AcceptedDropped(victims) => {
+                        model.note(&p);
+                        evicted += victims.len();
+                        victims.iter().for_each(|v| model.forget(v));
+                    }
+                    Enqueue::Rejected(_) => rejected += 1,
+                }
+            } else if let Some(p) = q.dequeue(now) {
+                model.forget(&p);
+                let expected = model.overtaken_by(&p);
+                let newest = *obs.tracer.snapshot().records.last().unwrap();
+                match expected {
+                    None => assert_eq!(newest.kind.tag(), "dequeue", "step {step}"),
+                    Some((loser, loser_rank, cross_tenant)) => {
+                        inversions += 1;
+                        cross[p.tenant.index()] += u64::from(cross_tenant);
+                        assert_eq!(
+                            (newest.flow, newest.seq, newest.ack, newest.kind),
+                            (
+                                p.flow.0,
+                                p.seq,
+                                p.kind == PacketKind::Ack,
+                                TraceKind::Inversion {
+                                    rank: p.txf_rank,
+                                    loser_flow: loser.flow,
+                                    loser_seq: loser.seq,
+                                    loser_rank,
+                                }
+                            ),
+                            "step {step}"
+                        );
+                    }
+                }
+                assert_eq!(q.inversion_count(), inversions, "step {step}");
+                assert_eq!(
+                    monitored_inversions(&obs.monitor, p.tenant.0),
+                    cross[p.tenant.index()],
+                    "step {step}"
+                );
+            }
+            let resident: usize = model.0.values().map(Vec::len).sum();
+            assert_eq!((q.ranks.len(), q.len()), (resident, resident));
+        }
+        assert!(evicted + rejected > 0, "the buffer never filled");
+        let exact = q.kind() == "pifo";
+        assert_eq!(inversions == 0, exact, "{}: {inversions}", q.kind());
+        assert_eq!(
+            cross.iter().sum::<u64>() == 0,
+            exact,
+            "{}: {cross:?}",
+            q.kind()
+        );
+    }
+
+    #[test]
+    fn mirror_matches_the_btreemap_model() {
+        use crate::{SpPifoMapper, StrictPriorityBank};
+        let cap = Capacity::bytes(1_200);
+        for seed in 0..4 {
+            mirror_matches_model(FifoQueue::new(cap), seed);
+            mirror_matches_model(PifoQueue::new(cap), seed);
+            mirror_matches_model(StrictPriorityBank::new(SpPifoMapper::new(4), cap), seed);
+        }
     }
 
     mod traced {

@@ -131,6 +131,64 @@ impl<T> RankIndex<T> {
         Some((r as Rank, self.unlink(r, tail)))
     }
 
+    /// The first entry, left in place.
+    pub fn first(&self) -> Option<(Rank, &T)> {
+        let Some(r) = self.dense_min() else {
+            let (&(rank, _), v) = self.overflow.first_key_value()?;
+            return Some((rank, v));
+        };
+        Some((r as Rank, self.value(self.heads[r])))
+    }
+
+    /// Remove the earliest arrival of `rank` that `matches`.
+    pub fn remove_first_where(
+        &mut self,
+        rank: Rank,
+        mut matches: impl FnMut(&T) -> bool,
+    ) -> Option<T> {
+        if rank >= DENSE_RANKS {
+            let key = self
+                .overflow
+                .range((rank, 0)..=(rank, u64::MAX))
+                .find_map(|(&key, v)| matches(v).then_some(key))?;
+            return self.overflow.remove(&key);
+        }
+        let r = rank as usize;
+        let head = *self.heads.get(r).filter(|&&head| head != NIL)?;
+        let mut node = head;
+        while !matches(self.value(node)) {
+            node = self.slab[node as usize].next;
+            if node == head {
+                return None;
+            }
+        }
+        Some(self.unlink(r, node))
+    }
+
+    /// Does any entry of a rank strictly below `rank` satisfy `pred`?
+    pub fn any_below(&self, rank: Rank, mut pred: impl FnMut(&T) -> bool) -> bool {
+        let mut below = if rank < DENSE_RANKS {
+            self.dense_below(rank as usize)
+        } else {
+            self.dense_max()
+        };
+        while let Some(r) = below {
+            let head = self.heads[r];
+            let mut node = head;
+            loop {
+                if pred(self.value(node)) {
+                    return true;
+                }
+                node = self.slab[node as usize].next;
+                if node == head {
+                    break;
+                }
+            }
+            below = self.dense_below(r);
+        }
+        rank > DENSE_RANKS && self.overflow.range(..(rank, 0)).any(|(_, v)| pred(v))
+    }
+
     /// Rank of the first entry.
     pub fn first_rank(&self) -> Option<Rank> {
         match self.dense_min() {
@@ -190,6 +248,12 @@ impl<T> RankIndex<T> {
         }
         let w = 63 - words.leading_zeros() as usize;
         Some(w * 64 + 63 - self.occupied[w].leading_zeros() as usize)
+    }
+
+    /// The value in occupied slot `node`.
+    fn value(&self, node: u32) -> &T {
+        let value = self.slab[node as usize].value.as_ref();
+        value.expect("linked slot holds a value")
     }
 
     /// Take a vacant slot for `value`, linked to itself.
@@ -354,6 +418,91 @@ mod tests {
         assert_eq!(q.slab.len(), 8, "slab never outgrows peak occupancy");
         assert_eq!(q.summary, 0);
         assert!(q.occupied.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn first_peeks_the_earliest_arrival_of_the_smallest_rank() {
+        let mut q = RankIndex::new();
+        assert_eq!(q.first(), None);
+        q.push(u64::MAX, 'a');
+        q.push(DENSE_RANKS, 'b');
+        q.push(DENSE_RANKS, 'c');
+        assert_eq!(q.first(), Some((DENSE_RANKS, &'b')), "overflow tier");
+        q.push(7, 'd');
+        q.push(7, 'e');
+        assert_eq!(q.first(), Some((7, &'d')), "dense sorts before overflow");
+        assert_eq!(q.len(), 5, "first() removes nothing");
+    }
+
+    /// Removing the head, a middle entry and the only entry of a rank, in
+    /// the dense tier (rank 70: word 1 of the bitmap) and the overflow tier.
+    #[test]
+    fn remove_first_where_unlinks_head_middle_and_only_entry() {
+        for rank in [70, DENSE_RANKS - 1, DENSE_RANKS, u64::MAX] {
+            let mut q = RankIndex::new();
+            for v in [10, 20, 30, 20] {
+                q.push(rank, v);
+            }
+            q.push(3, 99);
+            assert_eq!(q.remove_first_where(rank, |&v| v == 7), None, "no match");
+            assert_eq!(
+                q.remove_first_where(rank.wrapping_add(1), |_| true),
+                None,
+                "empty rank"
+            );
+            assert_eq!(q.remove_first_where(rank - 1, |_| true), None, "empty rank");
+            assert_eq!(q.len(), 5);
+            // Middle: the *earlier* of the two 20s goes, the later stays.
+            assert_eq!(q.remove_first_where(rank, |&v| v == 20), Some(20));
+            // Head: the rank's FIFO now starts at 30.
+            assert_eq!(q.remove_first_where(rank, |&v| v == 10), Some(10));
+            assert_eq!(q.remove_first_where(3, |_| true), Some(99), "only entry");
+            assert_eq!(q.first(), Some((rank, &30)));
+            assert_eq!(drain(&mut q), vec![(rank, 30), (rank, 20)]);
+            // The only entry of a rank takes its occupancy bits with it.
+            q.push(rank, 1);
+            assert_eq!(q.remove_first_where(rank, |_| true), Some(1));
+            assert_eq!((q.len(), q.first(), q.last_rank()), (0, None, None));
+            assert_eq!(q.summary, 0);
+            assert!(q.occupied.iter().all(|&w| w == 0));
+        }
+    }
+
+    #[test]
+    fn any_below_walks_only_strictly_lower_ranks_in_both_tiers() {
+        let mut q = RankIndex::new();
+        assert!(!q.any_below(u64::MAX, |_| true), "empty");
+        for (rank, v) in [
+            (5, 'a'),
+            (5, 'b'),
+            (64, 'c'),
+            (DENSE_RANKS - 1, 'd'),
+            (DENSE_RANKS, 'e'),
+            (u64::MAX, 'f'),
+        ] {
+            q.push(rank, v);
+        }
+        let below = |rank: Rank| {
+            let mut seen = Vec::new();
+            q.any_below(rank, |&v| {
+                seen.push(v);
+                false
+            });
+            seen.sort_unstable();
+            seen
+        };
+        assert_eq!(below(0), vec![]);
+        assert_eq!(below(5), vec![]);
+        assert_eq!(below(6), vec!['a', 'b']);
+        assert_eq!(below(64), vec!['a', 'b']);
+        assert_eq!(below(DENSE_RANKS - 1), vec!['a', 'b', 'c']);
+        assert_eq!(below(DENSE_RANKS), vec!['a', 'b', 'c', 'd']);
+        assert_eq!(below(DENSE_RANKS + 1), vec!['a', 'b', 'c', 'd', 'e']);
+        assert_eq!(below(u64::MAX), vec!['a', 'b', 'c', 'd', 'e']);
+        assert!(q.any_below(65, |&v| v == 'c'));
+        assert!(!q.any_below(64, |&v| v == 'c'));
+        assert!(q.any_below(u64::MAX, |&v| v == 'e'));
+        assert!(!q.any_below(u64::MAX, |&v| v == 'f'));
     }
 
     #[test]

@@ -200,7 +200,8 @@ impl Daemon {
                             let status = shared
                                 .stats
                                 .status_fields(plane.status_value())
-                                .set("bus_lines_dropped", shared.bus.dropped_lines());
+                                .set("bus_lines_dropped", shared.bus.dropped_lines())
+                                .set("telemetry_subscribers", shared.bus.len() as u64);
                             let _ = reply.send(status);
                         }
                         Command::Metrics(reply) => {
@@ -257,11 +258,17 @@ impl Daemon {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // Registered here, not by the session thread: `wait`
+                    // joins this loop before `close_all`, so every accepted
+                    // connection is in the table by then. A session that
+                    // registered itself could be spawned, miss `close_all`
+                    // and park in `read_line` on an idle client forever.
+                    let conn_id = shared.register(&stream);
                     let shared = Arc::clone(&shared);
                     let control_tx = control_tx.clone();
                     // determinism: allowed (per-client session I/O, never feeds simulation state)
                     let handle = std::thread::spawn(move || {
-                        session(stream, &shared, &control_tx);
+                        session(stream, conn_id, &shared, &control_tx);
                     });
                     sessions
                         .lock()
@@ -321,8 +328,7 @@ impl Daemon {
 }
 
 /// Serve one connection until EOF, protocol error on write, or shutdown.
-fn session(stream: TcpStream, shared: &Shared, control_tx: &Sender<Command>) {
-    let conn_id = shared.register(&stream);
+fn session(stream: TcpStream, conn_id: Option<u64>, shared: &Shared, control_tx: &Sender<Command>) {
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
@@ -604,6 +610,10 @@ mod tests {
         );
         assert_eq!(
             status.get("bus_lines_dropped").and_then(Value::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            status.get("telemetry_subscribers").and_then(Value::as_u64),
             Some(0)
         );
 

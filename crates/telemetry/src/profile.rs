@@ -100,7 +100,7 @@ mod live_profiler {
     use super::{ProfileStat, TIMING_STRIDE};
     use std::cell::RefCell;
     use std::rc::Rc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     /// Handle to one profiled site's aggregate. Cloning shares the
     /// aggregate; the default value is disabled (records nothing).
@@ -118,28 +118,25 @@ mod live_profiler {
         /// `TIMING_STRIDE` the clock is read too, and the elapsed wall
         /// time is recorded when the returned guard drops. Disabled
         /// handles never read the clock.
+        ///
+        /// The guard is one word, null on every scope that is not timed, so
+        /// dropping it is an inlined null test; the timed scope's state
+        /// lives in a box behind two out-of-line calls.
         #[inline]
         pub fn time(&self) -> ProfileSpan {
-            ProfileSpan(self.0.as_ref().and_then(|stat| {
-                let nth = {
-                    let mut s = stat.borrow_mut();
-                    s.count += 1;
-                    s.count - 1
-                };
-                nth.is_multiple_of(TIMING_STRIDE).then(|| {
-                    // Two reads back to back: their distance is what one
-                    // read costs, and the scope's own interval will
-                    // contain as much again (the tail of `started`, the
-                    // head of the closing read).
-                    let before = Instant::now();
-                    let started = Instant::now();
-                    Timed {
-                        started,
-                        clock_cost: started - before,
-                        stat: Rc::clone(stat),
-                    }
-                })
-            }))
+            let Some(stat) = &self.0 else {
+                return ProfileSpan(None);
+            };
+            let nth = {
+                let mut s = stat.borrow_mut();
+                s.count += 1;
+                s.count - 1
+            };
+            if nth.is_multiple_of(TIMING_STRIDE) {
+                ProfileSpan(Some(Timed::start(stat)))
+            } else {
+                ProfileSpan(None)
+            }
         }
 
         /// Record an externally measured scope duration (always exact).
@@ -161,23 +158,58 @@ mod live_profiler {
     /// Scope guard returned by [`Profiler::time`]; a timed scope records
     /// its duration on drop.
     #[must_use = "dropping immediately records a ~0ns scope"]
-    pub struct ProfileSpan(Option<Timed>);
+    pub struct ProfileSpan(Option<Box<Timed>>);
 
     /// The one scope in `TIMING_STRIDE` whose duration is measured.
     struct Timed {
+        /// Read just before `started`: their distance is what one clock
+        /// read costs.
+        before: Instant,
         started: Instant,
-        /// What one clock read cost just before `started`.
-        clock_cost: Duration,
         stat: Rc<RefCell<ProfileStat>>,
+    }
+
+    impl Timed {
+        #[cold]
+        #[inline(never)]
+        fn start(stat: &Rc<RefCell<ProfileStat>>) -> Box<Timed> {
+            // Boxed before the clock is read for real, so the allocation
+            // stays outside the measured interval.
+            let placeholder = Instant::now();
+            let mut timed = Box::new(Timed {
+                before: placeholder,
+                started: placeholder,
+                stat: Rc::clone(stat),
+            });
+            // Two reads back to back: their distance is what one read
+            // costs, and the scope's own interval will contain as much
+            // again (the tail of `started`, the head of the closing read).
+            // Nothing but the return follows the second.
+            timed.before = Instant::now();
+            timed.started = Instant::now();
+            timed
+        }
+
+        /// Takes the box so that freeing it, too, happens out of line.
+        #[cold]
+        #[inline(never)]
+        #[allow(clippy::boxed_local)]
+        fn finish(self: Box<Timed>, ended: Instant) {
+            let clock_cost = self.started - self.before;
+            let elapsed = (ended - self.started).saturating_sub(clock_cost);
+            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            self.stat.borrow_mut().record_timed(ns);
+        }
     }
 
     impl Drop for ProfileSpan {
         #[inline]
         fn drop(&mut self) {
             if let Some(timed) = self.0.take() {
-                let elapsed = timed.started.elapsed().saturating_sub(timed.clock_cost);
-                let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-                timed.stat.borrow_mut().record_timed(ns);
+                // Read here, not in `finish`: fetching that function's cold
+                // code would otherwise be timed as part of the scope, and
+                // scaled by the stride.
+                timed.finish(Instant::now());
             }
         }
     }
@@ -199,6 +231,15 @@ mod live_profiler {
             // The estimate scales the timed total up to every scope.
             assert!(stat.total_ns() >= stat.timed_ns);
             assert!(stat.min_ns <= stat.mean_ns() && stat.mean_ns() <= stat.max_ns);
+        }
+
+        #[test]
+        fn an_untimed_scope_leaves_one_null_word_to_drop() {
+            use super::ProfileSpan;
+            assert!(size_of::<ProfileSpan>() <= size_of::<usize>());
+            let p = Telemetry::enabled().profiler("site");
+            assert!(p.time().0.is_some(), "scope 0 is timed");
+            assert!(p.time().0.is_none(), "scope 1 is counted only");
         }
 
         #[test]

@@ -407,11 +407,13 @@ mod live_tracer {
 
     #[derive(Default)]
     struct TraceBuf {
-        /// The ring. It grows by `push` until it holds `capacity` records
-        /// — never reserved up front: most tracers (one per fuzz case)
-        /// record a few hundred spans, and a default-capacity ring is
-        /// 18.9 MB — and from then on the oldest record, at `head`, is
-        /// overwritten in place.
+        /// The ring. Its whole `capacity` is reserved by the first record
+        /// — address space, not memory: a tracer that records a few
+        /// hundred spans (one per fuzz case) touches a few pages of a
+        /// default ring's 18.9 MB, and one that fills it never holds a
+        /// half-grown copy beside it or leaves one behind as a hole in the
+        /// heap. It fills by `push`, and from then on the oldest record,
+        /// at `head`, is overwritten in place.
         records: Vec<TraceRecord>,
         /// Index of the oldest record once the ring is full; 0 before.
         head: usize,
@@ -501,6 +503,9 @@ mod live_tracer {
             if let Some(buf) = &self.inner {
                 let buf = &mut *buf.borrow_mut();
                 if buf.records.len() < self.capacity {
+                    if buf.records.capacity() == 0 {
+                        buf.records.reserve_exact(self.capacity);
+                    }
                     buf.records.push(record);
                     return;
                 }
@@ -548,6 +553,37 @@ mod live_tracer {
                 }
                 None => TraceData::default(),
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::{TraceKind, TraceRecord};
+        use super::*;
+        use qvisor_sim::Nanos;
+
+        #[test]
+        fn the_first_record_reserves_the_whole_ring_and_nothing_moves_it() {
+            let t = Tracer::enabled(TraceConfig {
+                capacity: 800,
+                ..TraceConfig::default()
+            });
+            let ring = || {
+                let buf = t.inner.as_ref().unwrap().borrow();
+                (buf.records.as_ptr(), buf.records.capacity())
+            };
+            assert_eq!(ring().1, 0, "an unused tracer owns nothing");
+            let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
+            t.record(record(0));
+            let reserved = ring();
+            assert!(reserved.1 >= 800);
+            (1..2_000).for_each(|i| t.record(record(i)));
+            assert_eq!(
+                ring(),
+                reserved,
+                "filled and overwritten where it was reserved"
+            );
+            assert_eq!((t.len(), t.dropped()), (800, 1_200));
         }
     }
 }

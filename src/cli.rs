@@ -1600,8 +1600,19 @@ mod tests {
         assert!(matches!(err, CliError::Telemetry(_)));
     }
 
+    /// Run `f` on a thread of its own and give it 30 s: a daemon or monitor
+    /// that parks forever fails the test with a message instead of hanging it.
+    fn within_30s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{what}: not done after 30 s"))
+    }
+
     #[test]
     fn monitor_live_connects_to_a_daemon() {
+        use qvisor_sim::json::Value;
+        use std::io::{BufRead as _, BufReader, Write as _};
         let config = DeploymentConfig::from_json(&example_json()).unwrap();
         let daemon = qvisor_serve::Daemon::start(
             config,
@@ -1613,22 +1624,42 @@ mod tests {
         .unwrap();
         let addr = daemon.local_addr().to_string();
         let handle = std::thread::spawn(move || cmd_monitor(&addr));
-        // Trigger one snapshot publish, then stop the daemon (which
-        // publishes the stream-end marker the monitor exits on).
-        use std::io::{BufRead as _, BufReader, Write as _};
         let stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+        let timeout = Some(std::time::Duration::from_secs(30));
+        stream.set_read_timeout(timeout).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        writeln!(
-            writer,
-            r#"{{"op":"submit-policy","tenant":{{"id":1,"name":"T1","algorithm":"pFabric","rank_min":0,"rank_max":100000,"levels":512}}}}"#
-        )
-        .unwrap();
-        reader.read_line(&mut line).unwrap();
-        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
-        daemon.wait();
-        let out = handle.join().unwrap().unwrap();
+        let mut request = |line: &str| {
+            writeln!(writer, "{line}").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("daemon response");
+            Value::parse(&response).expect("response is JSON")
+        };
+        // Wait until the daemon has read the monitor's `subscribe-telemetry`
+        // line: shutting down with it still unread in the socket makes the
+        // kernel answer the monitor with RST, not the end of the stream.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while request(r#"{"op":"status"}"#)
+            .get("telemetry_subscribers")
+            .and_then(Value::as_u64)
+            != Some(1)
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the monitor never subscribed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        // Trigger one snapshot publish, then stop the daemon (which
+        // publishes the stream-end marker the monitor exits on).
+        request(
+            r#"{"op":"submit-policy","tenant":{"id":1,"name":"T1","algorithm":"pFabric","rank_min":0,"rank_max":100000,"levels":512}}"#,
+        );
+        request(r#"{"op":"shutdown"}"#);
+        let out = within_30s("daemon shutdown and monitor exit", move || {
+            daemon.wait();
+            handle.join().unwrap().unwrap()
+        });
         assert!(out.contains("monitor: stream ended"), "{out}");
     }
 

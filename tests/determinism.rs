@@ -81,11 +81,11 @@ fn different_seed_different_world() {
 /// traffic — proving instrumentation is on yet side-effect-free.
 ///
 /// It proves a second equivalence on the way. Telemetry wraps every port
-/// queue in an `InstrumentedQueue`, which the port holds as
-/// `PortQueue::Other` and never bypasses; without it the PIFOs sit inline
-/// and a packet offered to an idle port cuts through to the wire. So
-/// on == off also says the queued path and the cut-through path are the
-/// same simulation — here on a lightly loaded fabric, below on an incast.
+/// queue in an `InstrumentedQueue` (`PortQueue::Observed`); a packet
+/// offered to an idle port goes around the queue either way, and the
+/// wrapper reports the enqueue and dequeue that would have happened. So
+/// on == off also says the observed port and the bare port are the same
+/// state machine — here on a lightly loaded fabric, below on an incast.
 #[test]
 fn telemetry_does_not_perturb_the_world() {
     let telemetry = Telemetry::enabled();

@@ -3,18 +3,21 @@
 //! telemetry JSONL minus its host-wall-clock lines (`sanitize_export`) —
 //! and on the report every example scenario prints.
 //!
-//! The hashes were recorded from the commit before the observers were made
-//! cheaper (sampled profiler clock, O(1) alert test, in-place trace ring),
-//! so any change to how the observers keep or render their state has to
-//! reproduce these bytes. A hash that moves on purpose — a new metric, a
-//! changed scenario — is re-recorded from the test's failure message.
+//! The export hashes were recorded from the commit before the observers
+//! were made cheaper — `slo_alert`, `incast` and `fig4_point` before PR 13
+//! (sampled profiler clock, O(1) alert test, in-place trace ring), the other
+//! four before PR 22 (an observed idle port passes packets around its queue,
+//! the inversion mirror is a `RankIndex`) — so any change to how the
+//! observers keep or render their state has to reproduce these bytes. A hash
+//! that moves on purpose — a new metric, a changed scenario — is re-recorded
+//! from the test's failure message.
 //!
 //! The report hashes were recorded from the last commit that had a second,
 //! thread-partitioned engine to compare this one against (PR 16); they are
 //! what that differential test and CI's `cmp` protected. A perf change that
 //! claims "every example report byte-identical" is checked here, with the
-//! observers off (an idle `fifo`/`pifo` port cuts through) and on (every
-//! packet goes through its queue).
+//! observers off (an idle `fifo`/`pifo` port cuts through) and on (it still
+//! does, and the wrapper emits what enqueue-then-dequeue would have).
 
 use qvisor::netsim::scenario::{report_json, sanitize_export, Engine, ScenarioSpec};
 use qvisor::telemetry::{SloMonitor, Telemetry, TraceConfig, Tracer};
@@ -64,25 +67,63 @@ fn observed_hashes(scenario: &str) -> (String, [String; 3]) {
     (report, exports)
 }
 
-fn assert_pinned(scenario: &str, expected: [&str; 3]) {
+/// Every file in `examples/scenarios/`: the hash of its report, then of its
+/// `[trace, monitor, sanitized telemetry]` exports. `fairtree_bound` (a
+/// `PifoTree` behind every port) is the one example with inversions — spans
+/// naming the overtaken packet, cross-tenant counts in the monitor export —
+/// so its pins are what holds the inversion mirror's read side in place.
+const PINS: [(&str, &str, [&str; 3]); 7] = [
+    (
+        "fairtree_bound",
+        "6c176c4628d476d9",
+        ["460e64535529b67e", "b03fe4363a2d787a", "5c9e5be475d5f379"],
+    ),
+    (
+        "fault_injection",
+        "5932fdb076d8a892",
+        ["72ad2432310f110b", "4f37af9be5ed9579", "66a805d11fb1b008"],
+    ),
+    (
+        "fig4_point",
+        "8f9d8cc3f165e887",
+        ["75c0237f17cd762d", "c30f8d97f66746a0", "2045ebfc0bb4df2d"],
+    ),
+    (
+        "incast",
+        "4da37fe181162dc6",
+        ["578d254b2ddef08b", "1be270014408316f", "42fe6089f4c2f3c5"],
+    ),
+    (
+        "leaf_spine_4x4",
+        "c2c12ee377dff5ee",
+        ["369cb2d03aa171f5", "170a366aa9cf9096", "a563e275c200f3ea"],
+    ),
+    (
+        "slo_alert",
+        "808946696e90faff",
+        ["64eefe5ed61d265b", "dae6bf03389e06d2", "06c88361333e12c2"],
+    ),
+    (
+        "weighted_share",
+        "28b8c4f48a169caf",
+        ["27d891c4440563f7", "0a99b9b7ad855237", "52a0af1908dad31a"],
+    ),
+];
+
+fn assert_exports_pinned(scenario: &str) {
+    let (_, _, expected) = PINS
+        .iter()
+        .find(|(pinned, _, _)| *pinned == scenario)
+        .unwrap_or_else(|| panic!("{scenario}: no pin"));
     assert_eq!(
         observed_hashes(scenario).1,
-        expected,
+        *expected,
         "{scenario}: [trace, monitor, sanitized telemetry]"
     );
 }
 
-/// Every file in `examples/scenarios/`, with the hash of its report.
-const REPORTS: [(&str, &str); 7] = [
-    ("fairtree_bound", "6c176c4628d476d9"),
-    ("fault_injection", "5932fdb076d8a892"),
-    ("fig4_point", "8f9d8cc3f165e887"),
-    ("incast", "4da37fe181162dc6"),
-    ("leaf_spine_4x4", "c2c12ee377dff5ee"),
-    ("slo_alert", "808946696e90faff"),
-    ("weighted_share", "28b8c4f48a169caf"),
-];
-
+/// A file in `examples/scenarios/` without a row in `PINS` — report and
+/// exports — fails here.
 #[test]
 fn every_example_report_is_pinned() {
     let mut on_disk: Vec<String> = std::fs::read_dir(scenarios_dir())
@@ -91,9 +132,9 @@ fn every_example_report_is_pinned() {
         .filter_map(|name| name.strip_suffix(".json").map(str::to_string))
         .collect();
     on_disk.sort();
-    let pinned: Vec<&str> = REPORTS.iter().map(|(scenario, _)| *scenario).collect();
-    assert_eq!(on_disk, pinned, "an example scenario has no report pin");
-    for (scenario, expected) in REPORTS {
+    let pinned: Vec<&str> = PINS.iter().map(|(scenario, _, _)| *scenario).collect();
+    assert_eq!(on_disk, pinned, "an example scenario has no pins");
+    for (scenario, expected, _) in PINS {
         assert_eq!(
             report_hash(&Engine::new(), &load(scenario)),
             expected,
@@ -109,24 +150,35 @@ fn every_example_report_is_pinned() {
 
 #[test]
 fn slo_alert_exports_are_pinned() {
-    assert_pinned(
-        "slo_alert",
-        ["64eefe5ed61d265b", "dae6bf03389e06d2", "06c88361333e12c2"],
-    );
+    assert_exports_pinned("slo_alert");
 }
 
 #[test]
 fn incast_exports_are_pinned() {
-    assert_pinned(
-        "incast",
-        ["578d254b2ddef08b", "1be270014408316f", "42fe6089f4c2f3c5"],
-    );
+    assert_exports_pinned("incast");
 }
 
 #[test]
 fn fig4_point_exports_are_pinned() {
-    assert_pinned(
-        "fig4_point",
-        ["75c0237f17cd762d", "c30f8d97f66746a0", "2045ebfc0bb4df2d"],
-    );
+    assert_exports_pinned("fig4_point");
+}
+
+#[test]
+fn fairtree_bound_exports_are_pinned() {
+    assert_exports_pinned("fairtree_bound");
+}
+
+#[test]
+fn fault_injection_exports_are_pinned() {
+    assert_exports_pinned("fault_injection");
+}
+
+#[test]
+fn leaf_spine_4x4_exports_are_pinned() {
+    assert_exports_pinned("leaf_spine_4x4");
+}
+
+#[test]
+fn weighted_share_exports_are_pinned() {
+    assert_exports_pinned("weighted_share");
 }
