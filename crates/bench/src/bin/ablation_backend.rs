@@ -7,7 +7,7 @@
 //! backend.
 //!
 //! Usage: cargo run -p qvisor-bench --release --bin ablation_backend
-//!        [-- --telemetry PREFIX]   write PREFIX-<backend>.jsonl per backend
+//!        [-- --telemetry PREFIX]   write `PREFIX-<backend>.jsonl` per backend
 
 use qvisor_bench::harness::{
     ablation_scenario, run_labelled, scaled_fcts, telemetry_prefix, ABLATION_SCALE,

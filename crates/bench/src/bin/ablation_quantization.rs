@@ -7,7 +7,7 @@
 //! under `pFabric >> EDF` varying Q for the pFabric tenant.
 //!
 //! Usage: cargo run -p qvisor-bench --release --bin ablation_quantization
-//!        [-- --telemetry PREFIX]   write PREFIX-levels<N>.jsonl per point
+//!        [-- --telemetry PREFIX]   write `PREFIX-levels<N>.jsonl` per point
 
 use qvisor_bench::harness::{
     ablation_scenario, run_labelled, scaled_fcts, telemetry_prefix, ABLATION_SCALE,

@@ -6,7 +6,7 @@
 //! naively (untransformed) onto the PIFO.
 //!
 //! Usage: cargo run -p qvisor-bench --release --bin ablation_sharegroups
-//!        [-- --telemetry PREFIX]   write PREFIX-n<N>_{qvisor,naive}.jsonl
+//!        [-- --telemetry PREFIX]   write `PREFIX-n<N>_{qvisor,naive}.jsonl`
 
 use qvisor_bench::harness::{run_one, telemetry_prefix};
 use qvisor_netsim::scenario::{

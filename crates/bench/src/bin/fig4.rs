@@ -1,6 +1,7 @@
 //! Regenerates the paper's Fig. 4: mean FCT of the pFabric tenant's small
 //! (4a) and large (4b) flows across loads 0.2–0.8 under six schemes.
 //!
+//! ```text
 //! Usage:
 //!   cargo run -p qvisor-bench --release --bin fig4 [-- OPTIONS]
 //!
@@ -19,6 +20,7 @@
 //!                      (render with `qvisor trace report`, convert for
 //!                      Perfetto with `qvisor trace export`)
 //!   --trace-sample N   trace one flow in N (default 1 = every flow)
+//! ```
 
 use qvisor_bench::{run_point_instrumented, snapshot, Fig4Config, Fig4Point, Scheme};
 use qvisor_telemetry::{Telemetry, TraceConfig, Tracer};

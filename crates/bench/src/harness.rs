@@ -1,12 +1,11 @@
 //! Shared experiment scaffolding: the micro-benchmark timer used by
-//! `benches/`, plus the run/measure/snapshot loop the `ablation_*`
-//! binaries previously copy-pasted.
+//! `benches/event_core.rs`, plus the run/measure/snapshot loop the
+//! `ablation_*` binaries previously copy-pasted.
 //!
-//! The benches in `benches/` use `harness = false`, so each one is a plain
-//! `main()` that calls [`bench`]/[`bench_batched`]. The harness calibrates
-//! an iteration count, then reports the best-of-batches ns/iter (the
-//! minimum is the most repeatable point estimate for micro-benchmarks,
-//! since noise is strictly additive).
+//! The bench uses `harness = false`, so it is a plain `main()` that calls
+//! [`bench_batched`]. The harness calibrates an iteration count, then
+//! reports the best-of-batches ns/iter (the minimum is the most repeatable
+//! point estimate for micro-benchmarks, since noise is strictly additive).
 //!
 //! The ablation side ([`run_one`], [`run_labelled`], [`ablation_scenario`])
 //! runs declarative scenarios through the netsim [`Engine`], wiring a
@@ -224,33 +223,6 @@ pub fn print_header(title: &str) {
 
 fn report(name: &str, iters: u64, ns_per_iter: f64) {
     println!("{name:<44} {ns_per_iter:>14.1}  {iters}");
-}
-
-/// Benchmark `f`, timing everything it does.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-    // Calibrate: double the batch size until one batch takes >= 20 ms.
-    let mut iters = 1u64;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        if t0.elapsed().as_millis() >= 20 || iters >= 1 << 24 {
-            break;
-        }
-        iters *= 2;
-    }
-    // Measure: best of a few batches (fewer when a batch is slow).
-    let batches = if iters == 1 { 3 } else { 5 };
-    let mut best = f64::INFINITY;
-    for _ in 0..batches {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    report(name, iters, best);
 }
 
 /// Benchmark `routine` on fresh input from `setup`; setup time is excluded.

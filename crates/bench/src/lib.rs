@@ -5,7 +5,9 @@
 //! Shared scenario code regenerating the paper's evaluation (§4):
 //! [`fig4`] builds and runs one point of Fig. 4 (any scheme × load), and
 //! the binaries in `src/bin/` sweep the full figures and ablations.
-//! Microbenches live in `benches/`, on the dependency-free [`harness`].
+//! The event-core microbench lives in `benches/`, on the dependency-free
+//! [`harness`]; every other per-layer number is a `qbench` probe row
+//! (`benchmark/`).
 
 pub mod fig4;
 pub mod harness;

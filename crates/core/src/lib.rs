@@ -16,7 +16,7 @@
 //! 3. [`synthesize`] produces a [`JointPolicy`]: one rank
 //!    [`TransformChain`] per tenant (normalization + stride + shift).
 //! 4. [`analyze`] describes worst-case guarantees (isolation, overlap)
-//!    and [`verify`] statically proves or refutes them — overflow-freedom,
+//!    and [`verify()`] statically proves or refutes them — overflow-freedom,
 //!    order preservation, strict-band disjointness — with concrete witness
 //!    pairs for every refutation, before deployment.
 //! 5. A [`PreProcessor`] applies the chains to packets at line rate; a

@@ -156,7 +156,7 @@ impl RuntimeMonitor {
         self.tenants
             .get(tenant.index())
             .and_then(|t| t.as_ref())
-            .and_then(|t| t.hist.quantile_bound(p))
+            .and_then(|t| t.hist.quantile(p))
     }
 }
 

@@ -4,14 +4,14 @@
 //! this module *proves or refutes* its guarantees before a single packet
 //! is simulated:
 //!
-//! 1. **Interval abstract interpretation** ([`interval`]): each tenant's
+//! 1. **Interval abstract interpretation** (`interval`): each tenant's
 //!    chain is executed over its declared input [`RankRange`], proving it
 //!    overflow-free (no `Rank::MAX` saturation) and flagging engaged
 //!    clamps.
-//! 2. **Monotonicity** ([`monotone`]): each chain is proven
+//! 2. **Monotonicity** (`monotone`): each chain is proven
 //!    order-preserving — strictly monotone where the quantization step
 //!    permits — with a computed collision bound for quantize steps.
-//! 3. **Isolation** ([`isolation`]): `>>` levels have pairwise-disjoint,
+//! 3. **Isolation** (`isolation`): `>>` levels have pairwise-disjoint,
 //!    correctly ordered output spans; `+` share groups interleave within
 //!    their band; `>` preferences overlap.
 //!

@@ -3,18 +3,18 @@
 //!
 //! The layer has four parts:
 //!
-//! - [`ScenarioSpec`] ([`spec`]): topology parameters, simulation knobs,
+//! - [`ScenarioSpec`] (`spec`): topology parameters, simulation knobs,
 //!   per-port schedulers, the QVISOR setup (tenants, policy, monitor,
 //!   synthesizer), rank functions, and workloads — everything needed to
 //!   reproduce a run from a single JSON file plus a seed.
-//! - the codec ([`codec`]): a strict JSON round-trip
+//! - the codec (`codec`): a strict JSON round-trip
 //!   (`to_json`/`from_json`) that rejects unknown fields and
 //!   out-of-range values with named-field errors.
-//! - [`Engine`] ([`engine`]): materializes a spec into a configured
+//! - [`Engine`] (`engine`): materializes a spec into a configured
 //!   [`crate::Simulation`] and runs it to a [`crate::SimReport`],
 //!   optionally wiring telemetry, tracing, and an alternate event-queue
 //!   backend.
-//! - [`SweepSpec`]/[`run_sweep`] ([`sweep`]): fans a grid of patched
+//! - [`SweepSpec`]/[`run_sweep`] (`sweep`): fans a grid of patched
 //!   scenarios across OS threads with deterministic, order-independent
 //!   merging.
 

@@ -156,6 +156,11 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         self.dequeued.get()
     }
 
+    /// Packets lost so far: rejected arrivals plus evicted residents.
+    pub fn dropped_count(&self) -> u64 {
+        self.dropped.get()
+    }
+
     /// Rank inversions counted so far.
     pub fn inversion_count(&self) -> u64 {
         self.inversions.get()

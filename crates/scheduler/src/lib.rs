@@ -8,7 +8,7 @@
 //! NSDI '20) and [`AifoQueue`] (AIFO, SIGCOMM '21), plus an
 //! [`InstrumentedQueue`] wrapper reporting drops, occupancy, queueing
 //! delay, and rank inversions through the `qvisor-telemetry` subsystem
-//! ([`AuditedQueue`] is a self-contained convenience over it).
+//! (hand it a `Telemetry::disabled()` handle and it costs one branch).
 //!
 //! Hierarchical scheduling is covered by [`PifoTree`] (PIFO trees,
 //! SIGCOMM '16 — the §5 expressivity extension).
@@ -17,7 +17,6 @@
 //! rank *after* QVISOR's pre-processor.
 
 pub mod aifo;
-pub mod audit;
 pub mod fifo;
 pub mod instrument;
 pub mod pifo;
@@ -28,7 +27,6 @@ pub mod sp_pifo;
 pub mod strict;
 
 pub use aifo::AifoQueue;
-pub use audit::{AuditedQueue, QueueStats};
 pub use fifo::FifoQueue;
 pub use instrument::InstrumentedQueue;
 pub use pifo::PifoQueue;

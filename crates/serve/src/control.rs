@@ -306,8 +306,8 @@ impl ControlPlane {
             .set("rejected", self.rejected)
     }
 
-    /// The adapter registry's raw JSONL export (empty when the telemetry
-    /// feature is compiled out). The `metrics` exposition renders this
+    /// The adapter registry's raw JSONL export (empty if the registry is a
+    /// disabled handle). The `metrics` exposition renders this
     /// plus the daemon's own request/admission stats.
     pub fn telemetry_export(&self) -> String {
         self.telemetry.export_jsonl()

@@ -485,6 +485,11 @@ mod tests {
         .unwrap()
     }
 
+    /// A daemon that has not answered, or stopped, after this long has
+    /// parked a thread: the test fails naming what it waited for instead of
+    /// hanging the run.
+    const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(30);
+
     struct Client {
         reader: BufReader<TcpStream>,
         writer: TcpStream,
@@ -493,6 +498,8 @@ mod tests {
     impl Client {
         fn connect(daemon: &Daemon) -> Client {
             let stream = TcpStream::connect(daemon.local_addr()).unwrap();
+            stream.set_read_timeout(Some(WATCHDOG)).unwrap();
+            stream.set_write_timeout(Some(WATCHDOG)).unwrap();
             Client {
                 reader: BufReader::new(stream.try_clone().unwrap()),
                 writer: stream,
@@ -500,15 +507,28 @@ mod tests {
         }
 
         fn send(&mut self, line: &str) -> Value {
-            writeln!(self.writer, "{line}").unwrap();
-            self.read()
+            writeln!(self.writer, "{line}").unwrap_or_else(|e| panic!("sending {line}: {e}"));
+            self.read(line)
         }
 
-        fn read(&mut self) -> Value {
+        /// The next line the daemon sends; `awaiting` names it on failure.
+        fn read(&mut self, awaiting: &str) -> Value {
             let mut response = String::new();
-            self.reader.read_line(&mut response).unwrap();
+            self.reader
+                .read_line(&mut response)
+                .unwrap_or_else(|e| panic!("no answer to {awaiting}: {e}"));
             Value::parse(response.trim()).unwrap()
         }
+    }
+
+    /// Stop the daemon (`Daemon::wait` or `Daemon::shutdown`) on a thread of
+    /// its own, under the watchdog.
+    fn stopped(daemon: Daemon, stop: fn(Daemon) -> String) -> String {
+        let (tx, rx) = channel();
+        // determinism: allowed (test watchdog: detached so that a parked daemon fails the test)
+        std::thread::spawn(move || tx.send(stop(daemon)));
+        rx.recv_timeout(WATCHDOG)
+            .expect("the daemon parked a thread: not stopped after 30 s")
     }
 
     #[test]
@@ -538,7 +558,7 @@ mod tests {
 
         let r = client.send(r#"{"op":"shutdown"}"#);
         assert_eq!(r.get("result").and_then(Value::as_str), Some("shutdown"));
-        let summary = daemon.wait();
+        let summary = stopped(daemon, Daemon::wait);
         assert!(summary.contains("shut down"), "{summary}");
     }
 
@@ -558,7 +578,7 @@ mod tests {
         );
         assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
 
-        let snap = subscriber.read();
+        let snap = subscriber.read("the telemetry snapshot");
         assert_eq!(
             snap.get("type").and_then(Value::as_str),
             Some("telemetry_snapshot")
@@ -566,9 +586,9 @@ mod tests {
         assert_eq!(snap.get("version").and_then(Value::as_u64), Some(2));
 
         client.send(r#"{"op":"shutdown"}"#);
-        let end = subscriber.read();
+        let end = subscriber.read("the end of the stream");
         assert_eq!(end.get("type").and_then(Value::as_str), Some("stream_end"));
-        daemon.wait();
+        stopped(daemon, Daemon::wait);
     }
 
     #[test]
@@ -635,14 +655,14 @@ mod tests {
         );
 
         client.send(r#"{"op":"shutdown"}"#);
-        daemon.wait();
+        stopped(daemon, Daemon::wait);
     }
 
     #[test]
     fn programmatic_shutdown_unblocks_everything() {
         let daemon = start();
         let _idle = Client::connect(&daemon);
-        let summary = daemon.shutdown();
+        let summary = stopped(daemon, Daemon::shutdown);
         assert!(summary.contains("shut down"), "{summary}");
     }
 }

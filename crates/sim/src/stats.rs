@@ -94,7 +94,7 @@ impl OnlineStats {
 /// Exact percentile collector: stores all samples, sorts on query.
 ///
 /// Fine for per-run metric collection (hundreds of thousands of samples);
-/// the *runtime* monitor uses [`Log2Histogram`]-style sketches instead.
+/// the *runtime* monitor uses [`LogBuckets`] instead.
 #[derive(Clone, Debug, Default)]
 pub struct PercentileCollector {
     samples: Vec<f64>,
@@ -128,8 +128,7 @@ impl PercentileCollector {
                 .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
             self.sorted = true;
         }
-        let p = p.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * p).round() as usize;
+        let idx = nearest_rank(p, self.samples.len() as u64) as usize - 1;
         Some(self.samples[idx])
     }
 
@@ -143,68 +142,185 @@ impl PercentileCollector {
     }
 }
 
-/// Power-of-two bucketed histogram over `u64` values (e.g. ranks).
-///
-/// Bucket `i` holds values whose bit length is `i` (bucket 0: value 0).
-/// Cheap enough to sit on the data path of the runtime monitor.
-#[derive(Clone, Debug)]
-pub struct Log2Histogram {
-    buckets: [u64; 65],
-    count: u64,
+/// Nearest-rank target of the `p`-quantile among `total` samples: the
+/// 1-based position, in sorted order, of the sample that answers it.
+pub fn nearest_rank(p: f64, total: u64) -> u64 {
+    ((p.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1)
 }
 
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Self::new()
+/// Log-linear (HDR-style) bucket counts over `u64` values: the one
+/// histogram behind every streaming quantile in the workspace.
+///
+/// Values below `2^SUB_BITS` get exact unit buckets; above that, each
+/// power-of-two range is split into `2^SUB_BITS` linear sub-buckets, so the
+/// relative quantile error is bounded by `2^-SUB_BITS` and the absolute
+/// error by one [`bucket_width`](Self::bucket_width). The counts are a
+/// dense array grown on demand to the highest bucket seen, so recording is
+/// one add and an idle histogram owns nothing. Counts are also
+/// *subtractable*, which is what sliding-window aggregation needs.
+///
+/// The quantile estimate is the upper bound of the bucket holding the
+/// nearest-rank target: it never undershoots the exact quantile and
+/// overshoots by less than one bucket width.
+#[derive(Clone, Debug, Default)]
+pub struct LogBuckets<const SUB_BITS: u32> {
+    /// `counts[i]` samples fell in bucket `i`; buckets past the end hold 0.
+    counts: Vec<u64>,
+    total: u64,
+}
+
+/// Power-of-two buckets: bucket `i` holds values whose bit length is `i`
+/// (bucket 0: value 0), so a quantile reads `2^i - 1`. Coarse and cheap
+/// enough for the data path of the runtime monitor.
+pub type Log2Histogram = LogBuckets<0>;
+
+/// Equal when they hold the same samples per bucket, however far each
+/// one's array happens to have grown.
+impl<const SUB_BITS: u32> PartialEq for LogBuckets<SUB_BITS> {
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.counts.len().min(other.counts.len());
+        self.total == other.total
+            && self.counts[..n] == other.counts[..n]
+            && self.counts[n..].iter().all(|&c| c == 0)
+            && other.counts[n..].iter().all(|&c| c == 0)
     }
 }
 
-impl Log2Histogram {
+impl<const SUB_BITS: u32> Eq for LogBuckets<SUB_BITS> {}
+
+impl<const SUB_BITS: u32> LogBuckets<SUB_BITS> {
+    const SUBS: u64 = 1 << SUB_BITS;
+
     /// An empty histogram.
     pub fn new() -> Self {
-        Log2Histogram {
-            buckets: [0; 65],
-            count: 0,
+        Self::default()
+    }
+
+    /// An empty histogram with the whole bucket array reserved — address
+    /// space, not memory — so that growing never moves it. For histograms
+    /// built by the hundred beside large short-lived blocks, where the
+    /// holes a moving array leaves decide where the allocator puts those
+    /// (`fig4_observed` peak RSS, EXPERIMENTS.md "One histogram").
+    pub fn reserved() -> Self {
+        LogBuckets {
+            counts: Vec::with_capacity(Self::index(u64::MAX) + 1),
+            total: 0,
         }
     }
 
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
+    /// The bucket `v` falls in.
+    #[inline]
+    pub fn index(v: u64) -> usize {
+        if v < Self::SUBS {
+            return v as usize;
+        }
+        let exp = 63 - v.leading_zeros(); // >= SUB_BITS
+        let sub = (v >> (exp - SUB_BITS)) & (Self::SUBS - 1);
+        ((((exp - SUB_BITS + 1) as u64) << SUB_BITS) + sub) as usize
     }
 
-    /// Record a value.
+    /// The closed `[lo, hi]` range of values mapping to bucket `index`.
+    pub fn range(index: usize) -> (u64, u64) {
+        let index = index as u64;
+        if index < Self::SUBS {
+            return (index, index);
+        }
+        let exp = (index >> SUB_BITS) as u32 + SUB_BITS - 1;
+        let width = 1u64 << (exp - SUB_BITS);
+        let lo = (1u64 << exp) + (index & (Self::SUBS - 1)) * width;
+        (lo, lo + (width - 1))
+    }
+
+    /// Width of the bucket that `v` falls in — the quantile error bound at
+    /// that magnitude (exact below `2^SUB_BITS`).
+    pub fn bucket_width(v: u64) -> u64 {
+        let (lo, hi) = Self::range(Self::index(v));
+        hi - lo + 1
+    }
+
+    /// The count cell of bucket `index`, growing the array to reach it.
+    #[inline]
+    fn cell(&mut self, index: usize) -> &mut u64 {
+        if index >= self.counts.len() {
+            self.counts.resize(index + 1, 0);
+        }
+        &mut self.counts[index]
+    }
+
+    /// Record one value.
+    #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
+        *self.cell(Self::index(v)) += 1;
+        self.total += 1;
     }
 
-    /// Total observations.
+    /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count
+        self.total
     }
 
-    /// Upper bound of the bucket containing the `p`-quantile
-    /// (`p` in `[0,1]`); `None` if empty.
-    pub fn quantile_bound(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
+    /// True when nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// Nearest-rank `p`-quantile estimate (`p` in `[0, 1]`; `None` if
+    /// empty): the upper bound of the bucket holding the target rank.
+    pub fn quantile(&self, p: f64) -> Option<u64> {
+        if self.total == 0 {
             return None;
         }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let target = target.max(1);
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        let target = nearest_rank(p, self.total);
+        let mut acc = 0u64;
+        for (index, &c) in self.counts.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return Some(if i == 0 { 0 } else { (1u64 << i) - 1 });
+                return Some(Self::range(index).1);
             }
         }
-        Some(u64::MAX)
+        unreachable!("bucket counts sum to the total")
     }
 
-    /// Reset all buckets.
+    /// Occupied buckets as `(lo, hi, count)`, in ascending value order.
+    pub fn occupied(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        (self.counts.iter().enumerate())
+            .filter(|(_, &c)| c > 0)
+            .map(|(index, &c)| {
+                let (lo, hi) = Self::range(index);
+                (lo, hi, c)
+            })
+    }
+
+    /// Merge another histogram into this one.
+    pub fn merge(&mut self, other: &Self) {
+        for (index, &c) in other.counts.iter().enumerate() {
+            if c > 0 {
+                *self.cell(index) += c;
+            }
+        }
+        self.total += other.total;
+    }
+
+    /// Remove `other`'s counts from this histogram. `other` must be a
+    /// subset of what was merged or recorded here (the sliding-window
+    /// invariant).
+    pub fn subtract(&mut self, other: &Self) {
+        for (index, &c) in other.counts.iter().enumerate() {
+            if c > 0 {
+                let e = self
+                    .counts
+                    .get_mut(index)
+                    .expect("subtracting counts never recorded");
+                *e = e.checked_sub(c).expect("bucket subtraction underflow");
+            }
+        }
+        self.total -= other.total;
+    }
+
+    /// Reset to empty (the bucket array keeps its allocation).
     pub fn clear(&mut self) {
-        self.buckets = [0; 65];
-        self.count = 0;
+        self.counts.clear();
+        self.total = 0;
     }
 }
 
@@ -274,7 +390,7 @@ mod tests {
         }
         assert_eq!(p.quantile(0.0), Some(1.0));
         assert_eq!(p.quantile(1.0), Some(100.0));
-        assert_eq!(p.quantile(0.5), Some(51.0)); // nearest-rank on 100 samples
+        assert_eq!(p.quantile(0.5), Some(50.0)); // nearest rank: the 50th of 100
         assert_eq!(p.mean(), Some(50.5));
         assert_eq!(PercentileCollector::new().quantile(0.5), None);
     }
@@ -287,11 +403,55 @@ mod tests {
         }
         assert_eq!(h.count(), 10);
         // Half the mass is <= 4, so the median bucket bound is 7 (bucket of 4..8).
-        assert_eq!(h.quantile_bound(0.5), Some(7));
+        assert_eq!(h.quantile(0.5), Some(7));
         // Everything is <= 1023.
-        assert_eq!(h.quantile_bound(1.0), Some(1023));
+        assert_eq!(h.quantile(1.0), Some(1023));
         h.clear();
-        assert_eq!(h.quantile_bound(0.5), None);
+        assert_eq!(h.quantile(0.5), None);
+    }
+
+    #[test]
+    fn log2_quantile_is_all_ones_at_the_values_bit_length() {
+        // What the runtime adapter reads: 0 for value 0, `2^i - 1` for any
+        // value of bit length `i`, up to the top bucket.
+        for v in [0u64, 1, 2, 3, 255, 256, u64::MAX] {
+            let mut h = Log2Histogram::new();
+            h.record(v);
+            let all_ones = if v == 0 {
+                0
+            } else {
+                u64::MAX >> v.leading_zeros()
+            };
+            assert_eq!(h.quantile(0.5), Some(all_ones), "value {v}");
+        }
+    }
+
+    fn ranges_partition_the_u64_line<const SUB_BITS: u32>() {
+        // Consecutive buckets tile `0..=u64::MAX` without gap or overlap,
+        // and every value maps into the bucket whose range contains it.
+        let mut prev_hi: Option<u64> = None;
+        for i in 0..=LogBuckets::<SUB_BITS>::index(u64::MAX) {
+            let (lo, hi) = LogBuckets::<SUB_BITS>::range(i);
+            assert!(lo <= hi);
+            if let Some(p) = prev_hi {
+                assert_eq!(lo, p + 1, "gap/overlap at bucket {i} of 2^-{SUB_BITS}");
+            }
+            prev_hi = Some(hi);
+        }
+        assert_eq!(prev_hi, Some(u64::MAX));
+        let subs = 1u64 << SUB_BITS;
+        let probes = [0, 1, subs - 1, subs, subs + 1, 1000, 1 << 20, 1 << 63];
+        for v in probes.into_iter().chain([u64::MAX / 3, u64::MAX]) {
+            let (lo, hi) = LogBuckets::<SUB_BITS>::range(LogBuckets::<SUB_BITS>::index(v));
+            assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn bucket_ranges_partition_the_u64_line_at_every_resolution_in_use() {
+        ranges_partition_the_u64_line::<0>();
+        ranges_partition_the_u64_line::<4>();
+        ranges_partition_the_u64_line::<5>();
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! Log-linear (HDR-style) histogram over `u64` values.
 //!
-//! Values below 2^SUB_BITS get exact unit buckets; above that, each
-//! power-of-two range is split into 2^SUB_BITS linear sub-buckets, so the
-//! relative quantile error is bounded by `2^-SUB_BITS` (~3.1%) and the
-//! absolute error by one bucket width. Compared with the coarse
-//! `qvisor_sim::Log2Histogram` the monitor uses on the data path, this
-//! trades a fixed ~15 KB table for per-bucket resolution good enough to
-//! report latency percentiles.
+//! The bucketing is [`qvisor_sim::LogBuckets`] at [`SUB_BITS`] — unit
+//! buckets below 2^SUB_BITS, then 2^SUB_BITS linear sub-buckets per
+//! power-of-two range, so the relative quantile error is bounded by
+//! `2^-SUB_BITS` (~3.1%) and the absolute error by one bucket width: good
+//! enough to report latency percentiles. Around it this type keeps what
+//! buckets cannot: the exact sum, minimum and maximum.
+
+use qvisor_sim::LogBuckets;
 
 /// Sub-bucket resolution: each power-of-two range has `2^SUB_BITS` buckets.
 pub const SUB_BITS: u32 = 5;
-const SUBS: usize = 1 << SUB_BITS;
-/// Total bucket count for the full `u64` range: unit buckets below
-/// `2^SUB_BITS`, then `SUBS` sub-buckets for each exponent up to 63.
-const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUBS;
 
 /// A log-bucketed histogram with bounded relative error.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct LogHistogram {
-    counts: Box<[u64; BUCKETS]>,
-    total: u64,
+    buckets: LogBuckets<SUB_BITS>,
     sum: u128,
     min: u64,
     max: u64,
@@ -28,16 +24,6 @@ pub struct LogHistogram {
 impl Default for LogHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl std::fmt::Debug for LogHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LogHistogram")
-            .field("count", &self.total)
-            .field("min", &self.min())
-            .field("max", &self.max())
-            .finish()
     }
 }
 
@@ -52,34 +38,11 @@ pub struct Bucket {
     pub count: u64,
 }
 
-fn bucket_index(v: u64) -> usize {
-    if v < SUBS as u64 {
-        return v as usize;
-    }
-    let exp = 63 - v.leading_zeros(); // >= SUB_BITS
-    let sub = ((v >> (exp - SUB_BITS)) & (SUBS as u64 - 1)) as usize;
-    ((exp - SUB_BITS + 1) as usize) * SUBS + sub
-}
-
-/// The closed `[lo, hi]` range of values mapping to bucket `index`.
-fn bucket_range(index: usize) -> (u64, u64) {
-    if index < SUBS {
-        return (index as u64, index as u64);
-    }
-    let block = (index / SUBS) as u32;
-    let sub = (index % SUBS) as u64;
-    let exp = block + SUB_BITS - 1;
-    let width = 1u64 << (exp - SUB_BITS);
-    let lo = (1u64 << exp) + sub * width;
-    (lo, lo + (width - 1))
-}
-
 impl LogHistogram {
     /// An empty histogram.
     pub fn new() -> LogHistogram {
         LogHistogram {
-            counts: vec![0u64; BUCKETS].into_boxed_slice().try_into().unwrap(),
-            total: 0,
+            buckets: LogBuckets::reserved(),
             sum: 0,
             min: u64::MAX,
             max: 0,
@@ -89,8 +52,7 @@ impl LogHistogram {
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
-        self.total += 1;
+        self.buckets.record(v);
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
@@ -98,22 +60,22 @@ impl LogHistogram {
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.total
+        self.buckets.count()
     }
 
     /// Exact smallest recorded value (`None` if empty).
     pub fn min(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.min)
+        (!self.buckets.is_empty()).then_some(self.min)
     }
 
     /// Exact largest recorded value (`None` if empty).
     pub fn max(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.max)
+        (!self.buckets.is_empty()).then_some(self.max)
     }
 
     /// Exact arithmetic mean (`None` if empty).
     pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
+        (!self.buckets.is_empty()).then(|| self.sum as f64 / self.count() as f64)
     }
 
     /// Nearest-rank `p`-quantile estimate (`p` in `[0, 1]`; `None` if
@@ -122,55 +84,25 @@ impl LogHistogram {
     /// never below the true quantile and overshoots by at most one bucket
     /// width.
     pub fn quantile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((p.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(bucket_range(i).1.min(self.max));
-            }
-        }
-        Some(self.max)
+        self.buckets.quantile(p).map(|hi| hi.min(self.max))
     }
 
     /// Width of the bucket that `v` falls in (the quantile error bound at
     /// that magnitude).
     pub fn bucket_width(v: u64) -> u64 {
-        let (lo, hi) = bucket_range(bucket_index(v));
-        hi - lo + 1
+        LogBuckets::<SUB_BITS>::bucket_width(v)
     }
 
     /// Occupied buckets in ascending value order.
     pub fn buckets(&self) -> Vec<Bucket> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_range(i);
-                Bucket { lo, hi, count: c }
-            })
+        (self.buckets.occupied())
+            .map(|(lo, hi, count)| Bucket { lo, hi, count })
             .collect()
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Reset to empty.
     pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
+        self.buckets.clear();
         self.sum = 0;
         self.min = u64::MAX;
         self.max = 0;
@@ -193,28 +125,6 @@ mod tests {
         }
         assert_eq!(h.quantile(0.0), Some(0));
         assert_eq!(h.quantile(1.0), Some(31));
-    }
-
-    #[test]
-    fn bucket_ranges_partition_the_u64_line() {
-        // Every value maps into a bucket whose range contains it, and
-        // consecutive buckets tile without gaps or overlap.
-        let mut prev_hi: Option<u64> = None;
-        for i in 0..BUCKETS {
-            let (lo, hi) = bucket_range(i);
-            assert!(lo <= hi);
-            if let Some(p) = prev_hi {
-                assert_eq!(lo, p + 1, "gap/overlap at bucket {i}");
-            }
-            prev_hi = Some(hi);
-            if hi == u64::MAX {
-                break;
-            }
-        }
-        for v in [0u64, 1, 31, 32, 33, 1000, 1 << 20, u64::MAX / 3, u64::MAX] {
-            let (lo, hi) = bucket_range(bucket_index(v));
-            assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
-        }
     }
 
     #[test]
@@ -288,7 +198,7 @@ mod tests {
             for p in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
                 let rank = ((p * n as f64).ceil() as usize).max(1) - 1;
                 let exact = sorted[rank];
-                let (lo, hi) = bucket_range(bucket_index(exact));
+                let (lo, hi) = LogBuckets::<SUB_BITS>::range(LogBuckets::<SUB_BITS>::index(exact));
                 let est = h.quantile(p).unwrap();
                 assert!(
                     est >= lo && est <= hi,
@@ -306,28 +216,6 @@ mod tests {
         h.record(1_000_003);
         assert_eq!(h.quantile(1.0), Some(1_000_003));
         assert_eq!(h.quantile(0.5), Some(1_000_003));
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut whole = LogHistogram::new();
-        for v in 0..1000u64 {
-            let x = v * v % 70_001;
-            whole.record(x);
-            if v % 2 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        assert_eq!(a.quantile(0.5), whole.quantile(0.5));
-        assert_eq!(a.buckets(), whole.buckets());
     }
 
     #[test]

@@ -6,15 +6,13 @@
 //! packet-level network simulator, and the hypervisor runtime all report
 //! through a [`Telemetry`] handle instead of growing ad-hoc counter structs.
 //!
-//! Three ideas keep it cheap and safe to leave plumbed in everywhere:
+//! Two ideas keep it cheap and safe to leave plumbed in everywhere:
 //!
-//! 1. **Zero-cost when compiled out.** With the `enabled` cargo feature off
-//!    (it is on by default), every handle is a zero-sized type and every
-//!    recording method is an empty `#[inline]` body, so the optimiser erases
-//!    the instrumentation entirely.
-//! 2. **Cheap when runtime-disabled.** A default-constructed [`Telemetry`]
-//!    is disabled: handles hold `None` and each record is one branch.
-//! 3. **Never perturbs the simulation.** Telemetry only *observes* — it
+//! 1. **Switched off at run time, for one branch.** A default-constructed
+//!    [`Telemetry`] (and [`Tracer::disabled`], [`SloMonitor::disabled`]) is
+//!    disabled: handles hold `None` and each record is one branch. There is
+//!    one build; the disabled handle is the only "off".
+//! 2. **Never perturbs the simulation.** Telemetry only *observes* — it
 //!    takes no randomness, orders no events, and is keyed by simulated time,
 //!    so enabling it cannot change a simulation's outcome. The determinism
 //!    suite enforces this.
@@ -25,7 +23,7 @@
 //! events. [`Telemetry::export_jsonl`] serialises everything as JSON lines;
 //! [`report`] renders exported files back into human-readable tables.
 //!
-//! Two sibling subsystems follow the same feature-gating rules: the
+//! Two sibling subsystems are switched off the same way: the
 //! [`trace`] flight recorder captures per-packet lifecycle spans (exported
 //! to Perfetto via [`perfetto`] or rendered as a latency breakdown), and
 //! the [`profile`] self-profiler aggregates wall-clock scoped timers around
@@ -52,15 +50,8 @@ pub use profile::{ProfileSpan, ProfileStat, Profiler};
 pub use stream::{BusReceiver, SnapshotBus, DEFAULT_SUBSCRIBER_CAPACITY};
 pub use trace::{TraceConfig, TraceData, TraceKind, TraceRecord, Tracer};
 
-#[cfg(feature = "enabled")]
 mod live;
-#[cfg(feature = "enabled")]
 pub use live::{Counter, Gauge, Histogram, Telemetry};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{Counter, Gauge, Histogram, Telemetry};
 
 /// Version tag written into the `meta` line of every JSONL export.
 pub const SCHEMA_VERSION: u64 = 1;

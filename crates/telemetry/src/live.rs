@@ -1,4 +1,5 @@
-//! The real collectors, compiled when the `enabled` feature is on.
+//! The collectors: the registry and the handles it hands out. A handle from
+//! a disabled [`Telemetry`] holds `None` and records nothing.
 
 use crate::hist::LogHistogram;
 use crate::journal::{Journal, JournalEvent};

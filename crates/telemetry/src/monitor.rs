@@ -35,7 +35,8 @@ use crate::journal::{Journal, JournalEvent};
 use crate::report::{Export, HistLine, MetricLine};
 use crate::stream::SnapshotBus;
 use qvisor_sim::json::Value;
-use qvisor_sim::Nanos;
+use qvisor_sim::stats::nearest_rank;
+use qvisor_sim::{LogBuckets, Nanos};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -46,162 +47,17 @@ use std::sync::Arc;
 /// quantile error is bounded by `2^-SKETCH_SUB_BITS` (6.25%) and the
 /// absolute error by one bucket width.
 pub const SKETCH_SUB_BITS: u32 = 4;
-const SKETCH_SUBS: u64 = 1 << SKETCH_SUB_BITS;
 
 /// Number of ring slices a sliding window is quantized into.
 const SLICES: u64 = 8;
 
-fn sketch_index(v: u64) -> u16 {
-    if v < SKETCH_SUBS {
-        return v as u16;
-    }
-    let exp = 63 - v.leading_zeros(); // >= SKETCH_SUB_BITS
-    let sub = (v >> (exp - SKETCH_SUB_BITS)) & (SKETCH_SUBS - 1);
-    ((exp - SKETCH_SUB_BITS + 1) as u16) * SKETCH_SUBS as u16 + sub as u16
-}
-
-/// The closed `[lo, hi]` range of values mapping to sketch bucket `index`.
-fn sketch_range(index: u16) -> (u64, u64) {
-    let subs = SKETCH_SUBS as u16;
-    if index < subs {
-        return (index as u64, index as u64);
-    }
-    let block = (index / subs) as u32;
-    let sub = (index % subs) as u64;
-    let exp = block + SKETCH_SUB_BITS - 1;
-    let width = 1u64 << (exp - SKETCH_SUB_BITS);
-    let lo = (1u64 << exp) + sub * width;
-    (lo, lo.saturating_add(width - 1))
-}
-
-/// Nearest-rank target of the `p`-quantile among `total` samples: the
-/// 1-based position, in sorted order, of the sample that answers it.
-fn nearest_rank(p: f64, total: u64) -> u64 {
-    ((p.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1)
-}
-
-/// A deterministic streaming quantile sketch over `u64` values.
-///
-/// Same log-linear binning idea as [`LogHistogram`](crate::LogHistogram):
-/// a dense bucket array indexed by [`sketch_index`], grown on demand to the
-/// highest bucket seen (at most 976 buckets for the whole `u64` range), so
-/// recording is one add. It is also *subtractable*, which is what
+/// The deterministic streaming quantile sketch of the SLO windows: the
+/// workspace's one log-linear histogram at [`SKETCH_SUB_BITS`] (at most 976
+/// buckets for the whole `u64` range). Subtractable, which is what
 /// sliding-window aggregation needs: the window keeps one sketch per ring
 /// slice plus a rolling aggregate, and expiring a slice subtracts its
 /// sketch from the aggregate.
-///
-/// The quantile estimate is the upper bound of the bucket holding the
-/// nearest-rank target, so it never undershoots the exact quantile and
-/// overshoots by less than one bucket width (see
-/// [`bucket_width`](Self::bucket_width)).
-#[derive(Clone, Debug, Default)]
-pub struct QuantileSketch {
-    /// `counts[i]` samples fell in bucket `i`; buckets past the end hold 0.
-    counts: Vec<u64>,
-    total: u64,
-}
-
-/// Equal when they hold the same samples per bucket, however far each
-/// one's array happens to have grown.
-impl PartialEq for QuantileSketch {
-    fn eq(&self, other: &QuantileSketch) -> bool {
-        let n = self.counts.len().min(other.counts.len());
-        self.total == other.total
-            && self.counts[..n] == other.counts[..n]
-            && self.counts[n..].iter().all(|&c| c == 0)
-            && other.counts[n..].iter().all(|&c| c == 0)
-    }
-}
-
-impl Eq for QuantileSketch {}
-
-impl QuantileSketch {
-    /// An empty sketch.
-    pub fn new() -> QuantileSketch {
-        QuantileSketch::default()
-    }
-
-    /// The count cell of bucket `index`, growing the array to reach it.
-    #[inline]
-    fn cell(&mut self, index: usize) -> &mut u64 {
-        if index >= self.counts.len() {
-            self.counts.resize(index + 1, 0);
-        }
-        &mut self.counts[index]
-    }
-
-    /// Record one value.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        *self.cell(sketch_index(v) as usize) += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Nearest-rank `p`-quantile estimate (`p` in `[0, 1]`; `None` if
-    /// empty): the upper bound of the bucket holding the target rank.
-    pub fn quantile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = nearest_rank(p, self.total);
-        let mut acc = 0u64;
-        for (index, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(sketch_range(index as u16).1);
-            }
-        }
-        unreachable!("bucket counts sum to the total")
-    }
-
-    /// Merge another sketch into this one.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (index, &c) in other.counts.iter().enumerate() {
-            if c > 0 {
-                *self.cell(index) += c;
-            }
-        }
-        self.total += other.total;
-    }
-
-    /// Remove `other`'s counts from this sketch. `other` must be a subset
-    /// of what was merged or recorded here (the sliding-window invariant).
-    pub fn subtract(&mut self, other: &QuantileSketch) {
-        for (index, &c) in other.counts.iter().enumerate() {
-            if c > 0 {
-                let e = self
-                    .counts
-                    .get_mut(index)
-                    .expect("subtracting counts never recorded");
-                *e = e.checked_sub(c).expect("sketch subtraction underflow");
-            }
-        }
-        self.total -= other.total;
-    }
-
-    /// Reset to empty (the bucket array keeps its allocation).
-    pub fn clear(&mut self) {
-        self.counts.clear();
-        self.total = 0;
-    }
-
-    /// Width of the bucket that `v` falls in — the quantile error bound at
-    /// that magnitude (exact below `2^SKETCH_SUB_BITS`).
-    pub fn bucket_width(v: u64) -> u64 {
-        let (lo, hi) = sketch_range(sketch_index(v));
-        hi - lo + 1
-    }
-}
+pub type QuantileSketch = LogBuckets<SKETCH_SUB_BITS>;
 
 /// A count over a sliding sim-time window, quantized into [`SLICES`] ring
 /// slices: O(1) add, O(1) amortized expiry, purely a function of the
@@ -271,7 +127,7 @@ struct SlidingSketch {
     agg: QuantileSketch,
     /// Buckets `0..below_limit` are those whose upper bound, as the `f64`
     /// an alert compares, is not above the threshold.
-    below_limit: u16,
+    below_limit: usize,
     ring_below: [u64; SLICES as usize],
     agg_below: u64,
 }
@@ -281,9 +137,9 @@ impl SlidingSketch {
         // Bucket bounds ascend, so the first one above the threshold ends
         // the prefix. `value > NaN` is false for every value: a NaN
         // threshold keeps every bucket in it.
-        let below_limit = (0..=sketch_index(u64::MAX))
-            .take_while(|&i| threshold.is_nan() || sketch_range(i).1 as f64 <= threshold)
-            .count() as u16;
+        let below_limit = (0..=QuantileSketch::index(u64::MAX))
+            .take_while(|&i| threshold.is_nan() || QuantileSketch::range(i).1 as f64 <= threshold)
+            .count();
         SlidingSketch {
             slice_ns: window_ns.div_ceil(SLICES).max(1),
             cur: 0,
@@ -318,7 +174,7 @@ impl SlidingSketch {
         let slot = (self.cur % SLICES) as usize;
         self.ring[slot].record(v);
         self.agg.record(v);
-        if sketch_index(v) < self.below_limit {
+        if QuantileSketch::index(v) < self.below_limit {
             self.ring_below[slot] += 1;
             self.agg_below += 1;
         }
@@ -912,24 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_ranges_partition_and_contain() {
-        let mut prev_hi: Option<u64> = None;
-        for i in 0..=sketch_index(u64::MAX) {
-            let (lo, hi) = sketch_range(i);
-            assert!(lo <= hi);
-            if let Some(p) = prev_hi {
-                assert_eq!(lo, p + 1, "gap/overlap at sketch bucket {i}");
-            }
-            prev_hi = Some(hi);
-        }
-        assert_eq!(prev_hi, Some(u64::MAX));
-        for v in [0u64, 1, 15, 16, 17, 1000, 1 << 20, u64::MAX / 3, u64::MAX] {
-            let (lo, hi) = sketch_range(sketch_index(v));
-            assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn prop_sketch_quantiles_match_exact_within_pinned_bounds() {
         // Property: on seeded random streams and on adversarial shapes
         // (sorted ascending, reversed, constant), the sketch estimate
@@ -1023,7 +861,7 @@ mod tests {
         // quantile to the threshold answers, for thresholds on bucket
         // bounds, between them, at 0, below 0, above every sample, and NaN.
         let root = SimRng::seed_from(0x0a1e_a7ed);
-        let bound = |v: u64| sketch_range(sketch_index(v)).1 as f64;
+        let bound = |v: u64| QuantileSketch::range(QuantileSketch::index(v)).1 as f64;
         let thresholds = [
             -1.0,
             0.0,

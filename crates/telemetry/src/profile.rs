@@ -33,12 +33,15 @@
 //! ~100 ns site. Durations handed to [`Profiler::record_ns`] were measured
 //! by the caller and are always kept exactly.
 //!
-//! With the `enabled` feature off, both types are zero-sized and every
-//! method is an empty inlined body — no `Instant::now` calls survive.
+//! A handle from [`Telemetry::disabled`](crate::Telemetry::disabled) holds
+//! no aggregate: every method is one branch and the clock is never read.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::time::Instant;
 
 /// [`Profiler::time`] reads the clock on scopes `0, STRIDE, 2·STRIDE, …` of
 /// each site.
-#[cfg(feature = "enabled")]
 const TIMING_STRIDE: u64 = 64;
 
 /// Aggregated wall-clock statistics for one profiled site.
@@ -92,228 +95,122 @@ impl ProfileStat {
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use live_profiler::{ProfileSpan, Profiler};
+/// Handle to one profiled site's aggregate. Cloning shares the
+/// aggregate; the default value is disabled (records nothing).
+#[derive(Clone, Default)]
+pub struct Profiler(pub(crate) Option<Rc<RefCell<ProfileStat>>>);
 
-#[cfg(feature = "enabled")]
-mod live_profiler {
-    use super::{ProfileStat, TIMING_STRIDE};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use std::time::Instant;
-
-    /// Handle to one profiled site's aggregate. Cloning shares the
-    /// aggregate; the default value is disabled (records nothing).
-    #[derive(Clone, Default)]
-    pub struct Profiler(pub(crate) Option<Rc<RefCell<ProfileStat>>>);
-
-    impl std::fmt::Debug for Profiler {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "Profiler(count={})", self.stat().count)
-        }
-    }
-
-    impl Profiler {
-        /// Start a scope. It is counted at once; on one scope in
-        /// `TIMING_STRIDE` the clock is read too, and the elapsed wall
-        /// time is recorded when the returned guard drops. Disabled
-        /// handles never read the clock.
-        ///
-        /// The guard is one word, null on every scope that is not timed, so
-        /// dropping it is an inlined null test; the timed scope's state
-        /// lives in a box behind two out-of-line calls.
-        #[inline]
-        pub fn time(&self) -> ProfileSpan {
-            let Some(stat) = &self.0 else {
-                return ProfileSpan(None);
-            };
-            let nth = {
-                let mut s = stat.borrow_mut();
-                s.count += 1;
-                s.count - 1
-            };
-            if nth.is_multiple_of(TIMING_STRIDE) {
-                ProfileSpan(Some(Timed::start(stat)))
-            } else {
-                ProfileSpan(None)
-            }
-        }
-
-        /// Record an externally measured scope duration (always exact).
-        #[inline]
-        pub fn record_ns(&self, ns: u64) {
-            if let Some(stat) = &self.0 {
-                stat.borrow_mut().record(ns);
-            }
-        }
-
-        /// Snapshot of the aggregate so far (zeros when disabled).
-        pub fn stat(&self) -> ProfileStat {
-            self.0
-                .as_ref()
-                .map_or_else(ProfileStat::default, |s| *s.borrow())
-        }
-    }
-
-    /// Scope guard returned by [`Profiler::time`]; a timed scope records
-    /// its duration on drop.
-    #[must_use = "dropping immediately records a ~0ns scope"]
-    pub struct ProfileSpan(Option<Box<Timed>>);
-
-    /// The one scope in `TIMING_STRIDE` whose duration is measured.
-    struct Timed {
-        /// Read just before `started`: their distance is what one clock
-        /// read costs.
-        before: Instant,
-        started: Instant,
-        stat: Rc<RefCell<ProfileStat>>,
-    }
-
-    impl Timed {
-        #[cold]
-        #[inline(never)]
-        fn start(stat: &Rc<RefCell<ProfileStat>>) -> Box<Timed> {
-            // Boxed before the clock is read for real, so the allocation
-            // stays outside the measured interval.
-            let placeholder = Instant::now();
-            let mut timed = Box::new(Timed {
-                before: placeholder,
-                started: placeholder,
-                stat: Rc::clone(stat),
-            });
-            // Two reads back to back: their distance is what one read
-            // costs, and the scope's own interval will contain as much
-            // again (the tail of `started`, the head of the closing read).
-            // Nothing but the return follows the second.
-            timed.before = Instant::now();
-            timed.started = Instant::now();
-            timed
-        }
-
-        /// Takes the box so that freeing it, too, happens out of line.
-        #[cold]
-        #[inline(never)]
-        #[allow(clippy::boxed_local)]
-        fn finish(self: Box<Timed>, ended: Instant) {
-            let clock_cost = self.started - self.before;
-            let elapsed = (ended - self.started).saturating_sub(clock_cost);
-            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-            self.stat.borrow_mut().record_timed(ns);
-        }
-    }
-
-    impl Drop for ProfileSpan {
-        #[inline]
-        fn drop(&mut self) {
-            if let Some(timed) = self.0.take() {
-                // Read here, not in `finish`: fetching that function's cold
-                // code would otherwise be timed as part of the scope, and
-                // scaled by the stride.
-                timed.finish(Instant::now());
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use crate::{ProfileStat, Telemetry};
-
-        #[test]
-        fn every_scope_is_counted_and_one_in_stride_is_timed() {
-            let t = Telemetry::enabled();
-            let p = t.profiler("site");
-            for _ in 0..1_000 {
-                let _span = p.time();
-            }
-            let stat = p.stat();
-            assert_eq!(stat.count, 1_000);
-            assert_eq!(stat.timed, 16, "scopes 0, 64, ..., 960");
-            // The estimate scales the timed total up to every scope.
-            assert!(stat.total_ns() >= stat.timed_ns);
-            assert!(stat.min_ns <= stat.mean_ns() && stat.mean_ns() <= stat.max_ns);
-        }
-
-        #[test]
-        fn an_untimed_scope_leaves_one_null_word_to_drop() {
-            use super::ProfileSpan;
-            assert!(size_of::<ProfileSpan>() <= size_of::<usize>());
-            let p = Telemetry::enabled().profiler("site");
-            assert!(p.time().0.is_some(), "scope 0 is timed");
-            assert!(p.time().0.is_none(), "scope 1 is counted only");
-        }
-
-        #[test]
-        fn disabled_handle_never_reads_the_clock() {
-            let p = Telemetry::disabled().profiler("site");
-            for _ in 0..130 {
-                assert!(p.time().0.is_none(), "a disabled scope took a timestamp");
-            }
-            p.record_ns(5);
-            assert_eq!(p.stat(), ProfileStat::default());
-        }
-
-        #[test]
-        fn scope_guard_records_on_drop() {
-            let t = Telemetry::enabled();
-            let p = t.profiler("unit_test_site");
-            {
-                let _span = p.time();
-                std::hint::black_box(42);
-            }
-            p.record_ns(1_000);
-            let stat = p.stat();
-            assert_eq!((stat.count, stat.timed), (2, 2));
-            assert!(stat.total_ns() >= 1_000);
-        }
-
-        #[test]
-        fn refetching_shares_the_aggregate() {
-            let t = Telemetry::enabled();
-            t.profiler("site").record_ns(7);
-            t.profiler("site").record_ns(3);
-            assert_eq!(t.profiler("site").stat().count, 2);
-        }
+impl std::fmt::Debug for Profiler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Profiler(count={})", self.stat().count)
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop_profiler::{ProfileSpan, Profiler};
-
-#[cfg(not(feature = "enabled"))]
-mod noop_profiler {
-    use super::ProfileStat;
-
-    /// No-op profiler handle (telemetry compiled out).
-    #[derive(Clone, Copy, Default, Debug)]
-    pub struct Profiler;
-
-    impl Profiler {
-        /// A guard that does nothing on drop.
-        #[inline(always)]
-        pub fn time(&self) -> ProfileSpan {
-            ProfileSpan
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record_ns(&self, _ns: u64) {}
-
-        /// Always zeros.
-        #[inline(always)]
-        pub fn stat(&self) -> ProfileStat {
-            ProfileStat::default()
+impl Profiler {
+    /// Start a scope. It is counted at once; on one scope in
+    /// `TIMING_STRIDE` the clock is read too, and the elapsed wall
+    /// time is recorded when the returned guard drops. Disabled
+    /// handles never read the clock.
+    ///
+    /// The guard is one word, null on every scope that is not timed, so
+    /// dropping it is an inlined null test; the timed scope's state
+    /// lives in a box behind two out-of-line calls.
+    #[inline]
+    pub fn time(&self) -> ProfileSpan {
+        let Some(stat) = &self.0 else {
+            return ProfileSpan(None);
+        };
+        let nth = {
+            let mut s = stat.borrow_mut();
+            s.count += 1;
+            s.count - 1
+        };
+        if nth.is_multiple_of(TIMING_STRIDE) {
+            ProfileSpan(Some(Timed::start(stat)))
+        } else {
+            ProfileSpan(None)
         }
     }
 
-    /// No-op scope guard.
-    #[must_use = "dropping immediately records a ~0ns scope"]
-    #[derive(Clone, Copy)]
-    pub struct ProfileSpan;
+    /// Record an externally measured scope duration (always exact).
+    #[inline]
+    pub fn record_ns(&self, ns: u64) {
+        if let Some(stat) = &self.0 {
+            stat.borrow_mut().record(ns);
+        }
+    }
+
+    /// Snapshot of the aggregate so far (zeros when disabled).
+    pub fn stat(&self) -> ProfileStat {
+        self.0
+            .as_ref()
+            .map_or_else(ProfileStat::default, |s| *s.borrow())
+    }
+}
+
+/// Scope guard returned by [`Profiler::time`]; a timed scope records
+/// its duration on drop.
+#[must_use = "dropping immediately records a ~0ns scope"]
+pub struct ProfileSpan(Option<Box<Timed>>);
+
+/// The one scope in `TIMING_STRIDE` whose duration is measured.
+struct Timed {
+    /// Read just before `started`: their distance is what one clock
+    /// read costs.
+    before: Instant,
+    started: Instant,
+    stat: Rc<RefCell<ProfileStat>>,
+}
+
+impl Timed {
+    #[cold]
+    #[inline(never)]
+    fn start(stat: &Rc<RefCell<ProfileStat>>) -> Box<Timed> {
+        // Boxed before the clock is read for real, so the allocation
+        // stays outside the measured interval.
+        let placeholder = Instant::now();
+        let mut timed = Box::new(Timed {
+            before: placeholder,
+            started: placeholder,
+            stat: Rc::clone(stat),
+        });
+        // Two reads back to back: their distance is what one read
+        // costs, and the scope's own interval will contain as much
+        // again (the tail of `started`, the head of the closing read).
+        // Nothing but the return follows the second.
+        timed.before = Instant::now();
+        timed.started = Instant::now();
+        timed
+    }
+
+    /// Takes the box so that freeing it, too, happens out of line.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::boxed_local)]
+    fn finish(self: Box<Timed>, ended: Instant) {
+        let clock_cost = self.started - self.before;
+        let elapsed = (ended - self.started).saturating_sub(clock_cost);
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.stat.borrow_mut().record_timed(ns);
+    }
+}
+
+impl Drop for ProfileSpan {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(timed) = self.0.take() {
+            // Read here, not in `finish`: fetching that function's cold
+            // code would otherwise be timed as part of the scope, and
+            // scaled by the stride.
+            timed.finish(Instant::now());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     #[test]
     fn stat_aggregates_count_total_min_max() {
@@ -353,5 +250,60 @@ mod tests {
             ..ProfileStat::default()
         };
         assert_eq!(untimed.total_ns(), 0);
+    }
+
+    #[test]
+    fn every_scope_is_counted_and_one_in_stride_is_timed() {
+        let t = Telemetry::enabled();
+        let p = t.profiler("site");
+        for _ in 0..1_000 {
+            let _span = p.time();
+        }
+        let stat = p.stat();
+        assert_eq!(stat.count, 1_000);
+        assert_eq!(stat.timed, 16, "scopes 0, 64, ..., 960");
+        // The estimate scales the timed total up to every scope.
+        assert!(stat.total_ns() >= stat.timed_ns);
+        assert!(stat.min_ns <= stat.mean_ns() && stat.mean_ns() <= stat.max_ns);
+    }
+
+    #[test]
+    fn an_untimed_scope_leaves_one_null_word_to_drop() {
+        assert!(size_of::<ProfileSpan>() <= size_of::<usize>());
+        let p = Telemetry::enabled().profiler("site");
+        assert!(p.time().0.is_some(), "scope 0 is timed");
+        assert!(p.time().0.is_none(), "scope 1 is counted only");
+    }
+
+    #[test]
+    fn disabled_handle_never_reads_the_clock() {
+        let p = Telemetry::disabled().profiler("site");
+        for _ in 0..130 {
+            assert!(p.time().0.is_none(), "a disabled scope took a timestamp");
+        }
+        p.record_ns(5);
+        assert_eq!(p.stat(), ProfileStat::default());
+    }
+
+    #[test]
+    fn scope_guard_records_on_drop() {
+        let t = Telemetry::enabled();
+        let p = t.profiler("unit_test_site");
+        {
+            let _span = p.time();
+            std::hint::black_box(42);
+        }
+        p.record_ns(1_000);
+        let stat = p.stat();
+        assert_eq!((stat.count, stat.timed), (2, 2));
+        assert!(stat.total_ns() >= 1_000);
+    }
+
+    #[test]
+    fn refetching_shares_the_aggregate() {
+        let t = Telemetry::enabled();
+        t.profiler("site").record_ns(7);
+        t.profiler("site").record_ns(3);
+        assert_eq!(t.profiler("site").stat().count, 2);
     }
 }

@@ -2,10 +2,9 @@
 //! (version 0.0.4).
 //!
 //! Like [`crate::report`] this is a pure read-side transform over the JSONL
-//! schema: it compiles and works identically whether the `enabled` feature
-//! is on or off, and whether the lines came from a live registry export,
-//! an [`SloMonitor`](crate::monitor::SloMonitor) export, or a file on
-//! disk. Counters and gauges map 1:1; log-bucketed histograms become
+//! schema: it works identically whether the lines came from a live
+//! registry export, an [`SloMonitor`](crate::monitor::SloMonitor) export,
+//! or a file on disk. Counters and gauges map 1:1; log-bucketed histograms become
 //! cumulative `_bucket{le="..."}` series (each bucket's upper bound is its
 //! `le`) plus `_sum`/`_count`. Journal events and wall-clock profiles have
 //! no exposition equivalent and are skipped.
@@ -249,7 +248,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn live_export_renders_cleanly() {
         let t = crate::Telemetry::enabled();

@@ -1,8 +1,8 @@
 //! Render an exported telemetry JSONL file back into human-readable tables.
 //!
 //! This is the read side of the subsystem: it depends only on the JSONL
-//! schema, not on the live collectors, so it is compiled even when the
-//! `enabled` feature is off and can digest files produced by any build.
+//! schema, not on the live collectors, so it digests a file on disk the
+//! same way as a fresh [`Telemetry::export_jsonl`](crate::Telemetry::export_jsonl).
 
 use qvisor_sim::json::Value;
 
@@ -473,7 +473,6 @@ mod tests {
         assert!(export.counters.is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn roundtrips_live_export() {
         let t = crate::Telemetry::enabled();

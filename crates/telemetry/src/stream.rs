@@ -3,10 +3,9 @@
 //! The control-plane daemon publishes a telemetry snapshot after every
 //! committed reconfiguration; any number of subscribers (TCP sessions
 //! serving `subscribe-telemetry`) receive each published line. The bus is
-//! deliberately minimal and thread-safe without any feature gating — it
-//! carries already-serialised JSON lines, so it works identically whether
-//! the `enabled` telemetry feature is on (real snapshots) or off (empty
-//! exports).
+//! deliberately minimal and thread-safe — it carries already-serialised
+//! JSON lines, so it works identically whether the publisher's registry is
+//! enabled (real snapshots) or disabled (empty exports).
 //!
 //! Delivery is at-most-once per subscriber and never blocks the publisher:
 //! each subscriber owns a **bounded** queue

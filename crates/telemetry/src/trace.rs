@@ -9,11 +9,12 @@
 //! on large runs: whether a flow is sampled is a pure function of
 //! `(seed, flow id)`, so the same run always traces the same flows.
 //!
-//! Like the rest of the crate, the live [`Tracer`] is compiled only with
-//! the `enabled` feature; otherwise a zero-sized twin with the same API
-//! takes its place. The serialized [`TraceData`] model, its JSONL format,
-//! and the [`render_report`] renderer are always compiled so any build can
-//! digest traces produced by any other (mirroring [`crate::report`]).
+//! Like the rest of the crate, tracing is switched off at run time: a
+//! [`Tracer::disabled`] handle holds no ring and each call on it is one
+//! branch. The serialized [`TraceData`] model, its JSONL format, and the
+//! [`render_report`] renderer depend only on that format, so they digest
+//! traces from a file as readily as from a live ring (mirroring
+//! [`crate::report`]).
 //!
 //! Exporters: [`crate::perfetto::export_chrome`] converts a [`TraceData`]
 //! into Chrome trace-event JSON that loads in Perfetto / chrome://tracing;
@@ -21,7 +22,12 @@
 //! inversion timeline.
 
 use qvisor_sim::json::Value;
+use qvisor_sim::rng::stable_hash;
+use qvisor_sim::stats::nearest_rank;
 use qvisor_sim::Nanos;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Label id meaning "no queue/link associated with this span".
 pub const NO_LABEL: u32 = u32::MAX;
@@ -394,282 +400,161 @@ impl TraceData {
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use live_tracer::Tracer;
+#[derive(Default)]
+struct TraceBuf {
+    /// The ring. Its whole `capacity` is reserved by the first record
+    /// — address space, not memory: a tracer that records a few
+    /// hundred spans (one per fuzz case) touches a few pages of a
+    /// default ring's 18.9 MB, and one that fills it never holds a
+    /// half-grown copy beside it or leaves one behind as a hole in the
+    /// heap. It fills by `push`, and from then on the oldest record,
+    /// at `head`, is overwritten in place.
+    records: Vec<TraceRecord>,
+    /// Index of the oldest record once the ring is full; 0 before.
+    head: usize,
+    labels: Vec<String>,
+    label_ids: BTreeMap<String, u32>,
+    dropped: u64,
+}
 
-#[cfg(feature = "enabled")]
-mod live_tracer {
-    use super::{TraceConfig, TraceData, TraceRecord};
-    use qvisor_sim::rng::stable_hash;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::rc::Rc;
+/// The flight recorder. Cheaply cloneable; clones share one buffer.
+/// The default value is *disabled*: sampling answers `false`,
+/// recording is a no-op, and snapshots are empty.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    inner: Option<Rc<RefCell<TraceBuf>>>,
+    capacity: usize,
+    sample_one_in: u64,
+    seed: u64,
+}
 
-    #[derive(Default)]
-    struct TraceBuf {
-        /// The ring. Its whole `capacity` is reserved by the first record
-        /// — address space, not memory: a tracer that records a few
-        /// hundred spans (one per fuzz case) touches a few pages of a
-        /// default ring's 18.9 MB, and one that fills it never holds a
-        /// half-grown copy beside it or leaves one behind as a hole in the
-        /// heap. It fills by `push`, and from then on the oldest record,
-        /// at `head`, is overwritten in place.
-        records: Vec<TraceRecord>,
-        /// Index of the oldest record once the ring is full; 0 before.
-        head: usize,
-        labels: Vec<String>,
-        label_ids: BTreeMap<String, u32>,
-        dropped: u64,
-    }
-
-    /// The flight recorder. Cheaply cloneable; clones share one buffer.
-    /// The default value is *disabled*: sampling answers `false`,
-    /// recording is a no-op, and snapshots are empty.
-    #[derive(Clone, Default)]
-    pub struct Tracer {
-        inner: Option<Rc<RefCell<TraceBuf>>>,
-        capacity: usize,
-        sample_one_in: u64,
-        seed: u64,
-    }
-
-    impl std::fmt::Debug for Tracer {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match &self.inner {
-                Some(b) => write!(f, "Tracer(records={})", b.borrow().records.len()),
-                None => write!(f, "Tracer(disabled)"),
-            }
-        }
-    }
-
-    impl Tracer {
-        /// A recording instance with the given configuration.
-        pub fn enabled(cfg: TraceConfig) -> Tracer {
-            Tracer {
-                inner: Some(Rc::new(RefCell::new(TraceBuf::default()))),
-                capacity: cfg.capacity,
-                sample_one_in: cfg.sample_one_in.max(1),
-                seed: cfg.seed,
-            }
-        }
-
-        /// A non-recording instance (same as `Tracer::default()`).
-        pub fn disabled() -> Tracer {
-            Tracer::default()
-        }
-
-        /// Whether this handle records anything.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// Whether `flow` is in the sampled subset: a pure function of the
-        /// configured seed and the flow id, so reruns trace the same flows.
-        /// Always `false` when disabled.
-        #[inline]
-        pub fn sampled(&self, flow: u64) -> bool {
-            match &self.inner {
-                Some(_) => {
-                    self.sample_one_in <= 1
-                        || stable_hash(&[self.seed, flow]).is_multiple_of(self.sample_one_in)
-                }
-                None => false,
-            }
-        }
-
-        /// Intern a queue/link label, returning its stable id (first-seen
-        /// order). Returns [`super::NO_LABEL`] when disabled.
-        pub fn intern(&self, label: &str) -> u32 {
-            let Some(buf) = &self.inner else {
-                return super::NO_LABEL;
-            };
-            let mut buf = buf.borrow_mut();
-            if let Some(&id) = buf.label_ids.get(label) {
-                return id;
-            }
-            let id = buf.labels.len() as u32;
-            buf.labels.push(label.to_string());
-            buf.label_ids.insert(label.to_string(), id);
-            id
-        }
-
-        /// Append one record, evicting (and counting) the oldest at
-        /// capacity. Callers are expected to have checked
-        /// [`Tracer::sampled`]; recording is unconditional here so
-        /// non-flow records (if any) can still be traced.
-        #[inline]
-        pub fn record(&self, record: TraceRecord) {
-            if let Some(buf) = &self.inner {
-                let buf = &mut *buf.borrow_mut();
-                if buf.records.len() < self.capacity {
-                    if buf.records.capacity() == 0 {
-                        buf.records.reserve_exact(self.capacity);
-                    }
-                    buf.records.push(record);
-                    return;
-                }
-                buf.dropped += 1;
-                // `None` only for a ring of capacity 0, which keeps nothing.
-                if let Some(oldest) = buf.records.get_mut(buf.head) {
-                    *oldest = record;
-                    buf.head += 1;
-                    if buf.head == self.capacity {
-                        buf.head = 0;
-                    }
-                }
-            }
-        }
-
-        /// Records evicted so far (0 when disabled).
-        pub fn dropped(&self) -> u64 {
-            self.inner.as_ref().map_or(0, |b| b.borrow().dropped)
-        }
-
-        /// Records currently retained (0 when disabled).
-        pub fn len(&self) -> usize {
-            self.inner.as_ref().map_or(0, |b| b.borrow().records.len())
-        }
-
-        /// True when nothing is retained.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Snapshot everything recorded so far (empty when disabled).
-        pub fn snapshot(&self) -> TraceData {
-            match &self.inner {
-                Some(buf) => {
-                    let buf = buf.borrow();
-                    let (newest, oldest) = buf.records.split_at(buf.head);
-                    TraceData {
-                        records: [oldest, newest].concat(),
-                        labels: buf.labels.clone(),
-                        dropped: buf.dropped,
-                        capacity: self.capacity as u64,
-                        sample_one_in: self.sample_one_in,
-                        seed: self.seed,
-                    }
-                }
-                None => TraceData::default(),
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::super::{TraceKind, TraceRecord};
-        use super::*;
-        use qvisor_sim::Nanos;
-
-        #[test]
-        fn the_first_record_reserves_the_whole_ring_and_nothing_moves_it() {
-            let t = Tracer::enabled(TraceConfig {
-                capacity: 800,
-                ..TraceConfig::default()
-            });
-            let ring = || {
-                let buf = t.inner.as_ref().unwrap().borrow();
-                (buf.records.as_ptr(), buf.records.capacity())
-            };
-            assert_eq!(ring().1, 0, "an unused tracer owns nothing");
-            let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
-            t.record(record(0));
-            let reserved = ring();
-            assert!(reserved.1 >= 800);
-            (1..2_000).for_each(|i| t.record(record(i)));
-            assert_eq!(
-                ring(),
-                reserved,
-                "filled and overwritten where it was reserved"
-            );
-            assert_eq!((t.len(), t.dropped()), (800, 1_200));
+impl std::fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.inner {
+            Some(b) => write!(f, "Tracer(records={})", b.borrow().records.len()),
+            None => write!(f, "Tracer(disabled)"),
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop_tracer::Tracer;
-
-#[cfg(not(feature = "enabled"))]
-mod noop_tracer {
-    use super::{TraceConfig, TraceData, TraceRecord};
-
-    /// No-op flight recorder (the `enabled` feature is off).
-    #[derive(Clone, Copy, Default)]
-    pub struct Tracer;
-
-    impl std::fmt::Debug for Tracer {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "Tracer(compiled out)")
+impl Tracer {
+    /// A recording instance with the given configuration.
+    pub fn enabled(cfg: TraceConfig) -> Tracer {
+        Tracer {
+            inner: Some(Rc::new(RefCell::new(TraceBuf::default()))),
+            capacity: cfg.capacity,
+            sample_one_in: cfg.sample_one_in.max(1),
+            seed: cfg.seed,
         }
     }
 
-    impl Tracer {
-        /// Still a no-op handle; the feature decides, not the constructor.
-        pub fn enabled(_cfg: TraceConfig) -> Tracer {
-            Tracer
+    /// A non-recording instance (same as `Tracer::default()`).
+    pub fn disabled() -> Tracer {
+        Tracer::default()
+    }
+
+    /// Whether this handle records anything.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// Whether `flow` is in the sampled subset: a pure function of the
+    /// configured seed and the flow id, so reruns trace the same flows.
+    /// Always `false` when disabled.
+    #[inline]
+    pub fn sampled(&self, flow: u64) -> bool {
+        match &self.inner {
+            Some(_) => {
+                self.sample_one_in <= 1
+                    || stable_hash(&[self.seed, flow]).is_multiple_of(self.sample_one_in)
+            }
+            None => false,
         }
+    }
 
-        /// A no-op handle.
-        pub fn disabled() -> Tracer {
-            Tracer
+    /// Intern a queue/link label, returning its stable id (first-seen
+    /// order). Returns [`NO_LABEL`] when disabled.
+    pub fn intern(&self, label: &str) -> u32 {
+        let Some(buf) = &self.inner else {
+            return NO_LABEL;
+        };
+        let mut buf = buf.borrow_mut();
+        if let Some(&id) = buf.label_ids.get(label) {
+            return id;
         }
+        let id = buf.labels.len() as u32;
+        buf.labels.push(label.to_string());
+        buf.label_ids.insert(label.to_string(), id);
+        id
+    }
 
-        /// Always false.
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
+    /// Append one record, evicting (and counting) the oldest at
+    /// capacity. Callers are expected to have checked
+    /// [`Tracer::sampled`]; recording is unconditional here so
+    /// non-flow records (if any) can still be traced.
+    #[inline]
+    pub fn record(&self, record: TraceRecord) {
+        if let Some(buf) = &self.inner {
+            let buf = &mut *buf.borrow_mut();
+            if buf.records.len() < self.capacity {
+                if buf.records.capacity() == 0 {
+                    buf.records.reserve_exact(self.capacity);
+                }
+                buf.records.push(record);
+                return;
+            }
+            buf.dropped += 1;
+            // `None` only for a ring of capacity 0, which keeps nothing.
+            if let Some(oldest) = buf.records.get_mut(buf.head) {
+                *oldest = record;
+                buf.head += 1;
+                if buf.head == self.capacity {
+                    buf.head = 0;
+                }
+            }
         }
+    }
 
-        /// Always false.
-        #[inline(always)]
-        pub fn sampled(&self, _flow: u64) -> bool {
-            false
-        }
+    /// Records evicted so far (0 when disabled).
+    pub fn dropped(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |b| b.borrow().dropped)
+    }
 
-        /// Always [`super::NO_LABEL`].
-        #[inline(always)]
-        pub fn intern(&self, _label: &str) -> u32 {
-            super::NO_LABEL
-        }
+    /// Records currently retained (0 when disabled).
+    pub fn len(&self) -> usize {
+        self.inner.as_ref().map_or(0, |b| b.borrow().records.len())
+    }
 
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _record: TraceRecord) {}
+    /// True when nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
-        /// Always 0.
-        #[inline(always)]
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        /// Always true.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-
-        /// Always empty.
-        pub fn snapshot(&self) -> TraceData {
-            TraceData::default()
+    /// Snapshot everything recorded so far (empty when disabled).
+    pub fn snapshot(&self) -> TraceData {
+        match &self.inner {
+            Some(buf) => {
+                let buf = buf.borrow();
+                let (newest, oldest) = buf.records.split_at(buf.head);
+                TraceData {
+                    records: [oldest, newest].concat(),
+                    labels: buf.labels.clone(),
+                    dropped: buf.dropped,
+                    capacity: self.capacity as u64,
+                    sample_one_in: self.sample_one_in,
+                    seed: self.seed,
+                }
+            }
+            None => TraceData::default(),
         }
     }
 }
 
 /// Nearest-rank `p`-quantile of a sorted slice (`None` if empty).
 fn quantile_sorted(sorted: &[u64], p: f64) -> Option<u64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1) - 1;
-    Some(sorted[rank.min(sorted.len() - 1)])
+    let rank = nearest_rank(p, sorted.len() as u64) as usize;
+    sorted.get(rank - 1).copied()
 }
 
 fn fmt_opt(v: Option<u64>) -> String {
@@ -693,7 +578,6 @@ fn percentile_row(name: String, values: &mut [u64]) -> Vec<String> {
 /// delivery latency per tenant, and the inversion timeline naming the
 /// exact packet pairs that inverted and in which queue.
 pub fn render_report(data: &TraceData) -> String {
-    use std::collections::BTreeMap;
     let mut out = String::new();
     out.push_str(&format!(
         "trace report ({} span(s) retained, {} evicted, sampling 1-in-{}, seed {})\n",
@@ -1045,135 +929,150 @@ mod tests {
         assert!(text.contains("warning: ring buffer overflowed"), "{text}");
     }
 
-    #[cfg(feature = "enabled")]
-    mod live {
-        use super::super::*;
+    #[test]
+    fn disabled_tracer_is_inert() {
+        let t = Tracer::disabled();
+        assert!(!t.is_enabled());
+        assert!(!t.sampled(0));
+        assert_eq!(t.intern("q"), NO_LABEL);
+        t.record(TraceRecord::new(
+            Nanos(1),
+            1,
+            0,
+            0,
+            TraceKind::FlowStart { size: 1 },
+        ));
+        assert!(t.is_empty());
+        assert_eq!(t.snapshot(), TraceData::default());
+    }
 
-        #[test]
-        fn disabled_tracer_is_inert() {
-            let t = Tracer::disabled();
-            assert!(!t.is_enabled());
-            assert!(!t.sampled(0));
-            assert_eq!(t.intern("q"), NO_LABEL);
+    #[test]
+    fn sampling_is_deterministic_and_thins() {
+        let cfg = TraceConfig {
+            sample_one_in: 8,
+            seed: 42,
+            ..TraceConfig::default()
+        };
+        let a = Tracer::enabled(cfg);
+        let b = Tracer::enabled(cfg);
+        let picked: Vec<u64> = (0..1000).filter(|&f| a.sampled(f)).collect();
+        let again: Vec<u64> = (0..1000).filter(|&f| b.sampled(f)).collect();
+        assert_eq!(picked, again, "sampling must be a pure function");
+        assert!(
+            picked.len() > 50 && picked.len() < 250,
+            "1-in-8 of 1000 flows picked {}",
+            picked.len()
+        );
+        // A different seed picks a different subset.
+        let c = Tracer::enabled(TraceConfig { seed: 43, ..cfg });
+        let other: Vec<u64> = (0..1000).filter(|&f| c.sampled(f)).collect();
+        assert_ne!(picked, other);
+        // 1-in-1 samples everything.
+        let all = Tracer::enabled(TraceConfig {
+            sample_one_in: 1,
+            ..TraceConfig::default()
+        });
+        assert!((0..100).all(|f| all.sampled(f)));
+    }
+
+    /// `(retained timestamps, dropped)` after `pushes` records stamped
+    /// `0, 1, 2, …` into a ring of `capacity`.
+    fn ring_after(capacity: usize, pushes: u64) -> (Vec<u64>, u64) {
+        let t = Tracer::enabled(TraceConfig {
+            capacity,
+            ..TraceConfig::default()
+        });
+        for i in 0..pushes {
             t.record(TraceRecord::new(
-                Nanos(1),
-                1,
+                Nanos(i),
+                i,
                 0,
                 0,
-                TraceKind::FlowStart { size: 1 },
+                TraceKind::FlowStart { size: i },
             ));
-            assert!(t.is_empty());
-            assert_eq!(t.snapshot(), TraceData::default());
         }
+        let snap = t.snapshot();
+        assert_eq!(t.len(), snap.records.len());
+        assert_eq!(t.dropped(), snap.dropped);
+        (
+            snap.records.iter().map(|r| r.t.as_nanos()).collect(),
+            snap.dropped,
+        )
+    }
 
-        #[test]
-        fn sampling_is_deterministic_and_thins() {
-            let cfg = TraceConfig {
-                sample_one_in: 8,
-                seed: 42,
-                ..TraceConfig::default()
-            };
-            let a = Tracer::enabled(cfg);
-            let b = Tracer::enabled(cfg);
-            let picked: Vec<u64> = (0..1000).filter(|&f| a.sampled(f)).collect();
-            let again: Vec<u64> = (0..1000).filter(|&f| b.sampled(f)).collect();
-            assert_eq!(picked, again, "sampling must be a pure function");
-            assert!(
-                picked.len() > 50 && picked.len() < 250,
-                "1-in-8 of 1000 flows picked {}",
-                picked.len()
-            );
-            // A different seed picks a different subset.
-            let c = Tracer::enabled(TraceConfig { seed: 43, ..cfg });
-            let other: Vec<u64> = (0..1000).filter(|&f| c.sampled(f)).collect();
-            assert_ne!(picked, other);
-            // 1-in-1 samples everything.
-            let all = Tracer::enabled(TraceConfig {
-                sample_one_in: 1,
-                ..TraceConfig::default()
-            });
-            assert!((0..100).all(|f| all.sampled(f)));
-        }
+    #[test]
+    fn ring_buffer_evicts_oldest_and_counts() {
+        assert_eq!(ring_after(3, 2), (vec![0, 1], 0), "not yet full");
+        assert_eq!(ring_after(3, 3), (vec![0, 1, 2], 0), "exactly full");
+        assert_eq!(ring_after(3, 4), (vec![1, 2, 3], 1), "first overwrite");
+        assert_eq!(ring_after(3, 5), (vec![2, 3, 4], 2));
+        assert_eq!(ring_after(3, 9), (vec![6, 7, 8], 6), "wrapped twice");
+        assert_eq!(ring_after(4, 12), (vec![8, 9, 10, 11], 8));
+        assert_eq!(ring_after(1, 1), (vec![0], 0));
+        assert_eq!(ring_after(1, 4), (vec![3], 3));
+        assert_eq!(ring_after(0, 0), (vec![], 0));
+        assert_eq!(ring_after(0, 4), (vec![], 4), "capacity 0 keeps nothing");
+    }
 
-        /// `(retained timestamps, dropped)` after `pushes` records stamped
-        /// `0, 1, 2, …` into a ring of `capacity`.
-        fn ring_after(capacity: usize, pushes: u64) -> (Vec<u64>, u64) {
-            let t = Tracer::enabled(TraceConfig {
-                capacity,
-                ..TraceConfig::default()
-            });
-            for i in 0..pushes {
-                t.record(TraceRecord::new(
-                    Nanos(i),
-                    i,
-                    0,
-                    0,
-                    TraceKind::FlowStart { size: i },
-                ));
-            }
-            let snap = t.snapshot();
-            assert_eq!(t.len(), snap.records.len());
-            assert_eq!(t.dropped(), snap.dropped);
-            (
-                snap.records.iter().map(|r| r.t.as_nanos()).collect(),
-                snap.dropped,
-            )
-        }
+    #[test]
+    fn clones_share_one_buffer_and_label_table() {
+        let t = Tracer::enabled(TraceConfig::default());
+        let t2 = t.clone();
+        let a = t.intern("n0.p0");
+        let b = t2.intern("n0.p0");
+        assert_eq!(a, b);
+        assert_eq!(t2.intern("n0.p1"), a + 1);
+        t.record(TraceRecord::new(Nanos(1), 1, 0, 0, TraceKind::Enqueue { rank: 5 }).at_label(a));
+        assert_eq!(t2.len(), 1);
+        assert_eq!(
+            t2.snapshot().label_of(&t2.snapshot().records[0]),
+            Some("n0.p0")
+        );
+    }
 
-        #[test]
-        fn ring_buffer_evicts_oldest_and_counts() {
-            assert_eq!(ring_after(3, 2), (vec![0, 1], 0), "not yet full");
-            assert_eq!(ring_after(3, 3), (vec![0, 1, 2], 0), "exactly full");
-            assert_eq!(ring_after(3, 4), (vec![1, 2, 3], 1), "first overwrite");
-            assert_eq!(ring_after(3, 5), (vec![2, 3, 4], 2));
-            assert_eq!(ring_after(3, 9), (vec![6, 7, 8], 6), "wrapped twice");
-            assert_eq!(ring_after(4, 12), (vec![8, 9, 10, 11], 8));
-            assert_eq!(ring_after(1, 1), (vec![0], 0));
-            assert_eq!(ring_after(1, 4), (vec![3], 3));
-            assert_eq!(ring_after(0, 0), (vec![], 0));
-            assert_eq!(ring_after(0, 4), (vec![], 4), "capacity 0 keeps nothing");
-        }
+    #[test]
+    fn snapshot_jsonl_round_trips() {
+        let t = Tracer::enabled(TraceConfig {
+            sample_one_in: 4,
+            seed: 9,
+            ..TraceConfig::default()
+        });
+        let q = t.intern("n1.p2");
+        t.record(TraceRecord::new(Nanos(5), 3, 1, 2, TraceKind::Enqueue { rank: 8 }).at_label(q));
+        t.record(TraceRecord::new(
+            Nanos(9),
+            3,
+            1,
+            2,
+            TraceKind::Deliver { latency_ns: 4 },
+        ));
+        let snap = t.snapshot();
+        let parsed = TraceData::parse(&snap.to_jsonl()).unwrap();
+        assert_eq!(parsed, snap);
+        assert_eq!(parsed.sample_one_in, 4);
+    }
 
-        #[test]
-        fn clones_share_one_buffer_and_label_table() {
-            let t = Tracer::enabled(TraceConfig::default());
-            let t2 = t.clone();
-            let a = t.intern("n0.p0");
-            let b = t2.intern("n0.p0");
-            assert_eq!(a, b);
-            assert_eq!(t2.intern("n0.p1"), a + 1);
-            t.record(
-                TraceRecord::new(Nanos(1), 1, 0, 0, TraceKind::Enqueue { rank: 5 }).at_label(a),
-            );
-            assert_eq!(t2.len(), 1);
-            assert_eq!(
-                t2.snapshot().label_of(&t2.snapshot().records[0]),
-                Some("n0.p0")
-            );
-        }
-
-        #[test]
-        fn snapshot_jsonl_round_trips() {
-            let t = Tracer::enabled(TraceConfig {
-                sample_one_in: 4,
-                seed: 9,
-                ..TraceConfig::default()
-            });
-            let q = t.intern("n1.p2");
-            t.record(
-                TraceRecord::new(Nanos(5), 3, 1, 2, TraceKind::Enqueue { rank: 8 }).at_label(q),
-            );
-            t.record(TraceRecord::new(
-                Nanos(9),
-                3,
-                1,
-                2,
-                TraceKind::Deliver { latency_ns: 4 },
-            ));
-            let snap = t.snapshot();
-            let parsed = TraceData::parse(&snap.to_jsonl()).unwrap();
-            assert_eq!(parsed, snap);
-            assert_eq!(parsed.sample_one_in, 4);
-        }
+    #[test]
+    fn the_first_record_reserves_the_whole_ring_and_nothing_moves_it() {
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 800,
+            ..TraceConfig::default()
+        });
+        let ring = || {
+            let buf = t.inner.as_ref().unwrap().borrow();
+            (buf.records.as_ptr(), buf.records.capacity())
+        };
+        assert_eq!(ring().1, 0, "an unused tracer owns nothing");
+        let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
+        t.record(record(0));
+        let reserved = ring();
+        assert!(reserved.1 >= 800);
+        (1..2_000).for_each(|i| t.record(record(i)));
+        assert_eq!(
+            ring(),
+            reserved,
+            "filled and overwritten where it was reserved"
+        );
+        assert_eq!((t.len(), t.dropped()), (800, 1_200));
     }
 }

@@ -15,8 +15,9 @@ use qvisor::core::{
     UnknownTenantAction,
 };
 use qvisor::ranking::RankRange;
-use qvisor::scheduler::{AuditedQueue, Capacity, PacketQueue};
+use qvisor::scheduler::{Capacity, InstrumentedQueue, PacketQueue};
 use qvisor::sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
+use qvisor::telemetry::Telemetry;
 
 fn main() {
     // Two tenants strictly prioritized over a third.
@@ -101,18 +102,18 @@ fn main() {
     );
     for (name, backend) in backends {
         let queue = backend.build(&joint).unwrap();
-        let mut audited = AuditedQueue::new(queue);
+        let mut queue = InstrumentedQueue::new(queue, &Telemetry::enabled(), name);
         // Interleave enqueue/dequeue (2:1) to mimic an overloaded port.
         let mut out = Vec::new();
         for chunk in stream.chunks(2) {
             for p in chunk {
-                audited.enqueue(p.clone(), Nanos::ZERO);
+                queue.enqueue(p.clone(), Nanos::ZERO);
             }
-            if let Some(p) = audited.dequeue(Nanos::ZERO) {
+            if let Some(p) = queue.dequeue(Nanos::ZERO) {
                 out.push(p);
             }
         }
-        while let Some(p) = audited.dequeue(Nanos::ZERO) {
+        while let Some(p) = queue.dequeue(Nanos::ZERO) {
             out.push(p);
         }
         // Isolation violations: a T3 packet served while T1/T2 wait. Count
@@ -125,10 +126,13 @@ fn main() {
             .iter()
             .filter(|p| p.tenant == TenantId(3))
             .count();
-        let s = audited.stats();
         println!(
             "{:<24}{:>12}{:>12}{:>12}{:>14}",
-            name, s.dequeued, s.dropped, s.inversions, t3_early
+            name,
+            queue.dequeued_count(),
+            queue.dropped_count(),
+            queue.inversion_count(),
+            t3_early
         );
     }
     println!(

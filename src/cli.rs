@@ -263,28 +263,63 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// Cursor over a subcommand's flag arguments: the one loop behind every
+/// `parse_*_flags`.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag [`Self::next_flag`] returned last, for error messages.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The next flag, or `None` once the arguments are used up.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    fn needs(&self, what: &str) -> CliError {
+        CliError::Usage(format!("{} needs {what}", self.flag))
+    }
+
+    /// The current flag's value, or the usage error `<flag> needs <what>`.
+    fn value(&mut self, what: &str) -> Result<&'a str, CliError> {
+        let value = self.args.next().map(String::as_str);
+        value.ok_or_else(|| self.needs(what))
+    }
+
+    /// The current flag's value parsed as `T` and accepted by `ok`.
+    fn parsed<T: std::str::FromStr>(
+        &mut self,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, CliError> {
+        let parsed = self.args.next().and_then(|v| v.parse().ok());
+        parsed.filter(ok).ok_or_else(|| self.needs(what))
+    }
+
+    /// The usage error for the current flag when no arm matched it.
+    fn unknown(&self) -> CliError {
+        CliError::Usage(format!("unknown flag '{}'", self.flag))
+    }
+}
+
 fn parse_compile_flags(args: &[String]) -> Result<(usize, u32), CliError> {
     let mut queues = 8usize;
     let mut rank_bits = 16u32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--queues" => {
-                queues = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| CliError::Usage("--queues needs a number".into()))?;
-                i += 2;
-            }
-            "--rank-bits" => {
-                rank_bits = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&b| (1..=63).contains(&b))
-                    .ok_or_else(|| CliError::Usage("--rank-bits needs 1..=63".into()))?;
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--queues" => queues = flags.parsed("a number", |_| true)?,
+            "--rank-bits" => rank_bits = flags.parsed("1..=63", |b| (1..=63).contains(b))?,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok((queues, rank_bits))
@@ -310,21 +345,12 @@ impl Default for ServeOpts {
 
 fn parse_serve_flags(args: &[String]) -> Result<ServeOpts, CliError> {
     let mut opts = ServeOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                opts.listen = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--listen needs an address".into()))?
-                    .clone();
-                i += 2;
-            }
-            "--deny-warnings" => {
-                opts.deny_warnings = true;
-                i += 1;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--listen" => opts.listen = flags.value("an address")?.to_string(),
+            "--deny-warnings" => opts.deny_warnings = true,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)
@@ -364,38 +390,14 @@ pub struct RunOpts {
 
 fn parse_run_flags(args: &[String]) -> Result<RunOpts, CliError> {
     let mut opts = RunOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--telemetry" => {
-                opts.telemetry = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--telemetry needs a path".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--trace" => {
-                opts.trace = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--trace needs a path".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--monitor" => {
-                opts.monitor = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--monitor needs a path".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--deny-warnings" => {
-                opts.deny_warnings = true;
-                i += 1;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--telemetry" => opts.telemetry = Some(flags.value("a path")?.to_string()),
+            "--trace" => opts.trace = Some(flags.value("a path")?.to_string()),
+            "--monitor" => opts.monitor = Some(flags.value("a path")?.to_string()),
+            "--deny-warnings" => opts.deny_warnings = true,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)
@@ -412,18 +414,12 @@ pub struct CheckOpts {
 
 fn parse_check_flags(args: &[String]) -> Result<CheckOpts, CliError> {
     let mut opts = CheckOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--deny-warnings" => {
-                opts.deny_warnings = true;
-                i += 1;
-            }
-            "--jsonl" => {
-                opts.jsonl = true;
-                i += 1;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--deny-warnings" => opts.deny_warnings = true,
+            "--jsonl" => opts.jsonl = true,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)
@@ -455,41 +451,14 @@ impl Default for FuzzOpts {
 
 fn parse_fuzz_flags(args: &[String]) -> Result<FuzzOpts, CliError> {
     let mut opts = FuzzOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                opts.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| CliError::Usage("--seed needs a number".into()))?;
-                i += 2;
-            }
-            "--cases" => {
-                opts.cases = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&c| c >= 1)
-                    .ok_or_else(|| CliError::Usage("--cases needs a positive number".into()))?;
-                i += 2;
-            }
-            "--jobs" => {
-                opts.jobs = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&j| j >= 1)
-                    .ok_or_else(|| CliError::Usage("--jobs needs a positive number".into()))?;
-                i += 2;
-            }
-            "--out" => {
-                opts.out = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a directory".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => opts.seed = flags.parsed("a number", |_| true)?,
+            "--cases" => opts.cases = flags.parsed("a positive number", |&c| c >= 1)?,
+            "--jobs" => opts.jobs = flags.parsed("a positive number", |&j| j >= 1)?,
+            "--out" => opts.out = Some(flags.value("a directory")?.to_string()),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)
@@ -549,38 +518,14 @@ impl Default for SweepOpts {
 
 fn parse_sweep_flags(args: &[String]) -> Result<SweepOpts, CliError> {
     let mut opts = SweepOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                opts.jobs = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&j| j >= 1)
-                    .ok_or_else(|| CliError::Usage("--jobs needs a positive number".into()))?;
-                i += 2;
-            }
-            "--out" => {
-                opts.out = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a path".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--telemetry" => {
-                opts.telemetry = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--telemetry needs a prefix".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--deny-warnings" => {
-                opts.deny_warnings = true;
-                i += 1;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--jobs" => opts.jobs = flags.parsed("a positive number", |&j| j >= 1)?,
+            "--out" => opts.out = Some(flags.value("a path")?.to_string()),
+            "--telemetry" => opts.telemetry = Some(flags.value("a prefix")?.to_string()),
+            "--deny-warnings" => opts.deny_warnings = true,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)

@@ -15,6 +15,11 @@ fn example(file: &str) -> String {
     std::fs::read_to_string(path).expect("example document exists")
 }
 
+/// A daemon that has not answered, or stopped, after this long has parked
+/// a thread: the test fails naming what it waited for instead of hanging
+/// the run.
+const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(30);
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -23,6 +28,8 @@ struct Client {
 impl Client {
     fn connect(daemon: &Daemon) -> Client {
         let stream = TcpStream::connect(daemon.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(WATCHDOG)).expect("deadline");
+        stream.set_write_timeout(Some(WATCHDOG)).expect("deadline");
         Client {
             reader: BufReader::new(stream.try_clone().expect("clone")),
             writer: stream,
@@ -30,15 +37,28 @@ impl Client {
     }
 
     fn rpc(&mut self, line: &str) -> Value {
-        writeln!(self.writer, "{}", line.trim()).expect("write");
-        self.read()
+        let line = line.trim();
+        writeln!(self.writer, "{line}").unwrap_or_else(|e| panic!("sending {line}: {e}"));
+        self.read(line)
     }
 
-    fn read(&mut self) -> Value {
+    /// The next line the daemon sends; `awaiting` names it on failure.
+    fn read(&mut self, awaiting: &str) -> Value {
         let mut response = String::new();
-        self.reader.read_line(&mut response).expect("read");
+        self.reader
+            .read_line(&mut response)
+            .unwrap_or_else(|e| panic!("no answer to {awaiting}: {e}"));
         Value::parse(response.trim()).expect("response is JSON")
     }
+}
+
+/// Stop the daemon (`Daemon::wait` or `Daemon::shutdown`) on a thread of its
+/// own, under the watchdog.
+fn stopped(daemon: Daemon, stop: fn(Daemon) -> String) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(stop(daemon)));
+    rx.recv_timeout(WATCHDOG)
+        .expect("the daemon parked a thread: not stopped after 30 s")
 }
 
 fn start_daemon() -> (Daemon, DeploymentConfig) {
@@ -77,7 +97,7 @@ fn daemon_lifecycle_with_example_documents() {
     assert_eq!(good.get("result").and_then(Value::as_str), Some("accepted"));
     assert_eq!(good.get("version").and_then(Value::as_u64), Some(2));
 
-    let stream_line = subscriber.read();
+    let stream_line = subscriber.read("the telemetry snapshot");
     assert_eq!(
         stream_line.get("type").and_then(Value::as_str),
         Some("telemetry_snapshot")
@@ -184,7 +204,7 @@ fn daemon_lifecycle_with_example_documents() {
     // One telemetry line per commit since the first read (versions 3..=5),
     // then the terminal stream line.
     for expected_version in [3u64, 4, 5] {
-        let line = subscriber.read();
+        let line = subscriber.read("a telemetry snapshot");
         assert_eq!(
             line.get("type").and_then(Value::as_str),
             Some("telemetry_snapshot")
@@ -194,9 +214,9 @@ fn daemon_lifecycle_with_example_documents() {
             Some(expected_version)
         );
     }
-    let end = subscriber.read();
+    let end = subscriber.read("the end of the stream");
     assert_eq!(end.get("type").and_then(Value::as_str), Some("stream_end"));
-    let summary = daemon.wait();
+    let summary = stopped(daemon, Daemon::wait);
     assert!(summary.contains("4 accepted"), "{summary}");
 }
 
@@ -217,5 +237,5 @@ fn deny_warnings_daemon_is_stricter() {
     let r = client.rpc(&example("submit_good.json"));
     // The good document is warning-free: still accepted.
     assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r:?}");
-    daemon.shutdown();
+    stopped(daemon, Daemon::shutdown);
 }
