@@ -11,19 +11,25 @@
 //!   scheduling a replacement.
 //!
 //! One **measured** pattern replays the mix `fig4_fabric` was recorded
-//! scheduling (8.79 M operations — 4.40 M schedules and as many pops —
-//! 2.6 k pending on average, 3.8 k at most), re-recorded when the output
-//! port stopped scheduling a `PortFree` per transmission:
+//! scheduling (8.26 M operations — 4.13 M schedules and as many pops —
+//! 780 pending on average, 2.3 k at most), re-recorded when a flow started
+//! keeping one retransmission timer instead of one per data packet:
 //!
-//! * `fabric` — ~210 packets in flight; popping an arrival schedules the
+//! * `fabric` — ~180 packets in flight; popping an arrival schedules the
 //!   next arrival one serialization time (128 / 512 / 3 k / 12 k ns) plus
 //!   1 µs later; 47 % of transmissions have a packet waiting behind them
 //!   and schedule the port's `PortFree` at the serialization time (an
-//!   idle port schedules none, which took a quarter of the old mix's
-//!   events with it); one send in nine arms a 500 µs retransmission timer
-//!   that pops stale, so ~7 % of the events are timers and they are most
-//!   of the pending set. Keys and payloads have the netsim's sizes (a
-//!   72-byte entry).
+//!   idle port schedules none); one arrival in 71 arms a flow's
+//!   retransmission timer — 0.9 % of the events, nine in ten of which pop
+//!   live, where a timer per data packet made 6.9 % of them timers that
+//!   popped stale and most of a 2.6 k pending set. The timer is 100 µs
+//!   ahead, not 500: the replay's packets never wait in a port queue, so
+//!   its clock runs ≈ 3× fast, and a flow re-arms for its *earliest*
+//!   unacked deadline (≈ 250 µs ahead on average) — either way the ≈ 50
+//!   flows in flight hold ≈ 50 timers. What is pending is mostly what is
+//!   not due for milliseconds: ~470 flow starts and CBR emissions standing
+//!   in the far tiers behind ~300 near events. Keys and payloads have the
+//!   netsim's sizes (a 72-byte entry).
 //!
 //! Both cores are cross-checked for identical pop checksums on every
 //! pattern before anything is timed, so the bench doubles as a coarse
@@ -78,6 +84,7 @@ fn drain((mut q, _): (EventQueue<u64>, SimRng)) -> u64 {
 /// payload. Key fields are `(class, node, a, b)` as in `EventKey`.
 type FabricQueue = EventQueue<[u64; 4], (u8, u32, u64, u64)>;
 
+const FLOW_EVENT: u8 = 1;
 const PORT_FREE: u8 = 3;
 const ARRIVE: u8 = 4;
 const TIMEOUT: u8 = 2;
@@ -93,19 +100,25 @@ fn fabric_step(q: &mut FabricQueue, rng: &mut SimRng) -> u64 {
         }
         let arrive = (ARRIVE, port, now.as_nanos(), id);
         q.schedule_keyed(now + Nanos(tx + 1_000), arrive, [id; 4]);
-        if rng.below(9) == 0 {
-            q.schedule_keyed(now + Nanos(500_000), (TIMEOUT, port, id, 0), [id; 4]);
+        if rng.below(71) == 0 {
+            q.schedule_keyed(now + Nanos(100_000), (TIMEOUT, port, id, 0), [id; 4]);
         }
     }
     now.as_nanos().wrapping_add(payload[0])
 }
 
-/// A queue in the measured mix's steady state: the packets in flight,
-/// then 600 µs of simulated time so the timer population has saturated.
+/// A queue in the measured mix's steady state: the traffic not yet due
+/// (flow starts and CBR emissions spread over the next 200 ms), the
+/// packets in flight, then 600 µs of simulated time so the timer
+/// population has saturated.
 fn fabric_prefill(core: EventCore, seed: u64) -> (FabricQueue, SimRng) {
     let mut q = FabricQueue::with_core(core);
     let mut rng = SimRng::seed_from(seed);
-    for i in 0..210 {
+    for i in 0..470 {
+        let at = Nanos(1_000_000 + rng.below(200_000_000));
+        q.schedule_keyed(at, (FLOW_EVENT, i, i as u64, 0), [i as u64; 4]);
+    }
+    for i in 0..180 {
         let at = Nanos(rng.below(5_000));
         q.schedule_keyed(at, (ARRIVE, i, 0, i as u64), [i as u64; 4]);
     }
@@ -160,8 +173,8 @@ fn main() {
     let (q, _) = fabric_prefill(EventCore::Wheel, 7);
     let pending = q.len();
     assert!(
-        (2_100..3_300).contains(&pending),
-        "fabric mix drifted from the measured ~2.6 k pending: {pending}"
+        (650..950).contains(&pending),
+        "fabric mix drifted from the measured ~780 pending: {pending}"
     );
     assert_eq!(
         fabric(fabric_prefill(EventCore::Wheel, 7), churn_ops),

@@ -13,10 +13,10 @@ use super::spec::{
 use super::ScenarioError;
 use crate::config::{PreprocScope, QvisorSetup, SchedulerKind, SimConfig};
 use crate::report::SimReport;
-use crate::sim::Simulation;
+use crate::sim::{synthesize_timed, Simulation};
 use qvisor_core::{
-    synthesize, verify, MonitorConfig, Policy, SpecPaths, SynthConfig, TenantSpec,
-    UnknownTenantAction, VerifyReport, ViolationAction,
+    verify, JointPolicy, MonitorConfig, SpecPaths, SynthConfig, TenantSpec, UnknownTenantAction,
+    VerifyReport, ViolationAction,
 };
 use qvisor_ranking::RankRange;
 use qvisor_scheduler::Capacity;
@@ -97,7 +97,7 @@ impl Engine {
         paths: &SpecPaths,
     ) -> Result<VerifyReport, ScenarioError> {
         spec.validate()?;
-        verify_qvisor(spec, paths)
+        Ok(verify_qvisor(spec, paths)?.0)
     }
 
     /// Materialize `spec` into a ready-to-run simulation: topology built,
@@ -108,13 +108,15 @@ impl Engine {
         // Mandatory pre-deployment gate: refuse to materialize a policy
         // the verifier refutes (warn-by-default; `with_deny_warnings`
         // promotes warnings to failures).
-        let report = verify_qvisor(spec, &SpecPaths::scenario())?;
+        let (report, synthesized) = verify_qvisor(spec, &SpecPaths::scenario())?;
         if report.gate_fails(self.deny_warnings) {
             return Err(ScenarioError::Verify(Box::new(report)));
         }
         let (topology, prep) = prepare(spec)?;
         let cfg = self.sim_config(spec, prep.last_arrival);
-        let mut sim = Simulation::new(topology, cfg).map_err(ScenarioError::Build)?;
+        // The joint policy the verifier just passed is the one deployed.
+        let mut sim =
+            Simulation::with_joint(topology, cfg, synthesized).map_err(ScenarioError::Build)?;
         populate(spec, &prep, &mut sim);
         Ok(sim)
     }
@@ -274,6 +276,13 @@ fn populate(spec: &ScenarioSpec, prep: &Prepared, sim: &mut Simulation) {
     for (tenant, rank_fn) in &spec.rank_fns {
         sim.register_rank_fn(TenantId(*tenant), rank_fn.build());
     }
+    let flows = spec.workloads.iter().enumerate().map(|(i, w)| match w {
+        WorkloadSpec::Poisson { .. } => prep.generated[i].as_ref().map_or(0, Vec::len),
+        WorkloadSpec::CbrFleet { .. } => prep.fleets[i].as_ref().map_or(0, Vec::len),
+        WorkloadSpec::Flows { list } => list.len(),
+        WorkloadSpec::Cbr { list } => list.len(),
+    });
+    sim.reserve_flows(flows.sum());
     for (i, w) in spec.workloads.iter().enumerate() {
         match w {
             WorkloadSpec::Poisson { .. } => {
@@ -318,16 +327,19 @@ fn populate(spec: &ScenarioSpec, prep: &Prepared, sim: &mut Simulation) {
 }
 
 /// Synthesize the scenario's QVISOR policy and run the static verifier
-/// over it. Diagnostic spans point into the scenario document
+/// over it, returning the report with the joint policy it judged (and the
+/// wall-clock its synthesis took) for [`Simulation::with_joint`].
+/// Diagnostic spans point into the scenario document
 /// (`qvisor.tenants.N`, `qvisor.policy`, ...).
-fn verify_qvisor(spec: &ScenarioSpec, paths: &SpecPaths) -> Result<VerifyReport, ScenarioError> {
+fn verify_qvisor(
+    spec: &ScenarioSpec,
+    paths: &SpecPaths,
+) -> Result<(VerifyReport, Option<(JointPolicy, u64)>), ScenarioError> {
     let Some(q) = spec.qvisor.as_ref() else {
-        return Ok(VerifyReport::empty());
+        return Ok((VerifyReport::empty(), None));
     };
-    let setup = build_qvisor(q);
-    let policy = Policy::parse(&setup.policy).map_err(ScenarioError::Build)?;
-    let joint = synthesize(&setup.specs, &policy, setup.synth).map_err(ScenarioError::Build)?;
-    Ok(verify(&joint, paths))
+    let (joint, synth_ns) = synthesize_timed(&build_qvisor(q)).map_err(ScenarioError::Build)?;
+    Ok((verify(&joint, paths), Some((joint, synth_ns))))
 }
 
 fn build_topology(spec: &ScenarioSpec) -> (Topology, Vec<NodeId>) {

@@ -45,10 +45,9 @@ impl Simulation {
         match p.kind {
             PacketKind::Data => {
                 let payload = p.size - self.cfg.header_bytes;
-                let fresh = match &mut self.flows[p.flow.index()] {
-                    FlowState::Reliable { receiver, .. } => receiver.on_data(p.seq, payload),
-                    FlowState::Cbr { .. } => unreachable!("data packet on CBR flow"),
-                };
+                // A completed flow has had every sequence delivered.
+                let fresh =
+                    (self.transport(p.flow)).is_some_and(|t| t.receiver.on_data(p.seq, payload));
                 if fresh {
                     self.count_delivery(p.tenant, payload, now);
                 }
@@ -59,18 +58,20 @@ impl Simulation {
                 self.forward(ack.src, ack, now);
             }
             PacketKind::Ack => {
-                let outcome = match &mut self.flows[p.flow.index()] {
-                    FlowState::Reliable { sender, .. } => sender.on_ack(p.seq, now),
-                    FlowState::Cbr { .. } => unreachable!("ACK on CBR flow"),
-                };
+                let outcome = (self.transport(p.flow))
+                    .map(|t| t.sender.on_ack(p.seq, now))
+                    .unwrap_or_default();
                 if let Some(req) = outcome.sends {
-                    self.send_data(p.flow, req, 0, now);
+                    self.send_data(p.flow, req, now);
+                    self.arm_timer(p.flow);
                 }
                 if outcome.completed {
-                    let (def, _) = match &self.flows[p.flow.index()] {
-                        FlowState::Reliable { sender, .. } => (*sender.def(), ()),
-                        FlowState::Cbr { .. } => unreachable!(),
+                    let FlowState::Reliable { def, transport } = &mut self.flows[p.flow.index()]
+                    else {
+                        unreachable!("ACK on a CBR stream")
                     };
+                    *transport = None;
+                    let def = *def;
                     self.report.fct.record(FlowRecord {
                         flow: p.flow,
                         tenant: def.tenant,
@@ -100,8 +101,8 @@ impl Simulation {
             PacketKind::Datagram => {
                 let payload = p.size.saturating_sub(self.cfg.header_bytes);
                 let (met, missed) = match &mut self.flows[p.flow.index()] {
-                    FlowState::Cbr { sink, .. } => {
-                        sink.on_datagram(p.sent_at, p.deadline, now);
+                    FlowState::Cbr(stream) => {
+                        stream.sink.on_datagram(p.sent_at, p.deadline, now);
                         match p.deadline {
                             Some(d) if now <= d => (1, 0),
                             Some(_) => (0, 1),

@@ -11,7 +11,7 @@
 //! * [`mod@self`] — the [`Simulation`] state, construction (including the
 //!   QVISOR synthesis/deployment hookup), and the event dispatch loop;
 //! * `traffic` — traffic sources: reliable flows and CBR streams, packet
-//!   emission, and retransmission timers;
+//!   emission, and each flow's one retransmission timer;
 //! * `forward` — device/port forwarding: the pre-processor and monitor
 //!   hookup, the output-port state machine, and link serialization;
 //! * `deliver` — destination-side delivery, ACK generation, and per-tenant
@@ -35,7 +35,7 @@ mod traffic;
 
 pub use traffic::{NewCbr, NewFlow};
 
-use crate::config::{PreprocScope, SimConfig};
+use crate::config::{PreprocScope, QvisorSetup, SimConfig};
 use crate::report::SimReport;
 use qvisor_core::{JointPolicy, Policy, PreProcessor, QvisorError, RuntimeAdapter, RuntimeMonitor};
 use qvisor_ranking::{RankCtx, RankFn};
@@ -43,8 +43,9 @@ use qvisor_sim::{
     json::Value, stable_hash, EventQueue, FlowId, Nanos, NodeId, Packet, PacketArena, PacketKind,
     PacketSlot, TenantId,
 };
-use qvisor_telemetry::{Profiler, TraceKind, TraceRecord};
+use qvisor_telemetry::Profiler;
 use qvisor_topology::{NodeKind, Routes, Topology};
+use qvisor_transport::Expiry;
 
 use queues::{Port, TenantState};
 use traffic::FlowState;
@@ -61,6 +62,8 @@ pub(in crate::sim) enum Event {
     Arrive {
         node: NodeId,
     },
+    /// `flow`'s one retransmission timer, armed for `seq` — retransmitted
+    /// `attempt` times so far — timing out at the event's instant.
     Timeout {
         flow: FlowId,
         seq: u64,
@@ -177,6 +180,19 @@ pub(in crate::sim) fn arrival_tie(p: &Packet) -> u64 {
     stable_hash(&[p.flow.0, p.seq, kind_tag(&p.kind), p.sent_at.as_nanos()])
 }
 
+/// Parse `setup`'s operator policy and synthesize the joint policy,
+/// returning it with the host wall-clock nanoseconds the synthesis took
+/// (what `runtime_synth_ns` and the `synthesize` profile site report).
+pub(crate) fn synthesize_timed(setup: &QvisorSetup) -> Result<(JointPolicy, u64), QvisorError> {
+    let policy = Policy::parse(&setup.policy)?;
+    // determinism: allowed (self-profiler measures host synthesis cost;
+    // stripped from deterministic exports)
+    let started = std::time::Instant::now(); // determinism: allowed
+    let joint = qvisor_core::synthesize(&setup.specs, &policy, setup.synth)?;
+    let synth_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    Ok((joint, synth_ns))
+}
+
 /// The simulator. Build with [`Simulation::new`], register tenant rank
 /// functions, add traffic, then [`Simulation::run`].
 pub struct Simulation {
@@ -224,15 +240,22 @@ impl Simulation {
     /// Build a simulation over `topo` with `cfg`. Synthesizes and deploys
     /// the QVISOR joint policy when configured.
     pub fn new(topo: Topology, cfg: SimConfig) -> Result<Simulation, QvisorError> {
+        let synthesized = cfg.qvisor.as_ref().map(synthesize_timed).transpose()?;
+        Simulation::with_joint(topo, cfg, synthesized)
+    }
+
+    /// [`Simulation::new`] for a caller that already synthesized
+    /// `cfg.qvisor` with [`synthesize_timed`] (the engine does, to verify
+    /// the policy before it builds): deploys that joint policy instead of
+    /// synthesizing it again.
+    pub(crate) fn with_joint(
+        topo: Topology,
+        cfg: SimConfig,
+        synthesized: Option<(JointPolicy, u64)>,
+    ) -> Result<Simulation, QvisorError> {
         let routes = Routes::compute(&topo);
-        let (joint, preproc, monitor, adapter) = match &cfg.qvisor {
-            Some(setup) => {
-                let policy = Policy::parse(&setup.policy)?;
-                // determinism: allowed (self-profiler measures host
-                // synthesis cost; stripped from deterministic exports)
-                let started = std::time::Instant::now(); // determinism: allowed
-                let joint = qvisor_core::synthesize(&setup.specs, &policy, setup.synth)?;
-                let synth_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let (joint, preproc, monitor, adapter) = match (&cfg.qvisor, synthesized) {
+            (Some(setup), Some((joint, synth_ns))) => {
                 cfg.telemetry
                     .histogram("runtime_synth_ns", &[])
                     .record(synth_ns);
@@ -244,8 +267,13 @@ impl Simulation {
                     .map(|mc| RuntimeMonitor::new(&setup.specs, mc));
                 let adapter = match (cfg.adaptation_interval, setup.monitor) {
                     (Some(_), Some(mc)) => Some(
-                        RuntimeAdapter::new(setup.specs.clone(), policy.clone(), setup.synth, mc)
-                            .with_telemetry(&cfg.telemetry),
+                        RuntimeAdapter::new(
+                            setup.specs.clone(),
+                            joint.policy.clone(),
+                            setup.synth,
+                            mc,
+                        )
+                        .with_telemetry(&cfg.telemetry),
                     ),
                     (Some(_), None) => {
                         return Err(QvisorError::Deployment(
@@ -256,7 +284,7 @@ impl Simulation {
                 };
                 (Some(joint), Some(preproc), monitor, adapter)
             }
-            None => {
+            (None, None) => {
                 if cfg.adaptation_interval.is_some() {
                     return Err(QvisorError::Deployment(
                         "adaptation_interval requires a QVISOR deployment".into(),
@@ -264,6 +292,7 @@ impl Simulation {
                 }
                 (None, None, None, None)
             }
+            _ => unreachable!("a joint policy is synthesized exactly when QVISOR is deployed"),
         };
 
         let (ports, port_base) = queues::build_ports(&topo, &cfg, joint.as_ref())?;
@@ -371,12 +400,20 @@ impl Simulation {
     }
 
     /// Process one popped event. Returns `false` when the caller must not
-    /// count it: a stale no-op — a retransmission timer for an
-    /// already-acknowledged sequence — or a `PortFree`, which `transmit`
-    /// counted when the transmission started. Stale timers are *silently
-    /// skipped*: no `report.events` count, no `end_time` advance, so the
-    /// pinned event counts measure work and not which dead timers happen
-    /// to be pending.
+    /// count it: a dead retransmission timer, or a `PortFree`, which
+    /// `transmit` counted when the transmission started.
+    ///
+    /// A reliable flow keeps one pending `Timeout`, armed for its earliest
+    /// unacked deadline (`arm_timer`), not one per data packet. It is dead
+    /// when its sequence was acknowledged before it fired — the event is
+    /// not chased on ACK, it fires and the flow re-arms for what is then
+    /// earliest — or when a fresh send's earlier deadline superseded it.
+    /// Dead timers are *silently skipped*: no `report.events` count, no
+    /// `end_time` advance, exactly as the stale timers of the
+    /// timer-per-packet scheme were, so the pinned event counts measure
+    /// work and not which dead timers happen to be pending; a timeout that
+    /// finds its sequence unacked pops at the `(time, key)` its packet's
+    /// own timer had and is counted.
     pub(in crate::sim) fn dispatch_event(
         &mut self,
         now: Nanos,
@@ -389,27 +426,7 @@ impl Simulation {
             Event::FlowStart(_) | Event::CbrEmit(_) | Event::Timeout { .. }
         );
         match ev {
-            Event::FlowStart(flow) => {
-                if self.cfg.tracer.sampled(flow.0) {
-                    if let FlowState::Reliable { sender, .. } = &self.flows[flow.index()] {
-                        let def = *sender.def();
-                        self.cfg.tracer.record(TraceRecord::new(
-                            now,
-                            flow.0,
-                            0,
-                            def.tenant.0,
-                            TraceKind::FlowStart { size: def.size },
-                        ));
-                    }
-                }
-                let sends = match &mut self.flows[flow.index()] {
-                    FlowState::Reliable { sender, .. } => sender.on_start(now),
-                    FlowState::Cbr { .. } => unreachable!("FlowStart on CBR"),
-                };
-                for req in sends {
-                    self.send_data(flow, req, 0, now);
-                }
-            }
+            Event::FlowStart(flow) => self.start_flow(flow, now),
             Event::CbrEmit(flow) => self.emit_cbr(flow, now),
             Event::PortFree { node, port } => {
                 self.on_port_free(node, port, now);
@@ -420,14 +437,17 @@ impl Simulation {
                 self.on_arrive(node, p, now);
             }
             Event::Timeout { flow, seq, attempt } => {
-                let req = match &mut self.flows[flow.index()] {
-                    FlowState::Reliable { sender, .. } => sender.on_timeout(seq, now),
-                    FlowState::Cbr { .. } => None,
+                let fired = Expiry {
+                    at: now,
+                    seq,
+                    attempt,
                 };
-                match req {
-                    Some(req) => self.send_data(flow, req, attempt + 1, now),
-                    None => return false,
+                let live = (self.transport(flow)).and_then(|t| t.sender.on_expiry(fired));
+                if let Some(req) = live {
+                    self.send_data(flow, req, now);
                 }
+                self.arm_timer(flow);
+                return live.is_some();
             }
             Event::ControlTick => {
                 self.control_tick(now);

@@ -570,3 +570,91 @@ fn an_observed_idle_port_passes_only_over_an_exact_discipline() {
         }
     }
 }
+
+/// Six flows over a half-rate bottleneck that also loses 3 % of arrivals:
+/// retransmission timers pop live by the hundred, back off, and share
+/// instants with ACKs.
+fn lossy_world(tracer: &qvisor_telemetry::Tracer) -> Simulation {
+    let d = Dumbbell::build(3, gbps(1), 500_000_000, Nanos::from_micros(1));
+    let cfg = SimConfig {
+        random_loss: 0.03,
+        tracer: tracer.clone(),
+        ..base_cfg()
+    };
+    let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
+    sim.register_rank_fn(TenantId(1), Box::new(PFabric::default_datacenter()));
+    for i in 0..6 {
+        sim.add_flow(NewFlow::new(
+            TenantId(1),
+            d.senders[i % 3],
+            d.receivers[(i + 1) % 3],
+            30_000 + 55_000 * i as u64,
+            Nanos::from_micros(40 * i as u64),
+        ));
+    }
+    sim
+}
+
+#[test]
+fn a_lossy_run_equals_the_timer_per_packet_engine() {
+    // Recorded from the commit whose every data packet scheduled its own
+    // retransmission timer: one timer per flow may pop fewer dead timers
+    // and nothing else — the same live timeouts at the same instants, so
+    // the same events, report and trace, byte for byte.
+    let fnv =
+        |text: String| qvisor_sim::stable_hash(&text.bytes().map(u64::from).collect::<Vec<_>>());
+    let tracer = qvisor_telemetry::Tracer::enabled(Default::default());
+    let r = lossy_world(&tracer).run();
+    assert_eq!(r.incomplete_flows, 0);
+    let retransmitted = r.tenant(TenantId(1)).sent_pkts - r.tenant(TenantId(1)).delivered_pkts;
+    assert!(retransmitted > 100, "timeouts popped live: {retransmitted}");
+    assert_eq!(
+        (r.events, r.end_time, r.random_losses),
+        (10_393, Nanos(23_779_280), 165),
+        "event count"
+    );
+    let report = crate::scenario::report_json(&r).to_pretty();
+    assert_eq!(
+        format!("{:016x}", fnv(report)),
+        "ba0d8cb34ae9045e",
+        "report"
+    );
+    let trace = tracer.snapshot().to_jsonl();
+    assert_eq!(format!("{:016x}", fnv(trace)), "35b6ffbc102991af", "trace");
+}
+
+#[test]
+fn pending_events_scale_with_flows_not_packets() {
+    // Mid-run, what is pending is the packets on the wire, the busy ports'
+    // wake-ups, the flows yet to start and the flows' timers — one each,
+    // two when a fresh send undercut a backed-off deadline. A timer per
+    // packet kept every send of the last 500 µs pending: ≈ 40 a flow here.
+    let mut sim = lossy_world(&qvisor_telemetry::Tracer::disabled());
+    let mut checked = 0;
+    for at in (100..6_000).step_by(100) {
+        step_through(&mut sim, Nanos::from_micros(at));
+        let in_flight = |f: &&FlowState| {
+            matches!(
+                f,
+                FlowState::Reliable {
+                    transport: Some(_),
+                    ..
+                }
+            )
+        };
+        let live = sim.flows.iter().filter(in_flight).count() as u64;
+        if live < 3 {
+            continue;
+        }
+        let waking = sim.ports.iter().filter(|p| p.armed).count() as u64;
+        let unstarted = sim.reliable_total - sim.reliable_done - live;
+        let bound = sim.in_flight + waking + unstarted + 2 * live;
+        let pending = sim.events.len() as u64;
+        assert!(
+            pending <= bound,
+            "{pending} pending at {at} µs, {live} flows"
+        );
+        checked += 1;
+    }
+    assert!(checked > 20, "the run was mid-flight {checked} times");
+}

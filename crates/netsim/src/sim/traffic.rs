@@ -1,13 +1,13 @@
 //! Traffic sources: reliable flows and CBR streams, packet emission, and
-//! retransmission timers.
+//! each reliable flow's one retransmission timer.
 
 use super::{arrival_tie, Event, EventKey, Simulation};
 use qvisor_ranking::RankCtx;
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, PacketKind, TenantId};
-use qvisor_telemetry::TraceKind;
+use qvisor_telemetry::{TraceKind, TraceRecord};
 use qvisor_topology::NodeKind;
 use qvisor_transport::{
-    CbrDef, CbrSource, DatagramSink, FlowDef, ReliableReceiver, ReliableSender, SendReq,
+    CbrDef, CbrSource, DatagramSink, Expiry, FlowDef, ReliableReceiver, ReliableSender, SendReq,
 };
 use qvisor_workloads::{GeneratedCbr, GeneratedFlow};
 
@@ -66,20 +66,42 @@ pub struct NewCbr {
     pub deadline_offset: Nanos,
 }
 
+/// One slot of the flow table. A slot is small — the table is written
+/// whole when the traffic is loaded — and what a flow needs only while it
+/// runs hangs off it.
 pub(in crate::sim) enum FlowState {
+    /// A reliable flow. Its transport state exists while it is in flight:
+    /// made by `FlowStart`, before which no packet of the flow exists, and
+    /// dropped when the last byte is acknowledged, after which every data
+    /// packet still in the network is a duplicate and every ACK and timer
+    /// is dead.
     Reliable {
-        sender: ReliableSender,
-        receiver: ReliableReceiver,
+        def: FlowDef,
+        transport: Option<Box<Transport>>,
     },
-    Cbr {
-        source: CbrSource,
-        sink: DatagramSink,
-    },
+    Cbr(Box<CbrStream>),
+}
+
+pub(in crate::sim) struct Transport {
+    pub(in crate::sim) sender: ReliableSender,
+    pub(in crate::sim) receiver: ReliableReceiver,
+}
+
+pub(in crate::sim) struct CbrStream {
+    pub(in crate::sim) source: CbrSource,
+    pub(in crate::sim) sink: DatagramSink,
 }
 
 impl Simulation {
     fn assert_host(&self, n: NodeId) {
         assert_eq!(self.topo.node(n).kind, NodeKind::Host, "{n} is not a host");
+    }
+
+    /// Make room for `additional` flows and streams at once: a flow table
+    /// grown by doubling while the event queue grows beside it is written
+    /// twice over, on pages the build is the first to touch.
+    pub(crate) fn reserve_flows(&mut self, additional: usize) {
+        self.flows.reserve_exact(additional);
     }
 
     /// Add a reliable flow; returns its id.
@@ -100,8 +122,8 @@ impl Simulation {
             weight: f.weight,
         };
         self.flows.push(FlowState::Reliable {
-            sender: ReliableSender::new(def, self.cfg.mss, self.cfg.cwnd),
-            receiver: ReliableReceiver::new(),
+            def,
+            transport: None,
         });
         self.reliable_total += 1;
         self.events.schedule_keyed(
@@ -131,10 +153,10 @@ impl Simulation {
         };
         let source = CbrSource::new(def);
         let first = source.next_at().expect("fresh CBR source has emissions");
-        self.flows.push(FlowState::Cbr {
+        self.flows.push(FlowState::Cbr(Box::new(CbrStream {
             source,
             sink: DatagramSink::new(),
-        });
+        })));
         self.cbr_live += 1;
         self.events.schedule_keyed(
             first,
@@ -171,13 +193,6 @@ impl Simulation {
         })
     }
 
-    /// Retransmission timeout for `attempt` (exponential backoff, capped
-    /// at 16x the base RTO) — bounds spurious retransmissions of packets
-    /// starved behind their own flow's lower-ranked successors.
-    fn rto_for(&self, attempt: u32) -> Nanos {
-        self.cfg.rto * (1u64 << attempt.min(4))
-    }
-
     /// Account one payload packet entering the network.
     fn count_sent(&mut self, tenant: TenantId) {
         let t = self.tenant(tenant);
@@ -186,21 +201,65 @@ impl Simulation {
         self.in_flight += 1;
     }
 
-    /// Emit one data packet of a reliable flow. `attempt` is 0 for fresh
-    /// sends and increments per retransmission of the same sequence.
-    pub(in crate::sim) fn send_data(
-        &mut self,
-        flow: FlowId,
-        req: SendReq,
-        attempt: u32,
-        now: Nanos,
-    ) {
-        let (def, acked) = match &self.flows[flow.index()] {
-            FlowState::Reliable { sender, .. } => {
-                (*sender.def(), sender.def().size - sender.remaining_bytes())
-            }
-            FlowState::Cbr { .. } => unreachable!("send_data on a CBR flow"),
+    /// `flow`'s transport state, while it is in flight.
+    pub(in crate::sim) fn transport(&mut self, flow: FlowId) -> Option<&mut Transport> {
+        match &mut self.flows[flow.index()] {
+            FlowState::Reliable { transport, .. } => transport.as_deref_mut(),
+            FlowState::Cbr(_) => unreachable!("{flow} is a CBR stream"),
+        }
+    }
+
+    /// `FlowStart`: make `flow`'s transport state and send its initial
+    /// window.
+    pub(in crate::sim) fn start_flow(&mut self, flow: FlowId, now: Nanos) {
+        let FlowState::Reliable { def, transport } = &mut self.flows[flow.index()] else {
+            unreachable!("FlowStart on a CBR stream")
         };
+        debug_assert!(transport.is_none(), "{flow} started twice");
+        if self.cfg.tracer.sampled(flow.0) {
+            let kind = TraceKind::FlowStart { size: def.size };
+            let record = TraceRecord::new(now, flow.0, 0, def.tenant.0, kind);
+            self.cfg.tracer.record(record);
+        }
+        let mut sender =
+            ReliableSender::new(*def, self.cfg.mss, self.cfg.cwnd).with_rto(self.cfg.rto);
+        let sends = sender.on_start(now);
+        *transport = Some(Box::new(Transport {
+            sender,
+            receiver: ReliableReceiver::new(),
+        }));
+        for req in sends {
+            self.send_data(flow, req, now);
+        }
+        self.arm_timer(flow);
+    }
+
+    /// Keep `flow`'s one retransmission-timer event pending for its
+    /// earliest unacked deadline: called after anything that sent, and
+    /// schedules only when that deadline undercuts what is already armed
+    /// (`qvisor_transport::reliable`, "The timer"). The event carries the
+    /// `(time, key)` a timer of that packet's own would have had, so a
+    /// timeout that finds its sequence unacked pops exactly where it
+    /// always did.
+    pub(in crate::sim) fn arm_timer(&mut self, flow: FlowId) {
+        let Some(Transport { sender, .. }) = self.transport(flow) else {
+            return; // completed
+        };
+        if let Some(Expiry { at, seq, attempt }) = sender.arm() {
+            let src = sender.def().src;
+            self.events.schedule_keyed(
+                at,
+                EventKey::timeout(src, flow, seq, attempt),
+                (Event::Timeout { flow, seq, attempt }, None),
+            );
+        }
+    }
+
+    /// Emit one data packet of a reliable flow; the caller arms the flow's
+    /// timer once it has sent what it had to send.
+    pub(in crate::sim) fn send_data(&mut self, flow: FlowId, req: SendReq, now: Nanos) {
+        let sender = &self.transport(flow).expect("a sending flow is live").sender;
+        let (def, acked) = (*sender.def(), sender.def().size - sender.remaining_bytes());
         let ctx = RankCtx {
             now,
             flow,
@@ -225,26 +284,13 @@ impl Simulation {
         p.tie = arrival_tie(&p);
         self.trace_pkt(&p, now, TraceKind::RankComputed { rank });
         self.count_sent(def.tenant);
-        let rto = self.rto_for(attempt);
-        self.events.schedule_keyed(
-            now + rto,
-            EventKey::timeout(def.src, flow, req.seq, attempt),
-            (
-                Event::Timeout {
-                    flow,
-                    seq: req.seq,
-                    attempt,
-                },
-                None,
-            ),
-        );
         self.forward(def.src, p, now);
     }
 
     /// Emit one CBR datagram.
     pub(in crate::sim) fn emit_cbr(&mut self, flow: FlowId, now: Nanos) {
         let (def, emission) = match &mut self.flows[flow.index()] {
-            FlowState::Cbr { source, .. } => (*source.def(), source.emit(now)),
+            FlowState::Cbr(stream) => (*stream.source.def(), stream.source.emit(now)),
             FlowState::Reliable { .. } => unreachable!("emit_cbr on a reliable flow"),
         };
         let Some((seq, deadline)) = emission else {
@@ -289,7 +335,7 @@ impl Simulation {
 
         // Schedule the next emission or retire the stream.
         match match &self.flows[flow.index()] {
-            FlowState::Cbr { source, .. } => source.next_at(),
+            FlowState::Cbr(stream) => stream.source.next_at(),
             FlowState::Reliable { .. } => unreachable!(),
         } {
             Some(at) => self.events.schedule_keyed(

@@ -1,7 +1,8 @@
 //! Calendar queue — the O(1) event core behind
 //! [`EventQueue`](crate::EventQueue), sized to the traffic a packet-level
-//! run actually schedules (a few thousand pending events, delays of 80 ns
-//! to 13 µs, one 500 µs retransmission timer per data packet).
+//! run actually schedules (several hundred pending events: delays of 80 ns
+//! to 13 µs, one retransmission timer ≤ 500 µs ahead per flow in flight,
+//! and the flow starts and CBR emissions not due for milliseconds).
 //!
 //! Eiffel's circular find-first-set bucket queue, in four tiers whose lists
 //! are threaded through one slab of nodes:

@@ -531,13 +531,39 @@ fn parse_sweep_flags(args: &[String]) -> Result<SweepOpts, CliError> {
     Ok(opts)
 }
 
+/// An output file, created (truncated) *before* the run whose result it
+/// will hold: a mistyped `--trace /no/such/dir/t.jsonl` fails in
+/// milliseconds with `cannot write <path>`, not after the simulation — or
+/// a sweep's whole grid — has run and its report is thrown away.
+struct OutputFile {
+    path: String,
+    file: std::fs::File,
+}
+
+impl OutputFile {
+    fn create(path: &str) -> Result<OutputFile, CliError> {
+        let path = path.to_string();
+        match std::fs::File::create(&path) {
+            Ok(file) => Ok(OutputFile { path, file }),
+            Err(source) => Err(CliError::Output { path, source }),
+        }
+    }
+
+    fn write(mut self, contents: &str) -> Result<(), CliError> {
+        use std::io::Write as _;
+        self.file
+            .write_all(contents.as_bytes())
+            .map_err(|source| CliError::Output {
+                path: self.path,
+                source,
+            })
+    }
+}
+
 /// Write an output file, reporting the offending path on failure instead
 /// of panicking.
 fn write_output(path: &str, contents: &str) -> Result<(), CliError> {
-    std::fs::write(path, contents).map_err(|source| CliError::Output {
-        path: path.to_string(),
-        source,
-    })
+    OutputFile::create(path)?.write(contents)
 }
 
 /// `qvisor check`: statically verify a policy without running anything.
@@ -687,16 +713,20 @@ pub fn cmd_run(scenario_json: &str, opts: &RunOpts) -> Result<String, CliError> 
         .with_monitor(&monitor)
         .with_deny_warnings(opts.deny_warnings);
     eprint!("{}", verify_banner(&engine, &spec)?);
+    let create = |path: &Option<String>| path.as_deref().map(OutputFile::create).transpose();
+    let telemetry_out = create(&opts.telemetry)?;
+    let trace_out = create(&opts.trace)?;
+    let monitor_out = create(&opts.monitor)?;
     let mut out = String::new();
     let report = engine.run(&spec)?;
-    if let Some(path) = &opts.telemetry {
-        write_output(path, &telemetry.export_jsonl())?;
+    if let Some(file) = telemetry_out {
+        file.write(&telemetry.export_jsonl())?;
     }
-    if let Some(path) = &opts.trace {
-        write_output(path, &tracer.snapshot().to_jsonl())?;
+    if let Some(file) = trace_out {
+        file.write(&tracer.snapshot().to_jsonl())?;
     }
-    if let Some(path) = &opts.monitor {
-        write_output(path, &monitor.export_jsonl())?;
+    if let Some(file) = monitor_out {
+        file.write(&monitor.export_jsonl())?;
     }
     writeln!(
         out,
@@ -712,6 +742,13 @@ pub fn cmd_run(scenario_json: &str, opts: &RunOpts) -> Result<String, CliError> 
 pub fn cmd_sweep(sweep_json: &str, opts: &SweepOpts) -> Result<String, CliError> {
     use qvisor_netsim::scenario::{merged_value, run_sweep};
     let spec = SweepSpec::from_json(sweep_json)?;
+    let snapshots = match &opts.telemetry {
+        Some(prefix) => (spec.points()?.iter())
+            .map(|p| OutputFile::create(&format!("{prefix}.point{}.telemetry.jsonl", p.index)))
+            .collect::<Result<Vec<_>, _>>()?,
+        None => Vec::new(),
+    };
+    let merged_out = opts.out.as_deref().map(OutputFile::create).transpose()?;
     let results = run_sweep(
         &spec,
         opts.jobs,
@@ -719,18 +756,15 @@ pub fn cmd_sweep(sweep_json: &str, opts: &SweepOpts) -> Result<String, CliError>
         opts.deny_warnings,
     )?;
     let mut out = String::new();
-    if let Some(prefix) = &opts.telemetry {
-        for r in &results {
-            let path = format!("{prefix}.point{}.telemetry.jsonl", r.index);
-            write_output(&path, r.telemetry_jsonl.as_deref().unwrap_or(""))?;
-            writeln!(out, "wrote {path}").unwrap();
-        }
+    for (file, r) in snapshots.into_iter().zip(&results) {
+        writeln!(out, "wrote {}", file.path).unwrap();
+        file.write(r.telemetry_jsonl.as_deref().unwrap_or(""))?;
     }
     let merged = format!("{}\n", merged_value(&spec, &results).to_pretty());
-    match &opts.out {
-        Some(path) => {
-            write_output(path, &merged)?;
-            writeln!(out, "wrote {path}").unwrap();
+    match merged_out {
+        Some(file) => {
+            writeln!(out, "wrote {}", file.path).unwrap();
+            file.write(&merged)?;
         }
         None => out.push_str(&merged),
     }

@@ -133,3 +133,46 @@ fn a_matching_fuzz_corpus_document_exits_zero() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("fuzz replay"), "{stdout}");
 }
+
+/// An export path that cannot be written fails *before* the run it would
+/// have exported, with the pinned `cannot write <path>: <os error>` line —
+/// not after the simulation (or a sweep's whole grid), throwing the report
+/// away. The full-size Fig. 4 point and the Fig. 4 grid take far longer
+/// than the bound even in a release build of the simulator alone.
+#[test]
+fn an_unwritable_export_path_fails_before_the_run() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let fig4 = root.join("benchmark/workloads/fig4.json");
+    let grid = root.join("examples/sweeps/fig4_grid.json");
+    let missing = std::env::temp_dir().join(format!("qvisor_no_such_dir_{}", std::process::id()));
+    let target = missing.join("out.jsonl");
+    let target = target.to_str().unwrap();
+    for (cmd, file, flag, path) in [
+        ("run", &fig4, "--telemetry", target.to_string()),
+        ("run", &fig4, "--trace", target.to_string()),
+        ("run", &fig4, "--monitor", target.to_string()),
+        ("sweep", &grid, "--out", target.to_string()),
+        (
+            "sweep",
+            &grid,
+            "--telemetry",
+            format!("{target}.point0.telemetry.jsonl"),
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        let out = qvisor(&[cmd, file.to_str().unwrap(), flag, target]);
+        let took = started.elapsed();
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flag}: {:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("cannot write {path}: ")),
+            "{cmd} {flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} {flag}: printed a report");
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "{cmd} {flag}: {took:?} — it ran the scenario first"
+        );
+    }
+    assert!(!missing.exists());
+}

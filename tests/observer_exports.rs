@@ -182,3 +182,25 @@ fn leaf_spine_4x4_exports_are_pinned() {
 fn weighted_share_exports_are_pinned() {
     assert_exports_pinned("weighted_share");
 }
+
+/// `Engine::build` deploys the joint policy its verifier gate synthesized:
+/// one synthesis a build, so the host-wall-clock lines `sanitize_export`
+/// strips carry exactly one sample of it.
+#[test]
+fn a_build_synthesizes_the_policy_once() {
+    let telemetry = Telemetry::enabled();
+    let engine = Engine::new().with_telemetry(&telemetry);
+    engine.build(&load("weighted_share")).unwrap();
+    let export = telemetry.export_jsonl();
+    let line = |name: &str| {
+        let tag = format!("\"name\":\"{name}\"");
+        let mut lines = export.lines().filter(|line| line.contains(&tag));
+        let line = lines.next().unwrap_or_else(|| panic!("no {name} line"));
+        assert!(lines.next().is_none(), "{name} exported twice");
+        line
+    };
+    assert!(line("runtime_synth_ns").contains("\"count\":1,"));
+    assert!(line("synthesize").contains("\"type\":\"profile\""));
+    assert!(line("synthesize").contains("\"count\":1,"));
+    assert!(line("runtime_transform_version").contains("\"value\":1}"));
+}
