@@ -193,10 +193,25 @@ impl TraceKind {
 }
 
 /// Append `,"key":value` to a JSON object under construction. `key` must
-/// need no escaping (every caller passes a literal).
+/// need no escaping (every caller passes a literal). The integer goes
+/// through a digit buffer, not `core::fmt`: a full ring exports a million
+/// of them inside the measured phase.
 fn push_field(out: &mut String, key: &str, value: u64) {
-    use std::fmt::Write;
-    let _ = write!(out, ",\"{key}\":{value}");
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = value;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&digit| char::from(digit)));
 }
 
 /// One recorded span/event of a sampled packet's lifecycle.
@@ -383,11 +398,15 @@ impl TraceData {
                         }),
                         None => NO_LABEL,
                     };
+                    let tenant = u("tenant");
+                    let tenant = u16::try_from(tenant).map_err(|_| {
+                        format!("line {}: tenant {tenant} out of range", lineno + 1)
+                    })?;
                     data.records.push(TraceRecord {
                         t: Nanos(u("t_ns")),
                         flow: u("flow"),
                         seq: u("seq"),
-                        tenant: u("tenant") as u16,
+                        tenant,
                         ack: v.get("ack").and_then(Value::as_bool).unwrap_or(false),
                         label,
                         kind,
@@ -400,18 +419,202 @@ impl TraceData {
     }
 }
 
+/// One [`TraceRecord`] in one 64-byte ring slot, nothing lost: `t`,
+/// `flow`, `seq`; one word packing `tenant | ack << 16 | kind tag << 17 |
+/// label << 32`; then the kind's payload, up to four words (`Inversion`
+/// needs all four), unused words zero. Eight-byte aligned on purpose: a
+/// `#[repr(align(64))]` slot ran no faster and took the peak RSS of a
+/// fuzz campaign, one default-capacity tracer per case, from 9 to 31–35 MB.
+#[derive(Clone, Copy)]
+struct Slot([u64; 8]);
+
+impl Slot {
+    #[inline]
+    fn pack(r: TraceRecord) -> Slot {
+        let (tag, [p0, p1, p2, p3]) = match r.kind {
+            TraceKind::FlowStart { size } => (0, [size, 0, 0, 0]),
+            TraceKind::RankComputed { rank } => (1, [rank, 0, 0, 0]),
+            TraceKind::Transform { pre, post } => (2, [pre, post, 0, 0]),
+            TraceKind::Enqueue { rank } => (3, [rank, 0, 0, 0]),
+            TraceKind::Dequeue { rank, wait_ns } => (4, [rank, wait_ns, 0, 0]),
+            TraceKind::Drop { rank } => (5, [rank, 0, 0, 0]),
+            TraceKind::Inversion {
+                rank,
+                loser_flow,
+                loser_seq,
+                loser_rank,
+            } => (6, [rank, loser_flow, loser_seq, loser_rank]),
+            TraceKind::TxStart {
+                bytes,
+                tx_ns,
+                prop_ns,
+            } => (7, [bytes, tx_ns, prop_ns, 0]),
+            TraceKind::Deliver { latency_ns } => (8, [latency_ns, 0, 0, 0]),
+            TraceKind::Ack { latency_ns } => (9, [latency_ns, 0, 0, 0]),
+        };
+        let packed = u64::from(r.tenant)
+            | (u64::from(r.ack) << 16)
+            | (tag << 17)
+            | (u64::from(r.label) << 32);
+        Slot([r.t.as_nanos(), r.flow, r.seq, packed, p0, p1, p2, p3])
+    }
+
+    fn unpack(self) -> TraceRecord {
+        let Slot([t, flow, seq, packed, p0, p1, p2, p3]) = self;
+        let kind = match (packed >> 17) & 0xf {
+            0 => TraceKind::FlowStart { size: p0 },
+            1 => TraceKind::RankComputed { rank: p0 },
+            2 => TraceKind::Transform { pre: p0, post: p1 },
+            3 => TraceKind::Enqueue { rank: p0 },
+            4 => TraceKind::Dequeue {
+                rank: p0,
+                wait_ns: p1,
+            },
+            5 => TraceKind::Drop { rank: p0 },
+            6 => TraceKind::Inversion {
+                rank: p0,
+                loser_flow: p1,
+                loser_seq: p2,
+                loser_rank: p3,
+            },
+            7 => TraceKind::TxStart {
+                bytes: p0,
+                tx_ns: p1,
+                prop_ns: p2,
+            },
+            8 => TraceKind::Deliver { latency_ns: p0 },
+            9 => TraceKind::Ack { latency_ns: p0 },
+            tag => unreachable!("slot kind tag {tag} was not written by Slot::pack"),
+        };
+        TraceRecord {
+            t: Nanos(t),
+            flow,
+            seq,
+            tenant: packed as u16,
+            ack: (packed >> 16) & 1 == 1,
+            label: (packed >> 32) as u32,
+            kind,
+        }
+    }
+}
+
+/// The ring of slots, which overwrites its oldest slot around the cache. A
+/// default ring is 16.8 MB and keeps 2 % of what a Fig. 4 run writes into
+/// it, so an ordinary store would read each line for ownership only to
+/// evict the simulator's own working set with it. On x86_64 eight
+/// non-temporal `movnti` stores write the slot instead (SSE2 is part of the
+/// baseline); every other architecture assigns it. Both write the same
+/// bytes.
+///
+/// Streamed stores are weakly ordered, so a [`fence`] must separate them
+/// from any other access to the slots they wrote. Every access to the
+/// slots is in this module, and it fences exactly three times: when `head`
+/// wraps to 0 (before the lap that overwrites those slots again), in
+/// [`Ring::oldest_first`] (before a snapshot reads them) and in `Drop`
+/// (before the allocator gets the memory back). A fence per record ran
+/// 3.6× slower than none at all.
+#[allow(unsafe_code)]
+mod ring {
+    use super::Slot;
+
+    #[derive(Default)]
+    pub(super) struct Ring {
+        /// Its whole capacity is reserved by the first record — address
+        /// space, not memory: a tracer that records a few hundred spans
+        /// (one per fuzz case) touches a few pages of a default ring's
+        /// 16.8 MB, and one that fills it never holds a half-grown copy
+        /// beside it or leaves one behind as a hole in the heap. It fills
+        /// by `push`, and from then on the oldest slot, at `head`, is
+        /// overwritten in place by [`stream`].
+        slots: Vec<Slot>,
+        /// Index of the oldest slot once the ring is full; 0 before.
+        head: usize,
+    }
+
+    impl Ring {
+        /// Keep `slot` in a ring of `capacity`; `true` when that evicted
+        /// the oldest record (at capacity 0: `slot` itself).
+        #[inline]
+        pub(super) fn push(&mut self, capacity: usize, slot: Slot) -> bool {
+            if self.slots.len() < capacity {
+                if self.slots.capacity() == 0 {
+                    self.slots.reserve_exact(capacity);
+                }
+                self.slots.push(slot);
+                return false;
+            }
+            // `None` only for a ring of capacity 0, which keeps nothing.
+            if let Some(oldest) = self.slots.get_mut(self.head) {
+                stream(oldest, slot);
+                self.head += 1;
+                if self.head == capacity {
+                    self.head = 0;
+                    fence();
+                }
+            }
+            true
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.slots.len()
+        }
+
+        /// The retained slots, oldest first.
+        pub(super) fn oldest_first(&self) -> impl Iterator<Item = &Slot> {
+            // Slots overwritten since the last lap are still in flight.
+            fence();
+            let (newest, oldest) = self.slots.split_at(self.head);
+            oldest.iter().chain(newest)
+        }
+
+        /// Where the slots live and how many fit there.
+        #[cfg(test)]
+        pub(super) fn reserved(&self) -> (*const Slot, usize) {
+            (self.slots.as_ptr(), self.slots.capacity())
+        }
+    }
+
+    impl Drop for Ring {
+        fn drop(&mut self) {
+            // The slots go back to the allocator: streamed stores land first.
+            fence();
+        }
+    }
+
+    /// Overwrite `dst` with `src` without bringing `dst` into the cache.
+    #[inline(always)]
+    fn stream(dst: &mut Slot, src: Slot) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        for (word, value) in dst.0.iter_mut().zip(src.0) {
+            // SAFETY: `word` is a live, aligned `&mut u64` inside a slot of
+            // the ring, and SSE2 is statically enabled (the `cfg` above).
+            // The ring is reachable only through a non-`Send` `Rc`, so no
+            // thread but this one can touch it, and this one accesses the
+            // slot again only in this module, after the lap, snapshot or
+            // drop fence.
+            unsafe { core::arch::x86_64::_mm_stream_si64((word as *mut u64).cast(), value as i64) };
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+        {
+            *dst = src;
+        }
+    }
+
+    /// Order every earlier [`stream`] before any later access to memory.
+    #[inline]
+    fn fence() {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        // SAFETY: SSE2, and with it SSE, is statically enabled (the `cfg`
+        // above); `sfence` touches no memory.
+        unsafe {
+            core::arch::x86_64::_mm_sfence()
+        };
+    }
+}
+
 #[derive(Default)]
 struct TraceBuf {
-    /// The ring. Its whole `capacity` is reserved by the first record
-    /// — address space, not memory: a tracer that records a few
-    /// hundred spans (one per fuzz case) touches a few pages of a
-    /// default ring's 18.9 MB, and one that fills it never holds a
-    /// half-grown copy beside it or leaves one behind as a hole in the
-    /// heap. It fills by `push`, and from then on the oldest record,
-    /// at `head`, is overwritten in place.
-    records: Vec<TraceRecord>,
-    /// Index of the oldest record once the ring is full; 0 before.
-    head: usize,
+    ring: ring::Ring,
     labels: Vec<String>,
     label_ids: BTreeMap<String, u32>,
     dropped: u64,
@@ -431,7 +634,7 @@ pub struct Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(b) => write!(f, "Tracer(records={})", b.borrow().records.len()),
+            Some(b) => write!(f, "Tracer(records={})", b.borrow().ring.len()),
             None => write!(f, "Tracer(disabled)"),
         }
     }
@@ -497,21 +700,8 @@ impl Tracer {
     pub fn record(&self, record: TraceRecord) {
         if let Some(buf) = &self.inner {
             let buf = &mut *buf.borrow_mut();
-            if buf.records.len() < self.capacity {
-                if buf.records.capacity() == 0 {
-                    buf.records.reserve_exact(self.capacity);
-                }
-                buf.records.push(record);
-                return;
-            }
-            buf.dropped += 1;
-            // `None` only for a ring of capacity 0, which keeps nothing.
-            if let Some(oldest) = buf.records.get_mut(buf.head) {
-                *oldest = record;
-                buf.head += 1;
-                if buf.head == self.capacity {
-                    buf.head = 0;
-                }
+            if buf.ring.push(self.capacity, Slot::pack(record)) {
+                buf.dropped += 1;
             }
         }
     }
@@ -523,7 +713,7 @@ impl Tracer {
 
     /// Records currently retained (0 when disabled).
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |b| b.borrow().records.len())
+        self.inner.as_ref().map_or(0, |b| b.borrow().ring.len())
     }
 
     /// True when nothing is retained.
@@ -536,9 +726,8 @@ impl Tracer {
         match &self.inner {
             Some(buf) => {
                 let buf = buf.borrow();
-                let (newest, oldest) = buf.records.split_at(buf.head);
                 TraceData {
-                    records: [oldest, newest].concat(),
+                    records: buf.ring.oldest_first().map(|s| s.unpack()).collect(),
                     labels: buf.labels.clone(),
                     dropped: buf.dropped,
                     capacity: self.capacity as u64,
@@ -695,6 +884,8 @@ pub fn render_report(data: &TraceData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qvisor_sim::rng::SimRng;
+    use std::collections::BTreeSet;
 
     fn sample_data() -> TraceData {
         let q = 0u32;
@@ -907,6 +1098,19 @@ mod tests {
         assert!(TraceData::parse("").is_err());
         let err = TraceData::parse("{\"type\":\"trace_meta\"}\nnope\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+        // A tenant id that does not fit `u16` is refused, not truncated.
+        let span = |tenant: u64| {
+            format!(
+                "{{\"type\":\"trace_meta\"}}\n{{\"type\":\"span\",\"t_ns\":1,\"flow\":1,\
+                 \"seq\":0,\"tenant\":{tenant},\"kind\":\"rank\",\"rank\":3}}\n"
+            )
+        };
+        assert_eq!(
+            TraceData::parse(&span(70_001)).unwrap_err(),
+            "line 2: tenant 70001 out of range"
+        );
+        let max = TraceData::parse(&span(u64::from(u16::MAX))).unwrap();
+        assert_eq!(max.records[0].tenant, u16::MAX);
         let ok = TraceData::parse(
             "{\"type\":\"mystery\"}\n{\"type\":\"span\",\"kind\":\"hologram\",\"t_ns\":1}\n",
         )
@@ -975,43 +1179,132 @@ mod tests {
         assert!((0..100).all(|f| all.sampled(f)));
     }
 
-    /// `(retained timestamps, dropped)` after `pushes` records stamped
-    /// `0, 1, 2, …` into a ring of `capacity`.
-    fn ring_after(capacity: usize, pushes: u64) -> (Vec<u64>, u64) {
+    /// Push `records` into a ring of `capacity`, checking after every push
+    /// that it agrees with a `Vec` model — it retains the last `capacity`
+    /// records, oldest first, and counts the rest as dropped — and return
+    /// the final `(retained timestamps, dropped)`.
+    fn ring_after(capacity: usize, records: &[TraceRecord]) -> (Vec<u64>, u64) {
         let t = Tracer::enabled(TraceConfig {
             capacity,
             ..TraceConfig::default()
         });
-        for i in 0..pushes {
-            t.record(TraceRecord::new(
-                Nanos(i),
-                i,
-                0,
-                0,
-                TraceKind::FlowStart { size: i },
-            ));
+        for (i, &record) in records.iter().enumerate() {
+            t.record(record);
+            let model = &records[..=i];
+            let kept = &model[model.len() - model.len().min(capacity)..];
+            let snap = t.snapshot();
+            assert_eq!(snap.records, kept, "capacity {capacity}, push {i}");
+            assert_eq!(t.len(), kept.len(), "capacity {capacity}, push {i}");
+            assert_eq!(t.dropped(), (model.len() - kept.len()) as u64);
+            assert_eq!(snap.dropped, t.dropped());
         }
         let snap = t.snapshot();
-        assert_eq!(t.len(), snap.records.len());
-        assert_eq!(t.dropped(), snap.dropped);
         (
             snap.records.iter().map(|r| r.t.as_nanos()).collect(),
             snap.dropped,
         )
     }
 
+    /// `pushes` records stamped `0, 1, 2, …`.
+    fn stamped(pushes: u64) -> Vec<TraceRecord> {
+        (0..pushes)
+            .map(|i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i }))
+            .collect()
+    }
+
+    /// 0, `u64::MAX` or a random word, a third of the time each.
+    fn any_word(rng: &mut SimRng) -> u64 {
+        match rng.below(3) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.next(),
+        }
+    }
+
+    /// A seeded record of any kind, `ack` either way, labelled `NO_LABEL`,
+    /// `u32::MAX - 1` or 0, with tenant 0, `u16::MAX` or random and every
+    /// `u64` field drawn by [`any_word`].
+    fn any_record(rng: &mut SimRng) -> TraceRecord {
+        let [a, b, c, d] = [(); 4].map(|_| any_word(rng));
+        let kind = match rng.below(10) {
+            0 => TraceKind::FlowStart { size: a },
+            1 => TraceKind::RankComputed { rank: a },
+            2 => TraceKind::Transform { pre: a, post: b },
+            3 => TraceKind::Enqueue { rank: a },
+            4 => TraceKind::Dequeue {
+                rank: a,
+                wait_ns: b,
+            },
+            5 => TraceKind::Drop { rank: a },
+            6 => TraceKind::Inversion {
+                rank: a,
+                loser_flow: b,
+                loser_seq: c,
+                loser_rank: d,
+            },
+            7 => TraceKind::TxStart {
+                bytes: a,
+                tx_ns: b,
+                prop_ns: c,
+            },
+            8 => TraceKind::Deliver { latency_ns: a },
+            _ => TraceKind::Ack { latency_ns: a },
+        };
+        let tenant = [0, u16::MAX, rng.next() as u16][rng.below(3) as usize];
+        TraceRecord::new(
+            Nanos(any_word(rng)),
+            any_word(rng),
+            any_word(rng),
+            tenant,
+            kind,
+        )
+        .at_label([NO_LABEL, u32::MAX - 1, 0][rng.below(3) as usize])
+        .as_ack(rng.below(2) == 1)
+    }
+
     #[test]
     fn ring_buffer_evicts_oldest_and_counts() {
-        assert_eq!(ring_after(3, 2), (vec![0, 1], 0), "not yet full");
-        assert_eq!(ring_after(3, 3), (vec![0, 1, 2], 0), "exactly full");
-        assert_eq!(ring_after(3, 4), (vec![1, 2, 3], 1), "first overwrite");
-        assert_eq!(ring_after(3, 5), (vec![2, 3, 4], 2));
-        assert_eq!(ring_after(3, 9), (vec![6, 7, 8], 6), "wrapped twice");
-        assert_eq!(ring_after(4, 12), (vec![8, 9, 10, 11], 8));
-        assert_eq!(ring_after(1, 1), (vec![0], 0));
-        assert_eq!(ring_after(1, 4), (vec![3], 3));
-        assert_eq!(ring_after(0, 0), (vec![], 0));
-        assert_eq!(ring_after(0, 4), (vec![], 4), "capacity 0 keeps nothing");
+        assert_eq!(ring_after(3, &stamped(2)), (vec![0, 1], 0), "not yet full");
+        assert_eq!(
+            ring_after(3, &stamped(3)),
+            (vec![0, 1, 2], 0),
+            "exactly full"
+        );
+        assert_eq!(
+            ring_after(3, &stamped(4)),
+            (vec![1, 2, 3], 1),
+            "first overwrite"
+        );
+        assert_eq!(ring_after(3, &stamped(5)), (vec![2, 3, 4], 2));
+        assert_eq!(
+            ring_after(3, &stamped(9)),
+            (vec![6, 7, 8], 6),
+            "wrapped twice"
+        );
+        assert_eq!(ring_after(4, &stamped(12)), (vec![8, 9, 10, 11], 8));
+        assert_eq!(ring_after(1, &stamped(1)), (vec![0], 0));
+        assert_eq!(ring_after(1, &stamped(4)), (vec![3], 3));
+        assert_eq!(ring_after(0, &stamped(0)), (vec![], 0));
+        assert_eq!(
+            ring_after(0, &stamped(4)),
+            (vec![], 4),
+            "capacity 0 keeps nothing"
+        );
+
+        // Seeded records of every shape, through twenty laps of each ring.
+        let mut rng = SimRng::seed_from(25);
+        let mut kinds = BTreeSet::new();
+        for capacity in [0, 1, 3, 7, 64] {
+            let records: Vec<TraceRecord> = (0..20 * capacity.max(1) + 3)
+                .map(|_| any_record(&mut rng))
+                .collect();
+            kinds.extend(records.iter().map(|r| r.kind.tag()));
+            ring_after(capacity, &records);
+        }
+        assert_eq!(kinds.len(), 10, "every kind went through a ring");
+        for r in exhaustive_data().records {
+            assert_eq!(Slot::pack(r).unpack(), r);
+        }
     }
 
     #[test]
@@ -1058,10 +1351,7 @@ mod tests {
             capacity: 800,
             ..TraceConfig::default()
         });
-        let ring = || {
-            let buf = t.inner.as_ref().unwrap().borrow();
-            (buf.records.as_ptr(), buf.records.capacity())
-        };
+        let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
         assert_eq!(ring().1, 0, "an unused tracer owns nothing");
         let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
         t.record(record(0));

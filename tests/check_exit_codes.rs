@@ -134,6 +134,30 @@ fn a_matching_fuzz_corpus_document_exits_zero() {
     assert!(stdout.contains("fuzz replay"), "{stdout}");
 }
 
+/// A trace span whose tenant does not fit the 16-bit tenant id is a
+/// malformed line: `trace report` and `trace export` name it and exit 1
+/// instead of rendering the id truncated (70001 would read as T4465).
+#[test]
+fn an_out_of_range_trace_tenant_exits_one() {
+    let path = temp_config(
+        "trace_tenant",
+        "{\"type\":\"trace_meta\",\"schema\":1,\"dropped\":0,\"capacity\":8,\"sample_one_in\":1,\"seed\":1}\n\
+         {\"type\":\"span\",\"t_ns\":5,\"flow\":1,\"seq\":0,\"tenant\":70001,\"queue\":\"n0.p0\",\
+         \"kind\":\"dequeue\",\"rank\":4,\"wait_ns\":9}\n",
+    );
+    for cmd in ["report", "export"] {
+        let out = qvisor(&["trace", cmd, path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "trace {cmd}: {:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("line 2: tenant 70001 out of range"),
+            "trace {cmd}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "trace {cmd}: rendered anyway");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// An export path that cannot be written fails *before* the run it would
 /// have exported, with the pinned `cannot write <path>: <os error>` line —
 /// not after the simulation (or a sweep's whole grid), throwing the report

@@ -183,6 +183,36 @@ fn weighted_share_exports_are_pinned() {
     assert_exports_pinned("weighted_share");
 }
 
+/// No example fills the default ring, so the pins above never overwrite a
+/// slot. A 4 Ki ring wraps ≈ 58× on `fairtree_bound` (the one example with
+/// `inversion` spans) and ≈ 13× on `fault_injection` (`transform`, drops,
+/// retransmissions): together they send every span kind but `flow_start`
+/// (all within each run's first hundred records) through the overwrite.
+/// Recorded at the commit before the ring became 64-byte slots written
+/// with non-temporal stores.
+#[test]
+fn wrapped_ring_exports_are_pinned() {
+    for (scenario, expected) in [
+        ("fairtree_bound", "1c028c0fbd08f2f1"),
+        ("fault_injection", "2ecedd41a6854a14"),
+    ] {
+        let tracer = Tracer::enabled(TraceConfig {
+            capacity: 4096,
+            ..TraceConfig::default()
+        });
+        Engine::new()
+            .with_tracer(&tracer)
+            .run(&load(scenario))
+            .unwrap();
+        assert!(tracer.dropped() > 4096, "{scenario}: the ring did not wrap");
+        assert_eq!(
+            hash(&tracer.snapshot().to_jsonl()),
+            expected,
+            "{scenario}: wrapped trace export"
+        );
+    }
+}
+
 /// `Engine::build` deploys the joint policy its verifier gate synthesized:
 /// one synthesis a build, so the host-wall-clock lines `sanitize_export`
 /// strips carry exactly one sample of it.
