@@ -26,14 +26,19 @@
 //!    the claimed misbehavior (non-monotone pairs must actually invert on
 //!    a PIFO, collapse/overflow pairs must actually collide, cross-tenant
 //!    overlap pairs must actually misorder).
-//! 4. **Queue oracle**: sampled tenant traffic is pushed through an
-//!    `InstrumentedQueue<PifoQueue>` (the exact-PIFO inversion mirror)
-//!    and the drain order is re-checked for cross-tenant strict-level
-//!    inversions. A policy the verifier proved clean must show zero.
+//! 4. **Queue oracle**: sampled tenant traffic is pushed through a bare
+//!    `PifoQueue` and drained once. Every packet is resident before the
+//!    first dequeue, so both counts come from the pop order: a pop is a
+//!    rank inversion iff a later pop has a strictly lower rank (never, on
+//!    an exact PIFO), and a cross-tenant strict-level inversion iff a
+//!    later pop has a strictly lower level. The check keeps no mirror, so
+//!    it is independent of the `RankIndex` the PIFO is built on. A policy
+//!    the verifier proved clean must show zero.
 //! 5. **Scenario oracle**: for non-error verdicts the deployment is
 //!    materialized into a dumbbell [`ScenarioSpec`] and run end-to-end
-//!    through the scenario `Engine` with the flight recorder on; the
-//!    trace is scanned for cross-tenant strict-level inversions.
+//!    through the scenario `Engine` with the flight recorder on; one pass
+//!    over the trace counts cross-tenant strict-level inversions, and a
+//!    trace the recorder evicted from is reported instead of counted.
 //!
 //! Any disagreement is auto-[minimized](minimize::minimize) — tenants
 //! dropped, levels merged, weights and transform parameters pushed toward

@@ -17,15 +17,19 @@
 //!   cross-tenant QV-STRICT-OVERLAP / QV-STRICT-ORDER pair must actually
 //!   misorder two tenants that `>>` promised to isolate.
 //! * **Queue oracle** — sampled inputs from every scheduled tenant are
-//!   pushed through an `InstrumentedQueue<PifoQueue>` (the exact-PIFO
-//!   inversion mirror, which must stay at zero) and the drain order is
-//!   replayed at strict-level granularity through an
-//!   `InstrumentedQueue<FifoQueue>`, whose inversion mirror then counts
-//!   exactly the cross-tenant strict-level inversions of the schedule.
+//!   pushed through a bare `PifoQueue` and drained once. Every packet is
+//!   resident before the first dequeue, so the pop order alone decides
+//!   both counts: dequeue *i* is a rank inversion iff a later pop carries
+//!   a strictly lower transformed rank (must stay zero: the PIFO is
+//!   exact), and a cross-level inversion iff a later pop belongs to a
+//!   strictly higher-priority strict level. Both are suffix minima over
+//!   the pop order. No mirror is involved, so the check shares no code
+//!   with the `RankIndex` the `PifoQueue` itself is built on.
 //! * **Scenario oracle** — non-error deployments are materialized into a
 //!   dumbbell [`ScenarioSpec`] and run through the scenario `Engine` with
-//!   the flight recorder on; the trace is scanned for dequeues that
-//!   overtook a resident packet of a strictly higher-priority tenant.
+//!   the flight recorder on; one pass over the trace finds the dequeues
+//!   that overtook a resident packet of a strictly higher-priority
+//!   tenant. A trace the recorder evicted from is refused, not scanned.
 //!
 //! A policy the verifier proved isolated (no QV-STRICT-* finding at any
 //! severity) must show **zero** cross-tenant inversions in both oracles;
@@ -46,9 +50,9 @@ use qvisor_netsim::scenario::{
     TopologySpec, WorkloadSpec,
 };
 use qvisor_netsim::{Engine, ScenarioSpec};
-use qvisor_scheduler::{Capacity, FifoQueue, InstrumentedQueue, PacketQueue, PifoQueue};
+use qvisor_scheduler::{Capacity, PacketQueue, PifoQueue};
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, TenantId};
-use qvisor_telemetry::{Telemetry, TraceConfig, TraceData, TraceKind, Tracer};
+use qvisor_telemetry::{TraceConfig, TraceData, TraceKind, Tracer};
 
 use crate::gen::{FuzzCase, STREAM_ORACLE, STREAM_PREPROC, STREAM_SCENARIO};
 
@@ -201,9 +205,7 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
                     ));
                 }
             }
-            Err(e) => disagreements.push(format!(
-                "scenario engine refused a deployment the verifier admitted: {e}"
-            )),
+            Err(e) => disagreements.push(e),
         }
     }
 
@@ -362,12 +364,7 @@ fn replay_witness(joint: &JointPolicy, diag: &Diagnostic, disagreements: &mut Ve
 /// Does an exact PIFO holding both packets pop `b` (enqueued second)
 /// first? Demonstrates that `a`'s transformed rank overtakes it.
 fn pifo_pops_b_first(input_a: u64, out_a: u64, input_b: u64, out_b: u64) -> bool {
-    let telemetry = Telemetry::disabled();
-    let mut q = InstrumentedQueue::new(
-        PifoQueue::new(Capacity::UNBOUNDED),
-        &telemetry,
-        "fuzz.witness",
-    );
+    let mut q = PifoQueue::new(Capacity::UNBOUNDED);
     q.enqueue(packet(1, 0, input_a, out_a), Nanos::ZERO);
     q.enqueue(packet(1, 1, input_b, out_b), Nanos::ZERO);
     let first = q.dequeue(Nanos::ZERO).expect("two packets queued");
@@ -391,7 +388,7 @@ fn packet(tenant: u16, seq: u64, input: u64, output: u64) -> Packet {
     p
 }
 
-/// Sample `count` inputs from a declared range.
+/// Sample one input, uniformly, from the declared range `min..=max`.
 fn sample_input(rng: &mut qvisor_sim::SimRng, min: u64, max: u64) -> u64 {
     let span = max - min;
     if span == u64::MAX {
@@ -401,28 +398,30 @@ fn sample_input(rng: &mut qvisor_sim::SimRng, min: u64, max: u64) -> u64 {
     }
 }
 
-/// Drive sampled per-tenant traffic through an exact PIFO and count
-/// cross-tenant strict-level inversions in its drain order.
+/// Strict level of every tenant the verifier placed (0 = highest
+/// priority); a tenant listed twice keeps its last placement.
+fn strict_levels(report: &VerifyReport) -> BTreeMap<u16, u64> {
+    (report.tenants.iter())
+        .map(|t| (t.tenant.0, t.level as u64))
+        .collect()
+}
+
+/// Drive sampled per-tenant traffic through an exact PIFO and count the
+/// inversions of its drain order.
 ///
 /// Returns `(intra-queue txf-rank inversions, cross-tenant strict-level
-/// inversions)`. The first must always be zero (the PIFO is exact); the
-/// second is measured by replaying the pop order into a FIFO whose
-/// mirror ranks are the strict-level indices — FIFO preserves the pop
-/// order, so its `InstrumentedQueue` inversion mirror counts exactly the
-/// dequeues that overtook a resident packet of a strictly
-/// higher-priority (lower-level) tenant.
+/// inversions)`. The first must always be zero (the PIFO is exact). Every
+/// packet is enqueued before the first dequeue, so the packets resident
+/// at dequeue *i* are exactly the later pops, and both counts follow from
+/// the pop order alone ([`drain_order_inversions`]); a tenant without a
+/// strict level ranks below every level.
 fn queue_oracle(case: &FuzzCase, joint: &JointPolicy, report: &VerifyReport) -> (u64, u64) {
     const ROUNDS: u64 = 32;
     let mut rng = case.rng(STREAM_ORACLE);
-    let telemetry = Telemetry::enabled();
-    let mut pifo =
-        InstrumentedQueue::new(PifoQueue::new(Capacity::UNBOUNDED), &telemetry, "fuzz.pifo");
-
-    let mut level_of: BTreeMap<u16, u64> = BTreeMap::new();
+    let mut pifo = PifoQueue::new(Capacity::UNBOUNDED);
     let mut seq = 0;
     for _ in 0..ROUNDS {
         for t in &report.tenants {
-            level_of.insert(t.tenant.0, t.level as u64);
             let Some(chain) = joint.chain(t.tenant) else {
                 continue;
             };
@@ -435,24 +434,30 @@ fn queue_oracle(case: &FuzzCase, joint: &JointPolicy, report: &VerifyReport) -> 
         }
     }
 
-    let mut popped = Vec::new();
+    let level_of = strict_levels(report);
+    let mut pops = Vec::with_capacity(pifo.len());
     while let Some(p) = pifo.dequeue(Nanos::ZERO) {
-        popped.push(p);
+        let level = level_of.get(&p.tenant.0).copied().unwrap_or(u64::MAX);
+        pops.push((p.txf_rank, level));
     }
-    let pifo_inversions = pifo.inversion_count();
+    drain_order_inversions(&pops)
+}
 
-    let mut fifo = InstrumentedQueue::new(
-        FifoQueue::new(Capacity::UNBOUNDED),
-        &telemetry,
-        "fuzz.levels",
-    );
-    for mut p in popped {
-        p.txf_rank = level_of.get(&p.tenant.0).copied().unwrap_or(u64::MAX);
-        fifo.enqueue(p, Nanos::ZERO);
+/// `(rank inversions, level inversions)` of a drain whose `(rank, level)`
+/// pops were all resident before the first one: pop *i* is an inversion
+/// of either kind iff some later pop is strictly lower on that axis. One
+/// backward pass keeps the two suffix minima (`u64::MAX` when nothing
+/// follows, which nothing is strictly below).
+fn drain_order_inversions(pops: &[(u64, u64)]) -> (u64, u64) {
+    let (mut rank_floor, mut level_floor) = (u64::MAX, u64::MAX);
+    let (mut ranks, mut levels) = (0, 0);
+    for &(rank, level) in pops.iter().rev() {
+        ranks += u64::from(rank_floor < rank);
+        levels += u64::from(level_floor < level);
+        rank_floor = rank_floor.min(rank);
+        level_floor = level_floor.min(level);
     }
-    while fifo.dequeue(Nanos::ZERO).is_some() {}
-
-    (pifo_inversions, fifo.inversion_count())
+    (ranks, levels)
 }
 
 /// Materialize the case as a dumbbell scenario: one sender/receiver pair
@@ -523,18 +528,37 @@ fn scenario_spec(case: &FuzzCase) -> ScenarioSpec {
 
 /// Run the case end to end through the scenario `Engine` on an exact
 /// PIFO with the flight recorder on, and count cross-tenant strict-level
-/// inversions in the trace.
+/// inversions in the trace. `Err` is the disagreement to report.
 fn scenario_oracle(case: &FuzzCase, report: &VerifyReport) -> Result<u64, String> {
     let spec = scenario_spec(case);
     let tracer = Tracer::enabled(TraceConfig::default());
     let engine = Engine::new().with_tracer(&tracer);
-    engine.run(&spec).map_err(|e| e.to_string())?;
-    let level_of: BTreeMap<u16, u64> = report
-        .tenants
-        .iter()
-        .map(|t| (t.tenant.0, t.level as u64))
-        .collect();
-    Ok(trace_cross_level_inversions(&tracer.snapshot(), &level_of))
+    engine
+        .run(&spec)
+        .map_err(|e| format!("scenario engine refused a deployment the verifier admitted: {e}"))?;
+    scan_trace(&tracer.snapshot(), &strict_levels(report))
+}
+
+/// Count the cross-level inversions of a complete trace. A trace the
+/// flight recorder evicted records from is refused: a dequeue whose
+/// resident rivals were evicted would pass unseen.
+pub(crate) fn scan_trace(data: &TraceData, level_of: &BTreeMap<u16, u64>) -> Result<u64, String> {
+    if data.dropped > 0 {
+        return Err(format!(
+            "flight recorder evicted {} records: the cross-level scan would be partial",
+            data.dropped
+        ));
+    }
+    Ok(trace_cross_level_inversions(data, level_of))
+}
+
+/// A data packet resident in a traced queue, as the scan knows it.
+#[derive(Clone, Copy)]
+struct Resident {
+    flow: u64,
+    seq: u64,
+    level: u64,
+    rank: u64,
 }
 
 /// Count dequeues in `data` that overtook a resident packet of a
@@ -544,39 +568,70 @@ fn scenario_oracle(case: &FuzzCase, report: &VerifyReport) -> Result<u64, String
 /// lower transformed rank. ACK records and tenants without a strict
 /// level (unscheduled or unknown traffic) are outside the `>>` contract
 /// and are skipped.
+///
+/// One pass over the records. A packet is identified per queue by
+/// `(flow, seq)`: enqueueing one that is still resident replaces its
+/// level and rank, and a dequeue or drop of one that is not resident
+/// removes nothing. A fuzz dumbbell's queues hold a handful of packets
+/// at a dequeue (tens at most), so each is a plain vector searched front
+/// to back, and levels come from a table indexed by tenant id.
 pub(crate) fn trace_cross_level_inversions(data: &TraceData, level_of: &BTreeMap<u16, u64>) -> u64 {
-    /// Resident packets of one labelled queue: (flow, seq) -> (level, rank).
-    type Residency = BTreeMap<(u64, u64), (u64, u64)>;
-    let mut resident: BTreeMap<u32, Residency> = BTreeMap::new();
+    let tenants = level_of
+        .last_key_value()
+        .map_or(0, |(&t, _)| usize::from(t) + 1);
+    let mut level_by_tenant = vec![None; tenants];
+    for (&tenant, &level) in level_of {
+        level_by_tenant[usize::from(tenant)] = Some(level);
+    }
+    // Resident packets by label, in no particular order. Every label a
+    // snapshot holds indexes its table except `NO_LABEL`, which gets the
+    // one queue past the end.
+    let mut queues: Vec<Vec<Resident>> = vec![Vec::new(); data.labels.len() + 1];
     let mut inversions = 0;
     for r in &data.records {
-        if r.ack {
+        let queued = matches!(
+            r.kind,
+            TraceKind::Enqueue { .. } | TraceKind::Dequeue { .. } | TraceKind::Drop { .. }
+        );
+        if !queued || r.ack {
             continue;
         }
-        let Some(&level) = level_of.get(&r.tenant) else {
+        let Some(level) = level_by_tenant
+            .get(usize::from(r.tenant))
+            .copied()
+            .flatten()
+        else {
             continue;
         };
+        let queue = &mut queues[(r.label as usize).min(data.labels.len())];
+        let at = queue
+            .iter()
+            .position(|x| x.flow == r.flow && x.seq == r.seq);
         match r.kind {
             TraceKind::Enqueue { rank } => {
-                resident
-                    .entry(r.label)
-                    .or_default()
-                    .insert((r.flow, r.seq), (level, rank));
-            }
-            TraceKind::Dequeue { rank, .. } => {
-                let queue = resident.entry(r.label).or_default();
-                queue.remove(&(r.flow, r.seq));
-                if queue.values().any(|&(l, rk)| l < level && rk < rank) {
-                    inversions += 1;
+                let resident = Resident {
+                    flow: r.flow,
+                    seq: r.seq,
+                    level,
+                    rank,
+                };
+                match at {
+                    Some(at) => queue[at] = resident,
+                    None => queue.push(resident),
                 }
             }
-            TraceKind::Drop { .. } => {
-                resident
-                    .entry(r.label)
-                    .or_default()
-                    .remove(&(r.flow, r.seq));
+            TraceKind::Dequeue { rank, .. } => {
+                if let Some(at) = at {
+                    queue.swap_remove(at);
+                }
+                inversions += u64::from(queue.iter().any(|x| x.level < level && x.rank < rank));
             }
-            _ => {}
+            // A drop: the packet leaves without overtaking anyone.
+            _ => {
+                if let Some(at) = at {
+                    queue.swap_remove(at);
+                }
+            }
         }
     }
     inversions
@@ -587,6 +642,8 @@ mod tests {
     use super::*;
     use crate::gen::generate_case;
     use qvisor_core::DeploymentConfig;
+    use qvisor_scheduler::{FifoQueue, InstrumentedQueue};
+    use qvisor_telemetry::Telemetry;
 
     fn case_from_json(json: &str) -> FuzzCase {
         FuzzCase {
@@ -633,23 +690,265 @@ mod tests {
     }
 
     #[test]
-    fn the_level_replay_counts_a_planted_cross_level_inversion() {
+    fn the_drain_order_counts_a_planted_cross_level_inversion() {
         // Pop order B(level 1) then A(level 0): by the time B leaves, A
-        // is resident at a strictly higher priority with a lower rank.
+        // is resident at a strictly higher priority.
+        assert_eq!(drain_order_inversions(&[(1, 1), (0, 0)]), (1, 1));
+        assert_eq!(drain_order_inversions(&[(0, 0), (1, 1)]), (0, 0));
+        // Equal ranks and levels overtake nothing.
+        assert_eq!(drain_order_inversions(&[(7, 2), (7, 2)]), (0, 0));
+        assert_eq!(drain_order_inversions(&[]), (0, 0));
+    }
+
+    /// The queue oracle before it read its counts off the pop order: the
+    /// drain went through an `InstrumentedQueue<PifoQueue>` and was then
+    /// replayed, at strict-level granularity, through an
+    /// `InstrumentedQueue<FifoQueue>`; each wrapper's inversion mirror
+    /// gave one count.
+    fn reference_queue_oracle(
+        case: &FuzzCase,
+        joint: &JointPolicy,
+        report: &VerifyReport,
+    ) -> (u64, u64) {
+        const ROUNDS: u64 = 32;
+        let mut rng = case.rng(STREAM_ORACLE);
         let telemetry = Telemetry::enabled();
-        let mut fifo =
-            InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &telemetry, "t.levels");
-        fifo.enqueue(packet(2, 0, 5, 1), Nanos::ZERO); // level 1 popped first
-        fifo.enqueue(packet(1, 1, 3, 0), Nanos::ZERO); // level 0 still waiting
+        let mut pifo =
+            InstrumentedQueue::new(PifoQueue::new(Capacity::UNBOUNDED), &telemetry, "fuzz.pifo");
+
+        let mut level_of: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut seq = 0;
+        for _ in 0..ROUNDS {
+            for t in &report.tenants {
+                level_of.insert(t.tenant.0, t.level as u64);
+                let Some(chain) = joint.chain(t.tenant) else {
+                    continue;
+                };
+                let input = sample_input(&mut rng, t.declared.min, t.declared.max);
+                pifo.enqueue(
+                    packet(t.tenant.0, seq, input, chain.apply(input)),
+                    Nanos::ZERO,
+                );
+                seq += 1;
+            }
+        }
+
+        let mut popped = Vec::new();
+        while let Some(p) = pifo.dequeue(Nanos::ZERO) {
+            popped.push(p);
+        }
+        let pifo_inversions = pifo.inversion_count();
+
+        let mut fifo = InstrumentedQueue::new(
+            FifoQueue::new(Capacity::UNBOUNDED),
+            &telemetry,
+            "fuzz.levels",
+        );
+        for mut p in popped {
+            p.txf_rank = level_of.get(&p.tenant.0).copied().unwrap_or(u64::MAX);
+            fifo.enqueue(p, Nanos::ZERO);
+        }
         while fifo.dequeue(Nanos::ZERO).is_some() {}
-        assert_eq!(fifo.inversion_count(), 1);
+
+        (pifo_inversions, fifo.inversion_count())
+    }
+
+    /// The reference's mirrors fed an arbitrary pop order: a FIFO replays
+    /// the order, so at every dequeue its mirror holds exactly the later
+    /// pops, as the PIFO wrapper's did for the PIFO's own order.
+    fn reference_drain_counts(pops: &[(u64, u64)]) -> (u64, u64) {
+        let telemetry = Telemetry::enabled();
+        let mirror = |axis: fn(&(u64, u64)) -> u64, label: &str| {
+            let mut fifo =
+                InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &telemetry, label);
+            for (seq, pop) in pops.iter().enumerate() {
+                fifo.enqueue(packet(1, seq as u64, 0, axis(pop)), Nanos::ZERO);
+            }
+            while fifo.dequeue(Nanos::ZERO).is_some() {}
+            fifo.inversion_count()
+        };
+        (mirror(|p| p.0, "t.ranks"), mirror(|p| p.1, "t.levels"))
     }
 
     #[test]
-    fn the_scenario_oracle_sees_a_nonempty_schedule() {
-        // Guard against a vacuous oracle: the materialized dumbbell run
-        // must actually enqueue and dequeue data packets of every
-        // scheduled tenant through the traced queues.
+    fn drain_order_counts_equal_the_instrumented_mirrors_on_random_pop_orders() {
+        let mut rng = qvisor_sim::SimRng::seed_from(26);
+        let (mut planted, mut ties, mut unplaced) = ((0, 0), 0, 0);
+        for order in 0..1_200 {
+            let pops: Vec<(u64, u64)> = (0..rng.below(64))
+                .map(|_| {
+                    // Few distinct values on both sides of the mirror's
+                    // dense rank range, and levels no tenant holds.
+                    let rank = [rng.below(4), 4_090 + rng.below(12), u64::MAX - rng.below(2)]
+                        [rng.below(3) as usize];
+                    let level = [rng.below(3), u64::MAX][usize::from(rng.below(5) == 0)];
+                    (rank, level)
+                })
+                .collect();
+            let counts = drain_order_inversions(&pops);
+            assert_eq!(
+                counts,
+                reference_drain_counts(&pops),
+                "order {order}: {pops:?}"
+            );
+            planted = (planted.0 + counts.0, planted.1 + counts.1);
+            ties += pops.windows(2).filter(|w| w[0].0 == w[1].0).count();
+            unplaced += pops.iter().filter(|p| p.1 == u64::MAX).count();
+        }
+        assert!(
+            planted.0 > 0 && planted.1 > 0,
+            "no inversion planted: {planted:?}"
+        );
+        assert!(
+            ties > 0 && unplaced > 0,
+            "ties {ties}, u64::MAX levels {unplaced}"
+        );
+    }
+
+    #[test]
+    fn the_queue_oracle_equals_the_instrumented_reference_on_generated_cases() {
+        // Every verdict, errors included, and each report a second time
+        // with its strict levels reversed, so that the drain does cross
+        // levels: the synthesized bands keep every tenant where the
+        // verifier placed it.
+        let mut cross = 0;
+        for index in 0..96 {
+            let case = generate_case(crate::DEFAULT_SEED, index);
+            let Ok(joint) = case.config.synthesize() else {
+                continue;
+            };
+            let mut report = verify(&joint, &SpecPaths::config());
+            for reversed in [false, true] {
+                if reversed {
+                    let deepest = report.tenants.iter().map(|t| t.level).max();
+                    for t in &mut report.tenants {
+                        t.level = deepest.unwrap_or(0) - t.level;
+                    }
+                }
+                let counts = queue_oracle(&case, &joint, &report);
+                assert_eq!(
+                    counts,
+                    reference_queue_oracle(&case, &joint, &report),
+                    "case {index}, reversed {reversed}"
+                );
+                assert_eq!(counts.0, 0, "case {index}: the PIFO is exact");
+                cross += counts.1;
+            }
+        }
+        assert!(cross > 0, "no case crossed a strict level");
+    }
+
+    /// The trace scan before it was one pass: nested maps, label ->
+    /// (flow, seq) -> (level, rank), searched in full at every dequeue.
+    fn reference_trace_scan(data: &TraceData, level_of: &BTreeMap<u16, u64>) -> u64 {
+        type Residency = BTreeMap<(u64, u64), (u64, u64)>;
+        let mut resident: BTreeMap<u32, Residency> = BTreeMap::new();
+        let mut inversions = 0;
+        for r in &data.records {
+            if r.ack {
+                continue;
+            }
+            let Some(&level) = level_of.get(&r.tenant) else {
+                continue;
+            };
+            match r.kind {
+                TraceKind::Enqueue { rank } => {
+                    resident
+                        .entry(r.label)
+                        .or_default()
+                        .insert((r.flow, r.seq), (level, rank));
+                }
+                TraceKind::Dequeue { rank, .. } => {
+                    let queue = resident.entry(r.label).or_default();
+                    queue.remove(&(r.flow, r.seq));
+                    if queue.values().any(|&(l, rk)| l < level && rk < rank) {
+                        inversions += 1;
+                    }
+                }
+                TraceKind::Drop { .. } => {
+                    resident
+                        .entry(r.label)
+                        .or_default()
+                        .remove(&(r.flow, r.seq));
+                }
+                _ => {}
+            }
+        }
+        inversions
+    }
+
+    /// A random trace over few flows, sequence numbers and labels, so that
+    /// re-enqueues of resident packets, dequeues and drops of absent ones,
+    /// ACKs, unplaced tenants and `NO_LABEL` records all occur.
+    fn random_trace(rng: &mut qvisor_sim::SimRng) -> TraceData {
+        use qvisor_telemetry::{trace::NO_LABEL, TraceRecord};
+        let records = (0..rng.below(400))
+            .map(|i| {
+                let rank = [rng.below(5), u64::MAX][usize::from(rng.below(8) == 0)];
+                let kind = match rng.below(8) {
+                    0..=2 => TraceKind::Enqueue { rank },
+                    3..=5 => TraceKind::Dequeue { rank, wait_ns: i },
+                    6 => TraceKind::Drop { rank },
+                    _ => TraceKind::TxStart {
+                        bytes: rank,
+                        tx_ns: 1,
+                        prop_ns: 1,
+                    },
+                };
+                let label = [0, 1, 2, NO_LABEL][rng.below(4) as usize];
+                let tenant = 1 + rng.below(4) as u16;
+                TraceRecord::new(Nanos(i), rng.below(3), rng.below(4), tenant, kind)
+                    .at_label(label)
+                    .as_ack(rng.below(6) == 0)
+            })
+            .collect();
+        TraceData {
+            records,
+            labels: vec!["q0".into(), "q1".into(), "q2".into()],
+            ..TraceData::default()
+        }
+    }
+
+    #[test]
+    fn the_one_pass_scan_equals_the_nested_map_scan_on_random_traces() {
+        // Tenant 4 has no strict level; 2 and 3 share one.
+        let level_of = BTreeMap::from([(1, 0), (2, 1), (3, 1)]);
+        let mut rng = qvisor_sim::SimRng::seed_from(26);
+        let mut total = 0;
+        for trace in 0..300 {
+            let data = random_trace(&mut rng);
+            let count = trace_cross_level_inversions(&data, &level_of);
+            assert_eq!(
+                count,
+                reference_trace_scan(&data, &level_of),
+                "trace {trace}"
+            );
+            assert_eq!(scan_trace(&data, &level_of), Ok(count));
+            total += count;
+        }
+        assert!(total > 0, "no generated trace holds an inversion");
+    }
+
+    #[test]
+    fn a_trace_the_recorder_evicted_from_is_refused() {
+        let level_of = BTreeMap::from([(1, 0), (2, 1)]);
+        let truncated = TraceData {
+            dropped: 1,
+            ..TraceData::default()
+        };
+        assert_eq!(
+            scan_trace(&truncated, &level_of),
+            Err(
+                "flight recorder evicted 1 records: the cross-level scan would be partial"
+                    .to_string()
+            )
+        );
+        assert_eq!(scan_trace(&TraceData::default(), &level_of), Ok(0));
+    }
+
+    /// Generated case 0 with its config replaced by a two-tenant `A >> B`
+    /// deployment whose flows share the dumbbell's bottleneck.
+    fn a_over_b_case() -> FuzzCase {
         let mut case = generate_case(crate::DEFAULT_SEED, 0);
         case.config = DeploymentConfig::from_json(
             r#"{
@@ -677,7 +976,43 @@ mod tests {
                 },
             ),
         ];
-        let spec = scenario_spec(&case);
+        case
+    }
+
+    #[test]
+    fn both_scans_count_the_inversions_of_a_contended_fifo_dumbbell() {
+        // A FIFO bottleneck ignores `>>`: B's packets leave ahead of A's
+        // that queued behind them. The scan must see it, not just agree.
+        let case = a_over_b_case();
+        let joint = case.config.synthesize().unwrap();
+        let level_of = strict_levels(&verify(&joint, &SpecPaths::config()));
+        let mut spec = scenario_spec(&case);
+        spec.scheduler = SchedulerSpec::Fifo;
+        // B's flow starts first and fills the bottleneck; A's joins it.
+        let WorkloadSpec::Flows { list } = &mut spec.workloads[0] else {
+            unreachable!("scenario_spec declares one flow list")
+        };
+        for flow in list.iter_mut() {
+            flow.size = 50_000;
+            flow.start_ns = if flow.tenant == 2 { 0 } else { 10_000 };
+        }
+        let tracer = Tracer::enabled(TraceConfig::default());
+        Engine::new().with_tracer(&tracer).run(&spec).unwrap();
+        let data = tracer.snapshot();
+        let count = scan_trace(&data, &level_of).unwrap();
+        assert_eq!(count, reference_trace_scan(&data, &level_of));
+        assert!(
+            count > 0,
+            "the FIFO dumbbell showed no cross-level inversion"
+        );
+    }
+
+    #[test]
+    fn the_scenario_oracle_sees_a_nonempty_schedule() {
+        // Guard against a vacuous oracle: the materialized dumbbell run
+        // must actually enqueue and dequeue data packets of every
+        // scheduled tenant through the traced queues.
+        let spec = scenario_spec(&a_over_b_case());
         let tracer = Tracer::enabled(TraceConfig::default());
         Engine::new().with_tracer(&tracer).run(&spec).unwrap();
         let data = tracer.snapshot();
