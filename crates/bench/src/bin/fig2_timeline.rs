@@ -13,8 +13,8 @@
 //! Usage: cargo run -p qvisor-bench --release --bin fig2_timeline
 
 use qvisor_core::{
-    analyze, synthesize, MonitorConfig, Policy, RuntimeAdapter, RuntimeMonitor, SynthConfig,
-    TenantSpec, ViolationAction,
+    synthesize, verify, MonitorConfig, Policy, RuntimeAdapter, RuntimeMonitor, SpecPaths,
+    SynthConfig, TenantSpec, ViolationAction,
 };
 use qvisor_ranking::{RankFnSpec, RankRange};
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
@@ -67,8 +67,7 @@ fn control_plane_timeline() {
         joint.output_span(),
         initial_synth
     );
-    let report = analyze(&joint);
-    assert!(report.all_guarantees_hold());
+    assert!(verify(&joint, &SpecPaths::config()).guarantees_hold());
 
     // Timeline: packets observed by the monitor, with control-plane ticks
     // interleaved causally. Phase A (t < t1): T1 + T2 active.
@@ -119,8 +118,7 @@ fn control_plane_timeline() {
         .expect("re-synthesis succeeds")
         .expect("T3 remains");
     let resynth = t1.elapsed();
-    let report = analyze(&new_joint);
-    assert!(report.all_guarantees_hold());
+    assert!(verify(&new_joint, &SpecPaths::config()).guarantees_hold());
 
     let before = joint.output_span();
     let after = new_joint.output_span();

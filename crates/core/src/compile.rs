@@ -7,8 +7,8 @@
 //! fit, it degrades the specification along explicit, ranked
 //! [`Concession`]s — the paper's "propose partial specifications
 //! implementable on the available resources" — and returns the final
-//! configuration *together with* the concessions made and the verified
-//! guarantees report, so the operator can see exactly what they got.
+//! configuration *together with* the concessions made and the verifier's
+//! report on it, so the operator can see exactly what they got.
 //!
 //! Degradation ladder (applied in order, cheapest semantic loss first):
 //!
@@ -25,12 +25,12 @@
 //! group's interleaved band is wider than the preference chain it would
 //! replace, so it never helps fit.)
 
-use crate::analysis::{analyze, PolicyReport};
 use crate::backend::{Backend, SpAdaptation};
 use crate::error::{QvisorError, Result};
 use crate::policy::Policy;
 use crate::spec::{SynthConfig, TenantSpec};
 use crate::synth::{synthesize, JointPolicy};
+use crate::verify::{verify, SpecPaths, VerifyReport};
 use qvisor_scheduler::Capacity;
 use std::fmt;
 
@@ -104,8 +104,8 @@ pub struct CompiledDeployment {
     pub backend: Backend,
     /// Concessions made, in the order they were applied (empty = faithful).
     pub concessions: Vec<Concession>,
-    /// Verified guarantees of the deployed policy.
-    pub guarantees: PolicyReport,
+    /// The verifier's report on the deployed policy.
+    pub guarantees: VerifyReport,
 }
 
 /// Compile `specs` + `policy` onto `hw`, degrading per the ladder above.
@@ -183,7 +183,7 @@ pub fn compile(
         };
         // Sanity: the banded mapper must accept it now.
         backend.build(&joint)?;
-        let guarantees = analyze(&joint);
+        let guarantees = verify(&joint, &SpecPaths::config());
         return Ok(CompiledDeployment {
             joint,
             policy,
@@ -240,7 +240,7 @@ mod tests {
         };
         let out = compile(&specs(), &policy, SynthConfig::default(), &hw).unwrap();
         assert!(out.concessions.is_empty());
-        assert!(out.guarantees.all_guarantees_hold());
+        assert!(out.guarantees.guarantees_hold());
         assert_eq!(out.policy.to_string(), "T1 >> T2 + T3");
     }
 
@@ -260,7 +260,7 @@ mod tests {
             .all(|c| matches!(c, Concession::ReducedLevels { .. })));
         assert!(out.joint.output_span().max <= 255);
         // Strict isolation survives level reduction.
-        assert!(out.guarantees.all_guarantees_hold());
+        assert!(out.guarantees.guarantees_hold());
         // T1, the widest tenant, paid the most.
         let t1_cuts = out
             .concessions
@@ -295,9 +295,9 @@ mod tests {
         assert_eq!(out.joint.layout.len(), 2);
         // The surviving strict boundary is still verified isolated; the
         // merged levels became best-effort (overlapping) preferences, so
-        // some guarantees are intentionally weaker — but analysis still
+        // some guarantees are intentionally weaker — but the verifier still
         // reports overlap where overlap is now expected.
-        assert!(out.guarantees.all_guarantees_hold());
+        assert!(out.guarantees.guarantees_hold());
         assert_eq!(out.policy.to_string(), "T1 >> T2 > T3 > T4 > T5");
     }
 
@@ -317,7 +317,7 @@ mod tests {
             .concessions
             .iter()
             .any(|c| matches!(c, Concession::ReducedLevels { .. })));
-        assert!(out.guarantees.all_guarantees_hold());
+        assert!(out.guarantees.guarantees_hold());
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
         let out = compile(&specs, &policy, SynthConfig::default(), &hw).unwrap();
         assert!(out.concessions.is_empty());
         assert_eq!(out.joint.output_span().max, 11);
-        assert!(out.guarantees.all_guarantees_hold());
+        assert!(out.guarantees.guarantees_hold());
     }
 
     #[test]

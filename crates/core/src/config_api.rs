@@ -20,7 +20,8 @@
 //! }"#;
 //! let config = DeploymentConfig::from_json(json).unwrap();
 //! let joint = config.synthesize().unwrap();
-//! assert!(qvisor_core::analyze(&joint).all_guarantees_hold());
+//! let report = qvisor_core::verify(&joint, &qvisor_core::SpecPaths::config());
+//! assert!(report.guarantees_hold());
 //! ```
 
 use crate::error::{QvisorError, Result};
@@ -287,7 +288,8 @@ mod tests {
     fn synthesize_end_to_end() {
         let joint = sample().synthesize().unwrap();
         assert!(joint.chain(TenantId(1)).is_some());
-        assert!(crate::analysis::analyze(&joint).all_guarantees_hold());
+        let report = crate::verify(&joint, &crate::SpecPaths::config());
+        assert!(report.guarantees_hold());
     }
 
     #[test]

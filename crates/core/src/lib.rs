@@ -15,10 +15,11 @@
 //!    priority, best-effort preference `>`, fair sharing `+`).
 //! 3. [`synthesize`] produces a [`JointPolicy`]: one rank
 //!    [`TransformChain`] per tenant (normalization + stride + shift).
-//! 4. [`analyze`] describes worst-case guarantees (isolation, overlap)
-//!    and [`verify()`] statically proves or refutes them — overflow-freedom,
-//!    order preservation, strict-band disjointness — with concrete witness
-//!    pairs for every refutation, before deployment.
+//! 4. [`verify()`] statically proves or refutes its worst-case guarantees —
+//!    overflow-freedom, order preservation, strict-band disjointness, share
+//!    and preference overlap — with concrete witness pairs for every
+//!    refutation, before deployment; [`VerifyReport::guarantees_hold`] is
+//!    the one verdict.
 //! 5. A [`PreProcessor`] applies the chains to packets at line rate; a
 //!    [`Backend`] realizes the policy on a PIFO, strict-priority bank
 //!    (static or SP-PIFO mapping), AIFO, or FIFO.
@@ -45,7 +46,6 @@
 //! assert_eq!(joint.chain(TenantId(3)).unwrap().apply(5), 7);
 //! ```
 
-pub mod analysis;
 pub mod backend;
 pub mod compile;
 pub mod config_api;
@@ -58,7 +58,6 @@ pub mod synth;
 pub mod transform;
 pub mod verify;
 
-pub use analysis::{analyze, IsolationCheck, PairNote, PolicyReport, Relation, TenantReport};
 pub use backend::{Backend, BandedMapper, SpAdaptation};
 pub use compile::{compile, CompiledDeployment, Concession, HardwareModel};
 pub use config_api::{DeploymentConfig, SynthOptions, TenantConfig};

@@ -15,7 +15,7 @@
 //!    isolation is created (best-effort priority).
 //! 4. `>>` strict levels are stacked in **disjoint bands**; by construction
 //!    every rank of a higher band is smaller than every rank of a lower
-//!    one, which the static analyzer re-verifies from the chains.
+//!    one, which the verifier ([`crate::verify()`]) re-proves from the chains.
 
 use crate::error::{QvisorError, Result};
 use crate::policy::Policy;
@@ -119,7 +119,7 @@ impl JointPolicy {
 ///
 /// Fails when the policy names a tenant with no spec, repeats a tenant, or
 /// the config is degenerate. Specs not referenced by the policy are ignored
-/// (they will be reported by the analyzer as unscheduled).
+/// (the verifier reports them as QV-UNSCHEDULED).
 pub fn synthesize(
     specs: &[TenantSpec],
     policy: &Policy,

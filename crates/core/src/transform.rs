@@ -89,9 +89,9 @@ impl RankTransform {
         }
     }
 
-    /// The output range for inputs drawn from `input` (used by the static
-    /// analyzer). Exact for monotone ops — everything the synthesizer
-    /// emits. For a malformed (non-monotone) op the applied endpoints can
+    /// The output range for inputs drawn from `input` (used for the
+    /// synthesizer's span and the daemon's registry). Exact for monotone
+    /// ops — everything the synthesizer emits. For a malformed (non-monotone) op the applied endpoints can
     /// land out of order; they are re-sorted so this never panics, and the
     /// verifier's interval analysis computes the sound bounds instead.
     pub fn output_range(&self, input: RankRange) -> RankRange {

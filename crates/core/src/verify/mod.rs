@@ -1,8 +1,10 @@
-//! `qvisor check` — static verification of synthesized policies.
+//! `qvisor check` — static verification of synthesized policies (§2,
+//! Idea 2: "worst-case static analysis").
 //!
-//! Where [`crate::analysis`] *describes* a synthesized [`JointPolicy`],
-//! this module *proves or refutes* its guarantees before a single packet
-//! is simulated:
+//! The one checker every entry point asks — `check`, `analyze`, `synth`,
+//! `run`, `sweep`, `serve` and [`crate::compile()`]. It *proves or
+//! refutes* a synthesized [`JointPolicy`]'s guarantees before a single
+//! packet is simulated:
 //!
 //! 1. **Interval abstract interpretation** (`interval`): each tenant's
 //!    chain is executed over its declared input [`RankRange`], proving it
@@ -151,6 +153,25 @@ impl VerifyReport {
             Some(Severity::Warning) => deny_warnings,
             _ => false,
         }
+    }
+
+    /// Do the operator's guarantees hold? No finding is an error, and no
+    /// relation the policy states — `>>` disjoint and ordered, `+`
+    /// interleaved in its band, `>` overlapping — is flagged at any
+    /// severity (a witness-less suspicion still voids the proof). Stricter
+    /// than `!gate_fails(false)` on relations, laxer than
+    /// `!gate_fails(true)` on unscheduled tenants.
+    pub fn guarantees_hold(&self) -> bool {
+        self.diagnostics.iter().all(|d| {
+            d.severity < Severity::Error
+                && !matches!(
+                    d.code,
+                    DiagCode::StrictOverlap
+                        | DiagCode::StrictOrder
+                        | DiagCode::ShareBand
+                        | DiagCode::PreferDegenerate
+                )
+        })
     }
 
     /// Findings at `Warning` or above (what a warn-by-default gate prints).
@@ -362,6 +383,41 @@ mod tests {
             &SpecPaths::config(),
         );
         assert!(!report.gate_fails(true));
+    }
+
+    #[test]
+    fn guarantees_hold_on_every_operator_and_fail_on_a_broken_relation() {
+        // Strict, share, mixed, preference, an unscheduled tenant (a
+        // warning, not a broken relation) and a quantized single tenant.
+        for policy in [
+            "T1 >> T2 >> T3",
+            "T1 + T2 + T3",
+            "T1 >> T2 + T3",
+            "T1 > T2",
+            "T1 >> T2",
+            "T1",
+        ] {
+            let report = verify(&joint(policy, SynthConfig::default()), &SpecPaths::config());
+            assert!(report.guarantees_hold(), "{policy}:\n{report}");
+        }
+        let saturating = SynthConfig {
+            first_rank: Rank::MAX - 5,
+            ..SynthConfig::default()
+        };
+        let report = verify(&joint("T1 >> T2", saturating), &SpecPaths::config());
+        assert!(!report.guarantees_hold());
+        // Two point-range tenants cannot interleave: a share-band warning
+        // and no error, which the gate passes but the guarantees do not.
+        let point = |id, name| TenantSpec::new(TenantId(id), name, "EDF", RankRange::new(0, 0));
+        let specs = [point(1, "A"), point(2, "B")];
+        let policy = Policy::parse("A + B").unwrap();
+        let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
+        let report = verify(&joint, &SpecPaths::config());
+        assert!(report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::ShareBand));
+        assert!(!report.gate_fails(false) && !report.guarantees_hold());
     }
 
     #[test]

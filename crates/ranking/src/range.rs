@@ -7,7 +7,7 @@ use qvisor_sim::Rank;
 ///
 /// The paper's synthesizer assumes "rank distributions are bounded and
 /// known in advance" (§3.2); this type is that declaration. The static
-/// analyzer checks synthesized policies against it, and the runtime monitor
+/// verifier checks synthesized policies against it, and the runtime monitor
 /// flags packets violating it as adversarial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RankRange {

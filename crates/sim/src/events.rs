@@ -16,13 +16,11 @@
 //!   schedule/pop, the default. This is the hot path of every
 //!   packet-level experiment.
 //! * [`EventCore::Heap`] — the original `BinaryHeap` on `(at, key, seq)`:
-//!   O(log n), kept alive as the *differential oracle*. The test suite
-//!   drives both cores with identical traces and asserts identical
-//!   behaviour (see `tests/event_core_differential.rs` and TESTING.md).
-//!
-//! Compiling `qvisor-sim` with the `heap-core` feature flips the default
-//! core to the heap, so the whole workspace test suite can be re-run
-//! against the oracle without touching call sites.
+//!   O(log n), kept alive as the *differential oracle*, selected per queue
+//!   with [`EventQueue::with_core`] (or a simulation's `event_core`). The
+//!   test suite drives both cores with identical traces and asserts
+//!   identical behaviour, down to every example scenario's report (see
+//!   `tests/event_core_differential.rs` and TESTING.md).
 
 use crate::calendar::Calendar;
 use crate::time::Nanos;
@@ -30,25 +28,15 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Which data structure backs an [`EventQueue`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EventCore {
     /// Calendar queue (bucket rings with an overflow heap) — O(1)
-    /// amortised, the production core.
+    /// amortised, the production core and the default.
+    #[default]
     Wheel,
     /// Comparison-based binary heap — the reference implementation used
     /// as the differential-testing oracle.
     Heap,
-}
-
-impl Default for EventCore {
-    #[cfg(not(feature = "heap-core"))]
-    fn default() -> EventCore {
-        EventCore::Wheel
-    }
-    #[cfg(feature = "heap-core")]
-    fn default() -> EventCore {
-        EventCore::Heap
-    }
 }
 
 /// One scheduled event, ordered latest-`(at, key, seq)`-first.
@@ -112,7 +100,7 @@ impl<E, K: Ord + Copy> Default for EventQueue<E, K> {
 
 impl<E, K: Ord + Copy> EventQueue<E, K> {
     /// An empty queue with the clock at time zero, on the default core
-    /// (the calendar, unless built with the `heap-core` feature).
+    /// (the calendar).
     pub fn new() -> Self {
         Self::with_core(EventCore::default())
     }
@@ -361,16 +349,5 @@ mod tests {
             assert_eq!(q.pop().unwrap().1, "2");
             assert_eq!(q.pop().unwrap().1, "3");
         });
-    }
-
-    #[test]
-    fn default_core_honours_feature_flag() {
-        let q: EventQueue<u8> = EventQueue::new();
-        let expect = if cfg!(feature = "heap-core") {
-            EventCore::Heap
-        } else {
-            EventCore::Wheel
-        };
-        assert_eq!(q.core(), expect);
     }
 }

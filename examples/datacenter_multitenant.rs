@@ -33,8 +33,8 @@ fn build_and_run(qvisor: bool) -> qvisor::netsim::SimReport {
         // Declared ranges match what the rank functions actually emit for
         // this workload (web-search/10 flows top out near 2 MB remaining;
         // EDF slack is at most the 500 us deadline offset). Declaring far
-        // wider ranges would waste quantization levels — the analyzer's
-        // "granularity reduced" warning.
+        // wider ranges would waste quantization levels — the verifier's
+        // QV-QUANT collision bound.
         let specs = vec![
             TenantSpec::new(T1, "T1", "pFabric", RankRange::new(0, 2_000)).with_levels(256),
             TenantSpec::new(T2, "T2", "EDF", RankRange::new(0, 500)).with_levels(64),

@@ -61,7 +61,7 @@ fn main() {
                 println!("  rank span       : {}", out.joint.output_span());
                 println!(
                     "  guarantees      : {}",
-                    if out.guarantees.all_guarantees_hold() {
+                    if out.guarantees.guarantees_hold() {
                         "all hold"
                     } else {
                         "violations present"

@@ -13,7 +13,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use qvisor::core::{
-    analyze, synthesize, Policy, PreProcessor, SynthConfig, TenantSpec, UnknownTenantAction,
+    synthesize, verify, Policy, PreProcessor, SpecPaths, SynthConfig, TenantSpec,
+    UnknownTenantAction,
 };
 use qvisor::ranking::RankRange;
 use qvisor::scheduler::{Capacity, InstrumentedQueue, PacketQueue, PifoQueue};
@@ -43,8 +44,9 @@ fn main() {
         println!("  {:<3} {:<8} chain: {chain}", spec.name, spec.algorithm);
     }
 
-    // 4. Static analysis (§2, Idea 2): verify the guarantees.
-    let report = analyze(&joint);
+    // 4. Worst-case static analysis (§2, Idea 2): verify the guarantees.
+    let report = verify(&joint, &SpecPaths::config());
+    assert!(report.guarantees_hold());
     println!("\n{report}");
 
     // 5. Pre-process the exact packet sequence of Fig. 3 and schedule it

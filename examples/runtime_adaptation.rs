@@ -11,8 +11,8 @@
 //! Run with: `cargo run --example runtime_adaptation`
 
 use qvisor::core::{
-    analyze, synthesize, MonitorConfig, Policy, PreProcessor, RuntimeAdapter, RuntimeMonitor,
-    SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
+    synthesize, verify, MonitorConfig, Policy, PreProcessor, RuntimeAdapter, RuntimeMonitor,
+    SpecPaths, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
 };
 use qvisor::ranking::RankRange;
 use qvisor::sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
@@ -53,7 +53,7 @@ fn main() {
     let mut adapter = RuntimeAdapter::new(specs.clone(), policy, synth_cfg, monitor_cfg);
 
     println!("=== initial deployment (T1 + T2 >> T3) ===");
-    println!("{}", analyze(&joint));
+    println!("{}", verify(&joint, &SpecPaths::config()));
 
     // Phase 1 (t < t1): T1 and T2 transmit.
     let mut rng = SimRng::seed_from(5);
@@ -97,7 +97,7 @@ fn main() {
                 .expect("active set is non-empty");
             pre.reload(&new_joint);
             println!("\n=== re-synthesized deployment ===");
-            println!("{}", analyze(&new_joint));
+            println!("{}", verify(&new_joint, &SpecPaths::config()));
             // T3 now owns the top of the rank space.
             let before = joint.chain(TenantId(3)).unwrap().apply(0);
             let after = new_joint.chain(TenantId(3)).unwrap().apply(0);

@@ -1,4 +1,4 @@
-//! The `qvisor` command-line tool: synthesize, analyze, and compile
+//! The `qvisor` command-line tool: synthesize, verify, and compile
 //! multi-tenant scheduling policies from JSON configuration files.
 //!
 //! See `qvisor::cli::USAGE` (printed on any usage error) and the README.

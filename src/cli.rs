@@ -5,7 +5,7 @@
 //! and returns the text it would print.
 
 use qvisor_core::{
-    analyze, compile, verify, DeploymentConfig, HardwareModel, QvisorError, SpecPaths, VerifyReport,
+    compile, verify, DeploymentConfig, HardwareModel, QvisorError, SpecPaths, VerifyReport,
 };
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec, SweepSpec};
 use qvisor_scheduler::Capacity;
@@ -104,12 +104,12 @@ pub const USAGE: &str = "\
 qvisor — multi-tenant packet scheduling hypervisor (HotNets '23 reproduction)
 
 USAGE:
-    qvisor synth   <config.json>                 synthesize and show chains
-    qvisor analyze <config.json>                 verify worst-case guarantees
+    qvisor synth   <config.json>                 synthesize; show chains + verification
     qvisor compile <config.json> --queues N --rank-bits B
                                                  fit onto constrained hardware
     qvisor check <file.json>                     statically verify a policy
                [--deny-warnings] [--jsonl]       (config, scenario, or sweep)
+    qvisor analyze <file.json> [...]             another name for check
     qvisor run <scenario.json>                   run a declarative scenario
                [--telemetry PATH] [--trace PATH] [--monitor PATH]
                [--deny-warnings]
@@ -175,12 +175,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::Usage("synth needs a config file".into()))?;
             cmd_synth(&std::fs::read_to_string(path)?)
         }
-        Some("analyze") => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| CliError::Usage("analyze needs a config file".into()))?;
-            cmd_analyze(&std::fs::read_to_string(path)?)
-        }
         Some("compile") => {
             let path = args
                 .get(1)
@@ -188,9 +182,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let (queues, rank_bits) = parse_compile_flags(&args[2..])?;
             cmd_compile(&std::fs::read_to_string(path)?, queues, rank_bits)
         }
-        Some("check") => {
+        Some(cmd @ ("check" | "analyze")) => {
             let path = args.get(1).ok_or_else(|| {
-                CliError::Usage("check needs a config, scenario, or sweep file".into())
+                CliError::Usage(format!("{cmd} needs a config, scenario, or sweep file"))
             })?;
             let opts = parse_check_flags(&args[2..])?;
             cmd_check(&std::fs::read_to_string(path)?, &opts)
@@ -771,7 +765,8 @@ pub fn cmd_sweep(sweep_json: &str, opts: &SweepOpts) -> Result<String, CliError>
     Ok(out)
 }
 
-/// `qvisor synth`: synthesize and print the per-tenant chains.
+/// `qvisor synth`: synthesize and print the per-tenant chains, then the
+/// verifier's report on them.
 pub fn cmd_synth(config_json: &str) -> Result<String, CliError> {
     let config = DeploymentConfig::from_json(config_json)?;
     let joint = config.synthesize()?;
@@ -784,21 +779,7 @@ pub fn cmd_synth(config_json: &str) -> Result<String, CliError> {
         }
     }
     writeln!(out).unwrap();
-    write!(out, "{}", analyze(&joint)).unwrap();
-    Ok(out)
-}
-
-/// `qvisor analyze`: guarantees report only; exit error text if violated.
-pub fn cmd_analyze(config_json: &str) -> Result<String, CliError> {
-    let config = DeploymentConfig::from_json(config_json)?;
-    let joint = config.synthesize()?;
-    let report = analyze(&joint);
-    let mut out = report.to_string();
-    if !report.all_guarantees_hold() {
-        out.push_str("\nRESULT: guarantees VIOLATED\n");
-    } else {
-        out.push_str("\nRESULT: ok\n");
-    }
+    out.push_str(&verify(&joint, &SpecPaths::config()).render_text());
     Ok(out)
 }
 
@@ -827,7 +808,7 @@ pub fn cmd_compile(config_json: &str, queues: usize, rank_bits: u32) -> Result<S
     writeln!(
         text,
         "guarantees  : {}",
-        if out.guarantees.all_guarantees_hold() {
+        if out.guarantees.guarantees_hold() {
             "all hold"
         } else {
             "violations present"
@@ -1015,14 +996,25 @@ mod tests {
     fn example_is_valid_and_synthesizes() {
         let out = cmd_synth(&example_json()).unwrap();
         assert!(out.contains("policy      : T1 >> T2 + T3"));
-        assert!(out.contains("ISOLATED"));
         assert!(out.contains("normalize"));
+        assert!(out.contains("QVISOR policy verification"));
+        assert!(out.contains("result: 0 error(s), 0 warning(s)"));
     }
 
     #[test]
     fn analyze_reports_ok() {
-        let out = cmd_analyze(&example_json()).unwrap();
-        assert!(out.contains("RESULT: ok"));
+        // `analyze` is `check` under another name: same report, same gate.
+        let path = std::env::temp_dir().join("qvisor_cli_test_analyze.json");
+        std::fs::write(&path, example_json()).unwrap();
+        let args = |cmd: &str| vec![cmd.to_string(), path.to_str().unwrap().to_string()];
+        let out = run(&args("analyze")).unwrap();
+        assert!(out.ends_with("check: OK\n"));
+        assert_eq!(out, run(&args("check")).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(
+            run(&["analyze".to_string()]),
+            Err(CliError::Usage(msg)) if msg.starts_with("analyze needs")
+        ));
     }
 
     #[test]
@@ -1105,7 +1097,7 @@ mod tests {
         let path = std::env::temp_dir().join("qvisor_cli_test_config.json");
         std::fs::write(&path, example).unwrap();
         let out = run(&args(&["synth", path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("all hold"));
+        assert!(out.contains("result: 0 error(s)"));
         let out = run(&args(&[
             "compile",
             path.to_str().unwrap(),

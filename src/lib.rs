@@ -25,7 +25,8 @@
 //! ];
 //! let policy = Policy::parse("T1 >> T2").unwrap();
 //! let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-//! assert!(qvisor::core::analyze(&joint).all_guarantees_hold());
+//! let report = qvisor::core::verify(&joint, &qvisor::core::SpecPaths::config());
+//! assert!(report.guarantees_hold());
 //! ```
 
 /// The `qvisor` command-line tool's implementation.
@@ -53,7 +54,7 @@ pub mod ranking {
 }
 
 /// The scheduling hypervisor: policy language, synthesizer, pre-processor,
-/// analyzer, runtime adaptation, deployment backends.
+/// verifier, runtime adaptation, deployment backends.
 pub mod core {
     pub use qvisor_core::*;
 }

@@ -83,6 +83,28 @@ fn error_severity_findings_exit_two_regardless_of_strictness() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `analyze` is another name for `check`: same exit code, same stdout and
+/// stderr on every verdict, so an error-severity finding exits 2 under
+/// either name.
+#[test]
+fn analyze_exits_exactly_as_check_does() {
+    for (name, config, flags, code) in [
+        ("clean", CLEAN, &[][..], 0),
+        ("warnings", WARNINGS, &[][..], 0),
+        ("warnings", WARNINGS, &["--deny-warnings"][..], 3),
+        ("errors", ERRORS, &[][..], 2),
+    ] {
+        let path = temp_config(&format!("analyze_{name}"), config);
+        let run = |cmd: &str| qvisor(&[&[cmd, path.to_str().unwrap()][..], flags].concat());
+        let (analyze, check) = (run("analyze"), run("check"));
+        assert_eq!(analyze.status.code(), Some(code), "{name}: {analyze:?}");
+        assert_eq!(analyze.status.code(), check.status.code(), "{name}");
+        assert_eq!(analyze.stdout, check.stdout, "{name}");
+        assert_eq!(analyze.stderr, check.stderr, "{name}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
 fn usage_errors_exit_one() {
     let unknown = qvisor(&["definitely-not-a-subcommand"]);

@@ -13,9 +13,13 @@
 //!    compare every observable (`pop`, `peek_time`, `len`, `now`) at
 //!    every step.
 //! 2. End-to-end netsim worlds run under both cores and must produce
-//!    byte-identical reports and telemetry exports.
+//!    byte-identical reports and telemetry exports, and so must every
+//!    example scenario in `examples/scenarios/`. The heap is chosen per
+//!    run (`Engine::with_event_core`), so this file is the whole oracle
+//!    run: there is no build that swaps the default core.
 
 use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec};
 use qvisor::netsim::{QvisorSetup, SchedulerKind, SimConfig, Simulation};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{EventCore, EventQueue, Nanos, SimRng, TenantId};
@@ -228,4 +232,31 @@ fn telemetry_exports_are_byte_identical_under_both_cores() {
         wheel_sites.contains(&"event_dispatch".to_string()),
         "self-profiler missed event dispatch"
     );
+}
+
+/// Every example scenario prints the same report on the heap as on the
+/// calendar.
+#[test]
+fn every_example_scenario_reports_identically_on_both_cores() {
+    let dir = format!("{}/examples/scenarios", env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no scenarios in {dir}");
+    for path in &paths {
+        let spec = ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let report = |core| {
+            let engine = Engine::new().with_event_core(core);
+            report_json(&engine.run(&spec).unwrap()).to_compact()
+        };
+        assert_eq!(
+            report(EventCore::Wheel),
+            report(EventCore::Heap),
+            "{}: event core changed the report",
+            path.display()
+        );
+    }
 }

@@ -3,7 +3,8 @@
 //! against the numbers printed in the paper.
 
 use qvisor::core::{
-    analyze, synthesize, Policy, PreProcessor, SynthConfig, TenantSpec, UnknownTenantAction,
+    synthesize, verify, Policy, PreProcessor, SpecPaths, SynthConfig, TenantSpec,
+    UnknownTenantAction,
 };
 use qvisor::ranking::RankRange;
 use qvisor::scheduler::{Capacity, PacketQueue, PifoQueue};
@@ -40,12 +41,13 @@ fn fig3_transformations_match_paper() {
 
 #[test]
 fn fig3_analyzer_verifies_guarantees() {
-    let report = analyze(&fig3_joint());
-    assert!(report.all_guarantees_hold());
+    let report = verify(&fig3_joint(), &SpecPaths::config());
+    assert!(report.guarantees_hold());
     // One strict boundary, isolated: max(T1 output)=3 < min(share band)=4.
-    assert_eq!(report.isolation.len(), 1);
-    assert_eq!(report.isolation[0].upper_max, 3);
-    assert_eq!(report.isolation[0].lower_min, 4);
+    let level = |l| report.tenants.iter().filter(move |t| t.level == l);
+    assert_eq!(level(0).map(|t| t.output.max).max(), Some(3));
+    assert_eq!(level(1).map(|t| t.output.min).min(), Some(4));
+    assert_eq!(level(2).count(), 0);
 }
 
 #[test]

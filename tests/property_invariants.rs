@@ -605,7 +605,7 @@ fn strict_synthesis_always_isolates() {
             prev_max = Some(out.max);
         }
         assert!(
-            qvisor::core::analyze(&joint).all_guarantees_hold(),
+            qvisor::core::verify(&joint, &qvisor::core::SpecPaths::config()).guarantees_hold(),
             "case {case}"
         );
     }
