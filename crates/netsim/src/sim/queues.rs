@@ -12,33 +12,46 @@ use qvisor_sim::{Nanos, NodeId, Packet, Rank, TenantId};
 use qvisor_telemetry::{Counter, Histogram, Telemetry};
 use qvisor_topology::{NodeKind, Topology};
 
-/// A port's scheduler-model queue: the two stateless exact disciplines
-/// inline (static dispatch), every stateful one behind `Other`, and any of
-/// the three under its observers as `Observed` (never nested).
+/// A port's scheduler-model queue as it runs unobserved: the two stateless
+/// exact disciplines inline (static dispatch), every stateful one behind
+/// `Other`.
 // The PIFO's 512-byte bitmap makes the variants uneven; holding it in the
 // port, not behind a pointer, is the point.
 #[allow(clippy::large_enum_variant)]
-pub(in crate::sim) enum PortQueue {
+pub(in crate::sim) enum BareQueue {
     Fifo(FifoQueue),
     Pifo(PifoQueue),
     Other(Box<dyn PacketQueue>),
-    Observed(Box<InstrumentedQueue<PortQueue>>),
+}
+
+/// A port's queue: bare, or a bare one under its observers. The observed
+/// wrapper holds a [`BareQueue`], never another `PortQueue`, so its calls
+/// into the queue it watches dispatch statically too.
+#[allow(clippy::large_enum_variant)]
+pub(in crate::sim) enum PortQueue {
+    Bare(BareQueue),
+    Observed(Box<InstrumentedQueue<BareQueue>>),
 }
 
 /// `match` with the same arm for every variant: static dispatch to the
 /// queue inside.
 macro_rules! dispatch {
-    ($port:expr, $q:ident => $call:expr) => {
+    ($queue:expr, $q:ident => $call:expr) => {
+        match $queue {
+            BareQueue::Fifo($q) => $call,
+            BareQueue::Pifo($q) => $call,
+            BareQueue::Other($q) => $call,
+        }
+    };
+    (port $port:expr, $q:ident => $call:expr) => {
         match $port {
-            PortQueue::Fifo($q) => $call,
-            PortQueue::Pifo($q) => $call,
-            PortQueue::Other($q) => $call,
+            PortQueue::Bare($q) => $call,
             PortQueue::Observed($q) => $call,
         }
     };
 }
 
-impl PacketQueue for PortQueue {
+impl PacketQueue for BareQueue {
     #[inline]
     fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue {
         dispatch!(self, q => q.enqueue(p, now))
@@ -66,6 +79,34 @@ impl PacketQueue for PortQueue {
     }
 }
 
+impl PacketQueue for PortQueue {
+    #[inline]
+    fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue {
+        dispatch!(port self, q => q.enqueue(p, now))
+    }
+
+    #[inline]
+    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        dispatch!(port self, q => q.dequeue(now))
+    }
+
+    fn len(&self) -> usize {
+        dispatch!(port self, q => q.len())
+    }
+
+    fn bytes(&self) -> u64 {
+        dispatch!(port self, q => q.bytes())
+    }
+
+    fn head_rank(&self) -> Option<Rank> {
+        dispatch!(port self, q => q.head_rank())
+    }
+
+    fn kind(&self) -> &'static str {
+        dispatch!(port self, q => q.kind())
+    }
+}
+
 impl PortQueue {
     /// May a free port send a packet that fits the empty buffer around
     /// this (empty) queue? Enqueue-then-dequeue is the identity on an
@@ -74,8 +115,8 @@ impl PortQueue {
     /// exact discipline it reports the pair itself ([`Self::pass`]).
     pub(in crate::sim) fn cuts_through(&self) -> bool {
         match self {
-            PortQueue::Fifo(_) | PortQueue::Pifo(_) => true,
-            PortQueue::Other(_) => false,
+            PortQueue::Bare(BareQueue::Fifo(_) | BareQueue::Pifo(_)) => true,
+            PortQueue::Bare(BareQueue::Other(_)) => false,
             PortQueue::Observed(q) => q.passes(),
         }
     }
@@ -87,7 +128,7 @@ impl PortQueue {
     pub(in crate::sim) fn pass(&mut self, p: Packet, now: Nanos) -> Packet {
         match self {
             PortQueue::Observed(q) => q.pass(p, now),
-            _ => p,
+            PortQueue::Bare(_) => p,
         }
     }
 }
@@ -183,13 +224,15 @@ pub(in crate::sim) fn build_ports(
         base.push(first as u32);
         for link in topo.out_links(node.id) {
             let label = format!("n{}.p{}", node.id.0, ports.len() - first);
-            let mut queue = make_queue_of(kind, cfg, joint)?;
-            if instrument {
-                queue = PortQueue::Observed(Box::new(
-                    InstrumentedQueue::with_tracer(queue, &cfg.telemetry, &cfg.tracer, &label)
+            let bare = make_queue_of(kind, cfg, joint)?;
+            let queue = if instrument {
+                PortQueue::Observed(Box::new(
+                    InstrumentedQueue::with_tracer(bare, &cfg.telemetry, &cfg.tracer, &label)
                         .with_monitor(&cfg.monitor),
-                ));
-            }
+                ))
+            } else {
+                PortQueue::Bare(bare)
+            };
             let link_labels = [("link", label.as_str())];
             ports.push(Port {
                 to: link.to,
@@ -212,10 +255,10 @@ pub(in crate::sim) fn make_queue_of(
     kind: SchedulerKind,
     cfg: &SimConfig,
     joint: Option<&JointPolicy>,
-) -> Result<PortQueue, QvisorError> {
+) -> Result<BareQueue, QvisorError> {
     let other: Box<dyn PacketQueue> = match kind {
-        SchedulerKind::Fifo => return Ok(PortQueue::Fifo(FifoQueue::new(cfg.buffer))),
-        SchedulerKind::Pifo => return Ok(PortQueue::Pifo(PifoQueue::new(cfg.buffer))),
+        SchedulerKind::Fifo => return Ok(BareQueue::Fifo(FifoQueue::new(cfg.buffer))),
+        SchedulerKind::Pifo => return Ok(BareQueue::Pifo(PifoQueue::new(cfg.buffer))),
         SchedulerKind::SpPifo { queues } => Box::new(StrictPriorityBank::new(
             SpPifoMapper::new(queues),
             cfg.buffer,
@@ -262,5 +305,5 @@ pub(in crate::sim) fn make_queue_of(
             Box::new(PifoTree::new(&shape, classifier, cfg.buffer))
         }
     };
-    Ok(PortQueue::Other(other))
+    Ok(BareQueue::Other(other))
 }

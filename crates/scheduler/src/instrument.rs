@@ -15,6 +15,8 @@
 //!
 //! When both the [`Telemetry`] handle and the [`Tracer`] are disabled the
 //! wrapper keeps no mirror state and each operation adds only a branch.
+//! Over an exact PIFO it keeps none at all: a PIFO dequeues its minimum by
+//! construction, so every inversion it could report is zero.
 //!
 //! The wrapper is owed observations, not queue operations: a caller that
 //! knows the queue is empty and would dequeue at once may hand the packet
@@ -25,7 +27,7 @@ use crate::queue::{Enqueue, PacketQueue};
 use crate::rank_index::RankIndex;
 use qvisor_sim::{Nanos, Packet, PacketKind, Rank};
 use qvisor_telemetry::{
-    Counter, Gauge, Histogram, Profiler, SloMonitor, Telemetry, TraceKind, TraceRecord, Tracer,
+    Profiler, QueueMetrics, SloMonitor, Telemetry, TraceKind, TraceRecord, Tracer,
 };
 
 /// A resident packet as the mirror knows it. ACKs share `(flow, seq)` with
@@ -52,7 +54,8 @@ fn identity(p: &Packet) -> Resident {
 /// Wraps any [`PacketQueue`] and reports its behaviour as telemetry.
 ///
 /// Metrics are labelled with the queue's name (`queue`) and discipline
-/// (`kind`, from [`PacketQueue::kind`]):
+/// (`kind`, from [`PacketQueue::kind`]), and live in one [`QueueMetrics`]
+/// block:
 ///
 /// | metric | type | meaning |
 /// |---|---|---|
@@ -76,21 +79,15 @@ pub struct InstrumentedQueue<Q: PacketQueue> {
     /// Mirror of resident packets: identities by rank, arrival order within
     /// a rank. Keeps inversion detection O(1) per operation and independent
     /// of the inner model, and lets an inversion name the overtaken packet.
-    /// Empty when disabled.
-    ranks: RankIndex<Resident>,
+    /// `None` over a `pifo`, whose dequeue is the mirror's first entry by
+    /// construction; empty when disabled.
+    mirror: Option<RankIndex<Resident>>,
     tracer: Tracer,
     /// Streaming SLO monitor fed per-tenant dequeue waits and inversions
     /// (disabled by default; attach with [`Self::with_monitor`]).
     monitor: SloMonitor,
     trace_label: u32,
-    offered: Counter,
-    admitted: Counter,
-    dropped: Counter,
-    dequeued: Counter,
-    inversions: Counter,
-    depth_pkts: Gauge,
-    depth_bytes: Gauge,
-    sojourn_ns: Histogram,
+    metrics: QueueMetrics,
     enq_prof: Profiler,
     deq_prof: Profiler,
 }
@@ -111,22 +108,15 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         tracer: &Tracer,
         queue_label: &str,
     ) -> InstrumentedQueue<Q> {
-        let labels = [("queue", queue_label), ("kind", inner.kind())];
+        let kind = inner.kind();
         InstrumentedQueue {
             enabled: telemetry.is_enabled() || tracer.is_enabled(),
-            exact: matches!(inner.kind(), "fifo" | "pifo"),
-            ranks: RankIndex::new(),
+            exact: matches!(kind, "fifo" | "pifo"),
+            mirror: (kind != "pifo").then(RankIndex::new),
             tracer: tracer.clone(),
             monitor: SloMonitor::disabled(),
             trace_label: tracer.intern(queue_label),
-            offered: telemetry.counter("sched_offered_pkts", &labels),
-            admitted: telemetry.counter("sched_admitted_pkts", &labels),
-            dropped: telemetry.counter("sched_dropped_pkts", &labels),
-            dequeued: telemetry.counter("sched_dequeued_pkts", &labels),
-            inversions: telemetry.counter("sched_rank_inversions", &labels),
-            depth_pkts: telemetry.gauge("sched_depth_pkts", &labels),
-            depth_bytes: telemetry.gauge("sched_depth_bytes", &labels),
-            sojourn_ns: telemetry.histogram("sched_sojourn_ns", &labels),
+            metrics: telemetry.queue_metrics(&[("queue", queue_label), ("kind", kind)]),
             enq_prof: telemetry.profiler("sched_enqueue"),
             deq_prof: telemetry.profiler("sched_dequeue"),
             inner,
@@ -153,17 +143,17 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
 
     /// Dequeues counted so far (0 when the telemetry handle is disabled).
     pub fn dequeued_count(&self) -> u64 {
-        self.dequeued.get()
+        self.metrics.dequeued()
     }
 
     /// Packets lost so far: rejected arrivals plus evicted residents.
     pub fn dropped_count(&self) -> u64 {
-        self.dropped.get()
+        self.metrics.dropped()
     }
 
     /// Rank inversions counted so far.
     pub fn inversion_count(&self) -> u64 {
-        self.inversions.get()
+        self.metrics.inversions()
     }
 
     /// Whether [`Self::pass`] may stand in for enqueue-then-dequeue on this
@@ -188,29 +178,35 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         let rank = p.txf_rank;
         {
             let _scope = self.enq_prof.time();
-            self.offered.inc();
+            self.metrics.offer();
             p.enqueued_at = now;
             self.trace(&p, now, TraceKind::Enqueue { rank });
-            self.admitted.inc();
+            self.metrics.admit();
         }
         let _scope = self.deq_prof.time();
-        self.dequeued.inc();
         self.trace(&p, now, TraceKind::Dequeue { rank, wait_ns: 0 });
         self.monitor.on_dequeue(now, p.tenant.0, 0, false);
-        self.sojourn_ns.record(0);
-        self.depth_pkts.set(0);
-        self.depth_bytes.set(0);
+        self.metrics.dequeue(0, false);
+        self.metrics.set_depth(0, 0);
         p
     }
 
+    fn note_resident(&mut self, rank: Rank, id: Resident) {
+        if let Some(mirror) = &mut self.mirror {
+            mirror.push(rank, id);
+        }
+    }
+
     fn forget_resident(&mut self, rank: Rank, id: Resident) {
-        let found = self.ranks.remove_first_where(rank, |&r| r == id);
-        debug_assert!(found.is_some(), "packet {id:?} not resident at rank {rank}");
+        if let Some(mirror) = &mut self.mirror {
+            let found = mirror.remove_first_where(rank, |&r| r == id);
+            debug_assert!(found.is_some(), "packet {id:?} not resident at rank {rank}");
+        }
     }
 
     fn update_depth(&self) {
-        self.depth_pkts.set(self.inner.len() as i64);
-        self.depth_bytes.set(self.inner.bytes() as i64);
+        self.metrics
+            .set_depth(self.inner.len() as i64, self.inner.bytes() as i64);
     }
 
     fn trace(&self, p: &Packet, now: Nanos, kind: TraceKind) {
@@ -222,6 +218,28 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
             );
         }
     }
+
+    /// `Some(cross_tenant)` when `p` leaving overtook a lower-ranked
+    /// resident, after tracing the span that names it; `None` otherwise,
+    /// and always over a `pifo`. `cross_tenant` (another tenant's packet
+    /// was among those overtaken) is computed only for a monitor.
+    fn inversion(&self, p: &Packet, now: Nanos) -> Option<bool> {
+        let mirror = self.mirror.as_ref()?;
+        // The overtaken packet: oldest resident at the best rank.
+        let (best, loser) = mirror.first().filter(|&(best, _)| best < p.txf_rank)?;
+        self.trace(
+            p,
+            now,
+            TraceKind::Inversion {
+                rank: p.txf_rank,
+                loser_flow: loser.flow,
+                loser_seq: loser.seq,
+                loser_rank: best,
+            },
+        );
+        // Only the monitor asks whose packet was overtaken, and only here.
+        Some(self.monitor.is_enabled() && mirror.any_below(p.txf_rank, |r| r.tenant != p.tenant.0))
+    }
 }
 
 impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
@@ -230,7 +248,7 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
             return self.inner.enqueue(p, now);
         }
         let _scope = self.enq_prof.time();
-        self.offered.inc();
+        self.metrics.offer();
         p.enqueued_at = now;
         let rank = p.txf_rank;
         let id = identity(&p);
@@ -238,13 +256,13 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
         let outcome = self.inner.enqueue(p, now);
         match &outcome {
             Enqueue::Accepted => {
-                self.admitted.inc();
-                self.ranks.push(rank, id);
+                self.metrics.admit();
+                self.note_resident(rank, id);
             }
             Enqueue::AcceptedDropped(dropped) => {
-                self.admitted.inc();
-                self.ranks.push(rank, id);
-                self.dropped.add(dropped.len() as u64);
+                self.metrics.admit();
+                self.note_resident(rank, id);
+                self.metrics.drop_pkts(dropped.len() as u64);
                 // Evicted packets were residents; drop them from the mirror.
                 for d in dropped {
                     self.forget_resident(d.txf_rank, identity(d));
@@ -252,7 +270,7 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
                 }
             }
             Enqueue::Rejected(rejected) => {
-                self.dropped.inc();
+                self.metrics.drop_pkts(1);
                 self.trace(rejected, now, TraceKind::Drop { rank });
             }
         }
@@ -267,7 +285,6 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
         let _scope = self.deq_prof.time();
         let p = self.inner.dequeue(now)?;
         self.forget_resident(p.txf_rank, identity(&p));
-        self.dequeued.inc();
         let wait = now.saturating_sub(p.enqueued_at).as_nanos();
         self.trace(
             &p,
@@ -277,27 +294,10 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
                 wait_ns: wait,
             },
         );
-        let mut cross_tenant = false;
-        // The overtaken packet: oldest resident at the best rank.
-        if let Some((best, loser)) = self.ranks.first().filter(|&(best, _)| best < p.txf_rank) {
-            self.inversions.inc();
-            self.trace(
-                &p,
-                now,
-                TraceKind::Inversion {
-                    rank: p.txf_rank,
-                    loser_flow: loser.flow,
-                    loser_seq: loser.seq,
-                    loser_rank: best,
-                },
-            );
-            // Only the monitor asks whose packet was overtaken, and
-            // only here: an exact PIFO never reaches this walk.
-            cross_tenant = self.monitor.is_enabled()
-                && self.ranks.any_below(p.txf_rank, |r| r.tenant != p.tenant.0);
-        }
+        let inversion = self.inversion(&p, now);
+        let cross_tenant = inversion == Some(true);
         self.monitor.on_dequeue(now, p.tenant.0, wait, cross_tenant);
-        self.sojourn_ns.record(wait);
+        self.metrics.dequeue(wait, inversion.is_some());
         self.update_depth();
         Some(p)
     }
@@ -352,6 +352,11 @@ mod tests {
 
     fn counter(t: &Telemetry, name: &str, q: &str, kind: &str) -> u64 {
         t.counter(name, &[("queue", q), ("kind", kind)]).get()
+    }
+
+    /// Entries in the wrapper's inversion mirror; `None` when it keeps none.
+    fn mirrored<Q: PacketQueue>(q: &InstrumentedQueue<Q>) -> Option<usize> {
+        q.mirror.as_ref().map(RankIndex::len)
     }
 
     #[test]
@@ -459,7 +464,7 @@ mod tests {
         let mut q = InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &t, "q0");
         q.enqueue(pkt(0, 9), Nanos::ZERO);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.ranks.len(), 0, "no mirror state when disabled");
+        assert_eq!(mirrored(&q), Some(0), "no mirror state when disabled");
         let p = q.dequeue(Nanos(5)).unwrap();
         // Disabled instrumentation must not stamp packets.
         assert_eq!(p.enqueued_at, Nanos::ZERO);
@@ -527,7 +532,8 @@ mod tests {
             let out = a.pass(p.clone(), now);
             assert!(b.enqueue(p, now).accepted());
             assert_eq!(format!("{:?}", Some(out)), format!("{:?}", b.dequeue(now)));
-            assert_eq!((a.len(), a.bytes(), a.ranks.len()), (0, 0, 0));
+            assert_eq!((a.len(), a.bytes()), (0, 0));
+            assert_eq!(mirrored(&a).unwrap_or(0), 0);
         }
         assert_eq!(a.dequeued_count(), 500);
         assert_eq!(a.dequeued_count(), b.dequeued_count());
@@ -620,10 +626,34 @@ mod tests {
         digits.into_iter().next().unwrap().parse().unwrap()
     }
 
-    /// Random enqueue / evicting enqueue / reject / dequeue streams, ranks on
-    /// both sides of `DENSE_RANKS`, four tenants: after every dequeue the
-    /// wrapper's inversion count, the span naming the overtaken packet and
-    /// the monitor's cross-tenant count are what the model mirror says.
+    /// A random enqueue / evicting enqueue / reject / dequeue stream: at
+    /// each step, `Some(packet)` to offer or `None` to dequeue. Ranks on
+    /// both sides of `DENSE_RANKS`, four tenants, ACKs, and few flows and
+    /// sequence numbers, so identities repeat.
+    fn random_ops(seed: u64) -> impl Iterator<Item = (Nanos, Option<Packet>)> {
+        let mut rng = qvisor_sim::SimRng::seed_from(seed);
+        (0..4_000u64).map(move |step| {
+            let now = Nanos(step);
+            if rng.below(5) >= 3 {
+                return (now, None);
+            }
+            let rank = [
+                rng.below(6),
+                crate::rank_index::DENSE_RANKS - 2 + rng.below(4),
+                u64::MAX - rng.below(2),
+            ][rng.below(3) as usize];
+            let mut p = tenant_pkt(rng.below(4) as u16, rng.below(3), rng.below(4), rank);
+            if rng.below(3) == 0 {
+                p = p.ack_for(100, now);
+                p.txf_rank = rank;
+            }
+            (now, Some(p))
+        })
+    }
+
+    /// Over [`random_ops`]: after every dequeue the wrapper's inversion
+    /// count, the span naming the overtaken packet and the monitor's
+    /// cross-tenant count are what the model mirror says.
     fn mirror_matches_model<Q: PacketQueue>(inner: Q, seed: u64) {
         let obs = Observers {
             // A four-record ring: the newest spans, cheap to snapshot.
@@ -634,24 +664,18 @@ mod tests {
             ..Observers::enabled()
         };
         let mut q = obs.wrap(inner);
+        let exact = q.kind() == "pifo";
+        assert_eq!(
+            mirrored(&q).is_none(),
+            exact,
+            "only a PIFO drops the mirror"
+        );
         let mut model = ModelMirror::default();
-        let mut rng = qvisor_sim::SimRng::seed_from(seed);
         let (mut inversions, mut cross) = (0u64, [0u64; 4]);
         let (mut evicted, mut rejected) = (0, 0);
-        for step in 0..4_000u64 {
-            let now = Nanos(step);
-            if rng.below(5) < 3 {
-                let rank = [
-                    rng.below(6),
-                    crate::rank_index::DENSE_RANKS - 2 + rng.below(4),
-                    u64::MAX - rng.below(2),
-                ][rng.below(3) as usize];
-                // Few flows and sequence numbers: identities repeat.
-                let mut p = tenant_pkt(rng.below(4) as u16, rng.below(3), rng.below(4), rank);
-                if rng.below(3) == 0 {
-                    p = p.ack_for(100, now);
-                    p.txf_rank = rank;
-                }
+        for (now, op) in random_ops(seed) {
+            let step = now.0;
+            if let Some(p) = op {
                 match q.enqueue(p.clone(), now) {
                     Enqueue::Accepted => model.note(&p),
                     Enqueue::AcceptedDropped(victims) => {
@@ -695,10 +719,10 @@ mod tests {
                 );
             }
             let resident: usize = model.0.values().map(Vec::len).sum();
-            assert_eq!((q.ranks.len(), q.len()), (resident, resident));
+            assert_eq!(q.len(), resident);
+            assert_eq!(mirrored(&q), (!exact).then_some(resident));
         }
         assert!(evicted + rejected > 0, "the buffer never filled");
-        let exact = q.kind() == "pifo";
         assert_eq!(inversions == 0, exact, "{}: {inversions}", q.kind());
         assert_eq!(
             cross.iter().sum::<u64>() == 0,
@@ -716,6 +740,64 @@ mod tests {
             mirror_matches_model(FifoQueue::new(cap), seed);
             mirror_matches_model(PifoQueue::new(cap), seed);
             mirror_matches_model(StrictPriorityBank::new(SpPifoMapper::new(4), cap), seed);
+        }
+    }
+
+    /// An exact PIFO under another name: its `kind` is not `pifo`, so its
+    /// wrapper keeps the mirror a real one goes without.
+    struct MirroredPifo(PifoQueue);
+
+    impl PacketQueue for MirroredPifo {
+        fn enqueue(&mut self, p: Packet, now: Nanos) -> Enqueue {
+            self.0.enqueue(p, now)
+        }
+        fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+            self.0.dequeue(now)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn bytes(&self) -> u64 {
+            self.0.bytes()
+        }
+        fn head_rank(&self) -> Option<Rank> {
+            self.0.head_rank()
+        }
+        fn kind(&self) -> &'static str {
+            "pifo_mirrored"
+        }
+    }
+
+    #[test]
+    fn an_exact_pifo_exports_the_same_without_its_mirror() {
+        let cap = Capacity::bytes(1_200);
+        for seed in 0..4 {
+            let (bare, mirrored_obs) = (Observers::enabled(), Observers::enabled());
+            let mut a = bare.wrap(PifoQueue::new(cap));
+            let mut b = mirrored_obs.wrap(MirroredPifo(PifoQueue::new(cap)));
+            assert_eq!((mirrored(&a), mirrored(&b)), (None, Some(0)));
+            for (now, op) in random_ops(seed) {
+                let (x, y) = match op {
+                    Some(p) => (
+                        format!("{:?}", a.enqueue(p.clone(), now)),
+                        format!("{:?}", b.enqueue(p, now)),
+                    ),
+                    None => (
+                        format!("{:?}", a.dequeue(now)),
+                        format!("{:?}", b.dequeue(now)),
+                    ),
+                };
+                assert_eq!(x, y, "seed {seed} at {now:?}");
+            }
+            assert!(a.dropped_count() > 0 && a.dequeued_count() > 0);
+            let ([trace, monitor, telemetry], scopes) = bare.exports();
+            let ([trace_b, monitor_b, telemetry_b], scopes_b) = mirrored_obs.exports();
+            assert_eq!(trace, trace_b, "seed {seed}");
+            assert_eq!(monitor, monitor_b, "seed {seed}");
+            let renamed = telemetry_b.replace(r#""kind":"pifo_mirrored""#, r#""kind":"pifo""#);
+            assert_eq!(telemetry, renamed, "seed {seed}");
+            assert_eq!(scopes, scopes_b);
+            assert_eq!(a.inversion_count(), 0);
         }
     }
 

@@ -180,7 +180,7 @@ mod tests {
         q.enqueue(pkt(2, 7), Nanos::ZERO);
         // Queue full (300 bytes). A rank-1 arrival must evict seq 1 (rank 9).
         let r = q.enqueue(pkt(3, 1), Nanos::ZERO);
-        let dropped = r.dropped();
+        let dropped: Vec<Packet> = r.dropped().collect();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].seq, 1);
         assert_eq!(drain(&mut q), vec![3, 0, 2]);
@@ -206,7 +206,7 @@ mod tests {
         // 250-byte arrival at rank 1 needs all three evictions: after two,
         // 100 resident + 250 arriving = 350 > 300 still overflows.
         let r = q.enqueue(sized(3, 1, 250), Nanos::ZERO);
-        let dropped = r.dropped();
+        let dropped: Vec<Packet> = r.dropped().collect();
         assert_eq!(
             dropped.iter().map(|p| p.seq).collect::<Vec<_>>(),
             vec![0, 1, 2]

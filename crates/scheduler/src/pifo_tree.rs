@@ -411,7 +411,7 @@ mod tests {
         }
         let outcome = t.enqueue(pkt(2, 10, 1), Nanos::ZERO);
         assert!(outcome.accepted());
-        let dropped = outcome.dropped();
+        let dropped: Vec<Packet> = outcome.dropped().collect();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].seq, 1, "worst-ranked tenant-1 packet evicted");
         assert_eq!(t.len(), 4);

@@ -16,13 +16,15 @@ pub enum Enqueue {
 }
 
 impl Enqueue {
-    /// All packets lost by this enqueue, in drop order.
-    pub fn dropped(self) -> Vec<Packet> {
-        match self {
-            Enqueue::Accepted => Vec::new(),
-            Enqueue::AcceptedDropped(d) => d,
-            Enqueue::Rejected(p) => vec![*p],
-        }
+    /// All packets lost by this enqueue, in drop order. A rejected
+    /// arrival comes straight out of its box: nothing is collected.
+    pub fn dropped(self) -> impl Iterator<Item = Packet> {
+        let (evicted, rejected) = match self {
+            Enqueue::Accepted => (Vec::new(), None),
+            Enqueue::AcceptedDropped(d) => (d, None),
+            Enqueue::Rejected(p) => (Vec::new(), Some(*p)),
+        };
+        evicted.into_iter().chain(rejected)
     }
 
     /// True if the offered packet itself was admitted.
@@ -136,13 +138,13 @@ mod tests {
     #[test]
     fn enqueue_outcome_accounting() {
         assert!(Enqueue::Accepted.accepted());
-        assert!(Enqueue::Accepted.dropped().is_empty());
+        assert_eq!(Enqueue::Accepted.dropped().count(), 0);
         let r = Enqueue::Rejected(Box::new(pkt(100)));
         assert!(!r.accepted());
-        assert_eq!(r.dropped().len(), 1);
+        assert_eq!(r.dropped().map(|p| p.size).collect::<Vec<_>>(), [100]);
         let a = Enqueue::AcceptedDropped(vec![pkt(1), pkt(2)]);
         assert!(a.accepted());
-        assert_eq!(a.dropped().len(), 2);
+        assert_eq!(a.dropped().map(|p| p.size).collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]

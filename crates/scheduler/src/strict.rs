@@ -258,7 +258,7 @@ mod tests {
         bank.enqueue(pkt(1, 8), Nanos::ZERO);
         // High-priority arrival evicts the low-priority tail (seq 1).
         let r = bank.enqueue(pkt(2, 0), Nanos::ZERO);
-        let dropped = r.dropped();
+        let dropped: Vec<Packet> = r.dropped().collect();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].seq, 1);
         assert_eq!(bank.queue_lengths(), vec![1, 1]);

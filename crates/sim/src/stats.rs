@@ -250,7 +250,15 @@ impl<const SUB_BITS: u32> LogBuckets<SUB_BITS> {
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        *self.cell(Self::index(v)) += 1;
+        self.record_bucket(Self::index(v));
+    }
+
+    /// Record one value known to fall in bucket `index` (its
+    /// [`index`](Self::index)): for a sample that several histograms of
+    /// one resolution record.
+    #[inline]
+    pub fn record_bucket(&mut self, index: usize) {
+        *self.cell(index) += 1;
         self.total += 1;
     }
 

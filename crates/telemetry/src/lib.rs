@@ -52,7 +52,7 @@ pub use stream::{BusReceiver, SnapshotBus, DEFAULT_SUBSCRIBER_CAPACITY};
 pub use trace::{TraceConfig, TraceData, TraceKind, TraceRecord, Tracer};
 
 mod live;
-pub use live::{Counter, Gauge, Histogram, Telemetry};
+pub use live::{Counter, Gauge, Histogram, QueueMetrics, Telemetry};
 
 /// Version tag written into the `meta` line of every JSONL export.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -9,18 +9,26 @@ use qvisor_sim::json::Value;
 use qvisor_sim::Nanos;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
-/// Metric identity: name plus sorted `(label, value)` pairs.
-type MetricKey = (String, Vec<(String, String)>);
+/// Sorted `(label, value)` pairs.
+type Labels = Vec<(String, String)>;
 
-fn metric_key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
-    let mut labels: Vec<(String, String)> = labels
+/// Metric identity: name plus sorted labels.
+type MetricKey = (String, Labels);
+
+fn sorted_labels(labels: &[(&str, &str)]) -> Labels {
+    let mut labels: Labels = labels
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
     labels.sort();
-    (name.to_string(), labels)
+    labels
+}
+
+fn metric_key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    (name.to_string(), sorted_labels(labels))
 }
 
 fn labels_json(labels: &[(String, String)]) -> Value {
@@ -31,18 +39,107 @@ fn labels_json(labels: &[(String, String)]) -> Value {
     obj
 }
 
+/// One field of a queue's block, as a projection.
+type Field<T> = fn(&QueueBlock) -> &T;
+
+/// Where a handle's metric lives: an allocation of its own, or one field
+/// of a queue's [`QueueMetrics`] block.
+enum Slot<T> {
+    Own(Rc<T>),
+    Queue(Rc<QueueBlock>, Field<T>),
+}
+
+impl<T> Clone for Slot<T> {
+    fn clone(&self) -> Slot<T> {
+        match self {
+            Slot::Own(cell) => Slot::Own(Rc::clone(cell)),
+            Slot::Queue(block, field) => Slot::Queue(Rc::clone(block), *field),
+        }
+    }
+}
+
+impl<T> Deref for Slot<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            Slot::Own(cell) => cell,
+            Slot::Queue(block, field) => field(block),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<MetricKey, Rc<Cell<u64>>>,
     gauges: BTreeMap<MetricKey, Rc<Cell<i64>>>,
     histograms: BTreeMap<MetricKey, Rc<RefCell<LogHistogram>>>,
-    profiles: BTreeMap<String, Rc<RefCell<ProfileStat>>>,
+    /// Scheduler queues' metric blocks by label set. A block stands for one
+    /// key per field, `(field name, labels)`, beside the maps above.
+    queues: BTreeMap<Labels, Rc<QueueBlock>>,
+    profiles: BTreeMap<String, Rc<Cell<ProfileStat>>>,
     journal: Journal,
+}
+
+/// The handle for `name` under `labels`: a field of the queue block with
+/// those labels when `name` is one of its `fields`, else the standalone
+/// metric, registered on first use.
+fn slot<T: Default>(
+    own: &mut BTreeMap<MetricKey, Rc<T>>,
+    fields: &[(&str, Field<T>)],
+    queues: &BTreeMap<Labels, Rc<QueueBlock>>,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Slot<T> {
+    let key = metric_key(name, labels);
+    if let Some(&(_, field)) = fields.iter().find(|(field_name, _)| *field_name == name) {
+        if let Some(block) = queues.get(&key.1) {
+            return Slot::Queue(Rc::clone(block), field);
+        }
+    }
+    Slot::Own(Rc::clone(own.entry(key).or_default()))
+}
+
+/// Whether no standalone metric holds a key that a queue block with
+/// `labels` stands for.
+fn unclaimed<T, F>(own: &BTreeMap<MetricKey, T>, fields: &[(&str, F)], labels: &Labels) -> bool {
+    (fields.iter()).all(|(name, _)| !own.contains_key(&(name.to_string(), labels.clone())))
+}
+
+/// Every metric of one type in key order — name, then labels — as
+/// `(name, labels, state)`: the standalone ones merged with one per queue
+/// block and field, so an export reads as if each field were registered
+/// on its own.
+fn in_key_order<'a, T>(
+    own: &'a BTreeMap<MetricKey, Rc<T>>,
+    fields: &'a [(&'a str, Field<T>)],
+    queues: &'a BTreeMap<Labels, Rc<QueueBlock>>,
+) -> impl Iterator<Item = (&'a str, &'a Labels, &'a T)> {
+    let mut own = (own.iter())
+        .map(|((name, labels), state)| (name.as_str(), labels, &**state))
+        .peekable();
+    let mut queued = (fields.iter())
+        .flat_map(move |&(name, field)| {
+            (queues.iter()).map(move |(labels, block)| (name, labels, field(block)))
+        })
+        .peekable();
+    std::iter::from_fn(move || {
+        let own_first = match (own.peek(), queued.peek()) {
+            (Some(a), Some(b)) => (a.0, a.1) <= (b.0, b.1),
+            (a, _) => a.is_some(),
+        };
+        if own_first {
+            own.next()
+        } else {
+            queued.next()
+        }
+    })
 }
 
 /// A monotonically increasing counter. Cloning shares the underlying cell.
 #[derive(Clone, Default)]
-pub struct Counter(Option<Rc<Cell<u64>>>);
+pub struct Counter(Option<Slot<Cell<u64>>>);
 
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -73,7 +170,7 @@ impl Counter {
 
 /// A last-value gauge. Cloning shares the underlying cell.
 #[derive(Clone, Default)]
-pub struct Gauge(Option<Rc<Cell<i64>>>);
+pub struct Gauge(Option<Slot<Cell<i64>>>);
 
 impl std::fmt::Debug for Gauge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -106,7 +203,7 @@ impl Gauge {
 
 /// A log-bucketed histogram handle. Cloning shares the underlying histogram.
 #[derive(Clone, Default)]
-pub struct Histogram(Option<Rc<RefCell<LogHistogram>>>);
+pub struct Histogram(Option<Slot<RefCell<LogHistogram>>>);
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -131,6 +228,127 @@ impl Histogram {
     /// Nearest-rank quantile estimate (`None` when disabled or empty).
     pub fn quantile(&self, p: f64) -> Option<u64> {
         self.0.as_ref().and_then(|h| h.borrow().quantile(p))
+    }
+}
+
+/// The instruments every hop through one scheduler queue updates, side by
+/// side in one allocation.
+#[derive(Default)]
+struct QueueBlock {
+    offered: Cell<u64>,
+    admitted: Cell<u64>,
+    dropped: Cell<u64>,
+    dequeued: Cell<u64>,
+    inversions: Cell<u64>,
+    depth_pkts: Cell<i64>,
+    depth_bytes: Cell<i64>,
+    sojourn_ns: RefCell<LogHistogram>,
+}
+
+/// The block's fields by metric name: the keys it stands for in exports and
+/// lookups. In name order, which [`in_key_order`]'s merge relies on.
+const QUEUE_COUNTERS: [(&str, Field<Cell<u64>>); 5] = [
+    ("sched_admitted_pkts", |b| &b.admitted),
+    ("sched_dequeued_pkts", |b| &b.dequeued),
+    ("sched_dropped_pkts", |b| &b.dropped),
+    ("sched_offered_pkts", |b| &b.offered),
+    ("sched_rank_inversions", |b| &b.inversions),
+];
+const QUEUE_GAUGES: [(&str, Field<Cell<i64>>); 2] = [
+    ("sched_depth_bytes", |b| &b.depth_bytes),
+    ("sched_depth_pkts", |b| &b.depth_pkts),
+];
+const QUEUE_HISTOGRAMS: [(&str, Field<RefCell<LogHistogram>>); 1] =
+    [("sched_sojourn_ns", |b| &b.sojourn_ns)];
+
+/// One scheduler queue's metrics, registered by [`Telemetry::queue_metrics`]
+/// as one block: a hop follows one pointer to all of them. The registry
+/// indexes the block by its labels, and each field stands for the key a
+/// standalone metric of that name and labels would have: exports list it
+/// there, and [`Telemetry::counter`] (`gauge`, `histogram`) reads it live.
+/// Cloning shares the block; the default value is disabled.
+///
+/// | metric | type | updated by |
+/// |---|---|---|
+/// | `sched_offered_pkts` | counter | [`offer`](Self::offer) |
+/// | `sched_admitted_pkts` | counter | [`admit`](Self::admit) |
+/// | `sched_dropped_pkts` | counter | [`drop_pkts`](Self::drop_pkts) |
+/// | `sched_dequeued_pkts` | counter | [`dequeue`](Self::dequeue) |
+/// | `sched_rank_inversions` | counter | [`dequeue`](Self::dequeue) |
+/// | `sched_depth_pkts` | gauge | [`set_depth`](Self::set_depth) |
+/// | `sched_depth_bytes` | gauge | [`set_depth`](Self::set_depth) |
+/// | `sched_sojourn_ns` | histogram | [`dequeue`](Self::dequeue) |
+#[derive(Clone, Default)]
+pub struct QueueMetrics(Option<Rc<QueueBlock>>);
+
+impl std::fmt::Debug for QueueMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "QueueMetrics(dequeued={})", self.dequeued())
+    }
+}
+
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get().wrapping_add(n));
+}
+
+impl QueueMetrics {
+    /// A packet was offered to the queue.
+    #[inline]
+    pub fn offer(&self) {
+        if let Some(b) = &self.0 {
+            bump(&b.offered, 1);
+        }
+    }
+
+    /// The offered packet was admitted.
+    #[inline]
+    pub fn admit(&self) {
+        if let Some(b) = &self.0 {
+            bump(&b.admitted, 1);
+        }
+    }
+
+    /// `n` packets were lost: a rejected arrival or evicted residents.
+    #[inline]
+    pub fn drop_pkts(&self, n: u64) {
+        if let Some(b) = &self.0 {
+            bump(&b.dropped, n);
+        }
+    }
+
+    /// A packet left after waiting `wait_ns`; `inverted` when a resident
+    /// of strictly lower rank stayed behind.
+    #[inline]
+    pub fn dequeue(&self, wait_ns: u64, inverted: bool) {
+        if let Some(b) = &self.0 {
+            bump(&b.dequeued, 1);
+            bump(&b.inversions, u64::from(inverted));
+            b.sojourn_ns.borrow_mut().record(wait_ns);
+        }
+    }
+
+    /// The queue now holds `pkts` packets of `bytes` bytes in total.
+    #[inline]
+    pub fn set_depth(&self, pkts: i64, bytes: i64) {
+        if let Some(b) = &self.0 {
+            b.depth_pkts.set(pkts);
+            b.depth_bytes.set(bytes);
+        }
+    }
+
+    /// `sched_dequeued_pkts` so far (0 when disabled).
+    pub fn dequeued(&self) -> u64 {
+        self.0.as_ref().map_or(0, |b| b.dequeued.get())
+    }
+
+    /// `sched_dropped_pkts` so far (0 when disabled).
+    pub fn dropped(&self) -> u64 {
+        self.0.as_ref().map_or(0, |b| b.dropped.get())
+    }
+
+    /// `sched_rank_inversions` so far (0 when disabled).
+    pub fn inversions(&self) -> u64 {
+        self.0.as_ref().map_or(0, |b| b.inversions.get())
     }
 }
 
@@ -184,11 +402,13 @@ impl Telemetry {
     /// same underlying cell, so independent components can share a metric.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         Counter(self.inner.as_ref().map(|reg| {
-            Rc::clone(
-                reg.borrow_mut()
-                    .counters
-                    .entry(metric_key(name, labels))
-                    .or_default(),
+            let reg = &mut *reg.borrow_mut();
+            slot(
+                &mut reg.counters,
+                &QUEUE_COUNTERS,
+                &reg.queues,
+                name,
+                labels,
             )
         }))
     }
@@ -196,24 +416,40 @@ impl Telemetry {
     /// Register (or re-fetch) the gauge `name` with the given labels.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         Gauge(self.inner.as_ref().map(|reg| {
-            Rc::clone(
-                reg.borrow_mut()
-                    .gauges
-                    .entry(metric_key(name, labels))
-                    .or_default(),
-            )
+            let reg = &mut *reg.borrow_mut();
+            slot(&mut reg.gauges, &QUEUE_GAUGES, &reg.queues, name, labels)
         }))
     }
 
     /// Register (or re-fetch) the histogram `name` with the given labels.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         Histogram(self.inner.as_ref().map(|reg| {
-            Rc::clone(
-                reg.borrow_mut()
-                    .histograms
-                    .entry(metric_key(name, labels))
-                    .or_default(),
+            let reg = &mut *reg.borrow_mut();
+            slot(
+                &mut reg.histograms,
+                &QUEUE_HISTOGRAMS,
+                &reg.queues,
+                name,
+                labels,
             )
+        }))
+    }
+
+    /// Register (or re-fetch) the metrics block of the scheduler queue
+    /// with the given labels: [`QueueMetrics`]' eight metrics under those
+    /// labels. Re-registering returns the same block. None of the eight
+    /// may already be registered as a standalone metric.
+    pub fn queue_metrics(&self, labels: &[(&str, &str)]) -> QueueMetrics {
+        QueueMetrics(self.inner.as_ref().map(|reg| {
+            let reg = &mut *reg.borrow_mut();
+            let labels = sorted_labels(labels);
+            debug_assert!(
+                unclaimed(&reg.counters, &QUEUE_COUNTERS, &labels)
+                    && unclaimed(&reg.gauges, &QUEUE_GAUGES, &labels)
+                    && unclaimed(&reg.histograms, &QUEUE_HISTOGRAMS, &labels),
+                "a queue metric was registered alone"
+            );
+            Rc::clone(reg.queues.entry(labels).or_default())
         }))
     }
 
@@ -280,25 +516,25 @@ impl Telemetry {
             .set("journal_capacity", reg.journal.capacity() as u64);
         out.push_str(&meta.to_compact());
         out.push('\n');
-        for ((name, labels), cell) in &reg.counters {
+        for (name, labels, cell) in in_key_order(&reg.counters, &QUEUE_COUNTERS, &reg.queues) {
             let line = Value::object()
                 .set("type", "counter")
-                .set("name", name.as_str())
+                .set("name", name)
                 .set("labels", labels_json(labels))
                 .set("value", cell.get());
             out.push_str(&line.to_compact());
             out.push('\n');
         }
-        for ((name, labels), cell) in &reg.gauges {
+        for (name, labels, cell) in in_key_order(&reg.gauges, &QUEUE_GAUGES, &reg.queues) {
             let line = Value::object()
                 .set("type", "gauge")
-                .set("name", name.as_str())
+                .set("name", name)
                 .set("labels", labels_json(labels))
                 .set("value", cell.get());
             out.push_str(&line.to_compact());
             out.push('\n');
         }
-        for ((name, labels), hist) in &reg.histograms {
+        for (name, labels, hist) in in_key_order(&reg.histograms, &QUEUE_HISTOGRAMS, &reg.queues) {
             let h = hist.borrow();
             let buckets: Vec<Value> = h
                 .buckets()
@@ -313,7 +549,7 @@ impl Telemetry {
                 .collect();
             let line = Value::object()
                 .set("type", "histogram")
-                .set("name", name.as_str())
+                .set("name", name)
                 .set("labels", labels_json(labels))
                 .set("count", h.count())
                 .set("min", h.min())
@@ -327,7 +563,7 @@ impl Telemetry {
             out.push('\n');
         }
         for (name, stat) in &reg.profiles {
-            let s = stat.borrow();
+            let s = stat.get();
             let line = Value::object()
                 .set("type", "profile")
                 .set("name", name.as_str())
@@ -453,6 +689,68 @@ mod tests {
         let roomy = Telemetry::enabled();
         roomy.event(Nanos(1), "tick", &[]);
         assert!(!roomy.export_jsonl().contains("telemetry_journal_dropped"));
+    }
+
+    #[test]
+    fn a_queue_block_exports_what_standalone_metrics_would() {
+        let labels = [("queue", "q0"), ("kind", "fifo")];
+        let (block, alone) = (Telemetry::enabled(), Telemetry::enabled());
+        let m = block.queue_metrics(&labels);
+        m.offer();
+        m.offer();
+        m.admit();
+        m.drop_pkts(1);
+        m.dequeue(500, true);
+        m.set_depth(0, 0);
+        // Re-registering, labels in any order, shares the block.
+        block
+            .queue_metrics(&[("kind", "fifo"), ("queue", "q0")])
+            .dequeue(40, false);
+        m.set_depth(3, 300);
+        assert_eq!((m.dequeued(), m.dropped(), m.inversions()), (2, 1, 1));
+        // Keys that sort between the block's interleave as they always did:
+        // other names, and the same names under labels either side of it.
+        for t in [&block, &alone] {
+            t.counter("sched_other", &labels).add(7);
+            t.counter("sched_offered_pkts", &[("queue", "a"), ("kind", "fifo")])
+                .add(4);
+            t.counter("sched_offered_pkts", &[("queue", "q1"), ("kind", "fifo")])
+                .add(5);
+            t.gauge("sched_depth_peak", &[]).set(9);
+        }
+        // A second, idle block exports its eight zeros.
+        let idle = [("queue", "q00"), ("kind", "pifo")];
+        block.queue_metrics(&idle);
+        for (name, n) in [
+            ("sched_offered_pkts", 2),
+            ("sched_admitted_pkts", 1),
+            ("sched_dropped_pkts", 1),
+            ("sched_dequeued_pkts", 2),
+            ("sched_rank_inversions", 1),
+        ] {
+            alone.counter(name, &labels).add(n);
+            alone.counter(name, &idle);
+            assert_eq!(block.counter(name, &labels).get(), n, "{name} read live");
+        }
+        alone.gauge("sched_depth_pkts", &labels).set(3);
+        alone.gauge("sched_depth_bytes", &labels).set(300);
+        alone.gauge("sched_depth_pkts", &idle);
+        alone.gauge("sched_depth_bytes", &idle);
+        alone.histogram("sched_sojourn_ns", &idle);
+        let sojourn = alone.histogram("sched_sojourn_ns", &labels);
+        sojourn.record(500);
+        sojourn.record(40);
+        assert_eq!(block.gauge("sched_depth_bytes", &labels).get(), 300);
+        assert_eq!(block.histogram("sched_sojourn_ns", &labels).count(), 2);
+        assert_eq!(block.export_jsonl(), alone.export_jsonl());
+    }
+
+    #[test]
+    fn a_disabled_queue_block_is_inert() {
+        let m = Telemetry::disabled().queue_metrics(&[("queue", "q0")]);
+        m.offer();
+        m.dequeue(5, true);
+        assert_eq!((m.dequeued(), m.inversions()), (0, 0));
     }
 
     #[test]

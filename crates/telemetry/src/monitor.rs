@@ -35,7 +35,6 @@ use crate::journal::{Journal, JournalEvent};
 use crate::report::{Export, HistLine, MetricLine};
 use crate::stream::SnapshotBus;
 use qvisor_sim::json::Value;
-use qvisor_sim::stats::nearest_rank;
 use qvisor_sim::{LogBuckets, Nanos};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -59,13 +58,65 @@ const SLICES: u64 = 8;
 /// sketch from the aggregate.
 pub type QuantileSketch = LogBuckets<SKETCH_SUB_BITS>;
 
+/// The ring slice a sliding window is in, moved on by simulated time.
+///
+/// A feed compares its timestamp against the start of the next slice; only
+/// a feed that crosses it divides, so a window divides once per slice, not
+/// once per feed.
+#[derive(Clone, Debug)]
+struct SliceClock {
+    slice_ns: u64,
+    /// Number of the current slice: `t / slice_ns` of the latest feed.
+    cur: u64,
+    /// Where slice `cur + 1` starts, saturated at `u64::MAX` (no later
+    /// slice fits below it then, and the division finds none).
+    next: u64,
+}
+
+impl SliceClock {
+    fn new(window_ns: u64) -> SliceClock {
+        let slice_ns = window_ns.div_ceil(SLICES).max(1);
+        SliceClock {
+            slice_ns,
+            cur: 0,
+            next: slice_ns,
+        }
+    }
+
+    /// Move to the slice holding `t`. Returns the ring slots that left the
+    /// window, oldest first: none while `t` stays in the current slice,
+    /// all of them after a gap longer than the window.
+    #[inline]
+    fn advance(&mut self, t: u64) -> impl Iterator<Item = usize> {
+        let (first, steps) = if t < self.next { (0, 0) } else { self.turn(t) };
+        (0..steps).map(move |i| ((first + i) % SLICES) as usize)
+    }
+
+    /// The division: the first slice that left the window and how many did.
+    fn turn(&mut self, t: u64) -> (u64, u64) {
+        let s = t / self.slice_ns;
+        self.next = s.saturating_add(1).saturating_mul(self.slice_ns);
+        // Only once `next` has saturated at `u64::MAX`: still this slice.
+        if s <= self.cur {
+            return (0, 0);
+        }
+        let expired = (self.cur + 1, (s - self.cur).min(SLICES));
+        self.cur = s;
+        expired
+    }
+
+    /// The ring slot of the current slice.
+    fn slot(&self) -> usize {
+        (self.cur % SLICES) as usize
+    }
+}
+
 /// A count over a sliding sim-time window, quantized into [`SLICES`] ring
 /// slices: O(1) add, O(1) amortized expiry, purely a function of the
 /// event stream's simulated timestamps.
 #[derive(Clone, Debug)]
 struct SlidingCounter {
-    slice_ns: u64,
-    cur: u64,
+    clock: SliceClock,
     ring: [u64; SLICES as usize],
     total: u64,
 }
@@ -73,30 +124,22 @@ struct SlidingCounter {
 impl SlidingCounter {
     fn new(window_ns: u64) -> SlidingCounter {
         SlidingCounter {
-            slice_ns: window_ns.div_ceil(SLICES).max(1),
-            cur: 0,
+            clock: SliceClock::new(window_ns),
             ring: [0; SLICES as usize],
             total: 0,
         }
     }
 
     fn advance(&mut self, t: u64) {
-        let s = t / self.slice_ns;
-        if s <= self.cur {
-            return;
-        }
-        let steps = (s - self.cur).min(SLICES);
-        for i in 1..=steps {
-            let slot = ((self.cur + i) % SLICES) as usize;
+        for slot in self.clock.advance(t) {
             self.total -= self.ring[slot];
             self.ring[slot] = 0;
         }
-        self.cur = s;
     }
 
     fn add(&mut self, t: u64, n: u64) {
         self.advance(t);
-        self.ring[(self.cur % SLICES) as usize] += n;
+        self.ring[self.clock.slot()] += n;
         self.total += n;
     }
 
@@ -121,8 +164,7 @@ impl SlidingCounter {
 /// itself.
 #[derive(Clone, Debug)]
 struct SlidingSketch {
-    slice_ns: u64,
-    cur: u64,
+    clock: SliceClock,
     ring: [QuantileSketch; SLICES as usize],
     agg: QuantileSketch,
     /// Buckets `0..below_limit` are those whose upper bound, as the `f64`
@@ -141,8 +183,7 @@ impl SlidingSketch {
             .take_while(|&i| threshold.is_nan() || QuantileSketch::range(i).1 as f64 <= threshold)
             .count();
         SlidingSketch {
-            slice_ns: window_ns.div_ceil(SLICES).max(1),
-            cur: 0,
+            clock: SliceClock::new(window_ns),
             ring: std::array::from_fn(|_| QuantileSketch::new()),
             agg: QuantileSketch::new(),
             below_limit,
@@ -152,13 +193,7 @@ impl SlidingSketch {
     }
 
     fn advance(&mut self, t: u64) {
-        let s = t / self.slice_ns;
-        if s <= self.cur {
-            return;
-        }
-        let steps = (s - self.cur).min(SLICES);
-        for i in 1..=steps {
-            let slot = ((self.cur + i) % SLICES) as usize;
+        for slot in self.clock.advance(t) {
             if !self.ring[slot].is_empty() {
                 self.agg.subtract(&self.ring[slot]);
                 self.ring[slot].clear();
@@ -166,15 +201,15 @@ impl SlidingSketch {
                 self.ring_below[slot] = 0;
             }
         }
-        self.cur = s;
     }
 
-    fn record(&mut self, t: u64, v: u64) {
+    /// Record a sample that falls in sketch bucket `bucket`.
+    fn record(&mut self, t: u64, bucket: usize) {
         self.advance(t);
-        let slot = (self.cur % SLICES) as usize;
-        self.ring[slot].record(v);
-        self.agg.record(v);
-        if QuantileSketch::index(v) < self.below_limit {
+        let slot = self.clock.slot();
+        self.ring[slot].record_bucket(bucket);
+        self.agg.record_bucket(bucket);
+        if bucket < self.below_limit {
             self.ring_below[slot] += 1;
             self.agg_below += 1;
         }
@@ -192,7 +227,10 @@ impl SlidingSketch {
         match self.agg.count() {
             // 0 is bucket 0's bound: above the threshold iff the prefix is empty.
             0 => self.below_limit == 0,
-            total => self.agg_below < nearest_rank(p, total),
+            // `agg_below < nearest_rank(p, total)`, whose target is
+            // `max(⌈p·total⌉, 1)`: an integer count is below `⌈x⌉` exactly
+            // when it is below `x`, so no `ceil` (exact below 2^53 samples).
+            total => self.agg_below == 0 || (self.agg_below as f64) < p * total as f64,
         }
     }
 }
@@ -363,30 +401,42 @@ struct TenantStats {
     fct: QuantileSketch,
 }
 
+/// One tenant's row of the monitor's table.
+#[derive(Clone, Debug)]
+struct Tenant {
+    /// Positions in `MonitorState::rules` of the rules on this tenant,
+    /// ascending: a feed visits only these.
+    rules: Vec<usize>,
+    stats: TenantStats,
+}
+
 #[derive(Debug)]
 struct MonitorState {
     rules: Vec<RuleRt>,
-    tenants: BTreeMap<u16, TenantStats>,
+    /// Indexed by tenant id; a row exists once the tenant has been fed.
+    tenants: Vec<Option<Tenant>>,
     journal: Journal,
     alerts_fired: u64,
     alerts_resolved: u64,
     bus: Option<Arc<SnapshotBus>>,
 }
 
-/// Which feed event just happened, for routing to matching rules.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which feed event just happened, with what a rule or the health table
+/// takes from it. A latency sample arrives as its [`QuantileSketch`]
+/// bucket, computed once for every sketch that records it.
+#[derive(Clone, Copy)]
 enum Feed {
     Drop,
     Delivered,
-    Dequeue,
-    Fct,
+    Dequeue { bucket: usize, inverted: bool },
+    Fct { bucket: usize },
 }
 
 impl MonitorState {
     fn new(rules: Vec<AlertRule>) -> MonitorState {
         MonitorState {
             rules: rules.into_iter().map(RuleRt::new).collect(),
-            tenants: BTreeMap::new(),
+            tenants: Vec::new(),
             journal: Journal::default(),
             alerts_fired: 0,
             alerts_resolved: 0,
@@ -394,47 +444,66 @@ impl MonitorState {
         }
     }
 
-    /// Route one feed event into every matching rule's window, then
-    /// re-evaluate those rules at sim-time `t` (edge-triggered).
-    fn feed(&mut self, t: Nanos, tenant: u16, feed: Feed, sample: u64, inverted: bool) {
-        let mut transitions: Vec<(usize, f64)> = Vec::new();
-        for (i, rt) in self.rules.iter_mut().enumerate() {
-            if rt.rule.tenant != tenant {
-                continue;
+    /// Fold one feed event into `tenant`'s health, route it into the
+    /// windows of the tenant's rules that watch it, then re-evaluate those
+    /// rules at sim-time `t` (edge-triggered).
+    fn feed(&mut self, t: Nanos, tenant: u16, feed: Feed) {
+        let id = usize::from(tenant);
+        if id >= self.tenants.len() {
+            self.tenants.resize_with(id + 1, || None);
+        }
+        let rules = &mut self.rules;
+        let row = self.tenants[id].get_or_insert_with(|| Tenant {
+            rules: (rules.iter().enumerate())
+                .filter(|(_, rt)| rt.rule.tenant == tenant)
+                .map(|(i, _)| i)
+                .collect(),
+            stats: TenantStats::default(),
+        });
+        let stats = &mut row.stats;
+        match feed {
+            Feed::Drop => stats.dropped += 1,
+            Feed::Delivered => stats.delivered += 1,
+            Feed::Dequeue { bucket, inverted } => {
+                stats.dequeues += 1;
+                stats.inversions += u64::from(inverted);
+                stats.queue_delay.record_bucket(bucket);
             }
-            let relevant = match (&mut rt.state, rt.rule.metric) {
-                (RuleState::Rate { num, den }, AlertMetric::DropRate) => match feed {
-                    Feed::Drop => {
+            Feed::Fct { bucket } => stats.fct.record_bucket(bucket),
+        }
+        let mut transitions: Vec<(usize, f64)> = Vec::new();
+        for &i in &row.rules {
+            let rt = &mut rules[i];
+            let relevant = match (&mut rt.state, rt.rule.metric, feed) {
+                (RuleState::Rate { num, den }, AlertMetric::DropRate, Feed::Drop) => {
+                    num.add(t.0, 1);
+                    den.add(t.0, 1);
+                    true
+                }
+                (RuleState::Rate { den, .. }, AlertMetric::DropRate, Feed::Delivered) => {
+                    den.add(t.0, 1);
+                    true
+                }
+                (
+                    RuleState::Rate { num, den },
+                    AlertMetric::InversionRate,
+                    Feed::Dequeue { inverted, .. },
+                ) => {
+                    if inverted {
                         num.add(t.0, 1);
-                        den.add(t.0, 1);
-                        true
                     }
-                    Feed::Delivered => {
-                        den.add(t.0, 1);
-                        true
-                    }
-                    _ => false,
-                },
-                (RuleState::Rate { num, den }, AlertMetric::InversionRate) => match feed {
-                    Feed::Dequeue => {
-                        if inverted {
-                            num.add(t.0, 1);
-                        }
-                        den.add(t.0, 1);
-                        true
-                    }
-                    _ => false,
-                },
-                (RuleState::Quantile { sketch, .. }, m) => {
-                    let wants = if m.uses_fct() {
-                        feed == Feed::Fct
-                    } else {
-                        feed == Feed::Dequeue
-                    };
-                    if wants {
-                        sketch.record(t.0, sample);
-                    }
-                    wants
+                    den.add(t.0, 1);
+                    true
+                }
+                (RuleState::Quantile { sketch, .. }, m, Feed::Dequeue { bucket, .. })
+                    if !m.uses_fct() =>
+                {
+                    sketch.record(t.0, bucket);
+                    true
+                }
+                (RuleState::Quantile { sketch, .. }, m, Feed::Fct { bucket }) if m.uses_fct() => {
+                    sketch.record(t.0, bucket);
+                    true
                 }
                 _ => false,
             };
@@ -518,9 +587,7 @@ impl SloMonitor {
     #[inline]
     pub fn on_drop(&self, t: Nanos, tenant: u16) {
         if let Some(inner) = &self.inner {
-            let mut st = inner.borrow_mut();
-            st.tenants.entry(tenant).or_default().dropped += 1;
-            st.feed(t, tenant, Feed::Drop, 0, false);
+            inner.borrow_mut().feed(t, tenant, Feed::Drop);
         }
     }
 
@@ -528,9 +595,7 @@ impl SloMonitor {
     #[inline]
     pub fn on_delivered(&self, t: Nanos, tenant: u16) {
         if let Some(inner) = &self.inner {
-            let mut st = inner.borrow_mut();
-            st.tenants.entry(tenant).or_default().delivered += 1;
-            st.feed(t, tenant, Feed::Delivered, 0, false);
+            inner.borrow_mut().feed(t, tenant, Feed::Delivered);
         }
     }
 
@@ -540,14 +605,10 @@ impl SloMonitor {
     #[inline]
     pub fn on_dequeue(&self, t: Nanos, tenant: u16, wait_ns: u64, inverted: bool) {
         if let Some(inner) = &self.inner {
-            let mut st = inner.borrow_mut();
-            let ts = st.tenants.entry(tenant).or_default();
-            ts.dequeues += 1;
-            if inverted {
-                ts.inversions += 1;
-            }
-            ts.queue_delay.record(wait_ns);
-            st.feed(t, tenant, Feed::Dequeue, wait_ns, inverted);
+            let bucket = QuantileSketch::index(wait_ns);
+            inner
+                .borrow_mut()
+                .feed(t, tenant, Feed::Dequeue { bucket, inverted });
         }
     }
 
@@ -555,9 +616,8 @@ impl SloMonitor {
     #[inline]
     pub fn on_fct(&self, t: Nanos, tenant: u16, fct_ns: u64) {
         if let Some(inner) = &self.inner {
-            let mut st = inner.borrow_mut();
-            st.tenants.entry(tenant).or_default().fct.record(fct_ns);
-            st.feed(t, tenant, Feed::Fct, fct_ns, false);
+            let bucket = QuantileSketch::index(fct_ns);
+            inner.borrow_mut().feed(t, tenant, Feed::Fct { bucket });
         }
     }
 
@@ -614,7 +674,9 @@ impl SloMonitor {
                 .set("labels", labels(tenant))
                 .set("value", value)
         };
-        for (&tenant, s) in &st.tenants {
+        let rows = (st.tenants.iter().enumerate())
+            .filter_map(|(id, row)| Some((id as u16, &row.as_ref()?.stats)));
+        for (tenant, s) in rows {
             push(metric(
                 "counter",
                 "slo_delivered_pkts",
@@ -845,11 +907,11 @@ mod tests {
     #[test]
     fn sliding_sketch_expires_by_sim_time() {
         let mut s = SlidingSketch::new(800, 0.0);
-        s.record(0, 1_000);
-        s.record(50, 2_000);
+        s.record(0, QuantileSketch::index(1_000));
+        s.record(50, QuantileSketch::index(2_000));
         assert!(s.quantile(750, 1.0).unwrap() >= 2_000);
         assert_eq!(s.quantile(850, 1.0), None, "window drained");
-        s.record(900, 7);
+        s.record(900, QuantileSketch::index(7));
         assert_eq!(s.quantile(900, 0.5), Some(7));
     }
 
@@ -895,7 +957,7 @@ mod tests {
                     2 => rng.below(2_000),
                     _ => 1u64 << rng.below(40),
                 };
-                s.record(t, v);
+                s.record(t, QuantileSketch::index(v));
                 let walked = s.quantile(t, p).unwrap_or(0) as f64;
                 assert_eq!(
                     s.exceeds(t, p),
@@ -913,6 +975,80 @@ mod tests {
             }
         }
         assert_eq!(evaluated, thresholds.len() as u64 * 4 * 600);
+    }
+
+    #[test]
+    fn prop_advancing_by_comparison_matches_advancing_by_division() {
+        // Oracle, the division form with no ring: every sample remembers
+        // the slice `t / slice_ns` it was fed in, and at a query the window
+        // holds the samples fewer than `SLICES` slices behind the latest
+        // slice. Slices of 1 ns to 2^40 ns, jumps past the whole window,
+        // and streams that end at `u64::MAX`, where the next slice boundary
+        // saturates.
+        let root = SimRng::seed_from(0x511c_e0c1);
+        let bound = |v: u64| QuantileSketch::range(QuantileSketch::index(v)).1 as f64;
+        let mut checked = 0u64;
+        for case in 0..120u64 {
+            let mut rng = root.derive(case);
+            let slice_ns = match case % 4 {
+                0 => 1,
+                1 => 1 << rng.below(41),
+                2 => 1 + rng.below(1 << 40),
+                _ => 1 << 40,
+            };
+            // Any window that quantizes to `slice_ns`.
+            let window_ns = slice_ns * SLICES - rng.below(SLICES);
+            let threshold = [0.0, 15.0, bound(1_000), 3e6, f64::NAN][case as usize % 5];
+            let p = [0.5, 0.9, 0.99, 1.0][case as usize / 5 % 4];
+            let mut counter = SlidingCounter::new(window_ns);
+            let mut sketch = SlidingSketch::new(window_ns, threshold);
+            assert_eq!(counter.clock.slice_ns, slice_ns);
+            let mut t = match case % 3 {
+                0 => u64::MAX - rng.below(3 * SLICES * slice_ns),
+                _ => rng.below(4 * slice_ns),
+            };
+            let mut latest = 0;
+            let mut fed: Vec<(u64, u64, u64)> = Vec::new();
+            for _ in 0..300 {
+                t = t.saturating_add(match rng.below(10) {
+                    0 => window_ns + rng.below(3 * window_ns), // past the whole window
+                    1..=3 => rng.below(2 * slice_ns),          // a boundary or two
+                    _ => rng.below(slice_ns.div_ceil(4)),      // mostly in the slice
+                });
+                latest = latest.max(t / slice_ns);
+                let (n, v) = (
+                    1 + rng.below(3),
+                    [rng.below(40), 1 << rng.below(40)][case as usize % 2],
+                );
+                counter.add(t, n);
+                sketch.record(t, QuantileSketch::index(v));
+                fed.push((latest, n, v));
+                // Ask at the feed's instant, or later with no feed between.
+                if rng.below(4) == 0 {
+                    t = t.saturating_add(rng.below(2 * window_ns));
+                    latest = latest.max(t / slice_ns);
+                }
+                let live = fed.iter().filter(|&&(slice, ..)| latest - slice < SLICES);
+                let mut oracle = QuantileSketch::new();
+                live.clone().for_each(|&(.., v)| oracle.record(v));
+                let total: u64 = live.map(|&(_, n, _)| n).sum();
+                let quantile = oracle.quantile(p);
+                let at = format!("case {case} slice {slice_ns} t {t}");
+                assert_eq!(counter.value(t), total, "{at}");
+                assert_eq!(sketch.quantile(t, p), quantile, "{at}");
+                let exceeds = quantile.unwrap_or(0) as f64 > threshold;
+                assert_eq!(sketch.exceeds(t, p), exceeds, "{at}");
+                checked += 1;
+            }
+            if case % 3 == 0 {
+                assert_eq!(
+                    t,
+                    u64::MAX,
+                    "case {case}: the stream reached the end of time"
+                );
+            }
+        }
+        assert_eq!(checked, 120 * 300);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! A handle from [`Telemetry::disabled`](crate::Telemetry::disabled) holds
 //! no aggregate: every method is one branch and the clock is never read.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -97,8 +97,12 @@ impl ProfileStat {
 
 /// Handle to one profiled site's aggregate. Cloning shares the
 /// aggregate; the default value is disabled (records nothing).
+///
+/// The aggregate is a `Cell`, not a `RefCell`: no borrow flag to test and
+/// set around every scope, and updating one field of the copy compiles to
+/// a store of that field alone.
 #[derive(Clone, Default)]
-pub struct Profiler(pub(crate) Option<Rc<RefCell<ProfileStat>>>);
+pub struct Profiler(pub(crate) Option<Rc<Cell<ProfileStat>>>);
 
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -112,19 +116,18 @@ impl Profiler {
     /// time is recorded when the returned guard drops. Disabled
     /// handles never read the clock.
     ///
-    /// The guard is one word, null on every scope that is not timed, so
-    /// dropping it is an inlined null test; the timed scope's state
-    /// lives in a box behind two out-of-line calls.
+    /// The guard holds no state on a scope that is not timed, so dropping
+    /// it is an inlined test; the timed scope's clock reads happen behind
+    /// two out-of-line calls.
     #[inline]
     pub fn time(&self) -> ProfileSpan {
         let Some(stat) = &self.0 else {
             return ProfileSpan(None);
         };
-        let nth = {
-            let mut s = stat.borrow_mut();
-            s.count += 1;
-            s.count - 1
-        };
+        let mut s = stat.get();
+        let nth = s.count;
+        s.count += 1;
+        stat.set(s);
         if nth.is_multiple_of(TIMING_STRIDE) {
             ProfileSpan(Some(Timed::start(stat)))
         } else {
@@ -136,7 +139,9 @@ impl Profiler {
     #[inline]
     pub fn record_ns(&self, ns: u64) {
         if let Some(stat) = &self.0 {
-            stat.borrow_mut().record(ns);
+            let mut s = stat.get();
+            s.record(ns);
+            stat.set(s);
         }
     }
 
@@ -144,14 +149,14 @@ impl Profiler {
     pub fn stat(&self) -> ProfileStat {
         self.0
             .as_ref()
-            .map_or_else(ProfileStat::default, |s| *s.borrow())
+            .map_or_else(ProfileStat::default, |s| s.get())
     }
 }
 
 /// Scope guard returned by [`Profiler::time`]; a timed scope records
 /// its duration on drop.
 #[must_use = "dropping immediately records a ~0ns scope"]
-pub struct ProfileSpan(Option<Box<Timed>>);
+pub struct ProfileSpan(Option<Timed>);
 
 /// The one scope in `TIMING_STRIDE` whose duration is measured.
 struct Timed {
@@ -159,46 +164,44 @@ struct Timed {
     /// read costs.
     before: Instant,
     started: Instant,
-    stat: Rc<RefCell<ProfileStat>>,
+    stat: Rc<Cell<ProfileStat>>,
 }
 
 impl Timed {
     #[cold]
     #[inline(never)]
-    fn start(stat: &Rc<RefCell<ProfileStat>>) -> Box<Timed> {
-        // Boxed before the clock is read for real, so the allocation
-        // stays outside the measured interval.
-        let placeholder = Instant::now();
-        let mut timed = Box::new(Timed {
-            before: placeholder,
-            started: placeholder,
-            stat: Rc::clone(stat),
-        });
+    fn start(stat: &Rc<Cell<ProfileStat>>) -> Timed {
+        let stat = Rc::clone(stat);
         // Two reads back to back: their distance is what one read
         // costs, and the scope's own interval will contain as much
         // again (the tail of `started`, the head of the closing read).
         // Nothing but the return follows the second.
-        timed.before = Instant::now();
-        timed.started = Instant::now();
-        timed
+        let before = Instant::now();
+        let started = Instant::now();
+        Timed {
+            before,
+            started,
+            stat,
+        }
     }
 
-    /// Takes the box so that freeing it, too, happens out of line.
     #[cold]
     #[inline(never)]
-    #[allow(clippy::boxed_local)]
-    fn finish(self: Box<Timed>, ended: Instant) {
+    fn finish(&self, ended: Instant) {
         let clock_cost = self.started - self.before;
         let elapsed = (ended - self.started).saturating_sub(clock_cost);
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.stat.borrow_mut().record_timed(ns);
+        let mut s = self.stat.get();
+        s.record_timed(ns);
+        self.stat.set(s);
     }
 }
 
 impl Drop for ProfileSpan {
     #[inline]
     fn drop(&mut self) {
-        if let Some(timed) = self.0.take() {
+        // By reference: moving the state out would copy it on every scope.
+        if let Some(timed) = &self.0 {
             // Read here, not in `finish`: fetching that function's cold
             // code would otherwise be timed as part of the scope, and
             // scaled by the stride.
@@ -268,11 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn an_untimed_scope_leaves_one_null_word_to_drop() {
-        assert!(size_of::<ProfileSpan>() <= size_of::<usize>());
+    fn only_the_timed_scope_holds_clock_state() {
         let p = Telemetry::enabled().profiler("site");
         assert!(p.time().0.is_some(), "scope 0 is timed");
         assert!(p.time().0.is_none(), "scope 1 is counted only");
+        // `None` is a niche of the clock state: no tag word beside it.
+        assert_eq!(size_of::<ProfileSpan>(), size_of::<Timed>());
     }
 
     #[test]

@@ -80,7 +80,10 @@ fn pifo_conserves_packets() {
         for i in 0..n {
             let rank = rng.below(500);
             offered += 1;
-            dropped += q.enqueue(packet(i, rank, 100), Nanos::ZERO).dropped().len() as u64;
+            dropped += q
+                .enqueue(packet(i, rank, 100), Nanos::ZERO)
+                .dropped()
+                .count() as u64;
             if rng.below(2) == 1 && q.dequeue(Nanos::ZERO).is_some() {
                 dequeued += 1;
             }
@@ -264,7 +267,7 @@ fn pifo_tree_conserves_packets() {
             }
             // Priority drop may evict residents to admit the arrival; they
             // were admitted once but will never dequeue.
-            evicted += outcome.dropped().iter().filter(|d| d.seq != i).count() as u64;
+            evicted += outcome.dropped().filter(|d| d.seq != i).count() as u64;
             if drain && tree.dequeue(Nanos::ZERO).is_some() {
                 dequeued += 1;
             }
@@ -365,7 +368,7 @@ fn pifo_matches_stable_sorted_vec_model() {
                     assert_eq!(p.seq, i, "case {case}: rejected another packet");
                     Err(())
                 }
-                admitted => Ok(admitted.dropped().iter().map(|p| p.seq).collect()),
+                admitted => Ok(admitted.dropped().map(|p| p.seq).collect()),
             };
             assert_eq!(got, want, "case {case} step {i}: rank {rank} size {size}");
             match &want {
