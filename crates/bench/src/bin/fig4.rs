@@ -58,20 +58,20 @@ fn parse_args() -> (Fig4Config, Vec<f64>, Outputs) {
                 cfg = Fig4Config::smoke();
                 cfg.seed = keep_seed;
             }
-            "--flows" => cfg.flows = value(&mut i).parse().expect("--flows N"),
-            "--scale" => cfg.size_scale_den = value(&mut i).parse().expect("--scale N"),
-            "--seed" => cfg.seed = value(&mut i).parse().expect("--seed N"),
+            "--flows" => cfg.flows = number("--flows", &value(&mut i)),
+            "--scale" => cfg.size_scale_den = positive("--scale", &value(&mut i)),
+            "--seed" => cfg.seed = number("--seed", &value(&mut i)),
             "--loads" => {
                 loads = value(&mut i)
                     .split(',')
-                    .map(|s| s.parse().expect("--loads a,b,c"))
+                    .map(|s| positive("--loads", s))
                     .collect();
             }
             "--json" => json = Some(value(&mut i)),
             "--telemetry" => telemetry = Some(value(&mut i)),
             "--trace" => trace = Some(value(&mut i)),
             "--trace-sample" => {
-                trace_sample = value(&mut i).parse().expect("--trace-sample N");
+                trace_sample = positive("--trace-sample", &value(&mut i));
             }
             "--workload" => {
                 cfg.workload = match value(&mut i).as_str() {
@@ -100,6 +100,25 @@ fn parse_args() -> (Fig4Config, Vec<f64>, Outputs) {
             trace_sample,
         },
     )
+}
+
+/// `text` as the number `flag` takes, or exit 2 saying what was wrong.
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T {
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a number, not {text:?}");
+        std::process::exit(2);
+    })
+}
+
+/// [`number`], which must also be above zero (a size divisor, a load, a
+/// sampling modulus).
+fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, text: &str) -> T {
+    let n: T = number(flag, text);
+    if n.partial_cmp(&T::default()) != Some(std::cmp::Ordering::Greater) {
+        eprintln!("{flag} takes a number above zero, not {text:?}");
+        std::process::exit(2);
+    }
+    n
 }
 
 /// Exit with the snapshot error's message (which names the path) instead

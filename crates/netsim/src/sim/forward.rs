@@ -1,53 +1,116 @@
 //! Device/port forwarding: the runtime monitor and pre-processor hookup,
 //! the output-port state machine (cut-through, queueing, transmit-complete
 //! on demand), link serialization, and arrival-side loss.
+//!
+//! A packet on a link is parked in the arena. A hop that sends it straight
+//! on through an idle, unobserved FIFO or PIFO port leaves it there: the
+//! arrival reads it in its slot and the next transmission carries the
+//! same slot. Every other hop takes it out.
 
 use super::{EventKey, Simulation};
 use qvisor_core::Verdict;
 use qvisor_scheduler::PacketQueue;
-use qvisor_sim::{stable_hash, transmission_time, Nanos, NodeId, Packet, PacketKind};
+use qvisor_sim::{stable_hash, Nanos, NodeId, Packet, PacketKind, PacketSlot};
 use qvisor_telemetry::{TraceKind, TraceRecord};
 
+/// A scope resolves to no hop without a pre-processor.
+const PREPROC: &str = "a pre-processor scope implies a pre-processor";
+
 impl Simulation {
-    /// Move a packet sitting at `at` one hop toward its destination.
+    /// Send `p` from its source `at` toward its destination: the monitor
+    /// and the pre-processor's first hop, then the output port.
     pub(in crate::sim) fn forward(&mut self, at: NodeId, mut p: Packet, now: Nanos) {
+        debug_assert_eq!(at, p.src, "later hops are arrivals");
         // Runtime monitor polices raw ranks once, at the first hop.
-        if at == p.src {
-            if let Some(m) = self.monitor.as_mut() {
-                use qvisor_core::{Observation, ViolationAction};
-                if let Observation::Violation(action) = m.observe(&mut p, now) {
-                    self.report.monitor_violations += 1;
-                    if action == ViolationAction::Drop {
-                        self.trace_pkt(&p, now, TraceKind::Drop { rank: p.txf_rank });
-                        self.drop_packet(&p, at, now);
-                        return;
-                    }
-                }
-            }
-        }
-        // Pre-processor at the configured scope (idempotent: transforms
-        // the original tenant rank, so re-applying per hop is safe).
-        if self.preproc_at[at.index()] || (self.preproc_first_hop && at == p.src) {
-            let raw_rank = p.rank;
-            if let Some(pre) = self.preproc.as_mut() {
-                if pre.process(&mut p) == Verdict::Drop {
-                    self.report.preproc_dropped += 1;
+        if let Some(m) = self.monitor.as_mut() {
+            use qvisor_core::{Observation, ViolationAction};
+            if let Observation::Violation(action) = m.observe(&mut p, now) {
+                self.report.monitor_violations += 1;
+                if action == ViolationAction::Drop {
                     self.trace_pkt(&p, now, TraceKind::Drop { rank: p.txf_rank });
                     self.drop_packet(&p, at, now);
                     return;
                 }
-                self.trace_pkt(
-                    &p,
-                    now,
-                    TraceKind::Transform {
-                        pre: raw_rank,
-                        post: p.txf_rank,
-                    },
-                );
             }
         }
-        let port = self.port_base[at.index()] + self.routes.ecmp_port(at, p.dst, p.flow) as u32;
+        if self.preproc_at[at.index()] || self.preproc_first_hop {
+            let pre = self.preproc.as_mut().expect(PREPROC);
+            if pre.process(&mut p) == Verdict::Drop {
+                return self.refuse(&p, at, now);
+            }
+            self.trace_transform(&p, now);
+        }
+        let port = self.route(at, &p);
         self.offer(at, port, p, now);
+    }
+
+    /// The packet parked in `slot` arrives at `node`: lost on the link,
+    /// delivered, or sent one hop further — from its slot, when the port
+    /// it leaves by is idle, bare and exact.
+    pub(in crate::sim) fn on_arrive(&mut self, node: NodeId, slot: PacketSlot, now: Nanos) {
+        let p = self.arena.get(slot);
+        if self.cfg.random_loss > 0.0 && self.loss_draw(node, p) < self.cfg.random_loss {
+            let p = self.arena.take(slot);
+            self.report.random_losses += 1;
+            self.trace_pkt(&p, now, TraceKind::Drop { rank: p.txf_rank });
+            self.drop_packet(&p, node, now);
+            return;
+        }
+        if node == p.dst {
+            let p = self.arena.take(slot);
+            return self.deliver(p, now);
+        }
+        // Past the source: the monitor has policed, and the pre-processor
+        // runs again only where its scope or an adapter can change what
+        // the source computed.
+        if self.preproc_at[node.index()] {
+            if !self.transform_final {
+                let pre = self.preproc.as_mut().expect(PREPROC);
+                if pre.process(self.arena.get_mut(slot)) == Verdict::Drop {
+                    let p = self.arena.take(slot);
+                    return self.refuse(&p, node, now);
+                }
+            }
+            self.trace_transform(self.arena.get(slot), now);
+        }
+        let p = self.arena.get(slot);
+        let port = self.route(node, p);
+        let port_ref = &self.ports[port as usize];
+        if port_ref.queue.is_bare_exact()
+            && port_ref.is_free(now, self.before_port_free)
+            && self.cfg.buffer.fits(0, p.size as u64)
+        {
+            // What `offer` would do, without moving the packet.
+            return self.transmit(port, slot, now);
+        }
+        let p = self.arena.take(slot);
+        self.offer(node, port, p, now);
+    }
+
+    /// The flight recorder's `Transform` record of `p`, whose `txf_rank`
+    /// the pre-processor has set.
+    fn trace_transform(&self, p: &Packet, now: Nanos) {
+        self.trace_pkt(
+            p,
+            now,
+            TraceKind::Transform {
+                pre: p.rank,
+                post: p.txf_rank,
+            },
+        );
+    }
+
+    /// Drop `p` at `at`: the pre-processor refused it.
+    fn refuse(&mut self, p: &Packet, at: NodeId, now: Nanos) {
+        self.report.preproc_dropped += 1;
+        self.trace_pkt(p, now, TraceKind::Drop { rank: p.txf_rank });
+        self.drop_packet(p, at, now);
+    }
+
+    /// The flat port index `p` leaves `at` by.
+    #[inline]
+    fn route(&self, at: NodeId, p: &Packet) -> u32 {
+        self.port_base[at.index()] + self.routes.ecmp_port(at, p.dst, p.flow) as u32
     }
 
     /// Hand `p` to output port `port` of `node`: onto the wire if the port
@@ -60,7 +123,7 @@ impl Simulation {
         debug_assert!(!free || (port_ref.queue.is_empty() && !port_ref.armed));
         if free && port_ref.queue.cuts_through() && self.cfg.buffer.fits(0, p.size as u64) {
             let p = port_ref.queue.pass(p, now);
-            return self.transmit(port, p, now);
+            return self.send(port, p, now);
         }
         let outcome = port_ref.queue.enqueue(p, now);
         for victim in outcome.dropped() {
@@ -69,7 +132,7 @@ impl Simulation {
         let port_ref = &mut self.ports[port as usize];
         if free {
             if let Some(p) = port_ref.queue.dequeue(now) {
-                self.transmit(port, p, now);
+                self.send(port, p, now);
             }
         } else if !port_ref.armed && !port_ref.queue.is_empty() {
             // First to wait behind this transmission (which may end
@@ -96,7 +159,7 @@ impl Simulation {
         debug_assert!(port_ref.armed && port_ref.free_at == Some(now));
         port_ref.armed = false;
         if let Some(p) = port_ref.queue.dequeue(now) {
-            self.transmit(port, p, now);
+            self.send(port, p, now);
             // Only here can a transmission start with packets behind it:
             // `offer` transmits from an empty queue.
             if !self.ports[port as usize].queue.is_empty() {
@@ -117,15 +180,23 @@ impl Simulation {
         }
     }
 
-    /// Put `p` on the wire of an idle port.
-    fn transmit(&mut self, port: u32, p: Packet, now: Nanos) {
+    /// Park `p` and put it on the wire of an idle port.
+    fn send(&mut self, port: u32, p: Packet, now: Nanos) {
+        let slot = self.arena.insert(p);
+        self.transmit(port, slot, now);
+    }
+
+    /// Put the packet parked in `slot` on the wire of an idle port; its
+    /// arrival at the far end carries the slot.
+    fn transmit(&mut self, port: u32, slot: PacketSlot, now: Nanos) {
+        let p = self.arena.get(slot);
         let port_ref = &mut self.ports[port as usize];
-        let tx = transmission_time(p.size as u64, port_ref.rate_bps);
+        let tx = port_ref.rate.transmission_time(p.size as u64);
         let free_at = now + tx;
         port_ref.free_at = Some(free_at);
         port_ref.tx_pkts.inc();
         port_ref.tx_bytes.add(p.size as u64);
-        let (delay, to, trace_label) = (port_ref.delay, port_ref.to, port_ref.trace_label);
+        let (delay, to) = (port_ref.delay, port_ref.to);
         if self.cfg.tracer.sampled(p.flow.0) {
             self.cfg.tracer.record(
                 TraceRecord::new(
@@ -139,10 +210,11 @@ impl Simulation {
                         prop_ns: delay.as_nanos(),
                     },
                 )
-                .at_label(trace_label)
+                .at_label(port_ref.trace_label)
                 .as_ack(p.kind == PacketKind::Ack),
             );
         }
+        let arrive_key = EventKey::arrive(to, p);
         // The transmit-complete is an event of the run whether or not
         // anything waits for it: count it here (and give the profiler's
         // `event_dispatch` site its scope), schedule it only if needed.
@@ -150,11 +222,8 @@ impl Simulation {
             self.count_event(free_at);
             drop(self.dispatch_prof.time());
         }
-        let arrive_at = free_at + delay;
-        let arrive_key = EventKey::arrive(to, &p);
-        let slot = self.arena.insert(p);
         self.events.schedule_keyed(
-            arrive_at,
+            free_at + delay,
             arrive_key,
             (super::Event::Arrive { node: to }, Some(slot)),
         );
@@ -175,19 +244,5 @@ impl Simulation {
             node.index() as u64,
         ]);
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    pub(in crate::sim) fn on_arrive(&mut self, node: NodeId, p: Packet, now: Nanos) {
-        if self.cfg.random_loss > 0.0 && self.loss_draw(node, &p) < self.cfg.random_loss {
-            self.report.random_losses += 1;
-            self.trace_pkt(&p, now, TraceKind::Drop { rank: p.txf_rank });
-            self.drop_packet(&p, node, now);
-            return;
-        }
-        if node == p.dst {
-            self.deliver(p, now);
-        } else {
-            self.forward(node, p, now);
-        }
     }
 }

@@ -25,6 +25,12 @@
 //! in observations, not in queue operations — an observed idle port still
 //! sends around its queue and its `InstrumentedQueue` reports the enqueue
 //! and dequeue that would have happened (DESIGN.md, "Port state machine").
+//!
+//! A hop recomputes only what a hop can change. A packet that arrives and
+//! leaves through an idle, unobserved FIFO or PIFO port goes to the wire
+//! from the arena slot it arrived in. Under `PreprocScope::Everywhere`
+//! with no runtime adapter, the source's transform is final: later hops
+//! record it instead of running the pre-processor again.
 
 mod deliver;
 mod forward;
@@ -217,11 +223,18 @@ pub struct Simulation {
     /// The event being dispatched sorts before a same-instant `PortFree`
     /// (`FlowStart`, `CbrEmit`, `Timeout`); see `Port::is_free`.
     pub(in crate::sim) before_port_free: bool,
-    /// `preproc_at[node]`: the pre-processor runs on every packet leaving
-    /// `node` — the deployment's `PreprocScope`, resolved once at build.
+    /// `preproc_at[node]`: every packet leaving `node` carries the
+    /// pre-processor's transform, made there — the deployment's
+    /// `PreprocScope`, resolved once at build (all `false` without a
+    /// pre-processor).
     pub(in crate::sim) preproc_at: Vec<bool>,
     /// `PreprocScope::FirstHopOnly`: it runs where the packet was sent.
     pub(in crate::sim) preproc_first_hop: bool,
+    /// The source's transform is final: `Everywhere` runs the
+    /// pre-processor at the source, and with no adapter its table never
+    /// changes, so a later hop would compute the same `txf_rank` and
+    /// verdict again. Such a hop records the transform and skips it.
+    pub(in crate::sim) transform_final: bool,
     pub(in crate::sim) flows: Vec<FlowState>,
     pub(in crate::sim) rank_fns: Vec<Option<Box<dyn RankFn>>>,
     pub(in crate::sim) report: SimReport,
@@ -296,16 +309,17 @@ impl Simulation {
         };
 
         let (ports, port_base) = queues::build_ports(&topo, &cfg, joint.as_ref())?;
-        let scope = cfg.qvisor.as_ref().map(|q| q.scope).unwrap_or_default();
+        let scope = (cfg.qvisor.as_ref()).map(|q| q.scope);
         let preproc_at = topo
             .nodes()
             .iter()
             .map(|node| match scope {
-                PreprocScope::Everywhere => true,
-                PreprocScope::SwitchesOnly => node.kind == NodeKind::Switch,
-                PreprocScope::FirstHopOnly => false,
+                Some(PreprocScope::Everywhere) => true,
+                Some(PreprocScope::SwitchesOnly) => node.kind == NodeKind::Switch,
+                Some(PreprocScope::FirstHopOnly) | None => false,
             })
             .collect();
+        let transform_final = scope == Some(PreprocScope::Everywhere) && adapter.is_none();
         let events = EventQueue::with_core(cfg.event_core);
         let dispatch_prof = cfg.telemetry.profiler("event_dispatch");
         Ok(Simulation {
@@ -322,7 +336,8 @@ impl Simulation {
             port_base,
             before_port_free: false,
             preproc_at,
-            preproc_first_hop: scope == PreprocScope::FirstHopOnly,
+            preproc_first_hop: scope == Some(PreprocScope::FirstHopOnly),
+            transform_final,
             flows: Vec::new(),
             rank_fns: Vec::new(),
             report: SimReport::default(),
@@ -433,8 +448,7 @@ impl Simulation {
                 return false;
             }
             Event::Arrive { node } => {
-                let p = self.arena.take(packet.expect("Arrive carries a packet"));
-                self.on_arrive(node, p, now);
+                self.on_arrive(node, packet.expect("Arrive carries a packet"), now);
             }
             Event::Timeout { flow, seq, attempt } => {
                 let fired = Expiry {
@@ -488,6 +502,19 @@ impl Simulation {
 
     /// Run to quiescence or the horizon; returns the report.
     pub fn run(mut self) -> SimReport {
+        self.run_events();
+        let mut report = self.report;
+        report.tenants = (self.tenants.iter().enumerate())
+            .filter_map(|(id, state)| Some((TenantId(id as u16), state.as_ref()?.traffic)))
+            .collect();
+        report.incomplete_flows = self.reliable_total - self.reliable_done;
+        report.fct.sort_canonical();
+        report
+    }
+
+    /// All of [`Simulation::run`] but assembling the report: tests look at
+    /// the state it leaves.
+    pub(in crate::sim) fn run_events(&mut self) {
         if let Some(interval) = self.cfg.adaptation_interval {
             assert!(
                 interval > Nanos::ZERO,
@@ -521,12 +548,5 @@ impl Simulation {
         if self.cfg.sample_interval.is_some() {
             self.flush_window(self.report.end_time);
         }
-        let mut report = self.report;
-        report.tenants = (self.tenants.iter().enumerate())
-            .filter_map(|(id, state)| Some((TenantId(id as u16), state.as_ref()?.traffic)))
-            .collect();
-        report.incomplete_flows = self.reliable_total - self.reliable_done;
-        report.fct.sort_canonical();
-        report
     }
 }

@@ -8,7 +8,7 @@ use qvisor_scheduler::{
     AifoQueue, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep, PifoQueue, PifoTree,
     SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
 };
-use qvisor_sim::{Nanos, NodeId, Packet, Rank, TenantId};
+use qvisor_sim::{LineRate, Nanos, NodeId, Packet, Rank, TenantId};
 use qvisor_telemetry::{Counter, Histogram, Telemetry};
 use qvisor_topology::{NodeKind, Topology};
 
@@ -121,6 +121,16 @@ impl PortQueue {
         }
     }
 
+    /// [`Self::cuts_through`] with no one watching: [`Self::pass`] is the
+    /// identity, so a packet can go to the wire from wherever it is parked.
+    #[inline]
+    pub(in crate::sim) fn is_bare_exact(&self) -> bool {
+        matches!(
+            self,
+            PortQueue::Bare(BareQueue::Fifo(_) | BareQueue::Pifo(_))
+        )
+    }
+
     /// Take `p` around the queue ([`Self::cuts_through`] holds): the
     /// identity, plus the observations of an enqueue and a dequeue when
     /// someone is watching.
@@ -135,7 +145,8 @@ impl PortQueue {
 
 pub(in crate::sim) struct Port {
     pub(in crate::sim) to: NodeId,
-    pub(in crate::sim) rate_bps: u64,
+    /// The link's rate, its per-byte time worked out once.
+    pub(in crate::sim) rate: LineRate,
     pub(in crate::sim) delay: Nanos,
     pub(in crate::sim) queue: PortQueue,
     /// When the transmission in progress — or the last one — completes;
@@ -214,6 +225,8 @@ pub(in crate::sim) fn build_ports(
     let instrument =
         cfg.telemetry.is_enabled() || cfg.tracer.is_enabled() || cfg.monitor.is_enabled();
     let mut ports = Vec::with_capacity(topo.links().len());
+    // Neighbouring links mostly share a rate: divide once per run of them.
+    let mut rate = LineRate::new(0);
     let mut base = Vec::with_capacity(topo.node_count() + 1);
     for node in topo.nodes() {
         let kind = match (node.kind, cfg.host_scheduler) {
@@ -223,7 +236,13 @@ pub(in crate::sim) fn build_ports(
         let first = ports.len();
         base.push(first as u32);
         for link in topo.out_links(node.id) {
-            let label = format!("n{}.p{}", node.id.0, ports.len() - first);
+            // The label names the port to its observers; with none, no
+            // registry or recorder reads it.
+            let label = if instrument {
+                format!("n{}.p{}", node.id.0, ports.len() - first)
+            } else {
+                String::new()
+            };
             let bare = make_queue_of(kind, cfg, joint)?;
             let queue = if instrument {
                 PortQueue::Observed(Box::new(
@@ -234,9 +253,12 @@ pub(in crate::sim) fn build_ports(
                 PortQueue::Bare(bare)
             };
             let link_labels = [("link", label.as_str())];
+            if rate.bits_per_sec() != link.rate_bps {
+                rate = LineRate::new(link.rate_bps);
+            }
             ports.push(Port {
                 to: link.to,
-                rate_bps: link.rate_bps,
+                rate,
                 delay: link.delay,
                 queue,
                 free_at: None,

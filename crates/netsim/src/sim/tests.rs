@@ -658,3 +658,61 @@ fn pending_events_scale_with_flows_not_packets() {
     }
     assert!(checked > 20, "the run was mid-flight {checked} times");
 }
+
+// ---- The arena: a packet on an idle path keeps its slot ----
+
+/// One packet and its ACK crossing an idle leaf–spine path, 4 hops each
+/// way: the packet goes to the wire from the slot it arrived in, so the
+/// arena never holds more than the one packet, in one slot, throughout.
+#[test]
+fn an_idle_path_occupies_one_arena_slot() {
+    use qvisor_topology::{LeafSpine, LeafSpineConfig};
+    let ls = LeafSpine::build(&LeafSpineConfig::small());
+    let (src, dst) = (ls.hosts[0][0], ls.hosts[1][0]);
+    let mut sim = Simulation::new(ls.topology.clone(), base_cfg()).unwrap();
+    sim.add_flow(NewFlow::new(TenantId(1), src, dst, 1_000, Nanos::ZERO));
+    let (mut slots, mut arrivals) = (std::collections::HashSet::new(), 0);
+    while let Some((now, (ev, slot))) = sim.events.pop() {
+        if let Event::Arrive { .. } = ev {
+            slots.insert(slot.expect("Arrive carries a packet"));
+            arrivals += 1;
+        }
+        if sim.dispatch_event(now, ev, slot) {
+            sim.count_event(now);
+        }
+        assert!(sim.arena.len() <= 1, "{} parked at {now}", sim.arena.len());
+    }
+    assert_eq!(sim.reliable_done, 1, "the flow completed");
+    assert_eq!(arrivals, 8, "4 hops out, 4 back");
+    assert_eq!(slots.len(), 1);
+    assert_eq!(sim.arena.capacity(), 1);
+    assert!(sim.arena.is_empty());
+}
+
+/// Every example scenario gives back every slot it parks a packet in:
+/// empty when the run ends, or — where the horizon cuts packets off on a
+/// wire — once their pending arrivals are drained.
+#[test]
+fn every_example_leaves_the_arena_empty() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+    let mut examples = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let spec = crate::scenario::ScenarioSpec::from_json(&text).unwrap();
+        let mut sim = crate::scenario::Engine::new().build(&spec).unwrap();
+        sim.run_events();
+        let on_wires = sim.arena.len();
+        if sim.in_flight == 0 {
+            assert_eq!(on_wires, 0, "{}", path.display());
+        }
+        while let Some((_, (ev, slot))) = sim.events.pop() {
+            if let Event::Arrive { .. } = ev {
+                sim.arena.take(slot.expect("Arrive carries a packet"));
+            }
+        }
+        assert!(sim.arena.is_empty(), "{}: a slot leaked", path.display());
+        examples += 1;
+    }
+    assert!(examples >= 7, "{examples} examples");
+}

@@ -181,6 +181,28 @@ impl PacketArena {
         p
     }
 
+    /// The packet parked in `slot`, left there.
+    ///
+    /// # Panics
+    /// Panics if the slot is vacant.
+    #[inline]
+    pub fn get(&self, slot: PacketSlot) -> &Packet {
+        self.slots[slot.0 as usize]
+            .as_ref()
+            .expect("packet slot is vacant")
+    }
+
+    /// The packet parked in `slot`, to rewrite in place.
+    ///
+    /// # Panics
+    /// Panics if the slot is vacant.
+    #[inline]
+    pub fn get_mut(&mut self, slot: PacketSlot) -> &mut Packet {
+        self.slots[slot.0 as usize]
+            .as_mut()
+            .expect("packet slot is vacant")
+    }
+
     /// Packets currently parked.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -268,6 +290,25 @@ mod tests {
         assert_eq!(arena.insert(sample()), b);
         assert_eq!(arena.insert(sample()), a);
         assert_eq!(arena.capacity(), 2);
+    }
+
+    #[test]
+    fn arena_rewrites_a_parked_packet_in_place() {
+        let mut arena = PacketArena::new();
+        let a = arena.insert(sample());
+        arena.get_mut(a).txf_rank = 3;
+        assert_eq!(arena.get(a).txf_rank, 3);
+        assert_eq!((arena.len(), arena.capacity()), (1, 1));
+        assert_eq!(arena.take(a).txf_rank, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet slot is vacant")]
+    fn arena_get_after_take_panics() {
+        let mut arena = PacketArena::new();
+        let a = arena.insert(sample());
+        arena.take(a);
+        let _ = arena.get(a);
     }
 
     #[test]

@@ -184,11 +184,64 @@ pub fn transmission_time(bytes: u64, bits_per_sec: u64) -> Nanos {
     // `bytes * 8e9` fits a u64 below ~2.3 GB — every packet and all but
     // the largest flows — and a 64-bit division is several times cheaper
     // than the 128-bit one.
-    if let Some(bit_ns) = bytes.checked_mul(8_000_000_000) {
+    if let Some(bit_ns) = bytes.checked_mul(BIT_NS_PER_BYTE) {
         return Nanos(bit_ns.div_ceil(bits_per_sec));
     }
-    let ns = (bytes as u128 * 8_000_000_000).div_ceil(bits_per_sec as u128);
+    let ns = (bytes as u128 * BIT_NS_PER_BYTE as u128).div_ceil(bits_per_sec as u128);
     Nanos(u64::try_from(ns).expect("transmission time overflows u64 nanoseconds"))
+}
+
+/// Bits in a byte times nanoseconds in a second: a byte takes
+/// `BIT_NS_PER_BYTE / bits_per_sec` nanoseconds on the wire.
+const BIT_NS_PER_BYTE: u64 = 8_000_000_000;
+
+/// A link rate with [`transmission_time`]'s division done once, when the
+/// link is built.
+///
+/// Where a byte takes a whole number of nanoseconds — 8·10⁹ is a multiple
+/// of the rate, as at 1 Gbps (8 ns) or 4 Gbps (2 ns) — serializing is one
+/// multiplication. Every other rate divides per call, as
+/// [`transmission_time`] does. Either way the result is bit-identical to
+/// it, its overflow panic included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LineRate {
+    bits_per_sec: u64,
+    /// Nanoseconds a byte takes, or 0 when that is not whole.
+    ns_per_byte: u64,
+}
+
+impl LineRate {
+    /// `bits_per_sec`, with its per-byte time worked out. A zero rate is
+    /// accepted here and panics where [`transmission_time`] would, at the
+    /// first transmission.
+    pub fn new(bits_per_sec: u64) -> LineRate {
+        let ns_per_byte = match BIT_NS_PER_BYTE.checked_rem(bits_per_sec) {
+            Some(0) => BIT_NS_PER_BYTE / bits_per_sec,
+            _ => 0,
+        };
+        LineRate {
+            bits_per_sec,
+            ns_per_byte,
+        }
+    }
+
+    /// The rate, in bits per second.
+    pub fn bits_per_sec(self) -> u64 {
+        self.bits_per_sec
+    }
+
+    /// [`transmission_time`]`(bytes, self.bits_per_sec())`.
+    #[inline]
+    pub fn transmission_time(self, bytes: u64) -> Nanos {
+        if self.ns_per_byte != 0 {
+            // Exact: the ceiling divides nothing. An overflow here
+            // overflows the definition too, which panics below.
+            if let Some(ns) = bytes.checked_mul(self.ns_per_byte) {
+                return Nanos(ns);
+            }
+        }
+        transmission_time(bytes, self.bits_per_sec)
+    }
 }
 
 /// Convenience: gigabits per second expressed in bits per second.
@@ -311,6 +364,84 @@ mod tests {
     #[should_panic(expected = "link rate must be positive")]
     fn zero_rate_panics() {
         let _ = transmission_time(1, 0);
+    }
+
+    #[test]
+    fn line_rate_equals_transmission_time() {
+        // Rates whose byte time is whole (1 and 4 Gbps, 1 bps) and rates
+        // 8e9 is no multiple of (3 bps, 10 Gbps, 40 Gbps), then random
+        // ones of each kind; sizes from a header to past the point where
+        // `bytes * 8e9` leaves a u64 for the u128 path.
+        let mut rng = crate::SimRng::seed_from(0x11E8);
+        let mut rates = vec![
+            1,
+            3,
+            8,
+            mbps(100),
+            mbps(300),
+            gbps(1),
+            gbps(4),
+            gbps(8),
+            gbps(8) + 1,
+            gbps(10),
+            gbps(40),
+            u64::MAX,
+        ];
+        for _ in 0..200 {
+            rates.push(1 + rng.below(gbps(100)));
+            // 8e9 = 2^12 · 5^9: a random divisor of it.
+            rates.push((1u64 << rng.below(13)) * 5u64.pow(rng.below(10) as u32));
+        }
+        let boundary = u64::MAX / BIT_NS_PER_BYTE;
+        let mut sizes = vec![
+            0,
+            1,
+            40,
+            1_500,
+            9_000,
+            boundary - 1,
+            boundary,
+            boundary + 1,
+            1 << 40,
+            u64::MAX / 2,
+            u64::MAX,
+        ];
+        for _ in 0..200 {
+            sizes.push(rng.next() >> rng.below(64));
+        }
+        let (mut whole, mut wide) = (0, 0);
+        for &rate in &rates {
+            let line = LineRate::new(rate);
+            assert_eq!(line.bits_per_sec(), rate);
+            for &bytes in &sizes {
+                let exact = (bytes as u128 * BIT_NS_PER_BYTE as u128).div_ceil(rate as u128);
+                if exact > u64::MAX as u128 {
+                    continue; // both panic: `line_rate_overflow_panics`
+                }
+                assert_eq!(
+                    line.transmission_time(bytes),
+                    transmission_time(bytes, rate),
+                    "{bytes} B at {rate} bps"
+                );
+                whole += BIT_NS_PER_BYTE.is_multiple_of(rate) as u32;
+                wide += bytes.checked_mul(BIT_NS_PER_BYTE).is_none() as u32;
+            }
+        }
+        assert!(whole > 10_000 && wide > 1_000, "{whole} whole, {wide} wide");
+    }
+
+    #[test]
+    #[should_panic(expected = "transmission time overflows u64 nanoseconds")]
+    fn line_rate_overflow_panics() {
+        // 8 ns a byte: the product overflows where the definition does.
+        let _ = LineRate::new(gbps(1)).transmission_time(u64::MAX / 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "link rate must be positive")]
+    fn line_rate_zero_panics_at_first_use() {
+        let line = LineRate::new(0);
+        let _ = line.transmission_time(1);
     }
 
     #[test]

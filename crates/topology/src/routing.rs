@@ -7,7 +7,6 @@
 
 use crate::graph::{NodeKind, Topology};
 use qvisor_sim::{stable_hash, FlowId, NodeId};
-use std::collections::VecDeque;
 
 /// Precomputed ECMP routes: one flat (CSR) table.
 ///
@@ -17,13 +16,22 @@ use std::collections::VecDeque;
 /// hop's position among `Topology::out_links(at)`. Destination-major, the
 /// order the per-destination BFS writes it in. A row is empty when `dst`
 /// is unreachable, is not a host, or `at == dst`.
+///
+/// `single` answers the rows with one next hop — every hop of a host's
+/// uplink and of a leaf–spine's down path — in one load: the row's port,
+/// or `NOT_SINGLE` where the flow's hash has to choose, there is no route,
+/// or the port does not fit a byte (a node with more than 254 links).
 #[derive(Clone, Debug)]
 pub struct Routes {
     nodes: usize,
     starts: Vec<u32>,
     hops: Vec<NodeId>,
     ports: Vec<u16>,
+    single: Vec<u8>,
 }
+
+/// A `Routes::single` entry that is not a port: ask the CSR rows.
+const NOT_SINGLE: u8 = u8::MAX;
 
 impl Routes {
     /// Compute all-pairs (node → host) shortest-path next hops by BFS from
@@ -38,44 +46,64 @@ impl Routes {
         for l in topo.links() {
             rev[l.to.index()].push(l.from);
         }
+        // Forward adjacency in port order, flat: every destination's pass
+        // reads all of it.
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut out = Vec::with_capacity(topo.links().len());
+        for node in topo.nodes() {
+            out_start.push(out.len());
+            out.extend(topo.neighbors(node.id));
+        }
+        out_start.push(out.len());
 
         let mut starts = Vec::with_capacity(n * n + 1);
+        let mut single = Vec::with_capacity(n * n);
         let mut hops = Vec::new();
         let mut ports = Vec::new();
         let mut dist = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
+        // The BFS queue: every node enters it at most once a pass.
+        let mut q = Vec::with_capacity(n);
         for dst in topo.nodes() {
             if dst.kind != NodeKind::Host {
                 // Only hosts terminate traffic: n empty rows.
                 starts.resize(starts.len() + n, hops.len() as u32);
+                single.resize(single.len() + n, NOT_SINGLE);
                 continue;
             }
             let dst = dst.id;
             // BFS distances to dst over reversed edges.
             dist.fill(u32::MAX);
             dist[dst.index()] = 0;
-            q.push_back(dst);
-            while let Some(v) = q.pop_front() {
+            q.clear();
+            q.push(dst);
+            let mut head = 0;
+            while let Some(&v) = q.get(head) {
+                head += 1;
                 for &u in &rev[v.index()] {
                     if dist[u.index()] == u32::MAX {
                         dist[u.index()] = dist[v.index()] + 1;
-                        q.push_back(u);
+                        q.push(u);
                     }
                 }
             }
             // next hop of u: any neighbor v with dist[v] == dist[u] - 1.
-            for node in topo.nodes() {
-                let u = node.id;
-                starts.push(hops.len() as u32);
-                if u == dst || dist[u.index()] == u32::MAX {
-                    continue;
-                }
-                for (port, v) in topo.neighbors(u).enumerate() {
-                    if dist[v.index()] != u32::MAX && dist[v.index()] + 1 == dist[u.index()] {
-                        hops.push(v);
-                        ports.push(u16::try_from(port).expect("a node has at most 65536 ports"));
+            for u in 0..n {
+                let first = hops.len();
+                starts.push(first as u32);
+                let du = dist[u];
+                if u != dst.index() && du != u32::MAX {
+                    for (port, &v) in out[out_start[u]..out_start[u + 1]].iter().enumerate() {
+                        if dist[v.index()] != u32::MAX && dist[v.index()] + 1 == du {
+                            hops.push(v);
+                            ports
+                                .push(u16::try_from(port).expect("a node has at most 65536 ports"));
+                        }
                     }
                 }
+                single.push(match ports[first..] {
+                    [port] if port < NOT_SINGLE as u16 => port as u8,
+                    _ => NOT_SINGLE,
+                });
             }
         }
         starts.push(u32::try_from(hops.len()).expect("route table exceeds u32 entries"));
@@ -84,13 +112,20 @@ impl Routes {
             starts,
             hops,
             ports,
+            single,
         }
+    }
+
+    /// The table row of `(at, dst)`.
+    #[inline]
+    fn row_index(&self, at: NodeId, dst: NodeId) -> usize {
+        assert!(at.index() < self.nodes, "unknown node {at}");
+        dst.index() * self.nodes + at.index()
     }
 
     /// The `hops`/`ports` range holding the next hops from `at` to `dst`.
     fn row(&self, at: NodeId, dst: NodeId) -> std::ops::Range<usize> {
-        assert!(at.index() < self.nodes, "unknown node {at}");
-        let row = dst.index() * self.nodes + at.index();
+        let row = self.row_index(at, dst);
         self.starts[row] as usize..self.starts[row + 1] as usize
     }
 
@@ -126,8 +161,12 @@ impl Routes {
 
     /// The position among `Topology::out_links(at)` of the link to
     /// [`Routes::ecmp_next_hop`]`(at, dst, flow)`; panics as it does.
+    #[inline]
     pub fn ecmp_port(&self, at: NodeId, dst: NodeId, flow: FlowId) -> usize {
-        self.ports[self.ecmp_slot(at, dst, flow)] as usize
+        match self.single[self.row_index(at, dst)] {
+            NOT_SINGLE => self.ports[self.ecmp_slot(at, dst, flow)] as usize,
+            port => port as usize,
+        }
     }
 
     /// The full ECMP path of `flow` from `src` to `dst`, inclusive of both
@@ -150,7 +189,7 @@ mod tests {
     use crate::builders::{Dumbbell, FatTree, LeafSpine, LeafSpineConfig};
     use crate::graph::Topology;
     use qvisor_sim::{gbps, Nanos, SimRng};
-    use std::collections::HashSet;
+    use std::collections::{HashSet, VecDeque};
 
     fn line() -> Topology {
         // h0 - s0 - s1 - h1
@@ -297,6 +336,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One switch and `hosts` hosts on it: the switch's ports run past
+    /// what `Routes::single` holds in a byte.
+    fn star(hosts: usize) -> Topology {
+        let mut b = Topology::builder();
+        let hub = b.add_switch("hub");
+        for i in 0..hosts {
+            let h = b.add_host(format!("h{i}"));
+            b.add_link(hub, h, 1_000, Nanos(1));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn one_load_answer_equals_the_hashed_choice() {
+        // (fabric, has multi-path rows): a dumbbell or a star has one path.
+        let topologies = [
+            (LeafSpine::build(&LeafSpineConfig::paper()).topology, true),
+            (FatTree::build(4, gbps(1), Nanos(1_000)).topology, true),
+            (
+                Dumbbell::build(3, gbps(1), gbps(1), Nanos(1_000)).topology,
+                false,
+            ),
+            (star(300), false),
+        ];
+        let mut rng = SimRng::seed_from(0x51_9E);
+        for (t, multipath) in &topologies {
+            let r = Routes::compute(t);
+            assert_eq!(r.single.len(), t.node_count() * t.node_count());
+            let (mut single, mut multi, mut wide) = (0, 0, 0);
+            for dst in t.nodes().iter().map(|n| n.id) {
+                for at in t.nodes().iter().map(|n| n.id) {
+                    let row = r.row(at, dst);
+                    // Set exactly on the one-hop rows whose port fits.
+                    let fits = row.len() == 1 && r.ports[row.start] < NOT_SINGLE as u16;
+                    assert_eq!(
+                        r.single[r.row_index(at, dst)] != NOT_SINGLE,
+                        fits,
+                        "{at} -> {dst}"
+                    );
+                    match row.len() {
+                        0 => continue,
+                        1 if fits => single += 1,
+                        1 => wide += 1,
+                        _ => multi += 1,
+                    }
+                    for flow in (0..4).map(|_| FlowId(rng.next())) {
+                        assert_eq!(
+                            r.ecmp_port(at, dst, flow),
+                            r.ports[r.ecmp_slot(at, dst, flow)] as usize,
+                            "{at} -> {dst}, flow {}",
+                            flow.0
+                        );
+                    }
+                }
+            }
+            assert!(single > 0, "{single} one-hop rows");
+            assert_eq!(multi > 0, *multipath, "{multi} multi-path rows");
+            assert_eq!(wide > 0, t.node_count() > 256, "{wide} wide one-hop rows");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "(unreachable or at == dst)")]
+    fn port_at_the_destination_panics() {
+        let r = Routes::compute(&line());
+        let _ = r.ecmp_port(NodeId(3), NodeId(3), FlowId(0));
     }
 
     #[test]

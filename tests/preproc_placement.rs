@@ -6,15 +6,19 @@
 //! raw ranks), and first-hop-only (end-host QVISOR, à la Loom/Eiffel NIC
 //! scheduling). Because transformed ranks travel *in the packet*
 //! (`txf_rank`), rewriting once at the first hop is sufficient for
-//! downstream PIFOs; switches-only leaves the host NIC queue ordering by
-//! raw (clashing) ranks.
+//! downstream PIFOs — byte for byte: the simulator relies on it, and under
+//! `everywhere` with a static policy only the source runs the transform
+//! (later hops record it). Switches-only leaves the host NIC queue ordering
+//! by raw (clashing) ranks.
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::core::{PreProcessor, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec, ScopeSpec};
 use qvisor::netsim::{
     NewCbr, NewFlow, PreprocScope, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation,
 };
 use qvisor::ranking::{Edf, PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
+use qvisor::telemetry::{report, Telemetry, TraceConfig, TraceKind, Tracer};
 use qvisor::topology::Dumbbell;
 use qvisor::transport::SizeBucket;
 
@@ -80,15 +84,126 @@ fn t1_fct(r: &SimReport) -> f64 {
 fn first_hop_rewriting_is_sufficient() {
     // Transformed ranks ride in the packet, so rewriting once at the
     // source gives downstream switches the same ordering information as
-    // rewriting everywhere.
+    // rewriting everywhere: the same run, to the byte.
     let everywhere = run(PreprocScope::Everywhere);
     let first_hop = run(PreprocScope::FirstHopOnly);
     assert_eq!(everywhere.incomplete_flows, 0);
-    assert_eq!(first_hop.incomplete_flows, 0);
-    let (e, f) = (t1_fct(&everywhere), t1_fct(&first_hop));
+    assert_eq!(
+        report_json(&everywhere).to_compact(),
+        report_json(&first_hop).to_compact()
+    );
+}
+
+fn load(path: &str) -> ScenarioSpec {
+    let path = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Every example scenario that deploys QVISOR, by file name.
+fn qvisor_examples() -> Vec<(String, ScenarioSpec)> {
+    let dir = format!("{}/examples/scenarios", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    names.sort();
+    let examples: Vec<(String, ScenarioSpec)> = names
+        .into_iter()
+        .map(|name| {
+            let spec = load(&format!("examples/scenarios/{name}"));
+            (name, spec)
+        })
+        .filter(|(_, spec)| spec.qvisor.is_some())
+        .collect();
     assert!(
-        (f - e).abs() / e < 0.05,
-        "first-hop-only should match everywhere: {e:.3} vs {f:.3} ms"
+        examples.len() >= 4,
+        "{} examples deploy QVISOR",
+        examples.len()
+    );
+    examples
+}
+
+/// The report `qvisor run` prints for `spec`, as written and with the
+/// pre-processor moved to the first hop.
+fn reports_at_both_scopes(spec: &ScenarioSpec) -> (String, String) {
+    let mut first_hop = spec.clone();
+    first_hop.qvisor.as_mut().unwrap().scope = ScopeSpec::FirstHopOnly;
+    let report = |spec: &ScenarioSpec| report_json(&Engine::new().run(spec).unwrap()).to_compact();
+    (report(spec), report(&first_hop))
+}
+
+#[test]
+fn every_example_reports_the_same_with_the_transform_at_the_first_hop() {
+    for (name, spec) in qvisor_examples() {
+        let (written, first_hop) = reports_at_both_scopes(&spec);
+        assert!(written == first_hop, "{name}: the scope moved the report");
+    }
+}
+
+#[test]
+fn the_fig4_point_reports_the_same_with_the_transform_at_the_first_hop() {
+    // The benchmark's full-size point: 157 nodes, 2,000 flows.
+    let spec = load("benchmark/workloads/fig4.json");
+    assert_eq!(spec.qvisor.as_ref().unwrap().scope, ScopeSpec::Everywhere);
+    let (written, first_hop) = reports_at_both_scopes(&spec);
+    assert!(
+        written == first_hop,
+        "fig4.json: the scope moved the report"
+    );
+}
+
+#[test]
+fn every_transform_record_is_the_joint_policy_transform() {
+    // An oracle for the hops that record the source's transform instead
+    // of recomputing it: each record's `post` is what a pre-processor
+    // built from the run's joint policy makes of its `pre` — up to the
+    // first runtime reconfiguration, after which another policy holds.
+    let mut reloaded = 0;
+    for (name, spec) in qvisor_examples() {
+        let tracer = Tracer::enabled(TraceConfig::default());
+        let telemetry = Telemetry::enabled();
+        let engine = Engine::new()
+            .with_tracer(&tracer)
+            .with_telemetry(&telemetry);
+        let sim = engine.build(&spec).unwrap();
+        let joint = sim.joint_policy().expect("QVISOR is deployed").clone();
+        sim.run();
+        let unknown = if spec.qvisor.as_ref().unwrap().unknown_drop {
+            UnknownTenantAction::Drop
+        } else {
+            UnknownTenantAction::BestEffort
+        };
+        let oracle = PreProcessor::new(&joint, unknown);
+        let export = report::parse(&telemetry.export_jsonl()).unwrap();
+        // A reload at `t` precedes every packet event of `t`.
+        let reload = (export.events.iter())
+            .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("reconfiguration"))
+            .map(|e| Nanos(e.get("t_ns").and_then(|t| t.as_u64()).unwrap()))
+            .min()
+            .unwrap_or(Nanos::MAX);
+        reloaded += (reload < Nanos::MAX) as u32;
+        let trace = tracer.snapshot();
+        assert_eq!(trace.dropped, 0, "{name}: the ring wrapped");
+        let mut checked = 0;
+        for r in trace.records.iter().filter(|r| r.t < reload) {
+            let TraceKind::Transform { pre, post } = r.kind else {
+                continue;
+            };
+            let want = if r.ack {
+                pre // control traffic keeps its rank
+            } else {
+                (oracle.transform(TenantId(r.tenant), pre)).unwrap_or(joint.output_span().max + 1)
+            };
+            assert_eq!(post, want, "{name}: {r:?}");
+            checked += 1;
+        }
+        assert!(checked > 100, "{name}: {checked} transforms checked");
+    }
+    assert!(
+        reloaded > 0,
+        "no example reconfigures: the cut-off is untested"
     );
 }
 
