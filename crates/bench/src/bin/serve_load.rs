@@ -17,7 +17,8 @@
 //!
 //! Usage: `serve_load [--smoke] [--tenants N] [--workers N] [--readers N]`
 //! (defaults: 1024 tenants, 8 writers, 4 readers; `--smoke` shrinks to a
-//! CI-sized run). Exits non-zero on any violation.
+//! CI-sized run). Exits 2 on a bad argument, before the daemon starts, and
+//! non-zero on any violation.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -48,28 +49,52 @@ fn parse_args() -> Args {
                 args.tenants = 64;
                 args.workers = 4;
                 args.readers = 2;
+            }
+            flag @ ("--tenants" | "--workers" | "--readers") => {
                 i += 1;
+                let n = count(flag, argv.get(i));
+                match flag {
+                    "--tenants" => args.tenants = n,
+                    "--workers" => args.workers = n,
+                    _ => args.readers = n,
+                }
             }
-            "--tenants" => {
-                args.tenants = argv[i + 1].parse().expect("--tenants N");
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = argv[i + 1].parse().expect("--workers N");
-                i += 2;
-            }
-            "--readers" => {
-                args.readers = argv[i + 1].parse().expect("--readers N");
-                i += 2;
-            }
-            other => {
-                eprintln!("serve_load: unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument '{other}'")),
         }
+        i += 1;
     }
-    assert!(args.tenants >= args.workers, "need >= 1 tenant per worker");
+    if args.workers == 0 {
+        usage("--workers takes a number above zero");
+    }
+    if args.tenants < args.workers {
+        usage(&format!(
+            "--tenants {} is below --workers {}: each worker needs a tenant",
+            args.tenants, args.workers
+        ));
+    }
+    if args.tenants > usize::from(u16::MAX) {
+        usage(&format!(
+            "--tenants {} exceeds the {} tenant ids",
+            args.tenants,
+            u16::MAX
+        ));
+    }
     args
+}
+
+/// Say what was wrong with the arguments and exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("serve_load: {msg}");
+    std::process::exit(2);
+}
+
+/// The count after `flag`, or a usage error saying why there is none.
+fn count(flag: &str, text: Option<&String>) -> usize {
+    let Some(text) = text else {
+        usage(&format!("missing value after {flag}"));
+    };
+    text.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} takes a number, not {text:?}")))
 }
 
 /// A universe of `n` tenants, composed as share groups of 8 joined by

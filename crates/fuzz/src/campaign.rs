@@ -174,6 +174,39 @@ mod tests {
         assert_eq!(one, four);
     }
 
+    /// FNV-1a over the `{:?}` of every outcome, one line each. Unlike the
+    /// summary, it sees every inversion count and the order of every
+    /// case's diagnostic codes.
+    fn outcomes_fnv1a(report: &CampaignReport) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for outcome in &report.outcomes {
+            for byte in format!("{outcome:?}\n").bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn every_seed_1_outcome_is_pinned_at_any_jobs_level() {
+        // Recorded before one verification a case replaced the oracle's
+        // own synthesis and the engine's second one.
+        for jobs in [1, 2] {
+            let report = run_campaign(&CampaignOpts {
+                seed: 1,
+                cases: 1_000,
+                jobs,
+            });
+            assert!(report.conformant(), "{}", report.summary());
+            assert_eq!(
+                format!("{:016x}", outcomes_fnv1a(&report)),
+                "fb1a714afce751aa",
+                "jobs {jobs}"
+            );
+        }
+    }
+
     #[test]
     fn a_short_default_seed_campaign_is_conformant() {
         let report = run_campaign(&CampaignOpts {

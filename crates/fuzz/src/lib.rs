@@ -18,8 +18,10 @@
 //!    randomness flows from `SimRng::seed_from(seed).derive(case)`;
 //!    there is no ambient RNG anywhere, so a campaign is a pure function
 //!    of `(seed, cases)`.
-//! 2. **Verify**: the case is synthesized and run through the static
-//!    verifier exactly like `qvisor check` would.
+//! 2. **Verify**: the case, materialized as a dumbbell [`ScenarioSpec`],
+//!    is synthesized and run through the static verifier once — the
+//!    scenario engine's verification, exactly what `qvisor check` does,
+//!    with spans rooted at the deployment config.
 //! 3. **Replay witnesses** ([`oracle`]): every diagnostic that carries a
 //!    concrete [`Witness`] is re-executed through the real
 //!    `TransformChain::apply`; error-severity refutations must reproduce
@@ -34,11 +36,12 @@
 //!    later pop has a strictly lower level. The check keeps no mirror, so
 //!    it is independent of the `RankIndex` the PIFO is built on. A policy
 //!    the verifier proved clean must show zero.
-//! 5. **Scenario oracle**: for non-error verdicts the deployment is
-//!    materialized into a dumbbell [`ScenarioSpec`] and run end-to-end
-//!    through the scenario `Engine` with the flight recorder on; one pass
-//!    over the trace counts cross-tenant strict-level inversions, and a
-//!    trace the recorder evicted from is reported instead of counted.
+//! 5. **Scenario oracle**: for non-error verdicts the engine builds the
+//!    dumbbell from that verification — deploying the joint policy it
+//!    judged, not a second synthesis — and runs it end to end with the
+//!    flight recorder on; one pass over the trace, read where the recorder
+//!    keeps it, counts cross-tenant strict-level inversions, and a trace
+//!    the recorder evicted from is reported instead of counted.
 //!
 //! Any disagreement is auto-[minimized](minimize::minimize) — tenants
 //! dropped, levels merged, weights and transform parameters pushed toward

@@ -25,11 +25,18 @@
 //!   strictly higher-priority strict level. Both are suffix minima over
 //!   the pop order. No mirror is involved, so the check shares no code
 //!   with the `RankIndex` the `PifoQueue` itself is built on.
-//! * **Scenario oracle** — non-error deployments are materialized into a
-//!   dumbbell [`ScenarioSpec`] and run through the scenario `Engine` with
-//!   the flight recorder on; one pass over the trace finds the dequeues
-//!   that overtook a resident packet of a strictly higher-priority
-//!   tenant. A trace the recorder evicted from is refused, not scanned.
+//! * **Scenario oracle** — non-error deployments run through the scenario
+//!   `Engine` with the flight recorder on; one pass over the trace, read
+//!   in place, finds the dequeues that overtook a resident packet of a
+//!   strictly higher-priority tenant. A trace the recorder evicted from is
+//!   refused, not scanned.
+//!
+//! A case is synthesized and verified once: it is materialized as a
+//! dumbbell [`ScenarioSpec`] first, the engine's verification judges it
+//! (spans rooted at the deployment config), the first three checks read
+//! that verdict and joint policy, and the scenario stage builds from it.
+//! A dumbbell the engine refuses is judged from the config alone, and the
+//! refusal is the scenario stage's disagreement, as it always was.
 //!
 //! A policy the verifier proved isolated (no QV-STRICT-* finding at any
 //! severity) must show **zero** cross-tenant inversions in both oracles;
@@ -39,20 +46,18 @@
 //! [`Witness`]: qvisor_core::Witness
 //! [`ScenarioSpec`]: qvisor_netsim::ScenarioSpec
 
-use std::collections::BTreeMap;
-
 use qvisor_core::{
     verify, DiagCode, Diagnostic, JointPolicy, PreProcessor, Severity, SpecPaths,
     UnknownTenantAction, VerifyReport,
 };
 use qvisor_netsim::scenario::{
     FlowDecl, QvisorSpec, SchedulerSpec, ScopeSpec, SimSpec, SynthSpec, TenantDecl, TimeRef,
-    TopologySpec, WorkloadSpec,
+    TopologySpec, Verified, WorkloadSpec,
 };
-use qvisor_netsim::{Engine, ScenarioSpec};
+use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec};
 use qvisor_scheduler::{Capacity, PacketQueue, PifoQueue};
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, TenantId};
-use qvisor_telemetry::{TraceConfig, TraceData, TraceKind, Tracer};
+use qvisor_telemetry::{TraceConfig, TraceKind, TraceRecord, Tracer};
 
 use crate::gen::{FuzzCase, STREAM_ORACLE, STREAM_PREPROC, STREAM_SCENARIO};
 
@@ -128,26 +133,42 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
     let mut disagreements = Vec::new();
 
-    let joint = match case.config.synthesize() {
-        Ok(j) => j,
-        Err(e) => {
-            // The generator only emits structurally sound configs; a
-            // synthesis failure is itself a conformance finding.
-            disagreements.push(format!("generated config failed to synthesize: {e}"));
-            return CaseOutcome {
-                index: case.index,
-                verdict: Verdict::Errors,
-                codes: Vec::new(),
-                witnesses_checked: 0,
-                cross_inversions: 0,
-                scenario_ran: false,
-                disagreements,
-            };
-        }
+    // One synthesis and one verification a case: the scenario engine's,
+    // with spans rooted at the deployment config. The scenario stage
+    // deploys the joint policy judged here.
+    let spec = scenario_spec(case);
+    let verified = Engine::new().verify(&spec, &SpecPaths::config());
+    // A dumbbell the engine refuses is judged from the config alone, in
+    // the config's words; its scenario stage reports the refusal.
+    let config_verdict;
+    let (report, joint) = match &verified {
+        Ok(verified) => (
+            verified.report(),
+            verified.joint().expect("a fuzz scenario deploys QVISOR"),
+        ),
+        Err(_) => match case.config.synthesize() {
+            Ok(joint) => {
+                config_verdict = (verify(&joint, &SpecPaths::config()), joint);
+                (&config_verdict.0, &config_verdict.1)
+            }
+            Err(e) => {
+                // The generator only emits structurally sound configs; a
+                // synthesis failure is itself a conformance finding.
+                disagreements.push(format!("generated config failed to synthesize: {e}"));
+                return CaseOutcome {
+                    index: case.index,
+                    verdict: Verdict::Errors,
+                    codes: Vec::new(),
+                    witnesses_checked: 0,
+                    cross_inversions: 0,
+                    scenario_ran: false,
+                    disagreements,
+                };
+            }
+        },
     };
-    preproc_oracle(case, &joint, &mut disagreements);
-    let report = verify(&joint, &SpecPaths::config());
-    let verdict = Verdict::of(&report);
+    preproc_oracle(case, joint, &mut disagreements);
+    let verdict = Verdict::of(report);
     let codes: Vec<String> = {
         let mut set: Vec<String> = report
             .diagnostics
@@ -163,7 +184,7 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
     for diag in &report.diagnostics {
         if diag.witness.is_some() {
             witnesses_checked += 1;
-            replay_witness(&joint, diag, &mut disagreements);
+            replay_witness(joint, diag, &mut disagreements);
         }
     }
 
@@ -176,9 +197,10 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
         .iter()
         .any(|d| matches!(d.code, DiagCode::StrictOverlap | DiagCode::StrictOrder));
 
+    let levels = StrictLevels::of(report);
     let mut cross_inversions = 0;
     if !report.has_errors() {
-        let (pifo_inversions, cross) = queue_oracle(case, &joint, &report);
+        let (pifo_inversions, cross) = queue_oracle(case, joint, report, &levels);
         cross_inversions = cross;
         if pifo_inversions > 0 {
             disagreements.push(format!(
@@ -196,7 +218,7 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
     let mut scenario_ran = false;
     if run_scenario && !report.gate_fails(false) {
         scenario_ran = true;
-        match scenario_oracle(case, &report) {
+        match scenario_oracle(&spec, verified, &levels) {
             Ok(inversions) => {
                 if inversions > 0 && isolation_proven {
                     disagreements.push(format!(
@@ -399,11 +421,32 @@ fn sample_input(rng: &mut qvisor_sim::SimRng, min: u64, max: u64) -> u64 {
 }
 
 /// Strict level of every tenant the verifier placed (0 = highest
-/// priority); a tenant listed twice keeps its last placement.
-fn strict_levels(report: &VerifyReport) -> BTreeMap<u16, u64> {
-    (report.tenants.iter())
-        .map(|t| (t.tenant.0, t.level as u64))
-        .collect()
+/// priority), in a table indexed by tenant id; a tenant listed twice keeps
+/// its last placement. Built once a case, read by both oracles.
+pub(crate) struct StrictLevels(Vec<Option<u64>>);
+
+impl StrictLevels {
+    fn of(report: &VerifyReport) -> StrictLevels {
+        StrictLevels::from_pairs(report.tenants.iter().map(|t| (t.tenant.0, t.level as u64)))
+    }
+
+    /// The table of `(tenant, level)` placements, in placement order.
+    pub(crate) fn from_pairs(pairs: impl IntoIterator<Item = (u16, u64)>) -> StrictLevels {
+        let mut table = Vec::new();
+        for (tenant, level) in pairs {
+            let tenant = usize::from(tenant);
+            if tenant >= table.len() {
+                table.resize(tenant + 1, None);
+            }
+            table[tenant] = Some(level);
+        }
+        StrictLevels(table)
+    }
+
+    /// `tenant`'s strict level, or `None` when the verifier placed none.
+    fn get(&self, tenant: u16) -> Option<u64> {
+        self.0.get(usize::from(tenant)).copied().flatten()
+    }
 }
 
 /// Drive sampled per-tenant traffic through an exact PIFO and count the
@@ -415,7 +458,12 @@ fn strict_levels(report: &VerifyReport) -> BTreeMap<u16, u64> {
 /// at dequeue *i* are exactly the later pops, and both counts follow from
 /// the pop order alone ([`drain_order_inversions`]); a tenant without a
 /// strict level ranks below every level.
-fn queue_oracle(case: &FuzzCase, joint: &JointPolicy, report: &VerifyReport) -> (u64, u64) {
+fn queue_oracle(
+    case: &FuzzCase,
+    joint: &JointPolicy,
+    report: &VerifyReport,
+    levels: &StrictLevels,
+) -> (u64, u64) {
     const ROUNDS: u64 = 32;
     let mut rng = case.rng(STREAM_ORACLE);
     let mut pifo = PifoQueue::new(Capacity::UNBOUNDED);
@@ -434,10 +482,9 @@ fn queue_oracle(case: &FuzzCase, joint: &JointPolicy, report: &VerifyReport) -> 
         }
     }
 
-    let level_of = strict_levels(report);
     let mut pops = Vec::with_capacity(pifo.len());
     while let Some(p) = pifo.dequeue(Nanos::ZERO) {
-        let level = level_of.get(&p.tenant.0).copied().unwrap_or(u64::MAX);
+        let level = levels.get(p.tenant.0).unwrap_or(u64::MAX);
         pops.push((p.txf_rank, level));
     }
     drain_order_inversions(&pops)
@@ -526,30 +573,45 @@ fn scenario_spec(case: &FuzzCase) -> ScenarioSpec {
     }
 }
 
-/// Run the case end to end through the scenario `Engine` on an exact
-/// PIFO with the flight recorder on, and count cross-tenant strict-level
-/// inversions in the trace. `Err` is the disagreement to report.
-fn scenario_oracle(case: &FuzzCase, report: &VerifyReport) -> Result<u64, String> {
-    let spec = scenario_spec(case);
+/// Run the case's dumbbell end to end through the scenario `Engine` on an
+/// exact PIFO, deploying the joint policy `verified` judged, with the
+/// flight recorder on, and count cross-tenant strict-level inversions in
+/// the trace. `Err` is the disagreement to report, the engine's refusal
+/// included.
+fn scenario_oracle(
+    spec: &ScenarioSpec,
+    verified: Result<Verified<'_>, ScenarioError>,
+    levels: &StrictLevels,
+) -> Result<u64, String> {
+    let refused = |e: ScenarioError| {
+        format!("scenario engine refused a deployment the verifier admitted: {e}")
+    };
     let tracer = Tracer::enabled(TraceConfig::default());
-    let engine = Engine::new().with_tracer(&tracer);
-    engine
-        .run(&spec)
-        .map_err(|e| format!("scenario engine refused a deployment the verifier admitted: {e}"))?;
-    scan_trace(&tracer.snapshot(), &strict_levels(report))
+    Engine::new()
+        .with_tracer(&tracer)
+        .build_verified(spec, verified.map_err(refused)?)
+        .map_err(refused)?
+        .run();
+    scan_trace(&tracer, levels)
 }
 
-/// Count the cross-level inversions of a complete trace. A trace the
-/// flight recorder evicted records from is refused: a dequeue whose
-/// resident rivals were evicted would pass unseen.
-pub(crate) fn scan_trace(data: &TraceData, level_of: &BTreeMap<u16, u64>) -> Result<u64, String> {
-    if data.dropped > 0 {
-        return Err(format!(
-            "flight recorder evicted {} records: the cross-level scan would be partial",
-            data.dropped
-        ));
-    }
-    Ok(trace_cross_level_inversions(data, level_of))
+/// Count the cross-level inversions of everything `tracer` holds, read in
+/// place. A trace the flight recorder evicted records from is refused: a
+/// dequeue whose resident rivals were evicted would pass unseen.
+pub(crate) fn scan_trace(tracer: &Tracer, levels: &StrictLevels) -> Result<u64, String> {
+    tracer.visit(|view| {
+        if view.dropped > 0 {
+            return Err(format!(
+                "flight recorder evicted {} records: the cross-level scan would be partial",
+                view.dropped
+            ));
+        }
+        Ok(trace_cross_level_inversions(
+            view.labels.len(),
+            view.records(),
+            levels,
+        ))
+    })
 }
 
 /// A data packet resident in a traced queue, as the scan knows it.
@@ -561,7 +623,7 @@ struct Resident {
     rank: u64,
 }
 
-/// Count dequeues in `data` that overtook a resident packet of a
+/// Count dequeues in `records` that overtook a resident packet of a
 /// strictly higher-priority tenant: for every labelled queue, a dequeue
 /// is a cross-level inversion when some resident data packet belongs to
 /// a strictly lower level (higher priority) *and* carries a strictly
@@ -569,26 +631,23 @@ struct Resident {
 /// level (unscheduled or unknown traffic) are outside the `>>` contract
 /// and are skipped.
 ///
-/// One pass over the records. A packet is identified per queue by
-/// `(flow, seq)`: enqueueing one that is still resident replaces its
-/// level and rank, and a dequeue or drop of one that is not resident
-/// removes nothing. A fuzz dumbbell's queues hold a handful of packets
-/// at a dequeue (tens at most), so each is a plain vector searched front
-/// to back, and levels come from a table indexed by tenant id.
-pub(crate) fn trace_cross_level_inversions(data: &TraceData, level_of: &BTreeMap<u16, u64>) -> u64 {
-    let tenants = level_of
-        .last_key_value()
-        .map_or(0, |(&t, _)| usize::from(t) + 1);
-    let mut level_by_tenant = vec![None; tenants];
-    for (&tenant, &level) in level_of {
-        level_by_tenant[usize::from(tenant)] = Some(level);
-    }
-    // Resident packets by label, in no particular order. Every label a
-    // snapshot holds indexes its table except `NO_LABEL`, which gets the
-    // one queue past the end.
-    let mut queues: Vec<Vec<Resident>> = vec![Vec::new(); data.labels.len() + 1];
+/// One pass over the records, whose labels index a table of `labels`
+/// entries. A packet is identified per queue by `(flow, seq)`: enqueueing
+/// one that is still resident replaces its level and rank, and a dequeue
+/// or drop of one that is not resident removes nothing. A fuzz dumbbell's
+/// queues hold a handful of packets at a dequeue (tens at most), so each
+/// is a plain vector searched front to back.
+pub(crate) fn trace_cross_level_inversions(
+    labels: usize,
+    records: impl IntoIterator<Item = TraceRecord>,
+    levels: &StrictLevels,
+) -> u64 {
+    // Resident packets by label, in no particular order. Every label the
+    // table holds indexes it except `NO_LABEL`, which gets the one queue
+    // past the end.
+    let mut queues: Vec<Vec<Resident>> = vec![Vec::new(); labels + 1];
     let mut inversions = 0;
-    for r in &data.records {
+    for r in records {
         let queued = matches!(
             r.kind,
             TraceKind::Enqueue { .. } | TraceKind::Dequeue { .. } | TraceKind::Drop { .. }
@@ -596,14 +655,10 @@ pub(crate) fn trace_cross_level_inversions(data: &TraceData, level_of: &BTreeMap
         if !queued || r.ack {
             continue;
         }
-        let Some(level) = level_by_tenant
-            .get(usize::from(r.tenant))
-            .copied()
-            .flatten()
-        else {
+        let Some(level) = levels.get(r.tenant) else {
             continue;
         };
-        let queue = &mut queues[(r.label as usize).min(data.labels.len())];
+        let queue = &mut queues[(r.label as usize).min(labels)];
         let at = queue
             .iter()
             .position(|x| x.flow == r.flow && x.seq == r.seq);
@@ -643,7 +698,20 @@ mod tests {
     use crate::gen::generate_case;
     use qvisor_core::DeploymentConfig;
     use qvisor_scheduler::{FifoQueue, InstrumentedQueue};
-    use qvisor_telemetry::Telemetry;
+    use qvisor_telemetry::{trace::NO_LABEL, Telemetry, TraceData};
+    use std::collections::BTreeMap;
+
+    /// The scan's table of the placements in `level_of`.
+    fn levels(level_of: &BTreeMap<u16, u64>) -> StrictLevels {
+        StrictLevels::from_pairs(level_of.iter().map(|(&t, &l)| (t, l)))
+    }
+
+    /// The placements of `report`, as the reference scans read them.
+    fn level_map(report: &VerifyReport) -> BTreeMap<u16, u64> {
+        (report.tenants.iter())
+            .map(|t| (t.tenant.0, t.level as u64))
+            .collect()
+    }
 
     fn case_from_json(json: &str) -> FuzzCase {
         FuzzCase {
@@ -687,6 +755,48 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Errors);
         assert!(out.witnesses_checked > 0, "expected witnessed refutations");
         assert!(out.disagreements.is_empty(), "{:?}", out.disagreements);
+    }
+
+    #[test]
+    fn a_dumbbell_the_engine_refuses_is_judged_in_the_configs_words() {
+        // A config that cannot synthesize fails as the config words it,
+        // not as the scenario's field check does.
+        for broken in 0..2 {
+            let mut case = generate_case(1, 0);
+            let tenant = &mut case.config.tenants[0];
+            match broken {
+                0 => tenant.rank_min = tenant.rank_max + 1,
+                _ => tenant.levels = Some(0),
+            }
+            let config_error = case.config.synthesize().unwrap_err().to_string();
+            let engine_error = Engine::new().check(&scenario_spec(&case)).unwrap_err();
+            assert!(!engine_error.to_string().contains(&config_error));
+            let out = run_case(&case);
+            assert_eq!(out.verdict, Verdict::Errors);
+            assert!(!out.scenario_ran);
+            assert_eq!(
+                out.disagreements,
+                [format!(
+                    "generated config failed to synthesize: {config_error}"
+                )]
+            );
+        }
+        // A sound config whose dumbbell the engine refuses is judged from
+        // the config; its scenario stage reports the refusal.
+        let mut case = generate_case(1, 0);
+        case.rank_fns.push(case.rank_fns[0].clone());
+        let report = verify(&case.config.synthesize().unwrap(), &SpecPaths::config());
+        assert!(!report.gate_fails(false));
+        let engine_error = Engine::new().check(&scenario_spec(&case)).unwrap_err();
+        let out = run_case(&case);
+        assert_eq!(out.verdict, Verdict::of(&report));
+        assert!(out.scenario_ran);
+        assert_eq!(
+            out.disagreements,
+            [format!(
+                "scenario engine refused a deployment the verifier admitted: {engine_error}"
+            )]
+        );
     }
 
     #[test]
@@ -825,7 +935,7 @@ mod tests {
                         t.level = deepest.unwrap_or(0) - t.level;
                     }
                 }
-                let counts = queue_oracle(&case, &joint, &report);
+                let counts = queue_oracle(&case, &joint, &report, &StrictLevels::of(&report));
                 assert_eq!(
                     counts,
                     reference_queue_oracle(&case, &joint, &report),
@@ -879,34 +989,32 @@ mod tests {
 
     /// A random trace over few flows, sequence numbers and labels, so that
     /// re-enqueues of resident packets, dequeues and drops of absent ones,
-    /// ACKs, unplaced tenants and `NO_LABEL` records all occur.
-    fn random_trace(rng: &mut qvisor_sim::SimRng) -> TraceData {
-        use qvisor_telemetry::{trace::NO_LABEL, TraceRecord};
-        let records = (0..rng.below(400))
-            .map(|i| {
-                let rank = [rng.below(5), u64::MAX][usize::from(rng.below(8) == 0)];
-                let kind = match rng.below(8) {
-                    0..=2 => TraceKind::Enqueue { rank },
-                    3..=5 => TraceKind::Dequeue { rank, wait_ns: i },
-                    6 => TraceKind::Drop { rank },
-                    _ => TraceKind::TxStart {
-                        bytes: rank,
-                        tx_ns: 1,
-                        prop_ns: 1,
-                    },
-                };
-                let label = [0, 1, 2, NO_LABEL][rng.below(4) as usize];
-                let tenant = 1 + rng.below(4) as u16;
+    /// ACKs, unplaced tenants and `NO_LABEL` records all occur — recorded
+    /// into a flight recorder, as the scenario oracle's trace is.
+    fn random_trace(rng: &mut qvisor_sim::SimRng) -> Tracer {
+        let tracer = Tracer::enabled(TraceConfig::default());
+        let labels = ["q0", "q1", "q2"].map(|l| tracer.intern(l));
+        for i in 0..rng.below(400) {
+            let rank = [rng.below(5), u64::MAX][usize::from(rng.below(8) == 0)];
+            let kind = match rng.below(8) {
+                0..=2 => TraceKind::Enqueue { rank },
+                3..=5 => TraceKind::Dequeue { rank, wait_ns: i },
+                6 => TraceKind::Drop { rank },
+                _ => TraceKind::TxStart {
+                    bytes: rank,
+                    tx_ns: 1,
+                    prop_ns: 1,
+                },
+            };
+            let label = [labels[0], labels[1], labels[2], NO_LABEL][rng.below(4) as usize];
+            let tenant = 1 + rng.below(4) as u16;
+            tracer.record(
                 TraceRecord::new(Nanos(i), rng.below(3), rng.below(4), tenant, kind)
                     .at_label(label)
-                    .as_ack(rng.below(6) == 0)
-            })
-            .collect();
-        TraceData {
-            records,
-            labels: vec!["q0".into(), "q1".into(), "q2".into()],
-            ..TraceData::default()
+                    .as_ack(rng.below(6) == 0),
+            );
         }
+        tracer
     }
 
     #[test]
@@ -916,14 +1024,13 @@ mod tests {
         let mut rng = qvisor_sim::SimRng::seed_from(26);
         let mut total = 0;
         for trace in 0..300 {
-            let data = random_trace(&mut rng);
-            let count = trace_cross_level_inversions(&data, &level_of);
+            let tracer = random_trace(&mut rng);
+            let count = scan_trace(&tracer, &levels(&level_of)).unwrap();
             assert_eq!(
                 count,
-                reference_trace_scan(&data, &level_of),
+                reference_trace_scan(&tracer.snapshot(), &level_of),
                 "trace {trace}"
             );
-            assert_eq!(scan_trace(&data, &level_of), Ok(count));
             total += count;
         }
         assert!(total > 0, "no generated trace holds an inversion");
@@ -931,19 +1038,24 @@ mod tests {
 
     #[test]
     fn a_trace_the_recorder_evicted_from_is_refused() {
-        let level_of = BTreeMap::from([(1, 0), (2, 1)]);
-        let truncated = TraceData {
-            dropped: 1,
-            ..TraceData::default()
-        };
+        let levels = levels(&BTreeMap::from([(1, 0), (2, 1)]));
+        let tracer = Tracer::enabled(TraceConfig {
+            capacity: 1,
+            ..TraceConfig::default()
+        });
+        assert_eq!(scan_trace(&tracer, &levels), Ok(0));
+        for t in 0..2 {
+            let enqueue = TraceKind::Enqueue { rank: t };
+            tracer.record(TraceRecord::new(Nanos(t), 1, t, 1, enqueue));
+        }
         assert_eq!(
-            scan_trace(&truncated, &level_of),
+            scan_trace(&tracer, &levels),
             Err(
                 "flight recorder evicted 1 records: the cross-level scan would be partial"
                     .to_string()
             )
         );
-        assert_eq!(scan_trace(&TraceData::default(), &level_of), Ok(0));
+        assert_eq!(scan_trace(&Tracer::disabled(), &levels), Ok(0));
     }
 
     /// Generated case 0 with its config replaced by a two-tenant `A >> B`
@@ -985,7 +1097,7 @@ mod tests {
         // that queued behind them. The scan must see it, not just agree.
         let case = a_over_b_case();
         let joint = case.config.synthesize().unwrap();
-        let level_of = strict_levels(&verify(&joint, &SpecPaths::config()));
+        let level_of = level_map(&verify(&joint, &SpecPaths::config()));
         let mut spec = scenario_spec(&case);
         spec.scheduler = SchedulerSpec::Fifo;
         // B's flow starts first and fills the bottleneck; A's joins it.
@@ -998,9 +1110,8 @@ mod tests {
         }
         let tracer = Tracer::enabled(TraceConfig::default());
         Engine::new().with_tracer(&tracer).run(&spec).unwrap();
-        let data = tracer.snapshot();
-        let count = scan_trace(&data, &level_of).unwrap();
-        assert_eq!(count, reference_trace_scan(&data, &level_of));
+        let count = scan_trace(&tracer, &levels(&level_of)).unwrap();
+        assert_eq!(count, reference_trace_scan(&tracer.snapshot(), &level_of));
         assert!(
             count > 0,
             "the FIFO dumbbell showed no cross-level inversion"

@@ -96,25 +96,65 @@ impl Engine {
         spec: &ScenarioSpec,
         paths: &SpecPaths,
     ) -> Result<VerifyReport, ScenarioError> {
+        Ok(self.verify(spec, paths)?.report)
+    }
+
+    /// The engine's verification: validate `spec`, synthesize its QVISOR
+    /// policy and run the static verifier over it, spans rooted at
+    /// `paths`. The result is what [`Engine::build_verified`] deploys —
+    /// the joint policy the report judged, not a second synthesis of it.
+    pub fn verify<'s>(
+        &self,
+        spec: &'s ScenarioSpec,
+        paths: &SpecPaths,
+    ) -> Result<Verified<'s>, ScenarioError> {
         spec.validate()?;
-        Ok(verify_qvisor(spec, paths)?.0)
+        let Some(q) = spec.qvisor.as_ref() else {
+            return Ok(Verified {
+                spec,
+                report: VerifyReport::empty(),
+                deployment: None,
+            });
+        };
+        let setup = build_qvisor(q);
+        let (joint, synth_ns) = synthesize_timed(&setup).map_err(ScenarioError::Build)?;
+        Ok(Verified {
+            spec,
+            report: verify(&joint, paths),
+            deployment: Some((setup, joint, synth_ns)),
+        })
     }
 
     /// Materialize `spec` into a ready-to-run simulation: topology built,
     /// QVISOR synthesized and deployed, rank functions registered, and all
-    /// traffic loaded.
+    /// traffic loaded. The engine's verification (spans rooted at the
+    /// scenario document) followed by [`Engine::build_verified`].
     pub fn build(&self, spec: &ScenarioSpec) -> Result<Simulation, ScenarioError> {
-        spec.validate()?;
-        // Mandatory pre-deployment gate: refuse to materialize a policy
-        // the verifier refutes (warn-by-default; `with_deny_warnings`
-        // promotes warnings to failures).
-        let (report, synthesized) = verify_qvisor(spec, &SpecPaths::scenario())?;
-        if report.gate_fails(self.deny_warnings) {
-            return Err(ScenarioError::Verify(Box::new(report)));
+        self.build_verified(spec, self.verify(spec, &SpecPaths::scenario())?)
+    }
+
+    /// Materialize `spec` from its verification: deploy the joint policy
+    /// `verified` judged. Refused when `verified` judged another scenario,
+    /// and — the mandatory pre-deployment gate — when its report refutes a
+    /// guarantee (warn-by-default; `with_deny_warnings` promotes warnings
+    /// to failures).
+    pub fn build_verified(
+        &self,
+        spec: &ScenarioSpec,
+        verified: Verified<'_>,
+    ) -> Result<Simulation, ScenarioError> {
+        if !std::ptr::eq(spec, verified.spec) && *spec != *verified.spec {
+            return Err(ScenarioError::NotVerified);
+        }
+        if verified.report.gate_fails(self.deny_warnings) {
+            return Err(ScenarioError::Verify(Box::new(verified.report)));
         }
         let (topology, prep) = prepare(spec)?;
-        let cfg = self.sim_config(spec, prep.last_arrival);
-        // The joint policy the verifier just passed is the one deployed.
+        let (setup, synthesized) = match verified.deployment {
+            Some((setup, joint, synth_ns)) => (Some(setup), Some((joint, synth_ns))),
+            None => (None, None),
+        };
+        let cfg = self.sim_config(spec, setup, prep.last_arrival);
         let mut sim =
             Simulation::with_joint(topology, cfg, synthesized).map_err(ScenarioError::Build)?;
         populate(spec, &prep, &mut sim);
@@ -126,10 +166,15 @@ impl Engine {
         Ok(self.build(spec)?.run())
     }
 
-    /// Assemble the [`SimConfig`] for `spec`: a pure function of the spec
-    /// and the last reliable arrival, plus this engine's observability
-    /// handles and event core.
-    fn sim_config(&self, spec: &ScenarioSpec, last_arrival: Nanos) -> SimConfig {
+    /// Assemble the [`SimConfig`] for `spec`: a pure function of the spec,
+    /// its lowered QVISOR block and the last reliable arrival, plus this
+    /// engine's observability handles and event core.
+    fn sim_config(
+        &self,
+        spec: &ScenarioSpec,
+        qvisor: Option<QvisorSetup>,
+        last_arrival: Nanos,
+    ) -> SimConfig {
         SimConfig {
             seed: spec.seed,
             mss: spec.sim.mss,
@@ -144,12 +189,36 @@ impl Engine {
             random_loss: spec.sim.random_loss,
             sample_interval: spec.sim.sample_interval_ns.map(Nanos),
             adaptation_interval: spec.sim.adaptation_interval_ns.map(Nanos),
-            qvisor: spec.qvisor.as_ref().map(build_qvisor),
+            qvisor,
             event_core: self.event_core,
             telemetry: self.telemetry.clone(),
             tracer: self.tracer.clone(),
             monitor: self.monitor.clone(),
         }
+    }
+}
+
+/// A scenario's QVISOR policy as the engine's verification judged it: the
+/// report, and the lowered setup and joint policy it judged (with the
+/// wall-clock its synthesis took) — `None` without a `qvisor` block. Only
+/// [`Engine::verify`] makes one, and [`Engine::build_verified`] deploys it
+/// for the scenario it was made from and no other.
+pub struct Verified<'s> {
+    spec: &'s ScenarioSpec,
+    report: VerifyReport,
+    deployment: Option<(QvisorSetup, JointPolicy, u64)>,
+}
+
+impl Verified<'_> {
+    /// The verifier's report.
+    pub fn report(&self) -> &VerifyReport {
+        &self.report
+    }
+
+    /// The joint policy the report judged (`None` without a `qvisor`
+    /// block).
+    pub fn joint(&self) -> Option<&JointPolicy> {
+        self.deployment.as_ref().map(|(_, joint, _)| joint)
     }
 }
 
@@ -324,22 +393,6 @@ fn populate(spec: &ScenarioSpec, prep: &Prepared, sim: &mut Simulation) {
             }
         }
     }
-}
-
-/// Synthesize the scenario's QVISOR policy and run the static verifier
-/// over it, returning the report with the joint policy it judged (and the
-/// wall-clock its synthesis took) for [`Simulation::with_joint`].
-/// Diagnostic spans point into the scenario document
-/// (`qvisor.tenants.N`, `qvisor.policy`, ...).
-fn verify_qvisor(
-    spec: &ScenarioSpec,
-    paths: &SpecPaths,
-) -> Result<(VerifyReport, Option<(JointPolicy, u64)>), ScenarioError> {
-    let Some(q) = spec.qvisor.as_ref() else {
-        return Ok((VerifyReport::empty(), None));
-    };
-    let (joint, synth_ns) = synthesize_timed(&build_qvisor(q)).map_err(ScenarioError::Build)?;
-    Ok((verify(&joint, paths), Some((joint, synth_ns))))
 }
 
 fn build_topology(spec: &ScenarioSpec) -> (Topology, Vec<NodeId>) {

@@ -23,7 +23,7 @@ mod engine;
 mod spec;
 mod sweep;
 
-pub use engine::{report_json, Engine};
+pub use engine::{report_json, Engine, Verified};
 pub use spec::{
     AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec,
     SchedulerSpec, ScopeSpec, SimSpec, SizeDistSpec, SynthSpec, TenantDecl, TimeRef, TopologySpec,
@@ -50,6 +50,8 @@ pub enum ScenarioError {
     /// The static policy verifier refuted a guarantee (or found warnings
     /// under `--deny-warnings`). Carries the full report.
     Verify(Box<qvisor_core::VerifyReport>),
+    /// A build was handed the verification of a different scenario.
+    NotVerified,
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -61,6 +63,12 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Verify(report) => {
                 write!(f, "scenario verification failed\n{}", report.render_text())
             }
+            ScenarioError::NotVerified => {
+                write!(
+                    f,
+                    "scenario build: the verification judged another scenario"
+                )
+            }
         }
     }
 }
@@ -71,7 +79,7 @@ impl std::error::Error for ScenarioError {
             ScenarioError::Field { .. } => None,
             ScenarioError::Json(e) => Some(e),
             ScenarioError::Build(e) => Some(e),
-            ScenarioError::Verify(_) => None,
+            ScenarioError::Verify(_) | ScenarioError::NotVerified => None,
         }
     }
 }

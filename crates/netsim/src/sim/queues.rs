@@ -1,6 +1,8 @@
 //! Per-port scheduler-model queue construction, the port state machine's
 //! state, and the per-tenant table.
 
+use std::fmt::Write;
+
 use crate::config::{SchedulerKind, SimConfig};
 use crate::report::TenantTraffic;
 use qvisor_core::{Backend, JointPolicy, QvisorError, SpAdaptation};
@@ -9,7 +11,7 @@ use qvisor_scheduler::{
     SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
 };
 use qvisor_sim::{LineRate, Nanos, NodeId, Packet, Rank, TenantId};
-use qvisor_telemetry::{Counter, Histogram, Telemetry};
+use qvisor_telemetry::{trace::NO_LABEL, Counter, Histogram, Telemetry};
 use qvisor_topology::{NodeKind, Topology};
 
 /// A port's scheduler-model queue as it runs unobserved: the two stateless
@@ -197,7 +199,12 @@ pub(in crate::sim) struct TenantState {
 
 impl TenantState {
     pub(in crate::sim) fn new(telemetry: &Telemetry, t: TenantId) -> TenantState {
-        let tenant = format!("T{}", t.0);
+        // A disabled registry never reads the label.
+        let tenant = if telemetry.is_enabled() {
+            format!("T{}", t.0)
+        } else {
+            String::new()
+        };
         let labels = [("tenant", tenant.as_str())];
         TenantState {
             traffic: TenantTraffic::default(),
@@ -228,6 +235,10 @@ pub(in crate::sim) fn build_ports(
     // Neighbouring links mostly share a rate: divide once per run of them.
     let mut rate = LineRate::new(0);
     let mut base = Vec::with_capacity(topo.node_count() + 1);
+    // The label names the port to its observers; with none, no registry
+    // or recorder reads it. One buffer formats every port's: the
+    // registry and the recorder each keep their own copy.
+    let mut label = String::new();
     for node in topo.nodes() {
         let kind = match (node.kind, cfg.host_scheduler) {
             (NodeKind::Host, Some(host_kind)) => host_kind,
@@ -236,21 +247,21 @@ pub(in crate::sim) fn build_ports(
         let first = ports.len();
         base.push(first as u32);
         for link in topo.out_links(node.id) {
-            // The label names the port to its observers; with none, no
-            // registry or recorder reads it.
-            let label = if instrument {
-                format!("n{}.p{}", node.id.0, ports.len() - first)
-            } else {
-                String::new()
-            };
+            if instrument {
+                label.clear();
+                write!(label, "n{}.p{}", node.id.0, ports.len() - first)
+                    .expect("a String takes any write");
+            }
             let bare = make_queue_of(kind, cfg, joint)?;
-            let queue = if instrument {
-                PortQueue::Observed(Box::new(
+            // The wrapper interns the label; an unobserved port has no track.
+            let (queue, trace_label) = if instrument {
+                let observed =
                     InstrumentedQueue::with_tracer(bare, &cfg.telemetry, &cfg.tracer, &label)
-                        .with_monitor(&cfg.monitor),
-                ))
+                        .with_monitor(&cfg.monitor);
+                let trace_label = observed.trace_label();
+                (PortQueue::Observed(Box::new(observed)), trace_label)
             } else {
-                PortQueue::Bare(bare)
+                (PortQueue::Bare(bare), NO_LABEL)
             };
             let link_labels = [("link", label.as_str())];
             if rate.bits_per_sec() != link.rate_bps {
@@ -265,7 +276,7 @@ pub(in crate::sim) fn build_ports(
                 armed: false,
                 tx_pkts: cfg.telemetry.counter("net_link_tx_pkts", &link_labels),
                 tx_bytes: cfg.telemetry.counter("net_link_tx_bytes", &link_labels),
-                trace_label: cfg.tracer.intern(&label),
+                trace_label,
             });
         }
     }

@@ -141,6 +141,14 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         &self.inner
     }
 
+    /// The queue's interned track on its tracer ([`NO_LABEL`] when
+    /// tracing is disabled).
+    ///
+    /// [`NO_LABEL`]: qvisor_telemetry::trace::NO_LABEL
+    pub fn trace_label(&self) -> u32 {
+        self.trace_label
+    }
+
     /// Dequeues counted so far (0 when the telemetry handle is disabled).
     pub fn dequeued_count(&self) -> u64 {
         self.metrics.dequeued()

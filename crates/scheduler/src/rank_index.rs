@@ -4,27 +4,36 @@
 //! Order is rank first, arrival second: [`RankIndex::pop_first`] returns
 //! the earliest arrival of the smallest rank, [`RankIndex::pop_last`] the
 //! latest arrival of the largest. Two tiers hold the entries, chosen by
-//! the entry's rank alone:
+//! the entry's rank and the index's window:
 //!
-//! * **Dense tier** — ranks below [`DENSE_RANKS`]. One FIFO per rank, kept
-//!   as a circular doubly-linked list threaded through a slab (`heads[r]`
-//!   is the first arrival of rank `r`; its `prev` is the last). A 64-word
-//!   occupancy bitmap plus one summary word finds the smallest or largest
-//!   occupied rank with two bit scans (Eiffel's find-first-set queue, the
-//!   layout each ring of `qvisor_sim`'s calendar queue uses), so push and
-//!   both pops are O(1) and move the value exactly once.
-//! * **Overflow tier** — ranks at or above it, in a
+//! * **Dense tier** — ranks in the window `[base, base + DENSE_RANKS)`.
+//!   One FIFO per rank, kept as a circular doubly-linked list threaded
+//!   through a slab (`heads[r]` is the first arrival of rank `base + r`;
+//!   its `prev` is the last). A 64-word occupancy bitmap plus one summary
+//!   word finds the smallest or largest occupied rank with two bit scans
+//!   (Eiffel's find-first-set queue, the layout each ring of
+//!   `qvisor_sim`'s calendar queue uses), so push and both pops are O(1)
+//!   and move the value exactly once.
+//! * **Overflow tier** — ranks below or above the window, in a
 //!   `BTreeMap<(Rank, u64), T>` where the `u64` is an arrival counter.
 //!
-//! Every dense rank sorts before every overflow rank, so the first entry
-//! is the dense minimum when the dense tier is occupied and the overflow
-//! map's first otherwise; the last entry is the overflow map's last when
-//! it has one and the dense maximum otherwise.
+//! The window follows the ranks: `base` is the first rank pushed into an
+//! empty index, rounded down to a multiple of [`DENSE_RANKS`]. It moves
+//! only then — when a push falls outside it and nothing is resident — so a
+//! rank lives in one tier for as long as entries of it do, and an index
+//! whose ranks stay in one window never reaches the overflow tier, wherever
+//! that window lies. A new index starts at `base = 0`.
+//!
+//! Overflow entries below the window sort before every dense entry and
+//! those above it after, so the first entry is the overflow map's first
+//! when that lies below `base` and the dense minimum otherwise (the map's
+//! first when the dense tier is empty); symmetrically for the last. Both
+//! questions touch the map only when it holds entries.
 
 use qvisor_sim::Rank;
 use std::collections::BTreeMap;
 
-/// Ranks below this live in the dense tier: a 12-bit rank field, the
+/// Width of the dense tier's window: a 12-bit rank field, the
 /// pre-processor output width `qvisor_core::HardwareModel::max_rank`
 /// documents. Synthesized joint spans sit well inside it, and a fully
 /// grown bucket array is 16 KiB.
@@ -51,16 +60,21 @@ pub struct RankIndex<T> {
     slab: Vec<Slot<T>>,
     /// Head of the vacant-slot list (LIFO, so reused storage stays hot).
     free: u32,
-    /// First arrival of each dense rank, grown to the largest rank seen.
+    /// Lowest rank of the dense window, a multiple of [`DENSE_RANKS`].
+    base: Rank,
+    /// First arrival of each dense rank `base + r`, grown to the largest
+    /// `r` seen.
     heads: Vec<u32>,
-    /// Bit `r % 64` of word `r / 64` is set iff dense rank `r` is occupied.
+    /// Bit `r % 64` of word `r / 64` is set iff dense rank `base + r` is
+    /// occupied.
     occupied: [u64; WORDS],
     /// Bit `w` is set iff `occupied[w]` is non-zero.
     summary: u64,
     dense_len: usize,
     overflow: BTreeMap<(Rank, u64), T>,
     /// Arrival counter for overflow keys. Dense FIFOs need none: a rank
-    /// lives in exactly one tier, so arrival order never crosses tiers.
+    /// lives in exactly one tier while it has entries, so arrival order
+    /// never crosses tiers.
     arrivals: u64,
 }
 
@@ -70,6 +84,7 @@ impl<T> RankIndex<T> {
         RankIndex {
             slab: Vec::new(),
             free: NIL,
+            base: 0,
             heads: Vec::new(),
             occupied: [0; WORDS],
             summary: 0,
@@ -85,13 +100,33 @@ impl<T> RankIndex<T> {
     }
 
     /// Insert `value` after every resident entry of the same rank.
+    #[inline]
     pub fn push(&mut self, rank: Rank, value: T) {
-        if rank >= DENSE_RANKS {
+        let r = rank.wrapping_sub(self.base);
+        if r < DENSE_RANKS {
+            self.push_dense(r as usize, value);
+        } else {
+            self.push_outside(rank, value);
+        }
+    }
+
+    /// [`Self::push`] of a rank outside the window: into the overflow
+    /// tier, or — with nothing resident — into a window moved to the block
+    /// holding `rank`.
+    #[cold]
+    fn push_outside(&mut self, rank: Rank, value: T) {
+        if self.len() != 0 {
             self.overflow.insert((rank, self.arrivals), value);
             self.arrivals += 1;
             return;
         }
-        let r = rank as usize;
+        self.base = rank & !(DENSE_RANKS - 1);
+        self.push_dense((rank - self.base) as usize, value);
+    }
+
+    /// Append `value` to the FIFO of dense offset `r`.
+    #[inline]
+    fn push_dense(&mut self, r: usize, value: T) {
         if r >= self.heads.len() {
             self.heads.resize(r + 1, NIL);
         }
@@ -113,31 +148,68 @@ impl<T> RankIndex<T> {
     }
 
     /// Remove the first entry: smallest rank, earliest arrival.
+    #[inline]
     pub fn pop_first(&mut self) -> Option<(Rank, T)> {
-        let Some(r) = self.dense_min() else {
-            return self.overflow.pop_first().map(|((rank, _), v)| (rank, v));
-        };
+        match self.dense_min() {
+            Some(r) if self.overflow.is_empty() => Some(self.pop_dense_first(r)),
+            _ => self.pop_first_outside(),
+        }
+    }
+
+    /// [`Self::pop_first`] when the dense tier is empty or the overflow
+    /// tier is not.
+    #[cold]
+    fn pop_first_outside(&mut self) -> Option<(Rank, T)> {
+        match self.dense_min() {
+            Some(r) if !self.overflow_below() => Some(self.pop_dense_first(r)),
+            _ => self.overflow.pop_first().map(|((rank, _), v)| (rank, v)),
+        }
+    }
+
+    /// Remove the first arrival of dense offset `r`.
+    #[inline]
+    fn pop_dense_first(&mut self, r: usize) -> (Rank, T) {
         let head = self.heads[r];
-        Some((r as Rank, self.unlink(r, head)))
+        (self.base + r as Rank, self.unlink(r, head))
     }
 
     /// Remove the last entry: largest rank, latest arrival.
+    #[inline]
     pub fn pop_last(&mut self) -> Option<(Rank, T)> {
-        if let Some(((rank, _), v)) = self.overflow.pop_last() {
-            return Some((rank, v));
+        match self.dense_max() {
+            Some(r) if self.overflow.is_empty() => Some(self.pop_dense_last(r)),
+            _ => self.pop_last_outside(),
         }
-        let r = self.dense_max()?;
+    }
+
+    /// [`Self::pop_last`] when the dense tier is empty or the overflow
+    /// tier is not.
+    #[cold]
+    fn pop_last_outside(&mut self) -> Option<(Rank, T)> {
+        match self.dense_max() {
+            Some(r) if !self.overflow_above() => Some(self.pop_dense_last(r)),
+            _ => self.overflow.pop_last().map(|((rank, _), v)| (rank, v)),
+        }
+    }
+
+    /// Remove the last arrival of dense offset `r`.
+    #[inline]
+    fn pop_dense_last(&mut self, r: usize) -> (Rank, T) {
         let tail = self.slab[self.heads[r] as usize].prev;
-        Some((r as Rank, self.unlink(r, tail)))
+        (self.base + r as Rank, self.unlink(r, tail))
     }
 
     /// The first entry, left in place.
     pub fn first(&self) -> Option<(Rank, &T)> {
-        let Some(r) = self.dense_min() else {
-            let (&(rank, _), v) = self.overflow.first_key_value()?;
-            return Some((rank, v));
-        };
-        Some((r as Rank, self.value(self.heads[r])))
+        match self.dense_min() {
+            Some(r) if !self.overflow_below() => {
+                Some((self.base + r as Rank, self.value(self.heads[r])))
+            }
+            _ => {
+                let (&(rank, _), v) = self.overflow.first_key_value()?;
+                Some((rank, v))
+            }
+        }
     }
 
     /// Remove the earliest arrival of `rank` that `matches`.
@@ -146,14 +218,15 @@ impl<T> RankIndex<T> {
         rank: Rank,
         mut matches: impl FnMut(&T) -> bool,
     ) -> Option<T> {
-        if rank >= DENSE_RANKS {
+        let r = rank.wrapping_sub(self.base);
+        if r >= DENSE_RANKS {
             let key = self
                 .overflow
                 .range((rank, 0)..=(rank, u64::MAX))
                 .find_map(|(&key, v)| matches(v).then_some(key))?;
             return self.overflow.remove(&key);
         }
-        let r = rank as usize;
+        let r = r as usize;
         let head = *self.heads.get(r).filter(|&&head| head != NIL)?;
         let mut node = head;
         while !matches(self.value(node)) {
@@ -167,10 +240,10 @@ impl<T> RankIndex<T> {
 
     /// Does any entry of a rank strictly below `rank` satisfy `pred`?
     pub fn any_below(&self, rank: Rank, mut pred: impl FnMut(&T) -> bool) -> bool {
-        let mut below = if rank < DENSE_RANKS {
-            self.dense_below(rank as usize)
-        } else {
-            self.dense_max()
+        let mut below = match rank.checked_sub(self.base) {
+            None => None,
+            Some(r) if r < DENSE_RANKS => self.dense_below(r as usize),
+            Some(_) => self.dense_max(),
         };
         while let Some(r) = below {
             let head = self.heads[r];
@@ -186,22 +259,22 @@ impl<T> RankIndex<T> {
             }
             below = self.dense_below(r);
         }
-        rank > DENSE_RANKS && self.overflow.range(..(rank, 0)).any(|(_, v)| pred(v))
+        !self.overflow.is_empty() && self.overflow.range(..(rank, 0)).any(|(_, v)| pred(v))
     }
 
     /// Rank of the first entry.
     pub fn first_rank(&self) -> Option<Rank> {
         match self.dense_min() {
-            Some(r) => Some(r as Rank),
-            None => self.overflow.keys().next().map(|&(rank, _)| rank),
+            Some(r) if !self.overflow_below() => Some(self.base + r as Rank),
+            _ => self.overflow.keys().next().map(|&(rank, _)| rank),
         }
     }
 
     /// Rank of the last entry.
     pub fn last_rank(&self) -> Option<Rank> {
-        match self.overflow.keys().next_back() {
-            Some(&(rank, _)) => Some(rank),
-            None => self.dense_max().map(|r| r as Rank),
+        match self.dense_max() {
+            Some(r) if !self.overflow_above() => Some(self.base + r as Rank),
+            _ => self.overflow.keys().next_back().map(|&(rank, _)| rank),
         }
     }
 
@@ -211,13 +284,30 @@ impl<T> RankIndex<T> {
     pub fn iter_rev(&self) -> IterRev<'_, T> {
         IterRev {
             index: self,
-            overflow: self.overflow.iter(),
+            above: self.overflow.range((self.base, 0)..),
+            below: self.overflow.range(..(self.base, 0)),
             rank: self.dense_max(),
             node: NIL,
         }
     }
 
-    /// Smallest occupied dense rank.
+    /// Does the overflow tier's first entry lie below the window? Reads
+    /// the map only when it holds entries.
+    #[inline]
+    fn overflow_below(&self) -> bool {
+        !self.overflow.is_empty()
+            && (self.overflow.first_key_value()).is_some_and(|(&(rank, _), _)| rank < self.base)
+    }
+
+    /// Does the overflow tier's last entry lie above the window? Every
+    /// overflow rank at or past `base` does.
+    #[inline]
+    fn overflow_above(&self) -> bool {
+        !self.overflow.is_empty()
+            && (self.overflow.last_key_value()).is_some_and(|(&(rank, _), _)| rank >= self.base)
+    }
+
+    /// Smallest occupied dense rank, as an offset from `base`.
     fn dense_min(&self) -> Option<usize> {
         if self.summary == 0 {
             return None;
@@ -226,7 +316,7 @@ impl<T> RankIndex<T> {
         Some(w * 64 + self.occupied[w].trailing_zeros() as usize)
     }
 
-    /// Largest occupied dense rank.
+    /// Largest occupied dense rank, as an offset from `base`.
     fn dense_max(&self) -> Option<usize> {
         if self.summary == 0 {
             return None;
@@ -235,7 +325,7 @@ impl<T> RankIndex<T> {
         Some(w * 64 + 63 - self.occupied[w].leading_zeros() as usize)
     }
 
-    /// Largest occupied dense rank strictly below `r`.
+    /// Largest occupied dense offset strictly below `r`.
     fn dense_below(&self, r: usize) -> Option<usize> {
         let w = r / 64;
         let lower = self.occupied[w] & ((1u64 << (r % 64)) - 1);
@@ -279,7 +369,7 @@ impl<T> RankIndex<T> {
         node
     }
 
-    /// Remove `node` from rank `r`'s list and return its value.
+    /// Remove `node` from dense offset `r`'s list and return its value.
     fn unlink(&mut self, r: usize, node: u32) -> T {
         let Slot { prev, next, .. } = self.slab[node as usize];
         if next == node {
@@ -308,8 +398,11 @@ impl<T> RankIndex<T> {
 #[derive(Debug)]
 pub struct IterRev<'a, T> {
     index: &'a RankIndex<T>,
-    overflow: std::collections::btree_map::Iter<'a, (Rank, u64), T>,
-    /// Dense rank being walked (tail to head), once overflow is spent.
+    /// Overflow entries above the window, walked first.
+    above: std::collections::btree_map::Range<'a, (Rank, u64), T>,
+    /// Overflow entries below the window, walked last.
+    below: std::collections::btree_map::Range<'a, (Rank, u64), T>,
+    /// Dense rank being walked (tail to head), once `above` is spent.
     rank: Option<usize>,
     /// Next node to yield within `rank`; `NIL` = start at its tail.
     node: u32,
@@ -319,10 +412,13 @@ impl<'a, T> Iterator for IterRev<'a, T> {
     type Item = (Rank, &'a T);
 
     fn next(&mut self) -> Option<(Rank, &'a T)> {
-        if let Some((&(rank, _), v)) = self.overflow.next_back() {
+        if let Some((&(rank, _), v)) = self.above.next_back() {
             return Some((rank, v));
         }
-        let r = self.rank?;
+        let Some(r) = self.rank else {
+            let (&(rank, _), v) = self.below.next_back()?;
+            return Some((rank, v));
+        };
         let head = self.index.heads[r];
         let node = if self.node == NIL {
             self.index.slab[head as usize].prev
@@ -337,7 +433,7 @@ impl<'a, T> Iterator for IterRev<'a, T> {
             self.node = slot.prev;
         }
         let value = slot.value.as_ref().expect("linked slot holds a value");
-        Some((r as Rank, value))
+        Some((self.index.base + r as Rank, value))
     }
 }
 
@@ -507,42 +603,107 @@ mod tests {
 
     #[test]
     fn matches_sorted_vec_model() {
-        // Deterministic mixed workload across both tiers and the word
-        // boundaries of the bitmap, against a stable-sorted Vec.
+        // A deterministic mixed workload against a stable-sorted Vec, in
+        // phases that each end with the index drained, so that every
+        // phase's first push rebases the window: at 0, near 2^60 and near
+        // u64::MAX. Ranks land inside the window (on the bitmap's word
+        // boundaries too), below it and above it.
         let mut q = RankIndex::new();
         let mut model: Vec<(Rank, u64)> = Vec::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for step in 0..20_000u64 {
+        let mut next = move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let rank = match x % 5 {
-                0 => x % 8,
-                1 => 60 + x % 8,
-                2 => DENSE_RANKS - 4 + x % 8,
-                3 => x % DENSE_RANKS,
-                _ => u64::MAX - x % 3,
-            };
-            match (x >> 32) % 4 {
-                0 | 1 => {
-                    q.push(rank, step);
-                    let at = model.partition_point(|&(r, _)| r <= rank);
-                    model.insert(at, (rank, step));
-                }
-                2 => {
-                    let want = (!model.is_empty()).then(|| model.remove(0));
-                    assert_eq!(q.pop_first(), want);
-                }
-                _ => assert_eq!(q.pop_last(), model.pop()),
-            }
+            x
+        };
+        let (mut id, mut below, mut above, mut bases) = (0u64, 0, 0, Vec::new());
+        let check = |q: &RankIndex<u64>, model: &[(Rank, u64)]| {
             assert_eq!(q.len(), model.len());
+            assert_eq!(q.first().map(|(r, &v)| (r, v)), model.first().copied());
             assert_eq!(q.first_rank(), model.first().map(|e| e.0));
             assert_eq!(q.last_rank(), model.last().map(|e| e.0));
-            if step % 512 == 0 {
-                let got: Vec<(Rank, u64)> = q.iter_rev().map(|(r, &v)| (r, v)).collect();
-                let want: Vec<(Rank, u64)> = model.iter().rev().copied().collect();
-                assert_eq!(got, want);
+        };
+        for phase in 0..30u64 {
+            let origin = match phase % 3 {
+                0 => next() % 64,
+                1 => (1 << 60) + next() % (3 * DENSE_RANKS),
+                _ => u64::MAX - next() % (3 * DENSE_RANKS),
+            };
+            let window = origin & !(DENSE_RANKS - 1);
+            assert!(model.is_empty());
+            for step in 0..1_500u64 {
+                let x = next();
+                let rank = match (step, x % 9) {
+                    (0, _) => origin,
+                    (_, 0) => window + x % 8,
+                    (_, 1) => window + 60 + x % 8,
+                    (_, 2) => window.saturating_add(DENSE_RANKS - 4 + x % 8),
+                    (_, 3) => window + x % DENSE_RANKS,
+                    (_, 4) => window.wrapping_sub(1 + x % 8),
+                    (_, 5) => x % 8,
+                    (_, 6) => window.saturating_add(DENSE_RANKS + x % 8),
+                    _ => u64::MAX - x % 3,
+                };
+                match (step, (x >> 32) % 8) {
+                    (0, _) | (_, 0..=2) => {
+                        q.push(rank, id);
+                        let at = model.partition_point(|&(r, _)| r <= rank);
+                        model.insert(at, (rank, id));
+                        id += 1;
+                        if step == 0 {
+                            assert_eq!(q.base, window, "phase {phase}: rebased on {origin}");
+                            bases.push(q.base);
+                        }
+                        below += usize::from(rank < q.base);
+                        above += usize::from(rank - q.base.min(rank) >= DENSE_RANKS);
+                    }
+                    (_, 3) => {
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        assert_eq!(q.pop_first(), want);
+                    }
+                    (_, 4) => assert_eq!(q.pop_last(), model.pop()),
+                    (_, 5) => {
+                        // The earliest arrival of a resident rank (or of
+                        // one nobody holds) whose value matches.
+                        let rank = match model.len() {
+                            0 => rank,
+                            n => model[(x >> 8) as usize % n].0,
+                        };
+                        let k = (x >> 20) % 3;
+                        let at = model.iter().position(|&(r, v)| r == rank && v % 3 == k);
+                        let want = at.map(|at| model.remove(at).1);
+                        assert_eq!(q.remove_first_where(rank, |&v| v % 3 == k), want);
+                    }
+                    (_, 6) => {
+                        let k = (x >> 20) % 5;
+                        let want = model.iter().any(|&(r, v)| r < rank && v % 5 == k);
+                        assert_eq!(q.any_below(rank, |&v| v % 5 == k), want, "below {rank}");
+                    }
+                    _ => {
+                        let got: Vec<(Rank, u64)> = q.iter_rev().map(|(r, &v)| (r, v)).collect();
+                        let want: Vec<(Rank, u64)> = model.iter().rev().copied().collect();
+                        assert_eq!(got, want);
+                    }
+                }
+                check(&q, &model);
             }
+            // Drain from both ends; the next phase starts on an empty index.
+            while !model.is_empty() {
+                if next() % 2 == 0 {
+                    assert_eq!(q.pop_first(), Some(model.remove(0)));
+                } else {
+                    assert_eq!(q.pop_last(), model.pop());
+                }
+                check(&q, &model);
+            }
+            assert_eq!((q.pop_first(), q.pop_last()), (None, None));
         }
+        assert!(
+            below > 1_000 && above > 1_000,
+            "below {below}, above {above}"
+        );
+        assert!(bases.contains(&0) && bases.iter().any(|&b| b > u64::MAX - 3 * DENSE_RANKS));
+        assert!(bases.iter().any(|&b| b >> 60 == 1));
     }
 }

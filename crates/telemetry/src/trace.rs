@@ -510,7 +510,7 @@ impl Slot {
 /// from any other access to the slots they wrote. Every access to the
 /// slots is in this module, and it fences exactly three times: when `head`
 /// wraps to 0 (before the lap that overwrites those slots again), in
-/// [`Ring::oldest_first`] (before a snapshot reads them) and in `Drop`
+/// [`Ring::oldest_first`] (before a visit reads them) and in `Drop`
 /// (before the allocator gets the memory back). A fence per record ran
 /// 3.6× slower than none at all.
 #[allow(unsafe_code)]
@@ -559,12 +559,13 @@ mod ring {
             self.slots.len()
         }
 
-        /// The retained slots, oldest first.
-        pub(super) fn oldest_first(&self) -> impl Iterator<Item = &Slot> {
+        /// The retained slots, oldest first: the older half, then the
+        /// newer.
+        pub(super) fn oldest_first(&self) -> (&[Slot], &[Slot]) {
             // Slots overwritten since the last lap are still in flight.
             fence();
             let (newest, oldest) = self.slots.split_at(self.head);
-            oldest.iter().chain(newest)
+            (oldest, newest)
         }
 
         /// Where the slots live and how many fit there.
@@ -615,9 +616,38 @@ mod ring {
 #[derive(Default)]
 struct TraceBuf {
     ring: ring::Ring,
+    /// Interned labels by id: the one copy of each.
     labels: Vec<String>,
-    label_ids: BTreeMap<String, u32>,
+    /// Every label id, sorted by its label: what [`Tracer::intern`]
+    /// searches.
+    by_label: Vec<u32>,
     dropped: u64,
+}
+
+/// Everything a [`Tracer`] holds, read where it lies: the visitor of
+/// [`Tracer::visit`] gets one. Nothing is copied — the records are
+/// unpacked from the ring one at a time as [`TraceView::records`] yields
+/// them — so a reader that scans once pays for no [`TraceData`].
+pub struct TraceView<'a> {
+    older: &'a [Slot],
+    newer: &'a [Slot],
+    /// Interned queue/link labels; `TraceRecord::label` indexes here.
+    pub labels: &'a [String],
+    /// Records evicted from the ring buffer so far.
+    pub dropped: u64,
+    /// Ring-buffer capacity the recorder runs with.
+    pub capacity: u64,
+    /// Sampling modulus the recorder runs with.
+    pub sample_one_in: u64,
+    /// Sampling seed the recorder runs with.
+    pub seed: u64,
+}
+
+impl<'a> TraceView<'a> {
+    /// The retained records, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = TraceRecord> + 'a {
+        self.older.iter().chain(self.newer).map(|s| s.unpack())
+    }
 }
 
 /// The flight recorder. Cheaply cloneable; clones share one buffer.
@@ -682,14 +712,17 @@ impl Tracer {
         let Some(buf) = &self.inner else {
             return NO_LABEL;
         };
-        let mut buf = buf.borrow_mut();
-        if let Some(&id) = buf.label_ids.get(label) {
-            return id;
+        let buf = &mut *buf.borrow_mut();
+        let labels = &buf.labels;
+        match (buf.by_label).binary_search_by(|&id| labels[id as usize].as_str().cmp(label)) {
+            Ok(at) => buf.by_label[at],
+            Err(at) => {
+                let id = buf.labels.len() as u32;
+                buf.labels.push(label.to_string());
+                buf.by_label.insert(at, id);
+                id
+            }
         }
-        let id = buf.labels.len() as u32;
-        buf.labels.push(label.to_string());
-        buf.label_ids.insert(label.to_string(), id);
-        id
     }
 
     /// Append one record, evicting (and counting) the oldest at
@@ -721,22 +754,36 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Snapshot everything recorded so far (empty when disabled).
+    /// Hand `visitor` everything recorded so far, in place (nothing when
+    /// disabled), and return what it returns. The recorder stays borrowed
+    /// for the call: the visitor must not record on it.
+    pub fn visit<R>(&self, visitor: impl FnOnce(TraceView<'_>) -> R) -> R {
+        let buf = self.inner.as_ref().map(|buf| buf.borrow());
+        let (older, newer) = buf
+            .as_ref()
+            .map_or((&[][..], &[][..]), |b| b.ring.oldest_first());
+        visitor(TraceView {
+            older,
+            newer,
+            labels: buf.as_ref().map_or(&[][..], |b| &b.labels),
+            dropped: buf.as_ref().map_or(0, |b| b.dropped),
+            capacity: self.capacity as u64,
+            sample_one_in: self.sample_one_in,
+            seed: self.seed,
+        })
+    }
+
+    /// Snapshot everything recorded so far (empty when disabled): the
+    /// [`Tracer::visit`] view, collected.
     pub fn snapshot(&self) -> TraceData {
-        match &self.inner {
-            Some(buf) => {
-                let buf = buf.borrow();
-                TraceData {
-                    records: buf.ring.oldest_first().map(|s| s.unpack()).collect(),
-                    labels: buf.labels.clone(),
-                    dropped: buf.dropped,
-                    capacity: self.capacity as u64,
-                    sample_one_in: self.sample_one_in,
-                    seed: self.seed,
-                }
-            }
-            None => TraceData::default(),
-        }
+        self.visit(|view| TraceData {
+            records: view.records().collect(),
+            labels: view.labels.to_vec(),
+            dropped: view.dropped,
+            capacity: view.capacity,
+            sample_one_in: view.sample_one_in,
+            seed: view.seed,
+        })
     }
 }
 
@@ -1321,6 +1368,47 @@ mod tests {
             t2.snapshot().label_of(&t2.snapshot().records[0]),
             Some("n0.p0")
         );
+    }
+
+    #[test]
+    fn a_label_interns_once_under_its_first_seen_id() {
+        let t = Tracer::enabled(TraceConfig::default());
+        let mut rng = SimRng::seed_from(30);
+        let mut first_seen: Vec<String> = Vec::new();
+        for _ in 0..2_000 {
+            let label = format!("n{}.p{}", rng.below(40), rng.below(6));
+            let id = t.intern(&label);
+            let at = first_seen.iter().position(|l| *l == label);
+            assert_eq!(id as usize, at.unwrap_or(first_seen.len()), "{label}");
+            if at.is_none() {
+                first_seen.push(label);
+            }
+        }
+        assert_eq!(t.snapshot().labels, first_seen);
+    }
+
+    #[test]
+    fn the_visitor_reads_a_wrapped_ring_oldest_first_in_place() {
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 300,
+            sample_one_in: 3,
+            seed: 5,
+        });
+        let label = t.intern("n0.p0");
+        stamped(1_000)
+            .into_iter()
+            .for_each(|r| t.record(r.at_label(label)));
+        t.visit(|view| {
+            let stamps: Vec<u64> = view.records().map(|r| r.t.as_nanos()).collect();
+            assert_eq!(stamps, (700..1_000).collect::<Vec<u64>>());
+            assert_eq!(view.labels, ["n0.p0"]);
+            assert_eq!((view.dropped, view.capacity), (700, 300));
+            assert_eq!((view.sample_one_in, view.seed), (3, 5));
+        });
+        Tracer::disabled().visit(|view| {
+            assert_eq!(view.records().count() + view.labels.len(), 0);
+            assert_eq!(view.dropped, 0);
+        });
     }
 
     #[test]

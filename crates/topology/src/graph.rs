@@ -43,8 +43,11 @@ pub struct Link {
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Outgoing link indices per node, in insertion order (= port order).
-    out_links: Vec<Vec<usize>>,
+    /// Node `n`'s outgoing link indices are
+    /// `out_links[out_start[n]..out_start[n + 1]]`, in insertion order
+    /// (= port order).
+    out_start: Vec<u32>,
+    out_links: Vec<u32>,
 }
 
 impl Topology {
@@ -78,15 +81,13 @@ impl Topology {
 
     /// The directed link from `from` to `to`, if one exists.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.out_links[from.index()]
-            .iter()
-            .map(|&i| &self.links[i])
-            .find(|l| l.to == to)
+        self.out_links(from).find(|l| l.to == to)
     }
 
     /// Outgoing links of `from`, in port order.
     pub fn out_links(&self, from: NodeId) -> impl Iterator<Item = &Link> + '_ {
-        self.out_links[from.index()].iter().map(|&i| &self.links[i])
+        let row = self.out_start[from.index()] as usize..self.out_start[from.index() + 1] as usize;
+        self.out_links[row].iter().map(|&i| &self.links[i as usize])
     }
 
     /// Neighbors reachable in one hop from `from`, in port order.
@@ -175,16 +176,46 @@ impl TopologyBuilder {
 
     /// Finish construction.
     pub fn build(self) -> Topology {
-        let mut out_links = vec![Vec::new(); self.nodes.len()];
-        for (i, l) in self.links.iter().enumerate() {
-            out_links[l.from.index()].push(i);
-        }
+        let links = self.links.iter().enumerate();
+        let (out_start, out_links) = group_by_node(
+            self.nodes.len(),
+            links.map(|(i, l)| (l.from.index(), i as u32)),
+        );
         Topology {
             nodes: self.nodes,
             links: self.links,
+            out_start,
             out_links,
         }
     }
+}
+
+/// Group `items`, `(node, value)` pairs, by node into one flat table: node
+/// `n`'s values are `values[start[n]..start[n + 1]]`, in `items` order. A
+/// counting sort, two allocations whatever the node count.
+pub(crate) fn group_by_node(
+    nodes: usize,
+    items: impl DoubleEndedIterator<Item = (usize, u32)> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    // Count, then sum inclusively: `start[n]` ends node `n`'s run (the
+    // extra entry, counting nothing, ends them all).
+    let mut start = vec![0u32; nodes + 1];
+    for (node, _) in items.clone() {
+        start[node] += 1;
+    }
+    let mut end = 0;
+    for s in &mut start {
+        end += *s;
+        *s = end;
+    }
+    // Fill each run back to front, walking the items backwards: `start[n]`
+    // comes down to where node `n`'s run begins.
+    let mut values = vec![0; end as usize];
+    for (node, value) in items.rev() {
+        start[node] -= 1;
+        values[start[node] as usize] = value;
+    }
+    (start, values)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! picked by a stable hash of the flow id, so a flow always follows a single
 //! path (no reordering) while flows spread across the fabric.
 
-use crate::graph::{NodeKind, Topology};
+use crate::graph::{group_by_node, NodeKind, Topology};
 use qvisor_sim::{stable_hash, FlowId, NodeId};
 
 /// Precomputed ECMP routes: one flat (CSR) table.
@@ -41,11 +41,10 @@ impl Routes {
     /// leaf–spine/fat-tree ECMP practice.
     pub fn compute(topo: &Topology) -> Routes {
         let n = topo.node_count();
-        // Reverse adjacency: rev[v] = nodes u with a link u->v.
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for l in topo.links() {
-            rev[l.to.index()].push(l.from);
-        }
+        // Reverse adjacency, flat: rev[rev_start[v]..rev_start[v + 1]] are
+        // the nodes u with a link u->v.
+        let (rev_start, rev) =
+            group_by_node(n, topo.links().iter().map(|l| (l.to.index(), l.from.0)));
         // Forward adjacency in port order, flat: every destination's pass
         // reads all of it.
         let mut out_start = Vec::with_capacity(n + 1);
@@ -79,10 +78,11 @@ impl Routes {
             let mut head = 0;
             while let Some(&v) = q.get(head) {
                 head += 1;
-                for &u in &rev[v.index()] {
-                    if dist[u.index()] == u32::MAX {
-                        dist[u.index()] = dist[v.index()] + 1;
-                        q.push(u);
+                let row = rev_start[v.index()] as usize..rev_start[v.index() + 1] as usize;
+                for &u in &rev[row] {
+                    if dist[u as usize] == u32::MAX {
+                        dist[u as usize] = dist[v.index()] + 1;
+                        q.push(NodeId(u));
                     }
                 }
             }

@@ -326,74 +326,93 @@ impl SortedVecPifo {
 /// returns the identical packet, every enqueue evicts the identical
 /// victims in the identical order (or is rejected alike), and `len`,
 /// `bytes`, `head_rank` and `worst_rank` agree after every step. Ranks
-/// come from four families — a small domain (ties), the queue's tier
-/// boundary at 4096, wide ranks and the top of `u64` — and sizes are mixed,
-/// so multi-victim evictions and "not enough strictly-worse bytes" occur
-/// within and across both of the queue's tiers.
+/// come from five families — a small domain (ties), the tier boundary at
+/// 4096, wide ranks, the top of `u64` and the block around the round's
+/// first rank — and sizes are mixed, so multi-victim evictions and "not
+/// enough strictly-worse bytes" occur within and across both of the
+/// queue's tiers. Each case runs two rounds, each drained to empty; a
+/// round's first rank, at 0, near 2^60 or near `u64::MAX`, places the
+/// dense window, so the rest land inside, below and above it.
 #[test]
 fn pifo_matches_stable_sorted_vec_model() {
     let mut rng = SimRng::seed_from(0xB1);
     let (mut multi_evictions, mut starved_rejects) = (0u64, 0u64);
+    let mut origins = [0u64; 3];
     for case in 0..CASES {
-        let n = between(&mut rng, 1, 300);
         let capacity = if case % 5 == 0 {
             Capacity::UNBOUNDED
         } else {
             Capacity::bytes(between(&mut rng, 300, 3_000))
         };
-        let families = 1 + case % 4;
+        let families = 1 + case % 5;
         let mut q = PifoQueue::new(capacity);
         let mut model = SortedVecPifo {
             entries: Vec::new(),
             capacity: capacity.bytes,
             bytes: 0,
         };
-        for i in 0..n {
-            let rank = match rng.below(families) {
+        for round in 0..2 {
+            let n = between(&mut rng, 1, 300);
+            let kind = (case + round) % 3;
+            let origin = match kind {
                 0 => rng.below(50),
-                1 => between(&mut rng, 4_090, 4_102),
-                2 => (1 << 40) + rng.below(8),
-                _ => u64::MAX - rng.below(4),
+                1 => (1 << 60) + rng.below(3 * 4_096),
+                _ => u64::MAX - rng.below(3 * 4_096),
             };
-            let size = [40, 100, 250, 600][rng.below(4) as usize];
-            let worse_bytes: u64 = model
-                .entries
-                .iter()
-                .filter(|e| e.0 > rank)
-                .map(|e| e.2 as u64)
-                .sum();
-            let want = model.enqueue(rank, i, size);
-            let got = match q.enqueue(packet(i, rank, size), Nanos::ZERO) {
-                Enqueue::Rejected(p) => {
-                    assert_eq!(p.seq, i, "case {case}: rejected another packet");
-                    Err(())
+            origins[kind as usize] += 1;
+            for i in round * 1_000..round * 1_000 + n {
+                let rank = match (i == round * 1_000, rng.below(families)) {
+                    (true, _) => origin,
+                    (_, 0) => rng.below(50),
+                    (_, 1) => between(&mut rng, 4_090, 4_102),
+                    (_, 2) => (1 << 40) + rng.below(8),
+                    (_, 3) => u64::MAX - rng.below(4),
+                    // Either edge of the window, wrapping round `u64`.
+                    _ => (origin & !4_095)
+                        .wrapping_add([0, 4_096][rng.below(2) as usize])
+                        .wrapping_add(between(&mut rng, 4_090, 4_102))
+                        .wrapping_sub(4_096),
+                };
+                let size = [40, 100, 250, 600][rng.below(4) as usize];
+                let worse_bytes: u64 = model
+                    .entries
+                    .iter()
+                    .filter(|e| e.0 > rank)
+                    .map(|e| e.2 as u64)
+                    .sum();
+                let want = model.enqueue(rank, i, size);
+                let got = match q.enqueue(packet(i, rank, size), Nanos::ZERO) {
+                    Enqueue::Rejected(p) => {
+                        assert_eq!(p.seq, i, "case {case}: rejected another packet");
+                        Err(())
+                    }
+                    admitted => Ok(admitted.dropped().map(|p| p.seq).collect()),
+                };
+                assert_eq!(got, want, "case {case} step {i}: rank {rank} size {size}");
+                match &want {
+                    Ok(evicted) => multi_evictions += (evicted.len() > 1) as u64,
+                    Err(()) => starved_rejects += (worse_bytes > 0) as u64,
                 }
-                admitted => Ok(admitted.dropped().map(|p| p.seq).collect()),
-            };
-            assert_eq!(got, want, "case {case} step {i}: rank {rank} size {size}");
-            match &want {
-                Ok(evicted) => multi_evictions += (evicted.len() > 1) as u64,
-                Err(()) => starved_rejects += (worse_bytes > 0) as u64,
+                if rng.below(3) == 0 {
+                    let got = q.dequeue(Nanos::ZERO).map(|p| (p.txf_rank, p.seq));
+                    assert_eq!(got, model.dequeue(), "case {case} step {i}");
+                }
+                assert_eq!(q.len(), model.entries.len(), "case {case} step {i}");
+                assert_eq!(q.bytes(), model.bytes, "case {case} step {i}");
+                assert_eq!(q.head_rank(), model.entries.first().map(|e| e.0));
+                assert_eq!(q.worst_rank(), model.entries.last().map(|e| e.0));
             }
-            if rng.below(3) == 0 {
-                let got = q.dequeue(Nanos::ZERO).map(|p| (p.txf_rank, p.seq));
-                assert_eq!(got, model.dequeue(), "case {case} step {i}");
+            // Final drain: with no further arrivals the stream is the
+            // model's sorted order, and the next round starts empty.
+            while let Some(p) = q.dequeue(Nanos::ZERO) {
+                assert_eq!(Some((p.txf_rank, p.seq)), model.dequeue(), "case {case}");
             }
-            assert_eq!(q.len(), model.entries.len(), "case {case} step {i}");
-            assert_eq!(q.bytes(), model.bytes, "case {case} step {i}");
-            assert_eq!(q.head_rank(), model.entries.first().map(|e| e.0));
-            assert_eq!(q.worst_rank(), model.entries.last().map(|e| e.0));
+            assert!(
+                model.entries.is_empty(),
+                "case {case}: model retained packets"
+            );
+            assert_eq!((q.len(), q.bytes()), (0, 0), "case {case}");
         }
-        // Final drain: with no further arrivals the stream is the model's
-        // sorted order.
-        while let Some(p) = q.dequeue(Nanos::ZERO) {
-            assert_eq!(Some((p.txf_rank, p.seq)), model.dequeue(), "case {case}");
-        }
-        assert!(
-            model.entries.is_empty(),
-            "case {case}: model retained packets"
-        );
-        assert_eq!((q.len(), q.bytes()), (0, 0), "case {case}");
     }
     assert!(
         multi_evictions > 0,
@@ -403,6 +422,7 @@ fn pifo_matches_stable_sorted_vec_model() {
         starved_rejects > 0,
         "no arrival was rejected for want of strictly-worse bytes"
     );
+    assert!(origins.iter().all(|&n| n > 0), "first ranks {origins:?}");
 }
 
 /// Independent rank-inversion oracle: mirrors queue residency in a
