@@ -13,7 +13,7 @@
 //! Usage: cargo run -p qvisor-bench --release --bin fig2_timeline
 
 use qvisor_core::{
-    synthesize, verify, MonitorConfig, Policy, RuntimeAdapter, RuntimeMonitor, SpecPaths,
+    admit, synthesize, MonitorConfig, Policy, RuntimeAdapter, RuntimeMonitor, SpecPaths,
     SynthConfig, TenantSpec, ViolationAction,
 };
 use qvisor_ranking::{RankFnSpec, RankRange};
@@ -58,6 +58,8 @@ fn control_plane_timeline() {
     let t0 = Instant::now();
     let joint = synthesize(&specs, &policy, synth_cfg).unwrap();
     let initial_synth = t0.elapsed();
+    let deployed = admit(joint, &SpecPaths::config(), false).expect("the initial policy deploys");
+    let joint = deployed.joint();
     let mut monitor = RuntimeMonitor::new(&specs, monitor_cfg);
     let mut adapter = RuntimeAdapter::new(specs.clone(), policy, synth_cfg, monitor_cfg);
 
@@ -67,7 +69,7 @@ fn control_plane_timeline() {
         joint.output_span(),
         initial_synth
     );
-    assert!(verify(&joint, &SpecPaths::config()).guarantees_hold());
+    assert!(deployed.report().guarantees_hold());
 
     // Timeline: packets observed by the monitor, with control-plane ticks
     // interleaved causally. Phase A (t < t1): T1 + T2 active.
@@ -113,12 +115,13 @@ fn control_plane_timeline() {
         proposal.active, proposal.tightened
     );
     let t1 = Instant::now();
-    let new_joint = adapter
+    let redeployed = adapter
         .apply(&proposal)
-        .expect("re-synthesis succeeds")
+        .expect("re-synthesis passes the gate")
         .expect("T3 remains");
     let resynth = t1.elapsed();
-    assert!(verify(&new_joint, &SpecPaths::config()).guarantees_hold());
+    assert!(redeployed.report().guarantees_hold());
+    let new_joint = redeployed.joint();
 
     let before = joint.output_span();
     let after = new_joint.output_span();

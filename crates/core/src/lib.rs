@@ -19,13 +19,14 @@
 //!    overflow-freedom, order preservation, strict-band disjointness, share
 //!    and preference overlap — with concrete witness pairs for every
 //!    refutation, before deployment; [`VerifyReport::guarantees_hold`] is
-//!    the one verdict.
+//!    the one verdict, and [`admit`] is the one gate: it makes the
+//!    [`Admitted`] token every deploy site takes.
 //! 5. A [`PreProcessor`] applies the chains to packets at line rate; a
 //!    [`Backend`] realizes the policy on a PIFO, strict-priority bank
 //!    (static or SP-PIFO mapping), AIFO, or FIFO.
 //! 6. At runtime, a [`RuntimeMonitor`] polices declared ranges (adversarial
 //!    tenants) and a [`RuntimeAdapter`] re-synthesizes as tenants enter,
-//!    leave, or drift.
+//!    leave, or drift — each re-synthesis through the same gate.
 //!
 //! ```
 //! use qvisor_core::{synthesize, Policy, SynthConfig, TenantSpec};
@@ -65,12 +66,13 @@ pub use error::{QvisorError, Result};
 pub use policy::{Policy, PrefChain, ShareGroup, TenantRef};
 pub use preproc::{PreProcessor, PreprocTenantStats, UnknownTenantAction, Verdict};
 pub use runtime::{
-    retain_tenants, Adaptation, MonitorConfig, Observation, RuntimeAdapter, RuntimeMonitor,
-    ViolationAction,
+    retain_tenants, AdaptError, Adaptation, MonitorConfig, Observation, RuntimeAdapter,
+    RuntimeMonitor, ViolationAction,
 };
 pub use spec::{SynthConfig, TenantSpec};
 pub use synth::{synthesize, GroupLayout, JointPolicy, LevelLayout, MemberLayout};
 pub use transform::{RankTransform, TransformChain};
 pub use verify::{
-    verify, ChainCheck, DiagCode, Diagnostic, Severity, SpecPaths, VerifyReport, Witness,
+    admit, verify, Admitted, ChainCheck, DiagCode, Diagnostic, Refused, Severity, SpecPaths,
+    VerifyReport, Witness,
 };

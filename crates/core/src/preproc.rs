@@ -15,6 +15,7 @@
 
 use crate::synth::JointPolicy;
 use crate::transform::{RankTransform, TransformChain};
+use crate::verify::Admitted;
 use qvisor_sim::{Packet, Rank, TenantId};
 
 /// What to do with packets from tenants the joint policy doesn't know.
@@ -161,6 +162,11 @@ pub struct PreProcessor {
 
 impl PreProcessor {
     /// Build the pre-processor table from a synthesized joint policy.
+    ///
+    /// Building a table is not a deployment, so this takes the policy
+    /// itself: benches, examples and the fuzz oracle build tables from any
+    /// policy, refuted ones included. A running data plane changes tables
+    /// only through [`PreProcessor::reload`], which takes the gate's token.
     pub fn new(joint: &JointPolicy, unknown_action: UnknownTenantAction) -> PreProcessor {
         let max_id = joint
             .chains()
@@ -223,11 +229,12 @@ impl PreProcessor {
         self.stats.get(tenant.index()).copied().unwrap_or_default()
     }
 
-    /// Replace the transformation table with a newly synthesized policy
-    /// (runtime reconfiguration, §5 "optimizing configurations at
-    /// runtime"). Statistics are preserved where tenant ids persist.
-    pub fn reload(&mut self, joint: &JointPolicy) {
-        let fresh = PreProcessor::new(joint, self.unknown_action);
+    /// Replace the transformation table with a re-synthesized policy the
+    /// deployment gate admitted (runtime reconfiguration, §5 "optimizing
+    /// configurations at runtime"). Statistics are preserved where tenant
+    /// ids persist.
+    pub fn reload(&mut self, deployment: &Admitted) {
+        let fresh = PreProcessor::new(deployment.joint(), self.unknown_action);
         let mut stats = fresh.stats.clone();
         for (i, s) in self.stats.iter().enumerate() {
             if i < stats.len() {
@@ -490,7 +497,7 @@ mod tests {
         ];
         let policy = Policy::parse("T2 + T3 >> T1").unwrap();
         let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-        pre.reload(&joint);
+        pre.reload(&crate::admit(joint, &crate::SpecPaths::config(), false).unwrap());
 
         let mut p2 = pkt(1, 7);
         pre.process(&mut p2);

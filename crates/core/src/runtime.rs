@@ -12,10 +12,11 @@
 //!   sliver of its declared range, the adapter tightens the range so
 //!   normalization keeps its resolution.
 
-use crate::error::Result;
+use crate::error::QvisorError;
 use crate::policy::{Policy, PrefChain, ShareGroup};
 use crate::spec::{SynthConfig, TenantSpec};
-use crate::synth::{synthesize, JointPolicy};
+use crate::synth::synthesize;
+use crate::verify::{admit, Admitted, Refused, SpecPaths};
 use qvisor_ranking::RankRange;
 use qvisor_sim::{Log2Histogram, Nanos, Packet, TenantId};
 use qvisor_telemetry::{Counter, Gauge, Histogram, Profiler, Telemetry};
@@ -180,8 +181,10 @@ pub struct RuntimeAdapter {
     /// Active set used by the last synthesis.
     current_active: Vec<TenantId>,
     /// Transform-table version: 1 for the initial deployment, bumped on
-    /// every successful re-synthesis.
+    /// every admitted re-synthesis.
     version: u64,
+    /// The deployment gate's strictness: warnings refuse a re-synthesis.
+    deny_warnings: bool,
     /// Wall-clock re-synthesis latency (telemetry; wall time never feeds
     /// back into simulated behaviour).
     synth_ns: Histogram,
@@ -206,6 +209,7 @@ impl RuntimeAdapter {
             monitor_config,
             current_active,
             version: 1,
+            deny_warnings: false,
             synth_ns: Histogram::default(),
             recompiles: Counter::default(),
             version_gauge: Gauge::default(),
@@ -222,6 +226,15 @@ impl RuntimeAdapter {
         self.version_gauge = telemetry.gauge("runtime_transform_version", &[]);
         self.version_gauge.set(self.version as i64);
         self.resynth_prof = telemetry.profiler("resynthesize");
+        self
+    }
+
+    /// Judge every re-synthesis with warnings refused (errors always
+    /// refuse). Set it to the strictness of the deployment the adapter
+    /// manages: the simulator passes its initial deployment's
+    /// ([`Admitted::deny_warnings`]), the daemon its `--deny-warnings`.
+    pub fn with_deny_warnings(mut self, deny: bool) -> RuntimeAdapter {
+        self.deny_warnings = deny;
         self
     }
 
@@ -288,62 +301,79 @@ impl RuntimeAdapter {
     }
 
     /// Apply an adaptation: re-synthesize over the active tenants with any
-    /// tightened ranges.
+    /// tightened ranges, and put the result through the deployment gate
+    /// ([`admit`], spans rooted at [`SpecPaths::config`] over the active
+    /// specs) at this adapter's strictness — the strictness of the
+    /// deployment the result replaces.
     ///
-    /// * `Ok(Some(joint))` — a new joint policy was synthesized and the
-    ///   transform version bumped; deploy it.
+    /// * `Ok(Some(deployment))` — the gate admitted the new joint policy
+    ///   and the transform version bumped; deploy it.
     /// * `Ok(None)` — no scheduled tenant remains (every active tenant left
     ///   the policy, or the active set is empty). This is still a new,
     ///   empty deployment: the version bumps so downstream snapshots stay
     ///   distinguishable from the previous non-empty one.
-    /// * `Err(_)` — synthesis failed; the version is not bumped.
+    /// * `Err(_)` — synthesis failed or the gate refused its result. Nothing
+    ///   is committed: the version, the active set and the specs stay as
+    ///   they were, so the next [`RuntimeAdapter::propose`] proposes the
+    ///   same change again.
+    ///
+    /// Every call that reaches synthesis (or an empty deployment) counts
+    /// one `runtime_recompiles`, refused or not.
     ///
     /// Tightened ranges persist into the adapter's view of the specs so the
     /// same drift is not re-proposed every tick. Tightening is a one-way
     /// ratchet: a tenant that later exceeds its tightened range shows up as
     /// monitor violations (clamped/dropped per policy) — the signal to
     /// re-declare, not something the adapter widens silently.
-    pub fn apply(&mut self, adaptation: &Adaptation) -> Result<Option<JointPolicy>> {
+    pub fn apply(&mut self, adaptation: &Adaptation) -> Result<Option<Admitted>, AdaptError> {
         let mut specs = self.specs.clone();
         for (tenant, range) in &adaptation.tightened {
             if let Some(s) = specs.iter_mut().find(|s| s.id == *tenant) {
                 s.range = *range;
             }
         }
-        let keep: Vec<&str> = specs
-            .iter()
-            .filter(|s| adaptation.active.contains(&s.id))
-            .map(|s| s.name.as_str())
-            .collect();
-        self.current_active = adaptation.active.clone();
-        let Some(policy) = retain_tenants(&self.policy, &keep) else {
-            // Empty deployment: the departure still reconfigures the data
-            // plane (all bands reclaimed), so it gets its own version.
-            self.specs = specs;
-            self.recompiles.inc();
-            self.version += 1;
-            self.version_gauge.set(self.version as i64);
-            return Ok(None);
-        };
         let active_specs: Vec<TenantSpec> = specs
             .iter()
             .filter(|s| adaptation.active.contains(&s.id))
             .cloned()
             .collect();
-        self.specs = specs;
-        // determinism: allowed (self-profiler measures host synthesis cost;
-        // stripped from deterministic exports)
-        let started = std::time::Instant::now(); // determinism: allowed
-        let result = synthesize(&active_specs, &policy, self.synth_config);
-        let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.synth_ns.record(elapsed);
-        self.resynth_prof.record_ns(elapsed);
+        let keep: Vec<&str> = active_specs.iter().map(|s| s.name.as_str()).collect();
         self.recompiles.inc();
-        let joint = result?;
+        // Without a policy left this is an empty deployment: the departure
+        // still reconfigures the data plane (all bands reclaimed), so it
+        // gets its own version.
+        let deployment = match retain_tenants(&self.policy, &keep) {
+            None => None,
+            Some(policy) => {
+                // determinism: allowed (self-profiler measures host synthesis
+                // cost; stripped from deterministic exports)
+                let started = std::time::Instant::now(); // determinism: allowed
+                let result = synthesize(&active_specs, &policy, self.synth_config);
+                let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                self.synth_ns.record(elapsed);
+                self.resynth_prof.record_ns(elapsed);
+                let joint = result.map_err(AdaptError::Synthesis)?;
+                Some(
+                    admit(joint, &SpecPaths::config(), self.deny_warnings)
+                        .map_err(AdaptError::Refused)?,
+                )
+            }
+        };
+        self.specs = specs;
+        self.current_active = adaptation.active.clone();
         self.version += 1;
         self.version_gauge.set(self.version as i64);
-        Ok(Some(joint))
+        Ok(deployment)
     }
+}
+
+/// Why [`RuntimeAdapter::apply`] deployed nothing.
+#[derive(Clone, Debug)]
+pub enum AdaptError {
+    /// The re-synthesis failed; there was no policy to judge.
+    Synthesis(QvisorError),
+    /// The deployment gate refused the re-synthesized policy.
+    Refused(Refused),
 }
 
 /// Project a policy onto a subset of tenants, dropping empty groups,
@@ -488,7 +518,8 @@ mod tests {
             active: vec![TenantId(3)],
             tightened: vec![],
         };
-        let joint = adapter.apply(&adaptation).unwrap().unwrap();
+        let deployment = adapter.apply(&adaptation).unwrap().unwrap();
+        let joint = deployment.joint();
         // T3 alone now owns the whole (single-level) rank space from 0.
         assert!(joint.chain(TenantId(3)).is_some());
         assert!(joint.chain(TenantId(1)).is_none());
@@ -563,6 +594,77 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_adaptation_commits_nothing() {
+        // T1 only ever sends rank 0: the drift tightening cuts its range to
+        // the point [0, 0], which cannot interleave with T2 in their share
+        // group — a QV-SHARE-BAND warning.
+        let specs = vec![
+            TenantSpec::new(TenantId(1), "T1", "pFabric", RankRange::new(0, 1000)),
+            TenantSpec::new(TenantId(2), "T2", "EDF", RankRange::new(0, 1000)),
+        ];
+        let adapter = |deny| {
+            let policy = Policy::parse("T1:5 + T2").unwrap();
+            RuntimeAdapter::new(
+                specs.clone(),
+                policy,
+                SynthConfig::default(),
+                MonitorConfig::default(),
+            )
+            .with_deny_warnings(deny)
+        };
+        let mut m = RuntimeMonitor::new(&specs, MonitorConfig::default());
+        for _ in 0..4 {
+            m.observe(&mut pkt(1, 0), Nanos::from_millis(5));
+        }
+        m.observe(&mut pkt(2, 500), Nanos::from_millis(5));
+        m.observe(&mut pkt(2, 1000), Nanos::from_millis(5));
+        let now = Nanos::from_millis(6);
+
+        let t = Telemetry::enabled();
+        let mut strict = adapter(true).with_telemetry(&t);
+        let proposal = strict.propose(&m, now).expect("T1 drifted");
+        assert_eq!(
+            proposal.tightened,
+            vec![(TenantId(1), RankRange::new(0, 0))]
+        );
+        let Err(AdaptError::Refused(refused)) = strict.apply(&proposal) else {
+            panic!("a share group that cannot interleave was deployed");
+        };
+        assert_eq!(refused.codes(), ["QV-SHARE-BAND"]);
+        assert_eq!(strict.transform_version(), 1);
+        assert_eq!(strict.specs(), &specs[..]);
+        assert_eq!(strict.propose(&m, now), Some(proposal.clone()));
+        assert_eq!(t.counter("runtime_recompiles", &[]).get(), 1);
+        assert_eq!(t.gauge("runtime_transform_version", &[]).get(), 1);
+
+        // The default gate refuses only errors: the same tightening deploys.
+        let mut lax = adapter(false);
+        let deployment = lax.apply(&proposal).unwrap().unwrap();
+        assert!(!deployment.report().guarantees_hold());
+        assert_eq!(lax.transform_version(), 2);
+        assert_eq!(lax.specs()[0].range, RankRange::new(0, 0));
+        assert_eq!(lax.propose(&m, now), None);
+    }
+
+    #[test]
+    fn a_failed_synthesis_commits_nothing() {
+        let policy = Policy::parse("T1 >> T2 + T3").unwrap();
+        let config = SynthConfig {
+            pref_bias_divisor: 0,
+            ..SynthConfig::default()
+        };
+        let mut adapter = RuntimeAdapter::new(specs(), policy, config, MonitorConfig::default());
+        let adaptation = Adaptation {
+            active: vec![TenantId(3)],
+            tightened: vec![(TenantId(3), RankRange::new(0, 5))],
+        };
+        let err = adapter.apply(&adaptation).expect_err("synthesis fails");
+        assert!(matches!(err, AdaptError::Synthesis(_)), "{err:?}");
+        assert_eq!(adapter.transform_version(), 1);
+        assert_eq!(adapter.specs(), &specs()[..]);
+    }
+
+    #[test]
     fn retain_tenants_prunes_structure() {
         let policy = Policy::parse("T1 >> T2 > T3 + T4 >> T5").unwrap();
         let kept = retain_tenants(&policy, &["T3", "T5"]).unwrap();
@@ -630,8 +732,8 @@ mod tests {
             active: vec![TenantId(3)],
             tightened: vec![],
         };
-        let joint = adapter.apply(&back).unwrap().expect("T3 is scheduled");
-        assert!(joint.chain(TenantId(3)).is_some());
+        let deployment = adapter.apply(&back).unwrap().expect("T3 is scheduled");
+        assert!(deployment.joint().chain(TenantId(3)).is_some());
         assert_eq!(adapter.transform_version(), 3);
     }
 
@@ -661,8 +763,10 @@ mod tests {
             active: vec![TenantId(1), TenantId(2), TenantId(3)],
             tightened: vec![],
         };
-        let joint = adapter.apply(&all).unwrap().unwrap();
-        let spec = joint.specs.iter().find(|s| s.id == TenantId(3)).unwrap();
+        let deployment = adapter.apply(&all).unwrap().unwrap();
+        let spec = (deployment.joint().specs.iter())
+            .find(|s| s.id == TenantId(3))
+            .unwrap();
         assert_eq!(spec.range, RankRange::new(0, 5000));
         assert_eq!(spec.levels, Some(16));
     }

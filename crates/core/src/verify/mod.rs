@@ -23,13 +23,18 @@
 //! violates the property through the real `TransformChain::apply`.
 //! Structural suspicions with no reachable witness are downgraded to
 //! warnings, so errors are re-checkable by construction.
+//!
+//! [`admit`] is the deployment gate over that report: the only maker of
+//! the [`Admitted`] token every deploy site takes.
 
 pub mod diag;
+mod gate;
 mod interval;
 mod isolation;
 mod monotone;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Witness};
+pub use gate::{admit, Admitted, Refused};
 pub use interval::{analyze_chain, ChainAnalysis, OpReport};
 pub use monotone::{check_chain, ChainCheck};
 

@@ -52,6 +52,9 @@ pub struct SimReport {
     /// Times the runtime adapter re-synthesized and hot-reloaded the
     /// pre-processor.
     pub reconfigurations: u64,
+    /// Runtime re-syntheses the deployment gate refused (or that failed to
+    /// synthesize): nothing was deployed, the previous policy stayed.
+    pub reconfigurations_refused: u64,
     /// Packets dropped at each node (queue rejections/evictions plus
     /// fault-injection losses), for congestion hotspot analysis.
     pub node_drops: BTreeMap<NodeId, u64>,

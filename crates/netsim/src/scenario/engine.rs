@@ -13,10 +13,10 @@ use super::spec::{
 use super::ScenarioError;
 use crate::config::{PreprocScope, QvisorSetup, SchedulerKind, SimConfig};
 use crate::report::SimReport;
-use crate::sim::{synthesize_timed, Simulation};
+use crate::sim::{judge, Simulation};
 use qvisor_core::{
-    verify, JointPolicy, MonitorConfig, SpecPaths, SynthConfig, TenantSpec, UnknownTenantAction,
-    VerifyReport, ViolationAction,
+    Admitted, JointPolicy, MonitorConfig, Refused, SpecPaths, SynthConfig, TenantSpec,
+    UnknownTenantAction, VerifyReport, ViolationAction,
 };
 use qvisor_ranking::RankRange;
 use qvisor_scheduler::Capacity;
@@ -96,13 +96,17 @@ impl Engine {
         spec: &ScenarioSpec,
         paths: &SpecPaths,
     ) -> Result<VerifyReport, ScenarioError> {
-        Ok(self.verify(spec, paths)?.report)
+        Ok(self.verify(spec, paths)?.into_report())
     }
 
     /// The engine's verification: validate `spec`, synthesize its QVISOR
-    /// policy and run the static verifier over it, spans rooted at
-    /// `paths`. The result is what [`Engine::build_verified`] deploys —
-    /// the joint policy the report judged, not a second synthesis of it.
+    /// policy and put it through the deployment gate ([`admit`], spans
+    /// rooted at `paths`, at this engine's strictness). The result is what
+    /// [`Engine::build_verified`] deploys — the joint policy the report
+    /// judged, not a second synthesis of it. A policy the gate refuses
+    /// still verifies: its report is what [`Engine::check`] prints.
+    ///
+    /// [`admit`]: qvisor_core::admit
     pub fn verify<'s>(
         &self,
         spec: &'s ScenarioSpec,
@@ -112,16 +116,19 @@ impl Engine {
         let Some(q) = spec.qvisor.as_ref() else {
             return Ok(Verified {
                 spec,
-                report: VerifyReport::empty(),
                 deployment: None,
             });
         };
         let setup = build_qvisor(q);
-        let (joint, synth_ns) = synthesize_timed(&setup).map_err(ScenarioError::Build)?;
+        let (verdict, synth_ns) =
+            judge(&setup, paths, self.deny_warnings).map_err(ScenarioError::Build)?;
         Ok(Verified {
             spec,
-            report: verify(&joint, paths),
-            deployment: Some((setup, joint, synth_ns)),
+            deployment: Some(Deployment {
+                setup,
+                verdict,
+                synth_ns,
+            }),
         })
     }
 
@@ -135,9 +142,9 @@ impl Engine {
 
     /// Materialize `spec` from its verification: deploy the joint policy
     /// `verified` judged. Refused when `verified` judged another scenario,
-    /// and — the mandatory pre-deployment gate — when its report refutes a
-    /// guarantee (warn-by-default; `with_deny_warnings` promotes warnings
-    /// to failures).
+    /// and — the mandatory pre-deployment gate — when the gate refused it
+    /// at this engine's strictness (warn-by-default; `with_deny_warnings`
+    /// promotes warnings to failures).
     pub fn build_verified(
         &self,
         spec: &ScenarioSpec,
@@ -146,17 +153,23 @@ impl Engine {
         if !std::ptr::eq(spec, verified.spec) && *spec != *verified.spec {
             return Err(ScenarioError::NotVerified);
         }
-        if verified.report.gate_fails(self.deny_warnings) {
-            return Err(ScenarioError::Verify(Box::new(verified.report)));
-        }
-        let (topology, prep) = prepare(spec)?;
-        let (setup, synthesized) = match verified.deployment {
-            Some((setup, joint, synth_ns)) => (Some(setup), Some((joint, synth_ns))),
+        let (setup, deployment) = match verified.deployment {
+            Some(Deployment {
+                setup,
+                verdict,
+                synth_ns,
+            }) => {
+                let admitted = verdict
+                    .and_then(|admitted| admitted.regate(self.deny_warnings))
+                    .map_err(|refused| ScenarioError::Verify(Box::new(refused.report)))?;
+                (Some(setup), Some((admitted, synth_ns)))
+            }
             None => (None, None),
         };
+        let (topology, prep) = prepare(spec)?;
         let cfg = self.sim_config(spec, setup, prep.last_arrival);
         let mut sim =
-            Simulation::with_joint(topology, cfg, synthesized).map_err(ScenarioError::Build)?;
+            Simulation::deploy(topology, cfg, deployment).map_err(ScenarioError::Build)?;
         populate(spec, &prep, &mut sim);
         Ok(sim)
     }
@@ -199,26 +212,54 @@ impl Engine {
 }
 
 /// A scenario's QVISOR policy as the engine's verification judged it: the
-/// report, and the lowered setup and joint policy it judged (with the
-/// wall-clock its synthesis took) — `None` without a `qvisor` block. Only
-/// [`Engine::verify`] makes one, and [`Engine::build_verified`] deploys it
-/// for the scenario it was made from and no other.
+/// deployment gate's verdict around what is scenario-specific — the spec
+/// it judged, the lowered setup and the wall-clock its synthesis took.
+/// Only [`Engine::verify`] makes one, and [`Engine::build_verified`]
+/// deploys it for the scenario it was made from and no other.
 pub struct Verified<'s> {
     spec: &'s ScenarioSpec,
-    report: VerifyReport,
-    deployment: Option<(QvisorSetup, JointPolicy, u64)>,
+    /// `None` without a `qvisor` block.
+    deployment: Option<Deployment>,
 }
+
+struct Deployment {
+    setup: QvisorSetup,
+    verdict: Result<Admitted, Refused>,
+    synth_ns: u64,
+}
+
+/// The report of a scenario without QVISOR: nothing to say.
+static NOTHING_TO_VERIFY: VerifyReport = VerifyReport {
+    tenants: Vec::new(),
+    diagnostics: Vec::new(),
+};
 
 impl Verified<'_> {
     /// The verifier's report.
     pub fn report(&self) -> &VerifyReport {
-        &self.report
+        match self.deployment.as_ref().map(|d| &d.verdict) {
+            Some(Ok(admitted)) => admitted.report(),
+            Some(Err(refused)) => &refused.report,
+            None => &NOTHING_TO_VERIFY,
+        }
     }
 
     /// The joint policy the report judged (`None` without a `qvisor`
     /// block).
     pub fn joint(&self) -> Option<&JointPolicy> {
-        self.deployment.as_ref().map(|(_, joint, _)| joint)
+        self.deployment.as_ref().map(|d| match &d.verdict {
+            Ok(admitted) => admitted.joint(),
+            Err(refused) => &refused.joint,
+        })
+    }
+
+    /// The verifier's report, by value.
+    fn into_report(self) -> VerifyReport {
+        match self.deployment.map(|d| d.verdict) {
+            Some(Ok(admitted)) => admitted.into_report(),
+            Some(Err(refused)) => refused.report,
+            None => VerifyReport::empty(),
+        }
     }
 }
 
@@ -580,14 +621,20 @@ pub fn report_json(report: &SimReport) -> Value {
                 .map(Value::from)
                 .unwrap_or(Value::Null),
         );
-    Value::object()
+    let mut value = Value::object()
         .set("events", report.events)
         .set("end_time_ns", report.end_time.as_nanos())
         .set("incomplete_flows", report.incomplete_flows)
         .set("preproc_dropped", report.preproc_dropped)
         .set("monitor_violations", report.monitor_violations)
         .set("random_losses", report.random_losses)
-        .set("reconfigurations", report.reconfigurations)
+        .set("reconfigurations", report.reconfigurations);
+    // Written only when a reconfiguration was refused, so the report of
+    // every run without one keeps its bytes.
+    if report.reconfigurations_refused > 0 {
+        value = value.set("reconfigurations_refused", report.reconfigurations_refused);
+    }
+    value
         .set("fct", fct)
         .set("tenants", Value::from(tenants))
         .set("node_drops", Value::from(node_drops))

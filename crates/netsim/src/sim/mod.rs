@@ -43,7 +43,10 @@ pub use traffic::{NewCbr, NewFlow};
 
 use crate::config::{PreprocScope, QvisorSetup, SimConfig};
 use crate::report::SimReport;
-use qvisor_core::{JointPolicy, Policy, PreProcessor, QvisorError, RuntimeAdapter, RuntimeMonitor};
+use qvisor_core::{
+    admit, AdaptError, Admitted, JointPolicy, Policy, PreProcessor, QvisorError, Refused,
+    RuntimeAdapter, RuntimeMonitor, SpecPaths,
+};
 use qvisor_ranking::{RankCtx, RankFn};
 use qvisor_sim::{
     json::Value, stable_hash, EventQueue, FlowId, Nanos, NodeId, Packet, PacketArena, PacketKind,
@@ -186,17 +189,23 @@ pub(in crate::sim) fn arrival_tie(p: &Packet) -> u64 {
     stable_hash(&[p.flow.0, p.seq, kind_tag(&p.kind), p.sent_at.as_nanos()])
 }
 
-/// Parse `setup`'s operator policy and synthesize the joint policy,
-/// returning it with the host wall-clock nanoseconds the synthesis took
-/// (what `runtime_synth_ns` and the `synthesize` profile site report).
-pub(crate) fn synthesize_timed(setup: &QvisorSetup) -> Result<(JointPolicy, u64), QvisorError> {
+/// Parse `setup`'s operator policy, synthesize the joint policy and put it
+/// through the deployment gate ([`admit`], spans rooted at `paths`, at
+/// `deny_warnings`). Returns the gate's verdict with the host wall-clock
+/// nanoseconds the synthesis took (what `runtime_synth_ns` and the
+/// `synthesize` profile site report).
+pub(crate) fn judge(
+    setup: &QvisorSetup,
+    paths: &SpecPaths,
+    deny_warnings: bool,
+) -> Result<(Result<Admitted, Refused>, u64), QvisorError> {
     let policy = Policy::parse(&setup.policy)?;
     // determinism: allowed (self-profiler measures host synthesis cost;
     // stripped from deterministic exports)
     let started = std::time::Instant::now(); // determinism: allowed
     let joint = qvisor_core::synthesize(&setup.specs, &policy, setup.synth)?;
     let synth_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    Ok((joint, synth_ns))
+    Ok((admit(joint, paths, deny_warnings), synth_ns))
 }
 
 /// The simulator. Build with [`Simulation::new`], register tenant rank
@@ -205,7 +214,8 @@ pub struct Simulation {
     pub(in crate::sim) topo: Topology,
     pub(in crate::sim) routes: Routes,
     pub(in crate::sim) cfg: SimConfig,
-    pub(in crate::sim) joint: Option<JointPolicy>,
+    /// The deployed joint policy, as the deployment gate admitted it.
+    pub(in crate::sim) deployment: Option<Admitted>,
     pub(in crate::sim) preproc: Option<PreProcessor>,
     pub(in crate::sim) monitor: Option<RuntimeMonitor>,
     pub(in crate::sim) adapter: Option<RuntimeAdapter>,
@@ -250,31 +260,38 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Build a simulation over `topo` with `cfg`. Synthesizes and deploys
-    /// the QVISOR joint policy when configured.
+    /// Build a simulation over `topo` with `cfg`. Synthesizes the QVISOR
+    /// joint policy when configured and deploys it if the deployment gate
+    /// admits it at its default strictness: a policy the verifier finds an
+    /// error in is refused with [`QvisorError::Deployment`].
     pub fn new(topo: Topology, cfg: SimConfig) -> Result<Simulation, QvisorError> {
-        let synthesized = cfg.qvisor.as_ref().map(synthesize_timed).transpose()?;
-        Simulation::with_joint(topo, cfg, synthesized)
+        let deployment = match &cfg.qvisor {
+            Some(setup) => match judge(setup, &SpecPaths::scenario(), false)? {
+                (Ok(admitted), synth_ns) => Some((admitted, synth_ns)),
+                (Err(refused), _) => return Err(QvisorError::Deployment(refused.to_string())),
+            },
+            None => None,
+        };
+        Simulation::deploy(topo, cfg, deployment)
     }
 
-    /// [`Simulation::new`] for a caller that already synthesized
-    /// `cfg.qvisor` with [`synthesize_timed`] (the engine does, to verify
-    /// the policy before it builds): deploys that joint policy instead of
-    /// synthesizing it again.
-    pub(crate) fn with_joint(
+    /// Build the simulation deploying `deployment` — the gate's token for
+    /// `cfg.qvisor`, with the wall-clock its synthesis took. The one path
+    /// behind [`Simulation::new`] and the scenario engine's build.
+    pub(crate) fn deploy(
         topo: Topology,
         cfg: SimConfig,
-        synthesized: Option<(JointPolicy, u64)>,
+        deployment: Option<(Admitted, u64)>,
     ) -> Result<Simulation, QvisorError> {
         let routes = Routes::compute(&topo);
-        let (joint, preproc, monitor, adapter) = match (&cfg.qvisor, synthesized) {
-            (Some(setup), Some((joint, synth_ns))) => {
+        let (deployment, preproc, monitor, adapter) = match (&cfg.qvisor, deployment) {
+            (Some(setup), Some((deployment, synth_ns))) => {
                 cfg.telemetry
                     .histogram("runtime_synth_ns", &[])
                     .record(synth_ns);
                 cfg.telemetry.profiler("synthesize").record_ns(synth_ns);
                 cfg.telemetry.gauge("runtime_transform_version", &[]).set(1);
-                let preproc = PreProcessor::new(&joint, setup.unknown);
+                let preproc = PreProcessor::new(deployment.joint(), setup.unknown);
                 let monitor = setup
                     .monitor
                     .map(|mc| RuntimeMonitor::new(&setup.specs, mc));
@@ -282,11 +299,12 @@ impl Simulation {
                     (Some(_), Some(mc)) => Some(
                         RuntimeAdapter::new(
                             setup.specs.clone(),
-                            joint.policy.clone(),
+                            deployment.joint().policy.clone(),
                             setup.synth,
                             mc,
                         )
-                        .with_telemetry(&cfg.telemetry),
+                        .with_telemetry(&cfg.telemetry)
+                        .with_deny_warnings(deployment.deny_warnings()),
                     ),
                     (Some(_), None) => {
                         return Err(QvisorError::Deployment(
@@ -295,7 +313,7 @@ impl Simulation {
                     }
                     _ => None,
                 };
-                (Some(joint), Some(preproc), monitor, adapter)
+                (Some(deployment), Some(preproc), monitor, adapter)
             }
             (None, None) => {
                 if cfg.adaptation_interval.is_some() {
@@ -305,10 +323,11 @@ impl Simulation {
                 }
                 (None, None, None, None)
             }
-            _ => unreachable!("a joint policy is synthesized exactly when QVISOR is deployed"),
+            _ => unreachable!("a joint policy is admitted exactly when QVISOR is deployed"),
         };
 
-        let (ports, port_base) = queues::build_ports(&topo, &cfg, joint.as_ref())?;
+        let joint = deployment.as_ref().map(Admitted::joint);
+        let (ports, port_base) = queues::build_ports(&topo, &cfg, joint)?;
         let scope = (cfg.qvisor.as_ref()).map(|q| q.scope);
         let preproc_at = topo
             .nodes()
@@ -326,7 +345,7 @@ impl Simulation {
             topo,
             routes,
             cfg,
-            joint,
+            deployment,
             preproc,
             monitor,
             adapter,
@@ -352,7 +371,7 @@ impl Simulation {
 
     /// The synthesized joint policy, when QVISOR is deployed.
     pub fn joint_policy(&self) -> Option<&JointPolicy> {
-        self.joint.as_ref()
+        self.deployment.as_ref().map(Admitted::joint)
     }
 
     /// Register the rank function computing `tenant`'s packet ranks at the
@@ -387,7 +406,12 @@ impl Simulation {
     }
 
     /// One control-plane tick: feed the monitor's view to the adapter;
-    /// on a proposal, re-synthesize and hot-reload the pre-processor.
+    /// on a proposal, re-synthesize and, if the deployment gate admits the
+    /// result, hot-reload the pre-processor. A refused re-synthesis (or a
+    /// failed one) deploys nothing: it is counted in
+    /// `reconfigurations_refused` and journalled as a
+    /// `reconfiguration_refused` event with the refusal's codes, and the
+    /// adapter proposes the change again at the next tick.
     ///
     /// Queue contents keep their old transformed ranks until they drain —
     /// the transition cost §2 acknowledges ("emptying the buffers") — but
@@ -400,16 +424,32 @@ impl Simulation {
         ) else {
             return;
         };
-        if let Some(proposal) = adapter.propose(monitor, now) {
-            if let Ok(Some(new_joint)) = adapter.apply(&proposal) {
-                preproc.reload(&new_joint);
-                self.joint = Some(new_joint);
+        let Some(proposal) = adapter.propose(monitor, now) else {
+            return;
+        };
+        match adapter.apply(&proposal) {
+            Ok(Some(deployment)) => {
+                preproc.reload(&deployment);
+                self.deployment = Some(deployment);
                 self.report.reconfigurations += 1;
                 self.cfg.telemetry.event(
                     now,
                     "reconfiguration",
                     &[("total", Value::from(self.report.reconfigurations))],
                 );
+            }
+            Ok(None) => {}
+            Err(err) => {
+                self.report.reconfigurations_refused += 1;
+                let why = match &err {
+                    AdaptError::Refused(refused) => {
+                        let codes = refused.codes().into_iter().map(Value::from);
+                        ("codes", Value::from(codes.collect::<Vec<_>>()))
+                    }
+                    AdaptError::Synthesis(e) => ("error", Value::from(e.to_string())),
+                };
+                let total = ("total", Value::from(self.report.reconfigurations_refused));
+                (self.cfg.telemetry).event(now, "reconfiguration_refused", &[total, why]);
             }
         }
     }

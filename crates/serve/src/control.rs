@@ -5,18 +5,20 @@
 //! `serve_load` harness runs a second one to replay the accepted-mutation
 //! log sequentially and compare final state byte-for-byte.
 //!
-//! Admission is side-effect free: a submission is synthesized and verified
-//! against a *candidate* deployment document first, and only an accepted
-//! submission touches the [`RuntimeAdapter`] or the store. Every rejection
-//! carries the full structured QV-* diagnostic report plus the exact
-//! candidate document (`effective_config`), so `qvisor check` on that
+//! Admission is side-effect free: a submission or a withdrawal is
+//! re-synthesized by the [`RuntimeAdapter`] and judged by `qvisor-core`'s
+//! deployment gate at the daemon's strictness (`--deny-warnings`), and a
+//! refusal commits nothing — not the adapter, not the store. The policy the
+//! gate admits is the one deployed: one synthesis per commit. Every gate
+//! rejection carries the full structured QV-* diagnostic report plus the
+//! exact candidate document (`effective_config`), so `qvisor check` on that
 //! document reproduces the same diagnostics.
 
 use std::sync::Arc;
 
 use qvisor_core::config_api::{DeploymentConfig, TenantConfig};
 use qvisor_core::{
-    verify, Adaptation, JointPolicy, MonitorConfig, RuntimeAdapter, Severity, SpecPaths, TenantSpec,
+    AdaptError, Adaptation, Admitted, MonitorConfig, RuntimeAdapter, Severity, TenantSpec,
 };
 use qvisor_ranking::RankRange;
 use qvisor_sim::json::Value;
@@ -34,7 +36,6 @@ pub struct ControlPlane {
     adapter: RuntimeAdapter,
     cell: Arc<SnapshotCell>,
     telemetry: Telemetry,
-    deny_warnings: bool,
     rejected: u64,
 }
 
@@ -53,14 +54,14 @@ impl ControlPlane {
             .map_err(|e| format!("universe config: {e}"))?;
         let telemetry = Telemetry::enabled();
         let adapter = RuntimeAdapter::new(specs, policy, synth, MonitorConfig::default())
-            .with_telemetry(&telemetry);
+            .with_telemetry(&telemetry)
+            .with_deny_warnings(deny_warnings);
         cell.store(ChainSnapshot::empty());
         Ok(ControlPlane {
             store,
             adapter,
             cell,
             telemetry,
-            deny_warnings,
             rejected: 0,
         })
     }
@@ -135,28 +136,9 @@ impl ControlPlane {
                 "no candidate tenant is named in the operator policy".to_string(),
             );
         };
-        // Admission gate: synthesize + verify the candidate, touching
-        // nothing on failure.
-        let joint = match candidate.synthesize() {
-            Ok(joint) => joint,
-            Err(e) => return self.reject(&t.name, format!("synthesis failed: {e}")),
-        };
-        let report = verify(&joint, &SpecPaths::config());
-        if report.gate_fails(self.deny_warnings) {
-            let diags: Vec<Value> = report.diagnostics.iter().map(|d| d.to_value()).collect();
-            let errors = report.count(Severity::Error);
-            let warnings = report.count(Severity::Warning);
-            let config_value = Value::parse(&candidate.to_json())
-                .expect("candidate config serialisation is well-formed JSON");
-            return self
-                .reject(&t.name, "verification gate failed".to_string())
-                .set("diagnostics", Value::from(diags))
-                .set("errors", errors)
-                .set("warnings", warnings)
-                .set("effective_config", config_value);
-        }
-        // Commit: replace the spec, resynthesize through the adapter,
-        // record the mutation, publish the new snapshot.
+        // Admission gate: the adapter re-synthesizes the candidate's live
+        // set with this spec swapped in and core's gate judges it. A
+        // refusal restores the spec and commits nothing.
         let mut spec = TenantSpec::new(
             TenantId(t.id),
             t.name.clone(),
@@ -187,28 +169,18 @@ impl ControlPlane {
             active,
             tightened: vec![],
         };
-        let deployed = match self.adapter.apply(&adaptation) {
-            Ok(Some(joint)) => joint,
-            Ok(None) => {
+        let deployment = match self.adapter.apply(&adaptation) {
+            Ok(deployment) => deployment,
+            Err(err) => {
                 if let Some(prev) = previous {
                     self.adapter.update_spec(prev);
                 }
-                return Value::object().set("ok", false).set(
-                    "error",
-                    "internal: admitted submission produced an empty deployment",
-                );
-            }
-            Err(e) => {
-                if let Some(prev) = previous {
-                    self.adapter.update_spec(prev);
-                }
-                return Value::object()
-                    .set("ok", false)
-                    .set("error", format!("internal: resynthesis diverged: {e}"));
+                return self.refuse(&t.name, err, &candidate);
             }
         };
+        // Commit: record the mutation, publish the admitted policy.
         self.store.commit_submit(t.clone());
-        self.publish(Some(&deployed));
+        self.publish(deployment.as_ref());
         let snap = self.cell.load();
         Value::object()
             .set("ok", true)
@@ -218,7 +190,8 @@ impl ControlPlane {
             .set("fingerprint", snap.fingerprint.as_str())
     }
 
-    /// Withdraw a live tenant; its rank space is reclaimed by resynthesis.
+    /// Withdraw a live tenant; its rank space is reclaimed by resynthesis,
+    /// through the same gate as a submission.
     pub fn withdraw(&mut self, name: &str) -> Value {
         if !self.store.is_live(name) {
             return crate::protocol::error_response(&format!("tenant '{name}' is not live"));
@@ -234,16 +207,16 @@ impl ControlPlane {
             active,
             tightened: vec![],
         };
-        let deployed = match self.adapter.apply(&adaptation) {
-            Ok(joint) => joint,
-            Err(e) => {
-                return Value::object()
-                    .set("ok", false)
-                    .set("error", format!("internal: resynthesis diverged: {e}"));
+        let deployment = match self.adapter.apply(&adaptation) {
+            Ok(deployment) => deployment,
+            Err(err) => {
+                let candidate = (self.store.effective_config_without(name))
+                    .expect("a refused withdrawal leaves a scheduled tenant");
+                return self.refuse(name, err, &candidate);
             }
         };
         self.store.commit_withdraw(name);
-        self.publish(deployed.as_ref());
+        self.publish(deployment.as_ref());
         let snap = self.cell.load();
         Value::object()
             .set("ok", true)
@@ -253,14 +226,36 @@ impl ControlPlane {
             .set("live", self.store.live_count())
     }
 
+    /// The rejection of a mutation whose re-synthesis failed or that the
+    /// gate refused; a refusal carries the gate's report and `candidate`,
+    /// the document it judged.
+    fn refuse(&mut self, tenant: &str, err: AdaptError, candidate: &DeploymentConfig) -> Value {
+        let refused = match err {
+            AdaptError::Synthesis(e) => {
+                return self.reject(tenant, format!("synthesis failed: {e}"))
+            }
+            AdaptError::Refused(refused) => refused,
+        };
+        let report = refused.report;
+        let diags: Vec<Value> = report.diagnostics.iter().map(|d| d.to_value()).collect();
+        let config_value = Value::parse(&candidate.to_json())
+            .expect("candidate config serialisation is well-formed JSON");
+        self.reject(tenant, "verification gate failed".to_string())
+            .set("diagnostics", Value::from(diags))
+            .set("errors", report.count(Severity::Error))
+            .set("warnings", report.count(Severity::Warning))
+            .set("effective_config", config_value)
+    }
+
     /// Build and publish the snapshot for the current committed state.
-    fn publish(&mut self, joint: Option<&JointPolicy>) {
+    fn publish(&mut self, deployment: Option<&Admitted>) {
         let policy = self
             .store
             .projected_policy()
             .map(|p| p.to_string())
             .unwrap_or_default();
-        let chains = joint
+        let chains = deployment
+            .map(Admitted::joint)
             .map(|j| ChainSnapshot::entries_from(j, &j.specs))
             .unwrap_or_default();
         let snap = ChainSnapshot::build(
@@ -358,6 +353,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qvisor_core::{verify, SpecPaths};
 
     fn universe() -> DeploymentConfig {
         DeploymentConfig::from_json(
@@ -466,6 +462,107 @@ mod tests {
             .collect();
         let got: Vec<String> = diags.iter().map(Value::to_compact).collect();
         assert_eq!(got, expect);
+    }
+
+    /// An accepted submission and a withdrawal synthesize once each: the
+    /// adapter's synthesis is the policy the gate judged and the one
+    /// deployed. A submission the gate rejects also costs one synthesis
+    /// (the one it was judged on); a structural rejection costs none.
+    #[test]
+    fn a_commit_synthesizes_once() {
+        let cfg = universe();
+        let mut cp = plane();
+        let syntheses = |cp: &ControlPlane| {
+            let recompiles = cp.telemetry.counter("runtime_recompiles", &[]).get();
+            let timed = cp.telemetry.histogram("runtime_synth_ns", &[]).count();
+            assert_eq!(recompiles, timed, "every recompile here synthesizes");
+            recompiles
+        };
+        cp.submit(tenant("gold", &cfg));
+        assert_eq!(syntheses(&cp), 1);
+        cp.submit(tenant("silver", &cfg));
+        assert_eq!(syntheses(&cp), 2);
+        cp.withdraw("gold");
+        assert_eq!(syntheses(&cp), 3);
+        let mut structural = tenant("bronze", &cfg);
+        structural.levels = Some(0);
+        cp.submit(structural);
+        assert_eq!(syntheses(&cp), 3);
+        let mut overflowing = tenant("bronze", &cfg);
+        overflowing.rank_max = u64::MAX;
+        overflowing.levels = Some(u64::MAX);
+        let r = cp.submit(overflowing);
+        assert_eq!(r.get("result").and_then(Value::as_str), Some("rejected"));
+        assert_eq!(syntheses(&cp), 4);
+        assert_eq!(cp.snapshot().version, 4);
+    }
+
+    /// `a:3 + b:4 + c` interleaves; without `a` the two one-level tenants
+    /// left in the share group do not: QV-SHARE-BAND, a warning.
+    fn share_universe() -> DeploymentConfig {
+        DeploymentConfig::from_json(
+            r#"{
+                "tenants": [
+                    {"id": 1, "name": "a", "algorithm": "EDF", "rank_min": 0, "rank_max": 999, "levels": 84},
+                    {"id": 2, "name": "b", "algorithm": "FIFO", "rank_min": 0, "rank_max": 999, "levels": 1},
+                    {"id": 3, "name": "c", "algorithm": "FIFO", "rank_min": 0, "rank_max": 999, "levels": 1}
+                ],
+                "policy": "a:3 + b:4 + c"
+            }"#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn deny_warnings_gates_withdrawals_like_submissions() {
+        let cfg = share_universe();
+        for deny in [true, false] {
+            let mut cp = ControlPlane::new(&cfg, deny, Arc::new(SnapshotCell::default())).unwrap();
+            for name in ["a", "b", "c"] {
+                let r = cp.submit(tenant(name, &cfg));
+                assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{name}");
+            }
+            let before = (cp.snapshot().canonical.clone(), cp.log_value().to_compact());
+            let r = cp.withdraw("a");
+            if !deny {
+                assert_eq!(r.get("result").and_then(Value::as_str), Some("withdrawn"));
+                assert_eq!(cp.snapshot().version, 5);
+                continue;
+            }
+            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
+            assert_eq!(r.get("result").and_then(Value::as_str), Some("rejected"));
+            assert_eq!(r.get("tenant").and_then(Value::as_str), Some("a"));
+            assert_eq!(r.get("version").and_then(Value::as_u64), Some(4));
+            assert_eq!(r.get("errors").and_then(Value::as_u64), Some(0));
+            assert!(r.get("warnings").and_then(Value::as_u64) >= Some(1));
+            let after = (cp.snapshot().canonical.clone(), cp.log_value().to_compact());
+            assert_eq!(after, before, "a refused withdrawal committed");
+            assert_eq!(cp.rejected_count(), 1);
+            // The rejection is reproducible from its effective_config.
+            let doc = r.get("effective_config").unwrap().to_pretty();
+            let again = DeploymentConfig::from_json(&doc).unwrap();
+            assert_eq!(again.policy, "b:4 + c");
+            let report = verify(&again.synthesize().unwrap(), &SpecPaths::config());
+            assert!(report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == qvisor_core::DiagCode::ShareBand));
+            let expect: Vec<String> = (report.diagnostics.iter())
+                .map(|d| d.to_value().to_compact())
+                .collect();
+            let diags = r.get("diagnostics").and_then(Value::as_array).unwrap();
+            let got: Vec<String> = diags.iter().map(Value::to_compact).collect();
+            assert_eq!(got, expect);
+            // Replay inherits the gate: the accepted log rebuilds the state.
+            let entries: Vec<LogEntry> = (cp.log_value().get("entries"))
+                .and_then(Value::as_array)
+                .unwrap()
+                .iter()
+                .map(|e| LogEntry::from_value(e).unwrap())
+                .collect();
+            let replayed = ControlPlane::replay(&cfg, deny, &entries).unwrap();
+            assert_eq!(replayed.snapshot().canonical, cp.snapshot().canonical);
+        }
     }
 
     #[test]

@@ -191,15 +191,18 @@ impl PolicyStore {
         })
     }
 
-    /// The effective deployment document for the *current* live set.
-    pub fn effective_config(&self) -> Option<DeploymentConfig> {
+    /// The candidate deployment document for the current live set without
+    /// `name` (a withdrawal under admission); `None` when no remaining
+    /// tenant is scheduled.
+    pub fn effective_config_without(&self, name: &str) -> Option<DeploymentConfig> {
         let tenants: Vec<TenantConfig> = self
             .universe
             .iter()
-            .filter(|t| self.live.contains(&t.name))
+            .filter(|t| self.live.contains(&t.name) && t.name != name)
             .cloned()
             .collect();
-        let policy = self.projected_policy()?;
+        let names: Vec<&str> = tenants.iter().map(|t| t.name.as_str()).collect();
+        let policy = retain_tenants(&self.policy, &names)?;
         Some(DeploymentConfig {
             tenants,
             policy: policy.to_string(),
@@ -279,6 +282,21 @@ mod tests {
         // The store itself is untouched until commit.
         assert_eq!(store.universe_entry("gold").unwrap().rank_max, 999);
         assert!(!store.is_live("gold"));
+    }
+
+    #[test]
+    fn effective_config_without_drops_the_withdrawal() {
+        let mut store = PolicyStore::new(&universe()).unwrap();
+        for name in ["gold", "bronze"] {
+            store.commit_submit(store.universe_entry(name).unwrap().clone());
+        }
+        let cand = store.effective_config_without("gold").unwrap();
+        assert_eq!(cand.tenants.len(), 1);
+        assert_eq!(cand.tenants[0].name, "bronze");
+        assert_eq!(cand.policy, "bronze");
+        assert!(store.is_live("gold"), "the store is untouched until commit");
+        store.commit_withdraw("gold");
+        assert!(store.effective_config_without("bronze").is_none());
     }
 
     #[test]

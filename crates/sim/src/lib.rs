@@ -25,5 +25,5 @@ pub use id::{FlowId, NodeId, Rank, TenantId};
 pub use packet::{Packet, PacketArena, PacketKind, PacketSlot};
 pub use par::ordered_par_map;
 pub use rng::{stable_hash, SimRng};
-pub use stats::{jain_fairness, Log2Histogram, LogBuckets, OnlineStats, PercentileCollector};
+pub use stats::{jain_fairness, Log2Histogram, LogBuckets, OnlineStats};
 pub use time::{gbps, mbps, transmission_time, LineRate, Nanos};

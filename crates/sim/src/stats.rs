@@ -91,57 +91,6 @@ impl OnlineStats {
     }
 }
 
-/// Exact percentile collector: stores all samples, sorts on query.
-///
-/// Fine for per-run metric collection (hundreds of thousands of samples);
-/// the *runtime* monitor uses [`LogBuckets`] instead.
-#[derive(Clone, Debug, Default)]
-pub struct PercentileCollector {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl PercentileCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one sample.
-    pub fn record(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `p`-quantile (`p` in `[0, 1]`) by nearest-rank; `None` if empty.
-    pub fn quantile(&mut self, p: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let idx = nearest_rank(p, self.samples.len() as u64) as usize - 1;
-        Some(self.samples[idx])
-    }
-
-    /// Arithmetic mean; `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-}
-
 /// Nearest-rank target of the `p`-quantile among `total` samples: the
 /// 1-based position, in sorted order, of the sample that answers it.
 pub fn nearest_rank(p: f64, total: u64) -> u64 {
@@ -388,19 +337,6 @@ mod tests {
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
         assert!((left.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentiles() {
-        let mut p = PercentileCollector::new();
-        for i in 1..=100 {
-            p.record(i as f64);
-        }
-        assert_eq!(p.quantile(0.0), Some(1.0));
-        assert_eq!(p.quantile(1.0), Some(100.0));
-        assert_eq!(p.quantile(0.5), Some(50.0)); // nearest rank: the 50th of 100
-        assert_eq!(p.mean(), Some(50.5));
-        assert_eq!(PercentileCollector::new().quantile(0.5), None);
     }
 
     #[test]

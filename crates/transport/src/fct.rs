@@ -1,7 +1,7 @@
 //! Flow-completion-time collection and bucketing — the paper's Fig. 4
 //! metric.
 
-use qvisor_sim::{FlowId, Nanos, OnlineStats, PercentileCollector, TenantId};
+use qvisor_sim::{FlowId, Nanos, OnlineStats, TenantId};
 
 /// One completed flow's record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,37 +113,6 @@ impl FctCollector {
         }
         (stats.count() > 0).then(|| stats.mean())
     }
-
-    /// FCT quantile in milliseconds over a slice.
-    pub fn fct_quantile_ms(
-        &self,
-        tenant: Option<TenantId>,
-        bucket: SizeBucket,
-        p: f64,
-    ) -> Option<f64> {
-        let mut coll = PercentileCollector::new();
-        for r in self.iter_filtered(tenant, bucket) {
-            coll.record(r.fct().as_millis_f64());
-        }
-        coll.quantile(p)
-    }
-
-    /// Mean *slowdown* (FCT normalized by the flow's ideal transfer time at
-    /// `line_rate_bps`) over a slice — a scale-free FCT metric.
-    pub fn mean_slowdown(
-        &self,
-        tenant: Option<TenantId>,
-        bucket: SizeBucket,
-        line_rate_bps: u64,
-    ) -> Option<f64> {
-        let mut stats = OnlineStats::new();
-        for r in self.iter_filtered(tenant, bucket) {
-            let ideal = qvisor_sim::transmission_time(r.size, line_rate_bps);
-            let ideal_ns = ideal.as_nanos().max(1);
-            stats.record(r.fct().as_nanos() as f64 / ideal_ns as f64);
-        }
-        (stats.count() > 0).then(|| stats.mean())
-    }
 }
 
 #[cfg(test)]
@@ -191,28 +160,5 @@ mod tests {
         assert!((all_small - 13.0 / 3.0).abs() < 1e-9);
         assert_eq!(c.count(Some(TenantId(1))), 3);
         assert_eq!(c.count(None), 4);
-    }
-
-    #[test]
-    fn quantiles() {
-        let mut c = FctCollector::new();
-        for i in 1..=100 {
-            c.record(rec(i, 1, 10, i * 1_000));
-        }
-        let p99 = c
-            .fct_quantile_ms(Some(TenantId(1)), SizeBucket::ALL, 0.99)
-            .unwrap();
-        assert!((p99 - 99.0).abs() < 1.5);
-    }
-
-    #[test]
-    fn slowdown_normalizes_by_size() {
-        let mut c = FctCollector::new();
-        // 1500 bytes at 1 Gbps ideal = 12 us; FCT 24 us -> slowdown 2.
-        c.record(rec(1, 1, 1_500, 24));
-        let s = c
-            .mean_slowdown(None, SizeBucket::ALL, qvisor_sim::gbps(1))
-            .unwrap();
-        assert!((s - 2.0).abs() < 1e-9);
     }
 }

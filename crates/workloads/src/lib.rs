@@ -9,8 +9,6 @@
 
 pub mod dist;
 pub mod gen;
-pub mod trace;
 
 pub use dist::{EmpiricalCdf, FixedSize, FlowSizeDist, UniformSize};
 pub use gen::{arrival_rate_for_load, cbr_tenant, GeneratedCbr, GeneratedFlow, PoissonFlowGen};
-pub use trace::{CbrTraceEntry, FlowTraceEntry, WorkloadTrace};

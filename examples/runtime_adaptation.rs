@@ -3,7 +3,8 @@
 //! Until `t1`, tenants T1 (pFabric) and T2 (EDF) are active; then both go
 //! idle and the background tenant T3 (FQ) starts transmitting. The runtime
 //! monitor notices the activity shift, the adapter re-synthesizes the
-//! joint policy over the active set, and the pre-processor is reloaded —
+//! joint policy over the active set, the deployment gate admits it, and
+//! the pre-processor is reloaded with what it admitted —
 //! the SDN-style reaction loop sketched in §2 (Idea 2). We also show the
 //! adversarial-rank defence: a tenant emitting ranks outside its declared
 //! range gets clamped.
@@ -11,7 +12,7 @@
 //! Run with: `cargo run --example runtime_adaptation`
 
 use qvisor::core::{
-    synthesize, verify, MonitorConfig, Policy, PreProcessor, RuntimeAdapter, RuntimeMonitor,
+    admit, synthesize, MonitorConfig, Policy, PreProcessor, RuntimeAdapter, RuntimeMonitor,
     SpecPaths, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
 };
 use qvisor::ranking::RankRange;
@@ -46,14 +47,17 @@ fn main() {
         drift_ratio: 4.0,
     };
 
-    // Initial deployment over the full tenant population.
+    // Initial deployment over the full tenant population, through the
+    // deployment gate.
     let joint = synthesize(&specs, &policy, synth_cfg).unwrap();
-    let mut pre = PreProcessor::new(&joint, UnknownTenantAction::BestEffort);
+    let deployed = admit(joint, &SpecPaths::config(), false).expect("the policy deploys");
+    let joint = deployed.joint();
+    let mut pre = PreProcessor::new(joint, UnknownTenantAction::BestEffort);
     let mut monitor = RuntimeMonitor::new(&specs, monitor_cfg);
     let mut adapter = RuntimeAdapter::new(specs.clone(), policy, synth_cfg, monitor_cfg);
 
     println!("=== initial deployment (T1 + T2 >> T3) ===");
-    println!("{}", verify(&joint, &SpecPaths::config()));
+    println!("{}", deployed.report());
 
     // Phase 1 (t < t1): T1 and T2 transmit.
     let mut rng = SimRng::seed_from(5);
@@ -91,13 +95,15 @@ fn main() {
             for (t, range) in &adaptation.tightened {
                 println!("tightened      : {t} -> {range}");
             }
-            let new_joint = adapter
+            // The adapter re-synthesizes through the same gate.
+            let redeployed = adapter
                 .apply(&adaptation)
-                .expect("re-synthesis succeeds")
+                .expect("re-synthesis passes the gate")
                 .expect("active set is non-empty");
-            pre.reload(&new_joint);
+            pre.reload(&redeployed);
             println!("\n=== re-synthesized deployment ===");
-            println!("{}", verify(&new_joint, &SpecPaths::config()));
+            println!("{}", redeployed.report());
+            let new_joint = redeployed.joint();
             // T3 now owns the top of the rank space.
             let before = joint.chain(TenantId(3)).unwrap().apply(0);
             let after = new_joint.chain(TenantId(3)).unwrap().apply(0);

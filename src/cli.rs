@@ -148,8 +148,10 @@ deterministic: identical across runs and at any --jobs level.
 `check` proves (or refutes, with concrete witness rank pairs) that the
 synthesized policy is overflow-free, order-preserving, and isolating —
 without running a simulation. It auto-detects the file kind and checks every
-grid point of a sweep. The same verifier gates `run` and `sweep`: errors
-always refuse to build; --deny-warnings also refuses on warnings. `check`
+grid point of a sweep. The same verifier gates `run`, `sweep` and `serve`,
+and every runtime re-synthesis: errors always refuse to deploy;
+--deny-warnings also refuses on warnings (for `serve`, on a withdrawal as on
+a submission). `check`
 also replays fuzz corpus documents (objects with `config` + `expect`).
 Exit codes: 0 = gate passed, 2 = check failed with errors, 3 = check failed
 only via --deny-warnings promotion, 1 = any other error.

@@ -118,4 +118,12 @@ fn a_refuted_deployment_is_refused_with_the_verifiers_report() {
         Engine::new().build(&warned).is_ok(),
         "warnings pass by default"
     );
+    // A verification admitted by a lax engine is judged again by the
+    // stricter engine that builds it.
+    let lax = Engine::new()
+        .verify(&warned, &SpecPaths::scenario())
+        .unwrap();
+    let strict = Engine::new().with_deny_warnings(true);
+    let err = strict.build_verified(&warned, lax).err().unwrap();
+    assert!(matches!(err, ScenarioError::Verify(_)), "{err}");
 }
