@@ -46,17 +46,6 @@ pub struct HardwareModel {
     pub buffer: Capacity,
 }
 
-impl HardwareModel {
-    /// A Tofino-like profile: 8 queues, 16-bit ranks, shallow buffer.
-    pub fn commodity_8q() -> HardwareModel {
-        HardwareModel {
-            queues: 8,
-            max_rank: u16::MAX as u64,
-            buffer: Capacity::packets(64, 1_500),
-        }
-    }
-}
-
 /// One semantic concession made to fit the hardware.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Concession {
@@ -385,12 +374,5 @@ mod tests {
         assert!(Concession::StrictMerged { upper_level: 0 }
             .to_string()
             .contains("best-effort"));
-    }
-
-    #[test]
-    fn commodity_profile() {
-        let hw = HardwareModel::commodity_8q();
-        assert_eq!(hw.queues, 8);
-        assert_eq!(hw.max_rank, 65_535);
     }
 }

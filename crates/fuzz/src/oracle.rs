@@ -954,7 +954,7 @@ mod tests {
         type Residency = BTreeMap<(u64, u64), (u64, u64)>;
         let mut resident: BTreeMap<u32, Residency> = BTreeMap::new();
         let mut inversions = 0;
-        for r in &data.records {
+        for r in data.records.iter() {
             if r.ack {
                 continue;
             }

@@ -87,15 +87,6 @@ impl SimReport {
             .map(|&(at, _, bytes)| (at, bytes as f64 * 8.0 / secs))
             .collect()
     }
-
-    /// Aggregate goodput of a tenant over the run, bits per second.
-    pub fn tenant_goodput_bps(&self, t: TenantId) -> f64 {
-        let secs = self.end_time.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.tenant(t).delivered_bytes as f64 * 8.0 / secs
-    }
 }
 
 #[cfg(test)]
@@ -111,22 +102,5 @@ mod tests {
         };
         assert_eq!(t.deadline_hit_rate(), Some(0.75));
         assert_eq!(TenantTraffic::default().deadline_hit_rate(), None);
-    }
-
-    #[test]
-    fn goodput() {
-        let mut r = SimReport {
-            end_time: Nanos::from_secs(2),
-            ..SimReport::default()
-        };
-        r.tenants.insert(
-            TenantId(1),
-            TenantTraffic {
-                delivered_bytes: 250_000_000,
-                ..TenantTraffic::default()
-            },
-        );
-        assert!((r.tenant_goodput_bps(TenantId(1)) - 1e9).abs() < 1.0);
-        assert_eq!(r.tenant_goodput_bps(TenantId(9)), 0.0);
     }
 }

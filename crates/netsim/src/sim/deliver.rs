@@ -102,7 +102,7 @@ impl Simulation {
                 let payload = p.size.saturating_sub(self.cfg.header_bytes);
                 let (met, missed) = match &mut self.flows[p.flow.index()] {
                     FlowState::Cbr(stream) => {
-                        stream.sink.on_datagram(p.sent_at, p.deadline, now);
+                        stream.sink.on_datagram(p.deadline, now);
                         match p.deadline {
                             Some(d) if now <= d => (1, 0),
                             Some(_) => (0, 1),

@@ -161,11 +161,6 @@ impl Stfq {
             max_rank,
         }
     }
-
-    /// Forget state of a finished flow (keeps the map bounded).
-    pub fn flow_done(&mut self, flow: FlowId) {
-        self.finish.remove(&flow);
-    }
 }
 
 impl RankFn for Stfq {
@@ -366,9 +361,6 @@ mod tests {
         let _ = s.rank(&heavy); // start 0, finish 500
         let second = s.rank(&heavy); // start 500
         assert_eq!(second, 500, "weight 2 halves the finish increment");
-        s.flow_done(FlowId(1));
-        let fresh = s.rank(&heavy);
-        assert_eq!(fresh, 500, "state cleared; restarts at V");
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl RankRange {
         (min <= max).then_some(RankRange { min, max })
     }
 
-    /// The common sub-range, or `None` when the ranges are disjoint.
-    pub fn intersect(&self, other: &RankRange) -> Option<RankRange> {
-        RankRange::try_new(self.min.max(other.min), self.max.min(other.max))
-    }
-
     /// Is every rank of `other` inside this range?
     pub fn contains_range(&self, other: &RankRange) -> bool {
         self.min <= other.min && other.max <= self.max
@@ -66,18 +61,6 @@ impl RankRange {
     /// `other`? (The `>>` isolation invariant between adjacent bands.)
     pub fn strictly_below(&self, other: &RankRange) -> bool {
         self.max < other.min
-    }
-
-    /// Number of ranks strictly between the two ranges (`0` when they
-    /// touch or overlap).
-    pub fn gap_to(&self, other: &RankRange) -> u64 {
-        if self.max < other.min {
-            other.min - self.max - 1
-        } else if other.max < self.min {
-            self.min - other.max - 1
-        } else {
-            0
-        }
     }
 }
 
@@ -139,13 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn try_new_and_intersect() {
+    fn try_new_refuses_an_inverted_range() {
         assert_eq!(RankRange::try_new(2, 1), None);
         assert_eq!(RankRange::try_new(1, 2), Some(RankRange::new(1, 2)));
-        let a = RankRange::new(0, 10);
-        let b = RankRange::new(5, 20);
-        assert_eq!(a.intersect(&b), Some(RankRange::new(5, 10)));
-        assert_eq!(a.intersect(&RankRange::new(11, 12)), None);
     }
 
     #[test]
@@ -158,10 +137,6 @@ mod tests {
         assert!(!b.strictly_below(&c));
         assert!(c.contains_range(&RankRange::new(9, 12)));
         assert!(!c.contains_range(&b));
-        assert_eq!(a.gap_to(&b), 0);
-        assert_eq!(a.gap_to(&RankRange::new(7, 9)), 2);
-        assert_eq!(RankRange::new(7, 9).gap_to(&a), 2);
-        assert_eq!(b.gap_to(&c), 0);
     }
 
     #[test]

@@ -696,7 +696,7 @@ mod tests {
             } else if let Some(p) = q.dequeue(now) {
                 model.forget(&p);
                 let expected = model.overtaken_by(&p);
-                let newest = *obs.tracer.snapshot().records.last().unwrap();
+                let newest = obs.tracer.snapshot().records.last().unwrap();
                 match expected {
                     None => assert_eq!(newest.kind.tag(), "dequeue", "step {step}"),
                     Some((loser, loser_rank, cross_tenant)) => {
@@ -846,7 +846,7 @@ mod tests {
                     wait_ns: 500
                 }
             );
-            assert_eq!(data.label_of(dq), Some("q0"));
+            assert_eq!(data.label_of(&dq), Some("q0"));
         }
 
         #[test]

@@ -98,12 +98,6 @@ impl<M: QueueMapper> StrictPriorityBank<M> {
         }
     }
 
-    /// Queue occupancies in packets, highest priority first (for tests and
-    /// metrics).
-    pub fn queue_lengths(&self) -> Vec<usize> {
-        self.queues.iter().map(|q| q.len()).collect()
-    }
-
     /// Access the mapper (e.g. to inspect adapted SP-PIFO bounds).
     pub fn mapper(&self) -> &M {
         &self.mapper
@@ -261,7 +255,6 @@ mod tests {
         let dropped: Vec<Packet> = r.dropped().collect();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].seq, 1);
-        assert_eq!(bank.queue_lengths(), vec![1, 1]);
     }
 
     #[test]

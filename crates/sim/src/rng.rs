@@ -98,21 +98,6 @@ impl SimRng {
     }
 }
 
-impl SimRng {
-    /// Fill `dest` with random bytes (little-endian words of [`Self::next`]).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// `FNV_PRIME^k` for `k` in `0..=8`.
@@ -217,18 +202,6 @@ mod tests {
             (sample_mean - mean).abs() < 0.1,
             "sample mean {sample_mean} too far from {mean}"
         );
-    }
-
-    #[test]
-    fn fill_bytes_matches_next() {
-        let mut a = SimRng::seed_from(3);
-        let mut b = SimRng::seed_from(3);
-        let mut buf = [0u8; 12];
-        a.fill_bytes(&mut buf);
-        let w1 = b.next().to_le_bytes();
-        let w2 = b.next().to_le_bytes();
-        assert_eq!(&buf[..8], &w1);
-        assert_eq!(&buf[8..], &w2[..4]);
     }
 
     #[test]

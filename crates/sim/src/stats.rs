@@ -55,11 +55,6 @@ impl OnlineStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -310,7 +305,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

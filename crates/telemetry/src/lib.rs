@@ -49,7 +49,7 @@ pub use journal::{Journal, JournalEvent};
 pub use monitor::{AlertMetric, AlertRule, QuantileSketch, SloMonitor, ALERT_METRICS};
 pub use profile::{ProfileSpan, ProfileStat, Profiler};
 pub use stream::{BusReceiver, SnapshotBus, DEFAULT_SUBSCRIBER_CAPACITY};
-pub use trace::{TraceConfig, TraceData, TraceKind, TraceRecord, TraceView, Tracer};
+pub use trace::{Records, TraceConfig, TraceData, TraceKind, TraceRecord, TraceView, Tracer};
 
 mod live;
 pub use live::{Counter, Gauge, Histogram, QueueMetrics, Telemetry};

@@ -20,8 +20,7 @@
 //! are evaluated incrementally on every matching feed event. Alerts are
 //! edge-triggered: one `alert_fired` journal event when the windowed value
 //! first exceeds the threshold, one `alert_resolved` when it falls back.
-//! Fired alerts land in the monitor's own bounded [`Journal`] and, when a
-//! [`SnapshotBus`] is attached, are pushed to live subscribers.
+//! Fired alerts land in the monitor's own bounded [`Journal`].
 //!
 //! Like the rest of the telemetry subsystem the monitor only *observes*:
 //! it takes no randomness, orders no events, and is keyed by simulated
@@ -33,13 +32,11 @@
 
 use crate::journal::{Journal, JournalEvent};
 use crate::report::{Export, HistLine, MetricLine};
-use crate::stream::SnapshotBus;
 use qvisor_sim::json::Value;
 use qvisor_sim::{LogBuckets, Nanos};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Sub-bucket resolution of the streaming sketch: each power-of-two range
 /// is split into `2^SKETCH_SUB_BITS` linear sub-buckets, so the relative
@@ -418,7 +415,6 @@ struct MonitorState {
     journal: Journal,
     alerts_fired: u64,
     alerts_resolved: u64,
-    bus: Option<Arc<SnapshotBus>>,
 }
 
 /// Which feed event just happened, with what a rule or the health table
@@ -440,7 +436,6 @@ impl MonitorState {
             journal: Journal::default(),
             alerts_fired: 0,
             alerts_resolved: 0,
-            bus: None,
         }
     }
 
@@ -539,9 +534,6 @@ impl MonitorState {
             } else {
                 self.alerts_resolved += 1;
             }
-            if let Some(bus) = &self.bus {
-                bus.publish(&event.to_json().to_compact());
-            }
             self.journal.push(event);
         }
     }
@@ -567,15 +559,6 @@ impl SloMonitor {
         SloMonitor {
             inner: Some(Rc::new(RefCell::new(MonitorState::new(rules)))),
         }
-    }
-
-    /// Attach a [`SnapshotBus`]; alert transitions are published to it as
-    /// compact JSON event lines. No-op on a disabled monitor.
-    pub fn with_bus(self, bus: &Arc<SnapshotBus>) -> SloMonitor {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().bus = Some(Arc::clone(bus));
-        }
-        self
     }
 
     /// True when this handle collects.
@@ -1123,20 +1106,6 @@ mod tests {
         m.on_dequeue(Nanos(1), 2, 10, false);
         m.on_dequeue(Nanos(2), 2, 10, true);
         assert_eq!(m.alerts_fired(), 1, "1/2 inversions over threshold 0.4");
-    }
-
-    #[test]
-    fn fired_alerts_are_pushed_over_the_bus() {
-        let bus = Arc::new(SnapshotBus::new());
-        let rx = bus.subscribe();
-        let m =
-            SloMonitor::enabled(vec![rule(AlertMetric::DropRate, 1, 1_000, 0.0)]).with_bus(&bus);
-        m.on_drop(Nanos(42), 1);
-        let lines: Vec<String> = rx.try_iter().collect();
-        assert_eq!(lines.len(), 1);
-        let v = Value::parse(&lines[0]).unwrap();
-        assert_eq!(v.get("kind").and_then(Value::as_str), Some("alert_fired"));
-        assert_eq!(v.get("t_ns").and_then(Value::as_u64), Some(42));
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub fn export_chrome(data: &TraceData) -> String {
 
     // One async span per packet: begin at its first record, end at its last.
     let mut spans: BTreeMap<(u64, u64, bool), (u64, u64, u16)> = BTreeMap::new();
-    for r in &data.records {
+    for r in data.records.iter() {
         let t = r.t.as_nanos();
         spans
             .entry((r.flow, r.seq, r.ack))
@@ -133,9 +133,9 @@ pub fn export_chrome(data: &TraceData) -> String {
 
     // Per-record events: an async instant on the packet's span for every
     // phase, plus slices/markers on the owning queue/link track.
-    for r in &data.records {
+    for r in data.records.iter() {
         let t = r.t.as_nanos();
-        let id = span_id(r);
+        let id = span_id(&r);
         let mut args = String::new();
         let mut phase_name = r.kind.tag();
         match r.kind {
@@ -266,7 +266,7 @@ mod tests {
 
     fn data() -> TraceData {
         TraceData {
-            records: vec![
+            records: [
                 TraceRecord::new(Nanos(0), 1, 0, 0, TraceKind::FlowStart { size: 100 }),
                 TraceRecord::new(Nanos(1), 1, 0, 0, TraceKind::Transform { pre: 9, post: 4 })
                     .at_label(0),
@@ -303,7 +303,9 @@ mod tests {
                 ),
                 TraceRecord::new(Nanos(4_000), 1, 0, 7, TraceKind::Ack { latency_ns: 700 })
                     .as_ack(true),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             labels: vec!["n0.p0".to_string()],
             ..TraceData::default()
         }

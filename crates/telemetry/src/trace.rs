@@ -28,6 +28,7 @@ use qvisor_sim::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Label id meaning "no queue/link associated with this span".
 pub const NO_LABEL: u32 = u32::MAX;
@@ -261,6 +262,75 @@ impl TraceRecord {
     }
 }
 
+/// The records of a [`TraceData`], oldest first, one packed 64-byte slot
+/// each and unpacked as they are read. A [`Tracer::snapshot`]'s are the
+/// recorder's own ring, shared with it until its next record; any others
+/// are collected from [`TraceRecord`]s. Equal when they hold the same
+/// records in the same order.
+#[derive(Clone, Default)]
+pub struct Records {
+    slots: Arc<Vec<Slot>>,
+    /// Index of the oldest slot: the ring's `head` when it was lent.
+    head: usize,
+}
+
+impl Records {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The records, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        oldest_first(&self.slots, self.head)
+    }
+
+    /// The newest record.
+    pub fn last(&self) -> Option<TraceRecord> {
+        let newest = self.slots[..self.head].last().or(self.slots.last());
+        newest.map(|slot| slot.unpack())
+    }
+
+    /// Where the slots live.
+    #[cfg(test)]
+    fn storage(&self) -> *const Slot {
+        self.slots.as_ptr()
+    }
+}
+
+impl FromIterator<TraceRecord> for Records {
+    fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Records {
+        Records {
+            slots: Arc::new(records.into_iter().map(Slot::pack).collect()),
+            head: 0,
+        }
+    }
+}
+
+impl PartialEq for Records {
+    fn eq(&self, other: &Records) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Records {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The records in `slots`, a ring whose oldest slot is at `head`: from
+/// `head` to the end, then from the start.
+fn oldest_first(slots: &[Slot], head: usize) -> impl Iterator<Item = TraceRecord> + '_ {
+    let (newer, older) = slots.split_at(head);
+    older.iter().chain(newer).map(|slot| slot.unpack())
+}
+
 /// A snapshot of everything the flight recorder holds: the retained
 /// records (oldest first), the label table they index into, and the
 /// recorder configuration. This is the unit of serialization — bench
@@ -268,7 +338,7 @@ impl TraceRecord {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceData {
     /// Retained records, oldest first.
-    pub records: Vec<TraceRecord>,
+    pub records: Records,
     /// Interned queue/link labels; `TraceRecord::label` indexes here.
     pub labels: Vec<String>,
     /// Records evicted from the ring buffer before this snapshot.
@@ -311,7 +381,7 @@ impl TraceData {
             .iter()
             .map(|label| format!(",\"queue\":{}", Value::from(label.as_str()).to_compact()))
             .collect();
-        for r in &self.records {
+        for r in self.records.iter() {
             out.push_str("{\"type\":\"span\"");
             push_field(&mut out, "t_ns", r.t.as_nanos());
             push_field(&mut out, "flow", r.flow);
@@ -342,6 +412,7 @@ impl TraceData {
             return Err("empty trace (no JSONL lines)".into());
         }
         let mut data = TraceData::default();
+        let mut slots = Vec::new();
         let mut label_ids: std::collections::BTreeMap<String, u32> =
             std::collections::BTreeMap::new();
         for (lineno, line) in jsonl.lines().enumerate() {
@@ -402,7 +473,7 @@ impl TraceData {
                     let tenant = u16::try_from(tenant).map_err(|_| {
                         format!("line {}: tenant {tenant} out of range", lineno + 1)
                     })?;
-                    data.records.push(TraceRecord {
+                    slots.push(Slot::pack(TraceRecord {
                         t: Nanos(u("t_ns")),
                         flow: u("flow"),
                         seq: u("seq"),
@@ -410,11 +481,15 @@ impl TraceData {
                         ack: v.get("ack").and_then(Value::as_bool).unwrap_or(false),
                         label,
                         kind,
-                    });
+                    }));
                 }
                 _ => {}
             }
         }
+        data.records = Records {
+            slots: Arc::new(slots),
+            head: 0,
+        };
         Ok(data)
     }
 }
@@ -508,14 +583,16 @@ impl Slot {
 ///
 /// Streamed stores are weakly ordered, so a [`fence`] must separate them
 /// from any other access to the slots they wrote. Every access to the
-/// slots is in this module, and it fences exactly three times: when `head`
+/// slots is in this module, and it fences before any read: when `head`
 /// wraps to 0 (before the lap that overwrites those slots again), in
-/// [`Ring::oldest_first`] (before a visit reads them) and in `Drop`
-/// (before the allocator gets the memory back). A fence per record ran
-/// 3.6× slower than none at all.
+/// [`Ring::slots`] (before a visit reads them), in [`Ring::lend`] (before
+/// a snapshot, on any thread, reads them) and in `Drop` (before the
+/// allocator gets the memory back). A fence per record ran 3.6× slower
+/// than none at all.
 #[allow(unsafe_code)]
 mod ring {
     use super::Slot;
+    use std::sync::Arc;
 
     #[derive(Default)]
     pub(super) struct Ring {
@@ -525,10 +602,14 @@ mod ring {
         /// 16.8 MB, and one that fills it never holds a half-grown copy
         /// beside it or leaves one behind as a hole in the heap. It fills
         /// by `push`, and from then on the oldest slot, at `head`, is
-        /// overwritten in place by [`stream`].
+        /// overwritten in place by [`stream`]. Empty, reserving nothing,
+        /// while the slots are `lent`.
         slots: Vec<Slot>,
         /// Index of the oldest slot once the ring is full; 0 before.
         head: usize,
+        /// The slots, from a snapshot until the next record: shared with
+        /// every snapshot taken meanwhile, and never written.
+        lent: Option<Arc<Vec<Slot>>>,
     }
 
     impl Ring {
@@ -538,7 +619,7 @@ mod ring {
         pub(super) fn push(&mut self, capacity: usize, slot: Slot) -> bool {
             if self.slots.len() < capacity {
                 if self.slots.capacity() == 0 {
-                    self.slots.reserve_exact(capacity);
+                    return self.reserve_and_push(capacity, slot);
                 }
                 self.slots.push(slot);
                 return false;
@@ -555,20 +636,51 @@ mod ring {
             true
         }
 
-        pub(super) fn len(&self) -> usize {
-            self.slots.len()
+        /// [`Ring::push`] into a ring that reserves nothing: its first
+        /// record, or its first since a snapshot. Reserves the whole ring,
+        /// or takes the lent slots back — the same allocation once no
+        /// snapshot holds it, else a copy into a whole ring of its own.
+        #[cold]
+        #[inline(never)]
+        fn reserve_and_push(&mut self, capacity: usize, slot: Slot) -> bool {
+            self.slots = match self.lent.take().map(Arc::try_unwrap) {
+                None => Vec::new(),
+                Some(Ok(slots)) => slots,
+                Some(Err(shared)) => {
+                    let mut slots = Vec::with_capacity(capacity);
+                    slots.extend_from_slice(&shared);
+                    slots
+                }
+            };
+            self.slots.reserve_exact(capacity - self.slots.len());
+            self.push(capacity, slot)
         }
 
-        /// The retained slots, oldest first: the older half, then the
-        /// newer.
-        pub(super) fn oldest_first(&self) -> (&[Slot], &[Slot]) {
+        pub(super) fn len(&self) -> usize {
+            self.lent.as_deref().map_or(self.slots.len(), Vec::len)
+        }
+
+        /// The retained slots and the index of the oldest, lent or not.
+        pub(super) fn slots(&self) -> (&[Slot], usize) {
             // Slots overwritten since the last lap are still in flight.
             fence();
-            let (newest, oldest) = self.slots.split_at(self.head);
-            (oldest, newest)
+            (self.lent.as_deref().unwrap_or(&self.slots), self.head)
         }
 
-        /// Where the slots live and how many fit there.
+        /// The retained slots and the index of the oldest, for a snapshot
+        /// to keep: the ring's own allocation, not a copy. The ring writes
+        /// no slot of it again; its next record takes it back.
+        pub(super) fn lend(&mut self) -> (Arc<Vec<Slot>>, usize) {
+            // Slots overwritten since the last lap are still in flight.
+            fence();
+            let slots = &mut self.slots;
+            let lent = self
+                .lent
+                .get_or_insert_with(|| Arc::new(std::mem::take(slots)));
+            (Arc::clone(lent), self.head)
+        }
+
+        /// Where the slots the ring writes live and how many fit there.
         #[cfg(test)]
         pub(super) fn reserved(&self) -> (*const Slot, usize) {
             (self.slots.as_ptr(), self.slots.capacity())
@@ -589,10 +701,12 @@ mod ring {
         for (word, value) in dst.0.iter_mut().zip(src.0) {
             // SAFETY: `word` is a live, aligned `&mut u64` inside a slot of
             // the ring, and SSE2 is statically enabled (the `cfg` above).
-            // The ring is reachable only through a non-`Send` `Rc`, so no
-            // thread but this one can touch it, and this one accesses the
-            // slot again only in this module, after the lap, snapshot or
-            // drop fence.
+            // The ring writes only slots it owns alone: a snapshot's `Arc`
+            // holds lent slots, which the ring takes back only from the
+            // last holder. The ring is reachable only through a non-`Send`
+            // `Rc`, so no thread but this one can touch it, and this one
+            // accesses the slot again only in this module, after the lap,
+            // visit, lend or drop fence.
             unsafe { core::arch::x86_64::_mm_stream_si64((word as *mut u64).cast(), value as i64) };
         }
         #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
@@ -629,8 +743,8 @@ struct TraceBuf {
 /// unpacked from the ring one at a time as [`TraceView::records`] yields
 /// them — so a reader that scans once pays for no [`TraceData`].
 pub struct TraceView<'a> {
-    older: &'a [Slot],
-    newer: &'a [Slot],
+    slots: &'a [Slot],
+    head: usize,
     /// Interned queue/link labels; `TraceRecord::label` indexes here.
     pub labels: &'a [String],
     /// Records evicted from the ring buffer so far.
@@ -646,7 +760,7 @@ pub struct TraceView<'a> {
 impl<'a> TraceView<'a> {
     /// The retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = TraceRecord> + 'a {
-        self.older.iter().chain(self.newer).map(|s| s.unpack())
+        oldest_first(self.slots, self.head)
     }
 }
 
@@ -759,12 +873,10 @@ impl Tracer {
     /// for the call: the visitor must not record on it.
     pub fn visit<R>(&self, visitor: impl FnOnce(TraceView<'_>) -> R) -> R {
         let buf = self.inner.as_ref().map(|buf| buf.borrow());
-        let (older, newer) = buf
-            .as_ref()
-            .map_or((&[][..], &[][..]), |b| b.ring.oldest_first());
+        let (slots, head) = buf.as_ref().map_or((&[][..], 0), |b| b.ring.slots());
         visitor(TraceView {
-            older,
-            newer,
+            slots,
+            head,
             labels: buf.as_ref().map_or(&[][..], |b| &b.labels),
             dropped: buf.as_ref().map_or(0, |b| b.dropped),
             capacity: self.capacity as u64,
@@ -773,17 +885,22 @@ impl Tracer {
         })
     }
 
-    /// Snapshot everything recorded so far (empty when disabled): the
-    /// [`Tracer::visit`] view, collected.
+    /// Snapshot everything recorded so far (empty when disabled). The
+    /// records are the ring itself, lent in O(1): nothing is decoded or
+    /// copied unless the recorder records again while the snapshot lives.
     pub fn snapshot(&self) -> TraceData {
-        self.visit(|view| TraceData {
-            records: view.records().collect(),
-            labels: view.labels.to_vec(),
-            dropped: view.dropped,
-            capacity: view.capacity,
-            sample_one_in: view.sample_one_in,
-            seed: view.seed,
-        })
+        let mut buf = self.inner.as_ref().map(|buf| buf.borrow_mut());
+        let (slots, head) = buf
+            .as_mut()
+            .map_or_else(Default::default, |b| b.ring.lend());
+        TraceData {
+            records: Records { slots, head },
+            labels: buf.as_ref().map_or_else(Vec::new, |b| b.labels.clone()),
+            dropped: buf.as_ref().map_or(0, |b| b.dropped),
+            capacity: self.capacity as u64,
+            sample_one_in: self.sample_one_in,
+            seed: self.seed,
+        }
     }
 }
 
@@ -831,9 +948,9 @@ pub fn render_report(data: &TraceData) -> String {
     let mut serialization: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     let mut propagation: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     let mut delivery: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
-    let mut inversions: Vec<&TraceRecord> = Vec::new();
+    let mut inversions: Vec<TraceRecord> = Vec::new();
     let mut drops = 0u64;
-    for r in &data.records {
+    for r in data.records.iter() {
         match r.kind {
             TraceKind::Dequeue { wait_ns, .. } => {
                 queueing
@@ -932,12 +1049,12 @@ pub fn render_report(data: &TraceData) -> String {
 mod tests {
     use super::*;
     use qvisor_sim::rng::SimRng;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, VecDeque};
 
     fn sample_data() -> TraceData {
         let q = 0u32;
         TraceData {
-            records: vec![
+            records: [
                 TraceRecord::new(Nanos(0), 1, 0, 1, TraceKind::FlowStart { size: 3000 }),
                 TraceRecord::new(Nanos(10), 1, 0, 1, TraceKind::RankComputed { rank: 9 }),
                 TraceRecord::new(Nanos(11), 1, 0, 1, TraceKind::Transform { pre: 9, post: 4 })
@@ -988,7 +1105,9 @@ mod tests {
                 ),
                 TraceRecord::new(Nanos(14_000), 1, 0, 1, TraceKind::Ack { latency_ns: 400 })
                     .as_ack(true),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             labels: vec!["n0.p0".to_string()],
             dropped: 2,
             capacity: 1024,
@@ -1009,7 +1128,7 @@ mod tests {
             .set("seed", data.seed)
             .to_compact();
         out.push('\n');
-        for r in &data.records {
+        for r in data.records.iter() {
             let mut line = Value::object()
                 .set("type", "span")
                 .set("t_ns", r.t)
@@ -1019,7 +1138,7 @@ mod tests {
             if r.ack {
                 line = line.set("ack", true);
             }
-            if let Some(label) = data.label_of(r) {
+            if let Some(label) = data.label_of(&r) {
                 line = line.set("queue", label);
             }
             line = line.set("kind", r.kind.tag());
@@ -1059,9 +1178,9 @@ mod tests {
         out
     }
 
-    /// Every kind, with and without `ack` and a label, a label that needs
-    /// every sort of escape, and fields at both ends of `u64`.
-    fn exhaustive_data() -> TraceData {
+    /// Every kind, with and without `ack` and a label, and fields at both
+    /// ends of `u64`.
+    fn exhaustive_records() -> Vec<TraceRecord> {
         let max = u64::MAX;
         let kinds = [
             TraceKind::FlowStart { size: max },
@@ -1102,8 +1221,14 @@ mod tests {
                 );
             }
         }
+        records
+    }
+
+    /// [`exhaustive_records`] with a label that needs every sort of escape.
+    fn exhaustive_data() -> TraceData {
+        let max = u64::MAX;
         TraceData {
-            records,
+            records: exhaustive_records().into_iter().collect(),
             labels: vec![
                 "n0.p0".to_string(),
                 "q\"uo\\te\n\ttab\u{1}\u{8}\u{c}\r é→".to_string(),
@@ -1124,20 +1249,38 @@ mod tests {
         }
         // A label id past the table renders, like `NO_LABEL`, as no queue.
         let mut dangling = sample_data();
-        dangling.records[2].label = 9;
+        dangling.records = (dangling.records.iter().enumerate())
+            .map(|(i, r)| if i == 2 { r.at_label(9) } else { r })
+            .collect();
         assert_eq!(dangling.to_jsonl(), value_jsonl(&dangling));
     }
 
     #[test]
     fn jsonl_round_trip_is_byte_identical() {
-        let data = sample_data();
-        let jsonl = data.to_jsonl();
-        for line in jsonl.lines() {
-            Value::parse(line).expect("valid JSON line");
+        // A wrapped snapshot of seeded records of every shape, labelled.
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 64,
+            sample_one_in: 3,
+            seed: 11,
+        });
+        t.intern("n0.p0");
+        t.intern("q\"uo\\te\n");
+        let mut rng = SimRng::seed_from(12);
+        (0..200).for_each(|_| {
+            let label = [NO_LABEL, 0, 1][rng.below(3) as usize];
+            t.record(any_record(&mut rng).at_label(label));
+        });
+        for data in [sample_data(), t.snapshot()] {
+            let jsonl = data.to_jsonl();
+            for line in jsonl.lines() {
+                Value::parse(line).expect("valid JSON line");
+            }
+            let parsed = TraceData::parse(&jsonl).unwrap();
+            assert_eq!(parsed.to_jsonl(), jsonl);
         }
-        let parsed = TraceData::parse(&jsonl).unwrap();
-        assert_eq!(parsed, data);
-        assert_eq!(parsed.to_jsonl(), jsonl);
+        // Label ids come back in first-seen order, as the sample's are.
+        let data = sample_data();
+        assert_eq!(TraceData::parse(&data.to_jsonl()).unwrap(), data);
     }
 
     #[test]
@@ -1157,7 +1300,7 @@ mod tests {
             "line 2: tenant 70001 out of range"
         );
         let max = TraceData::parse(&span(u64::from(u16::MAX))).unwrap();
-        assert_eq!(max.records[0].tenant, u16::MAX);
+        assert_eq!(max.records.last().unwrap().tenant, u16::MAX);
         let ok = TraceData::parse(
             "{\"type\":\"mystery\"}\n{\"type\":\"span\",\"kind\":\"hologram\",\"t_ns\":1}\n",
         )
@@ -1240,7 +1383,10 @@ mod tests {
             let model = &records[..=i];
             let kept = &model[model.len() - model.len().min(capacity)..];
             let snap = t.snapshot();
-            assert_eq!(snap.records, kept, "capacity {capacity}, push {i}");
+            assert!(
+                snap.records.iter().eq(kept.iter().copied()),
+                "capacity {capacity}, push {i}"
+            );
             assert_eq!(t.len(), kept.len(), "capacity {capacity}, push {i}");
             assert_eq!(t.dropped(), (model.len() - kept.len()) as u64);
             assert_eq!(snap.dropped, t.dropped());
@@ -1349,7 +1495,7 @@ mod tests {
             ring_after(capacity, &records);
         }
         assert_eq!(kinds.len(), 10, "every kind went through a ring");
-        for r in exhaustive_data().records {
+        for r in exhaustive_records() {
             assert_eq!(Slot::pack(r).unpack(), r);
         }
     }
@@ -1364,10 +1510,8 @@ mod tests {
         assert_eq!(t2.intern("n0.p1"), a + 1);
         t.record(TraceRecord::new(Nanos(1), 1, 0, 0, TraceKind::Enqueue { rank: 5 }).at_label(a));
         assert_eq!(t2.len(), 1);
-        assert_eq!(
-            t2.snapshot().label_of(&t2.snapshot().records[0]),
-            Some("n0.p0")
-        );
+        let snap = t2.snapshot();
+        assert_eq!(snap.label_of(&snap.records.last().unwrap()), Some("n0.p0"));
     }
 
     #[test]
@@ -1452,5 +1596,151 @@ mod tests {
             "filled and overwritten where it was reserved"
         );
         assert_eq!((t.len(), t.dropped()), (800, 1_200));
+    }
+
+    /// The records of `data`, oldest first.
+    fn records_of(data: &TraceData) -> Vec<TraceRecord> {
+        data.records.iter().collect()
+    }
+
+    #[test]
+    fn snapshots_between_records_match_a_deque_model() {
+        let mut rng = SimRng::seed_from(34);
+        for capacity in [0, 1, 7, 64] {
+            let t = Tracer::enabled(TraceConfig {
+                capacity,
+                ..TraceConfig::default()
+            });
+            let mut model: VecDeque<TraceRecord> = VecDeque::new();
+            let mut evicted = 0u64;
+            // Every snapshot still held, with the records and evicted count
+            // it was taken with.
+            let mut held: Vec<(TraceData, Vec<TraceRecord>, u64)> = Vec::new();
+            // Twenty laps of the ring.
+            for step in 0..80 * capacity.max(1) {
+                match rng.below(4) {
+                    0 => {
+                        let snap = t.snapshot();
+                        let kept: Vec<TraceRecord> = model.iter().copied().collect();
+                        assert_eq!(records_of(&snap), kept, "capacity {capacity}, step {step}");
+                        held.push((snap, kept, evicted));
+                    }
+                    1 if !held.is_empty() => {
+                        // Let one go: the ring may take its slots back.
+                        held.swap_remove(rng.below(held.len() as u64) as usize);
+                    }
+                    _ => {
+                        let r = any_record(&mut rng);
+                        t.record(r);
+                        model.push_back(r);
+                        if model.len() > capacity {
+                            model.pop_front();
+                            evicted += 1;
+                        }
+                    }
+                }
+                assert_eq!((t.len(), t.dropped()), (model.len(), evicted));
+                t.visit(|view| assert!(view.records().eq(model.iter().copied())));
+                for (snap, kept, dropped) in &held {
+                    assert_eq!(&records_of(snap), kept, "capacity {capacity}, step {step}");
+                    assert_eq!(snap.dropped, *dropped, "capacity {capacity}, step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_lends_the_ring_until_the_next_record() {
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 100,
+            ..TraceConfig::default()
+        });
+        let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
+        let stamps = |data: &TraceData| -> Vec<u64> {
+            data.records.iter().map(|r| r.t.as_nanos()).collect()
+        };
+        // A snapshot of nothing, held over the first record.
+        let empty = t.snapshot();
+        (0..250).for_each(|i| t.record(record(i)));
+        assert!(empty.records.is_empty());
+        let (storage, reserved) = ring();
+        assert!(reserved >= 100);
+
+        let a = t.snapshot();
+        let b = t.snapshot();
+        assert_eq!(a.records.storage(), storage, "the snapshot is the ring");
+        assert_eq!(b.records.storage(), storage, "two snapshots, one ring");
+        assert_eq!(stamps(&a), (150..250).collect::<Vec<u64>>());
+        assert_eq!((t.len(), t.dropped(), t.is_empty()), (100, 150, false));
+        assert_eq!(format!("{t:?}"), "Tracer(records=100)");
+        drop((a, b));
+        t.record(record(250));
+        assert_eq!(ring(), (storage, reserved), "taken back, nothing copied");
+
+        // Held across a record, a snapshot keeps its records; the ring
+        // copies them into a whole ring of its own.
+        let held = t.snapshot();
+        t.record(record(251));
+        let (copy, copy_reserved) = ring();
+        assert_ne!(copy, storage);
+        assert!(copy_reserved >= 100);
+        assert_eq!(held.records.storage(), storage);
+        assert_eq!(stamps(&held), (151..251).collect::<Vec<u64>>());
+        assert_eq!(stamps(&t.snapshot()), (152..252).collect::<Vec<u64>>());
+        assert_eq!(held.records.last(), Some(record(250)));
+    }
+
+    #[test]
+    fn exporters_read_a_wrapped_snapshot_oldest_first() {
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 7,
+            ..TraceConfig::default()
+        });
+        let q = t.intern("n0.p0");
+        let mut rng = SimRng::seed_from(77);
+        let records: Vec<TraceRecord> = (0..31)
+            .map(|i| {
+                let kind = match i % 3 {
+                    0 => TraceKind::Dequeue {
+                        rank: i,
+                        wait_ns: 10 * i,
+                    },
+                    1 => TraceKind::Inversion {
+                        rank: i,
+                        loser_flow: i + 100,
+                        loser_seq: 0,
+                        loser_rank: 0,
+                    },
+                    _ => TraceKind::Deliver { latency_ns: i },
+                };
+                TraceRecord::new(Nanos(i), i, 0, rng.below(3) as u16, kind).at_label(q)
+            })
+            .collect();
+        records.iter().for_each(|&r| t.record(r));
+        let snap = t.snapshot();
+        assert_ne!(snap.records.head, 0, "the ring wrapped mid-lap");
+        let unwrapped = TraceData {
+            records: records[records.len() - 7..].iter().copied().collect(),
+            ..snap.clone()
+        };
+        assert_eq!(snap, unwrapped);
+        assert_eq!(snap.records.last(), records.last().copied());
+        assert_eq!(
+            crate::perfetto::export_chrome(&snap),
+            crate::perfetto::export_chrome(&unwrapped)
+        );
+        let report = render_report(&snap);
+        assert_eq!(report, render_report(&unwrapped));
+        let inverted = |flow: u64| report.find(&format!(" f{flow}#0 (rank {flow})")).unwrap();
+        assert!(inverted(25) < inverted(28), "{report}");
+        assert_eq!(snap.to_jsonl(), value_jsonl(&unwrapped));
+    }
+
+    #[test]
+    fn a_snapshot_is_shareable_across_threads() {
+        fn shareable<T: Clone + std::fmt::Debug + Default + PartialEq + Send + Sync>() {}
+        shareable::<TraceData>();
+        shareable::<Records>();
     }
 }

@@ -129,11 +129,6 @@ impl Routes {
         self.starts[row] as usize..self.starts[row + 1] as usize
     }
 
-    /// All equal-cost next hops from `at` towards `dst`.
-    pub fn next_hops(&self, at: NodeId, dst: NodeId) -> &[NodeId] {
-        &self.hops[self.row(at, dst)]
-    }
-
     /// Index into `hops`/`ports` of the ECMP choice for `flow`.
     fn ecmp_slot(&self, at: NodeId, dst: NodeId, flow: FlowId) -> usize {
         let row = self.row(at, dst);
@@ -168,19 +163,6 @@ impl Routes {
             port => port as usize,
         }
     }
-
-    /// The full ECMP path of `flow` from `src` to `dst`, inclusive of both
-    /// endpoints. Useful for tests and path-length statistics.
-    pub fn ecmp_path(&self, src: NodeId, dst: NodeId, flow: FlowId) -> Vec<NodeId> {
-        let mut path = vec![src];
-        let mut at = src;
-        while at != dst {
-            at = self.ecmp_next_hop(at, dst, flow);
-            path.push(at);
-            assert!(path.len() <= self.nodes, "routing loop from {src} to {dst}");
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -190,6 +172,24 @@ mod tests {
     use crate::graph::Topology;
     use qvisor_sim::{gbps, Nanos, SimRng};
     use std::collections::{HashSet, VecDeque};
+
+    /// All equal-cost next hops from `at` towards `dst`.
+    fn next_hops(r: &Routes, at: NodeId, dst: NodeId) -> &[NodeId] {
+        &r.hops[r.row(at, dst)]
+    }
+
+    /// The full ECMP path of `flow` from `src` to `dst`, inclusive of both
+    /// endpoints: [`Routes::ecmp_next_hop`] followed hop by hop.
+    fn ecmp_path(r: &Routes, src: NodeId, dst: NodeId, flow: FlowId) -> Vec<NodeId> {
+        let mut path = vec![src];
+        let mut at = src;
+        while at != dst {
+            at = r.ecmp_next_hop(at, dst, flow);
+            path.push(at);
+            assert!(path.len() <= r.nodes, "routing loop from {src} to {dst}");
+        }
+        path
+    }
 
     fn line() -> Topology {
         // h0 - s0 - s1 - h1
@@ -208,7 +208,7 @@ mod tests {
     fn line_path() {
         let t = line();
         let r = Routes::compute(&t);
-        let path = r.ecmp_path(NodeId(0), NodeId(3), FlowId(9));
+        let path = ecmp_path(&r, NodeId(0), NodeId(3), FlowId(9));
         assert_eq!(path, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
@@ -217,7 +217,7 @@ mod tests {
         let t = line();
         let r = Routes::compute(&t);
         // s1 (NodeId 2) is a switch: no routes terminate there.
-        assert!(r.next_hops(NodeId(0), NodeId(2)).is_empty());
+        assert!(next_hops(&r, NodeId(0), NodeId(2)).is_empty());
     }
 
     #[test]
@@ -228,10 +228,10 @@ mod tests {
         let dst = ls.hosts[5][3];
         // Cross-rack: leaf should offer all 4 spines as next hops.
         let leaf = ls.leaf_switches[0];
-        assert_eq!(r.next_hops(leaf, dst).len(), 4);
+        assert_eq!(next_hops(&r, leaf, dst).len(), 4);
         // Different flows spread over spines.
         let spines: HashSet<NodeId> = (0..64)
-            .map(|f| r.ecmp_path(src, dst, FlowId(f))[2])
+            .map(|f| ecmp_path(&r, src, dst, FlowId(f))[2])
             .collect();
         assert!(spines.len() > 1, "ECMP should use multiple spines");
         for s in &spines {
@@ -245,7 +245,7 @@ mod tests {
         let r = Routes::compute(&ls.topology);
         let a = ls.hosts[1][0];
         let b = ls.hosts[1][2];
-        let path = r.ecmp_path(a, b, FlowId(1));
+        let path = ecmp_path(&r, a, b, FlowId(1));
         assert_eq!(path, vec![a, ls.leaf_switches[1], b]);
     }
 
@@ -255,8 +255,8 @@ mod tests {
         let r = Routes::compute(&ls.topology);
         let src = ls.hosts[0][0];
         let dst = ls.hosts[8][15];
-        let p1 = r.ecmp_path(src, dst, FlowId(77));
-        let p2 = r.ecmp_path(src, dst, FlowId(77));
+        let p1 = ecmp_path(&r, src, dst, FlowId(77));
+        let p2 = ecmp_path(&r, src, dst, FlowId(77));
         assert_eq!(p1, p2);
         assert_eq!(p1.len(), 5); // host-leaf-spine-leaf-host
     }
@@ -323,7 +323,7 @@ mod tests {
                 // on the 157-node fabric, take every one elsewhere.
                 let stride = if t.node_count() > 100 { 7 } else { 1 };
                 for dst in t.nodes().iter().map(|n| n.id).step_by(stride) {
-                    let hops = r.next_hops(at, dst);
+                    let hops = next_hops(&r, at, dst);
                     assert_eq!(hops, reference_hops(t, at, dst), "{at} -> {dst}");
                     // The port column names the same links, in port order.
                     for (i, &hop) in hops.iter().enumerate() {
@@ -419,7 +419,7 @@ mod tests {
             let src = hosts[rng.below(hosts.len() as u64) as usize];
             let dst = hosts[rng.below(hosts.len() as u64) as usize];
             let flow = FlowId(rng.next());
-            words.extend(r.ecmp_path(src, dst, flow).iter().map(|n| n.0 as u64));
+            words.extend(ecmp_path(&r, src, dst, flow).iter().map(|n| n.0 as u64));
             words.push(u64::MAX);
         }
         assert_eq!(stable_hash(&words), PINNED_PATHS_HASH);

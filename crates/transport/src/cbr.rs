@@ -65,14 +65,13 @@ impl CbrSource {
     }
 }
 
-/// Receiver-side accounting for datagram streams: deliveries, deadline
-/// hits, and one-way latency.
+/// Receiver-side accounting for datagram streams: deliveries and deadline
+/// hits.
 #[derive(Clone, Debug, Default)]
 pub struct DatagramSink {
     received: u64,
     deadline_met: u64,
     deadline_missed: u64,
-    total_latency: Nanos,
 }
 
 impl DatagramSink {
@@ -81,10 +80,9 @@ impl DatagramSink {
         DatagramSink::default()
     }
 
-    /// A datagram sent at `sent_at` with `deadline` arrived at `now`.
-    pub fn on_datagram(&mut self, sent_at: Nanos, deadline: Option<Nanos>, now: Nanos) {
+    /// A datagram with `deadline` arrived at `now`.
+    pub fn on_datagram(&mut self, deadline: Option<Nanos>, now: Nanos) {
         self.received += 1;
-        self.total_latency += now.saturating_sub(sent_at);
         if let Some(d) = deadline {
             if now <= d {
                 self.deadline_met += 1;
@@ -104,11 +102,6 @@ impl DatagramSink {
     pub fn deadline_hit_rate(&self) -> Option<f64> {
         let total = self.deadline_met + self.deadline_missed;
         (total > 0).then(|| self.deadline_met as f64 / total as f64)
-    }
-
-    /// Mean one-way latency (`None` if nothing delivered).
-    pub fn mean_latency(&self) -> Option<Nanos> {
-        (self.received > 0).then(|| self.total_latency / self.received)
     }
 }
 
@@ -160,29 +153,16 @@ mod tests {
     #[test]
     fn sink_deadline_accounting() {
         let mut sink = DatagramSink::new();
-        sink.on_datagram(
-            Nanos::ZERO,
-            Some(Nanos::from_micros(100)),
-            Nanos::from_micros(50),
-        );
-        sink.on_datagram(
-            Nanos::ZERO,
-            Some(Nanos::from_micros(100)),
-            Nanos::from_micros(150),
-        );
-        sink.on_datagram(Nanos::ZERO, None, Nanos::from_micros(10));
+        sink.on_datagram(Some(Nanos::from_micros(100)), Nanos::from_micros(50));
+        sink.on_datagram(Some(Nanos::from_micros(100)), Nanos::from_micros(150));
+        sink.on_datagram(None, Nanos::from_micros(10));
         assert_eq!(sink.received(), 3);
         assert_eq!(sink.deadline_hit_rate(), Some(0.5));
-        assert_eq!(
-            sink.mean_latency(),
-            Some(Nanos::from_micros(70)) // (50+150+10)/3
-        );
     }
 
     #[test]
     fn empty_sink_reports_none() {
         let sink = DatagramSink::new();
         assert_eq!(sink.deadline_hit_rate(), None);
-        assert_eq!(sink.mean_latency(), None);
     }
 }
