@@ -1,207 +1,102 @@
 //! Regenerates the paper's Fig. 4: mean FCT of the pFabric tenant's small
-//! (4a) and large (4b) flows across loads 0.2–0.8 under six schemes.
+//! (4a) and large (4b) flows across loads under each scheme, from a sweep
+//! document.
 //!
 //! ```text
 //! Usage:
-//!   cargo run -p qvisor-bench --release --bin fig4 [-- OPTIONS]
+//!   cargo run -p qvisor-bench --release --bin fig4 -- <sweep.json> [--json PATH]
+//!
+//!   examples/sweeps/fig4_paper.json      the recorded run (fig4_output.txt)
+//!   examples/sweeps/fig4_websearch.json  web-search sizes (fig4_websearch.txt)
+//!   examples/sweeps/fig4_smoke.json      small fabric, seconds
 //!
 //! Options:
-//!   --smoke            small fabric, tiny workload (seconds)
-//!   --flows N          pFabric flows per point   (default 2000)
-//!   --scale N          divide flow sizes by N    (default 10)
-//!   --loads a,b,c      loads to sweep            (default 0.2..=0.8)
-//!   --workload W       datamining | websearch    (default datamining)
-//!   --seed N           root seed                 (default 1)
 //!   --json PATH        also dump machine-readable results
-//!   --telemetry PREFIX write a telemetry snapshot PREFIX-<scheme>-<load>.jsonl
-//!                      per point (render with `qvisor telemetry report`)
-//!   --trace PREFIX     write a packet-lifecycle trace
-//!                      PREFIX-<scheme>-<load>.trace.jsonl per point
-//!                      (render with `qvisor trace report`, convert for
-//!                      Perfetto with `qvisor trace export`)
-//!   --trace-sample N   trace one flow in N (default 1 = every flow)
 //! ```
+//!
+//! A row's label is its point's scenario `name`; its load and size divisor
+//! come from tenant 1's Poisson workload. The points run in parallel on
+//! every core, and the output does not depend on how many there are.
+//! Per-point telemetry is `qvisor sweep <sweep.json> --telemetry PREFIX`;
+//! a packet trace is `qvisor run <scenario.json> --trace PATH`.
 
-use qvisor_bench::{run_point_instrumented, snapshot, Fig4Config, Fig4Point, Scheme};
-use qvisor_telemetry::{Telemetry, TraceConfig, Tracer};
+use qvisor_bench::fig4::{resolve, run_points, Fig4Point};
+use qvisor_netsim::SweepSpec;
+use qvisor_sim::json::Value;
 use std::io::Write;
 
-struct Outputs {
-    json: Option<String>,
-    telemetry: Option<String>,
-    trace: Option<String>,
-    trace_sample: u64,
+const USAGE: &str = "usage: fig4 <sweep.json> [--json PATH]";
+
+/// Exit 2 with `msg` and the usage line: a bad invocation or document.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("fig4: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
-fn parse_args() -> (Fig4Config, Vec<f64>, Outputs) {
-    let mut cfg = Fig4Config::paper_scaled();
-    let mut loads: Vec<f64> = (2..=8).map(|l| l as f64 / 10.0).collect();
+/// The document path and the `--json` path.
+fn parse_args() -> (String, Option<String>) {
+    let mut doc = None;
     let mut json = None;
-    let mut telemetry = None;
-    let mut trace = None;
-    let mut trace_sample = 1u64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value after {}", args[*i - 1]);
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match args[i].as_str() {
-            "--smoke" => {
-                let keep_seed = cfg.seed;
-                cfg = Fig4Config::smoke();
-                cfg.seed = keep_seed;
-            }
-            "--flows" => cfg.flows = number("--flows", &value(&mut i)),
-            "--scale" => cfg.size_scale_den = positive("--scale", &value(&mut i)),
-            "--seed" => cfg.seed = number("--seed", &value(&mut i)),
-            "--loads" => {
-                loads = value(&mut i)
-                    .split(',')
-                    .map(|s| positive("--loads", s))
-                    .collect();
-            }
-            "--json" => json = Some(value(&mut i)),
-            "--telemetry" => telemetry = Some(value(&mut i)),
-            "--trace" => trace = Some(value(&mut i)),
-            "--trace-sample" => {
-                trace_sample = positive("--trace-sample", &value(&mut i));
-            }
-            "--workload" => {
-                cfg.workload = match value(&mut i).as_str() {
-                    "datamining" => qvisor_bench::Workload::DataMining,
-                    "websearch" => qvisor_bench::Workload::WebSearch,
-                    other => {
-                        eprintln!("unknown workload {other}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => match args.next() {
+                Some(path) => json = Some(path),
+                None => usage_error("missing value after --json"),
+            },
+            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
+            _ if doc.is_some() => usage_error(&format!("unexpected argument {arg}")),
+            _ => doc = Some(arg),
         }
-        i += 1;
     }
-    (
-        cfg,
-        loads,
-        Outputs {
-            json,
-            telemetry,
-            trace,
-            trace_sample,
-        },
-    )
-}
-
-/// `text` as the number `flag` takes, or exit 2 saying what was wrong.
-fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes a number, not {text:?}");
-        std::process::exit(2);
-    })
-}
-
-/// [`number`], which must also be above zero (a size divisor, a load, a
-/// sampling modulus).
-fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, text: &str) -> T {
-    let n: T = number(flag, text);
-    if n.partial_cmp(&T::default()) != Some(std::cmp::Ordering::Greater) {
-        eprintln!("{flag} takes a number above zero, not {text:?}");
-        std::process::exit(2);
-    }
-    n
-}
-
-/// Exit with the snapshot error's message (which names the path) instead
-/// of panicking on a bad `--telemetry`/`--trace` prefix.
-fn written(result: Result<String, snapshot::SnapshotError>) -> String {
-    result.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    })
-}
-
-/// Run one (scheme, load) point with whatever instrumentation the flags
-/// ask for, writing per-point snapshots as we go.
-fn run_point(scheme: Scheme, load: f64, cfg: &Fig4Config, outputs: &Outputs) -> Fig4Point {
-    let t0 = std::time::Instant::now();
-    let telemetry = match outputs.telemetry {
-        Some(_) => Telemetry::enabled(),
-        None => Telemetry::disabled(),
+    let Some(doc) = doc else {
+        usage_error("no sweep document given")
     };
-    let tracer = match outputs.trace {
-        Some(_) => Tracer::enabled(TraceConfig {
-            sample_one_in: outputs.trace_sample,
-            seed: cfg.seed,
-            ..TraceConfig::default()
-        }),
-        None => Tracer::disabled(),
-    };
-    let p = run_point_instrumented(scheme, load, cfg, &telemetry, &tracer);
-    let tag = format!("{}-load{load}", scheme.label());
-    if let Some(prefix) = &outputs.telemetry {
-        eprintln!(
-            "    wrote {}",
-            written(snapshot::write_snapshot(&telemetry, prefix, &tag))
-        );
-    }
-    if let Some(prefix) = &outputs.trace {
-        eprintln!(
-            "    wrote {}",
-            written(snapshot::write_trace_snapshot(&tracer, prefix, &tag))
-        );
-    }
-    eprintln!(
-        "  {:<26} load {:.1}: small {:>8} ms, large {:>9} ms, \
-         {}/{} flows, {:>4.1}s wall",
-        scheme.label(),
-        load,
-        p.small_fct_ms.map_or("-".into(), |v| format!("{v:.3}")),
-        p.large_fct_ms.map_or("-".into(), |v| format!("{v:.2}")),
-        p.completed,
-        p.completed as u64 + p.incomplete,
-        t0.elapsed().as_secs_f64(),
-    );
-    p
+    (doc, json)
 }
 
-fn print_tables(results: &[Vec<Fig4Point>], loads: &[f64]) {
-    for (title, pick) in [
+/// `items` with repeats dropped, in order of first appearance.
+fn distinct<T: PartialEq + Clone>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::new();
+    for item in items {
+        if !out.contains(&item) {
+            out.push(item);
+        }
+    }
+    out
+}
+
+/// A table's column: one FCT series of a row.
+type Series = fn(&Fig4Point) -> Option<f64>;
+
+fn print_tables(rows: &[Fig4Point]) {
+    let labels = distinct(rows.iter().map(|p| p.label.as_str()));
+    let loads = distinct(rows.iter().map(|p| p.load));
+    let tables: [(&str, Series, usize); 2] = [
         (
             "Figure 4a: (0,100KB) mean FCTs of pFabric traffic (ms)",
-            0usize,
+            |p| p.small_fct_ms,
+            3,
         ),
         (
             "Figure 4b: [1MB,inf) mean FCTs of pFabric traffic (ms)",
-            1usize,
+            |p| p.large_fct_ms,
+            2,
         ),
-    ] {
+    ];
+    for (title, series, decimals) in tables {
         println!("\n{title}");
         print!("{:<26}", "scheme \\ load");
-        for l in loads {
+        for l in &loads {
             print!("{l:>9.1}");
         }
         println!();
-        for (si, scheme) in Scheme::ALL.iter().enumerate() {
-            print!("{:<26}", scheme.label());
-            for p in &results[si] {
-                let v = if pick == 0 {
-                    p.small_fct_ms
-                } else {
-                    p.large_fct_ms
-                };
-                match v {
-                    Some(v) if pick == 0 => print!("{v:>9.3}"),
-                    Some(v) => print!("{v:>9.2}"),
+        for label in &labels {
+            print!("{label:<26}");
+            for load in &loads {
+                let p = rows.iter().find(|p| p.label == *label && p.load == *load);
+                match p.and_then(series) {
+                    Some(v) => print!("{v:>9.decimals$}"),
                     None => print!("{:>9}", "-"),
                 }
             }
@@ -210,22 +105,18 @@ fn print_tables(results: &[Vec<Fig4Point>], loads: &[f64]) {
     }
 }
 
-fn write_json(results: &[Vec<Fig4Point>], path: &str) {
-    use qvisor_sim::json::Value;
-    let rows: Vec<Value> = Scheme::ALL
+fn write_json(rows: &[Fig4Point], path: &str) {
+    let rows: Vec<Value> = rows
         .iter()
-        .enumerate()
-        .flat_map(|(si, s)| {
-            results[si].iter().map(move |p| {
-                Value::object()
-                    .set("scheme", s.label())
-                    .set("load", p.load)
-                    .set("small_fct_ms", p.small_fct_ms)
-                    .set("large_fct_ms", p.large_fct_ms)
-                    .set("completed", p.completed)
-                    .set("incomplete", p.incomplete)
-                    .set("deadline_hit", p.deadline_hit)
-            })
+        .map(|p| {
+            Value::object()
+                .set("scheme", p.label.as_str())
+                .set("load", p.load)
+                .set("small_fct_ms", p.small_fct_ms)
+                .set("large_fct_ms", p.large_fct_ms)
+                .set("completed", p.completed)
+                .set("incomplete", p.incomplete)
+                .set("deadline_hit", p.deadline_hit)
         })
         .collect();
     let fail = |e: std::io::Error| -> ! {
@@ -238,27 +129,32 @@ fn write_json(results: &[Vec<Fig4Point>], path: &str) {
 }
 
 fn main() {
-    let (cfg, loads, outputs) = parse_args();
-    eprintln!(
-        "fig4: {} hosts, {} flows/point, sizes /{}, {} CBR x {} Mbps, loads {loads:?}",
-        cfg.fabric.leaves * cfg.fabric.hosts_per_leaf,
-        cfg.flows,
-        cfg.size_scale_den,
-        cfg.cbr_streams,
-        cfg.cbr_rate_bps / 1_000_000,
-    );
-    // results[scheme][load index]
-    let results: Vec<Vec<Fig4Point>> = Scheme::ALL
-        .iter()
-        .map(|&scheme| {
-            loads
-                .iter()
-                .map(|&load| run_point(scheme, load, &cfg, &outputs))
-                .collect()
-        })
-        .collect();
-    print_tables(&results, &loads);
-    if let Some(path) = &outputs.json {
-        write_json(&results, path);
+    let (doc, json) = parse_args();
+    let text = std::fs::read_to_string(&doc)
+        .unwrap_or_else(|e| usage_error(&format!("cannot read {doc}: {e}")));
+    let points = SweepSpec::from_json(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|sweep| resolve(&sweep))
+        .unwrap_or_else(|e| usage_error(&format!("{doc}: {e}")));
+    eprintln!("fig4: {} points from {doc}", points.len());
+    let rows = run_points(&points, |p, wall| {
+        eprintln!(
+            "  {:<26} load {:.1}: small {:>8} ms, large {:>9} ms, {}/{} flows, {:>4.1}s wall",
+            p.label,
+            p.load,
+            p.small_fct_ms.map_or("-".into(), |v| format!("{v:.3}")),
+            p.large_fct_ms.map_or("-".into(), |v| format!("{v:.2}")),
+            p.completed,
+            p.completed as u64 + p.incomplete,
+            wall.as_secs_f64(),
+        );
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("fig4: {e}");
+        std::process::exit(1);
+    });
+    print_tables(&rows);
+    if let Some(path) = &json {
+        write_json(&rows, path);
     }
 }

@@ -1,4 +1,4 @@
-//! The paper's Fig. 4 experiment (§4).
+//! The paper's Fig. 4 experiment (§4), read back from a sweep document.
 //!
 //! Setup (paper): a 144-server leaf–spine fabric (9 leaves, 4 spines,
 //! 1 Gbps access, 4 Gbps fabric). Tenant 1 runs a data-mining workload
@@ -6,174 +6,33 @@
 //! uniformly random server pairs, scheduled with EDF. The measured metric
 //! is tenant 1's mean FCT for small flows `(0, 100 KB)` (Fig. 4a) and
 //! large flows `[1 MB, ∞)` (Fig. 4b), across loads 0.2–0.8, under six
-//! schemes:
+//! schemes (FIFO, naive PIFO, ideal PIFO, and QVISOR under three policies).
 //!
-//! * `FIFO`          — both tenants through FIFO queues;
-//! * `PIFO-naive`    — both tenants' *raw* ranks on a shared PIFO (clash);
-//! * `PIFO-ideal`    — only pFabric traffic in the network (upper bound);
-//! * `QVISOR EDF>>pF`— QVISOR with the EDF tenant strictly prioritized;
-//! * `QVISOR pF+EDF` — QVISOR with both sharing;
-//! * `QVISOR pF>>EDF`— QVISOR with pFabric strictly prioritized.
-//!
-//! Flow sizes follow the data-mining CDF scaled down by
-//! [`Fig4Config::size_scale_den`] so a full sweep runs on a laptop; the
-//! scale knob changes absolute FCTs, not the ordering of schemes
-//! (EXPERIMENTS.md records both scales).
-//!
-//! Since the scenario-engine refactor this module only *describes* the
-//! experiment: [`scenario`] maps a `(scheme, load, config)` triple to a
-//! declarative [`ScenarioSpec`] and the netsim [`Engine`] does the rest.
+//! The experiment is data: `examples/sweeps/fig4_paper.json` is the
+//! recorded run (a scheme axis of patch objects, then a load axis), and
+//! every number a scheme needs — the pFabric rank bound, the EDF rank unit
+//! — is written in it. This module only runs a document's points and
+//! reduces each report to the figure's row; the `ablation_backend` and
+//! `ablation_quantization` documents are read the same way.
 
 use qvisor_netsim::scenario::{
-    ArrivalSpec, Engine, QvisorSpec, ScenarioSpec, SchedulerSpec, ScopeSpec, SimSpec, SizeDistSpec,
-    TenantDecl, TimeRef, TopologySpec, WorkloadSpec,
+    ArrivalSpec, Engine, ScenarioSpec, SizeDistSpec, SweepPoint, SweepSpec, WorkloadSpec,
 };
 use qvisor_netsim::SimReport;
-use qvisor_ranking::RankFnSpec;
-use qvisor_sim::{Nanos, TenantId};
-use qvisor_topology::LeafSpineConfig;
+use qvisor_sim::{ordered_par_map, TenantId};
 use qvisor_transport::SizeBucket;
 
-/// Tenant 1: the pFabric data-mining tenant.
-pub const PFABRIC: TenantId = TenantId(1);
+/// Tenant 1: the pFabric tenant whose FCTs the figure plots.
+const PFABRIC: TenantId = TenantId(1);
 /// Tenant 2: the EDF CBR tenant.
-pub const EDF: TenantId = TenantId(2);
-
-/// The six schemes of Fig. 4.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheme {
-    /// Both tenants through FIFO queues.
-    Fifo,
-    /// Both tenants' raw ranks on a shared PIFO (the §2 clash).
-    PifoNaive,
-    /// Only the pFabric tenant in the network (ideal baseline).
-    PifoIdeal,
-    /// QVISOR, operator policy `EDF >> pFabric`.
-    QvisorEdfFirst,
-    /// QVISOR, operator policy `pFabric + EDF`.
-    QvisorShare,
-    /// QVISOR, operator policy `pFabric >> EDF`.
-    QvisorPfabricFirst,
-}
-
-impl Scheme {
-    /// All six, in the paper's legend order.
-    pub const ALL: [Scheme; 6] = [
-        Scheme::Fifo,
-        Scheme::PifoNaive,
-        Scheme::PifoIdeal,
-        Scheme::QvisorEdfFirst,
-        Scheme::QvisorShare,
-        Scheme::QvisorPfabricFirst,
-    ];
-
-    /// Label matching the paper's legend.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheme::Fifo => "FIFO: pFabric and EDF",
-            Scheme::PifoNaive => "PIFO: pFabric and EDF",
-            Scheme::PifoIdeal => "PIFO: pFabric",
-            Scheme::QvisorEdfFirst => "QVISOR: EDF >> pFabric",
-            Scheme::QvisorShare => "QVISOR: pFabric + EDF",
-            Scheme::QvisorPfabricFirst => "QVISOR: pFabric >> EDF",
-        }
-    }
-
-    /// The operator policy string, for the QVISOR schemes.
-    pub fn policy(self) -> Option<&'static str> {
-        match self {
-            Scheme::QvisorEdfFirst => Some("EDF >> pFabric"),
-            Scheme::QvisorShare => Some("pFabric + EDF"),
-            Scheme::QvisorPfabricFirst => Some("pFabric >> EDF"),
-            _ => None,
-        }
-    }
-}
-
-/// Which flow-size distribution drives tenant 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
-    /// The paper's data-mining CDF (heavy tail up to 100 MB).
-    DataMining,
-    /// The DCTCP web-search CDF (milder tail up to 20 MB) — an extra
-    /// sensitivity axis beyond the paper.
-    WebSearch,
-}
-
-impl Workload {
-    /// The unscaled maximum flow size of the CDF, bytes.
-    pub fn max_bytes(self) -> u64 {
-        match self {
-            Workload::DataMining => 100_000_000,
-            Workload::WebSearch => 20_000_000,
-        }
-    }
-
-    fn sizes(self, scale_den: u64) -> SizeDistSpec {
-        match self {
-            Workload::DataMining => SizeDistSpec::DataMining { scale_den },
-            Workload::WebSearch => SizeDistSpec::WebSearch { scale_den },
-        }
-    }
-}
-
-/// Experiment parameters.
-#[derive(Clone, Debug)]
-pub struct Fig4Config {
-    /// The fabric.
-    pub fabric: LeafSpineConfig,
-    /// Tenant 1's flow-size distribution.
-    pub workload: Workload,
-    /// Number of pFabric flows to complete per point.
-    pub flows: usize,
-    /// Data-mining sizes are divided by this (1 = the paper's full sizes).
-    pub size_scale_den: u64,
-    /// Number of CBR streams for tenant 2 (paper: 100).
-    pub cbr_streams: usize,
-    /// Per-stream CBR rate (paper: 0.5 Gbps).
-    pub cbr_rate_bps: u64,
-    /// EDF deadline offset per datagram.
-    pub deadline_offset: Nanos,
-    /// Root seed.
-    pub seed: u64,
-}
-
-impl Fig4Config {
-    /// The paper's fabric with sizes scaled 1/10 and 2000 flows — the
-    /// configuration behind EXPERIMENTS.md's recorded sweep.
-    pub fn paper_scaled() -> Fig4Config {
-        Fig4Config {
-            fabric: LeafSpineConfig::paper(),
-            workload: Workload::DataMining,
-            flows: 2_000,
-            size_scale_den: 10,
-            cbr_streams: 100,
-            cbr_rate_bps: 500_000_000,
-            deadline_offset: Nanos::from_micros(300),
-            seed: 1,
-        }
-    }
-
-    /// A laptop-fast configuration preserving the scheme ordering: small
-    /// fabric, 1/50 sizes, fewer flows and streams.
-    pub fn smoke() -> Fig4Config {
-        Fig4Config {
-            fabric: LeafSpineConfig::small(),
-            workload: Workload::DataMining,
-            flows: 150,
-            size_scale_den: 50,
-            cbr_streams: 4,
-            cbr_rate_bps: 300_000_000,
-            deadline_offset: Nanos::from_micros(300),
-            seed: 1,
-        }
-    }
-}
+const EDF: TenantId = TenantId(2);
 
 /// One measured point of Fig. 4.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Fig4Point {
-    /// The swept load.
+    /// The scheme's legend label: the point's scenario `name`.
+    pub label: String,
+    /// Tenant 1's offered load.
     pub load: f64,
     /// Fig. 4a: mean FCT of pFabric flows in (0, 100 KB), milliseconds.
     pub small_fct_ms: Option<f64>,
@@ -189,7 +48,7 @@ pub struct Fig4Point {
     pub events: u64,
 }
 
-/// Size bucket matching Fig. 4a under a scaled workload: the paper's
+/// Size bucket matching Fig. 4 under a scaled workload: the paper's
 /// boundaries divided by the same scale factor.
 fn scaled_bucket(bucket: SizeBucket, den: u64) -> SizeBucket {
     SizeBucket {
@@ -202,116 +61,37 @@ fn scaled_bucket(bucket: SizeBucket, den: u64) -> SizeBucket {
     }
 }
 
-/// The declarative scenario behind one (scheme, load) point — the whole
-/// experiment as data. `Engine::run(&scenario(..))` reproduces the
-/// pre-refactor hand-wired construction byte for byte.
-pub fn scenario(scheme: Scheme, load: f64, cfg: &Fig4Config) -> ScenarioSpec {
-    // pFabric rank = remaining KB; bound by the scaled maximum flow size.
-    let max_rank = (cfg.workload.max_bytes() / cfg.size_scale_den / 1_000).max(1);
-    // EDF's rank unit is chosen so raw EDF ranks land in the middle of the
-    // small-flow pFabric rank span: this is the §2 clash the paper
-    // constructs — under naive sharing "the priorities defined by the EDF
-    // policy are higher than the ones set by pFabric" for most packets,
-    // independent of the size-scale knob.
-    let small_hi_rank = (100_000 / cfg.size_scale_den / 1_000).max(2);
-    let edf_target = (small_hi_rank / 2).max(1);
-    let edf_unit = Nanos(cfg.deadline_offset.as_nanos() / edf_target);
-    let deadline_rank_max = edf_target * 2;
-
-    let mut workloads = vec![WorkloadSpec::Poisson {
-        tenant: PFABRIC.0,
-        flows: cfg.flows,
-        sizes: cfg.workload.sizes(cfg.size_scale_den),
-        arrival: ArrivalSpec::Load(load),
-        rng_stream: 1,
-    }];
-    if scheme != Scheme::PifoIdeal {
-        workloads.push(WorkloadSpec::CbrFleet {
-            tenant: EDF.0,
-            streams: cfg.cbr_streams,
-            rate_bps: cfg.cbr_rate_bps,
-            pkt_size: 1_500,
-            start_ns: 0,
-            stop: TimeRef::AfterLastArrival(Nanos::from_millis(20).as_nanos()),
-            deadline_offset_ns: cfg.deadline_offset.as_nanos(),
-            rng_stream: 2,
-        });
-    }
-
-    let qvisor = scheme.policy().map(|policy| QvisorSpec {
-        tenants: vec![
-            TenantDecl {
-                id: PFABRIC.0,
-                name: "pFabric".to_string(),
-                algorithm: "pFabric".to_string(),
-                rank_min: 0,
-                rank_max: max_rank,
-                levels: Some(512),
-            },
-            TenantDecl {
-                id: EDF.0,
-                name: "EDF".to_string(),
-                algorithm: "EDF".to_string(),
-                rank_min: 0,
-                rank_max: deadline_rank_max,
-                levels: Some(64),
-            },
-        ],
-        policy: policy.to_string(),
-        unknown_drop: false,
-        scope: ScopeSpec::Everywhere,
-        monitor: None,
-        synth: None,
-    });
-
-    ScenarioSpec {
-        name: format!("fig4-{:?}-load{load}", scheme),
-        seed: cfg.seed,
-        topology: TopologySpec::LeafSpine {
-            leaves: cfg.fabric.leaves,
-            spines: cfg.fabric.spines,
-            hosts_per_leaf: cfg.fabric.hosts_per_leaf,
-            access_bps: cfg.fabric.access_bps,
-            fabric_bps: cfg.fabric.fabric_bps,
-            access_delay_ns: cfg.fabric.access_delay.as_nanos(),
-            fabric_delay_ns: cfg.fabric.fabric_delay.as_nanos(),
-        },
-        sim: SimSpec {
-            horizon: TimeRef::AfterLastArrival(Nanos::from_secs(2).as_nanos()),
-            ..SimSpec::default()
-        },
-        scheduler: match scheme {
-            Scheme::Fifo => SchedulerSpec::Fifo,
-            _ => SchedulerSpec::Pifo,
-        },
-        host_scheduler: None,
-        qvisor,
-        rank_fns: vec![
-            (
-                PFABRIC.0,
-                RankFnSpec::PFabric {
-                    unit_bytes: 1_000,
-                    max_rank,
-                },
-            ),
-            (
-                EDF.0,
-                RankFnSpec::Edf {
-                    unit_ns: edf_unit.as_nanos(),
-                    max_rank: deadline_rank_max,
-                },
-            ),
-        ],
-        workloads,
-        alerts: Vec::new(),
-    }
+/// Tenant 1's offered load and flow-size divisor, read from its Poisson
+/// workload: the two numbers a point's row needs from its scenario.
+fn load_and_scale(spec: &ScenarioSpec) -> Result<(f64, u64), String> {
+    spec.workloads
+        .iter()
+        .find_map(|w| match w {
+            WorkloadSpec::Poisson {
+                tenant,
+                sizes:
+                    SizeDistSpec::DataMining { scale_den } | SizeDistSpec::WebSearch { scale_den },
+                arrival: ArrivalSpec::Load(load),
+                ..
+            } if *tenant == PFABRIC.0 => Some((*load, *scale_den)),
+            _ => None,
+        })
+        .ok_or_else(|| {
+            format!(
+                "scenario '{}': no tenant-1 Poisson workload with a load and a \
+                 data-mining or web-search size divisor",
+                spec.name
+            )
+        })
 }
 
 /// Reduce a raw report to the figure's measured point.
-pub fn extract_point(report: &SimReport, load: f64, cfg: &Fig4Config) -> Fig4Point {
-    let small = scaled_bucket(SizeBucket::SMALL, cfg.size_scale_den);
-    let large = scaled_bucket(SizeBucket::LARGE, cfg.size_scale_den);
-    Fig4Point {
+fn extract_point(spec: &ScenarioSpec, report: &SimReport) -> Result<Fig4Point, String> {
+    let (load, den) = load_and_scale(spec)?;
+    let small = scaled_bucket(SizeBucket::SMALL, den);
+    let large = scaled_bucket(SizeBucket::LARGE, den);
+    Ok(Fig4Point {
+        label: spec.name.clone(),
         load,
         small_fct_ms: report.fct.mean_fct_ms(Some(PFABRIC), small),
         large_fct_ms: report.fct.mean_fct_ms(Some(PFABRIC), large),
@@ -319,58 +99,64 @@ pub fn extract_point(report: &SimReport, load: f64, cfg: &Fig4Config) -> Fig4Poi
         incomplete: report.incomplete_flows,
         deadline_hit: report.tenant(EDF).deadline_hit_rate(),
         events: report.events,
+    })
+}
+
+/// Resolve a sweep document's grid and check that every point has a row
+/// to reduce to, before anything runs.
+pub fn resolve(sweep: &SweepSpec) -> Result<Vec<SweepPoint>, String> {
+    let points = sweep.points().map_err(|e| e.to_string())?;
+    for point in &points {
+        load_and_scale(&point.spec)?;
     }
+    Ok(points)
 }
 
-/// Run one (scheme, load) point without telemetry.
-pub fn run_point(scheme: Scheme, load: f64, cfg: &Fig4Config) -> Fig4Point {
-    run_point_telemetry(scheme, load, cfg, &qvisor_telemetry::Telemetry::disabled())
-}
-
-/// Run one (scheme, load) point, reporting through `telemetry`. Pass a
-/// fresh registry per point — queue and tenant labels repeat across points.
-pub fn run_point_telemetry(
-    scheme: Scheme,
-    load: f64,
-    cfg: &Fig4Config,
-    telemetry: &qvisor_telemetry::Telemetry,
-) -> Fig4Point {
-    run_point_instrumented(
-        scheme,
-        load,
-        cfg,
-        telemetry,
-        &qvisor_telemetry::Tracer::disabled(),
-    )
-}
-
-/// Run one (scheme, load) point with both a telemetry registry and a
-/// packet-lifecycle tracer attached. Pass fresh handles per point — queue
-/// and tenant labels repeat across points, and each point's trace should
-/// be a self-contained snapshot.
-pub fn run_point_instrumented(
-    scheme: Scheme,
-    load: f64,
-    cfg: &Fig4Config,
-    telemetry: &qvisor_telemetry::Telemetry,
-    tracer: &qvisor_telemetry::Tracer,
-) -> Fig4Point {
-    let report = Engine::new()
-        .with_telemetry(telemetry)
-        .with_tracer(tracer)
-        .run(&scenario(scheme, load, cfg))
-        .expect("valid fig4 scenario");
-    extract_point(&report, load, cfg)
+/// Run every point on its own engine across the host's cores and reduce
+/// each to its row, in grid order. The rows do not depend on the thread
+/// count. `progress` sees each row as its point finishes.
+pub fn run_points(
+    points: &[SweepPoint],
+    progress: impl Fn(&Fig4Point, std::time::Duration) + Sync,
+) -> Result<Vec<Fig4Point>, String> {
+    let jobs = std::thread::available_parallelism().map_or(1, usize::from);
+    ordered_par_map(points.len(), jobs, |i| {
+        let t0 = std::time::Instant::now();
+        let spec = &points[i].spec;
+        let report = Engine::new()
+            .run(spec)
+            .map_err(|e| format!("scenario '{}': {e}", spec.name))?;
+        let row = extract_point(spec, &report)?;
+        progress(&row, t0.elapsed());
+        Ok(row)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const SMOKE: &str = include_str!("../../../examples/sweeps/fig4_smoke.json");
+
+    /// The smoke document's point for `label` at `load`, run.
+    fn smoke_point(label: &str, load: f64) -> Fig4Point {
+        let point = SweepSpec::from_json(SMOKE)
+            .unwrap()
+            .points()
+            .unwrap()
+            .into_iter()
+            .find(|p| p.spec.name == label && load_and_scale(&p.spec).unwrap().0 == load)
+            .unwrap_or_else(|| panic!("fig4_smoke.json has no point ({label}, {load})"));
+        let report = Engine::new().run(&point.spec).unwrap();
+        extract_point(&point.spec, &report).unwrap()
+    }
+
     #[test]
     fn smoke_point_runs_and_completes() {
-        let cfg = Fig4Config::smoke();
-        let p = run_point(Scheme::QvisorPfabricFirst, 0.4, &cfg);
+        let p = smoke_point("QVISOR: pFabric >> EDF", 0.4);
+        assert_eq!(p.label, "QVISOR: pFabric >> EDF");
         assert!(p.completed > 0);
         assert!(p.small_fct_ms.is_some());
         assert!(p.events > 1_000);
@@ -378,21 +164,19 @@ mod tests {
 
     #[test]
     fn ideal_runs_without_edf_traffic() {
-        let cfg = Fig4Config::smoke();
-        let p = run_point(Scheme::PifoIdeal, 0.4, &cfg);
+        let p = smoke_point("PIFO: pFabric", 0.4);
         assert_eq!(p.deadline_hit, None, "no EDF tenant in the ideal case");
     }
 
     #[test]
     fn scheme_ordering_holds_at_moderate_load() {
-        // The paper's headline: QVISOR pFabric>>EDF ≈ ideal, while naive
-        // PIFO sharing and EDF-first are clearly worse for small flows.
-        let cfg = Fig4Config::smoke();
-        let small = |s: Scheme| run_point(s, 0.5, &cfg).small_fct_ms.unwrap();
-        let ideal = small(Scheme::PifoIdeal);
-        let qv_first = small(Scheme::QvisorPfabricFirst);
-        let naive = small(Scheme::PifoNaive);
-        let edf_first = small(Scheme::QvisorEdfFirst);
+        // The paper's headline: QVISOR pF>>EDF ≈ ideal, while naive PIFO
+        // sharing and EDF-first are clearly worse for small flows.
+        let small = |label: &str| smoke_point(label, 0.5).small_fct_ms.unwrap();
+        let ideal = small("PIFO: pFabric");
+        let qv_first = small("QVISOR: pFabric >> EDF");
+        let naive = small("PIFO: pFabric and EDF");
+        let edf_first = small("QVISOR: EDF >> pFabric");
         assert!(
             qv_first < naive,
             "QVISOR pF>>EDF ({qv_first:.3}) must beat naive PIFO ({naive:.3})"
@@ -418,10 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn scenario_spec_round_trips_through_json() {
-        let cfg = Fig4Config::smoke();
-        let spec = scenario(Scheme::QvisorShare, 0.5, &cfg);
-        let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(spec, back);
+    fn a_point_without_a_tenant_1_poisson_load_has_no_row() {
+        let mut spec = SweepSpec::from_json(SMOKE).unwrap().points().unwrap()[0]
+            .spec
+            .clone();
+        spec.workloads.remove(0);
+        let err = load_and_scale(&spec).unwrap_err();
+        assert!(err.contains("tenant-1 Poisson"), "{err}");
     }
 }

@@ -1,6 +1,7 @@
-//! The `fig4` binary's option parser: a value it cannot use is a usage
-//! error — exit 2 and a message naming the option — never a panic, and
-//! it is refused before any point runs.
+//! The `fig4` binary's command line: a document it cannot read or resolve,
+//! or an option it does not know, is a usage error — exit 2 and a message
+//! naming the cause — never a panic, and it is refused before any point
+//! runs.
 
 use std::process::Command;
 
@@ -16,43 +17,72 @@ fn fig4(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-#[test]
-fn a_bad_number_is_a_usage_error() {
-    for args in [
-        &["--flows", "abc"][..],
-        &["--flows", "-3"],
-        &["--scale", "ten"],
-        &["--scale", "0"],
-        &["--seed", "1.5"],
-        &["--seed", ""],
-        &["--loads", "0.5,abc"],
-        &["--loads", "0.2,0"],
-        &["--loads", "NaN"],
-        &["--trace-sample", "x"],
-        &["--trace-sample", "0"],
-        &["--smoke", "--loads", "0.5", "--flows", "many"],
-    ] {
-        let (code, stderr) = fig4(args);
-        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?} names {flag}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(
-            !stderr.contains("load 0.5"),
-            "{args:?} ran a point: {stderr}"
-        );
-    }
+/// The smoke document, resolvable from any working directory.
+const SMOKE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/sweeps/fig4_smoke.json"
+);
+
+/// Exit 2, `says` on stderr, no panic and no point run.
+fn refused(args: &[&str], says: &str) {
+    let (code, stderr) = fig4(args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(says), "{args:?} names {says:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(!stderr.contains(" load "), "{args:?} ran a point: {stderr}");
 }
 
 #[test]
-fn an_unknown_option_or_a_missing_value_is_a_usage_error_too() {
-    for (args, says) in [
-        (&["--frobnicate"][..], "unknown option --frobnicate"),
-        (&["--flows"], "missing value after --flows"),
-        (&["--workload", "video"], "unknown workload video"),
+fn a_missing_document_is_a_usage_error() {
+    refused(&[], "no sweep document given");
+    let missing = std::env::temp_dir().join("qvisor_fig4_cli_no_such_document.json");
+    let missing = missing.to_str().unwrap();
+    refused(&[missing], &format!("cannot read {missing}"));
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    refused(&[SMOKE, "--smoke"], "unknown option --smoke");
+    refused(&[SMOKE, "--loads", "0.5"], "unknown option --loads");
+    refused(&[SMOKE, "--json"], "missing value after --json");
+    refused(&[SMOKE, SMOKE], "unexpected argument");
+}
+
+#[test]
+fn a_malformed_axis_is_a_usage_error() {
+    let dir = std::env::temp_dir();
+    let smoke = std::fs::read_to_string(SMOKE).unwrap();
+    let load_axis = r#""path": "workloads.0.poisson.arrival.load""#;
+    assert!(smoke.contains(load_axis));
+    for (name, broken, says) in [
+        (
+            "unknown_key",
+            smoke.replace(load_axis, r#""path": "workloads.0.poisson.arival.load""#),
+            "no key 'arival'",
+        ),
+        (
+            "empty_patch",
+            smoke.replace(
+                r#"{"name": "FIFO: pFabric and EDF", "scheduler": {"fifo": {}}, "qvisor": null}"#,
+                "{}",
+            ),
+            "at least one path",
+        ),
+        (
+            "no_path",
+            smoke.replace(&format!("{load_axis}, "), ""),
+            "patch objects",
+        ),
+        (
+            "unknown_axis_field",
+            smoke.replace(load_axis, r#""pathh": "x""#),
+            "unknown field",
+        ),
     ] {
-        let (code, stderr) = fig4(args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        assert_ne!(broken, smoke, "{name}: the edit applies");
+        let path = dir.join(format!("qvisor_fig4_cli_{name}.json"));
+        std::fs::write(&path, broken).unwrap();
+        refused(&[path.to_str().unwrap()], says);
+        std::fs::remove_file(&path).ok();
     }
 }

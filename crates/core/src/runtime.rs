@@ -122,7 +122,7 @@ impl RuntimeMonitor {
     }
 
     /// Tenants seen within the idle window ending at `now`.
-    pub fn active_tenants(&self, now: Nanos) -> Vec<TenantId> {
+    fn active_tenants(&self, now: Nanos) -> Vec<TenantId> {
         self.tenants
             .iter()
             .enumerate()
@@ -153,7 +153,7 @@ impl RuntimeMonitor {
     }
 
     /// Observed upper bound on `tenant`'s ranks at quantile `p`.
-    pub fn observed_bound(&self, tenant: TenantId, p: f64) -> Option<u64> {
+    fn observed_bound(&self, tenant: TenantId, p: f64) -> Option<u64> {
         self.tenants
             .get(tenant.index())
             .and_then(|t| t.as_ref())

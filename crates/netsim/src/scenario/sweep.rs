@@ -1,25 +1,30 @@
 //! Deterministic parallel scenario sweeps.
 //!
-//! A sweep file is `{"base": <scenario>, "axes": [{"path": ..., "values":
-//! [...]}, ...]}`: the cross product of all axis values (rightmost axis
-//! fastest) is applied to the base scenario as JSON patches, each point is
-//! run on its own engine (one per OS thread, per-scenario seeded RNG), and
-//! results are merged in grid order — so the output is byte-identical at
-//! any `--jobs` level.
+//! A sweep file is `{"base": <scenario>, "axes": [...]}`: the cross
+//! product of all axis values (rightmost axis fastest) is applied to the
+//! base scenario as JSON patches, each point is run on its own engine (one
+//! per OS thread, per-scenario seeded RNG), and results are merged in grid
+//! order — so the output is byte-identical at any `--jobs` level.
+//!
+//! An axis either names one dotted `path` and lists the values it takes
+//! (`{"path": "workloads.0.poisson.arrival.load", "values": [0.2, 0.4]}`),
+//! or names no path and lists *patch objects*, each setting several dotted
+//! paths at once (`{"values": [{"name": "FIFO", "scheduler": {"fifo":
+//! {}}, "qvisor": null}, ...]}`). Patches apply in axis order, and within
+//! a patch object in key order, so a later axis may patch inside what an
+//! earlier one replaced.
 
 use super::{field_err, Engine, ScenarioError, ScenarioSpec};
 use qvisor_sim::json::Value;
 use qvisor_sim::ordered_par_map;
 
-/// One sweep dimension: a dotted path into the scenario JSON and the
-/// values it takes. Path segments index objects by key and arrays by
-/// number, e.g. `workloads.0.poisson.arrival.load`.
+/// One sweep dimension. Each value is a patch: the dotted paths it sets,
+/// in order, and what it sets them to. Path segments index objects by key
+/// and arrays by number, e.g. `workloads.0.poisson.arrival.load`.
 #[derive(Clone, Debug)]
 pub struct SweepAxis {
-    /// Dotted path to patch.
-    pub path: String,
-    /// Values the axis takes, in sweep order.
-    pub values: Vec<Value>,
+    /// The patches the axis takes, in sweep order.
+    pub values: Vec<Vec<(String, Value)>>,
 }
 
 /// A parsed sweep description.
@@ -98,20 +103,30 @@ impl SweepSpec {
                     }
                 }
             }
-            let path = axis
-                .get("path")
-                .and_then(|p| p.as_str())
-                .ok_or_else(|| field_err(format!("{ap}.path"), "must be a string"))?
-                .to_string();
             let values = axis
                 .get("values")
                 .and_then(|vs| vs.as_array())
-                .ok_or_else(|| field_err(format!("{ap}.values"), "must be an array"))?
-                .to_vec();
+                .ok_or_else(|| field_err(format!("{ap}.values"), "must be an array"))?;
             if values.is_empty() {
                 return Err(field_err(format!("{ap}.values"), "must not be empty"));
             }
-            axes.push(SweepAxis { path, values });
+            let values = match axis.get("path") {
+                Some(path) => {
+                    let path = path
+                        .as_str()
+                        .ok_or_else(|| field_err(format!("{ap}.path"), "must be a string"))?;
+                    values
+                        .iter()
+                        .map(|v| vec![(path.to_string(), v.clone())])
+                        .collect()
+                }
+                None => values
+                    .iter()
+                    .enumerate()
+                    .map(|(j, v)| patch_object(v, &format!("{ap}.values.{j}")))
+                    .collect::<Result<_, _>>()?,
+            };
+            axes.push(SweepAxis { values });
         }
         Ok(SweepSpec { base, axes })
     }
@@ -138,10 +153,11 @@ impl SweepSpec {
             let mut overrides = Value::object();
             let mut label_parts = Vec::with_capacity(self.axes.len());
             for (axis, &pick) in self.axes.iter().zip(&picks) {
-                let value = &axis.values[pick];
-                patch(&mut patched, &axis.path, value)?;
-                overrides = overrides.set(axis.path.as_str(), value.clone());
-                label_parts.push(format!("{}={}", axis.path, value.to_compact()));
+                for (path, value) in &axis.values[pick] {
+                    patch(&mut patched, path, value)?;
+                    overrides = overrides.set(path.as_str(), value.clone());
+                    label_parts.push(format!("{path}={}", value.to_compact()));
+                }
             }
             let spec = ScenarioSpec::from_value(&patched)?;
             points.push(SweepPoint {
@@ -153,6 +169,27 @@ impl SweepSpec {
         }
         Ok(points)
     }
+}
+
+/// The `(path, value)` pairs of one patch object, the value of an axis
+/// that names no path of its own.
+fn patch_object(v: &Value, at: &str) -> Result<Vec<(String, Value)>, ScenarioError> {
+    let entries = v.as_object().ok_or_else(|| {
+        field_err(
+            at,
+            "an axis without a path takes patch objects ({\"dotted.path\": value, ...})",
+        )
+    })?;
+    if entries.is_empty() {
+        return Err(field_err(at, "a patch object must set at least one path"));
+    }
+    if entries.iter().any(|(key, _)| key == "path") {
+        return Err(field_err(
+            at,
+            "a patch object names its paths as keys; `path` belongs to a one-path axis",
+        ));
+    }
+    Ok(entries.to_vec())
 }
 
 /// Apply `value` at dotted `path` inside `v`. Intermediate segments must
@@ -285,4 +322,135 @@ pub fn merged_value(spec: &SweepSpec, results: &[SweepPointResult]) -> Value {
     Value::object()
         .set("scenario", name)
         .set("points", Value::from(points))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{SchedulerSpec, WorkloadSpec};
+
+    const BASE: &str = include_str!("../../../../examples/scenarios/fig4_point.json");
+
+    fn sweep(axes: &str) -> Result<SweepSpec, ScenarioError> {
+        SweepSpec::from_json(&format!(r#"{{"base": {BASE}, "axes": {axes}}}"#))
+    }
+
+    fn load_of(spec: &ScenarioSpec) -> f64 {
+        match &spec.workloads[0] {
+            WorkloadSpec::Poisson {
+                arrival: crate::scenario::ArrivalSpec::Load(load),
+                ..
+            } => *load,
+            other => panic!("workload 0 is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_patch_object_sets_several_paths_and_later_axes_patch_inside_it() {
+        let spec = sweep(
+            r#"[
+              {"values": [
+                {"name": "fifo", "scheduler": {"fifo": {}}, "qvisor": null},
+                {"name": "alone", "workloads": [{"poisson": {"tenant": 1, "flows": 10,
+                  "sizes": {"data_mining": {"scale_den": 50}},
+                  "arrival": {"load": 0.9}, "rng_stream": 1}}]}
+              ]},
+              {"path": "workloads.0.poisson.arrival.load", "values": [0.3, 0.5]}
+            ]"#,
+        )
+        .unwrap();
+        let points = spec.points().unwrap();
+        assert_eq!(points.len(), 4);
+        let fifo = &points[1].spec;
+        assert_eq!(fifo.name, "fifo");
+        assert_eq!(fifo.scheduler, SchedulerSpec::Fifo);
+        assert!(fifo.qvisor.is_none());
+        assert_eq!(fifo.workloads.len(), 2, "the base's CBR fleet stays");
+        assert_eq!(load_of(fifo), 0.5);
+        // The load axis comes after the scheme axis, so it patches the
+        // array the scheme replaced, not the base's.
+        let alone = &points[2].spec;
+        assert_eq!(alone.name, "alone");
+        assert_eq!(alone.workloads.len(), 1);
+        assert_eq!(load_of(alone), 0.3);
+        assert!(
+            alone.qvisor.is_some(),
+            "paths a patch leaves alone keep the base"
+        );
+        assert_eq!(
+            points[1].label,
+            r#"name="fifo",scheduler={"fifo":{}},qvisor=null,workloads.0.poisson.arrival.load=0.5"#
+        );
+        assert_eq!(
+            points[1].overrides.get("scheduler"),
+            Some(&Value::object().set("fifo", Value::object()))
+        );
+    }
+
+    #[test]
+    fn within_a_patch_object_keys_apply_in_order() {
+        let spec = sweep(
+            r#"[{"values": [{"workloads": [{"poisson": {"tenant": 1, "flows": 10,
+                  "sizes": {"data_mining": {"scale_den": 50}},
+                  "arrival": {"load": 0.9}, "rng_stream": 1}}],
+                "workloads.0.poisson.arrival.load": 0.4}]}]"#,
+        )
+        .unwrap();
+        let point = &spec.points().unwrap()[0];
+        assert_eq!(point.spec.workloads.len(), 1);
+        assert_eq!(load_of(&point.spec), 0.4);
+        // Reversed, the whole array lands last and the load patch is lost.
+        let spec = sweep(
+            r#"[{"values": [{"workloads.0.poisson.arrival.load": 0.4,
+                "workloads": [{"poisson": {"tenant": 1, "flows": 10,
+                  "sizes": {"data_mining": {"scale_den": 50}},
+                  "arrival": {"load": 0.9}, "rng_stream": 1}}]}]}]"#,
+        )
+        .unwrap();
+        assert_eq!(load_of(&spec.points().unwrap()[0].spec), 0.9);
+    }
+
+    #[test]
+    fn an_unknown_key_in_a_patch_is_refused_by_name() {
+        let spec = sweep(r#"[{"values": [{"nmae": "x"}]}]"#).unwrap();
+        let err = spec.points().unwrap_err().to_string();
+        assert!(err.contains("nmae"), "{err}");
+        let spec = sweep(r#"[{"values": [{"qvisor.tenantz.0.levels": 4}]}]"#).unwrap();
+        let err = spec.points().unwrap_err().to_string();
+        assert!(err.contains("qvisor.tenantz.0.levels"), "{err}");
+        assert!(err.contains("no key 'tenantz'"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_patch_object_is_refused() {
+        let err = sweep(r#"[{"values": [{"seed": 2}, {}]}]"#)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("sweep.axes.0.values.1"), "{err}");
+        assert!(err.contains("at least one path"), "{err}");
+    }
+
+    #[test]
+    fn a_value_mixing_path_with_a_patch_object_is_refused() {
+        let err = sweep(r#"[{"values": [{"path": "seed", "seed": 2}]}]"#)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("sweep.axes.0.values.0"), "{err}");
+        assert!(err.contains("`path`"), "{err}");
+        // Without a path, every value must be a patch object.
+        let err = sweep(r#"[{"values": [{"seed": 2}, 3]}]"#)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("sweep.axes.0.values.1"), "{err}");
+        assert!(err.contains("patch objects"), "{err}");
+    }
+
+    #[test]
+    fn a_one_path_axis_labels_as_before() {
+        let spec = sweep(r#"[{"path": "seed", "values": [3, 4]}]"#).unwrap();
+        let points = spec.points().unwrap();
+        assert_eq!(points[1].label, "seed=4");
+        assert_eq!(points[1].spec.seed, 4);
+        assert_eq!(points[1].overrides, Value::object().set("seed", 4u64));
+    }
 }

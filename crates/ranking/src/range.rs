@@ -47,11 +47,6 @@ impl RankRange {
         self.min <= other.max && other.min <= self.max
     }
 
-    /// A range, or `None` when `min > max` (non-panicking [`RankRange::new`]).
-    pub fn try_new(min: Rank, max: Rank) -> Option<RankRange> {
-        (min <= max).then_some(RankRange { min, max })
-    }
-
     /// Is every rank of `other` inside this range?
     pub fn contains_range(&self, other: &RankRange) -> bool {
         self.min <= other.min && other.max <= self.max
@@ -119,12 +114,6 @@ mod tests {
     #[should_panic(expected = "rank range is empty")]
     fn inverted_range_panics() {
         let _ = RankRange::new(2, 1);
-    }
-
-    #[test]
-    fn try_new_refuses_an_inverted_range() {
-        assert_eq!(RankRange::try_new(2, 1), None);
-        assert_eq!(RankRange::try_new(1, 2), Some(RankRange::new(1, 2)));
     }
 
     #[test]

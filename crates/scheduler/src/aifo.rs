@@ -71,7 +71,7 @@ impl AifoQueue {
     }
 
     /// Would a packet with `rank` be admitted right now?
-    pub fn admits(&self, rank: Rank) -> bool {
+    fn admits(&self, rank: Rank) -> bool {
         let c = self.bytes as f64 / self.capacity.bytes as f64;
         let threshold = (1.0 - c) / (1.0 - self.burst);
         self.quantile_position(rank) <= threshold

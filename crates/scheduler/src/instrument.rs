@@ -846,7 +846,7 @@ mod tests {
                     wait_ns: 500
                 }
             );
-            assert_eq!(data.label_of(&dq), Some("q0"));
+            assert_eq!(data.labels[dq.label as usize], "q0");
         }
 
         #[test]

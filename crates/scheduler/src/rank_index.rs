@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 /// pre-processor output width `qvisor_core::HardwareModel::max_rank`
 /// documents. Synthesized joint spans sit well inside it, and a fully
 /// grown bucket array is 16 KiB.
-pub const DENSE_RANKS: u64 = 1 << 12;
+pub(crate) const DENSE_RANKS: u64 = 1 << 12;
 
 /// Words in the dense tier's occupancy bitmap.
 const WORDS: usize = (DENSE_RANKS / 64) as usize;

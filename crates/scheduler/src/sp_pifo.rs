@@ -48,6 +48,7 @@ impl SpPifoMapper {
     }
 
     /// How many push-down reactions have occurred.
+    #[cfg(test)]
     pub fn pushdowns(&self) -> u64 {
         self.pushdowns
     }

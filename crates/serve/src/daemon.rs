@@ -38,7 +38,7 @@ use crate::registry::SnapshotCell;
 use crate::stats::ServeStats;
 
 /// Stream line announcing the end of a telemetry subscription.
-pub const STREAM_END: &str = r#"{"type":"stream_end"}"#;
+const STREAM_END: &str = r#"{"type":"stream_end"}"#;
 
 /// Daemon options.
 #[derive(Clone, Debug)]

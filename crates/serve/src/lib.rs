@@ -44,7 +44,7 @@ pub mod stats;
 pub mod store;
 
 pub use control::ControlPlane;
-pub use daemon::{Daemon, ServeOptions, STREAM_END};
+pub use daemon::{Daemon, ServeOptions};
 pub use protocol::Request;
 pub use registry::{ChainEntry, ChainSnapshot, SnapshotCell};
 pub use stats::ServeStats;

@@ -18,7 +18,7 @@ use qvisor_telemetry::LogHistogram;
 /// Rejections carrying no QV-* diagnostic (structural admission
 /// failures: unknown tenant, bad id, empty rank range, ...) are
 /// bucketed under this pseudo-code.
-pub const STRUCTURAL_CODE: &str = "QV-STRUCTURAL";
+pub(crate) const STRUCTURAL_CODE: &str = "QV-STRUCTURAL";
 
 /// Thread-shared daemon statistics. Cheap uncontended mutex: every
 /// recording is a handful of map bumps, far from the request hot path's
@@ -47,7 +47,7 @@ impl ServeStats {
 
     /// Classify one `submit-policy` response: accepts bump the accept
     /// counter; rejects bump one counter per distinct QV-* code in the
-    /// attached diagnostics (or [`STRUCTURAL_CODE`] when there are none).
+    /// attached diagnostics (or `QV-STRUCTURAL` when there are none).
     pub fn record_admission(&self, response: &Value) {
         let result = response.get("result").and_then(Value::as_str);
         let mut inner = self.inner.lock().expect("stats poisoned");

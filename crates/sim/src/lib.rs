@@ -26,4 +26,4 @@ pub use packet::{Packet, PacketArena, PacketKind, PacketSlot};
 pub use par::ordered_par_map;
 pub use rng::{stable_hash, SimRng};
 pub use stats::{jain_fairness, Log2Histogram, LogBuckets, OnlineStats};
-pub use time::{gbps, mbps, transmission_time, LineRate, Nanos};
+pub use time::{gbps, transmission_time, LineRate, Nanos};

@@ -1,11 +1,10 @@
 //! Online statistics used by metric collectors and the runtime monitor.
 
-/// Streaming mean/variance/min/max (Welford's algorithm).
+/// Streaming mean/min/max (Welford's mean update).
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -16,7 +15,6 @@ impl OnlineStats {
         OnlineStats {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -27,7 +25,6 @@ impl OnlineStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -46,15 +43,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -63,26 +51,6 @@ impl OnlineStats {
     /// Largest observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -243,16 +211,6 @@ impl<const SUB_BITS: u32> LogBuckets<SUB_BITS> {
             })
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (index, &c) in other.counts.iter().enumerate() {
-            if c > 0 {
-                *self.cell(index) += c;
-            }
-        }
-        self.total += other.total;
-    }
-
     /// Remove `other`'s counts from this histogram. `other` must be a
     /// subset of what was merged or recorded here (the sliding-window
     /// invariant).
@@ -304,7 +262,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -313,24 +270,8 @@ mod tests {
     fn online_stats_empty() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 37 % 19) as f64).collect();
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|&x| whole.record(x));
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        xs[..40].iter().for_each(|&x| left.record(x));
-        xs[40..].iter().for_each(|&x| right.record(x));
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Nanos {
         Nanos(us * 1_000)
     }
 
-    /// Construct from nanoseconds (identity; for symmetry with the others).
-    pub const fn from_nanos(ns: u64) -> Nanos {
-        Nanos(ns)
-    }
-
     /// This time expressed as (possibly fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -54,7 +49,7 @@ impl Nanos {
     }
 
     /// This time expressed as (possibly fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -249,21 +244,20 @@ pub const fn gbps(g: u64) -> u64 {
     g * 1_000_000_000
 }
 
-/// Convenience: megabits per second expressed in bits per second.
-pub const fn mbps(m: u64) -> u64 {
-    m * 1_000_000
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Megabits per second expressed in bits per second.
+    const fn mbps(m: u64) -> u64 {
+        m * 1_000_000
+    }
 
     #[test]
     fn constructors_agree() {
         assert_eq!(Nanos::from_secs(1), Nanos(1_000_000_000));
         assert_eq!(Nanos::from_millis(1), Nanos(1_000_000));
         assert_eq!(Nanos::from_micros(1), Nanos(1_000));
-        assert_eq!(Nanos::from_nanos(7), Nanos(7));
     }
 
     #[test]

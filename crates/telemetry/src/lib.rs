@@ -46,9 +46,9 @@ pub mod trace;
 
 pub use hist::{Bucket, LogHistogram, SUB_BITS};
 pub use journal::{Journal, JournalEvent};
-pub use monitor::{AlertMetric, AlertRule, QuantileSketch, SloMonitor, ALERT_METRICS};
+pub use monitor::{AlertMetric, AlertRule, SloMonitor, ALERT_METRICS};
 pub use profile::{ProfileSpan, ProfileStat, Profiler};
-pub use stream::{BusReceiver, SnapshotBus, DEFAULT_SUBSCRIBER_CAPACITY};
+pub use stream::{BusReceiver, SnapshotBus};
 pub use trace::{Records, TraceConfig, TraceData, TraceKind, TraceRecord, TraceView, Tracer};
 
 mod live;

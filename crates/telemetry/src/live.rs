@@ -377,7 +377,7 @@ impl Telemetry {
     }
 
     /// A collecting instance retaining at most `capacity` journal events.
-    pub fn with_journal_capacity(capacity: usize) -> Telemetry {
+    fn with_journal_capacity(capacity: usize) -> Telemetry {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Registry {
                 journal: Journal::new(capacity),

@@ -9,7 +9,7 @@
 //!
 //! Delivery is at-most-once per subscriber and never blocks the publisher:
 //! each subscriber owns a **bounded** queue
-//! ([`DEFAULT_SUBSCRIBER_CAPACITY`] lines). A subscriber that stops
+//! (`DEFAULT_SUBSCRIBER_CAPACITY`, 1024 lines). A subscriber that stops
 //! draining does not grow the daemon's heap without bound — on overflow
 //! the oldest queued line is dropped and counted in
 //! [`SnapshotBus::dropped_lines`], which the daemon surfaces in `status`
@@ -22,7 +22,7 @@ use std::sync::mpsc::RecvError;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Default bound on each subscriber's queued-line backlog.
-pub const DEFAULT_SUBSCRIBER_CAPACITY: usize = 1024;
+const DEFAULT_SUBSCRIBER_CAPACITY: usize = 1024;
 
 #[derive(Debug, Default)]
 struct SlotState {
@@ -63,6 +63,7 @@ impl BusReceiver {
     }
 
     /// Drain every line currently queued, without blocking.
+    #[cfg(test)]
     pub fn try_iter(&self) -> impl Iterator<Item = String> {
         let mut st = self.slot.state.lock().expect("snapshot bus poisoned");
         std::mem::take(&mut st.lines).into_iter()

@@ -34,7 +34,7 @@ use std::sync::Arc;
 pub const NO_LABEL: u32 = u32::MAX;
 
 /// Trace schema version written into the `trace_meta` line.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+const TRACE_SCHEMA_VERSION: u64 = 1;
 
 /// Flight-recorder tuning.
 #[derive(Clone, Copy, Debug)]
@@ -353,6 +353,7 @@ pub struct TraceData {
 
 impl TraceData {
     /// Resolve a record's label, or `None` for [`NO_LABEL`] / out of range.
+    #[cfg(test)]
     pub fn label_of(&self, r: &TraceRecord) -> Option<&str> {
         self.labels.get(r.label as usize).map(String::as_str)
     }

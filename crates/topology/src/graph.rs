@@ -80,7 +80,8 @@ impl Topology {
     }
 
     /// The directed link from `from` to `to`, if one exists.
-    pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<&Link> {
+    #[cfg(test)]
+    pub(crate) fn link_between(&self, from: NodeId, to: NodeId) -> Option<&Link> {
         self.out_links(from).find(|l| l.to == to)
     }
 
@@ -104,6 +105,7 @@ impl Topology {
     }
 
     /// All switch nodes.
+    #[cfg(test)]
     pub fn switches(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
@@ -126,7 +128,7 @@ pub struct TopologyBuilder {
 
 impl TopologyBuilder {
     /// Add a node; returns its id.
-    pub fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
+    fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             id,
@@ -151,7 +153,7 @@ impl TopologyBuilder {
     /// # Panics
     /// Panics on unknown endpoints, self-loops, zero rate, or a duplicate
     /// directed link.
-    pub fn add_directed_link(&mut self, from: NodeId, to: NodeId, rate_bps: u64, delay: Nanos) {
+    fn add_directed_link(&mut self, from: NodeId, to: NodeId, rate_bps: u64, delay: Nanos) {
         assert!(from.index() < self.nodes.len(), "unknown node {from}");
         assert!(to.index() < self.nodes.len(), "unknown node {to}");
         assert_ne!(from, to, "self-loop on {from}");

@@ -10,10 +10,9 @@ use qvisor_sim::{stable_hash, FlowId, NodeId};
 
 /// Precomputed ECMP routes: one flat (CSR) table.
 ///
-/// Row `dst * n + at` of `starts` delimits, inside `hops`, the
-/// shortest-path next hops from `at` towards `dst` in
-/// `Topology::neighbors(at)` order; `ports` runs parallel and holds each
-/// hop's position among `Topology::out_links(at)`. Destination-major, the
+/// Row `dst * n + at` of `starts` delimits, inside `ports`, the
+/// shortest-path next hops from `at` towards `dst`, each as its position
+/// among `Topology::out_links(at)`, in port order. Destination-major, the
 /// order the per-destination BFS writes it in. A row is empty when `dst`
 /// is unreachable, is not a host, or `at == dst`.
 ///
@@ -25,7 +24,6 @@ use qvisor_sim::{stable_hash, FlowId, NodeId};
 pub struct Routes {
     nodes: usize,
     starts: Vec<u32>,
-    hops: Vec<NodeId>,
     ports: Vec<u16>,
     single: Vec<u8>,
 }
@@ -57,7 +55,6 @@ impl Routes {
 
         let mut starts = Vec::with_capacity(n * n + 1);
         let mut single = Vec::with_capacity(n * n);
-        let mut hops = Vec::new();
         let mut ports = Vec::new();
         let mut dist = vec![u32::MAX; n];
         // The BFS queue: every node enters it at most once a pass.
@@ -65,7 +62,7 @@ impl Routes {
         for dst in topo.nodes() {
             if dst.kind != NodeKind::Host {
                 // Only hosts terminate traffic: n empty rows.
-                starts.resize(starts.len() + n, hops.len() as u32);
+                starts.resize(starts.len() + n, ports.len() as u32);
                 single.resize(single.len() + n, NOT_SINGLE);
                 continue;
             }
@@ -88,13 +85,12 @@ impl Routes {
             }
             // next hop of u: any neighbor v with dist[v] == dist[u] - 1.
             for u in 0..n {
-                let first = hops.len();
+                let first = ports.len();
                 starts.push(first as u32);
                 let du = dist[u];
                 if u != dst.index() && du != u32::MAX {
                     for (port, &v) in out[out_start[u]..out_start[u + 1]].iter().enumerate() {
                         if dist[v.index()] != u32::MAX && dist[v.index()] + 1 == du {
-                            hops.push(v);
                             ports
                                 .push(u16::try_from(port).expect("a node has at most 65536 ports"));
                         }
@@ -106,11 +102,10 @@ impl Routes {
                 });
             }
         }
-        starts.push(u32::try_from(hops.len()).expect("route table exceeds u32 entries"));
+        starts.push(u32::try_from(ports.len()).expect("route table exceeds u32 entries"));
         Routes {
             nodes: n,
             starts,
-            hops,
             ports,
             single,
         }
@@ -123,13 +118,13 @@ impl Routes {
         dst.index() * self.nodes + at.index()
     }
 
-    /// The `hops`/`ports` range holding the next hops from `at` to `dst`.
+    /// The `ports` range holding the next hops from `at` to `dst`.
     fn row(&self, at: NodeId, dst: NodeId) -> std::ops::Range<usize> {
         let row = self.row_index(at, dst);
         self.starts[row] as usize..self.starts[row + 1] as usize
     }
 
-    /// Index into `hops`/`ports` of the ECMP choice for `flow`.
+    /// Index into `ports` of the ECMP choice for `flow`.
     fn ecmp_slot(&self, at: NodeId, dst: NodeId, flow: FlowId) -> usize {
         let row = self.row(at, dst);
         assert!(
@@ -143,19 +138,14 @@ impl Routes {
         row.start + (h % row.len() as u64) as usize
     }
 
-    /// The ECMP next hop for `flow` from `at` towards `dst`.
+    /// The position among `Topology::out_links(at)` of the ECMP next hop's
+    /// link for `flow` from `at` towards `dst`.
     ///
     /// Deterministic in `(flow, at, dst)`; per-flow so a flow's packets never
     /// reorder across paths.
     ///
     /// # Panics
     /// Panics if `dst` is unreachable from `at`.
-    pub fn ecmp_next_hop(&self, at: NodeId, dst: NodeId, flow: FlowId) -> NodeId {
-        self.hops[self.ecmp_slot(at, dst, flow)]
-    }
-
-    /// The position among `Topology::out_links(at)` of the link to
-    /// [`Routes::ecmp_next_hop`]`(at, dst, flow)`; panics as it does.
     #[inline]
     pub fn ecmp_port(&self, at: NodeId, dst: NodeId, flow: FlowId) -> usize {
         match self.single[self.row_index(at, dst)] {
@@ -174,17 +164,27 @@ mod tests {
     use std::collections::{HashSet, VecDeque};
 
     /// All equal-cost next hops from `at` towards `dst`.
-    fn next_hops(r: &Routes, at: NodeId, dst: NodeId) -> &[NodeId] {
-        &r.hops[r.row(at, dst)]
+    fn next_hops(r: &Routes, t: &Topology, at: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let neighbors: Vec<NodeId> = t.neighbors(at).collect();
+        r.ports[r.row(at, dst)]
+            .iter()
+            .map(|&port| neighbors[port as usize])
+            .collect()
+    }
+
+    /// The ECMP next hop for `flow` from `at` towards `dst`: the node at
+    /// the far end of [`Routes::ecmp_port`].
+    fn ecmp_next_hop(r: &Routes, t: &Topology, at: NodeId, dst: NodeId, flow: FlowId) -> NodeId {
+        t.neighbors(at).nth(r.ecmp_port(at, dst, flow)).unwrap()
     }
 
     /// The full ECMP path of `flow` from `src` to `dst`, inclusive of both
-    /// endpoints: [`Routes::ecmp_next_hop`] followed hop by hop.
-    fn ecmp_path(r: &Routes, src: NodeId, dst: NodeId, flow: FlowId) -> Vec<NodeId> {
+    /// endpoints: [`ecmp_next_hop`] followed hop by hop.
+    fn ecmp_path(r: &Routes, t: &Topology, src: NodeId, dst: NodeId, flow: FlowId) -> Vec<NodeId> {
         let mut path = vec![src];
         let mut at = src;
         while at != dst {
-            at = r.ecmp_next_hop(at, dst, flow);
+            at = ecmp_next_hop(r, t, at, dst, flow);
             path.push(at);
             assert!(path.len() <= r.nodes, "routing loop from {src} to {dst}");
         }
@@ -208,7 +208,7 @@ mod tests {
     fn line_path() {
         let t = line();
         let r = Routes::compute(&t);
-        let path = ecmp_path(&r, NodeId(0), NodeId(3), FlowId(9));
+        let path = ecmp_path(&r, &t, NodeId(0), NodeId(3), FlowId(9));
         assert_eq!(path, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
@@ -217,7 +217,7 @@ mod tests {
         let t = line();
         let r = Routes::compute(&t);
         // s1 (NodeId 2) is a switch: no routes terminate there.
-        assert!(next_hops(&r, NodeId(0), NodeId(2)).is_empty());
+        assert!(next_hops(&r, &t, NodeId(0), NodeId(2)).is_empty());
     }
 
     #[test]
@@ -228,10 +228,10 @@ mod tests {
         let dst = ls.hosts[5][3];
         // Cross-rack: leaf should offer all 4 spines as next hops.
         let leaf = ls.leaf_switches[0];
-        assert_eq!(next_hops(&r, leaf, dst).len(), 4);
+        assert_eq!(next_hops(&r, &ls.topology, leaf, dst).len(), 4);
         // Different flows spread over spines.
         let spines: HashSet<NodeId> = (0..64)
-            .map(|f| ecmp_path(&r, src, dst, FlowId(f))[2])
+            .map(|f| ecmp_path(&r, &ls.topology, src, dst, FlowId(f))[2])
             .collect();
         assert!(spines.len() > 1, "ECMP should use multiple spines");
         for s in &spines {
@@ -245,7 +245,7 @@ mod tests {
         let r = Routes::compute(&ls.topology);
         let a = ls.hosts[1][0];
         let b = ls.hosts[1][2];
-        let path = ecmp_path(&r, a, b, FlowId(1));
+        let path = ecmp_path(&r, &ls.topology, a, b, FlowId(1));
         assert_eq!(path, vec![a, ls.leaf_switches[1], b]);
     }
 
@@ -255,8 +255,8 @@ mod tests {
         let r = Routes::compute(&ls.topology);
         let src = ls.hosts[0][0];
         let dst = ls.hosts[8][15];
-        let p1 = ecmp_path(&r, src, dst, FlowId(77));
-        let p2 = ecmp_path(&r, src, dst, FlowId(77));
+        let p1 = ecmp_path(&r, &ls.topology, src, dst, FlowId(77));
+        let p2 = ecmp_path(&r, &ls.topology, src, dst, FlowId(77));
         assert_eq!(p1, p2);
         assert_eq!(p1.len(), 5); // host-leaf-spine-leaf-host
     }
@@ -269,14 +269,14 @@ mod tests {
         let _h1 = b.add_host("h1");
         let t = b.build();
         let r = Routes::compute(&t);
-        let _ = r.ecmp_next_hop(h0, NodeId(1), FlowId(0));
+        let _ = r.ecmp_port(h0, NodeId(1), FlowId(0));
     }
 
     #[test]
     #[should_panic(expected = "(unreachable or at == dst)")]
     fn next_hop_at_the_destination_panics() {
         let r = Routes::compute(&line());
-        let _ = r.ecmp_next_hop(NodeId(3), NodeId(3), FlowId(0));
+        let _ = r.ecmp_port(NodeId(3), NodeId(3), FlowId(0));
     }
 
     /// Shortest-path next hops by the textbook definition, one forward BFS
@@ -323,13 +323,13 @@ mod tests {
                 // on the 157-node fabric, take every one elsewhere.
                 let stride = if t.node_count() > 100 { 7 } else { 1 };
                 for dst in t.nodes().iter().map(|n| n.id).step_by(stride) {
-                    let hops = next_hops(&r, at, dst);
+                    let hops = next_hops(&r, t, at, dst);
                     assert_eq!(hops, reference_hops(t, at, dst), "{at} -> {dst}");
                     // The port column names the same links, in port order.
                     for (i, &hop) in hops.iter().enumerate() {
                         let flow = (0..)
                             .map(FlowId)
-                            .find(|&f| r.ecmp_next_hop(at, dst, f) == hop);
+                            .find(|&f| ecmp_next_hop(&r, t, at, dst, f) == hop);
                         let port = r.ecmp_port(at, dst, flow.unwrap());
                         assert_eq!(neighbors[port], hop, "{at} -> {dst} hop {i}");
                     }
@@ -419,7 +419,11 @@ mod tests {
             let src = hosts[rng.below(hosts.len() as u64) as usize];
             let dst = hosts[rng.below(hosts.len() as u64) as usize];
             let flow = FlowId(rng.next());
-            words.extend(ecmp_path(&r, src, dst, flow).iter().map(|n| n.0 as u64));
+            words.extend(
+                ecmp_path(&r, &ls.topology, src, dst, flow)
+                    .iter()
+                    .map(|n| n.0 as u64),
+            );
             words.push(u64::MAX);
         }
         assert_eq!(stable_hash(&words), PINNED_PATHS_HASH);

@@ -39,6 +39,7 @@ impl CbrSource {
     }
 
     /// Datagrams emitted so far.
+    #[cfg(test)]
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -93,6 +94,7 @@ impl DatagramSink {
     }
 
     /// Datagrams delivered.
+    #[cfg(test)]
     pub fn received(&self) -> u64 {
         self.received
     }

@@ -147,13 +147,8 @@ impl ReliableSender {
         &self.def
     }
 
-    /// Packets in the flow.
-    pub fn total_pkts(&self) -> u64 {
-        self.total_pkts
-    }
-
     /// Payload bytes of packet `seq` (the last packet may be short).
-    pub fn payload_of(&self, seq: u64) -> u32 {
+    fn payload_of(&self, seq: u64) -> u32 {
         debug_assert!(seq < self.total_pkts);
         if seq + 1 == self.total_pkts {
             let rem = self.def.size - (self.total_pkts - 1) * self.mss as u64;
@@ -382,6 +377,7 @@ impl ReliableReceiver {
     }
 
     /// Duplicate data packets seen.
+    #[cfg(test)]
     pub fn duplicates(&self) -> u64 {
         self.duplicate_pkts
     }
@@ -417,7 +413,7 @@ mod tests {
     #[test]
     fn short_flow_sends_everything_at_once() {
         let mut s = ReliableSender::new(def(2_500), 1_000, 8);
-        assert_eq!(s.total_pkts(), 3);
+        assert_eq!(s.total_pkts, 3);
         let sends = s.on_start(Nanos::ZERO);
         assert_eq!(sends.len(), 3);
         assert_eq!(sends[2].payload, 500, "tail packet is short");
