@@ -9,9 +9,9 @@
 //!        [-- --telemetry PREFIX]   write `PREFIX-n<N>_{qvisor,naive}.jsonl`
 
 use qvisor_bench::harness::{run_one, telemetry_prefix};
+use qvisor_core::{Backend, PreprocScope};
 use qvisor_netsim::scenario::{
-    FlowDecl, QvisorSpec, ScenarioSpec, SchedulerSpec, ScopeSpec, SimSpec, TenantDecl, TimeRef,
-    TopologySpec, WorkloadSpec,
+    FlowDecl, QvisorSpec, ScenarioSpec, SimSpec, TenantDecl, TimeRef, TopologySpec, WorkloadSpec,
 };
 use qvisor_netsim::SimReport;
 use qvisor_ranking::RankFnSpec;
@@ -34,7 +34,7 @@ fn scenario(n: usize, qvisor: bool) -> ScenarioSpec {
             .collect::<Vec<_>>()
             .join(" + "),
         unknown_drop: false,
-        scope: ScopeSpec::Everywhere,
+        scope: PreprocScope::Everywhere,
         monitor: None,
         synth: None,
     });
@@ -54,7 +54,7 @@ fn scenario(n: usize, qvisor: bool) -> ScenarioSpec {
             horizon: TimeRef::At(Nanos::from_millis(120).as_nanos()),
             ..SimSpec::default()
         },
-        scheduler: SchedulerSpec::Pifo,
+        scheduler: Backend::Pifo,
         host_scheduler: None,
         qvisor: qvisor_spec,
         rank_fns: (1..=n)

@@ -14,7 +14,7 @@
 
 use qvisor_core::{
     admit, synthesize, MonitorConfig, Policy, RuntimeAdapter, RuntimeMonitor, SpecPaths,
-    SynthConfig, TenantSpec, ViolationAction,
+    SynthConfig, Target, TenantSpec, ViolationAction,
 };
 use qvisor_ranking::{RankFnSpec, RankRange};
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
@@ -58,7 +58,8 @@ fn control_plane_timeline() {
     let t0 = Instant::now();
     let joint = synthesize(&specs, &policy, synth_cfg).unwrap();
     let initial_synth = t0.elapsed();
-    let deployed = admit(joint, &SpecPaths::config(), false).expect("the initial policy deploys");
+    let deployed = admit(joint, &Target::default(), &SpecPaths::config(), false)
+        .expect("the initial policy deploys");
     let joint = deployed.joint();
     let mut monitor = RuntimeMonitor::new(&specs, monitor_cfg);
     let mut adapter = RuntimeAdapter::new(specs.clone(), policy, synth_cfg, monitor_cfg);
@@ -143,9 +144,10 @@ fn control_plane_timeline() {
 /// curves from a declarative scenario.
 fn in_network_timeline() {
     use qvisor_bench::harness::run_one;
+    use qvisor_core::{Backend, PreprocScope};
     use qvisor_netsim::scenario::{
-        CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec, SchedulerSpec, ScopeSpec,
-        SimSpec, TenantDecl, TimeRef, TopologySpec, ViolationSpec, WorkloadSpec,
+        CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec, SimSpec, TenantDecl, TimeRef,
+        TopologySpec, WorkloadSpec,
     };
     use qvisor_topology::LeafSpineConfig;
 
@@ -214,7 +216,7 @@ fn in_network_timeline() {
             adaptation_interval_ns: Some(Nanos::from_millis(10).as_nanos()),
             ..SimSpec::default()
         },
-        scheduler: SchedulerSpec::Pifo,
+        scheduler: Backend::Pifo,
         host_scheduler: None,
         qvisor: Some(QvisorSpec {
             tenants: vec![
@@ -224,9 +226,9 @@ fn in_network_timeline() {
             ],
             policy: "T1 + T2 >> T3".to_string(),
             unknown_drop: false,
-            scope: ScopeSpec::Everywhere,
+            scope: PreprocScope::Everywhere,
             monitor: Some(MonitorSpec {
-                violation_action: ViolationSpec::Clamp,
+                violation_action: ViolationAction::Clamp,
                 idle_after_ns: Nanos::from_millis(8).as_nanos(),
                 drift_ratio: 4.0,
             }),

@@ -1,107 +1,181 @@
-//! Deployment backends (§3.4): realizing the joint policy on an actual
-//! scheduler.
+//! Deployment targets (§3.4): the queue a port runs, and where the joint
+//! policy meets it.
 //!
 //! On a PIFO the transformed ranks deploy directly. On a commodity switch
 //! with `K` strict-priority FIFO queues, QVISOR must *allocate queues to
 //! strict levels* (so isolation survives the approximation) and map ranks
-//! to queues within each level — either statically (range split) or with
-//! SP-PIFO's adaptive bounds. A plain FIFO and AIFO round out the targets.
+//! to queues within each level. SP-PIFO's adaptive bank, a plain FIFO,
+//! AIFO and an idealized per-tenant PIFO tree round out the targets.
+//!
+//! [`Backend`] is the one descriptor of a port's queue: the scenario codec
+//! parses it, the simulator builds it, [`crate::compile()`] degrades onto
+//! it and the deployment gate ([`crate::admit`]) judges a policy on the
+//! [`Target`] it names.
 
 use crate::error::{QvisorError, Result};
 use crate::synth::JointPolicy;
+use qvisor_ranking::RankRange;
 use qvisor_scheduler::{
-    AifoQueue, Capacity, FifoQueue, PacketQueue, PifoQueue, QueueMapper, SpPifoMapper,
-    StrictPriorityBank,
+    AifoQueue, Capacity, FifoQueue, PacketQueue, PathStep, PifoQueue, PifoTree, QueueMapper,
+    SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
 };
-use qvisor_sim::Rank;
+use qvisor_sim::{Packet, Rank};
 
-/// How a strict-priority bank adapts its rank→queue mapping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpAdaptation {
-    /// Queues are allocated to strict levels proportionally to band width,
-    /// and ranks split statically within each level. Guarantees inter-level
-    /// isolation on the bank.
-    BandedStatic,
-    /// One global SP-PIFO over the whole joint rank space (no structural
-    /// isolation guarantee, better intra-level fidelity under drift).
-    SpPifo,
-}
-
-/// A deployment target.
-#[derive(Clone, Copy, Debug)]
+/// The queue a port runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Backend {
-    /// An ideal PIFO queue (the paper's primary target).
-    Pifo {
-        /// Buffer size.
-        capacity: Capacity,
-    },
-    /// A single FIFO queue (rank-oblivious baseline).
-    Fifo {
-        /// Buffer size.
-        capacity: Capacity,
-    },
-    /// A bank of strict-priority FIFO queues.
-    StrictPriority {
-        /// Number of hardware queues available.
+    /// Rank-oblivious FIFO (tail drop).
+    Fifo,
+    /// Ideal PIFO (priority drop), the paper's primary target.
+    #[default]
+    Pifo,
+    /// A strict-priority FIFO bank with one SP-PIFO adaptive mapping over
+    /// the whole rank space (no structural isolation guarantee).
+    SpPifo {
+        /// Hardware queues.
         queues: usize,
-        /// Shared buffer size.
-        capacity: Capacity,
-        /// Mapping strategy.
-        adaptation: SpAdaptation,
     },
-    /// AIFO: single FIFO with rank-aware admission.
+    /// A strict-priority FIFO bank with a static rank→queue split. Under a
+    /// joint policy the banded allocator ([`BandedMapper`]) hands queues to
+    /// strict levels; without one, ranks split uniformly over `span`.
+    StrictStatic {
+        /// Hardware queues.
+        queues: usize,
+        /// Rank span of the uniform split.
+        span: RankRange,
+    },
+    /// AIFO: a single FIFO with rank-aware admission.
     Aifo {
-        /// Buffer size (must be finite).
-        capacity: Capacity,
-        /// Rank-distribution window size.
+        /// Rank window size.
         window: usize,
         /// Burst tolerance in `[0, 1)`.
         burst: f64,
     },
+    /// An idealized hierarchical scheduler (PIFO tree): the root
+    /// fair-shares across tenants by per-tenant virtual time, each leaf
+    /// orders its tenant's packets by rank. This is what dedicated
+    /// multi-tenant scheduling *hardware* would do — the upper bound the
+    /// paper's flat-PIFO virtualization approximates (§5 expressivity).
+    FairTree {
+        /// Number of tenant classes (tenant id modulo this picks the leaf).
+        tenants: u16,
+    },
 }
 
 impl Backend {
-    /// Instantiate the scheduler for `joint`.
-    ///
-    /// Fails when the hardware cannot express the policy (e.g. fewer queues
-    /// than strict levels under [`SpAdaptation::BandedStatic`]).
-    pub fn build(&self, joint: &JointPolicy) -> Result<Box<dyn PacketQueue>> {
+    /// The descriptor's own constraints, written once. `Err((field,
+    /// message))` names the field at fault relative to the descriptor
+    /// (`sp_pifo.queues`): the scenario codec prefixes its dotted path,
+    /// [`Backend::build`] reports it as a deployment error.
+    pub fn check(&self, buffer: Capacity) -> std::result::Result<(), (&'static str, &'static str)> {
         match *self {
-            Backend::Pifo { capacity } => Ok(Box::new(PifoQueue::new(capacity))),
-            Backend::Fifo { capacity } => Ok(Box::new(FifoQueue::new(capacity))),
-            Backend::Aifo {
-                capacity,
-                window,
-                burst,
-            } => {
-                if capacity.bytes == u64::MAX {
-                    return Err(QvisorError::Deployment(
-                        "AIFO requires a finite buffer capacity".into(),
-                    ));
-                }
-                Ok(Box::new(AifoQueue::new(capacity, window, burst)))
+            Backend::SpPifo { queues: 0 } => Err(("sp_pifo.queues", "must be >= 1")),
+            Backend::StrictStatic { queues: 0, .. } => {
+                Err(("strict_static.queues", "must be >= 1"))
             }
-            Backend::StrictPriority {
-                queues,
-                capacity,
-                adaptation,
-            } => match adaptation {
-                SpAdaptation::SpPifo => {
-                    if queues == 0 {
-                        return Err(QvisorError::Deployment("need at least one queue".into()));
-                    }
-                    Ok(Box::new(StrictPriorityBank::new(
-                        SpPifoMapper::new(queues),
-                        capacity,
-                    )))
-                }
-                SpAdaptation::BandedStatic => {
-                    let mapper = BandedMapper::from_joint(joint, queues)?;
-                    Ok(Box::new(StrictPriorityBank::new(mapper, capacity)))
-                }
-            },
+            Backend::StrictStatic { span, .. } if span.min > span.max => {
+                Err(("strict_static.span_min", "must be <= span_max"))
+            }
+            Backend::Aifo { window: 0, .. } => Err(("aifo.window", "must be >= 1")),
+            Backend::Aifo { burst, .. } if !(0.0..1.0).contains(&burst) => {
+                Err(("aifo.burst", "must be in [0.0, 1.0)"))
+            }
+            Backend::Aifo { .. } if buffer.bytes == u64::MAX => {
+                Err(("aifo", "requires a finite sim.buffer_bytes"))
+            }
+            Backend::FairTree { tenants: 0 } => Err(("fair_tree.tenants", "must be >= 1")),
+            _ => Ok(()),
         }
     }
+
+    /// Does the queue have room for `joint`'s strict levels? Only a static
+    /// strict bank needs some: a queue per level (the gate's
+    /// `QV-STRICT-QUEUES`, and `compile()`'s level-merging step).
+    pub fn fits(&self, joint: &JointPolicy) -> bool {
+        match *self {
+            Backend::StrictStatic { queues, .. } => queues >= joint.layout.len(),
+            _ => true,
+        }
+    }
+
+    /// Build the queue over `buffer`, for `joint` when a policy is deployed.
+    ///
+    /// Fails when the descriptor breaks [`Backend::check`], or when a
+    /// static strict bank has fewer queues than `joint` has strict levels.
+    pub fn build(
+        &self,
+        buffer: Capacity,
+        joint: Option<&JointPolicy>,
+    ) -> Result<Box<dyn PacketQueue>> {
+        if let Err((field, message)) = self.check(buffer) {
+            return Err(QvisorError::Deployment(format!("{field}: {message}")));
+        }
+        Ok(match *self {
+            Backend::Fifo => Box::new(FifoQueue::new(buffer)),
+            Backend::Pifo => Box::new(PifoQueue::new(buffer)),
+            Backend::SpPifo { queues } => {
+                Box::new(StrictPriorityBank::new(SpPifoMapper::new(queues), buffer))
+            }
+            Backend::StrictStatic { queues, span } => match joint {
+                Some(j) => Box::new(StrictPriorityBank::new(
+                    BandedMapper::from_joint(j, queues)?,
+                    buffer,
+                )),
+                None => Box::new(StrictPriorityBank::new(
+                    StaticRangeMapper::new(span.min, span.max, queues),
+                    buffer,
+                )),
+            },
+            Backend::Aifo { window, burst } => Box::new(AifoQueue::new(buffer, window, burst)),
+            Backend::FairTree { tenants } => {
+                let shape = TreeShape::Internal((0..tenants).map(|_| TreeShape::Leaf).collect());
+                let mut vtimes = vec![0u64; tenants as usize];
+                let classifier = move |p: &Packet| {
+                    let class = (p.tenant.0 % tenants) as usize;
+                    vtimes[class] += 1;
+                    TreePath {
+                        steps: vec![PathStep {
+                            child: class,
+                            rank: vtimes[class],
+                        }],
+                        leaf_rank: p.txf_rank,
+                    }
+                };
+                Box::new(PifoTree::new(&shape, classifier, buffer))
+            }
+        })
+    }
+}
+
+/// Where QVISOR's pre-processor runs (§5 "cross-device virtualization"):
+/// rank rewriting can happen at every egress, only inside the fabric, or
+/// only at the first hop — trading deployment surface against how early
+/// the joint policy takes effect.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum PreprocScope {
+    /// Every egress port, hosts included (the default; transformations are
+    /// idempotent, so re-applying per hop is safe).
+    #[default]
+    Everywhere,
+    /// Only switch egress ports: host NICs forward raw tenant ranks, as
+    /// when QVISOR is deployed purely in-network.
+    SwitchesOnly,
+    /// Only the first hop (the sending host): a pure end-host deployment,
+    /// as in NIC-based multi-tenant scheduling (Loom/Eiffel).
+    FirstHopOnly,
+}
+
+/// What a joint policy is deployed onto: the queue at switch ports, the
+/// one at host NIC ports, and where the pre-processor runs. The default is
+/// a PIFO everywhere with the pre-processor at every egress.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Target {
+    /// The queue at switch output ports.
+    pub scheduler: Backend,
+    /// The queue at host NIC ports; `None` runs `scheduler` there too.
+    pub host_scheduler: Option<Backend>,
+    /// Where the pre-processor runs.
+    pub scope: PreprocScope,
 }
 
 /// One strict level's queue allocation.
@@ -297,47 +371,98 @@ mod tests {
     fn backends_build() {
         let j = joint("T1 >> T2 + T3");
         let cap = Capacity::packets(64, 1500);
-        assert!(Backend::Pifo { capacity: cap }.build(&j).is_ok());
-        assert!(Backend::Fifo { capacity: cap }.build(&j).is_ok());
-        assert!(Backend::StrictPriority {
-            queues: 8,
-            capacity: cap,
-            adaptation: SpAdaptation::BandedStatic
+        let span = RankRange::new(0, 99);
+        for backend in [
+            Backend::Fifo,
+            Backend::Pifo,
+            Backend::SpPifo { queues: 8 },
+            Backend::StrictStatic { queues: 8, span },
+            Backend::Aifo {
+                window: 32,
+                burst: 0.1,
+            },
+            Backend::FairTree { tenants: 3 },
+        ] {
+            assert!(backend.check(cap).is_ok(), "{backend:?}");
+            assert!(backend.build(cap, Some(&j)).is_ok(), "{backend:?}");
+            assert!(backend.build(cap, None).is_ok(), "{backend:?}");
+            assert!(backend.fits(&j), "{backend:?}");
         }
-        .build(&j)
-        .is_ok());
-        assert!(Backend::StrictPriority {
-            queues: 8,
-            capacity: cap,
-            adaptation: SpAdaptation::SpPifo
-        }
-        .build(&j)
-        .is_ok());
-        assert!(Backend::Aifo {
-            capacity: cap,
+        let aifo = Backend::Aifo {
             window: 32,
-            burst: 0.1
+            burst: 0.1,
+        };
+        assert_eq!(
+            aifo.check(Capacity::UNBOUNDED),
+            Err(("aifo", "requires a finite sim.buffer_bytes"))
+        );
+        let err = aifo.build(Capacity::UNBOUNDED, Some(&j)).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "deployment failed: aifo: requires a finite sim.buffer_bytes"
+        );
+    }
+
+    #[test]
+    fn the_descriptor_checks_each_field_once() {
+        let cap = Capacity::packets(64, 1500);
+        let cases = [
+            (Backend::SpPifo { queues: 0 }, "sp_pifo.queues"),
+            (
+                Backend::StrictStatic {
+                    queues: 0,
+                    span: RankRange::new(0, 9),
+                },
+                "strict_static.queues",
+            ),
+            (
+                Backend::StrictStatic {
+                    queues: 4,
+                    span: RankRange { min: 9, max: 0 },
+                },
+                "strict_static.span_min",
+            ),
+            (
+                Backend::Aifo {
+                    window: 0,
+                    burst: 0.1,
+                },
+                "aifo.window",
+            ),
+            (
+                Backend::Aifo {
+                    window: 8,
+                    burst: 1.0,
+                },
+                "aifo.burst",
+            ),
+            (Backend::FairTree { tenants: 0 }, "fair_tree.tenants"),
+        ];
+        for (backend, field) in cases {
+            assert_eq!(backend.check(cap).unwrap_err().0, field);
+            assert!(backend.build(cap, None).is_err(), "{backend:?}");
         }
-        .build(&j)
-        .is_ok());
-        assert!(Backend::Aifo {
-            capacity: Capacity::UNBOUNDED,
-            window: 32,
-            burst: 0.1
-        }
-        .build(&j)
-        .is_err());
+    }
+
+    #[test]
+    fn a_strict_bank_needs_a_queue_per_strict_level() {
+        let j = joint("T1 >> T2 >> T3");
+        let span = RankRange::new(0, 99);
+        let short = Backend::StrictStatic { queues: 2, span };
+        assert!(!short.fits(&j));
+        let err = short.build(Capacity::UNBOUNDED, Some(&j)).err().unwrap();
+        assert!(err.to_string().contains("3 strict levels"), "{err}");
+        // Without a policy the bank splits `span` uniformly.
+        assert!(short.build(Capacity::UNBOUNDED, None).is_ok());
+        assert!(Backend::StrictStatic { queues: 3, span }.fits(&j));
+        assert!(Backend::SpPifo { queues: 1 }.fits(&j));
     }
 
     #[test]
     fn built_pifo_schedules_by_transformed_rank() {
         use qvisor_sim::{FlowId, Nanos, NodeId, Packet};
         let j = joint("T1 >> T2");
-        let mut q = Backend::Pifo {
-            capacity: Capacity::UNBOUNDED,
-        }
-        .build(&j)
-        .unwrap();
+        let mut q = Backend::Pifo.build(Capacity::UNBOUNDED, Some(&j)).unwrap();
         let mk = |tenant: u16, txf: u64| {
             let mut p = Packet::data(
                 FlowId(1),

@@ -25,13 +25,12 @@
 //! group's interleaved band is wider than the preference chain it would
 //! replace, so it never helps fit.)
 
-use crate::backend::{Backend, SpAdaptation};
+use crate::backend::Backend;
 use crate::error::{QvisorError, Result};
 use crate::policy::Policy;
 use crate::spec::{SynthConfig, TenantSpec};
 use crate::synth::{synthesize, JointPolicy};
 use crate::verify::{verify, SpecPaths, VerifyReport};
-use qvisor_scheduler::Capacity;
 use std::fmt;
 
 /// What the target switch offers.
@@ -42,8 +41,6 @@ pub struct HardwareModel {
     /// Largest rank value the pre-processor stage can carry (e.g. a
     /// 12-bit rank field gives 4095).
     pub max_rank: u64,
-    /// Buffer capacity for the built queue.
-    pub buffer: Capacity,
 }
 
 /// One semantic concession made to fit the hardware.
@@ -89,7 +86,8 @@ pub struct CompiledDeployment {
     pub joint: JointPolicy,
     /// The (possibly degraded) operator policy it implements.
     pub policy: Policy,
-    /// The backend configuration for the hardware.
+    /// The queue it is deployed onto: a static strict bank of the
+    /// hardware's queues over the joint rank span.
     pub backend: Backend,
     /// Concessions made, in the order they were applied (empty = faithful).
     pub concessions: Vec<Concession>,
@@ -157,21 +155,18 @@ pub fn compile(
         }
 
         // Step 3: fewer queues than strict levels -> merge bottom levels.
-        if joint.layout.len() > hw.queues {
+        let backend = Backend::StrictStatic {
+            queues: hw.queues,
+            span,
+        };
+        if !backend.fits(&joint) {
             let upper = joint.layout.len() - 2;
             merge_bottom_levels(&mut policy);
             concessions.push(Concession::StrictMerged { upper_level: upper });
             continue;
         }
 
-        // Fits. Build and report.
-        let backend = Backend::StrictPriority {
-            queues: hw.queues,
-            capacity: hw.buffer,
-            adaptation: SpAdaptation::BandedStatic,
-        };
-        // Sanity: the banded mapper must accept it now.
-        backend.build(&joint)?;
+        // Fits: report.
         let guarantees = verify(&joint, &SpecPaths::config());
         return Ok(CompiledDeployment {
             joint,
@@ -225,7 +220,6 @@ mod tests {
         let hw = HardwareModel {
             queues: 8,
             max_rank: 1 << 20,
-            buffer: Capacity::packets(64, 1_500),
         };
         let out = compile(&specs(), &policy, SynthConfig::default(), &hw).unwrap();
         assert!(out.concessions.is_empty());
@@ -239,7 +233,6 @@ mod tests {
         let hw = HardwareModel {
             queues: 8,
             max_rank: 255, // 8-bit rank field
-            buffer: Capacity::packets(64, 1_500),
         };
         let out = compile(&specs(), &policy, SynthConfig::default(), &hw).unwrap();
         assert!(!out.concessions.is_empty());
@@ -272,7 +265,6 @@ mod tests {
         let hw = HardwareModel {
             queues: 2,
             max_rank: u32::MAX as u64,
-            buffer: Capacity::packets(64, 1_500),
         };
         let out = compile(&specs, &policy, SynthConfig::default(), &hw).unwrap();
         let merges = out
@@ -282,6 +274,9 @@ mod tests {
             .count();
         assert_eq!(merges, 3);
         assert_eq!(out.joint.layout.len(), 2);
+        let span = out.joint.output_span();
+        assert_eq!(out.backend, Backend::StrictStatic { queues: 2, span });
+        assert!(out.backend.fits(&out.joint));
         // The surviving strict boundary is still verified isolated; the
         // merged levels became best-effort (overlapping) preferences, so
         // some guarantees are intentionally weaker — but the verifier still
@@ -298,7 +293,6 @@ mod tests {
         let hw = HardwareModel {
             queues: 2,
             max_rank: 7,
-            buffer: Capacity::packets(64, 1_500),
         };
         let out = compile(&specs(), &policy, SynthConfig::default(), &hw).unwrap();
         assert!(out.joint.output_span().max <= 7);
@@ -327,14 +321,12 @@ mod tests {
         let hw = HardwareModel {
             queues: 16,
             max_rank: 10, // one below the 12-tenant bound
-            buffer: Capacity::packets(64, 1_500),
         };
         let err = compile(&specs, &policy, SynthConfig::default(), &hw).unwrap_err();
         assert!(matches!(err, QvisorError::Deployment(_)));
         let hw = HardwareModel {
             queues: 16,
             max_rank: 11, // exactly 12 rank values
-            buffer: Capacity::packets(64, 1_500),
         };
         let out = compile(&specs, &policy, SynthConfig::default(), &hw).unwrap();
         assert!(out.concessions.is_empty());
@@ -348,7 +340,6 @@ mod tests {
         let hw = HardwareModel {
             queues: 0,
             max_rank: 100,
-            buffer: Capacity::packets(64, 1_500),
         };
         assert!(matches!(
             compile(&specs(), &policy, SynthConfig::default(), &hw),
@@ -358,7 +349,6 @@ mod tests {
         let hw = HardwareModel {
             queues: 4,
             max_rank: 0,
-            buffer: Capacity::packets(64, 1_500),
         };
         assert!(compile(&specs(), &policy, SynthConfig::default(), &hw).is_err());
     }

@@ -22,8 +22,10 @@
 //!    the one verdict, and [`admit`] is the one gate: it makes the
 //!    [`Admitted`] token every deploy site takes.
 //! 5. A [`PreProcessor`] applies the chains to packets at line rate; a
-//!    [`Backend`] realizes the policy on a PIFO, strict-priority bank
-//!    (static or SP-PIFO mapping), AIFO, or FIFO.
+//!    [`Backend`] — the one descriptor of a port's queue — realizes the
+//!    policy on a PIFO, strict-priority bank (static or SP-PIFO mapping),
+//!    AIFO, FIFO or PIFO tree. The gate judges the policy on the
+//!    [`Target`] it is deployed onto.
 //! 6. At runtime, a [`RuntimeMonitor`] polices declared ranges (adversarial
 //!    tenants) and a [`RuntimeAdapter`] re-synthesizes as tenants enter,
 //!    leave, or drift — each re-synthesis through the same gate.
@@ -59,7 +61,7 @@ pub mod synth;
 pub mod transform;
 pub mod verify;
 
-pub use backend::{Backend, BandedMapper, SpAdaptation};
+pub use backend::{Backend, BandedMapper, PreprocScope, Target};
 pub use compile::{compile, CompiledDeployment, Concession, HardwareModel};
 pub use config_api::{DeploymentConfig, SynthOptions, TenantConfig};
 pub use error::{QvisorError, Result};

@@ -497,7 +497,8 @@ mod tests {
         ];
         let policy = Policy::parse("T2 + T3 >> T1").unwrap();
         let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-        pre.reload(&crate::admit(joint, &crate::SpecPaths::config(), false).unwrap());
+        let target = crate::Target::default();
+        pre.reload(&crate::admit(joint, &target, &crate::SpecPaths::config(), false).unwrap());
 
         let mut p2 = pkt(1, 7);
         pre.process(&mut p2);

@@ -12,6 +12,7 @@
 //!   sliver of its declared range, the adapter tightens the range so
 //!   normalization keeps its resolution.
 
+use crate::backend::Target;
 use crate::error::QvisorError;
 use crate::policy::{Policy, PrefChain, ShareGroup};
 use crate::spec::{SynthConfig, TenantSpec};
@@ -183,6 +184,8 @@ pub struct RuntimeAdapter {
     /// Transform-table version: 1 for the initial deployment, bumped on
     /// every admitted re-synthesis.
     version: u64,
+    /// What the deployment gate judges a re-synthesis on.
+    target: Target,
     /// The deployment gate's strictness: warnings refuse a re-synthesis.
     deny_warnings: bool,
     /// Wall-clock re-synthesis latency (telemetry; wall time never feeds
@@ -209,6 +212,7 @@ impl RuntimeAdapter {
             monitor_config,
             current_active,
             version: 1,
+            target: Target::default(),
             deny_warnings: false,
             synth_ns: Histogram::default(),
             recompiles: Counter::default(),
@@ -229,12 +233,14 @@ impl RuntimeAdapter {
         self
     }
 
-    /// Judge every re-synthesis with warnings refused (errors always
-    /// refuse). Set it to the strictness of the deployment the adapter
-    /// manages: the simulator passes its initial deployment's
-    /// ([`Admitted::deny_warnings`]), the daemon its `--deny-warnings`.
-    pub fn with_deny_warnings(mut self, deny: bool) -> RuntimeAdapter {
-        self.deny_warnings = deny;
+    /// Judge every re-synthesis on `target`, with warnings refused under
+    /// `deny_warnings` (errors always refuse) — the gate of the deployment
+    /// the adapter manages: the simulator passes its initial deployment's
+    /// ([`Admitted::target`], [`Admitted::deny_warnings`]), the daemon the
+    /// default target and its `--deny-warnings`.
+    pub fn with_gate(mut self, target: Target, deny_warnings: bool) -> RuntimeAdapter {
+        self.target = target;
+        self.deny_warnings = deny_warnings;
         self
     }
 
@@ -303,8 +309,8 @@ impl RuntimeAdapter {
     /// Apply an adaptation: re-synthesize over the active tenants with any
     /// tightened ranges, and put the result through the deployment gate
     /// ([`admit`], spans rooted at [`SpecPaths::config`] over the active
-    /// specs) at this adapter's strictness — the strictness of the
-    /// deployment the result replaces.
+    /// specs) on this adapter's target and at its strictness — those of
+    /// the deployment the result replaces.
     ///
     /// * `Ok(Some(deployment))` — the gate admitted the new joint policy
     ///   and the transform version bumped; deploy it.
@@ -354,8 +360,13 @@ impl RuntimeAdapter {
                 self.resynth_prof.record_ns(elapsed);
                 let joint = result.map_err(AdaptError::Synthesis)?;
                 Some(
-                    admit(joint, &SpecPaths::config(), self.deny_warnings)
-                        .map_err(AdaptError::Refused)?,
+                    admit(
+                        joint,
+                        &self.target,
+                        &SpecPaths::config(),
+                        self.deny_warnings,
+                    )
+                    .map_err(AdaptError::Refused)?,
                 )
             }
         };
@@ -610,7 +621,7 @@ mod tests {
                 SynthConfig::default(),
                 MonitorConfig::default(),
             )
-            .with_deny_warnings(deny)
+            .with_gate(Target::default(), deny)
         };
         let mut m = RuntimeMonitor::new(&specs, MonitorConfig::default());
         for _ in 0..4 {

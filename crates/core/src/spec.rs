@@ -63,7 +63,7 @@ impl TenantSpec {
 }
 
 /// Global synthesizer tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SynthConfig {
     /// Default quantization levels per tenant when the spec doesn't say.
     pub default_levels: u64,

@@ -60,13 +60,20 @@ pub enum DiagCode {
     PreferDegenerate,
     /// A declared tenant does not appear in the policy.
     Unscheduled,
+    /// A static strict bank has fewer queues than the policy has strict
+    /// levels: the banded allocator cannot give each level its own queue.
+    StrictQueues,
+    /// Host NIC queues order packets by raw tenant ranks (the
+    /// pre-processor runs only at switches), and two tenants `>>` places
+    /// apart declare ranks that cross there.
+    HostRaw,
 }
 
 impl DiagCode {
     /// Every diagnostic code, in declaration order. Lets tooling (the
     /// fuzz corpus naming contract, doc generators) enumerate the stable
     /// code strings without hand-maintaining a parallel list.
-    pub const ALL: [DiagCode; 10] = [
+    pub const ALL: [DiagCode; 12] = [
         DiagCode::Overflow,
         DiagCode::ClampEngaged,
         DiagCode::NonMonotone,
@@ -77,6 +84,8 @@ impl DiagCode {
         DiagCode::ShareBand,
         DiagCode::PreferDegenerate,
         DiagCode::Unscheduled,
+        DiagCode::StrictQueues,
+        DiagCode::HostRaw,
     ];
 
     /// The stable code string.
@@ -92,6 +101,8 @@ impl DiagCode {
             DiagCode::ShareBand => "QV-SHARE-BAND",
             DiagCode::PreferDegenerate => "QV-PREF-DEGENERATE",
             DiagCode::Unscheduled => "QV-UNSCHEDULED",
+            DiagCode::StrictQueues => "QV-STRICT-QUEUES",
+            DiagCode::HostRaw => "QV-HOST-RAW",
         }
     }
 }

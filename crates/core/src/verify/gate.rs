@@ -1,18 +1,22 @@
 //! The deployment gate: the one place that decides whether a joint policy
-//! may be deployed. [`admit`] is its only door, and [`Admitted`] — which
-//! nothing else can make — is what every deploy site takes.
+//! may be deployed, judged on the [`Target`] it is deployed onto. [`admit`]
+//! is its only door, and [`Admitted`] — which nothing else can make — is
+//! what every deploy site takes.
 
-use super::{verify, SpecPaths, VerifyReport};
+use super::{verify_on, SpecPaths, VerifyReport};
+use crate::backend::Target;
 use crate::synth::JointPolicy;
 use std::fmt;
 
 /// A joint policy the deployment gate admitted: the policy, the verifier's
-/// report on it, and the strictness it was admitted under. Only [`admit`]
-/// (and [`Admitted::regate`], which can only tighten) makes one.
+/// report on it, the target it was judged on and the strictness it was
+/// admitted under. Only [`admit`] (and [`Admitted::regate`], which can only
+/// tighten) makes one.
 #[derive(Clone, Debug)]
 pub struct Admitted {
     joint: JointPolicy,
     report: VerifyReport,
+    target: Target,
     deny_warnings: bool,
 }
 
@@ -27,6 +31,12 @@ impl Admitted {
         &self.report
     }
 
+    /// The target it was judged on. A runtime re-synthesis that replaces
+    /// this deployment is judged on the same one.
+    pub fn target(&self) -> &Target {
+        &self.target
+    }
+
     /// Was it admitted with warnings refused? A runtime re-synthesis that
     /// replaces this deployment is judged at the same strictness.
     pub fn deny_warnings(&self) -> bool {
@@ -38,11 +48,13 @@ impl Admitted {
         self.report
     }
 
-    /// Judge the same report again at `deny_warnings`: a deployment made
-    /// under a laxer gate is refused where the stricter one fails it. A
-    /// laxer `deny_warnings` keeps the stricter level the token carries.
+    /// Judge the same report (on the same target) again at
+    /// `deny_warnings`: a deployment made under a laxer gate is refused
+    /// where the stricter one fails it. A laxer `deny_warnings` keeps the
+    /// stricter level the token carries.
     pub fn regate(self, deny_warnings: bool) -> Result<Admitted, Refused> {
-        judge(self.joint, self.report, self.deny_warnings || deny_warnings)
+        let deny_warnings = self.deny_warnings || deny_warnings;
+        judge(self.joint, self.report, self.target, deny_warnings)
     }
 }
 
@@ -79,21 +91,23 @@ impl fmt::Display for Refused {
     }
 }
 
-/// The deployment gate: verify `joint` (spans rooted at `paths`) and admit
-/// it unless the report fails at `deny_warnings`
-/// ([`VerifyReport::gate_fails`]).
+/// The deployment gate: verify `joint` deployed onto `target` (spans
+/// rooted at `paths`) and admit it unless the report fails at
+/// `deny_warnings` ([`VerifyReport::gate_fails`]).
 pub fn admit(
     joint: JointPolicy,
+    target: &Target,
     paths: &SpecPaths,
     deny_warnings: bool,
 ) -> Result<Admitted, Refused> {
-    let report = verify(&joint, paths);
-    judge(joint, report, deny_warnings)
+    let report = verify_on(&joint, target, paths);
+    judge(joint, report, *target, deny_warnings)
 }
 
 fn judge(
     joint: JointPolicy,
     report: VerifyReport,
+    target: Target,
     deny_warnings: bool,
 ) -> Result<Admitted, Refused> {
     if report.gate_fails(deny_warnings) {
@@ -105,6 +119,7 @@ fn judge(
     Ok(Admitted {
         joint,
         report,
+        target,
         deny_warnings,
     })
 }
@@ -112,9 +127,11 @@ fn judge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, PreprocScope};
     use crate::policy::Policy;
     use crate::spec::{SynthConfig, TenantSpec};
     use crate::synth::synthesize;
+    use crate::verify::{DiagCode, Severity};
     use qvisor_ranking::RankRange;
     use qvisor_sim::{Rank, TenantId};
 
@@ -126,15 +143,20 @@ mod tests {
         synthesize(&specs, &Policy::parse(policy).unwrap(), config).unwrap()
     }
 
+    fn admit_on_pifo(joint: JointPolicy, deny_warnings: bool) -> Result<Admitted, Refused> {
+        admit(
+            joint,
+            &Target::default(),
+            &SpecPaths::config(),
+            deny_warnings,
+        )
+    }
+
     #[test]
     fn the_gate_admits_what_the_report_passes_and_carries_its_strictness() {
-        let admitted = admit(
-            joint("T1 >> T2", SynthConfig::default()),
-            &SpecPaths::config(),
-            true,
-        )
-        .unwrap();
+        let admitted = admit_on_pifo(joint("T1 >> T2", SynthConfig::default()), true).unwrap();
         assert!(admitted.deny_warnings());
+        assert_eq!(*admitted.target(), Target::default());
         assert!(!admitted.report().gate_fails(true));
         assert_eq!(admitted.joint().policy.to_string(), "T1 >> T2");
     }
@@ -146,16 +168,16 @@ mod tests {
             ..SynthConfig::default()
         };
         for deny in [false, true] {
-            let refused = admit(joint("T1 >> T2", saturating), &SpecPaths::config(), deny)
+            let refused = admit_on_pifo(joint("T1 >> T2", saturating), deny)
                 .expect_err("an overflowing policy is refused");
             assert!(refused.report.has_errors());
             assert!(refused.codes().contains(&"QV-OVERFLOW"), "{refused}");
         }
         // T2 is unscheduled: a warning.
         let warned = || joint("T1", SynthConfig::default());
-        let lax = admit(warned(), &SpecPaths::config(), false).unwrap();
+        let lax = admit_on_pifo(warned(), false).unwrap();
         assert!(!lax.deny_warnings());
-        let refused = admit(warned(), &SpecPaths::config(), true).err().unwrap();
+        let refused = admit_on_pifo(warned(), true).err().unwrap();
         assert_eq!(refused.codes(), ["QV-UNSCHEDULED"]);
         assert_eq!(
             refused.to_string(),
@@ -165,12 +187,93 @@ mod tests {
         let tightened = lax.clone().regate(true).err().unwrap();
         assert_eq!(tightened.codes(), ["QV-UNSCHEDULED"]);
         assert!(!lax.clone().regate(false).unwrap().deny_warnings());
-        let strict = admit(
+        let strict = admit_on_pifo(joint("T1 >> T2", SynthConfig::default()), true).unwrap();
+        assert!(strict.regate(false).unwrap().deny_warnings());
+    }
+
+    #[test]
+    fn a_strict_bank_short_of_queues_is_refused_at_its_scheduler() {
+        let span = RankRange::new(0, 99);
+        let short = Target {
+            host_scheduler: Some(Backend::StrictStatic { queues: 1, span }),
+            ..Target::default()
+        };
+        let refused = admit(
             joint("T1 >> T2", SynthConfig::default()),
-            &SpecPaths::config(),
-            true,
+            &short,
+            &SpecPaths::scenario(),
+            false,
+        )
+        .err()
+        .unwrap();
+        assert_eq!(refused.codes(), ["QV-STRICT-QUEUES"]);
+        let d = &refused.report.diagnostics[0];
+        assert_eq!(d.span, "host_scheduler.strict_static.queues");
+        assert!(d.message.contains("1 queue(s)") && d.message.contains("2 strict levels"));
+        // Enough queues, or a bank SP-PIFO maps: nothing to say.
+        for scheduler in [
+            Backend::StrictStatic { queues: 2, span },
+            Backend::SpPifo { queues: 1 },
+        ] {
+            let target = Target {
+                scheduler,
+                ..Target::default()
+            };
+            let paths = SpecPaths::with_prefix("base.qvisor.");
+            let admitted = admit(
+                joint("T1 >> T2", SynthConfig::default()),
+                &target,
+                &paths,
+                true,
+            );
+            assert_eq!(*admitted.unwrap().target(), target);
+        }
+    }
+
+    #[test]
+    fn raw_ranks_at_the_hosts_warn_per_crossing_strict_pair() {
+        let scoped = |scope, host_scheduler| Target {
+            scope,
+            host_scheduler,
+            ..Target::default()
+        };
+        let switches_only = scoped(PreprocScope::SwitchesOnly, None);
+        let admitted = admit(
+            joint("T2 >> T1", SynthConfig::default()),
+            &switches_only,
+            &SpecPaths::scenario(),
+            false,
         )
         .unwrap();
-        assert!(strict.regate(false).unwrap().deny_warnings());
+        let report = admitted.report();
+        assert!(!report.guarantees_hold());
+        let d = (report.diagnostics.iter())
+            .find(|d| d.code == DiagCode::HostRaw)
+            .expect("a raw-rank warning");
+        assert_eq!(
+            (d.severity, d.span.as_str()),
+            (Severity::Warning, "qvisor.scope")
+        );
+        let w = d.witness.expect("a raw witness");
+        // T2's largest raw rank sits above T1's smallest: outputs are inputs.
+        assert_eq!(
+            (w.input_a, w.output_a, w.input_b, w.output_b),
+            (100, 100, 0, 0)
+        );
+        assert_eq!(
+            admitted.regate(true).err().unwrap().codes(),
+            ["QV-HOST-RAW"]
+        );
+        // FIFO NICs do not order by rank; transformed ranks travel with the
+        // packet from the first hop.
+        for target in [
+            scoped(PreprocScope::SwitchesOnly, Some(Backend::Fifo)),
+            scoped(PreprocScope::FirstHopOnly, None),
+            Target::default(),
+        ] {
+            let joint = joint("T2 >> T1", SynthConfig::default());
+            let admitted = admit(joint, &target, &SpecPaths::scenario(), true).unwrap();
+            assert!(admitted.report().guarantees_hold(), "{target:?}");
+        }
     }
 }

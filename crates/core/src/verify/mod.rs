@@ -16,13 +16,17 @@
 //! 3. **Isolation** (`isolation`): `>>` levels have pairwise-disjoint,
 //!    correctly ordered output spans; `+` share groups interleave within
 //!    their band; `>` preferences overlap.
+//! 4. **The deployment target** (`target`, judged by [`admit`]): a static
+//!    strict bank has a queue per strict level, and host queues that order
+//!    raw ranks (`switches_only`) do not invert a `>>` pair.
 //!
 //! Every refuted property is reported as a [`Diagnostic`] whose span is a
 //! dotted spec path (the same paths the scenario codec uses in its
 //! errors), and carries a concrete [`Witness`] input pair that demonstrably
 //! violates the property through the real `TransformChain::apply`.
 //! Structural suspicions with no reachable witness are downgraded to
-//! warnings, so errors are re-checkable by construction.
+//! warnings, so errors are re-checkable by construction (a strict bank
+//! short of queues is re-checked by counting).
 //!
 //! [`admit`] is the deployment gate over that report: the only maker of
 //! the [`Admitted`] token every deploy site takes.
@@ -32,12 +36,14 @@ mod gate;
 mod interval;
 mod isolation;
 mod monotone;
+mod target;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Witness};
 pub use gate::{admit, Admitted, Refused};
 pub use interval::{analyze_chain, ChainAnalysis, OpReport};
 pub use monotone::{check_chain, ChainCheck};
 
+use crate::backend::Target;
 use crate::synth::JointPolicy;
 use qvisor_ranking::RankRange;
 use qvisor_sim::json::Value;
@@ -83,6 +89,17 @@ impl SpecPaths {
     /// Path of the synthesizer options.
     pub fn synth(&self) -> String {
         format!("{}synth", self.prefix)
+    }
+
+    /// Path of the pre-processor scope.
+    pub fn scope(&self) -> String {
+        format!("{}scope", self.prefix)
+    }
+
+    /// Prefix of the document the `qvisor` block sits in (the prefix
+    /// without its `qvisor.`): where the schedulers' paths start.
+    pub fn root(&self) -> &str {
+        self.prefix.strip_suffix("qvisor.").unwrap_or(&self.prefix)
     }
 }
 
@@ -175,6 +192,7 @@ impl VerifyReport {
                         | DiagCode::StrictOrder
                         | DiagCode::ShareBand
                         | DiagCode::PreferDegenerate
+                        | DiagCode::HostRaw
                 )
         })
     }
@@ -276,9 +294,15 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Statically verify a synthesized policy. Diagnostics blame the dotted
-/// spec paths produced by `paths`.
+/// Statically verify a synthesized policy on the default [`Target`] (a
+/// PIFO everywhere). Diagnostics blame the dotted spec paths produced by
+/// `paths`.
 pub fn verify(joint: &JointPolicy, paths: &SpecPaths) -> VerifyReport {
+    verify_on(joint, &Target::default(), paths)
+}
+
+/// [`verify`] a policy deployed onto `target`.
+fn verify_on(joint: &JointPolicy, target: &Target, paths: &SpecPaths) -> VerifyReport {
     let mut tenants = Vec::new();
     let mut diagnostics = Vec::new();
 
@@ -336,6 +360,7 @@ pub fn verify(joint: &JointPolicy, paths: &SpecPaths) -> VerifyReport {
     }
 
     diagnostics.extend(isolation::check_layout(joint, paths, &tenants));
+    diagnostics.extend(target::check_target(joint, target, paths, &tenants));
 
     // Most severe first; insertion order (= layout order) within a
     // severity, so output is deterministic.

@@ -47,12 +47,11 @@
 //! [`ScenarioSpec`]: qvisor_netsim::ScenarioSpec
 
 use qvisor_core::{
-    verify, DiagCode, Diagnostic, JointPolicy, PreProcessor, Severity, SpecPaths,
-    UnknownTenantAction, VerifyReport,
+    verify, Backend, DiagCode, Diagnostic, JointPolicy, PreProcessor, PreprocScope, Severity,
+    SpecPaths, SynthConfig, UnknownTenantAction, VerifyReport,
 };
 use qvisor_netsim::scenario::{
-    FlowDecl, QvisorSpec, SchedulerSpec, ScopeSpec, SimSpec, SynthSpec, TenantDecl, TimeRef,
-    TopologySpec, Verified, WorkloadSpec,
+    FlowDecl, QvisorSpec, SimSpec, TenantDecl, TimeRef, TopologySpec, Verified, WorkloadSpec,
 };
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec};
 use qvisor_scheduler::{Capacity, PacketQueue, PifoQueue};
@@ -553,15 +552,15 @@ fn scenario_spec(case: &FuzzCase) -> ScenarioSpec {
             horizon: TimeRef::At(4_000_000),
             ..SimSpec::default()
         },
-        scheduler: SchedulerSpec::Pifo,
+        scheduler: Backend::Pifo,
         host_scheduler: None,
         qvisor: Some(QvisorSpec {
             tenants,
             policy: case.config.policy.clone(),
             unknown_drop: false,
-            scope: ScopeSpec::Everywhere,
+            scope: PreprocScope::Everywhere,
             monitor: None,
-            synth: Some(SynthSpec {
+            synth: Some(SynthConfig {
                 default_levels: case.config.synth.default_levels,
                 first_rank: case.config.synth.first_rank,
                 pref_bias_divisor: case.config.synth.pref_bias_divisor,
@@ -1099,7 +1098,7 @@ mod tests {
         let joint = case.config.synthesize().unwrap();
         let level_of = level_map(&verify(&joint, &SpecPaths::config()));
         let mut spec = scenario_spec(&case);
-        spec.scheduler = SchedulerSpec::Fifo;
+        spec.scheduler = Backend::Fifo;
         // B's flow starts first and fills the bottleneck; A's joins it.
         let WorkloadSpec::Flows { list } = &mut spec.workloads[0] else {
             unreachable!("scenario_spec declares one flow list")

@@ -1,68 +1,11 @@
 //! Simulation configuration.
 
-use qvisor_core::{MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor_ranking::RankRange;
+use qvisor_core::{
+    Backend, MonitorConfig, PreprocScope, SynthConfig, Target, TenantSpec, UnknownTenantAction,
+};
 use qvisor_scheduler::Capacity;
 use qvisor_sim::{EventCore, Nanos};
 use qvisor_telemetry::{SloMonitor, Telemetry, Tracer};
-
-/// Which scheduler model runs at every output port.
-#[derive(Clone, Copy, Debug)]
-pub enum SchedulerKind {
-    /// Rank-oblivious FIFO (tail drop).
-    Fifo,
-    /// Ideal PIFO (priority drop).
-    Pifo,
-    /// Strict-priority FIFO bank with a static rank→queue split.
-    ///
-    /// Without QVISOR, ranks are split uniformly over `span`; with QVISOR,
-    /// the banded allocator honours the joint policy's strict levels.
-    StrictStatic {
-        /// Hardware queues available.
-        queues: usize,
-        /// Rank span used when no joint policy is deployed.
-        span: RankRange,
-    },
-    /// Strict-priority FIFO bank with SP-PIFO adaptive mapping.
-    SpPifo {
-        /// Hardware queues available.
-        queues: usize,
-    },
-    /// AIFO: single FIFO with rank-aware admission.
-    Aifo {
-        /// Rank window size.
-        window: usize,
-        /// Burst tolerance in `[0, 1)`.
-        burst: f64,
-    },
-    /// An idealized hierarchical scheduler (PIFO tree): the root
-    /// fair-shares across tenants by per-tenant virtual time, each leaf
-    /// orders its tenant's packets by rank. This is what dedicated
-    /// multi-tenant scheduling *hardware* would do — the upper bound the
-    /// paper's flat-PIFO virtualization approximates (§5 expressivity).
-    FairTree {
-        /// Number of tenant classes (tenant id modulo this picks the leaf).
-        tenants: u16,
-    },
-}
-
-/// Where QVISOR's pre-processor runs (§5 "cross-device virtualization"):
-/// rank rewriting can happen at every egress, only inside the fabric, or
-/// only at the first hop — trading deployment surface against how early
-/// the joint policy takes effect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PreprocScope {
-    /// Every egress port, hosts included (the default; transformations are
-    /// idempotent, so re-applying per hop is safe).
-    #[default]
-    Everywhere,
-    /// Only switch egress ports: host NICs forward raw tenant ranks, as
-    /// when QVISOR is deployed purely in-network.
-    SwitchesOnly,
-    /// Only the first hop (the sending host): a pure end-host deployment,
-    /// as in NIC-based multi-tenant scheduling (Loom/Eiffel).
-    FirstHopOnly,
-}
 
 /// QVISOR deployment inside the simulation: the hypervisor's two inputs
 /// plus runtime options.
@@ -115,11 +58,11 @@ pub struct SimConfig {
     /// Per-port buffer capacity.
     pub buffer: Capacity,
     /// Scheduler at switch output ports.
-    pub scheduler: SchedulerKind,
+    pub scheduler: Backend,
     /// Scheduler at host NIC ports; `None` uses `scheduler` everywhere.
     /// Real deployments often pair scheduled switches with plain FIFO
     /// NICs — this knob measures how much the host queue matters.
-    pub host_scheduler: Option<SchedulerKind>,
+    pub host_scheduler: Option<Backend>,
     /// Hard stop time.
     pub horizon: Nanos,
     /// Uniform random packet loss applied at link arrival (fault
@@ -162,6 +105,21 @@ pub struct SimConfig {
     pub monitor: SloMonitor,
 }
 
+impl SimConfig {
+    /// What a QVISOR policy is deployed onto in this simulation: the
+    /// deployment gate judges it there.
+    pub fn target(&self) -> Target {
+        Target {
+            scheduler: self.scheduler,
+            host_scheduler: self.host_scheduler,
+            scope: self
+                .qvisor
+                .as_ref()
+                .map_or_else(PreprocScope::default, |q| q.scope),
+        }
+    }
+}
+
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
@@ -173,7 +131,7 @@ impl Default for SimConfig {
             rto: Nanos::from_micros(500),
             // pFabric-style shallow buffers: ~36 KB per port.
             buffer: Capacity::packets(24, 1_500),
-            scheduler: SchedulerKind::Pifo,
+            scheduler: Backend::Pifo,
             host_scheduler: None,
             horizon: Nanos::from_secs(10),
             random_loss: 0.0,
@@ -197,7 +155,7 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.mss, 1_460);
         assert!(c.buffer.bytes >= 24 * 1_460);
-        assert!(matches!(c.scheduler, SchedulerKind::Pifo));
+        assert_eq!(c.scheduler, Backend::Pifo);
         assert!(c.qvisor.is_none());
         assert_eq!(c.random_loss, 0.0);
     }

@@ -14,7 +14,7 @@ pub mod report;
 pub mod scenario;
 pub mod sim;
 
-pub use config::{PreprocScope, QvisorSetup, SchedulerKind, SimConfig};
+pub use config::{QvisorSetup, SimConfig};
 pub use qvisor_sim::EventCore;
 pub use report::{SimReport, TenantTraffic};
 pub use scenario::{Engine, ScenarioError, ScenarioSpec, SweepSpec};

@@ -7,12 +7,12 @@
 //! default made explicit), so parse → serialize → parse is the identity.
 
 use super::spec::{
-    AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec,
-    SchedulerSpec, SimSpec, SizeDistSpec, SynthSpec, TenantDecl, TimeRef, TopologySpec,
-    ViolationSpec, WorkloadSpec,
+    AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec, SimSpec,
+    SizeDistSpec, TenantDecl, TimeRef, TopologySpec, WorkloadSpec,
 };
-use super::{field_err, ScenarioError, ScopeSpec};
-use qvisor_ranking::RankFnSpec;
+use super::{field_err, ScenarioError};
+use qvisor_core::{Backend, PreprocScope, SynthConfig, ViolationAction};
+use qvisor_ranking::{RankFnSpec, RankRange};
 use qvisor_sim::json::Value;
 
 fn check_keys(v: &Value, path: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
@@ -117,35 +117,31 @@ fn time_ref_from(v: &Value, path: &str) -> Result<TimeRef, ScenarioError> {
     })
 }
 
-fn scheduler_value(s: &SchedulerSpec) -> Value {
+fn scheduler_value(s: &Backend) -> Value {
     match *s {
-        SchedulerSpec::Fifo => Value::object().set("fifo", Value::object()),
-        SchedulerSpec::Pifo => Value::object().set("pifo", Value::object()),
-        SchedulerSpec::SpPifo { queues } => {
+        Backend::Fifo => Value::object().set("fifo", Value::object()),
+        Backend::Pifo => Value::object().set("pifo", Value::object()),
+        Backend::SpPifo { queues } => {
             Value::object().set("sp_pifo", Value::object().set("queues", queues))
         }
-        SchedulerSpec::StrictStatic {
-            queues,
-            span_min,
-            span_max,
-        } => Value::object().set(
+        Backend::StrictStatic { queues, span } => Value::object().set(
             "strict_static",
             Value::object()
                 .set("queues", queues)
-                .set("span_min", span_min)
-                .set("span_max", span_max),
+                .set("span_min", span.min)
+                .set("span_max", span.max),
         ),
-        SchedulerSpec::Aifo { window, burst } => Value::object().set(
+        Backend::Aifo { window, burst } => Value::object().set(
             "aifo",
             Value::object().set("window", window).set("burst", burst),
         ),
-        SchedulerSpec::FairTree { tenants } => {
+        Backend::FairTree { tenants } => {
             Value::object().set("fair_tree", Value::object().set("tenants", tenants))
         }
     }
 }
 
-fn scheduler_from(v: &Value, path: &str) -> Result<SchedulerSpec, ScenarioError> {
+fn scheduler_from(v: &Value, path: &str) -> Result<Backend, ScenarioError> {
     let variants = [
         "fifo",
         "pifo",
@@ -159,36 +155,39 @@ fn scheduler_from(v: &Value, path: &str) -> Result<SchedulerSpec, ScenarioError>
     Ok(match key {
         "fifo" => {
             check_keys(inner, &ipath, &[])?;
-            SchedulerSpec::Fifo
+            Backend::Fifo
         }
         "pifo" => {
             check_keys(inner, &ipath, &[])?;
-            SchedulerSpec::Pifo
+            Backend::Pifo
         }
         "sp_pifo" => {
             check_keys(inner, &ipath, &["queues"])?;
-            SchedulerSpec::SpPifo {
+            Backend::SpPifo {
                 queues: get_usize(inner, &ipath, "queues")?,
             }
         }
         "strict_static" => {
             check_keys(inner, &ipath, &["queues", "span_min", "span_max"])?;
-            SchedulerSpec::StrictStatic {
+            Backend::StrictStatic {
                 queues: get_usize(inner, &ipath, "queues")?,
-                span_min: get_u64(inner, &ipath, "span_min")?,
-                span_max: get_u64(inner, &ipath, "span_max")?,
+                // Unchecked: `ScenarioSpec::validate` names an empty span.
+                span: RankRange {
+                    min: get_u64(inner, &ipath, "span_min")?,
+                    max: get_u64(inner, &ipath, "span_max")?,
+                },
             }
         }
         "aifo" => {
             check_keys(inner, &ipath, &["window", "burst"])?;
-            SchedulerSpec::Aifo {
+            Backend::Aifo {
                 window: get_usize(inner, &ipath, "window")?,
                 burst: get_f64(inner, &ipath, "burst")?,
             }
         }
         _ => {
             check_keys(inner, &ipath, &["tenants"])?;
-            SchedulerSpec::FairTree {
+            Backend::FairTree {
                 tenants: get_u16(inner, &ipath, "tenants")?,
             }
         }
@@ -408,9 +407,9 @@ fn qvisor_value(q: &QvisorSpec) -> Value {
         .set(
             "scope",
             match q.scope {
-                ScopeSpec::Everywhere => "everywhere",
-                ScopeSpec::SwitchesOnly => "switches_only",
-                ScopeSpec::FirstHopOnly => "first_hop_only",
+                PreprocScope::Everywhere => "everywhere",
+                PreprocScope::SwitchesOnly => "switches_only",
+                PreprocScope::FirstHopOnly => "first_hop_only",
             },
         );
     if let Some(m) = &q.monitor {
@@ -420,9 +419,9 @@ fn qvisor_value(q: &QvisorSpec) -> Value {
                 .set(
                     "violation_action",
                     match m.violation_action {
-                        ViolationSpec::Clamp => "clamp",
-                        ViolationSpec::AlarmOnly => "alarm_only",
-                        ViolationSpec::Drop => "drop",
+                        ViolationAction::Clamp => "clamp",
+                        ViolationAction::AlarmOnly => "alarm_only",
+                        ViolationAction::Drop => "drop",
                     },
                 )
                 .set("idle_after_ns", m.idle_after_ns)
@@ -480,10 +479,10 @@ fn qvisor_from(v: &Value, path: &str) -> Result<QvisorSpec, ScenarioError> {
         }
     };
     let scope = match v.get("scope").and_then(|s| s.as_str()) {
-        None => ScopeSpec::Everywhere,
-        Some("everywhere") => ScopeSpec::Everywhere,
-        Some("switches_only") => ScopeSpec::SwitchesOnly,
-        Some("first_hop_only") => ScopeSpec::FirstHopOnly,
+        None => PreprocScope::Everywhere,
+        Some("everywhere") => PreprocScope::Everywhere,
+        Some("switches_only") => PreprocScope::SwitchesOnly,
+        Some("first_hop_only") => PreprocScope::FirstHopOnly,
         Some(other) => {
             return Err(field_err(
                 format!("{path}.scope"),
@@ -504,9 +503,9 @@ fn qvisor_from(v: &Value, path: &str) -> Result<QvisorSpec, ScenarioError> {
                 &["violation_action", "idle_after_ns", "drift_ratio"],
             )?;
             let violation_action = match get_str(m, &mp, "violation_action")? {
-                "clamp" => ViolationSpec::Clamp,
-                "alarm_only" => ViolationSpec::AlarmOnly,
-                "drop" => ViolationSpec::Drop,
+                "clamp" => ViolationAction::Clamp,
+                "alarm_only" => ViolationAction::AlarmOnly,
+                "drop" => ViolationAction::Drop,
                 other => {
                     return Err(field_err(
                         format!("{mp}.violation_action"),
@@ -531,7 +530,7 @@ fn qvisor_from(v: &Value, path: &str) -> Result<QvisorSpec, ScenarioError> {
                 &sp,
                 &["default_levels", "first_rank", "pref_bias_divisor"],
             )?;
-            Some(SynthSpec {
+            Some(SynthConfig {
                 default_levels: get_u64(s, &sp, "default_levels")?,
                 first_rank: get_u64(s, &sp, "first_rank")?,
                 pref_bias_divisor: get_u64(s, &sp, "pref_bias_divisor")?,
@@ -910,7 +909,7 @@ impl ScenarioSpec {
         };
         let scheduler = match v.get("scheduler") {
             Some(s) => scheduler_from(s, "scheduler")?,
-            None => SchedulerSpec::Pifo,
+            None => Backend::Pifo,
         };
         let host_scheduler = match v.get("host_scheduler") {
             None => None,

@@ -6,17 +6,14 @@
 //! are added in declaration order (so flow ids and ECMP hashing are
 //! stable), and rank functions are registered before any traffic.
 
-use super::spec::{
-    ArrivalSpec, QvisorSpec, ScenarioSpec, SchedulerSpec, ScopeSpec, SizeDistSpec, TimeRef,
-    ViolationSpec, WorkloadSpec,
-};
+use super::spec::{ArrivalSpec, QvisorSpec, ScenarioSpec, SizeDistSpec, TimeRef, WorkloadSpec};
 use super::ScenarioError;
-use crate::config::{PreprocScope, QvisorSetup, SchedulerKind, SimConfig};
+use crate::config::{QvisorSetup, SimConfig};
 use crate::report::SimReport;
 use crate::sim::{judge, Simulation};
 use qvisor_core::{
-    Admitted, JointPolicy, MonitorConfig, Refused, SpecPaths, SynthConfig, TenantSpec,
-    UnknownTenantAction, VerifyReport, ViolationAction,
+    Admitted, JointPolicy, MonitorConfig, Refused, SpecPaths, Target, TenantSpec,
+    UnknownTenantAction, VerifyReport,
 };
 use qvisor_ranking::RankRange;
 use qvisor_scheduler::Capacity;
@@ -100,8 +97,9 @@ impl Engine {
     }
 
     /// The engine's verification: validate `spec`, synthesize its QVISOR
-    /// policy and put it through the deployment gate ([`admit`], spans
-    /// rooted at `paths`, at this engine's strictness). The result is what
+    /// policy and put it through the deployment gate ([`admit`] on the
+    /// scenario's schedulers and scope, spans rooted at `paths`, at this
+    /// engine's strictness). The result is what
     /// [`Engine::build_verified`] deploys — the joint policy the report
     /// judged, not a second synthesis of it. A policy the gate refuses
     /// still verifies: its report is what [`Engine::check`] prints.
@@ -120,8 +118,13 @@ impl Engine {
             });
         };
         let setup = build_qvisor(q);
+        let target = Target {
+            scheduler: spec.scheduler,
+            host_scheduler: spec.host_scheduler,
+            scope: q.scope,
+        };
         let (verdict, synth_ns) =
-            judge(&setup, paths, self.deny_warnings).map_err(ScenarioError::Build)?;
+            judge(&setup, &target, paths, self.deny_warnings).map_err(ScenarioError::Build)?;
         Ok(Verified {
             spec,
             deployment: Some(Deployment {
@@ -196,8 +199,8 @@ impl Engine {
             cwnd: spec.sim.cwnd,
             rto: Nanos(spec.sim.rto_ns),
             buffer: Capacity::bytes(spec.sim.buffer_bytes),
-            scheduler: build_scheduler(&spec.scheduler),
-            host_scheduler: spec.host_scheduler.as_ref().map(build_scheduler),
+            scheduler: spec.scheduler,
+            host_scheduler: spec.host_scheduler,
             horizon: resolve(spec.sim.horizon, last_arrival),
             random_loss: spec.sim.random_loss,
             sample_interval: spec.sim.sample_interval_ns.map(Nanos),
@@ -499,24 +502,6 @@ fn build_sizes(spec: SizeDistSpec) -> Box<dyn FlowSizeDist> {
     }
 }
 
-fn build_scheduler(spec: &SchedulerSpec) -> SchedulerKind {
-    match *spec {
-        SchedulerSpec::Fifo => SchedulerKind::Fifo,
-        SchedulerSpec::Pifo => SchedulerKind::Pifo,
-        SchedulerSpec::SpPifo { queues } => SchedulerKind::SpPifo { queues },
-        SchedulerSpec::StrictStatic {
-            queues,
-            span_min,
-            span_max,
-        } => SchedulerKind::StrictStatic {
-            queues,
-            span: RankRange::new(span_min, span_max),
-        },
-        SchedulerSpec::Aifo { window, burst } => SchedulerKind::Aifo { window, burst },
-        SchedulerSpec::FairTree { tenants } => SchedulerKind::FairTree { tenants },
-    }
-}
-
 fn build_qvisor(spec: &QvisorSpec) -> QvisorSetup {
     QvisorSetup {
         specs: spec
@@ -531,30 +516,15 @@ fn build_qvisor(spec: &QvisorSpec) -> QvisorSetup {
             })
             .collect(),
         policy: spec.policy.clone(),
-        synth: spec
-            .synth
-            .map(|s| SynthConfig {
-                default_levels: s.default_levels,
-                first_rank: s.first_rank,
-                pref_bias_divisor: s.pref_bias_divisor,
-            })
-            .unwrap_or_default(),
+        synth: spec.synth.unwrap_or_default(),
         unknown: if spec.unknown_drop {
             UnknownTenantAction::Drop
         } else {
             UnknownTenantAction::BestEffort
         },
-        scope: match spec.scope {
-            ScopeSpec::Everywhere => PreprocScope::Everywhere,
-            ScopeSpec::SwitchesOnly => PreprocScope::SwitchesOnly,
-            ScopeSpec::FirstHopOnly => PreprocScope::FirstHopOnly,
-        },
+        scope: spec.scope,
         monitor: spec.monitor.map(|m| MonitorConfig {
-            violation_action: match m.violation_action {
-                ViolationSpec::Clamp => ViolationAction::Clamp,
-                ViolationSpec::AlarmOnly => ViolationAction::AlarmOnly,
-                ViolationSpec::Drop => ViolationAction::Drop,
-            },
+            violation_action: m.violation_action,
             idle_after: Nanos(m.idle_after_ns),
             drift_ratio: m.drift_ratio,
         }),

@@ -25,9 +25,8 @@ mod sweep;
 
 pub use engine::{report_json, Engine, Verified};
 pub use spec::{
-    AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec,
-    SchedulerSpec, ScopeSpec, SimSpec, SizeDistSpec, SynthSpec, TenantDecl, TimeRef, TopologySpec,
-    ViolationSpec, WorkloadSpec,
+    AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec, SimSpec,
+    SizeDistSpec, TenantDecl, TimeRef, TopologySpec, WorkloadSpec,
 };
 pub use sweep::{
     merged_value, run_sweep, sanitize_export, SweepAxis, SweepPoint, SweepPointResult, SweepSpec,

@@ -3,7 +3,9 @@
 //! measurement windows — as plain data with strict validation.
 
 use super::{field_err, ScenarioError};
+use qvisor_core::{Backend, PreprocScope, SynthConfig, ViolationAction};
 use qvisor_ranking::RankFnSpec;
+use qvisor_scheduler::Capacity;
 use qvisor_telemetry::{AlertMetric, AlertRule, ALERT_METRICS};
 
 /// A simulation time reference used where experiments traditionally write
@@ -132,42 +134,6 @@ impl Default for SimSpec {
     }
 }
 
-/// A per-port scheduler model (mirrors [`crate::SchedulerKind`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SchedulerSpec {
-    /// Rank-oblivious FIFO.
-    Fifo,
-    /// Ideal PIFO.
-    Pifo,
-    /// Strict-priority bank with SP-PIFO adaptive mapping.
-    SpPifo {
-        /// Hardware queues.
-        queues: usize,
-    },
-    /// Strict-priority bank with a static rank split over `[span_min,
-    /// span_max]` (QVISOR's banded allocator takes over when deployed).
-    StrictStatic {
-        /// Hardware queues.
-        queues: usize,
-        /// Smallest rank of the static split.
-        span_min: u64,
-        /// Largest rank of the static split.
-        span_max: u64,
-    },
-    /// AIFO admission-controlled FIFO.
-    Aifo {
-        /// Rank window size.
-        window: usize,
-        /// Burst tolerance in `[0, 1)`.
-        burst: f64,
-    },
-    /// Idealized per-tenant fair PIFO tree.
-    FairTree {
-        /// Tenant classes.
-        tenants: u16,
-    },
-}
-
 /// One tenant declaration inside a QVISOR deployment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantDecl {
@@ -190,33 +156,11 @@ pub struct TenantDecl {
 pub struct MonitorSpec {
     /// Response to declared-range violations: `"clamp"`, `"alarm_only"`,
     /// or `"drop"`.
-    pub violation_action: ViolationSpec,
+    pub violation_action: ViolationAction,
     /// A tenant is idle when unseen for this long (ns).
     pub idle_after_ns: u64,
     /// Range-tightening drift threshold.
     pub drift_ratio: f64,
-}
-
-/// Monitor response to a declared-range violation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViolationSpec {
-    /// Clamp into the declared range and forward.
-    Clamp,
-    /// Forward unchanged, count only.
-    AlarmOnly,
-    /// Drop the packet.
-    Drop,
-}
-
-/// Synthesizer knobs (mirrors `qvisor_core::SynthConfig`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SynthSpec {
-    /// Default quantization levels per tenant.
-    pub default_levels: u64,
-    /// Smallest rank the joint policy may emit.
-    pub first_rank: u64,
-    /// Best-effort preference bias divisor for `>`-chained groups.
-    pub pref_bias_divisor: u64,
 }
 
 /// A QVISOR deployment as data (mirrors [`crate::QvisorSetup`]).
@@ -230,11 +174,11 @@ pub struct QvisorSpec {
     pub unknown_drop: bool,
     /// Pre-processor scope: `"everywhere"`, `"switches_only"`, or
     /// `"first_hop_only"`.
-    pub scope: ScopeSpec,
+    pub scope: PreprocScope,
     /// Runtime monitor, if any.
     pub monitor: Option<MonitorSpec>,
     /// Synthesizer overrides; `None` = defaults.
-    pub synth: Option<SynthSpec>,
+    pub synth: Option<SynthConfig>,
 }
 
 /// One declarative SLO alert rule for the streaming monitor (mirrors
@@ -253,17 +197,6 @@ pub struct AlertSpec {
     /// Firing threshold: a fraction in `[0, 1]` for rate metrics,
     /// nanoseconds for latency quantiles.
     pub threshold: f64,
-}
-
-/// Where the pre-processor runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScopeSpec {
-    /// Every egress port.
-    Everywhere,
-    /// Switch egress ports only.
-    SwitchesOnly,
-    /// The sending host only.
-    FirstHopOnly,
 }
 
 /// Flow size distribution for generated workloads.
@@ -405,9 +338,9 @@ pub struct ScenarioSpec {
     /// Scalar simulation parameters.
     pub sim: SimSpec,
     /// Scheduler at switch output ports.
-    pub scheduler: SchedulerSpec,
+    pub scheduler: Backend,
     /// Scheduler at host NIC ports; `None` uses `scheduler` everywhere.
-    pub host_scheduler: Option<SchedulerSpec>,
+    pub host_scheduler: Option<Backend>,
     /// QVISOR deployment, if any.
     pub qvisor: Option<QvisorSpec>,
     /// Per-tenant rank functions, registered in order.
@@ -416,64 +349,6 @@ pub struct ScenarioSpec {
     pub workloads: Vec<WorkloadSpec>,
     /// Streaming SLO alert rules, evaluated when a monitor is attached.
     pub alerts: Vec<AlertSpec>,
-}
-
-fn check_scheduler(s: &SchedulerSpec, path: &str, buffer_bytes: u64) -> Result<(), ScenarioError> {
-    match *s {
-        SchedulerSpec::Fifo | SchedulerSpec::Pifo => Ok(()),
-        SchedulerSpec::SpPifo { queues } => {
-            if queues == 0 {
-                return Err(field_err(format!("{path}.sp_pifo.queues"), "must be >= 1"));
-            }
-            Ok(())
-        }
-        SchedulerSpec::StrictStatic {
-            queues,
-            span_min,
-            span_max,
-        } => {
-            if queues == 0 {
-                return Err(field_err(
-                    format!("{path}.strict_static.queues"),
-                    "must be >= 1",
-                ));
-            }
-            if span_min > span_max {
-                return Err(field_err(
-                    format!("{path}.strict_static.span_min"),
-                    "must be <= span_max",
-                ));
-            }
-            Ok(())
-        }
-        SchedulerSpec::Aifo { window, burst } => {
-            if window == 0 {
-                return Err(field_err(format!("{path}.aifo.window"), "must be >= 1"));
-            }
-            if !(0.0..1.0).contains(&burst) {
-                return Err(field_err(
-                    format!("{path}.aifo.burst"),
-                    "must be in [0.0, 1.0)",
-                ));
-            }
-            if buffer_bytes == u64::MAX {
-                return Err(field_err(
-                    format!("{path}.aifo"),
-                    "requires a finite sim.buffer_bytes",
-                ));
-            }
-            Ok(())
-        }
-        SchedulerSpec::FairTree { tenants } => {
-            if tenants == 0 {
-                return Err(field_err(
-                    format!("{path}.fair_tree.tenants"),
-                    "must be >= 1",
-                ));
-            }
-            Ok(())
-        }
-    }
 }
 
 impl ScenarioSpec {
@@ -565,9 +440,15 @@ impl ScenarioSpec {
         if self.sim.adaptation_interval_ns == Some(0) {
             return Err(field_err("sim.adaptation_interval_ns", "must be positive"));
         }
-        check_scheduler(&self.scheduler, "scheduler", self.sim.buffer_bytes)?;
-        if let Some(hs) = &self.host_scheduler {
-            check_scheduler(hs, "host_scheduler", self.sim.buffer_bytes)?;
+        let buffer = Capacity::bytes(self.sim.buffer_bytes);
+        let schedulers = [
+            ("scheduler", Some(self.scheduler)),
+            ("host_scheduler", self.host_scheduler),
+        ];
+        for (path, backend) in schedulers {
+            if let Some(Err((field, msg))) = backend.map(|b| b.check(buffer)) {
+                return Err(field_err(format!("{path}.{field}"), msg));
+            }
         }
         if let Some(q) = &self.qvisor {
             if q.tenants.is_empty() {

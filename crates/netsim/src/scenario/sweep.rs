@@ -327,7 +327,8 @@ pub fn merged_value(spec: &SweepSpec, results: &[SweepPointResult]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{SchedulerSpec, WorkloadSpec};
+    use crate::scenario::WorkloadSpec;
+    use qvisor_core::Backend;
 
     const BASE: &str = include_str!("../../../../examples/scenarios/fig4_point.json");
 
@@ -363,7 +364,7 @@ mod tests {
         assert_eq!(points.len(), 4);
         let fifo = &points[1].spec;
         assert_eq!(fifo.name, "fifo");
-        assert_eq!(fifo.scheduler, SchedulerSpec::Fifo);
+        assert_eq!(fifo.scheduler, Backend::Fifo);
         assert!(fifo.qvisor.is_none());
         assert_eq!(fifo.workloads.len(), 2, "the base's CBR fleet stays");
         assert_eq!(load_of(fifo), 0.5);

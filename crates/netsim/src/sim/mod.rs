@@ -41,11 +41,11 @@ mod traffic;
 
 pub use traffic::{NewCbr, NewFlow};
 
-use crate::config::{PreprocScope, QvisorSetup, SimConfig};
+use crate::config::{QvisorSetup, SimConfig};
 use crate::report::SimReport;
 use qvisor_core::{
-    admit, AdaptError, Admitted, JointPolicy, Policy, PreProcessor, QvisorError, Refused,
-    RuntimeAdapter, RuntimeMonitor, SpecPaths,
+    admit, AdaptError, Admitted, JointPolicy, Policy, PreProcessor, PreprocScope, QvisorError,
+    Refused, RuntimeAdapter, RuntimeMonitor, SpecPaths, Target,
 };
 use qvisor_ranking::{RankCtx, RankFn};
 use qvisor_sim::{
@@ -190,12 +190,13 @@ pub(in crate::sim) fn arrival_tie(p: &Packet) -> u64 {
 }
 
 /// Parse `setup`'s operator policy, synthesize the joint policy and put it
-/// through the deployment gate ([`admit`], spans rooted at `paths`, at
-/// `deny_warnings`). Returns the gate's verdict with the host wall-clock
-/// nanoseconds the synthesis took (what `runtime_synth_ns` and the
-/// `synthesize` profile site report).
+/// through the deployment gate ([`admit`] on `target`, spans rooted at
+/// `paths`, at `deny_warnings`). Returns the gate's verdict with the host
+/// wall-clock nanoseconds the synthesis took (what `runtime_synth_ns` and
+/// the `synthesize` profile site report).
 pub(crate) fn judge(
     setup: &QvisorSetup,
+    target: &Target,
     paths: &SpecPaths,
     deny_warnings: bool,
 ) -> Result<(Result<Admitted, Refused>, u64), QvisorError> {
@@ -205,7 +206,7 @@ pub(crate) fn judge(
     let started = std::time::Instant::now(); // determinism: allowed
     let joint = qvisor_core::synthesize(&setup.specs, &policy, setup.synth)?;
     let synth_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    Ok((admit(joint, paths, deny_warnings), synth_ns))
+    Ok((admit(joint, target, paths, deny_warnings), synth_ns))
 }
 
 /// The simulator. Build with [`Simulation::new`], register tenant rank
@@ -262,11 +263,12 @@ pub struct Simulation {
 impl Simulation {
     /// Build a simulation over `topo` with `cfg`. Synthesizes the QVISOR
     /// joint policy when configured and deploys it if the deployment gate
-    /// admits it at its default strictness: a policy the verifier finds an
-    /// error in is refused with [`QvisorError::Deployment`].
+    /// admits it on the configuration's target ([`SimConfig::target`]) at
+    /// its default strictness: a policy the verifier finds an error in is
+    /// refused with [`QvisorError::Deployment`].
     pub fn new(topo: Topology, cfg: SimConfig) -> Result<Simulation, QvisorError> {
         let deployment = match &cfg.qvisor {
-            Some(setup) => match judge(setup, &SpecPaths::scenario(), false)? {
+            Some(setup) => match judge(setup, &cfg.target(), &SpecPaths::scenario(), false)? {
                 (Ok(admitted), synth_ns) => Some((admitted, synth_ns)),
                 (Err(refused), _) => return Err(QvisorError::Deployment(refused.to_string())),
             },
@@ -304,7 +306,7 @@ impl Simulation {
                             mc,
                         )
                         .with_telemetry(&cfg.telemetry)
-                        .with_deny_warnings(deployment.deny_warnings()),
+                        .with_gate(*deployment.target(), deployment.deny_warnings()),
                     ),
                     (Some(_), None) => {
                         return Err(QvisorError::Deployment(

@@ -3,13 +3,10 @@
 
 use std::fmt::Write;
 
-use crate::config::{SchedulerKind, SimConfig};
+use crate::config::SimConfig;
 use crate::report::TenantTraffic;
-use qvisor_core::{Backend, JointPolicy, QvisorError, SpAdaptation};
-use qvisor_scheduler::{
-    AifoQueue, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep, PifoQueue, PifoTree,
-    SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath, TreeShape,
-};
+use qvisor_core::{Backend, JointPolicy, QvisorError};
+use qvisor_scheduler::{Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PifoQueue};
 use qvisor_sim::{LineRate, Nanos, NodeId, Packet, Rank, TenantId};
 use qvisor_telemetry::{trace::NO_LABEL, Counter, Histogram, Telemetry};
 use qvisor_topology::{NodeKind, Topology};
@@ -284,59 +281,16 @@ pub(in crate::sim) fn build_ports(
     Ok((ports, base))
 }
 
+/// The port queue `kind` names: the two exact disciplines inline, every
+/// other one as [`Backend::build`] makes it.
 pub(in crate::sim) fn make_queue_of(
-    kind: SchedulerKind,
+    kind: Backend,
     cfg: &SimConfig,
     joint: Option<&JointPolicy>,
 ) -> Result<BareQueue, QvisorError> {
-    let other: Box<dyn PacketQueue> = match kind {
-        SchedulerKind::Fifo => return Ok(BareQueue::Fifo(FifoQueue::new(cfg.buffer))),
-        SchedulerKind::Pifo => return Ok(BareQueue::Pifo(PifoQueue::new(cfg.buffer))),
-        SchedulerKind::SpPifo { queues } => Box::new(StrictPriorityBank::new(
-            SpPifoMapper::new(queues),
-            cfg.buffer,
-        )),
-        SchedulerKind::StrictStatic { queues, span } => match joint {
-            Some(j) => Backend::StrictPriority {
-                queues,
-                capacity: cfg.buffer,
-                adaptation: SpAdaptation::BandedStatic,
-            }
-            .build(j)?,
-            None => Box::new(StrictPriorityBank::new(
-                StaticRangeMapper::new(span.min, span.max, queues),
-                cfg.buffer,
-            )),
-        },
-        SchedulerKind::Aifo { window, burst } => {
-            if cfg.buffer.bytes == u64::MAX {
-                return Err(QvisorError::Deployment(
-                    "AIFO requires a finite buffer".into(),
-                ));
-            }
-            Box::new(AifoQueue::new(cfg.buffer, window, burst))
-        }
-        SchedulerKind::FairTree { tenants } => {
-            if tenants == 0 {
-                return Err(QvisorError::Deployment(
-                    "fair tree needs at least one tenant class".into(),
-                ));
-            }
-            let shape = TreeShape::Internal((0..tenants).map(|_| TreeShape::Leaf).collect());
-            let mut vtimes = vec![0u64; tenants as usize];
-            let classifier = move |p: &Packet| {
-                let class = (p.tenant.0 % tenants) as usize;
-                vtimes[class] += 1;
-                TreePath {
-                    steps: vec![PathStep {
-                        child: class,
-                        rank: vtimes[class],
-                    }],
-                    leaf_rank: p.txf_rank,
-                }
-            };
-            Box::new(PifoTree::new(&shape, classifier, cfg.buffer))
-        }
-    };
-    Ok(BareQueue::Other(other))
+    Ok(match kind {
+        Backend::Fifo => BareQueue::Fifo(FifoQueue::new(cfg.buffer)),
+        Backend::Pifo => BareQueue::Pifo(PifoQueue::new(cfg.buffer)),
+        _ => BareQueue::Other(kind.build(cfg.buffer, joint)?),
+    })
 }

@@ -1,5 +1,6 @@
 use super::*;
-use crate::config::{SchedulerKind, SimConfig};
+use crate::config::SimConfig;
+use qvisor_core::Backend;
 use qvisor_ranking::PFabric;
 use qvisor_scheduler::PacketQueue;
 use qvisor_sim::{gbps, Nanos, TenantId};
@@ -459,7 +460,7 @@ fn cut_through_equals_enqueue_then_dequeue() {
     use qvisor_scheduler::{Capacity, FifoQueue, PifoQueue};
     use qvisor_sim::{FlowId, SimRng};
     let buffer = Capacity::bytes(3_000);
-    for scheduler in [SchedulerKind::Fifo, SchedulerKind::Pifo] {
+    for scheduler in [Backend::Fifo, Backend::Pifo] {
         let d = dumbbell();
         let cfg = SimConfig {
             scheduler,
@@ -468,7 +469,7 @@ fn cut_through_equals_enqueue_then_dequeue() {
         };
         let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
         let mut model: Box<dyn PacketQueue> = match scheduler {
-            SchedulerKind::Fifo => Box::new(FifoQueue::new(buffer)),
+            Backend::Fifo => Box::new(FifoQueue::new(buffer)),
             _ => Box::new(PifoQueue::new(buffer)),
         };
         let (src, dst) = (d.senders[0], d.receivers[0]);
@@ -525,18 +526,18 @@ fn an_observed_idle_port_passes_only_over_an_exact_discipline() {
     use qvisor_sim::FlowId;
     let span = RankRange { min: 0, max: 99 };
     for (scheduler, exact) in [
-        (SchedulerKind::Fifo, true),
-        (SchedulerKind::Pifo, true),
-        (SchedulerKind::StrictStatic { queues: 4, span }, false),
-        (SchedulerKind::SpPifo { queues: 4 }, false),
+        (Backend::Fifo, true),
+        (Backend::Pifo, true),
+        (Backend::StrictStatic { queues: 4, span }, false),
+        (Backend::SpPifo { queues: 4 }, false),
         (
-            SchedulerKind::Aifo {
+            Backend::Aifo {
                 window: 8,
                 burst: 0.1,
             },
             false,
         ),
-        (SchedulerKind::FairTree { tenants: 2 }, false),
+        (Backend::FairTree { tenants: 2 }, false),
     ] {
         let d = dumbbell();
         let telemetry = qvisor_telemetry::Telemetry::enabled();

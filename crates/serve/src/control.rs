@@ -7,7 +7,8 @@
 //!
 //! Admission is side-effect free: a submission or a withdrawal is
 //! re-synthesized by the [`RuntimeAdapter`] and judged by `qvisor-core`'s
-//! deployment gate at the daemon's strictness (`--deny-warnings`), and a
+//! deployment gate on the default target (a PIFO, the pre-processor at
+//! every egress) at the daemon's strictness (`--deny-warnings`), and a
 //! refusal commits nothing — not the adapter, not the store. The policy the
 //! gate admits is the one deployed: one synthesis per commit. Every gate
 //! rejection carries the full structured QV-* diagnostic report plus the
@@ -18,7 +19,7 @@ use std::sync::Arc;
 
 use qvisor_core::config_api::{DeploymentConfig, TenantConfig};
 use qvisor_core::{
-    AdaptError, Adaptation, Admitted, MonitorConfig, RuntimeAdapter, Severity, TenantSpec,
+    AdaptError, Adaptation, Admitted, MonitorConfig, RuntimeAdapter, Severity, Target, TenantSpec,
 };
 use qvisor_ranking::RankRange;
 use qvisor_sim::json::Value;
@@ -55,7 +56,7 @@ impl ControlPlane {
         let telemetry = Telemetry::enabled();
         let adapter = RuntimeAdapter::new(specs, policy, synth, MonitorConfig::default())
             .with_telemetry(&telemetry)
-            .with_deny_warnings(deny_warnings);
+            .with_gate(Target::default(), deny_warnings);
         cell.store(ChainSnapshot::empty());
         Ok(ControlPlane {
             store,

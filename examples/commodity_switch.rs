@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example commodity_switch`
 
 use qvisor::core::{
-    synthesize, Backend, BandedMapper, Policy, PreProcessor, SpAdaptation, SynthConfig, TenantSpec,
+    synthesize, Backend, BandedMapper, Policy, PreProcessor, SynthConfig, TenantSpec,
     UnknownTenantAction,
 };
 use qvisor::ranking::RankRange;
@@ -68,28 +68,19 @@ fn main() {
     }
 
     let capacity = Capacity::packets(64, 1_500);
-    let backends: Vec<(&str, Backend)> = vec![
-        ("ideal PIFO", Backend::Pifo { capacity }),
+    let backends = [
+        ("ideal PIFO", Backend::Pifo),
         (
             "8-queue banded static",
-            Backend::StrictPriority {
+            Backend::StrictStatic {
                 queues: 8,
-                capacity,
-                adaptation: SpAdaptation::BandedStatic,
+                span: joint.output_span(),
             },
         ),
-        (
-            "8-queue SP-PIFO",
-            Backend::StrictPriority {
-                queues: 8,
-                capacity,
-                adaptation: SpAdaptation::SpPifo,
-            },
-        ),
+        ("8-queue SP-PIFO", Backend::SpPifo { queues: 8 }),
         (
             "AIFO (single FIFO)",
             Backend::Aifo {
-                capacity,
                 window: 64,
                 burst: 0.1,
             },
@@ -101,7 +92,7 @@ fn main() {
         "backend", "dequeued", "dropped", "inversions", "T3-before-T1T2"
     );
     for (name, backend) in backends {
-        let queue = backend.build(&joint).unwrap();
+        let queue = backend.build(capacity, Some(&joint)).unwrap();
         let mut queue = InstrumentedQueue::new(queue, &Telemetry::enabled(), name);
         // Interleave enqueue/dequeue (2:1) to mimic an overloaded port.
         let mut out = Vec::new();

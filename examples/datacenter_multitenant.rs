@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example datacenter_multitenant`
 
-use qvisor::core::{SynthConfig, TenantSpec};
-use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SchedulerKind, SimConfig, Simulation};
+use qvisor::core::{Backend, SynthConfig, TenantSpec};
+use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SimConfig, Simulation};
 use qvisor::ranking::{ByteCountFq, Edf, PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, SimRng, TenantId};
 use qvisor::topology::{LeafSpine, LeafSpineConfig};
@@ -25,7 +25,7 @@ fn build_and_run(qvisor: bool) -> qvisor::netsim::SimReport {
 
     let mut cfg = SimConfig {
         seed: 42,
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         horizon: Nanos::from_millis(80),
         ..SimConfig::default()
     };

@@ -11,7 +11,6 @@
 
 use qvisor::core::{compile, HardwareModel, Policy, SynthConfig, TenantSpec};
 use qvisor::ranking::RankRange;
-use qvisor::scheduler::Capacity;
 use qvisor::sim::TenantId;
 
 fn main() {
@@ -41,11 +40,7 @@ fn main() {
     ];
 
     for (name, queues, max_rank) in targets {
-        let hw = HardwareModel {
-            queues,
-            max_rank,
-            buffer: Capacity::packets(64, 1_500),
-        };
+        let hw = HardwareModel { queues, max_rank };
         println!("=== {name} ===");
         match compile(&specs, &policy, SynthConfig::default(), &hw) {
             Ok(out) => {

@@ -13,7 +13,7 @@
 
 use qvisor::core::{
     admit, synthesize, MonitorConfig, Policy, PreProcessor, RuntimeAdapter, RuntimeMonitor,
-    SpecPaths, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
+    SpecPaths, SynthConfig, Target, TenantSpec, UnknownTenantAction, ViolationAction,
 };
 use qvisor::ranking::RankRange;
 use qvisor::sim::{FlowId, Nanos, NodeId, Packet, SimRng, TenantId};
@@ -50,7 +50,8 @@ fn main() {
     // Initial deployment over the full tenant population, through the
     // deployment gate.
     let joint = synthesize(&specs, &policy, synth_cfg).unwrap();
-    let deployed = admit(joint, &SpecPaths::config(), false).expect("the policy deploys");
+    let deployed =
+        admit(joint, &Target::default(), &SpecPaths::config(), false).expect("the policy deploys");
     let joint = deployed.joint();
     let mut pre = PreProcessor::new(joint, UnknownTenantAction::BestEffort);
     let mut monitor = RuntimeMonitor::new(&specs, monitor_cfg);

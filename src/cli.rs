@@ -8,7 +8,6 @@ use qvisor_core::{
     compile, verify, DeploymentConfig, HardwareModel, QvisorError, SpecPaths, VerifyReport,
 };
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec, SweepSpec};
-use qvisor_scheduler::Capacity;
 use std::fmt::Write as _;
 
 /// CLI-level errors: usage problems or underlying QVISOR errors.
@@ -792,7 +791,6 @@ pub fn cmd_compile(config_json: &str, queues: usize, rank_bits: u32) -> Result<S
     let hw = HardwareModel {
         queues,
         max_rank: (1u64 << rank_bits) - 1,
-        buffer: Capacity::packets(64, 1_500),
     };
     let out = compile(&specs, &policy, synth, &hw)?;
     let mut text = String::new();

@@ -1,10 +1,10 @@
 //! Adversarial workloads (§2): a tenant that lies about its ranks to grab
 //! priority must be detected and contained by the runtime monitor.
 
-use qvisor::core::{MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction};
-use qvisor::netsim::{
-    NewCbr, NewFlow, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation,
+use qvisor::core::{
+    Backend, MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
 };
+use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{Constant, PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -26,7 +26,7 @@ fn run(action: Option<ViolationAction>) -> SimReport {
     let cfg = SimConfig {
         seed: 21,
         horizon: Nanos::from_millis(200),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         qvisor: Some(QvisorSetup {
             specs,
             policy: "honest >> evil".into(),

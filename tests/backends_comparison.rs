@@ -3,8 +3,8 @@
 //! workload. FIFO ignores ranks entirely, so small pFabric flows must be
 //! slowest there; the PIFO approximations should land in between.
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::{NewFlow, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::{NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -12,7 +12,7 @@ use qvisor::transport::SizeBucket;
 
 const T1: TenantId = TenantId(1);
 
-fn run(scheduler: SchedulerKind) -> SimReport {
+fn run(scheduler: Backend) -> SimReport {
     let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
     let specs =
         vec![TenantSpec::new(T1, "T1", "pFabric", RankRange::new(0, 5_000)).with_levels(256)];
@@ -59,10 +59,10 @@ fn small_fct(r: &SimReport) -> f64 {
 
 #[test]
 fn fifo_is_worst_for_mice_pifo_best() {
-    let pifo = run(SchedulerKind::Pifo);
-    let fifo = run(SchedulerKind::Fifo);
-    let sp = run(SchedulerKind::SpPifo { queues: 8 });
-    let banded = run(SchedulerKind::StrictStatic {
+    let pifo = run(Backend::Pifo);
+    let fifo = run(Backend::Fifo);
+    let sp = run(Backend::SpPifo { queues: 8 });
+    let banded = run(Backend::StrictStatic {
         queues: 8,
         span: RankRange::new(0, 5_000),
     });
@@ -88,14 +88,14 @@ fn fifo_is_worst_for_mice_pifo_best() {
 #[test]
 fn every_backend_completes_the_workload() {
     for scheduler in [
-        SchedulerKind::Pifo,
-        SchedulerKind::Fifo,
-        SchedulerKind::SpPifo { queues: 8 },
-        SchedulerKind::StrictStatic {
+        Backend::Pifo,
+        Backend::Fifo,
+        Backend::SpPifo { queues: 8 },
+        Backend::StrictStatic {
             queues: 8,
             span: RankRange::new(0, 5_000),
         },
-        SchedulerKind::Aifo {
+        Backend::Aifo {
             window: 64,
             burst: 0.1,
         },
@@ -114,8 +114,8 @@ fn every_backend_completes_the_workload() {
 #[test]
 fn elephant_throughput_unhurt_by_priority() {
     // SRPT hurts the elephant's FCT only mildly when mice are 8% of bytes.
-    let pifo = run(SchedulerKind::Pifo);
-    let fifo = run(SchedulerKind::Fifo);
+    let pifo = run(Backend::Pifo);
+    let fifo = run(Backend::Fifo);
     let big_p = pifo.fct.mean_fct_ms(Some(T1), SizeBucket::LARGE).unwrap();
     let big_f = fifo.fct.mean_fct_ms(Some(T1), SizeBucket::LARGE).unwrap();
     assert!(

@@ -105,6 +105,33 @@ fn analyze_exits_exactly_as_check_does() {
     }
 }
 
+/// The deployment target is judged too: a one-queue strict bank cannot
+/// give `EDF >> pFabric`'s two strict levels a queue each, so `check`
+/// refuses it at any strictness, naming the field and both counts, and
+/// `run` deploys nothing.
+#[test]
+fn a_strict_bank_short_of_queues_exits_two() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/strict_bank_short.json");
+    let fixture = fixture.to_str().unwrap();
+    for flags in [&[][..], &["--deny-warnings"][..]] {
+        let out = qvisor(&[&["check", fixture][..], flags].concat());
+        assert_eq!(out.status.code(), Some(2), "{:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(
+                "error QV-STRICT-QUEUES at scheduler.strict_static.queues: a strict bank of \
+                 1 queue(s) cannot give each of the policy's 2 strict levels its own queue"
+            ),
+            "{stderr}"
+        );
+    }
+    let out = qvisor(&["run", fixture]);
+    assert_eq!(out.status.code(), Some(1), "{:?}", out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("QV-STRICT-QUEUES"), "{stderr}");
+}
+
 #[test]
 fn usage_errors_exit_one() {
     let unknown = qvisor(&["definitely-not-a-subcommand"]);

@@ -6,8 +6,9 @@
 use std::sync::Arc;
 
 use qvisor::core::{
-    admit, retain_tenants, verify, DeploymentConfig, Policy, QvisorError, SpecPaths, SynthConfig,
-    TenantSpec,
+    admit, retain_tenants, verify, AdaptError, Adaptation, Backend, DeploymentConfig,
+    MonitorConfig, Policy, PreprocScope, QvisorError, RuntimeAdapter, SpecPaths, SynthConfig,
+    Target, TenantSpec,
 };
 use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec};
 use qvisor::netsim::{QvisorSetup, SimConfig, Simulation};
@@ -147,20 +148,71 @@ fn withdrawal_fails_the_strict_gate(config: &DeploymentConfig, name: &str) -> bo
     verify(&joint, &SpecPaths::config()).gate_fails(true)
 }
 
+/// The three targets the census judges every generated policy on: the
+/// default (a PIFO, the pre-processor at every egress), an 8-queue static
+/// strict bank, and PIFOs whose hosts see raw ranks.
+fn census_targets() -> [Target; 3] {
+    let strict8 = Backend::StrictStatic {
+        queues: 8,
+        span: RankRange::new(0, 10_000),
+    };
+    [
+        Target::default(),
+        Target {
+            scheduler: strict8,
+            ..Target::default()
+        },
+        Target {
+            scope: PreprocScope::SwitchesOnly,
+            ..Target::default()
+        },
+    ]
+}
+
+/// Per target: policies refused at the default gate, refused under
+/// `--deny-warnings`, and the findings of each target code.
+#[derive(Debug, Default, PartialEq)]
+struct Census {
+    refused: u32,
+    refused_strict: u32,
+    strict_queues: u32,
+    host_raw: u32,
+}
+
 /// A census of withdrawals, as a test: from generated deployments that
 /// pass the strict gate, every single-tenant withdrawal is accepted under
 /// `--deny-warnings` exactly when its re-synthesis passes the strict gate;
 /// a refusal changes nothing. Without `--deny-warnings` every one of them
-/// is accepted.
+/// is accepted. Every generated policy is also judged on the three
+/// [`census_targets`]: on the default one the gate's report is the
+/// verifier's, and the verdict counts on each are pinned.
 #[test]
 fn every_withdrawal_from_a_strict_deployment_is_gated() {
     let (mut deployments, mut withdrawals, mut refusals) = (0, 0, 0);
+    let mut census: [Census; 3] = Default::default();
     for index in 0..800 {
         let config = generate_case(0xF0CC5, index).config;
         let Ok(joint) = config.synthesize() else {
             continue;
         };
-        if admit(joint, &SpecPaths::config(), true).is_err() {
+        for (target, counts) in census_targets().iter().zip(&mut census) {
+            let strict = admit(joint.clone(), target, &SpecPaths::config(), true);
+            let report = match &strict {
+                Ok(admitted) => admitted.report(),
+                Err(refused) => &refused.report,
+            };
+            if *target == Target::default() {
+                let today = verify(&joint, &SpecPaths::config());
+                assert_eq!(report.diagnostics, today.diagnostics, "case {index}");
+            }
+            counts.refused += report.gate_fails(false) as u32;
+            counts.refused_strict += strict.is_err() as u32;
+            for d in &report.diagnostics {
+                counts.strict_queues += (d.code.as_str() == "QV-STRICT-QUEUES") as u32;
+                counts.host_raw += (d.code.as_str() == "QV-HOST-RAW") as u32;
+            }
+        }
+        if admit(joint, &Target::default(), &SpecPaths::config(), true).is_err() {
             continue;
         }
         // Bring the whole deployment live, one submission at a time; a
@@ -209,6 +261,25 @@ fn every_withdrawal_from_a_strict_deployment_is_gated() {
         }
     }
     eprintln!("{deployments} deployments, {withdrawals} withdrawals, {refusals} refused");
+    eprintln!("{census:?}");
+    let pinned = |refused, refused_strict, strict_queues, host_raw| Census {
+        refused,
+        refused_strict,
+        strict_queues,
+        host_raw,
+    };
+    // A generated case has at most five tenants, so an 8-queue bank always
+    // gives each strict level its own queue: its verdicts are the
+    // default's. Raw-ranked hosts warn on 422 crossing `>>` pairs and move
+    // 53 policies from admitted to refused under `--deny-warnings`.
+    assert_eq!(
+        census,
+        [
+            pinned(11, 420, 0, 0),
+            pinned(11, 420, 0, 0),
+            pinned(11, 473, 0, 422),
+        ]
+    );
     assert!(
         deployments >= 300,
         "only {deployments} deployments in the sample"
@@ -217,4 +288,52 @@ fn every_withdrawal_from_a_strict_deployment_is_gated() {
         refusals >= 1,
         "no withdrawal was refused: the test is vacuous"
     );
+}
+
+/// A runtime re-synthesis is judged on the target of the deployment it
+/// replaces: T1 re-declares a range that crosses T2's, which only hosts
+/// seeing raw ranks (`switches_only`) invert.
+#[test]
+fn a_re_synthesis_is_judged_on_its_tokens_target() {
+    let specs = vec![
+        TenantSpec::new(TenantId(1), "T1", "pFabric", RankRange::new(0, 10)),
+        TenantSpec::new(TenantId(2), "T2", "EDF", RankRange::new(100, 200)),
+    ];
+    let policy = Policy::parse("T1 >> T2").unwrap();
+    let synth = SynthConfig::default();
+    let joint = qvisor::core::synthesize(&specs, &policy, synth).unwrap();
+    let switches_only = Target {
+        scope: PreprocScope::SwitchesOnly,
+        ..Target::default()
+    };
+    let token = admit(joint, &switches_only, &SpecPaths::config(), true)
+        .expect("T1's raw ranks sit below T2's");
+    let adaptation = Adaptation {
+        active: vec![TenantId(1), TenantId(2)],
+        tightened: Vec::new(),
+    };
+    let redeclare = |target: Target| {
+        let mut adapter = RuntimeAdapter::new(
+            specs.clone(),
+            policy.clone(),
+            synth,
+            MonitorConfig::default(),
+        )
+        .with_gate(target, token.deny_warnings());
+        let wider = TenantSpec::new(TenantId(1), "T1", "pFabric", RankRange::new(0, 500));
+        assert!(adapter.update_spec(wider));
+        let verdict = adapter.apply(&adaptation);
+        (verdict, adapter.transform_version())
+    };
+    let (verdict, version) = redeclare(*token.target());
+    let Err(AdaptError::Refused(refused)) = verdict else {
+        panic!("a crossing re-declaration deployed on raw-ranked hosts");
+    };
+    assert_eq!(refused.codes(), ["QV-HOST-RAW"]);
+    assert_eq!(version, 1);
+    // The same re-declaration deploys where the transform runs everywhere.
+    let (verdict, version) = redeclare(Target::default());
+    let admitted = verdict.unwrap().expect("a policy remains");
+    assert_eq!(*admitted.target(), Target::default());
+    assert_eq!(version, 2);
 }

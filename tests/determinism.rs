@@ -2,8 +2,8 @@
 //! different seeds different ones — across the full stack (workload
 //! generation, ECMP, fault injection, QVISOR).
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::{QvisorSetup, SchedulerKind, SimConfig, Simulation};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::{QvisorSetup, SimConfig, Simulation};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{Nanos, SimRng, TenantId};
 use qvisor::telemetry::Telemetry;
@@ -26,7 +26,7 @@ fn world(seed: u64, telemetry: Telemetry) -> ((u64, u64, Option<f64>, u64), Stri
         seed,
         random_loss: 0.01,
         horizon: Nanos::from_millis(50),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         qvisor: Some(QvisorSetup {
             specs,
             policy: "T1".into(),

@@ -2,8 +2,8 @@
 //! by `Engine::build_verified`, and a build deploys only the joint policy
 //! a verification of that very scenario judged.
 
-use qvisor::core::SpecPaths;
-use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec, SynthSpec};
+use qvisor::core::{SpecPaths, SynthConfig};
+use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec};
 use qvisor::netsim::ScenarioError;
 
 /// Every file in `examples/scenarios/`, by name.
@@ -87,7 +87,7 @@ fn a_verification_handed_to_another_scenario_is_refused() {
 fn a_refuted_deployment_is_refused_with_the_verifiers_report() {
     // A saturating first rank refutes overflow-freedom and isolation.
     let mut refuted = fig4_point();
-    refuted.qvisor.as_mut().unwrap().synth = Some(SynthSpec {
+    refuted.qvisor.as_mut().unwrap().synth = Some(SynthConfig {
         default_levels: 8,
         first_rank: u64::MAX - 5,
         pref_bias_divisor: 2,

@@ -18,9 +18,9 @@
 //!    run (`Engine::with_event_core`), so this file is the whole oracle
 //!    run: there is no build that swaps the default core.
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
 use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec};
-use qvisor::netsim::{QvisorSetup, SchedulerKind, SimConfig, Simulation};
+use qvisor::netsim::{QvisorSetup, SimConfig, Simulation};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{EventCore, EventQueue, Nanos, SimRng, TenantId};
 use qvisor::telemetry::Telemetry;
@@ -142,7 +142,7 @@ fn world(core: EventCore, qvisor: bool, telemetry: Telemetry) -> (String, String
         seed: 11,
         random_loss: 0.01,
         horizon: Nanos::from_millis(40),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         sample_interval: Some(Nanos::from_millis(5)),
         qvisor: qvisor.then(|| QvisorSetup {
             specs: vec![

@@ -4,8 +4,8 @@
 //! commodity PIFO plus rank rewriting approximates it — these tests put
 //! the two side by side on the same clashing workload.
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::{NewFlow, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::{NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{ByteCountFq, Constant, RankRange};
 use qvisor::sim::{gbps, jain_fairness, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -17,7 +17,7 @@ const T2: TenantId = TenantId(2);
 /// bytes, but T2's ranks grow 100x slower (a coarser unit), so on a naive
 /// flat PIFO T2's numerically tiny ranks dominate. QVISOR's normalization
 /// maps both onto a common scale; the tree never compares them at all.
-fn run(scheduler: SchedulerKind, qvisor: bool) -> SimReport {
+fn run(scheduler: Backend, qvisor: bool) -> SimReport {
     let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
     let mut cfg = SimConfig {
         seed: 17,
@@ -63,7 +63,7 @@ fn jain(r: &SimReport) -> f64 {
 
 #[test]
 fn naive_flat_pifo_is_captured_by_the_coarse_rank_tenant() {
-    let r = run(SchedulerKind::Pifo, false);
+    let r = run(Backend::Pifo, false);
     let (b1, b2) = (r.tenant(T1).delivered_bytes, r.tenant(T2).delivered_bytes);
     assert!(
         b2 > b1 * 3,
@@ -82,7 +82,7 @@ fn naive_flat_pifo_is_captured_by_the_coarse_rank_tenant() {
 /// `>>`/`>` placement or a shaper instead.
 #[test]
 fn constant_rank_tenants_defeat_flat_sharing_but_not_the_tree() {
-    let run_const = |scheduler: SchedulerKind, qvisor: bool| -> SimReport {
+    let run_const = |scheduler: Backend, qvisor: bool| -> SimReport {
         let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
         let mut cfg = SimConfig {
             seed: 18,
@@ -118,10 +118,10 @@ fn constant_rank_tenants_defeat_flat_sharing_but_not_the_tree() {
         sim.run()
     };
     // Flat PIFO + QVISOR: the constant-rank tenant still wins most slots.
-    let flat = run_const(SchedulerKind::Pifo, true);
+    let flat = run_const(Backend::Pifo, true);
     assert!(jain(&flat) < 0.9, "expected unfair: {:.4}", jain(&flat));
     // The tree is immune.
-    let tree = run_const(SchedulerKind::FairTree { tenants: 3 }, false);
+    let tree = run_const(Backend::FairTree { tenants: 3 }, false);
     assert!(
         jain(&tree) > 0.99,
         "tree should be fair: {:.4}",
@@ -131,7 +131,7 @@ fn constant_rank_tenants_defeat_flat_sharing_but_not_the_tree() {
 
 #[test]
 fn hierarchical_tree_is_fair_without_any_rewriting() {
-    let r = run(SchedulerKind::FairTree { tenants: 3 }, false);
+    let r = run(Backend::FairTree { tenants: 3 }, false);
     assert!(
         jain(&r) > 0.99,
         "the tree's root fairness must neutralize the rank clash: {:.4}",
@@ -141,8 +141,8 @@ fn hierarchical_tree_is_fair_without_any_rewriting() {
 
 #[test]
 fn qvisor_on_flat_pifo_matches_the_tree() {
-    let tree = run(SchedulerKind::FairTree { tenants: 3 }, false);
-    let qv = run(SchedulerKind::Pifo, true);
+    let tree = run(Backend::FairTree { tenants: 3 }, false);
+    let qv = run(Backend::Pifo, true);
     assert!(
         jain(&qv) > 0.99,
         "QVISOR sharing on a flat PIFO must restore fairness: {:.4}",

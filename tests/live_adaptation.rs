@@ -5,8 +5,10 @@
 //! the pre-processor mid-simulation — restoring quantization granularity
 //! (and with it, intra-tenant SRPT) without operator involvement.
 
-use qvisor::core::{MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction};
-use qvisor::netsim::{NewFlow, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation};
+use qvisor::core::{
+    Backend, MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
+};
+use qvisor::netsim::{NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -25,7 +27,7 @@ fn run(adaptation: Option<Nanos>) -> SimReport {
     let cfg = SimConfig {
         seed: 13,
         horizon: Nanos::from_millis(400),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         adaptation_interval: adaptation,
         qvisor: Some(QvisorSetup {
             specs,

@@ -2,7 +2,8 @@
 //! consistency, topology generality (fat-tree), host/switch scheduler
 //! heterogeneity, STFQ-in-the-network, and heavy fault injection.
 
-use qvisor::netsim::{NewFlow, SchedulerKind, SimConfig, SimReport, Simulation};
+use qvisor::core::Backend;
+use qvisor::netsim::{NewFlow, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{PFabric, Stfq};
 use qvisor::sim::{gbps, jain_fairness, Nanos, TenantId};
 use qvisor::topology::{Dumbbell, FatTree, LeafSpine, LeafSpineConfig};
@@ -143,7 +144,7 @@ fn fifo_hosts_with_pifo_switches() {
         let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
         let cfg = SimConfig {
             seed: 5,
-            scheduler: SchedulerKind::Pifo,
+            scheduler: Backend::Pifo,
             host_scheduler,
             horizon: Nanos::from_millis(400),
             ..SimConfig::default()
@@ -173,7 +174,7 @@ fn fifo_hosts_with_pifo_switches() {
         r.fct.mean_fct_ms(Some(T1), SizeBucket::SMALL).unwrap()
     };
     let all_pifo = run(None);
-    let fifo_hosts = run(Some(SchedulerKind::Fifo));
+    let fifo_hosts = run(Some(Backend::Fifo));
     assert!(
         fifo_hosts > all_pifo,
         "a FIFO host queue must cost the mice something: \
@@ -259,7 +260,7 @@ fn drr_style_fair_tree_vs_unfair_ranks() {
     // scheduler keeps goodput fair regardless of rank games.
     let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
     let cfg = SimConfig {
-        scheduler: SchedulerKind::FairTree { tenants: 4 },
+        scheduler: Backend::FairTree { tenants: 4 },
         horizon: Nanos::from_millis(80),
         ..SimConfig::default()
     };

@@ -1,10 +1,8 @@
 //! Network-level guarantees: does the synthesized policy actually protect
 //! tenants once packets flow through a congested fabric?
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::{
-    NewCbr, NewFlow, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation,
-};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{Edf, PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -21,7 +19,7 @@ fn run(policy: Option<&str>, with_t2: bool) -> SimReport {
     let mut cfg = SimConfig {
         seed: 11,
         horizon: Nanos::from_millis(200),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         ..SimConfig::default()
     };
     if let Some(p) = policy {

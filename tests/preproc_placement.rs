@@ -9,13 +9,15 @@
 //! downstream PIFOs — byte for byte: the simulator relies on it, and under
 //! `everywhere` with a static policy only the source runs the transform
 //! (later hops record it). Switches-only leaves the host NIC queue ordering
-//! by raw (clashing) ranks.
+//! by raw (clashing) ranks, which the deployment gate reports as a
+//! QV-HOST-RAW warning.
 
-use qvisor::core::{PreProcessor, SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec, ScopeSpec};
-use qvisor::netsim::{
-    NewCbr, NewFlow, PreprocScope, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation,
+use qvisor::core::{
+    admit, synthesize, Backend, DiagCode, Policy, PreProcessor, PreprocScope, Severity, SpecPaths,
+    SynthConfig, TenantSpec, UnknownTenantAction,
 };
+use qvisor::netsim::scenario::{report_json, Engine, ScenarioSpec};
+use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{Edf, PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
 use qvisor::telemetry::{report, Telemetry, TraceConfig, TraceKind, Tracer};
@@ -25,19 +27,17 @@ use qvisor::transport::SizeBucket;
 const T1: TenantId = TenantId(1);
 const T2: TenantId = TenantId(2);
 
-/// T1's pFabric flows and T2's numerically-dominant EDF flood share both
-/// the *sending hosts* and the bottleneck, so the host queue's ordering
-/// matters too.
-fn run(scope: PreprocScope) -> SimReport {
-    let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
+/// The placement experiment's configuration at `scope`: `T1 >> T2` on
+/// PIFOs, T1 declaring `[0, 200]` and T2 `[0, 100]`.
+fn config(scope: PreprocScope) -> SimConfig {
     let specs = vec![
         TenantSpec::new(T1, "T1", "pFabric", RankRange::new(0, 200)).with_levels(64),
         TenantSpec::new(T2, "T2", "EDF", RankRange::new(0, 100)).with_levels(16),
     ];
-    let cfg = SimConfig {
+    SimConfig {
         seed: 23,
         horizon: Nanos::from_millis(300),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         qvisor: Some(QvisorSetup {
             specs,
             policy: "T1 >> T2".into(),
@@ -47,8 +47,15 @@ fn run(scope: PreprocScope) -> SimReport {
             monitor: None,
         }),
         ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
+    }
+}
+
+/// T1's pFabric flows and T2's numerically-dominant EDF flood share both
+/// the *sending hosts* and the bottleneck, so the host queue's ordering
+/// matters too.
+fn run(scope: PreprocScope) -> SimReport {
+    let d = Dumbbell::build(2, gbps(1), gbps(1), Nanos::from_micros(1));
+    let mut sim = Simulation::new(d.topology.clone(), config(scope)).unwrap();
     sim.register_rank_fn(T1, Box::new(PFabric::new(1_000, 200)));
     sim.register_rank_fn(T2, Box::new(Edf::new(Nanos::from_micros(1), 100)));
     // Both tenants send from BOTH hosts: contention starts at the NIC.
@@ -129,7 +136,7 @@ fn qvisor_examples() -> Vec<(String, ScenarioSpec)> {
 /// pre-processor moved to the first hop.
 fn reports_at_both_scopes(spec: &ScenarioSpec) -> (String, String) {
     let mut first_hop = spec.clone();
-    first_hop.qvisor.as_mut().unwrap().scope = ScopeSpec::FirstHopOnly;
+    first_hop.qvisor.as_mut().unwrap().scope = PreprocScope::FirstHopOnly;
     let report = |spec: &ScenarioSpec| report_json(&Engine::new().run(spec).unwrap()).to_compact();
     (report(spec), report(&first_hop))
 }
@@ -146,7 +153,10 @@ fn every_example_reports_the_same_with_the_transform_at_the_first_hop() {
 fn the_fig4_point_reports_the_same_with_the_transform_at_the_first_hop() {
     // The benchmark's full-size point: 157 nodes, 2,000 flows.
     let spec = load("benchmark/workloads/fig4.json");
-    assert_eq!(spec.qvisor.as_ref().unwrap().scope, ScopeSpec::Everywhere);
+    assert_eq!(
+        spec.qvisor.as_ref().unwrap().scope,
+        PreprocScope::Everywhere
+    );
     let (written, first_hop) = reports_at_both_scopes(&spec);
     assert!(
         written == first_hop,
@@ -221,4 +231,39 @@ fn switches_only_leaks_the_clash_at_the_nic() {
         "raw-ranked NIC queues must cost T1 visibly: everywhere {e:.3} ms \
          vs switches-only {s:.3} ms"
     );
+}
+
+#[test]
+fn the_gate_warns_where_host_queues_see_raw_ranks() {
+    // The deployment `switches_only_leaks_the_clash_at_the_nic` measures:
+    // the default gate admits it with one warning, witnessed by T1's
+    // largest raw rank against T2's smallest.
+    let judge = |scope| {
+        let cfg = config(scope);
+        let setup = cfg.qvisor.as_ref().unwrap();
+        let policy = Policy::parse(&setup.policy).unwrap();
+        let joint = synthesize(&setup.specs, &policy, setup.synth).unwrap();
+        admit(joint, &cfg.target(), &SpecPaths::scenario(), false).unwrap()
+    };
+    let switches_only = judge(PreprocScope::SwitchesOnly);
+    let raw: Vec<_> = (switches_only.report().diagnostics.iter())
+        .filter(|d| d.code == DiagCode::HostRaw)
+        .collect();
+    assert_eq!(raw.len(), 1, "{}", switches_only.report());
+    assert_eq!(raw[0].severity, Severity::Warning);
+    assert_eq!(raw[0].span, "qvisor.scope");
+    let w = raw[0].witness.expect("a raw-rank witness");
+    assert_eq!(
+        (w.input_a, w.output_a, w.input_b, w.output_b),
+        (200, 200, 0, 0)
+    );
+    assert!(!switches_only.report().guarantees_hold());
+    for scope in [PreprocScope::FirstHopOnly, PreprocScope::Everywhere] {
+        let report = judge(scope).into_report();
+        assert!(report
+            .diagnostics
+            .iter()
+            .all(|d| d.code != DiagCode::HostRaw));
+        assert!(report.guarantees_hold(), "{scope:?}: {report}");
+    }
 }

@@ -8,10 +8,8 @@
 //! lockstep CBR has no such feedback and any consistent tie-break skews
 //! it; that behaviour is pinned in `open_loop_share_has_no_feedback`.)
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::{
-    NewCbr, NewFlow, QvisorSetup, SchedulerKind, SimConfig, SimReport, Simulation,
-};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
 use qvisor::ranking::{ByteCountFq, RankRange};
 use qvisor::sim::{gbps, jain_fairness, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -35,7 +33,7 @@ fn run(policy: &str) -> SimReport {
     let cfg = SimConfig {
         seed: 3,
         horizon: Nanos::from_millis(120),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         qvisor: Some(QvisorSetup {
             specs: specs(),
             policy: policy.to_string(),
@@ -135,7 +133,7 @@ fn open_loop_share_has_no_feedback() {
     let cfg = SimConfig {
         seed: 3,
         horizon: Nanos::from_millis(60),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         qvisor: Some(QvisorSetup {
             specs: specs(),
             policy: "T1 + T2".into(),

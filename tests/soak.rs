@@ -3,8 +3,10 @@
 //! schedulers, three tenants (reliable + CBR), fault injection — checking
 //! the global invariants that must survive any feature interaction.
 
-use qvisor::core::{MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction};
-use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SchedulerKind, SimConfig, Simulation};
+use qvisor::core::{
+    Backend, MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
+};
+use qvisor::netsim::{NewCbr, NewFlow, QvisorSetup, SimConfig, Simulation};
 use qvisor::ranking::{ByteCountFq, Edf, PFabric, RankRange};
 use qvisor::sim::{Nanos, SimRng, TenantId};
 use qvisor::topology::{LeafSpine, LeafSpineConfig};
@@ -28,8 +30,8 @@ fn everything_on_at_once() {
         seed: 99,
         random_loss: 0.01,
         horizon: Nanos::from_millis(250),
-        scheduler: SchedulerKind::Pifo,
-        host_scheduler: Some(SchedulerKind::Fifo),
+        scheduler: Backend::Pifo,
+        host_scheduler: Some(Backend::Fifo),
         adaptation_interval: Some(Nanos::from_millis(10)),
         qvisor: Some(QvisorSetup {
             specs,
@@ -146,8 +148,8 @@ fn everything_on_at_once() {
                 seed: 99,
                 random_loss: 0.01,
                 horizon: Nanos::from_millis(250),
-                scheduler: SchedulerKind::Pifo,
-                host_scheduler: Some(SchedulerKind::Fifo),
+                scheduler: Backend::Pifo,
+                host_scheduler: Some(Backend::Fifo),
                 adaptation_interval: Some(Nanos::from_millis(10)),
                 qvisor: Some(QvisorSetup {
                     specs: vec![

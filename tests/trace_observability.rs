@@ -2,8 +2,8 @@
 //! never perturbs the simulation, exports are byte-deterministic, and the
 //! Chrome JSON is well-formed Perfetto input.
 
-use qvisor::core::{SynthConfig, TenantSpec, UnknownTenantAction};
-use qvisor::netsim::{QvisorSetup, SchedulerKind, SimConfig, Simulation};
+use qvisor::core::{Backend, SynthConfig, TenantSpec, UnknownTenantAction};
+use qvisor::netsim::{QvisorSetup, SimConfig, Simulation};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{json::Value, Nanos, SimRng, TenantId};
 use qvisor::telemetry::{perfetto, TraceConfig, TraceData, Tracer};
@@ -22,7 +22,7 @@ fn world(seed: u64, tracer: Tracer) -> String {
         seed,
         random_loss: 0.01,
         horizon: Nanos::from_millis(50),
-        scheduler: SchedulerKind::Pifo,
+        scheduler: Backend::Pifo,
         qvisor: Some(QvisorSetup {
             specs,
             policy: "T1".into(),
