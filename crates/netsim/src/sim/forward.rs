@@ -3,8 +3,8 @@
 //! on demand), link serialization, and arrival-side loss.
 //!
 //! A packet on a link is parked in the arena. A hop that sends it straight
-//! on through an idle, unobserved FIFO or PIFO port leaves it there: the
-//! arrival reads it in its slot and the next transmission carries the
+//! on through an idle FIFO or PIFO port, observed or not, leaves it there:
+//! the arrival reads it in its slot and the next transmission carries the
 //! same slot. Every other hop takes it out.
 
 use super::{EventKey, Simulation};
@@ -46,7 +46,7 @@ impl Simulation {
 
     /// The packet parked in `slot` arrives at `node`: lost on the link,
     /// delivered, or sent one hop further — from its slot, when the port
-    /// it leaves by is idle, bare and exact.
+    /// it leaves by is idle and exact.
     pub(in crate::sim) fn on_arrive(&mut self, node: NodeId, slot: PacketSlot, now: Nanos) {
         let p = self.arena.get(slot);
         if self.cfg.random_loss > 0.0 && self.loss_draw(node, p) < self.cfg.random_loss {
@@ -76,11 +76,12 @@ impl Simulation {
         let p = self.arena.get(slot);
         let port = self.route(node, p);
         let port_ref = &self.ports[port as usize];
-        if port_ref.queue.is_bare_exact()
+        if port_ref.queue.cuts_through()
             && port_ref.is_free(now, self.before_port_free)
             && self.cfg.buffer.fits(0, p.size as u64)
         {
             // What `offer` would do, without moving the packet.
+            port_ref.queue.pass(p, now);
             return self.transmit(port, slot, now);
         }
         let p = self.arena.take(slot);
@@ -122,7 +123,7 @@ impl Simulation {
         // refuse it for being larger than the whole buffer.
         debug_assert!(!free || (port_ref.queue.is_empty() && !port_ref.armed));
         if free && port_ref.queue.cuts_through() && self.cfg.buffer.fits(0, p.size as u64) {
-            let p = port_ref.queue.pass(p, now);
+            port_ref.queue.pass(&p, now);
             return self.send(port, p, now);
         }
         let outcome = port_ref.queue.enqueue(p, now);

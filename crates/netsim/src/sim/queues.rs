@@ -112,6 +112,7 @@ impl PortQueue {
     /// empty FIFO or exact PIFO; `Other` may keep per-packet state. An
     /// observer is paid in observations, not in queue operations: over an
     /// exact discipline it reports the pair itself ([`Self::pass`]).
+    #[inline]
     pub(in crate::sim) fn cuts_through(&self) -> bool {
         match self {
             PortQueue::Bare(BareQueue::Fifo(_) | BareQueue::Pifo(_)) => true,
@@ -120,24 +121,13 @@ impl PortQueue {
         }
     }
 
-    /// [`Self::cuts_through`] with no one watching: [`Self::pass`] is the
-    /// identity, so a packet can go to the wire from wherever it is parked.
+    /// Report `p` taken around the queue ([`Self::cuts_through`] holds):
+    /// nothing, unless someone is watching, who is told of an enqueue and a
+    /// dequeue. `p` stays where it is parked.
     #[inline]
-    pub(in crate::sim) fn is_bare_exact(&self) -> bool {
-        matches!(
-            self,
-            PortQueue::Bare(BareQueue::Fifo(_) | BareQueue::Pifo(_))
-        )
-    }
-
-    /// Take `p` around the queue ([`Self::cuts_through`] holds): the
-    /// identity, plus the observations of an enqueue and a dequeue when
-    /// someone is watching.
-    #[inline]
-    pub(in crate::sim) fn pass(&mut self, p: Packet, now: Nanos) -> Packet {
-        match self {
-            PortQueue::Observed(q) => q.pass(p, now),
-            PortQueue::Bare(_) => p,
+    pub(in crate::sim) fn pass(&self, p: &Packet, now: Nanos) {
+        if let PortQueue::Observed(q) = self {
+            q.pass(p, now);
         }
     }
 }

@@ -175,28 +175,27 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
     /// Report `p` as enqueued and dequeued at `now` without queueing it:
     /// exactly what [`PacketQueue::enqueue`] then [`PacketQueue::dequeue`]
     /// emit on an empty queue, in the same order, with the inner queue and
-    /// the mirror left alone (both would end as they began). The caller
-    /// guarantees [`Self::passes`], an empty queue, and that `p` fits the
-    /// empty buffer.
-    pub fn pass(&mut self, mut p: Packet, now: Nanos) -> Packet {
+    /// the mirror left alone (both would end as they began). `p` stays
+    /// where it is, unstamped: `enqueued_at` is read only by a dequeue, after
+    /// an enqueue has stamped it. The caller guarantees [`Self::passes`], an
+    /// empty queue, and that `p` fits the empty buffer.
+    pub fn pass(&self, p: &Packet, now: Nanos) {
         debug_assert!(self.exact && self.inner.is_empty());
         if !self.enabled {
-            return p;
+            return;
         }
         let rank = p.txf_rank;
         {
             let _scope = self.enq_prof.time();
             self.metrics.offer();
-            p.enqueued_at = now;
-            self.trace(&p, now, TraceKind::Enqueue { rank });
+            self.trace(p, now, TraceKind::Enqueue { rank });
             self.metrics.admit();
         }
         let _scope = self.deq_prof.time();
-        self.trace(&p, now, TraceKind::Dequeue { rank, wait_ns: 0 });
+        self.trace(p, now, TraceKind::Dequeue { rank, wait_ns: 0 });
         self.monitor.on_dequeue(now, p.tenant.0, 0, false);
         self.metrics.dequeue(0, false);
         self.metrics.set_depth(0, 0);
-        p
     }
 
     fn note_resident(&mut self, rank: Rank, id: Resident) {
@@ -521,10 +520,11 @@ mod tests {
     }
 
     /// `pass` ≡ `enqueue` then `dequeue` on an empty queue: every export,
-    /// every count, and the packet handed back.
+    /// every count, and the packet, but for the `enqueued_at` an enqueue
+    /// stamps.
     fn pass_matches_enqueue_then_dequeue<Q: PacketQueue>(make: impl Fn() -> Q) {
         let (passed, queued) = (Observers::enabled(), Observers::enabled());
-        let (mut a, mut b) = (passed.wrap(make()), queued.wrap(make()));
+        let (a, mut b) = (passed.wrap(make()), queued.wrap(make()));
         assert!(a.passes());
         let mut rng = qvisor_sim::SimRng::seed_from(22);
         let mut now = Nanos::ZERO;
@@ -537,9 +537,12 @@ mod tests {
                 p = p.ack_for(40, now);
                 p.txf_rank = rank;
             }
-            let out = a.pass(p.clone(), now);
-            assert!(b.enqueue(p, now).accepted());
-            assert_eq!(format!("{:?}", Some(out)), format!("{:?}", b.dequeue(now)));
+            a.pass(&p, now);
+            assert!(b.enqueue(p.clone(), now).accepted());
+            let mut out = b.dequeue(now).unwrap();
+            assert_eq!(out.enqueued_at, now);
+            out.enqueued_at = p.enqueued_at;
+            assert_eq!(format!("{out:?}"), format!("{p:?}"));
             assert_eq!((a.len(), a.bytes()), (0, 0));
             assert_eq!(mirrored(&a).unwrap_or(0), 0);
         }
@@ -557,13 +560,9 @@ mod tests {
     #[test]
     fn pass_on_a_disabled_wrapper_is_the_identity() {
         let t = Telemetry::disabled();
-        let mut q = InstrumentedQueue::new(PifoQueue::new(Capacity::UNBOUNDED), &t, "q0");
-        let p = pkt(0, 9);
-        assert_eq!(
-            format!("{:?}", q.pass(p.clone(), Nanos(5))),
-            format!("{p:?}")
-        );
-        assert_eq!(q.dequeued_count(), 0);
+        let q = InstrumentedQueue::new(PifoQueue::new(Capacity::UNBOUNDED), &t, "q0");
+        q.pass(&pkt(0, 9), Nanos(5));
+        assert_eq!((q.dequeued_count(), q.len()), (0, 0));
     }
 
     #[test]

@@ -262,14 +262,14 @@ impl TraceRecord {
     }
 }
 
-/// The records of a [`TraceData`], oldest first, one packed 64-byte slot
-/// each and unpacked as they are read. A [`Tracer::snapshot`]'s are the
-/// recorder's own ring, shared with it until its next record; any others
-/// are collected from [`TraceRecord`]s. Equal when they hold the same
-/// records in the same order.
+/// The records of a [`TraceData`], oldest first, packed into 32-byte slots
+/// (64 for the few that need it) and unpacked as they are read. A
+/// [`Tracer::snapshot`]'s are the recorder's own ring, shared with it until
+/// its next record; any others are collected from [`TraceRecord`]s. Equal
+/// when they hold the same records in the same order.
 #[derive(Clone, Default)]
 pub struct Records {
-    slots: Arc<Vec<Slot>>,
+    slots: Arc<Slots>,
     /// Index of the oldest slot: the ring's `head` when it was lent.
     head: usize,
 }
@@ -282,7 +282,7 @@ impl Records {
 
     /// True when there are no records.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.slots.len() == 0
     }
 
     /// The records, oldest first.
@@ -292,21 +292,23 @@ impl Records {
 
     /// The newest record.
     pub fn last(&self) -> Option<TraceRecord> {
-        let newest = self.slots[..self.head].last().or(self.slots.last());
-        newest.map(|slot| slot.unpack())
+        let newest = self.head.checked_sub(1).or(self.len().checked_sub(1))?;
+        Some(self.slots.record(newest))
     }
 
-    /// Where the slots live.
+    /// Where the first halves of the slots live.
     #[cfg(test)]
-    fn storage(&self) -> *const Slot {
-        self.slots.as_ptr()
+    fn storage(&self) -> *const Half {
+        self.slots.lo.as_ptr()
     }
 }
 
 impl FromIterator<TraceRecord> for Records {
     fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Records {
+        let mut slots = Slots::default();
+        records.into_iter().for_each(|r| slots.push(Slot::pack(r)));
         Records {
-            slots: Arc::new(records.into_iter().map(Slot::pack).collect()),
+            slots: Arc::new(slots),
             head: 0,
         }
     }
@@ -326,9 +328,8 @@ impl std::fmt::Debug for Records {
 
 /// The records in `slots`, a ring whose oldest slot is at `head`: from
 /// `head` to the end, then from the start.
-fn oldest_first(slots: &[Slot], head: usize) -> impl Iterator<Item = TraceRecord> + '_ {
-    let (newer, older) = slots.split_at(head);
-    older.iter().chain(newer).map(|slot| slot.unpack())
+fn oldest_first(slots: &Slots, head: usize) -> impl Iterator<Item = TraceRecord> + '_ {
+    (head..slots.len()).chain(0..head).map(|i| slots.record(i))
 }
 
 /// A snapshot of everything the flight recorder holds: the retained
@@ -413,7 +414,7 @@ impl TraceData {
             return Err("empty trace (no JSONL lines)".into());
         }
         let mut data = TraceData::default();
-        let mut slots = Vec::new();
+        let mut slots = Slots::default();
         let mut label_ids: std::collections::BTreeMap<String, u32> =
             std::collections::BTreeMap::new();
         for (lineno, line) in jsonl.lines().enumerate() {
@@ -495,19 +496,41 @@ impl TraceData {
     }
 }
 
-/// One [`TraceRecord`] in one 64-byte ring slot, nothing lost: `t`,
-/// `flow`, `seq`; one word packing `tenant | ack << 16 | kind tag << 17 |
-/// label << 32`; then the kind's payload, up to four words (`Inversion`
-/// needs all four), unused words zero. Eight-byte aligned on purpose: a
-/// `#[repr(align(64))]` slot ran no faster and took the peak RSS of a
-/// fuzz campaign, one default-capacity tracer per case, from 9 to 31–35 MB.
+/// The first 32 bytes of a packed record: all of a compact one, and the
+/// identity of a wide one.
+type Half = [u64; 4];
+
+/// `packed`'s bit marking a compact record.
+const COMPACT: u64 = 1 << 21;
+
+/// One [`TraceRecord`] packed, nothing lost, in one of two forms. Both keep
+/// `t` whole and pack `tenant | ack << 16 | kind tag << 17 | label << 32`
+/// into one word, `packed`.
+///
+/// - **Compact**, 32 bytes, `lo = [t, flow | seq << 32, packed | COMPACT,
+///   payload]`: when `flow` and `seq` are both below 2^32 and the kind's
+///   payload fits one word. A one-field kind's payload is its field;
+///   `Transform` and `Dequeue` need both fields below 2^32 (`p0 | p1 <<
+///   32`); `TxStart` needs `bytes`, `tx_ns` and `prop_ns` below 2^20, 2^24
+///   and 2^20 (`bytes | tx_ns << 20 | prop_ns << 44`).
+/// - **Wide**, 64 bytes, `lo = [t, flow, packed, seq]` and `hi = [p0, p1,
+///   p2, p3]`, the payload with unused words zero: everything else, and
+///   always `Inversion`, whose payload is four words.
+///
+/// No record of a Fig. 4 run needs the wide form (its exact PIFOs invert
+/// nothing), so the `hi` halves live apart from the `lo` ones ([`Slots`])
+/// and are allocated only for a store that holds a wide record.
 #[derive(Clone, Copy)]
-struct Slot([u64; 8]);
+struct Slot {
+    lo: Half,
+    /// `Some` exactly when the record is wide.
+    hi: Option<Half>,
+}
 
 impl Slot {
     #[inline]
     fn pack(r: TraceRecord) -> Slot {
-        let (tag, [p0, p1, p2, p3]) = match r.kind {
+        let (tag, payload) = match r.kind {
             TraceKind::FlowStart { size } => (0, [size, 0, 0, 0]),
             TraceKind::RankComputed { rank } => (1, [rank, 0, 0, 0]),
             TraceKind::Transform { pre, post } => (2, [pre, post, 0, 0]),
@@ -532,11 +555,48 @@ impl Slot {
             | (u64::from(r.ack) << 16)
             | (tag << 17)
             | (u64::from(r.label) << 32);
-        Slot([r.t.as_nanos(), r.flow, r.seq, packed, p0, p1, p2, p3])
+        let [p0, p1, p2, _] = payload;
+        let word = match tag {
+            2 | 4 => (p0 >> 32 == 0 && p1 >> 32 == 0).then_some(p0 | p1 << 32),
+            6 => None,
+            7 => (p0 >> 20 == 0 && p1 >> 24 == 0 && p2 >> 20 == 0)
+                .then_some(p0 | p1 << 20 | p2 << 44),
+            _ => Some(p0),
+        };
+        let t = r.t.as_nanos();
+        match word {
+            Some(word) if (r.flow | r.seq) >> 32 == 0 => Slot {
+                lo: [t, r.flow | r.seq << 32, packed | COMPACT, word],
+                hi: None,
+            },
+            _ => Slot {
+                lo: [t, r.flow, packed, r.seq],
+                hi: Some(payload),
+            },
+        }
+    }
+
+    /// Whether the record whose first half is `lo` is wide.
+    #[inline]
+    fn is_wide(lo: &Half) -> bool {
+        lo[2] & COMPACT == 0
     }
 
     fn unpack(self) -> TraceRecord {
-        let Slot([t, flow, seq, packed, p0, p1, p2, p3]) = self;
+        let [t, ids, packed, word] = self.lo;
+        let (flow, seq, [p0, p1, p2, p3]) = match self.hi {
+            Some(payload) => (ids, word, payload),
+            None => {
+                let tag = (packed >> 17) & 0xf;
+                let low = |bits: u32, shift: u32| (word >> shift) & ((1 << bits) - 1);
+                let payload = match tag {
+                    2 | 4 => [low(32, 0), word >> 32, 0, 0],
+                    7 => [low(20, 0), low(24, 20), word >> 44, 0],
+                    _ => [word, 0, 0, 0],
+                };
+                (ids & u64::from(u32::MAX), ids >> 32, payload)
+            }
+        };
         let kind = match (packed >> 17) & 0xf {
             0 => TraceKind::FlowStart { size: p0 },
             1 => TraceKind::RankComputed { rank: p0 },
@@ -574,13 +634,48 @@ impl Slot {
     }
 }
 
+/// Packed records by index: every record's first half in `lo`, and a wide
+/// record's second half at the same index of `hi`. Eight-byte aligned on
+/// purpose: a `#[repr(align(64))]` slot ran no faster and took the peak RSS
+/// of a fuzz campaign, one default-capacity tracer per case, from 9 to
+/// 31–35 MB.
+#[derive(Clone, Default)]
+struct Slots {
+    lo: Vec<Half>,
+    /// Long enough to index every wide record; empty while there is none.
+    hi: Vec<Half>,
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        self.lo.len()
+    }
+
+    /// Append `slot` (the collected form: `hi` grows as wide records come).
+    fn push(&mut self, Slot { lo, hi }: Slot) {
+        if let Some(hi) = hi {
+            self.hi.resize(self.lo.len(), [0; 4]);
+            self.hi.push(hi);
+        }
+        self.lo.push(lo);
+    }
+
+    /// The record at `i`, unpacked.
+    #[inline]
+    fn record(&self, i: usize) -> TraceRecord {
+        let lo = self.lo[i];
+        let hi = Slot::is_wide(&lo).then(|| self.hi[i]);
+        Slot { lo, hi }.unpack()
+    }
+}
+
 /// The ring of slots, which overwrites its oldest slot around the cache. A
-/// default ring is 16.8 MB and keeps 2 % of what a Fig. 4 run writes into
-/// it, so an ordinary store would read each line for ownership only to
-/// evict the simulator's own working set with it. On x86_64 eight
-/// non-temporal `movnti` stores write the slot instead (SSE2 is part of the
-/// baseline); every other architecture assigns it. Both write the same
-/// bytes.
+/// default ring's first halves are 8.4 MB and keep 2 % of what a Fig. 4 run
+/// writes into them, so an ordinary store would read each line for
+/// ownership only to evict the simulator's own working set with it. On
+/// x86_64 four non-temporal `movnti` stores write each half instead (SSE2
+/// is part of the baseline); every other architecture assigns it. Both
+/// write the same bytes.
 ///
 /// Streamed stores are weakly ordered, so a [`fence`] must separate them
 /// from any other access to the slots they wrote. Every access to the
@@ -592,25 +687,29 @@ impl Slot {
 /// than none at all.
 #[allow(unsafe_code)]
 mod ring {
-    use super::Slot;
+    use super::{Half, Slot, Slots};
     use std::sync::Arc;
 
     #[derive(Default)]
     pub(super) struct Ring {
-        /// Its whole capacity is reserved by the first record — address
-        /// space, not memory: a tracer that records a few hundred spans
-        /// (one per fuzz case) touches a few pages of a default ring's
-        /// 16.8 MB, and one that fills it never holds a half-grown copy
-        /// beside it or leaves one behind as a hole in the heap. It fills
-        /// by `push`, and from then on the oldest slot, at `head`, is
-        /// overwritten in place by [`stream`]. Empty, reserving nothing,
-        /// while the slots are `lent`.
-        slots: Vec<Slot>,
+        /// The whole capacity of `slots.lo` is reserved by the first record
+        /// — address space, not memory: a tracer that records a few
+        /// hundred spans (one per fuzz case) touches a few pages of a
+        /// default ring's 8.4 MB, and one that fills it never holds a
+        /// half-grown copy beside it or leaves one behind as a hole in the
+        /// heap. It fills by `push`, and from then on the oldest slot, at
+        /// `head`, is overwritten in place by [`stream`]. `slots.hi`
+        /// reserves nothing until the first wide record, which reserves
+        /// all `capacity` halves the same way; it is zeroed as far as the
+        /// highest index a wide record has taken, so it indexes every wide
+        /// record and the pages past that stay untouched. Both are empty,
+        /// reserving nothing, while the slots are `lent`.
+        slots: Slots,
         /// Index of the oldest slot once the ring is full; 0 before.
         head: usize,
         /// The slots, from a snapshot until the next record: shared with
         /// every snapshot taken meanwhile, and never written.
-        lent: Option<Arc<Vec<Slot>>>,
+        lent: Option<Arc<Slots>>,
     }
 
     impl Ring {
@@ -618,16 +717,23 @@ mod ring {
         /// the oldest record (at capacity 0: `slot` itself).
         #[inline]
         pub(super) fn push(&mut self, capacity: usize, slot: Slot) -> bool {
-            if self.slots.len() < capacity {
-                if self.slots.capacity() == 0 {
+            let at = self.slots.lo.len();
+            if at < capacity {
+                if self.slots.lo.capacity() == 0 {
                     return self.reserve_and_push(capacity, slot);
                 }
-                self.slots.push(slot);
+                if let Some(hi) = slot.hi {
+                    *self.wide_half(capacity, at) = hi;
+                }
+                self.slots.lo.push(slot.lo);
                 return false;
             }
             // `None` only for a ring of capacity 0, which keeps nothing.
-            if let Some(oldest) = self.slots.get_mut(self.head) {
-                stream(oldest, slot);
+            if let Some(oldest) = self.slots.lo.get_mut(self.head) {
+                stream(oldest, slot.lo);
+                if let Some(hi) = slot.hi {
+                    stream(self.wide_half(capacity, self.head), hi);
+                }
                 self.head += 1;
                 if self.head == capacity {
                     self.head = 0;
@@ -637,41 +743,75 @@ mod ring {
             true
         }
 
+        /// The wide half at `at`, zeroed if the ring has not reached it.
+        #[inline]
+        fn wide_half(&mut self, capacity: usize, at: usize) -> &mut Half {
+            if self.slots.hi.len() <= at {
+                self.extend_wide_halves(capacity, at);
+            }
+            &mut self.slots.hi[at]
+        }
+
+        /// Zero the wide halves up to `at`; the ring's first wide record
+        /// reserves all `capacity` of them first — address space, as for
+        /// `lo`: the halves below `at` are written, the rest untouched. A
+        /// zeroed allocation (`calloc`) instead cleared all of it whenever
+        /// the allocator reused memory: a fuzz campaign, one ring per case,
+        /// ran 2.5× slower and peaked at 40 MiB instead of 9.
+        #[cold]
+        #[inline(never)]
+        fn extend_wide_halves(&mut self, capacity: usize, at: usize) {
+            let hi = &mut self.slots.hi;
+            hi.reserve_exact(capacity - hi.len());
+            hi.resize(at + 1, [0; 4]);
+        }
+
         /// [`Ring::push`] into a ring that reserves nothing: its first
         /// record, or its first since a snapshot. Reserves the whole ring,
-        /// or takes the lent slots back — the same allocation once no
-        /// snapshot holds it, else a copy into a whole ring of its own.
+        /// or takes the lent slots back — the same allocations once no
+        /// snapshot holds them, else a copy of both halves into a whole
+        /// ring of its own.
         #[cold]
         #[inline(never)]
         fn reserve_and_push(&mut self, capacity: usize, slot: Slot) -> bool {
             self.slots = match self.lent.take().map(Arc::try_unwrap) {
-                None => Vec::new(),
+                None => Slots::default(),
                 Some(Ok(slots)) => slots,
                 Some(Err(shared)) => {
-                    let mut slots = Vec::with_capacity(capacity);
-                    slots.extend_from_slice(&shared);
-                    slots
+                    let whole = |halves: &[Half]| {
+                        let mut copy = Vec::with_capacity(capacity);
+                        copy.extend_from_slice(halves);
+                        copy
+                    };
+                    Slots {
+                        lo: whole(&shared.lo),
+                        hi: if shared.hi.is_empty() {
+                            Vec::new()
+                        } else {
+                            whole(&shared.hi)
+                        },
+                    }
                 }
             };
-            self.slots.reserve_exact(capacity - self.slots.len());
+            self.slots.lo.reserve_exact(capacity - self.slots.lo.len());
             self.push(capacity, slot)
         }
 
         pub(super) fn len(&self) -> usize {
-            self.lent.as_deref().map_or(self.slots.len(), Vec::len)
+            self.lent.as_deref().map_or(self.slots.len(), Slots::len)
         }
 
         /// The retained slots and the index of the oldest, lent or not.
-        pub(super) fn slots(&self) -> (&[Slot], usize) {
+        pub(super) fn slots(&self) -> (&Slots, usize) {
             // Slots overwritten since the last lap are still in flight.
             fence();
             (self.lent.as_deref().unwrap_or(&self.slots), self.head)
         }
 
         /// The retained slots and the index of the oldest, for a snapshot
-        /// to keep: the ring's own allocation, not a copy. The ring writes
-        /// no slot of it again; its next record takes it back.
-        pub(super) fn lend(&mut self) -> (Arc<Vec<Slot>>, usize) {
+        /// to keep: the ring's own allocations, not a copy. The ring writes
+        /// no slot of them again; its next record takes them back.
+        pub(super) fn lend(&mut self) -> (Arc<Slots>, usize) {
             // Slots overwritten since the last lap are still in flight.
             fence();
             let slots = &mut self.slots;
@@ -681,10 +821,12 @@ mod ring {
             (Arc::clone(lent), self.head)
         }
 
-        /// Where the slots the ring writes live and how many fit there.
+        /// Where the first halves the ring writes live, how many fit there,
+        /// and how many wide halves it has allocated.
         #[cfg(test)]
-        pub(super) fn reserved(&self) -> (*const Slot, usize) {
-            (self.slots.as_ptr(), self.slots.capacity())
+        pub(super) fn reserved(&self) -> (*const Half, usize, usize) {
+            let Slots { lo, hi } = &self.slots;
+            (lo.as_ptr(), lo.capacity(), hi.capacity())
         }
     }
 
@@ -697,16 +839,16 @@ mod ring {
 
     /// Overwrite `dst` with `src` without bringing `dst` into the cache.
     #[inline(always)]
-    fn stream(dst: &mut Slot, src: Slot) {
+    fn stream(dst: &mut Half, src: Half) {
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        for (word, value) in dst.0.iter_mut().zip(src.0) {
-            // SAFETY: `word` is a live, aligned `&mut u64` inside a slot of
+        for (word, value) in dst.iter_mut().zip(src) {
+            // SAFETY: `word` is a live, aligned `&mut u64` inside a half of
             // the ring, and SSE2 is statically enabled (the `cfg` above).
-            // The ring writes only slots it owns alone: a snapshot's `Arc`
+            // The ring writes only halves it owns alone: a snapshot's `Arc`
             // holds lent slots, which the ring takes back only from the
             // last holder. The ring is reachable only through a non-`Send`
             // `Rc`, so no thread but this one can touch it, and this one
-            // accesses the slot again only in this module, after the lap,
+            // accesses the half again only in this module, after the lap,
             // visit, lend or drop fence.
             unsafe { core::arch::x86_64::_mm_stream_si64((word as *mut u64).cast(), value as i64) };
         }
@@ -744,7 +886,7 @@ struct TraceBuf {
 /// unpacked from the ring one at a time as [`TraceView::records`] yields
 /// them — so a reader that scans once pays for no [`TraceData`].
 pub struct TraceView<'a> {
-    slots: &'a [Slot],
+    slots: &'a Slots,
     head: usize,
     /// Interned queue/link labels; `TraceRecord::label` indexes here.
     pub labels: &'a [String],
@@ -874,7 +1016,8 @@ impl Tracer {
     /// for the call: the visitor must not record on it.
     pub fn visit<R>(&self, visitor: impl FnOnce(TraceView<'_>) -> R) -> R {
         let buf = self.inner.as_ref().map(|buf| buf.borrow());
-        let (slots, head) = buf.as_ref().map_or((&[][..], 0), |b| b.ring.slots());
+        let none = Slots::default();
+        let (slots, head) = buf.as_ref().map_or((&none, 0), |b| b.ring.slots());
         visitor(TraceView {
             slots,
             head,
@@ -1406,12 +1549,16 @@ mod tests {
             .collect()
     }
 
-    /// 0, `u64::MAX` or a random word, a third of the time each.
+    /// 0, `u64::MAX`, a random word, one either side of 2^32, or a random
+    /// word below 2^20: both slot forms, and every edge between them.
     fn any_word(rng: &mut SimRng) -> u64 {
-        match rng.below(3) {
+        match rng.below(6) {
             0 => 0,
             1 => u64::MAX,
-            _ => rng.next(),
+            2 => rng.next(),
+            3 => u64::from(u32::MAX),
+            4 => 1 << 32,
+            _ => rng.below(1 << 20),
         }
     }
 
@@ -1456,6 +1603,16 @@ mod tests {
         .as_ack(rng.below(2) == 1)
     }
 
+    /// [`any_record`], drawn again until it packs compact.
+    fn any_compact_record(rng: &mut SimRng) -> TraceRecord {
+        loop {
+            let r = any_record(rng);
+            if Slot::pack(r).hi.is_none() {
+                return r;
+            }
+        }
+    }
+
     #[test]
     fn ring_buffer_evicts_oldest_and_counts() {
         assert_eq!(ring_after(3, &stamped(2)), (vec![0, 1], 0), "not yet full");
@@ -1487,18 +1644,168 @@ mod tests {
 
         // Seeded records of every shape, through twenty laps of each ring.
         let mut rng = SimRng::seed_from(25);
-        let mut kinds = BTreeSet::new();
+        let (mut kinds, mut forms) = (BTreeSet::new(), BTreeSet::new());
         for capacity in [0, 1, 3, 7, 64] {
             let records: Vec<TraceRecord> = (0..20 * capacity.max(1) + 3)
                 .map(|_| any_record(&mut rng))
                 .collect();
             kinds.extend(records.iter().map(|r| r.kind.tag()));
+            forms.extend(records.iter().map(|&r| Slot::pack(r).hi.is_some()));
             ring_after(capacity, &records);
         }
         assert_eq!(kinds.len(), 10, "every kind went through a ring");
+        assert_eq!(forms.len(), 2, "both slot forms went through a ring");
         for r in exhaustive_records() {
             assert_eq!(Slot::pack(r).unpack(), r);
         }
+    }
+
+    /// Records on each side of every edge between the two slot forms, each
+    /// with whether it is wide: `flow`, `seq` and both fields of each
+    /// two-field kind at 2^32 − 1 and 2^32, the `TxStart` fields at 2^20 −
+    /// 1 / 2^20 and 2^24 − 1 / 2^24, and `Inversion` however small, under
+    /// both edge labels and either `ack`.
+    fn edge_records() -> Vec<(TraceRecord, bool)> {
+        let (below, at) = (u64::from(u32::MAX), 1u64 << 32);
+        let one_field = [
+            TraceKind::FlowStart { size: u64::MAX },
+            TraceKind::RankComputed { rank: u64::MAX },
+            TraceKind::Enqueue { rank: u64::MAX },
+            TraceKind::Drop { rank: u64::MAX },
+            TraceKind::Deliver {
+                latency_ns: u64::MAX,
+            },
+            TraceKind::Ack {
+                latency_ns: u64::MAX,
+            },
+        ];
+        let mut kinds: Vec<(TraceKind, bool)> = one_field.iter().map(|&k| (k, false)).collect();
+        for (a, b) in [(below, below), (at, 0), (0, at)] {
+            let wide = a == at || b == at;
+            kinds.push((TraceKind::Transform { pre: a, post: b }, wide));
+            kinds.push((
+                TraceKind::Dequeue {
+                    rank: a,
+                    wait_ns: b,
+                },
+                wide,
+            ));
+        }
+        let tx = |bytes, tx_ns, prop_ns| TraceKind::TxStart {
+            bytes,
+            tx_ns,
+            prop_ns,
+        };
+        let (b20, b24) = (1u64 << 20, 1u64 << 24);
+        kinds.push((tx(b20 - 1, b24 - 1, b20 - 1), false));
+        kinds.push((tx(b20, 0, 0), true));
+        kinds.push((tx(0, b24, 0), true));
+        kinds.push((tx(0, 0, b20), true));
+        let inversion = TraceKind::Inversion {
+            rank: 0,
+            loser_flow: 0,
+            loser_seq: 0,
+            loser_rank: 0,
+        };
+        kinds.push((inversion, true));
+        let mut records = Vec::new();
+        for (kind, wide) in kinds {
+            for (flow, seq) in [(below, below), (at, 0), (0, at)] {
+                for (label, ack) in [(NO_LABEL, true), (u32::MAX - 1, false)] {
+                    let r = TraceRecord::new(Nanos(u64::MAX), flow, seq, u16::MAX, kind)
+                        .at_label(label)
+                        .as_ack(ack);
+                    records.push((r, wide || flow == at || seq == at));
+                }
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn each_record_takes_the_form_its_fields_fit() {
+        assert_eq!(std::mem::size_of::<Half>(), 32);
+        let edges = edge_records();
+        for &(r, wide) in &edges {
+            let slot = Slot::pack(r);
+            assert_eq!(slot.hi.is_some(), wide, "{r:?}");
+            assert_eq!(Slot::is_wide(&slot.lo), wide, "{r:?}");
+            assert_eq!(slot.unpack(), r);
+        }
+        let wide = edges.iter().filter(|(_, wide)| *wide).count();
+        assert!(wide > 0 && wide < edges.len(), "both forms");
+        // Collected, and through a ring that wraps, in either order.
+        let records: Vec<TraceRecord> = edges.iter().map(|&(r, _)| r).collect();
+        let collected: Records = records.iter().copied().collect();
+        assert!(collected.iter().eq(records.iter().copied()));
+        let reversed: Vec<TraceRecord> = records.iter().rev().copied().collect();
+        for capacity in [5, records.len()] {
+            ring_after(capacity, &records);
+            ring_after(capacity, &reversed);
+        }
+    }
+
+    #[test]
+    fn a_ring_of_compact_records_reserves_32_bytes_a_record_and_no_wide_half() {
+        let capacity = TraceConfig::default().capacity;
+        let t = Tracer::enabled(TraceConfig::default());
+        let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let dequeue = |i: u64| {
+            let kind = TraceKind::Dequeue {
+                rank: i,
+                wait_ns: 2 * i,
+            };
+            TraceRecord::new(Nanos(i), i % 2_048, i % 8_192, 1, kind)
+        };
+        (0..capacity as u64 + 1_000).for_each(|i| t.record(dequeue(i)));
+        let (_, lo, hi) = reserved();
+        assert_eq!(lo * std::mem::size_of::<Half>(), capacity * 32);
+        assert_eq!(hi, 0, "no wide record, no wide half");
+        assert_eq!(t.dropped(), 1_000);
+        // The first wide record allocates the whole wide half.
+        let inversion = TraceKind::Inversion {
+            rank: 9,
+            loser_flow: 1,
+            loser_seq: 2,
+            loser_rank: 3,
+        };
+        let wide = TraceRecord::new(Nanos(u64::MAX), 7, 7, 1, inversion);
+        t.record(wide);
+        assert_eq!(reserved().2, capacity);
+        // Reserved whole, zeroed only as far as the record's slot, 1,000.
+        let zeroed = || t.inner.as_ref().unwrap().borrow().ring.slots().0.hi.len();
+        assert_eq!(zeroed(), 1_001);
+        assert_eq!(t.snapshot().records.last(), Some(wide));
+    }
+
+    #[test]
+    fn a_first_wide_record_mid_lap_leaves_a_held_snapshot_alone() {
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 7,
+            ..TraceConfig::default()
+        });
+        let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let compact = stamped(10);
+        compact.iter().for_each(|&r| t.record(r));
+        let held = t.snapshot();
+        assert_eq!(held.records.head, 3, "mid-lap");
+        let wide = TraceRecord::new(Nanos(10), 1 << 40, 0, 0, TraceKind::FlowStart { size: 3 });
+        t.record(wide);
+        let storage = reserved();
+        assert_eq!(storage.2, 7, "the wide half, allocated by the copy");
+        assert!(held.records.iter().eq(compact[3..].iter().copied()));
+        drop(held);
+        // Lent with its wide half, taken back with it.
+        let mut model = compact[4..].to_vec();
+        model.push(wide);
+        let again = t.snapshot();
+        assert!(again.records.iter().eq(model.iter().copied()));
+        drop(again);
+        t.record(compact[0]);
+        assert_eq!(reserved(), storage, "both halves taken back");
+        model.remove(0);
+        model.push(compact[0]);
+        t.visit(|view| assert!(view.records().eq(model.iter().copied())));
     }
 
     #[test]
@@ -1631,7 +1938,14 @@ mod tests {
                         held.swap_remove(rng.below(held.len() as u64) as usize);
                     }
                     _ => {
-                        let r = any_record(&mut rng);
+                        // Compact only for the first lap and a half, so the
+                        // first wide record lands mid-lap, most likely while
+                        // a snapshot is held.
+                        let r = if step < 3 * capacity.max(1) {
+                            any_compact_record(&mut rng)
+                        } else {
+                            any_record(&mut rng)
+                        };
                         t.record(r);
                         model.push_back(r);
                         if model.len() > capacity {
@@ -1665,8 +1979,9 @@ mod tests {
         let empty = t.snapshot();
         (0..250).for_each(|i| t.record(record(i)));
         assert!(empty.records.is_empty());
-        let (storage, reserved) = ring();
+        let (storage, reserved, wide) = ring();
         assert!(reserved >= 100);
+        assert_eq!(wide, 0);
 
         let a = t.snapshot();
         let b = t.snapshot();
@@ -1677,13 +1992,13 @@ mod tests {
         assert_eq!(format!("{t:?}"), "Tracer(records=100)");
         drop((a, b));
         t.record(record(250));
-        assert_eq!(ring(), (storage, reserved), "taken back, nothing copied");
+        assert_eq!(ring(), (storage, reserved, 0), "taken back, nothing copied");
 
         // Held across a record, a snapshot keeps its records; the ring
         // copies them into a whole ring of its own.
         let held = t.snapshot();
         t.record(record(251));
-        let (copy, copy_reserved) = ring();
+        let (copy, copy_reserved, _) = ring();
         assert_ne!(copy, storage);
         assert!(copy_reserved >= 100);
         assert_eq!(held.records.storage(), storage);

@@ -1,6 +1,8 @@
 //! Repo task runner (`cargo run -p qvisor-xtask -- <task>`).
 //!
-//! Two tasks: `lint` and `dead-pub` (below). `lint` is a determinism lint
+//! Three tasks: `lint` and `dead-pub` (below), and `bench-pairs`, which
+//! measures a performance claim as alternating parent/change pairs (see
+//! [`bench_pairs`]). `lint` is a determinism lint
 //! over the simulation crates (`sim`, `netsim`, `scheduler`, `core`, …).
 //! Everything inside a
 //! simulation must be a pure function of the scenario and its seed, so the
@@ -39,6 +41,8 @@
 //! listed in [`DEAD_PUB_ALLOWED`] with its reason. The scan is textual —
 //! an identifier named anywhere else keeps every item of that name alive
 //! — so it misses some orphans, but every finding is real.
+
+mod bench_pairs;
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -127,20 +131,23 @@ struct Finding {
     msg: String,
 }
 
-const USAGE: &str = "USAGE:\n    cargo run -p qvisor-xtask -- lint\n    \
-                     cargo run -p qvisor-xtask -- dead-pub";
-
 fn main() -> ExitCode {
+    let usage = format!(
+        "USAGE:\n    cargo run -p qvisor-xtask -- lint\n    \
+         cargo run -p qvisor-xtask -- dead-pub\n    {}",
+        bench_pairs::USAGE
+    );
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("dead-pub") => dead_pub(),
+        Some("bench-pairs") => bench_pairs::bench_pairs(&repo_root(), &args[1..]),
         Some(other) => {
-            eprintln!("unknown task '{other}'\n\n{USAGE}");
+            eprintln!("unknown task '{other}'\n\n{usage}");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("no task given\n\n{USAGE}");
+            eprintln!("no task given\n\n{usage}");
             ExitCode::FAILURE
         }
     }

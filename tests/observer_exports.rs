@@ -189,7 +189,8 @@ fn weighted_share_exports_are_pinned() {
 /// retransmissions): together they send every span kind but `flow_start`
 /// (all within each run's first hundred records) through the overwrite.
 /// Recorded at the commit before the ring became 64-byte slots written
-/// with non-temporal stores.
+/// with non-temporal stores; held since through 32-byte slots with a wide
+/// half for `fairtree_bound`'s inversions.
 #[test]
 fn wrapped_ring_exports_are_pinned() {
     for (scenario, expected) in [
@@ -211,6 +212,45 @@ fn wrapped_ring_exports_are_pinned() {
             "{scenario}: wrapped trace export"
         );
     }
+}
+
+/// The flight recorder packs a record into 32 bytes unless a field does not
+/// fit (`flow`, `seq` or a `transform`/`dequeue` field at 2^32 or more, a
+/// `tx` field past 20/24/20 bits) or it is an `inversion`, whose four
+/// payload words take a second 32-byte half. `fairtree_bound` is the one
+/// example with wide records: its 7,277 inversions, and nothing else.
+#[test]
+fn fairtree_bound_writes_7277_wide_records() {
+    use qvisor::telemetry::TraceKind;
+    let tracer = Tracer::enabled(TraceConfig::default());
+    Engine::new()
+        .with_tracer(&tracer)
+        .run(&load("fairtree_bound"))
+        .unwrap();
+    let below = |v: u64, bits: u32| v >> bits == 0;
+    let (inversions, wide) = tracer.visit(|view| {
+        assert_eq!(view.dropped, 0, "the default ring keeps every record");
+        view.records().fold((0, 0), |(inversions, wide), r| {
+            let fits = match r.kind {
+                TraceKind::Inversion { .. } => false,
+                TraceKind::Transform { pre: a, post: b }
+                | TraceKind::Dequeue {
+                    rank: a,
+                    wait_ns: b,
+                } => below(a, 32) && below(b, 32),
+                TraceKind::TxStart {
+                    bytes,
+                    tx_ns,
+                    prop_ns,
+                } => below(bytes, 20) && below(tx_ns, 24) && below(prop_ns, 20),
+                _ => true,
+            } && below(r.flow, 32)
+                && below(r.seq, 32);
+            let inverted = matches!(r.kind, TraceKind::Inversion { .. });
+            (inversions + u64::from(inverted), wide + u64::from(!fits))
+        })
+    });
+    assert_eq!((inversions, wide), (7_277, 7_277));
 }
 
 /// `Engine::build` deploys the joint policy its verifier gate synthesized:
