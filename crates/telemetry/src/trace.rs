@@ -27,6 +27,7 @@ use qvisor_sim::stats::nearest_rank;
 use qvisor_sim::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -151,20 +152,24 @@ impl TraceKind {
         }
     }
 
-    /// The kind's payload as `(JSONL key, value)` pairs, in export order.
-    fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+    /// The kind's payload as `(",\"key\":", value)` pairs, in export
+    /// order, until `f` fails.
+    fn for_each_field(
+        &self,
+        mut f: impl FnMut(&'static [u8], u64) -> io::Result<()>,
+    ) -> io::Result<()> {
         match *self {
-            TraceKind::FlowStart { size } => f("size", size),
+            TraceKind::FlowStart { size } => f(b",\"size\":", size),
             TraceKind::RankComputed { rank }
             | TraceKind::Enqueue { rank }
-            | TraceKind::Drop { rank } => f("rank", rank),
+            | TraceKind::Drop { rank } => f(b",\"rank\":", rank),
             TraceKind::Transform { pre, post } => {
-                f("pre", pre);
-                f("post", post);
+                f(b",\"pre\":", pre)?;
+                f(b",\"post\":", post)
             }
             TraceKind::Dequeue { rank, wait_ns } => {
-                f("rank", rank);
-                f("wait_ns", wait_ns);
+                f(b",\"rank\":", rank)?;
+                f(b",\"wait_ns\":", wait_ns)
             }
             TraceKind::Inversion {
                 rank,
@@ -172,47 +177,65 @@ impl TraceKind {
                 loser_seq,
                 loser_rank,
             } => {
-                f("rank", rank);
-                f("loser_flow", loser_flow);
-                f("loser_seq", loser_seq);
-                f("loser_rank", loser_rank);
+                f(b",\"rank\":", rank)?;
+                f(b",\"loser_flow\":", loser_flow)?;
+                f(b",\"loser_seq\":", loser_seq)?;
+                f(b",\"loser_rank\":", loser_rank)
             }
             TraceKind::TxStart {
                 bytes,
                 tx_ns,
                 prop_ns,
             } => {
-                f("bytes", bytes);
-                f("tx_ns", tx_ns);
-                f("prop_ns", prop_ns);
+                f(b",\"bytes\":", bytes)?;
+                f(b",\"tx_ns\":", tx_ns)?;
+                f(b",\"prop_ns\":", prop_ns)
             }
             TraceKind::Deliver { latency_ns } | TraceKind::Ack { latency_ns } => {
-                f("latency_ns", latency_ns)
+                f(b",\"latency_ns\":", latency_ns)
             }
         }
     }
 }
 
-/// Append `,"key":value` to a JSON object under construction. `key` must
-/// need no escaping (every caller passes a literal). The integer goes
-/// through a digit buffer, not `core::fmt`: a full ring exports a million
-/// of them inside the measured phase.
-fn push_field(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    let mut rest = value;
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+/// The two ASCII digits of every number below 100, `00` to `99`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
     }
-    out.extend(digits[start..].iter().map(|&digit| char::from(digit)));
+    pairs
+};
+
+/// Write `prefix` (a literal, at most 24 bytes) and `value` in decimal, in
+/// one write. The digits come two at a time from [`DIGIT_PAIRS`], not from
+/// `core::fmt`: a full ring exports a million integers inside the measured
+/// phase.
+#[inline(always)]
+fn write_field(out: &mut impl Write, prefix: &[u8], value: u64) -> io::Result<()> {
+    let mut buf = [0u8; 44];
+    let mut start = buf.len();
+    let mut rest = value;
+    while rest >= 100 {
+        let pair = 2 * (rest % 100) as usize;
+        rest /= 100;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = 2 * rest as usize;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        buf[start] = b'0' + rest as u8;
+    }
+    start -= prefix.len();
+    buf[start..start + prefix.len()].copy_from_slice(prefix);
+    out.write_all(&buf[start..])
 }
 
 /// One recorded span/event of a sampled packet's lifecycle.
@@ -262,8 +285,8 @@ impl TraceRecord {
     }
 }
 
-/// The records of a [`TraceData`], oldest first, packed into 32-byte slots
-/// (64 for the few that need it) and unpacked as they are read. A
+/// The records of a [`TraceData`], oldest first, packed into 16-byte slots
+/// (32 or 64 for the few that need it) and unpacked as they are read. A
 /// [`Tracer::snapshot`]'s are the recorder's own ring, shared with it until
 /// its next record; any others are collected from [`TraceRecord`]s. Equal
 /// when they hold the same records in the same order.
@@ -296,9 +319,9 @@ impl Records {
         Some(self.slots.record(newest))
     }
 
-    /// Where the first halves of the slots live.
+    /// Where the first 16 bytes of the slots live.
     #[cfg(test)]
-    fn storage(&self) -> *const Half {
+    fn storage(&self) -> *const Quarter {
         self.slots.lo.as_ptr()
     }
 }
@@ -328,8 +351,46 @@ impl std::fmt::Debug for Records {
 
 /// The records in `slots`, a ring whose oldest slot is at `head`: from
 /// `head` to the end, then from the start.
-fn oldest_first(slots: &Slots, head: usize) -> impl Iterator<Item = TraceRecord> + '_ {
-    (head..slots.len()).chain(0..head).map(|i| slots.record(i))
+fn oldest_first(slots: &Slots, head: usize) -> OldestFirst<'_> {
+    OldestFirst {
+        slots,
+        at: head,
+        end: head + slots.len(),
+    }
+}
+
+/// [`oldest_first`]'s iterator: one index run from `head`, wrapped past the
+/// end. Its `next` is always inlined, and the decode with it, so a reader's
+/// loop unpacks in place and drops the fields it never reads; a closure
+/// over two chained ranges was decoded out of line, and a `visit` scan of
+/// a full ring ran ≈ 4× slower than over 32-byte slots.
+struct OldestFirst<'a> {
+    slots: &'a Slots,
+    at: usize,
+    end: usize,
+}
+
+impl Iterator for OldestFirst<'_> {
+    type Item = TraceRecord;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.at == self.end {
+            return None;
+        }
+        let len = self.slots.len();
+        let i = if self.at < len {
+            self.at
+        } else {
+            self.at - len
+        };
+        self.at += 1;
+        Some(self.slots.record(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.end - self.at, Some(self.end - self.at))
+    }
 }
 
 /// A snapshot of everything the flight recorder holds: the retained
@@ -361,13 +422,22 @@ impl TraceData {
 
     /// Serialize as JSON lines: one `trace_meta` line, then one `span`
     /// line per record (oldest first, labels inlined as strings). The
-    /// output is byte-deterministic given the records.
-    ///
-    /// Span lines are written straight into the output — a full ring is a
-    /// quarter of a million of them — in exactly the bytes the compact
-    /// [`Value`] rendering of the same object would have.
+    /// output is byte-deterministic given the records. The bytes of
+    /// [`TraceData::write_jsonl`], collected.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 + self.records.len() * 128);
+        let mut out = Vec::with_capacity(64 + self.records.len() * 128);
+        self.write_jsonl(&mut out)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(out).expect("the export is UTF-8: JSON of UTF-8 labels")
+    }
+
+    /// Write [`TraceData::to_jsonl`]'s bytes into `out` as they are
+    /// rendered, so an export to a file holds no copy of itself. Span
+    /// lines are written straight out — a full ring is a quarter of a
+    /// million of them — in exactly the bytes the compact [`Value`]
+    /// rendering of the same object would have. Write to a buffered `out`:
+    /// a line takes about a dozen writes.
+    pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
         let meta = Value::object()
             .set("type", "trace_meta")
             .set("schema", TRACE_SCHEMA_VERSION)
@@ -375,8 +445,8 @@ impl TraceData {
             .set("capacity", self.capacity)
             .set("sample_one_in", self.sample_one_in)
             .set("seed", self.seed);
-        out.push_str(&meta.to_compact());
-        out.push('\n');
+        out.write_all(meta.to_compact().as_bytes())?;
+        out.write_all(b"\n")?;
         // Each label's `,"queue":"<escaped>"` fragment, rendered once.
         let queues: Vec<String> = self
             .labels
@@ -384,25 +454,24 @@ impl TraceData {
             .map(|label| format!(",\"queue\":{}", Value::from(label.as_str()).to_compact()))
             .collect();
         for r in self.records.iter() {
-            out.push_str("{\"type\":\"span\"");
-            push_field(&mut out, "t_ns", r.t.as_nanos());
-            push_field(&mut out, "flow", r.flow);
-            push_field(&mut out, "seq", r.seq);
-            push_field(&mut out, "tenant", u64::from(r.tenant));
+            write_field(out, b"{\"type\":\"span\",\"t_ns\":", r.t.as_nanos())?;
+            write_field(out, b",\"flow\":", r.flow)?;
+            write_field(out, b",\"seq\":", r.seq)?;
+            write_field(out, b",\"tenant\":", u64::from(r.tenant))?;
             if r.ack {
-                out.push_str(",\"ack\":true");
+                out.write_all(b",\"ack\":true")?;
             }
             if let Some(queue) = queues.get(r.label as usize) {
-                out.push_str(queue);
+                out.write_all(queue.as_bytes())?;
             }
-            out.push_str(",\"kind\":\"");
-            out.push_str(r.kind.tag());
-            out.push('"');
+            out.write_all(b",\"kind\":\"")?;
+            out.write_all(r.kind.tag().as_bytes())?;
+            out.write_all(b"\"")?;
             r.kind
-                .for_each_field(|key, value| push_field(&mut out, key, value));
-            out.push_str("}\n");
+                .for_each_field(|prefix, value| write_field(out, prefix, value))?;
+            out.write_all(b"}\n")?;
         }
-        out
+        Ok(())
     }
 
     /// Parse a JSONL trace export. Unknown line types and unknown span
@@ -496,33 +565,133 @@ impl TraceData {
     }
 }
 
-/// The first 32 bytes of a packed record: all of a compact one, and the
-/// identity of a wide one.
+/// The first 16 bytes of a packed record: all of a narrow one, and the
+/// time and `packed` word of any other.
+type Quarter = [u64; 2];
+
+/// A wide record's payload, one word a field.
 type Half = [u64; 4];
 
 /// `packed`'s bit marking a compact record.
 const COMPACT: u64 = 1 << 21;
 
-/// One [`TraceRecord`] packed, nothing lost, in one of two forms. Both keep
-/// `t` whole and pack `tenant | ack << 16 | kind tag << 17 | label << 32`
-/// into one word, `packed`.
+/// Word 1's bit marking a narrow record. `packed` never sets it (its bits
+/// 22–31 are always clear), so word 1 alone tells the three forms apart.
+const NARROW: u64 = 1 << 22;
+
+/// How a form splits a kind's payload into one word: each field's width
+/// in bits, lowest first. `Inversion`'s four fields never fit one word.
+struct Split {
+    transform: [u32; 2],
+    dequeue: [u32; 2],
+    tx: [u32; 3],
+    /// Every one-field kind.
+    one: u32,
+}
+
+/// A narrow record's 41 payload bits. On the full-size Fig. 4 point the
+/// transformed rank (a `transform`'s second field, a `dequeue`'s first)
+/// stays below 2^10, so it gets 12 bits and the other field 29: a queueing
+/// delay stays below 2^27. A `tx` carries at most 1,500 bytes, 12,000 ns
+/// of serialization and 1,000 ns of propagation.
+const NARROW_SPLIT: Split = Split {
+    transform: [29, 12],
+    dequeue: [12, 29],
+    tx: [11, 16, 14],
+    one: 41,
+};
+
+/// A compact record's payload word.
+const COMPACT_SPLIT: Split = Split {
+    transform: [32, 32],
+    dequeue: [32, 32],
+    tx: [20, 24, 20],
+    one: 64,
+};
+
+impl Split {
+    /// The payload of the kind tagged `tag` in one word, or `None` when a
+    /// field does not fit its width. `Slot::pack` joins a compact payload
+    /// here and a narrow one arm by arm from the same widths.
+    #[inline(always)]
+    fn join(&self, tag: u64, [p0, p1, p2, _]: [u64; 4]) -> Option<u64> {
+        match tag {
+            2 => join([p0, p1], self.transform),
+            4 => join([p0, p1], self.dequeue),
+            6 => None,
+            7 => join([p0, p1, p2], self.tx),
+            _ => join([p0], [self.one]),
+        }
+    }
+
+    /// The inverse of [`Split::join`].
+    #[inline(always)]
+    fn split(&self, tag: u64, word: u64) -> [u64; 4] {
+        let fields = |widths: &[u32]| {
+            let mut payload = [0; 4];
+            let mut shift = 0;
+            for (field, &width) in payload.iter_mut().zip(widths) {
+                *field = (word >> shift) & mask(width);
+                shift += width;
+            }
+            payload
+        };
+        match tag {
+            2 => fields(&self.transform),
+            4 => fields(&self.dequeue),
+            7 => fields(&self.tx),
+            _ => fields(&[self.one]),
+        }
+    }
+}
+
+/// `fields` packed into one word at `widths`, lowest first, or `None` when
+/// one is too wide for its width.
+#[inline(always)]
+fn join<const N: usize>(fields: [u64; N], widths: [u32; N]) -> Option<u64> {
+    let mut word = 0;
+    let mut shift = 0;
+    for (field, width) in fields.into_iter().zip(widths) {
+        if field & !mask(width) != 0 {
+            return None;
+        }
+        word |= field << shift;
+        shift += width;
+    }
+    Some(word)
+}
+
+/// The low `bits` bits set.
+#[inline(always)]
+const fn mask(bits: u32) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
+/// One [`TraceRecord`] packed, nothing lost, in one of three forms. Every
+/// form's first 16 bytes, `lo`, live in one array; the others store the
+/// rest apart ([`Slots`]).
 ///
-/// - **Compact**, 32 bytes, `lo = [t, flow | seq << 32, packed | COMPACT,
-///   payload]`: when `flow` and `seq` are both below 2^32 and the kind's
-///   payload fits one word. A one-field kind's payload is its field;
-///   `Transform` and `Dequeue` need both fields below 2^32 (`p0 | p1 <<
-///   32`); `TxStart` needs `bytes`, `tx_ns` and `prop_ns` below 2^20, 2^24
-///   and 2^20 (`bytes | tx_ns << 20 | prop_ns << 44`).
-/// - **Wide**, 64 bytes, `lo = [t, flow, packed, seq]` and `hi = [p0, p1,
-///   p2, p3]`, the payload with unused words zero: everything else, and
-///   always `Inversion`, whose payload is four words.
+/// - **Narrow**, 16 bytes, `lo = [t | flow << 32 | seq << 48, tenant | ack
+///   << 6 | kind tag << 7 | label << 11 | NARROW | payload << 23]`: when
+///   `t` is below 2^32, `flow` and `seq` below 2^16, `tenant` below 64,
+///   the label below 2,047 or [`NO_LABEL`] (stored as 2,047, all ones),
+///   and the payload fits 41 bits as [`NARROW_SPLIT`] divides them.
+/// - **Compact**, 32 bytes, `lo = [t, packed | COMPACT]` and `mid = [flow
+///   | seq << 32, payload]`, where `packed = tenant | ack << 16 | kind tag
+///   << 17 | label << 32`: when `flow` and `seq` are below 2^32 and the
+///   payload fits one word as [`COMPACT_SPLIT`] divides it.
+/// - **Wide**, 64 bytes, `lo = [t, packed]`, `mid = [flow, seq]` and `hi =
+///   [p0, p1, p2, p3]`, the payload with unused words zero: everything
+///   else, and always `Inversion`, whose payload is four words.
 ///
-/// No record of a Fig. 4 run needs the wide form (its exact PIFOs invert
-/// nothing), so the `hi` halves live apart from the `lo` ones ([`Slots`])
-/// and are allocated only for a store that holds a wide record.
+/// Every record of a full-size Fig. 4 run is narrow (its exact PIFOs
+/// invert nothing), so a store that holds only narrow records allocates
+/// neither `mid` nor `hi`.
 #[derive(Clone, Copy)]
 struct Slot {
-    lo: Half,
+    lo: Quarter,
+    /// `Some` unless the record is narrow.
+    mid: Option<Quarter>,
     /// `Some` exactly when the record is wide.
     hi: Option<Half>,
 }
@@ -530,74 +699,117 @@ struct Slot {
 impl Slot {
     #[inline]
     fn pack(r: TraceRecord) -> Slot {
-        let (tag, payload) = match r.kind {
-            TraceKind::FlowStart { size } => (0, [size, 0, 0, 0]),
-            TraceKind::RankComputed { rank } => (1, [rank, 0, 0, 0]),
-            TraceKind::Transform { pre, post } => (2, [pre, post, 0, 0]),
-            TraceKind::Enqueue { rank } => (3, [rank, 0, 0, 0]),
-            TraceKind::Dequeue { rank, wait_ns } => (4, [rank, wait_ns, 0, 0]),
-            TraceKind::Drop { rank } => (5, [rank, 0, 0, 0]),
+        // Each arm joins its own narrow payload, so a record branches on
+        // its kind once; `NARROW_SPLIT.join` would match on the tag again.
+        let n = &NARROW_SPLIT;
+        let (tag, payload, narrow) = match r.kind {
+            TraceKind::FlowStart { size } => (0, [size, 0, 0, 0], join([size], [n.one])),
+            TraceKind::RankComputed { rank } => (1, [rank, 0, 0, 0], join([rank], [n.one])),
+            TraceKind::Transform { pre, post } => {
+                (2, [pre, post, 0, 0], join([pre, post], n.transform))
+            }
+            TraceKind::Enqueue { rank } => (3, [rank, 0, 0, 0], join([rank], [n.one])),
+            TraceKind::Dequeue { rank, wait_ns } => {
+                (4, [rank, wait_ns, 0, 0], join([rank, wait_ns], n.dequeue))
+            }
+            TraceKind::Drop { rank } => (5, [rank, 0, 0, 0], join([rank], [n.one])),
             TraceKind::Inversion {
                 rank,
                 loser_flow,
                 loser_seq,
                 loser_rank,
-            } => (6, [rank, loser_flow, loser_seq, loser_rank]),
+            } => (6, [rank, loser_flow, loser_seq, loser_rank], None),
             TraceKind::TxStart {
                 bytes,
                 tx_ns,
                 prop_ns,
-            } => (7, [bytes, tx_ns, prop_ns, 0]),
-            TraceKind::Deliver { latency_ns } => (8, [latency_ns, 0, 0, 0]),
-            TraceKind::Ack { latency_ns } => (9, [latency_ns, 0, 0, 0]),
-        };
-        let packed = u64::from(r.tenant)
-            | (u64::from(r.ack) << 16)
-            | (tag << 17)
-            | (u64::from(r.label) << 32);
-        let [p0, p1, p2, _] = payload;
-        let word = match tag {
-            2 | 4 => (p0 >> 32 == 0 && p1 >> 32 == 0).then_some(p0 | p1 << 32),
-            6 => None,
-            7 => (p0 >> 20 == 0 && p1 >> 24 == 0 && p2 >> 20 == 0)
-                .then_some(p0 | p1 << 20 | p2 << 44),
-            _ => Some(p0),
+            } => (
+                7,
+                [bytes, tx_ns, prop_ns, 0],
+                join([bytes, tx_ns, prop_ns], n.tx),
+            ),
+            TraceKind::Deliver { latency_ns } => {
+                (8, [latency_ns, 0, 0, 0], join([latency_ns], [n.one]))
+            }
+            TraceKind::Ack { latency_ns } => {
+                (9, [latency_ns, 0, 0, 0], join([latency_ns], [n.one]))
+            }
         };
         let t = r.t.as_nanos();
-        match word {
+        let tenant = u64::from(r.tenant);
+        // `NO_LABEL` wraps to 0, so this holds for it and labels below 2,047.
+        let label_fits = r.label.wrapping_add(1) < 1 << 11;
+        if (t >> 32 | (r.flow | r.seq) >> 16 | tenant >> 6) == 0 && label_fits {
+            if let Some(word) = narrow {
+                let header = tenant
+                    | u64::from(r.ack) << 6
+                    | tag << 7
+                    | u64::from(r.label & 0x7ff) << 11
+                    | NARROW;
+                return Slot {
+                    lo: [t | r.flow << 32 | r.seq << 48, header | word << 23],
+                    mid: None,
+                    hi: None,
+                };
+            }
+        }
+        let packed = tenant | u64::from(r.ack) << 16 | tag << 17 | u64::from(r.label) << 32;
+        match COMPACT_SPLIT.join(tag, payload) {
             Some(word) if (r.flow | r.seq) >> 32 == 0 => Slot {
-                lo: [t, r.flow | r.seq << 32, packed | COMPACT, word],
+                lo: [t, packed | COMPACT],
+                mid: Some([r.flow | r.seq << 32, word]),
                 hi: None,
             },
             _ => Slot {
-                lo: [t, r.flow, packed, r.seq],
+                lo: [t, packed],
+                mid: Some([r.flow, r.seq]),
                 hi: Some(payload),
             },
         }
     }
 
-    /// Whether the record whose first half is `lo` is wide.
+    /// Whether the record whose first 16 bytes are `lo` is narrow.
     #[inline]
-    fn is_wide(lo: &Half) -> bool {
-        lo[2] & COMPACT == 0
+    fn is_narrow(lo: &Quarter) -> bool {
+        lo[1] & NARROW != 0
     }
 
+    /// Whether the record whose first 16 bytes are `lo` is wide.
+    #[inline]
+    fn is_wide(lo: &Quarter) -> bool {
+        lo[1] & (NARROW | COMPACT) == 0
+    }
+
+    /// Inlined into every reader's loop ([`OldestFirst`]).
+    #[inline(always)]
     fn unpack(self) -> TraceRecord {
-        let [t, ids, packed, word] = self.lo;
-        let (flow, seq, [p0, p1, p2, p3]) = match self.hi {
-            Some(payload) => (ids, word, payload),
-            None => {
-                let tag = (packed >> 17) & 0xf;
-                let low = |bits: u32, shift: u32| (word >> shift) & ((1 << bits) - 1);
-                let payload = match tag {
-                    2 | 4 => [low(32, 0), word >> 32, 0, 0],
-                    7 => [low(20, 0), low(24, 20), word >> 44, 0],
-                    _ => [word, 0, 0, 0],
-                };
-                (ids & u64::from(u32::MAX), ids >> 32, payload)
+        let [w0, w1] = self.lo;
+        let field = |word: u64, shift: u32, bits: u32| (word >> shift) & mask(bits);
+        // Time, flow, sequence, the `packed` word and the payload.
+        let (t, flow, seq, packed, [p0, p1, p2, p3]) = match (self.mid, self.hi) {
+            (None, _) => {
+                let tag = field(w1, 7, 4);
+                // All ones is `NO_LABEL`: one more, wrapped to 11 bits, less
+                // one. Arithmetic, not a branch a reader would mispredict.
+                let label = ((field(w1, 11, 11) + 1) & mask(11)) as u32;
+                let label = u64::from(label.wrapping_sub(1));
+                let packed = field(w1, 0, 6) | field(w1, 6, 1) << 16 | tag << 17 | label << 32;
+                let payload = NARROW_SPLIT.split(tag, w1 >> 23);
+                (
+                    field(w0, 0, 32),
+                    field(w0, 32, 16),
+                    w0 >> 48,
+                    packed,
+                    payload,
+                )
+            }
+            (Some([flow, seq]), Some(payload)) => (w0, flow, seq, w1, payload),
+            (Some([ids, word]), None) => {
+                let payload = COMPACT_SPLIT.split(field(w1, 17, 4), word);
+                (w0, field(ids, 0, 32), ids >> 32, w1, payload)
             }
         };
-        let kind = match (packed >> 17) & 0xf {
+        let kind = match field(packed, 17, 4) {
             0 => TraceKind::FlowStart { size: p0 },
             1 => TraceKind::RankComputed { rank: p0 },
             2 => TraceKind::Transform { pre: p0, post: p1 },
@@ -627,21 +839,25 @@ impl Slot {
             flow,
             seq,
             tenant: packed as u16,
-            ack: (packed >> 16) & 1 == 1,
+            ack: field(packed, 16, 1) == 1,
             label: (packed >> 32) as u32,
             kind,
         }
     }
 }
 
-/// Packed records by index: every record's first half in `lo`, and a wide
-/// record's second half at the same index of `hi`. Eight-byte aligned on
-/// purpose: a `#[repr(align(64))]` slot ran no faster and took the peak RSS
-/// of a fuzz campaign, one default-capacity tracer per case, from 9 to
-/// 31–35 MB.
+/// Packed records by index, in three parts: every record's first 16 bytes
+/// in `lo`, the next 16 of a compact or wide record at the same index of
+/// `mid`, and a wide record's last 32 at the same index of `hi`.
+/// Eight-byte aligned on purpose: a `#[repr(align(64))]` slot ran no faster
+/// and took the peak RSS of a fuzz campaign, one default-capacity tracer
+/// per case, from 9 to 31–35 MB.
 #[derive(Clone, Default)]
 struct Slots {
-    lo: Vec<Half>,
+    lo: Vec<Quarter>,
+    /// Long enough to index every compact or wide record; empty while
+    /// there is none.
+    mid: Vec<Quarter>,
     /// Long enough to index every wide record; empty while there is none.
     hi: Vec<Half>,
 }
@@ -651,29 +867,35 @@ impl Slots {
         self.lo.len()
     }
 
-    /// Append `slot` (the collected form: `hi` grows as wide records come).
-    fn push(&mut self, Slot { lo, hi }: Slot) {
-        if let Some(hi) = hi {
-            self.hi.resize(self.lo.len(), [0; 4]);
-            self.hi.push(hi);
+    /// Append `slot` (the collected form: `mid` and `hi` grow as the
+    /// records that need them come).
+    fn push(&mut self, Slot { lo, mid, hi }: Slot) {
+        fn place<const N: usize>(part: &mut Vec<[u64; N]>, at: usize, words: Option<[u64; N]>) {
+            if let Some(words) = words {
+                part.resize(at, [0; N]);
+                part.push(words);
+            }
         }
+        place(&mut self.mid, self.lo.len(), mid);
+        place(&mut self.hi, self.lo.len(), hi);
         self.lo.push(lo);
     }
 
-    /// The record at `i`, unpacked.
-    #[inline]
+    /// The record at `i`, unpacked in the caller's loop ([`Slot::unpack`]).
+    #[inline(always)]
     fn record(&self, i: usize) -> TraceRecord {
         let lo = self.lo[i];
+        let mid = (!Slot::is_narrow(&lo)).then(|| self.mid[i]);
         let hi = Slot::is_wide(&lo).then(|| self.hi[i]);
-        Slot { lo, hi }.unpack()
+        Slot { lo, mid, hi }.unpack()
     }
 }
 
 /// The ring of slots, which overwrites its oldest slot around the cache. A
-/// default ring's first halves are 8.4 MB and keep 2 % of what a Fig. 4 run
+/// default ring's first parts are 4 MiB and keep 2 % of what a Fig. 4 run
 /// writes into them, so an ordinary store would read each line for
 /// ownership only to evict the simulator's own working set with it. On
-/// x86_64 four non-temporal `movnti` stores write each half instead (SSE2
+/// x86_64 non-temporal `movnti` stores write each part, one a word (SSE2
 /// is part of the baseline); every other architecture assigns it. Both
 /// write the same bytes.
 ///
@@ -687,23 +909,25 @@ impl Slots {
 /// than none at all.
 #[allow(unsafe_code)]
 mod ring {
-    use super::{Half, Slot, Slots};
+    use super::{Slot, Slots};
     use std::sync::Arc;
 
     #[derive(Default)]
     pub(super) struct Ring {
-        /// The whole capacity of `slots.lo` is reserved by the first record
-        /// — address space, not memory: a tracer that records a few
-        /// hundred spans (one per fuzz case) touches a few pages of a
-        /// default ring's 8.4 MB, and one that fills it never holds a
-        /// half-grown copy beside it or leaves one behind as a hole in the
-        /// heap. It fills by `push`, and from then on the oldest slot, at
-        /// `head`, is overwritten in place by [`stream`]. `slots.hi`
-        /// reserves nothing until the first wide record, which reserves
-        /// all `capacity` halves the same way; it is zeroed as far as the
-        /// highest index a wide record has taken, so it indexes every wide
-        /// record and the pages past that stay untouched. Both are empty,
-        /// reserving nothing, while the slots are `lent`.
+        /// `slots.lo` reserves as [`room`] says from the first record: a
+        /// tracer that records a few hundred spans (one per fuzz case)
+        /// holds a few KiB, and one that fills a default ring grows to
+        /// 4,096 slots and then reserves the rest of its 4 MiB at once —
+        /// address space, not memory — so it never holds a half-grown copy
+        /// of more than 64 KiB beside it or leaves one behind as a hole in
+        /// the heap. It fills by `push`, and from then on the oldest slot,
+        /// at `head`, is overwritten in place by [`stream`]. `slots.mid`
+        /// reserves nothing until the first compact or wide record, and
+        /// `slots.hi` nothing until the first wide one, and each then
+        /// reserves by the same rule; each is zeroed as far as the highest
+        /// index a record that needs it has taken, so it indexes every such
+        /// record and the pages past that stay untouched. All three are
+        /// empty, reserving nothing, while the slots are `lent`.
         slots: Slots,
         /// Index of the oldest slot once the ring is full; 0 before.
         head: usize,
@@ -717,22 +941,39 @@ mod ring {
         /// the oldest record (at capacity 0: `slot` itself).
         #[inline]
         pub(super) fn push(&mut self, capacity: usize, slot: Slot) -> bool {
-            let at = self.slots.lo.len();
-            if at < capacity {
-                if self.slots.lo.capacity() == 0 {
-                    return self.reserve_and_push(capacity, slot);
+            while self.slots.lo.len() < capacity {
+                let at = self.slots.lo.len();
+                if at == self.slots.lo.capacity() {
+                    // No room: the first record, the first since a
+                    // snapshot, or a growing ring's next step. The cold
+                    // call takes no slot: taken by value, the slot went to
+                    // the stack for it on every record, and the fill read
+                    // it back with wider loads than the stores, a
+                    // store-forwarding stall. Once past
+                    // this test, `push` never grows `lo` (it has room for
+                    // `at`), so the fill makes no call before it stores.
+                    self.reserve(capacity);
+                    continue;
                 }
-                if let Some(hi) = slot.hi {
-                    *self.wide_half(capacity, at) = hi;
+                let Slots { lo, mid, hi } = &mut self.slots;
+                lo.push(slot.lo);
+                if let Some(words) = slot.mid {
+                    *part(mid, capacity, at) = words;
                 }
-                self.slots.lo.push(slot.lo);
+                if let Some(words) = slot.hi {
+                    *part(hi, capacity, at) = words;
+                }
                 return false;
             }
+            let Slots { lo, mid, hi } = &mut self.slots;
             // `None` only for a ring of capacity 0, which keeps nothing.
-            if let Some(oldest) = self.slots.lo.get_mut(self.head) {
+            if let Some(oldest) = lo.get_mut(self.head) {
                 stream(oldest, slot.lo);
-                if let Some(hi) = slot.hi {
-                    stream(self.wide_half(capacity, self.head), hi);
+                if let Some(words) = slot.mid {
+                    stream(part(mid, capacity, self.head), words);
+                }
+                if let Some(words) = slot.hi {
+                    stream(part(hi, capacity, self.head), words);
                 }
                 self.head += 1;
                 if self.head == capacity {
@@ -743,58 +984,28 @@ mod ring {
             true
         }
 
-        /// The wide half at `at`, zeroed if the ring has not reached it.
-        #[inline]
-        fn wide_half(&mut self, capacity: usize, at: usize) -> &mut Half {
-            if self.slots.hi.len() <= at {
-                self.extend_wide_halves(capacity, at);
-            }
-            &mut self.slots.hi[at]
-        }
-
-        /// Zero the wide halves up to `at`; the ring's first wide record
-        /// reserves all `capacity` of them first — address space, as for
-        /// `lo`: the halves below `at` are written, the rest untouched. A
-        /// zeroed allocation (`calloc`) instead cleared all of it whenever
-        /// the allocator reused memory: a fuzz campaign, one ring per case,
-        /// ran 2.5× slower and peaked at 40 MiB instead of 9.
+        /// Make room in `slots.lo` for its next slot, as [`room`] says: in
+        /// the ring's own slots, or in the lent ones taken back — the same
+        /// allocations once no snapshot holds them, else a copy of every
+        /// part into reservations of the ring's own.
         #[cold]
         #[inline(never)]
-        fn extend_wide_halves(&mut self, capacity: usize, at: usize) {
-            let hi = &mut self.slots.hi;
-            hi.reserve_exact(capacity - hi.len());
-            hi.resize(at + 1, [0; 4]);
-        }
-
-        /// [`Ring::push`] into a ring that reserves nothing: its first
-        /// record, or its first since a snapshot. Reserves the whole ring,
-        /// or takes the lent slots back — the same allocations once no
-        /// snapshot holds them, else a copy of both halves into a whole
-        /// ring of its own.
-        #[cold]
-        #[inline(never)]
-        fn reserve_and_push(&mut self, capacity: usize, slot: Slot) -> bool {
-            self.slots = match self.lent.take().map(Arc::try_unwrap) {
-                None => Slots::default(),
-                Some(Ok(slots)) => slots,
+        fn reserve(&mut self, capacity: usize) {
+            match self.lent.take().map(Arc::try_unwrap) {
+                None => {}
+                Some(Ok(slots)) => self.slots = slots,
                 Some(Err(shared)) => {
-                    let whole = |halves: &[Half]| {
-                        let mut copy = Vec::with_capacity(capacity);
-                        copy.extend_from_slice(halves);
-                        copy
-                    };
-                    Slots {
-                        lo: whole(&shared.lo),
-                        hi: if shared.hi.is_empty() {
-                            Vec::new()
-                        } else {
-                            whole(&shared.hi)
-                        },
+                    self.slots = Slots {
+                        lo: copy(&shared.lo, capacity),
+                        mid: copy(&shared.mid, capacity),
+                        hi: copy(&shared.hi, capacity),
                     }
                 }
-            };
-            self.slots.lo.reserve_exact(capacity - self.slots.lo.len());
-            self.push(capacity, slot)
+            }
+            let lo = &mut self.slots.lo;
+            if lo.len() == lo.capacity() {
+                lo.reserve_exact(room(lo.len() + 1, capacity) - lo.len());
+            }
         }
 
         pub(super) fn len(&self) -> usize {
@@ -821,12 +1032,12 @@ mod ring {
             (Arc::clone(lent), self.head)
         }
 
-        /// Where the first halves the ring writes live, how many fit there,
-        /// and how many wide halves it has allocated.
+        /// Where the first parts the ring writes live, and how many of
+        /// each part it has reserved.
         #[cfg(test)]
-        pub(super) fn reserved(&self) -> (*const Half, usize, usize) {
-            let Slots { lo, hi } = &self.slots;
-            (lo.as_ptr(), lo.capacity(), hi.capacity())
+        pub(super) fn reserved(&self) -> (*const super::Quarter, [usize; 3]) {
+            let Slots { lo, mid, hi } = &self.slots;
+            (lo.as_ptr(), [lo.capacity(), mid.capacity(), hi.capacity()])
         }
     }
 
@@ -837,18 +1048,75 @@ mod ring {
         }
     }
 
+    /// The element at `at` of the part `part` of a ring of `capacity`,
+    /// zeroed first if the part has not reached it.
+    #[inline]
+    fn part<const N: usize>(part: &mut Vec<[u64; N]>, capacity: usize, at: usize) -> &mut [u64; N] {
+        if part.len() <= at {
+            extend(part, capacity, at);
+        }
+        &mut part[at]
+    }
+
+    /// Zero `part` up to `at`, reserving first as [`room`] says where it
+    /// has no room for `at` — address space, as for `lo`: the elements
+    /// below `at` are written, the rest untouched. A zeroed allocation
+    /// (`calloc`) of the whole part instead cleared all of it whenever the
+    /// allocator reused memory: a fuzz campaign, one ring per case, ran
+    /// 2.5× slower and peaked at 40 MiB instead of 9.
+    #[cold]
+    #[inline(never)]
+    fn extend<const N: usize>(part: &mut Vec<[u64; N]>, capacity: usize, at: usize) {
+        if at >= part.capacity() {
+            part.reserve_exact(room(at + 1, capacity) - part.len());
+        }
+        part.resize(at + 1, [0; N]);
+    }
+
+    /// A ring of up to this many slots reserves all of each part at once;
+    /// a larger one grows a part to this many first.
+    const GROWN: usize = 4_096;
+
+    /// How many elements a part of a ring of `capacity` reserves to hold
+    /// `n`: the next power of two from 64 while `n` is at most [`GROWN`]
+    /// and the ring larger, else all `capacity`. A fuzz case, one default
+    /// ring of ≈ 900 records, then allocates a few KiB a part where a
+    /// whole reservation took 4–8 MiB of address space each: the allocator
+    /// placed those wherever the other thread's cases had left room, so
+    /// how many of their pages a campaign touched, and its peak RSS and
+    /// page faults with them, moved from one run to the next.
+    fn room(n: usize, capacity: usize) -> usize {
+        if capacity <= GROWN || n > GROWN {
+            capacity
+        } else {
+            n.next_power_of_two().max(64)
+        }
+    }
+
+    /// `part` copied into a reservation [`room`] allows for it; nothing
+    /// for an empty part, which a ring reserves only when a record needs
+    /// it.
+    fn copy<const N: usize>(part: &[[u64; N]], capacity: usize) -> Vec<[u64; N]> {
+        if part.is_empty() {
+            return Vec::new();
+        }
+        let mut copy = Vec::with_capacity(room(part.len(), capacity));
+        copy.extend_from_slice(part);
+        copy
+    }
+
     /// Overwrite `dst` with `src` without bringing `dst` into the cache.
     #[inline(always)]
-    fn stream(dst: &mut Half, src: Half) {
+    fn stream<const N: usize>(dst: &mut [u64; N], src: [u64; N]) {
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
         for (word, value) in dst.iter_mut().zip(src) {
-            // SAFETY: `word` is a live, aligned `&mut u64` inside a half of
+            // SAFETY: `word` is a live, aligned `&mut u64` inside a part of
             // the ring, and SSE2 is statically enabled (the `cfg` above).
-            // The ring writes only halves it owns alone: a snapshot's `Arc`
+            // The ring writes only parts it owns alone: a snapshot's `Arc`
             // holds lent slots, which the ring takes back only from the
             // last holder. The ring is reachable only through a non-`Send`
             // `Rc`, so no thread but this one can touch it, and this one
-            // accesses the half again only in this module, after the lap,
+            // accesses the part again only in this module, after the lap,
             // visit, lend or drop fence.
             unsafe { core::arch::x86_64::_mm_stream_si64((word as *mut u64).cast(), value as i64) };
         }
@@ -1391,12 +1659,33 @@ mod tests {
             assert_eq!(jsonl, value_jsonl(&data));
             assert_eq!(TraceData::parse(&jsonl).unwrap(), data);
         }
+        // Streamed through a buffer smaller than a line, the same bytes.
+        let data = exhaustive_data();
+        let mut streamed = io::BufWriter::with_capacity(7, Vec::new());
+        data.write_jsonl(&mut streamed).unwrap();
+        assert_eq!(streamed.into_inner().unwrap(), data.to_jsonl().into_bytes());
         // A label id past the table renders, like `NO_LABEL`, as no queue.
         let mut dangling = sample_data();
         dangling.records = (dangling.records.iter().enumerate())
             .map(|(i, r)| if i == 2 { r.at_label(9) } else { r })
             .collect();
         assert_eq!(dangling.to_jsonl(), value_jsonl(&dangling));
+    }
+
+    #[test]
+    fn an_integer_renders_as_core_fmt_does_at_every_digit_count() {
+        let mut values = vec![0, u64::MAX];
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            values.extend([power - 1, power, power + 1, next / 2]);
+            power = next;
+        }
+        values.extend([power - 1, power, power + 1]);
+        for value in values {
+            let mut out = Vec::new();
+            write_field(&mut out, b",\"k\":", value).unwrap();
+            assert_eq!(out, format!(",\"k\":{value}").into_bytes());
+        }
     }
 
     #[test]
@@ -1550,21 +1839,22 @@ mod tests {
     }
 
     /// 0, `u64::MAX`, a random word, one either side of 2^32, or a random
-    /// word below 2^20: both slot forms, and every edge between them.
+    /// word below 2^12 or 2^20: every slot form, and edges between them.
     fn any_word(rng: &mut SimRng) -> u64 {
-        match rng.below(6) {
+        match rng.below(8) {
             0 => 0,
             1 => u64::MAX,
             2 => rng.next(),
             3 => u64::from(u32::MAX),
             4 => 1 << 32,
-            _ => rng.below(1 << 20),
+            5 => rng.below(1 << 20),
+            _ => rng.below(1 << 12),
         }
     }
 
     /// A seeded record of any kind, `ack` either way, labelled `NO_LABEL`,
-    /// `u32::MAX - 1` or 0, with tenant 0, `u16::MAX` or random and every
-    /// `u64` field drawn by [`any_word`].
+    /// 2,046, 2,047, `u32::MAX - 1` or 0, with tenant 0, 63, `u16::MAX` or
+    /// random and every `u64` field drawn by [`any_word`].
     fn any_record(rng: &mut SimRng) -> TraceRecord {
         let [a, b, c, d] = [(); 4].map(|_| any_word(rng));
         let kind = match rng.below(10) {
@@ -1591,7 +1881,8 @@ mod tests {
             8 => TraceKind::Deliver { latency_ns: a },
             _ => TraceKind::Ack { latency_ns: a },
         };
-        let tenant = [0, u16::MAX, rng.next() as u16][rng.below(3) as usize];
+        let tenant = [0, 63, u16::MAX, rng.next() as u16][rng.below(4) as usize];
+        let label = [NO_LABEL, 2_046, 2_047, u32::MAX - 1, 0][rng.below(5) as usize];
         TraceRecord::new(
             Nanos(any_word(rng)),
             any_word(rng),
@@ -1599,17 +1890,42 @@ mod tests {
             tenant,
             kind,
         )
-        .at_label([NO_LABEL, u32::MAX - 1, 0][rng.below(3) as usize])
+        .at_label(label)
         .as_ack(rng.below(2) == 1)
     }
 
-    /// [`any_record`], drawn again until it packs compact.
-    fn any_compact_record(rng: &mut SimRng) -> TraceRecord {
+    /// [`any_record`], drawn again until it packs no wider than `widest`.
+    fn any_record_up_to(rng: &mut SimRng, widest: Form) -> TraceRecord {
         loop {
             let r = any_record(rng);
-            if Slot::pack(r).hi.is_none() {
+            if Form::of(r) <= widest {
                 return r;
             }
+        }
+    }
+
+    /// The three slot forms, narrowest first.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Form {
+        Narrow,
+        Compact,
+        Wide,
+    }
+
+    impl Form {
+        /// The form `r` packs into, checked against what its first 16
+        /// bytes say.
+        fn of(r: TraceRecord) -> Form {
+            let slot = Slot::pack(r);
+            let form = match (slot.mid, slot.hi) {
+                (None, None) => Form::Narrow,
+                (Some(_), None) => Form::Compact,
+                (Some(_), Some(_)) => Form::Wide,
+                (None, Some(_)) => panic!("a wide half without a remainder: {r:?}"),
+            };
+            assert_eq!(Slot::is_narrow(&slot.lo), form == Form::Narrow, "{r:?}");
+            assert_eq!(Slot::is_wide(&slot.lo), form == Form::Wide, "{r:?}");
+            form
         }
     }
 
@@ -1650,90 +1966,159 @@ mod tests {
                 .map(|_| any_record(&mut rng))
                 .collect();
             kinds.extend(records.iter().map(|r| r.kind.tag()));
-            forms.extend(records.iter().map(|&r| Slot::pack(r).hi.is_some()));
+            forms.extend(records.iter().map(|&r| Form::of(r)));
             ring_after(capacity, &records);
         }
         assert_eq!(kinds.len(), 10, "every kind went through a ring");
-        assert_eq!(forms.len(), 2, "both slot forms went through a ring");
+        assert_eq!(forms.len(), 3, "every slot form went through a ring");
         for r in exhaustive_records() {
             assert_eq!(Slot::pack(r).unpack(), r);
         }
     }
 
-    /// Records on each side of every edge between the two slot forms, each
-    /// with whether it is wide: `flow`, `seq` and both fields of each
-    /// two-field kind at 2^32 − 1 and 2^32, the `TxStart` fields at 2^20 −
-    /// 1 / 2^20 and 2^24 − 1 / 2^24, and `Inversion` however small, under
-    /// both edge labels and either `ack`.
-    fn edge_records() -> Vec<(TraceRecord, bool)> {
-        let (below, at) = (u64::from(u32::MAX), 1u64 << 32);
-        let one_field = [
-            TraceKind::FlowStart { size: u64::MAX },
-            TraceKind::RankComputed { rank: u64::MAX },
-            TraceKind::Enqueue { rank: u64::MAX },
-            TraceKind::Drop { rank: u64::MAX },
-            TraceKind::Deliver {
-                latency_ns: u64::MAX,
-            },
-            TraceKind::Ack {
-                latency_ns: u64::MAX,
-            },
-        ];
-        let mut kinds: Vec<(TraceKind, bool)> = one_field.iter().map(|&k| (k, false)).collect();
-        for (a, b) in [(below, below), (at, 0), (0, at)] {
-            let wide = a == at || b == at;
-            kinds.push((TraceKind::Transform { pre: a, post: b }, wide));
+    /// Records on each side of every edge between the three slot forms,
+    /// each with the form it takes. A narrow record — `t`, `flow` and `seq`
+    /// at the top of their narrow widths, tenant 63, the label either edge
+    /// value that fits — is varied one identity field at a time (`t` at
+    /// 2^32, `flow` and `seq` at 2^16, 2^32 − 1 and 2^32, tenant 64, label
+    /// 2,047) for every kind with its payload at each edge of each split:
+    /// one field at 2^41 − 1 and 2^41, each field of the two-field kinds
+    /// and of `TxStart` at the top of its narrow width, one past it, and at
+    /// its compact edge, and `Inversion` however small.
+    fn edge_records() -> Vec<(TraceRecord, Form)> {
+        use Form::{Compact, Narrow, Wide};
+        let p = |bits: u32| 1u64 << bits;
+        let mut kinds = Vec::new();
+        for (value, form) in [(p(41) - 1, Narrow), (p(41), Compact), (u64::MAX, Compact)] {
+            kinds.extend([
+                (TraceKind::FlowStart { size: value }, form),
+                (TraceKind::RankComputed { rank: value }, form),
+                (TraceKind::Enqueue { rank: value }, form),
+                (TraceKind::Drop { rank: value }, form),
+                (TraceKind::Deliver { latency_ns: value }, form),
+                (TraceKind::Ack { latency_ns: value }, form),
+            ]);
+        }
+        // Each field one past its narrow width, then one past its compact
+        // width, with the other fields at zero; then all at the top of both.
+        let edges = |narrow: &[u32], compact: &[u32]| {
+            let fields = narrow.len();
+            let mut cases = vec![
+                (
+                    narrow.iter().map(|&b| p(b) - 1).collect::<Vec<u64>>(),
+                    Narrow,
+                ),
+                (compact.iter().map(|&b| p(b) - 1).collect(), Compact),
+            ];
+            for i in 0..fields {
+                for (bits, form) in [(narrow[i], Compact), (compact[i], Wide)] {
+                    let mut values = vec![0; fields];
+                    values[i] = p(bits);
+                    cases.push((values, form));
+                }
+            }
+            cases
+        };
+        let (n, c) = (&NARROW_SPLIT, &COMPACT_SPLIT);
+        for (v, form) in edges(&n.transform, &c.transform) {
             kinds.push((
-                TraceKind::Dequeue {
-                    rank: a,
-                    wait_ns: b,
+                TraceKind::Transform {
+                    pre: v[0],
+                    post: v[1],
                 },
-                wide,
+                form,
             ));
         }
-        let tx = |bytes, tx_ns, prop_ns| TraceKind::TxStart {
-            bytes,
-            tx_ns,
-            prop_ns,
-        };
-        let (b20, b24) = (1u64 << 20, 1u64 << 24);
-        kinds.push((tx(b20 - 1, b24 - 1, b20 - 1), false));
-        kinds.push((tx(b20, 0, 0), true));
-        kinds.push((tx(0, b24, 0), true));
-        kinds.push((tx(0, 0, b20), true));
+        for (v, form) in edges(&n.dequeue, &c.dequeue) {
+            let kind = TraceKind::Dequeue {
+                rank: v[0],
+                wait_ns: v[1],
+            };
+            kinds.push((kind, form));
+        }
+        for (v, form) in edges(&n.tx, &c.tx) {
+            let kind = TraceKind::TxStart {
+                bytes: v[0],
+                tx_ns: v[1],
+                prop_ns: v[2],
+            };
+            kinds.push((kind, form));
+        }
         let inversion = TraceKind::Inversion {
             rank: 0,
             loser_flow: 0,
             loser_seq: 0,
             loser_rank: 0,
         };
-        kinds.push((inversion, true));
+        kinds.push((inversion, Wide));
+
+        let narrow = |label: u32, ack: bool, kind: TraceKind| {
+            TraceRecord::new(Nanos(p(32) - 1), p(16) - 1, p(16) - 1, 63, kind)
+                .at_label(label)
+                .as_ack(ack)
+        };
         let mut records = Vec::new();
-        for (kind, wide) in kinds {
-            for (flow, seq) in [(below, below), (at, 0), (0, at)] {
-                for (label, ack) in [(NO_LABEL, true), (u32::MAX - 1, false)] {
-                    let r = TraceRecord::new(Nanos(u64::MAX), flow, seq, u16::MAX, kind)
-                        .at_label(label)
-                        .as_ack(ack);
-                    records.push((r, wide || flow == at || seq == at));
-                }
-            }
+        for (i, &(kind, form)) in kinds.iter().enumerate() {
+            let (label, ack) = [(NO_LABEL, true), (2_046, false)][i % 2];
+            let base = narrow(label, ack, kind);
+            let identities = [
+                (base, Narrow),
+                (
+                    TraceRecord {
+                        t: Nanos(p(32)),
+                        ..base
+                    },
+                    Compact,
+                ),
+                (base.at_label(2_047), Compact),
+                (TraceRecord { tenant: 64, ..base }, Compact),
+                (
+                    TraceRecord {
+                        flow: p(16),
+                        ..base
+                    },
+                    Compact,
+                ),
+                (TraceRecord { seq: p(16), ..base }, Compact),
+                (
+                    TraceRecord {
+                        flow: p(32) - 1,
+                        ..base
+                    },
+                    Compact,
+                ),
+                (
+                    TraceRecord {
+                        seq: p(32) - 1,
+                        ..base
+                    },
+                    Compact,
+                ),
+                (
+                    TraceRecord {
+                        flow: p(32),
+                        ..base
+                    },
+                    Wide,
+                ),
+                (TraceRecord { seq: p(32), ..base }, Wide),
+            ];
+            records.extend(identities.map(|(r, at_least)| (r, form.max(at_least))));
         }
         records
     }
 
     #[test]
     fn each_record_takes_the_form_its_fields_fit() {
+        assert_eq!(std::mem::size_of::<Quarter>(), 16);
         assert_eq!(std::mem::size_of::<Half>(), 32);
         let edges = edge_records();
-        for &(r, wide) in &edges {
-            let slot = Slot::pack(r);
-            assert_eq!(slot.hi.is_some(), wide, "{r:?}");
-            assert_eq!(Slot::is_wide(&slot.lo), wide, "{r:?}");
-            assert_eq!(slot.unpack(), r);
+        for &(r, form) in &edges {
+            assert_eq!(Form::of(r), form, "{r:?}");
+            assert_eq!(Slot::pack(r).unpack(), r);
         }
-        let wide = edges.iter().filter(|(_, wide)| *wide).count();
-        assert!(wide > 0 && wide < edges.len(), "both forms");
+        let forms: BTreeSet<Form> = edges.iter().map(|&(_, form)| form).collect();
+        assert_eq!(forms.len(), 3, "every form");
         // Collected, and through a ring that wraps, in either order.
         let records: Vec<TraceRecord> = edges.iter().map(|&(r, _)| r).collect();
         let collected: Records = records.iter().copied().collect();
@@ -1746,23 +2131,52 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_of_compact_records_reserves_32_bytes_a_record_and_no_wide_half() {
+    fn a_ring_of_narrow_records_reserves_16_bytes_a_record_and_no_other_part() {
         let capacity = TraceConfig::default().capacity;
         let t = Tracer::enabled(TraceConfig::default());
-        let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let reserved = || ring().1;
+        // How far the remainders and the wide halves are zeroed.
+        let zeroed = || {
+            let buf = t.inner.as_ref().unwrap().borrow();
+            let slots = buf.ring.slots().0;
+            [slots.mid.len(), slots.hi.len()]
+        };
         let dequeue = |i: u64| {
             let kind = TraceKind::Dequeue {
-                rank: i,
+                rank: i % 4_096,
                 wait_ns: 2 * i,
             };
             TraceRecord::new(Nanos(i), i % 2_048, i % 8_192, 1, kind)
         };
-        (0..capacity as u64 + 1_000).for_each(|i| t.record(dequeue(i)));
-        let (_, lo, hi) = reserved();
-        assert_eq!(lo * std::mem::size_of::<Half>(), capacity * 32);
-        assert_eq!(hi, 0, "no wide record, no wide half");
+        // `lo` doubles from 64 slots to 4,096, then reserves the rest of
+        // the ring at once, and nothing moves it after that.
+        t.record(dequeue(0));
+        assert_eq!(reserved(), [64, 0, 0]);
+        (1..4_096).for_each(|i| t.record(dequeue(i)));
+        assert_eq!(reserved(), [4_096, 0, 0]);
+        t.record(dequeue(4_096));
+        let (storage, [lo, mid, hi]) = ring();
+        assert_eq!(lo * std::mem::size_of::<Quarter>(), capacity * 16);
+        (4_097..capacity as u64 + 1_000).for_each(|i| t.record(dequeue(i)));
+        assert_eq!(
+            ring(),
+            (storage, [lo, mid, hi]),
+            "filled where it was reserved"
+        );
+        assert_eq!(
+            [mid, hi],
+            [0, 0],
+            "no record but narrow ones, no other part"
+        );
         assert_eq!(t.dropped(), 1_000);
-        // The first wide record allocates the whole wide half.
+        // A compact record at slot 1,000 reserves 1,024 of the remainder,
+        // zeroed only as far as its own slot.
+        let compact = dequeue(1 << 20).at_label(2_047);
+        t.record(compact);
+        assert_eq!(reserved(), [lo, 1_024, 0]);
+        assert_eq!(zeroed(), [1_001, 0]);
+        // A wide one the same of the wide half, zeroed as far as 1,001.
         let inversion = TraceKind::Inversion {
             rank: 9,
             loser_flow: 1,
@@ -1771,11 +2185,78 @@ mod tests {
         };
         let wide = TraceRecord::new(Nanos(u64::MAX), 7, 7, 1, inversion);
         t.record(wide);
-        assert_eq!(reserved().2, capacity);
-        // Reserved whole, zeroed only as far as the record's slot, 1,000.
-        let zeroed = || t.inner.as_ref().unwrap().borrow().ring.slots().0.hi.len();
-        assert_eq!(zeroed(), 1_001);
-        assert_eq!(t.snapshot().records.last(), Some(wide));
+        assert_eq!(reserved(), [lo, 1_024, 1_024]);
+        assert_eq!(zeroed(), [1_002, 1_002]);
+        // Past slot 4,096, a compact record reserves the whole remainder.
+        (1_002..4_096).for_each(|i| t.record(dequeue(i)));
+        t.record(compact);
+        assert_eq!(reserved(), [lo, capacity, 1_024]);
+        assert_eq!(zeroed(), [4_097, 1_002]);
+        let mut expected = vec![dequeue(capacity as u64 + 999), compact, wide];
+        expected.extend((1_002..4_096).map(dequeue));
+        expected.push(compact);
+        let snap = t.snapshot();
+        let newest: Vec<TraceRecord> = snap
+            .records
+            .iter()
+            .skip(capacity - expected.len())
+            .collect();
+        assert_eq!(newest, expected);
+    }
+
+    #[test]
+    fn a_wrapped_ring_of_every_form_copies_every_part_for_a_held_snapshot() {
+        let t = Tracer::enabled(TraceConfig {
+            capacity: 7,
+            ..TraceConfig::default()
+        });
+        let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let mut rng = SimRng::seed_from(39);
+        let mut model: VecDeque<TraceRecord> = VecDeque::new();
+        let mut record = |form: Form, model: &mut VecDeque<TraceRecord>| loop {
+            let r = any_record(&mut rng);
+            if Form::of(r) == form {
+                t.record(r);
+                model.push_back(r);
+                if model.len() > 7 {
+                    model.pop_front();
+                }
+                return;
+            }
+        };
+        // Ten records, every form among them: the ring wraps mid-lap with
+        // every part reserved.
+        use Form::{Compact, Narrow, Wide};
+        let first = [Narrow, Compact, Wide, Narrow, Narrow, Compact, Narrow];
+        first.iter().for_each(|&form| record(form, &mut model));
+        for form in [Wide, Narrow, Compact] {
+            record(form, &mut model);
+        }
+        let (storage, parts) = reserved();
+        assert_eq!(parts, [7, 7, 7]);
+        let held = t.snapshot();
+        assert_eq!(held.records.head, 3, "mid-lap");
+        let kept: Vec<TraceRecord> = model.iter().copied().collect();
+        // A lap and a half of every form while the snapshot is held: the
+        // ring writes into a copy of every part, never into the snapshot's.
+        for step in 0..11 {
+            record([Narrow, Compact, Wide][step % 3], &mut model);
+            let (copy, copied) = reserved();
+            assert_ne!(copy, storage, "step {step}");
+            assert_eq!(copied, [7, 7, 7], "step {step}: every part copied whole");
+            assert_eq!(records_of(&held), kept, "step {step}");
+            t.visit(|view| assert!(view.records().eq(model.iter().copied())));
+        }
+        assert_eq!(held.records.storage(), storage);
+        drop(held);
+        // Taken back with no snapshot held: the copy is the ring now.
+        let copy = reserved();
+        let again = t.snapshot();
+        assert!(again.records.iter().eq(model.iter().copied()));
+        drop(again);
+        record(Narrow, &mut model);
+        assert_eq!(reserved(), copy, "every part taken back");
+        t.visit(|view| assert!(view.records().eq(model.iter().copied())));
     }
 
     #[test]
@@ -1785,26 +2266,30 @@ mod tests {
             ..TraceConfig::default()
         });
         let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
-        let compact = stamped(10);
-        compact.iter().for_each(|&r| t.record(r));
+        let narrow = stamped(10);
+        narrow.iter().for_each(|&r| t.record(r));
         let held = t.snapshot();
         assert_eq!(held.records.head, 3, "mid-lap");
         let wide = TraceRecord::new(Nanos(10), 1 << 40, 0, 0, TraceKind::FlowStart { size: 3 });
         t.record(wide);
         let storage = reserved();
-        assert_eq!(storage.2, 7, "the wide half, allocated by the copy");
-        assert!(held.records.iter().eq(compact[3..].iter().copied()));
+        assert_eq!(
+            storage.1,
+            [7, 7, 7],
+            "the wide record's parts, reserved by the copy"
+        );
+        assert!(held.records.iter().eq(narrow[3..].iter().copied()));
         drop(held);
-        // Lent with its wide half, taken back with it.
-        let mut model = compact[4..].to_vec();
+        // Lent with every part, taken back with them.
+        let mut model = narrow[4..].to_vec();
         model.push(wide);
         let again = t.snapshot();
         assert!(again.records.iter().eq(model.iter().copied()));
         drop(again);
-        t.record(compact[0]);
-        assert_eq!(reserved(), storage, "both halves taken back");
+        t.record(narrow[0]);
+        assert_eq!(reserved(), storage, "every part taken back");
         model.remove(0);
-        model.push(compact[0]);
+        model.push(narrow[0]);
         t.visit(|view| assert!(view.records().eq(model.iter().copied())));
     }
 
@@ -1892,11 +2377,11 @@ mod tests {
             ..TraceConfig::default()
         });
         let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
-        assert_eq!(ring().1, 0, "an unused tracer owns nothing");
+        assert_eq!(ring().1, [0; 3], "an unused tracer owns nothing");
         let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
         t.record(record(0));
         let reserved = ring();
-        assert!(reserved.1 >= 800);
+        assert!(reserved.1[0] >= 800);
         (1..2_000).for_each(|i| t.record(record(i)));
         assert_eq!(
             ring(),
@@ -1938,14 +2423,16 @@ mod tests {
                         held.swap_remove(rng.below(held.len() as u64) as usize);
                     }
                     _ => {
-                        // Compact only for the first lap and a half, so the
-                        // first wide record lands mid-lap, most likely while
+                        // Narrow only for the first lap and a half, then no
+                        // wide record for as long again, so the first of
+                        // each wider form lands mid-lap, most likely while
                         // a snapshot is held.
-                        let r = if step < 3 * capacity.max(1) {
-                            any_compact_record(&mut rng)
-                        } else {
-                            any_record(&mut rng)
+                        let widest = match step / capacity.max(1) {
+                            0..=2 => Form::Narrow,
+                            3..=5 => Form::Compact,
+                            _ => Form::Wide,
                         };
+                        let r = any_record_up_to(&mut rng, widest);
                         t.record(r);
                         model.push_back(r);
                         if model.len() > capacity {
@@ -1979,9 +2466,9 @@ mod tests {
         let empty = t.snapshot();
         (0..250).for_each(|i| t.record(record(i)));
         assert!(empty.records.is_empty());
-        let (storage, reserved, wide) = ring();
+        let (storage, [reserved, mid, hi]) = ring();
         assert!(reserved >= 100);
-        assert_eq!(wide, 0);
+        assert_eq!([mid, hi], [0, 0]);
 
         let a = t.snapshot();
         let b = t.snapshot();
@@ -1992,13 +2479,17 @@ mod tests {
         assert_eq!(format!("{t:?}"), "Tracer(records=100)");
         drop((a, b));
         t.record(record(250));
-        assert_eq!(ring(), (storage, reserved, 0), "taken back, nothing copied");
+        assert_eq!(
+            ring(),
+            (storage, [reserved, 0, 0]),
+            "taken back, nothing copied"
+        );
 
         // Held across a record, a snapshot keeps its records; the ring
         // copies them into a whole ring of its own.
         let held = t.snapshot();
         t.record(record(251));
-        let (copy, copy_reserved, _) = ring();
+        let (copy, [copy_reserved, ..]) = ring();
         assert_ne!(copy, storage);
         assert!(copy_reserved >= 100);
         assert_eq!(held.records.storage(), storage);

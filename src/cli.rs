@@ -544,10 +544,21 @@ impl OutputFile {
         }
     }
 
-    fn write(mut self, contents: &str) -> Result<(), CliError> {
+    fn write(self, contents: &str) -> Result<(), CliError> {
         use std::io::Write as _;
-        self.file
-            .write_all(contents.as_bytes())
+        self.stream(|out| out.write_all(contents.as_bytes()))
+    }
+
+    /// Let `render` write the contents through a buffer, so they never
+    /// have to be whole in memory.
+    fn stream(
+        self,
+        render: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+    ) -> Result<(), CliError> {
+        use std::io::Write as _;
+        let mut out = std::io::BufWriter::new(self.file);
+        render(&mut out)
+            .and_then(|()| out.flush())
             .map_err(|source| CliError::Output {
                 path: self.path,
                 source,
@@ -718,7 +729,7 @@ pub fn cmd_run(scenario_json: &str, opts: &RunOpts) -> Result<String, CliError> 
         file.write(&telemetry.export_jsonl())?;
     }
     if let Some(file) = trace_out {
-        file.write(&tracer.snapshot().to_jsonl())?;
+        file.stream(|out| tracer.snapshot().write_jsonl(out))?;
     }
     if let Some(file) = monitor_out {
         file.write(&monitor.export_jsonl())?;

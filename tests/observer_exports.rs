@@ -214,43 +214,71 @@ fn wrapped_ring_exports_are_pinned() {
     }
 }
 
-/// The flight recorder packs a record into 32 bytes unless a field does not
-/// fit (`flow`, `seq` or a `transform`/`dequeue` field at 2^32 or more, a
-/// `tx` field past 20/24/20 bits) or it is an `inversion`, whose four
-/// payload words take a second 32-byte half. `fairtree_bound` is the one
-/// example with wide records: its 7,277 inversions, and nothing else.
+/// The flight recorder packs a record into 16 bytes when it fits (`t` below
+/// 2^32, `flow` and `seq` below 2^16, tenant below 64, the label below
+/// 2,047 or none, the payload in 41 bits: `transform` 29/12, `dequeue`
+/// 12/29, `tx` 11/16/14), else into 32 unless a field does not fit (`flow`,
+/// `seq` or a `transform`/`dequeue` field at 2^32 or more, a `tx` field past
+/// 20/24/20 bits) or it is an `inversion`, whose four payload words take a
+/// further 32-byte half. `fairtree_bound` is the one example with wide
+/// records: its 7,277 inversions, and nothing else; every other record of
+/// it is narrow.
 #[test]
 fn fairtree_bound_writes_7277_wide_records() {
-    use qvisor::telemetry::TraceKind;
+    use qvisor::telemetry::{trace::NO_LABEL, TraceKind};
     let tracer = Tracer::enabled(TraceConfig::default());
     Engine::new()
         .with_tracer(&tracer)
         .run(&load("fairtree_bound"))
         .unwrap();
     let below = |v: u64, bits: u32| v >> bits == 0;
-    let (inversions, wide) = tracer.visit(|view| {
+    let fits = |kind: TraceKind, [pair, tx, one]: [[u32; 3]; 3]| match kind {
+        TraceKind::Inversion { .. } => false,
+        TraceKind::Transform { pre: a, post: b } => below(a, pair[0]) && below(b, pair[1]),
+        TraceKind::Dequeue {
+            rank: a,
+            wait_ns: b,
+        } => below(a, pair[1]) && below(b, pair[0]),
+        TraceKind::TxStart {
+            bytes,
+            tx_ns,
+            prop_ns,
+        } => below(bytes, tx[0]) && below(tx_ns, tx[1]) && below(prop_ns, tx[2]),
+        TraceKind::FlowStart { size: v }
+        | TraceKind::RankComputed { rank: v }
+        | TraceKind::Enqueue { rank: v }
+        | TraceKind::Drop { rank: v }
+        | TraceKind::Deliver { latency_ns: v }
+        | TraceKind::Ack { latency_ns: v } => one[0] == 64 || below(v, one[0]),
+    };
+    // `transform` is (pre, post) and `dequeue` (rank, wait_ns): the narrow
+    // split gives the wide field 29 bits and the other 12.
+    let narrow_split = [[29, 12, 0], [11, 16, 14], [41, 0, 0]];
+    let compact_split = [[32, 32, 0], [20, 24, 20], [64, 0, 0]];
+    let (forms, inversions) = tracer.visit(|view| {
         assert_eq!(view.dropped, 0, "the default ring keeps every record");
-        view.records().fold((0, 0), |(inversions, wide), r| {
-            let fits = match r.kind {
-                TraceKind::Inversion { .. } => false,
-                TraceKind::Transform { pre: a, post: b }
-                | TraceKind::Dequeue {
-                    rank: a,
-                    wait_ns: b,
-                } => below(a, 32) && below(b, 32),
-                TraceKind::TxStart {
-                    bytes,
-                    tx_ns,
-                    prop_ns,
-                } => below(bytes, 20) && below(tx_ns, 24) && below(prop_ns, 20),
-                _ => true,
-            } && below(r.flow, 32)
-                && below(r.seq, 32);
-            let inverted = matches!(r.kind, TraceKind::Inversion { .. });
-            (inversions + u64::from(inverted), wide + u64::from(!fits))
-        })
+        view.records()
+            .fold(([0; 3], 0), |(mut forms, inversions), r| {
+                let narrow = below(r.t.as_nanos(), 32)
+                    && below(r.flow, 16)
+                    && below(r.seq, 16)
+                    && r.tenant < 64
+                    && (r.label < 2_047 || r.label == NO_LABEL)
+                    && fits(r.kind, narrow_split);
+                let compact = below(r.flow, 32) && below(r.seq, 32) && fits(r.kind, compact_split);
+                forms[if narrow {
+                    0
+                } else if compact {
+                    1
+                } else {
+                    2
+                }] += 1;
+                let inverted = matches!(r.kind, TraceKind::Inversion { .. });
+                (forms, inversions + u64::from(inverted))
+            })
     });
-    assert_eq!((inversions, wide), (7_277, 7_277));
+    assert_eq!(inversions, 7_277);
+    assert_eq!(forms, [230_966, 0, 7_277], "narrow, compact, wide");
 }
 
 /// `Engine::build` deploys the joint policy its verifier gate synthesized:
