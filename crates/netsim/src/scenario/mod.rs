@@ -16,12 +16,14 @@
 //!   backend.
 //! - [`SweepSpec`]/[`run_sweep`] (`sweep`): fans a grid of patched
 //!   scenarios across OS threads with deterministic, order-independent
-//!   merging.
+//!   merging; a document's `"view"` ([`SweepView`], `view`) reduces each
+//!   point's report to a figure's row and prints the figure's table.
 
 mod codec;
 mod engine;
 mod spec;
 mod sweep;
+mod view;
 
 pub use engine::{report_json, Engine, Verified};
 pub use spec::{
@@ -31,6 +33,7 @@ pub use spec::{
 pub use sweep::{
     merged_value, run_sweep, sanitize_export, SweepAxis, SweepPoint, SweepPointResult, SweepSpec,
 };
+pub use view::SweepView;
 
 /// Error raised while parsing, validating, or materializing a scenario.
 #[derive(Debug)]

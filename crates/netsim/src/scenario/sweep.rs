@@ -13,8 +13,12 @@
 //! {}}, "qvisor": null}, ...]}`). Patches apply in axis order, and within
 //! a patch object in key order, so a later axis may patch inside what an
 //! earlier one replaced.
+//!
+//! An optional `"view"` names what each point's report reduces to and how
+//! the rows print ([`SweepView`]); without one, every point keeps its
+//! whole report.
 
-use super::{field_err, Engine, ScenarioError, ScenarioSpec};
+use super::{field_err, Engine, ScenarioError, ScenarioSpec, SweepView};
 use qvisor_sim::json::Value;
 use qvisor_sim::ordered_par_map;
 
@@ -35,6 +39,8 @@ pub struct SweepSpec {
     pub base: Value,
     /// Sweep dimensions; the cross product defines the grid.
     pub axes: Vec<SweepAxis>,
+    /// The row each point's report reduces to, if the document names one.
+    pub view: Option<SweepView>,
 }
 
 /// One fully resolved grid point.
@@ -59,7 +65,8 @@ pub struct SweepPointResult {
     pub label: String,
     /// The axis assignments as an object.
     pub overrides: Value,
-    /// Deterministic report JSON (see [`super::report_json`]).
+    /// Deterministic report JSON (see [`super::report_json`]), or the
+    /// view's row when the sweep names a view.
     pub report: Value,
     /// Sanitized telemetry export, when requested (wall-clock lines
     /// stripped so snapshots are byte-identical across runs).
@@ -73,10 +80,10 @@ impl SweepSpec {
             .as_object()
             .ok_or_else(|| field_err("sweep", "must be an object"))?;
         for (key, _) in obj {
-            if key != "base" && key != "axes" {
+            if key != "base" && key != "axes" && key != "view" {
                 return Err(field_err(
                     format!("sweep.{key}"),
-                    "unknown field (allowed: base, axes)",
+                    "unknown field (allowed: base, axes, view)",
                 ));
             }
         }
@@ -128,7 +135,8 @@ impl SweepSpec {
             };
             axes.push(SweepAxis { values });
         }
-        Ok(SweepSpec { base, axes })
+        let view = v.get("view").map(SweepView::from_value).transpose()?;
+        Ok(SweepSpec { base, axes, view })
     }
 
     /// Parse a sweep document from JSON text.
@@ -136,8 +144,9 @@ impl SweepSpec {
         SweepSpec::from_value(&Value::parse(text).map_err(ScenarioError::Json)?)
     }
 
-    /// Resolve the full grid: every combination patched into the base and
-    /// strictly parsed. The rightmost axis varies fastest.
+    /// Resolve the full grid: every combination patched into the base,
+    /// strictly parsed and checked to have a row under the sweep's view.
+    /// The rightmost axis varies fastest.
     pub fn points(&self) -> Result<Vec<SweepPoint>, ScenarioError> {
         let total: usize = self.axes.iter().map(|a| a.values.len()).product();
         let mut points = Vec::with_capacity(total);
@@ -160,6 +169,9 @@ impl SweepSpec {
                 }
             }
             let spec = ScenarioSpec::from_value(&patched)?;
+            if let Some(view) = self.view {
+                view.check(&spec)?;
+            }
             points.push(SweepPoint {
                 index,
                 label: label_parts.join(","),
@@ -262,6 +274,7 @@ pub fn sanitize_export(jsonl: &str) -> String {
 /// runs under its own enabled registry and returns a sanitized JSONL
 /// snapshot. Every point passes through the static policy verifier
 /// before running; `deny_warnings` promotes its warnings to failures.
+/// Under a view, each point keeps its row rather than its report.
 pub fn run_sweep(
     spec: &SweepSpec,
     jobs: usize,
@@ -271,7 +284,7 @@ pub fn run_sweep(
     let points = spec.points()?;
     // Collecting stops at the first error in grid order.
     ordered_par_map(points.len(), jobs, |idx| {
-        run_point(&points[idx], with_telemetry, deny_warnings)
+        run_point(&points[idx], spec.view, with_telemetry, deny_warnings)
     })
     .into_iter()
     .collect()
@@ -279,6 +292,7 @@ pub fn run_sweep(
 
 fn run_point(
     point: &SweepPoint,
+    view: Option<SweepView>,
     with_telemetry: bool,
     deny_warnings: bool,
 ) -> Result<SweepPointResult, ScenarioError> {
@@ -296,7 +310,10 @@ fn run_point(
         index: point.index,
         label: point.label.clone(),
         overrides: point.overrides.clone(),
-        report: super::report_json(&report),
+        report: match view {
+            Some(view) => view.row(&point.spec, &report)?,
+            None => super::report_json(&report),
+        },
         telemetry_jsonl: telemetry.map(|t| sanitize_export(&t.export_jsonl())),
     })
 }

@@ -23,8 +23,8 @@
 //!   would prove a torn read.
 //! - **Policy store** ([`store`]): the fixed tenant universe, the live
 //!   set, and the append-only accepted-mutation log whose sequential
-//!   replay must rebuild byte-identical state (checked by the
-//!   `serve_load` harness in `qvisor-bench`).
+//!   replay must rebuild byte-identical state (checked under concurrent
+//!   churn by `tests/serve_daemon.rs`).
 //! - **Daemon shell** ([`daemon`]): accept thread + per-connection
 //!   session threads + a single control thread that owns the
 //!   [`ControlPlane`] and serializes mutations.

@@ -736,17 +736,17 @@ mod tests {
         // The orphan a deleted caller leaves behind.
         let src = sources(&[
             (
-                "crates/bench/src/snapshot.rs",
+                "crates/demo/src/snapshot.rs",
                 "pub fn write_snapshot() {}\npub fn write_trace_snapshot() {}\n",
             ),
             (
-                "crates/bench/src/bin/fig4.rs",
+                "crates/demo/src/bin/fig4.rs",
                 "fn main() { write_snapshot(); }\n",
             ),
         ]);
         let f = dead_pub_findings(&src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].path, "crates/bench/src/snapshot.rs");
+        assert_eq!(f[0].path, "crates/demo/src/snapshot.rs");
         assert_eq!(f[0].line, 2);
         assert!(f[0].msg.contains("`pub fn write_trace_snapshot`"), "{f:?}");
     }

@@ -134,7 +134,9 @@ Report commands accept '-' in place of a file to read from stdin.
 Scenario files describe a full simulation declaratively (topology, workloads,
 schedulers, QVISOR deployment); see examples/scenarios/. Sweep files add a
 grid of overrides on top of a base scenario; see examples/sweeps/. Sweep
-output is byte-identical at any --jobs level. One run is one thread; --jobs
+output is byte-identical at any --jobs level. A sweep whose \"view\" is
+\"fct_buckets\" (Fig. 4) or \"jain\" prints that figure's table, and --out
+gets its rows. One run is one thread; --jobs
 (grid points for `sweep`, cases for `fuzz`) is how the tool goes parallel.
 
 Scenarios may declare `alerts` rules ({metric, tenant, window_ns, threshold});
@@ -744,9 +746,12 @@ pub fn cmd_run(scenario_json: &str, opts: &RunOpts) -> Result<String, CliError> 
 }
 
 /// `qvisor sweep`: run a scenario grid across worker threads and emit the
-/// merged results document (byte-identical at any `--jobs` level).
+/// merged results document (byte-identical at any `--jobs` level). A
+/// sweep that names a view prints the view's table instead; its rows go
+/// to `--out`, and every `wrote` notice to stderr.
 pub fn cmd_sweep(sweep_json: &str, opts: &SweepOpts) -> Result<String, CliError> {
     use qvisor_netsim::scenario::{merged_value, run_sweep};
+    use qvisor_sim::json::Value;
     let spec = SweepSpec::from_json(sweep_json)?;
     let snapshots = match &opts.telemetry {
         Some(prefix) => (spec.points()?.iter())
@@ -761,20 +766,31 @@ pub fn cmd_sweep(sweep_json: &str, opts: &SweepOpts) -> Result<String, CliError>
         opts.telemetry.is_some(),
         opts.deny_warnings,
     )?;
-    let mut out = String::new();
+    // Stdout without a view; with one, stdout is the table alone.
+    let mut notices = String::new();
     for (file, r) in snapshots.into_iter().zip(&results) {
-        writeln!(out, "wrote {}", file.path).unwrap();
+        writeln!(notices, "wrote {}", file.path).unwrap();
         file.write(r.telemetry_jsonl.as_deref().unwrap_or(""))?;
     }
-    let merged = format!("{}\n", merged_value(&spec, &results).to_pretty());
-    match merged_out {
-        Some(file) => {
-            writeln!(out, "wrote {}", file.path).unwrap();
-            file.write(&merged)?;
+    let Some(view) = spec.view else {
+        let merged = format!("{}\n", merged_value(&spec, &results).to_pretty());
+        match merged_out {
+            Some(file) => {
+                writeln!(notices, "wrote {}", file.path).unwrap();
+                file.write(&merged)?;
+            }
+            None => notices.push_str(&merged),
         }
-        None => out.push_str(&merged),
+        return Ok(notices);
+    };
+    let rows: Vec<Value> = results.into_iter().map(|r| r.report).collect();
+    let table = view.table(&rows);
+    if let Some(file) = merged_out {
+        writeln!(notices, "wrote {}", file.path).unwrap();
+        file.write(&format!("{}\n", Value::from(rows).to_pretty()))?;
     }
-    Ok(out)
+    eprint!("{notices}");
+    Ok(table)
 }
 
 /// `qvisor synth`: synthesize and print the per-tenant chains, then the
@@ -1323,6 +1339,39 @@ mod tests {
             parse_run_flags(&args(&["--wat"])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn a_view_sweep_prints_the_table_alone_and_writes_the_rows() {
+        let sweep = format!(
+            r#"{{ "view": "jain", "base": {SCENARIO},
+                  "axes": [ {{ "path": "seed", "values": [1, 2] }} ] }}"#
+        );
+        let path =
+            std::env::temp_dir().join(format!("qvisor_cli_view_{}.json", std::process::id()));
+        let opts = SweepOpts {
+            out: Some(path.to_str().unwrap().to_string()),
+            ..SweepOpts::default()
+        };
+        let table = cmd_sweep(&sweep, &opts).unwrap();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 3, "a header and a line per point: {table}");
+        assert!(lines[0].starts_with("scenario"), "{table}");
+        assert!(
+            lines[1..].iter().all(|l| l.starts_with("cli-test")),
+            "{table}"
+        );
+        let rows = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let rows = qvisor_sim::json::Value::parse(&rows).unwrap();
+        let rows = rows.as_array().expect("the --out file is the rows alone");
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            let keys: Vec<&str> = (row.as_object().unwrap().iter())
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(keys, ["name", "jain", "goodput_gbps"]);
+        }
     }
 
     /// A scenario carrying a QVISOR deployment (two tenants, strict policy).

@@ -249,3 +249,80 @@ fn an_unwritable_export_path_fails_before_the_run() {
     }
     assert!(!missing.exists());
 }
+
+/// What `qvisor sweep` refuses it refuses before any point runs: exit 1
+/// with the cause on stderr, no panic, nothing on stdout, and far inside
+/// the time one point of the recorded Fig. 4 document takes.
+fn sweep_refused(args: &[&str], says: &str) {
+    let started = std::time::Instant::now();
+    let out = qvisor(args);
+    let took = started.elapsed();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(says), "{args:?} names {says:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: printed a result");
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "{args:?}: {took:?} — it ran a point first"
+    );
+}
+
+#[test]
+fn a_sweep_it_cannot_read_or_resolve_is_refused_before_any_point_runs() {
+    let paper = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/sweeps/fig4_paper.json");
+    let paper = paper.to_str().unwrap();
+    let missing = std::env::temp_dir().join("qvisor_exit_no_such_sweep.json");
+    sweep_refused(&["sweep"], "sweep needs a sweep file");
+    sweep_refused(&["sweep", missing.to_str().unwrap()], "cannot read");
+    sweep_refused(&["sweep", paper, "--json", "x"], "unknown flag '--json'");
+    sweep_refused(&["sweep", paper, "--out"], "--out needs a path");
+    sweep_refused(&["sweep", paper, paper], "unknown flag");
+
+    let text = std::fs::read_to_string(paper).unwrap();
+    let load_axis = r#""path": "workloads.0.poisson.arrival.load""#;
+    for (name, broken, says) in [
+        (
+            "arival",
+            text.replace(load_axis, r#""path": "workloads.0.poisson.arival.load""#),
+            "no key 'arival'",
+        ),
+        (
+            "empty_patch",
+            text.replace(
+                r#"{"name": "FIFO: pFabric and EDF", "scheduler": {"fifo": {}}, "qvisor": null}"#,
+                "{}",
+            ),
+            "at least one path",
+        ),
+        (
+            "no_path",
+            text.replace(&format!("{load_axis}, "), ""),
+            "patch objects",
+        ),
+        (
+            "axis_field",
+            text.replace(load_axis, r#""pathh": "x""#),
+            "unknown field",
+        ),
+        (
+            "view",
+            text.replace(r#""view": "fct_buckets""#, r#""view": "fct_bucketz""#),
+            "scenario field `sweep.view`: unknown view \"fct_bucketz\"",
+        ),
+        (
+            "no_load",
+            text.replacen(
+                r#""sizes": {"data_mining": {"scale_den": 10}}"#,
+                r#""sizes": {"fixed": {"bytes": 10000}}"#,
+                1,
+            ),
+            "has no tenant-1 Poisson workload",
+        ),
+    ] {
+        assert_ne!(broken, text, "{name}: the edit applies");
+        let path = temp_config(&format!("sweep_{name}"), &broken);
+        sweep_refused(&["sweep", path.to_str().unwrap()], says);
+        let _ = std::fs::remove_file(&path);
+    }
+}

@@ -8,7 +8,9 @@
 use qvisor::core::{
     Backend, MonitorConfig, SynthConfig, TenantSpec, UnknownTenantAction, ViolationAction,
 };
-use qvisor::netsim::{NewFlow, QvisorSetup, SimConfig, SimReport, Simulation};
+use qvisor::netsim::{
+    Engine, NewFlow, QvisorSetup, ScenarioSpec, SimConfig, SimReport, Simulation,
+};
 use qvisor::ranking::{PFabric, RankRange};
 use qvisor::sim::{gbps, Nanos, TenantId};
 use qvisor::topology::Dumbbell;
@@ -123,4 +125,40 @@ fn adaptation_requires_monitor_and_qvisor() {
         ..SimConfig::default()
     };
     assert!(Simulation::new(d.topology.clone(), cfg).is_err());
+}
+
+/// Fig. 2 in the network (`examples/scenarios/fig2_in_network.json`): T1
+/// and T2 are active until t1 = 30 ms, then T3. The adapter reclaims the
+/// idle tenants' bands twice and the gate refuses nothing; the 5 ms goodput
+/// windows show the hand-over.
+#[test]
+fn fig2_in_network_hands_the_fabric_to_t3_after_t1() {
+    let path = format!(
+        "{}/examples/scenarios/fig2_in_network.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let spec = ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let report = Engine::new().run(&spec).unwrap();
+    assert_eq!(report.reconfigurations, 2);
+    assert_eq!(report.reconfigurations_refused, 0);
+    // `(window end, tenant, bytes)`: the window ending at `at` began 5 ms
+    // earlier.
+    let window = Nanos::from_millis(5);
+    let bytes = |tenants: &[u16], from: Nanos, to: Nanos| -> u64 {
+        (report.samples.iter())
+            .filter(|&&(at, t, _)| {
+                tenants.contains(&t.0) && at.saturating_sub(window) >= from && at <= to
+            })
+            .map(|&(_, _, b)| b)
+            .sum()
+    };
+    let (t1, t_35, end) = (
+        Nanos::from_millis(30),
+        Nanos::from_millis(35),
+        report.end_time,
+    );
+    assert_eq!(bytes(&[3], Nanos::ZERO, t1), 0, "T3 is silent before t1");
+    assert_eq!(bytes(&[1, 2], t_35, end), 0, "T1 and T2 are done by 35 ms");
+    assert!(bytes(&[1], Nanos::ZERO, t1) > 0 && bytes(&[2], Nanos::ZERO, t1) > 0);
+    assert!(bytes(&[3], t_35, end) > 0);
 }

@@ -7,7 +7,8 @@
 //! were made cheaper — `slo_alert`, `incast` and `fig4_point` before PR 13
 //! (sampled profiler clock, O(1) alert test, in-place trace ring), the other
 //! four before PR 22 (an observed idle port passes packets around its queue,
-//! the inversion mirror is a `RankIndex`) — so any change to how the
+//! the inversion mirror is a `RankIndex`); `fig2_in_network` was pinned when
+//! Fig. 2's scenario became a document — so any change to how the
 //! observers keep or render their state has to reproduce these bytes. A hash
 //! that moves on purpose — a new metric, a changed scenario — is re-recorded
 //! from the test's failure message.
@@ -72,7 +73,7 @@ fn observed_hashes(scenario: &str) -> (String, [String; 3]) {
 /// `PifoTree` behind every port) is the one example with inversions — spans
 /// naming the overtaken packet, cross-tenant counts in the monitor export —
 /// so its pins are what holds the inversion mirror's read side in place.
-const PINS: [(&str, &str, [&str; 3]); 7] = [
+const PINS: [(&str, &str, [&str; 3]); 8] = [
     (
         "fairtree_bound",
         "6c176c4628d476d9",
@@ -82,6 +83,11 @@ const PINS: [(&str, &str, [&str; 3]); 7] = [
         "fault_injection",
         "5932fdb076d8a892",
         ["72ad2432310f110b", "4f37af9be5ed9579", "66a805d11fb1b008"],
+    ),
+    (
+        "fig2_in_network",
+        "f206510a5367b2e6",
+        ["2b518d491ca9c5c7", "7c6eda8b79d8dcd3", "1cf6f20f90559a16"],
     ),
     (
         "fig4_point",
@@ -156,6 +162,11 @@ fn slo_alert_exports_are_pinned() {
 #[test]
 fn incast_exports_are_pinned() {
     assert_exports_pinned("incast");
+}
+
+#[test]
+fn fig2_in_network_exports_are_pinned() {
+    assert_exports_pinned("fig2_in_network");
 }
 
 #[test]

@@ -172,7 +172,11 @@ fn every_transform_record_is_the_joint_policy_transform() {
     // first runtime reconfiguration, after which another policy holds.
     let mut reloaded = 0;
     for (name, spec) in qvisor_examples() {
-        let tracer = Tracer::enabled(TraceConfig::default());
+        // Twice the default ring: `fig2_in_network` records ≈ 320 k spans.
+        let tracer = Tracer::enabled(TraceConfig {
+            capacity: 1 << 19,
+            ..TraceConfig::default()
+        });
         let telemetry = Telemetry::enabled();
         let engine = Engine::new()
             .with_tracer(&tracer)

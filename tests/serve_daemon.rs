@@ -1,13 +1,16 @@
 //! End-to-end exercise of the `qvisor serve` control-plane daemon over
 //! real TCP, using the shipped `examples/serve/` documents: admission,
 //! QV-* rejection parity with `qvisor check`, versioned snapshot reads,
-//! withdrawal, telemetry streaming, log replay, and clean shutdown.
+//! withdrawal, telemetry streaming, log replay, and clean shutdown — and
+//! the same stories under concurrent churn.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use qvisor_core::config_api::{SynthOptions, TenantConfig};
 use qvisor_core::{verify, DeploymentConfig, SpecPaths};
-use qvisor_serve::{ChainSnapshot, ControlPlane, Daemon, LogEntry, ServeOptions};
+use qvisor_serve::{ChainSnapshot, ControlPlane, Daemon, LogEntry, Request, ServeOptions};
 use qvisor_sim::json::Value;
 
 fn example(file: &str) -> String {
@@ -27,7 +30,11 @@ struct Client {
 
 impl Client {
     fn connect(daemon: &Daemon) -> Client {
-        let stream = TcpStream::connect(daemon.local_addr()).expect("connect");
+        Client::at(daemon.local_addr())
+    }
+
+    fn at(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
         stream.set_read_timeout(Some(WATCHDOG)).expect("deadline");
         stream.set_write_timeout(Some(WATCHDOG)).expect("deadline");
         Client {
@@ -238,4 +245,192 @@ fn deny_warnings_daemon_is_stricter() {
     // The good document is warning-free: still accepted.
     assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r:?}");
     stopped(daemon, Daemon::shutdown);
+}
+
+fn ok(v: &Value) -> bool {
+    v.get("ok").and_then(Value::as_bool) == Some(true)
+}
+
+/// A universe of `n` tenants, composed as share groups of 8 joined by
+/// strict priority (`a + b + … >> …`): wide enough that every submission
+/// reshapes real band geometry.
+fn universe(n: usize) -> DeploymentConfig {
+    let tenants: Vec<TenantConfig> = (0..n)
+        .map(|i| TenantConfig {
+            id: u16::try_from(i + 1).expect("tenant id fits u16"),
+            name: format!("t{:04}", i + 1),
+            algorithm: if i % 2 == 0 { "pFabric" } else { "EDF" }.to_string(),
+            rank_min: 0,
+            rank_max: 255,
+            levels: Some(16),
+        })
+        .collect();
+    let policy = tenants
+        .chunks(8)
+        .map(|group| {
+            let names: Vec<&str> = group.iter().map(|t| t.name.as_str()).collect();
+            names.join(" + ")
+        })
+        .collect::<Vec<_>>()
+        .join(" >> ");
+    DeploymentConfig {
+        tenants,
+        policy,
+        synth: SynthOptions {
+            first_rank: 2,
+            ..SynthOptions::default()
+        },
+    }
+}
+
+/// Writers churn disjoint tenant slices (submit everything, withdraw a
+/// third, resubmit a sixth revised, and send a bad id now and then that
+/// must be rejected) while readers hammer `snapshot` and `get-chain`. No
+/// read is torn: every snapshot's fingerprint matches its bytes and a
+/// connection never sees its version go backwards. Afterwards the daemon's
+/// counts add up, and its accepted log replayed sequentially through a
+/// fresh `ControlPlane` rebuilds the final snapshot byte for byte.
+#[test]
+fn concurrent_churn_tears_no_read_and_replays_byte_identical() {
+    const TENANTS: usize = 64;
+    const WRITERS: usize = 4;
+    const READERS: usize = 2;
+    let config = universe(TENANTS);
+    let daemon = Daemon::start(
+        config.clone(),
+        ServeOptions {
+            listen: "127.0.0.1:0".to_string(),
+            deny_warnings: false,
+        },
+    )
+    .expect("daemon starts");
+    let addr = daemon.local_addr();
+    let done = AtomicBool::new(false);
+    let torn = AtomicU64::new(0);
+    let tear = |why: String| {
+        eprintln!("{why}");
+        torn.fetch_add(1, Ordering::Relaxed);
+    };
+
+    let (accepted, rejected) = std::thread::scope(|s| {
+        for r in 0..READERS {
+            let (done, tear) = (&done, &tear);
+            s.spawn(move || {
+                let mut client = Client::at(addr);
+                let mut last_version = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    let response = client.rpc(r#"{"op":"snapshot"}"#);
+                    let snap = response.get("snapshot").expect("snapshot body");
+                    match ChainSnapshot::verify_canonical(&snap.to_compact()) {
+                        Ok((version, _)) if version < last_version => tear(format!(
+                            "reader {r}: version went backwards ({last_version} -> {version})"
+                        )),
+                        Ok((version, _)) => last_version = version,
+                        Err(e) => tear(format!("reader {r}: {e}")),
+                    }
+                    let chain = client.rpc(r#"{"op":"get-chain"}"#);
+                    if !ok(&chain) {
+                        tear(format!(
+                            "reader {r}: get-chain failed: {}",
+                            chain.to_compact()
+                        ));
+                    }
+                }
+            });
+        }
+        let writers: Vec<_> = (config.tenants.chunks(TENANTS.div_ceil(WRITERS)))
+            .enumerate()
+            .map(|(w, slice)| {
+                s.spawn(move || {
+                    let mut client = Client::at(addr);
+                    let (mut accepted, mut rejected) = (0u64, 0u64);
+                    let submit = |t: &TenantConfig| Request::SubmitPolicy(t.clone()).to_line();
+                    for (i, tenant) in slice.iter().enumerate() {
+                        let r = client.rpc(&submit(tenant));
+                        assert!(ok(&r), "writer {w}: submit: {}", r.to_compact());
+                        accepted += 1;
+                        if i % 7 == 0 {
+                            // Wrong id: structurally rejected, state untouched.
+                            let bad = TenantConfig {
+                                id: 0,
+                                ..tenant.clone()
+                            };
+                            let r = client.rpc(&submit(&bad));
+                            assert!(!ok(&r), "writer {w}: bad id accepted");
+                            rejected += 1;
+                        }
+                        if i % 3 == 0 {
+                            let r =
+                                client.rpc(&Request::WithdrawTenant(tenant.name.clone()).to_line());
+                            assert!(ok(&r), "writer {w}: withdraw: {}", r.to_compact());
+                            accepted += 1;
+                        }
+                        if i % 6 == 0 {
+                            // Resubmit with a revised spec: update in place.
+                            let revised = TenantConfig {
+                                levels: Some(8),
+                                ..tenant.clone()
+                            };
+                            let r = client.rpc(&submit(&revised));
+                            assert!(ok(&r), "writer {w}: resubmit: {}", r.to_compact());
+                            accepted += 1;
+                        }
+                    }
+                    (accepted, rejected)
+                })
+            })
+            .collect();
+        let totals = writers
+            .into_iter()
+            .map(|h| h.join().expect("writer thread"))
+            .fold((0, 0), |(a, r), (wa, wr)| (a + wa, r + wr));
+        done.store(true, Ordering::Relaxed);
+        totals
+    });
+    assert_eq!(torn.load(Ordering::Relaxed), 0, "torn chain reads observed");
+
+    // Final state, accepted log, and clean shutdown over one connection.
+    let mut client = Client::connect(&daemon);
+    let status = client.rpc(r#"{"op":"status"}"#);
+    let final_snapshot = client.rpc(r#"{"op":"snapshot"}"#);
+    let log = client.rpc(r#"{"op":"get-log"}"#);
+    let down = client.rpc(r#"{"op":"shutdown"}"#);
+    assert!(ok(&down), "shutdown: {}", down.to_compact());
+    stopped(daemon, Daemon::wait);
+
+    let daemon_canonical = final_snapshot
+        .get("snapshot")
+        .expect("snapshot body")
+        .to_compact();
+    let (final_version, _) =
+        ChainSnapshot::verify_canonical(&daemon_canonical).expect("final snapshot consistent");
+    // Every accepted mutation bumps the version exactly once.
+    assert_eq!(
+        final_version,
+        1 + accepted,
+        "version counts accepted mutations"
+    );
+    assert_eq!(
+        status.get("accepted").and_then(Value::as_u64),
+        Some(accepted),
+        "status accepted count"
+    );
+    assert!(
+        status.get("rejected").and_then(Value::as_u64) >= Some(rejected),
+        "status rejected count"
+    );
+    let entries: Vec<LogEntry> = log
+        .get("entries")
+        .and_then(Value::as_array)
+        .expect("log entries")
+        .iter()
+        .map(|e| LogEntry::from_value(e).expect("log entry parses"))
+        .collect();
+    assert_eq!(entries.len() as u64, accepted, "log length");
+    let replayed = ControlPlane::replay(&config, false, &entries).expect("replay succeeds");
+    assert_eq!(
+        daemon_canonical,
+        replayed.snapshot().canonical,
+        "replayed state must be byte-identical to the daemon's final snapshot"
+    );
 }
