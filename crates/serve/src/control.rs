@@ -2,8 +2,8 @@
 //!
 //! [`ControlPlane`] is a plain single-threaded library struct — the daemon
 //! runs one on its control thread (serializing all mutations), and the
-//! `serve_load` harness runs a second one to replay the accepted-mutation
-//! log sequentially and compare final state byte-for-byte.
+//! churn test in `tests/serve_daemon.rs` replays the accepted-mutation log
+//! through a second one and compares final state byte-for-byte.
 //!
 //! Admission is side-effect free: a submission or a withdrawal is
 //! re-synthesized by the [`RuntimeAdapter`] and judged by `qvisor-core`'s
@@ -65,11 +65,6 @@ impl ControlPlane {
             telemetry,
             rejected: 0,
         })
-    }
-
-    /// The shared snapshot cell (what reader sessions load from).
-    pub fn cell(&self) -> Arc<SnapshotCell> {
-        Arc::clone(&self.cell)
     }
 
     /// The currently published snapshot.

@@ -25,9 +25,10 @@
 //!   set, and the append-only accepted-mutation log whose sequential
 //!   replay must rebuild byte-identical state (checked under concurrent
 //!   churn by `tests/serve_daemon.rs`).
-//! - **Daemon shell** ([`daemon`]): accept thread + per-connection
-//!   session threads + a single control thread that owns the
-//!   [`ControlPlane`] and serializes mutations.
+//! - **Daemon shell** ([`daemon`]): accept thread + per-connection session
+//!   threads, each a thin loop around a [`session`] value (framing, parsing,
+//!   the snapshot reads; no I/O) + one control thread that owns the
+//!   [`ControlPlane`] and answers every request the sessions forward.
 //! - **Statistics** ([`stats`]): per-op request counters, admission
 //!   accepts/rejects bucketed by QV-* diagnostic code, and a commit
 //!   latency histogram — surfaced both in the `status` response and as a
@@ -40,6 +41,7 @@ pub mod control;
 pub mod daemon;
 pub mod protocol;
 pub mod registry;
+pub mod session;
 pub mod stats;
 pub mod store;
 

@@ -10,8 +10,8 @@
 //! synthesized.
 //!
 //! Every snapshot carries an FNV-1a fingerprint of its canonical JSON.
-//! Clients (and the `serve_load` harness) recompute the fingerprint from
-//! the bytes they received: a mismatch would prove a torn read.
+//! Clients (and the churn test in `tests/serve_daemon.rs`) recompute it
+//! from the bytes they received: a mismatch would prove a torn read.
 
 use std::sync::{Arc, Mutex};
 
@@ -36,7 +36,7 @@ pub struct ChainEntry {
 }
 
 impl ChainEntry {
-    fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::object()
             .set("id", u64::from(self.id))
             .set("name", self.name.as_str())

@@ -136,30 +136,10 @@ impl ServeStats {
         }
         let h = &inner.commit_latency_ns;
         if h.count() > 0 {
-            let buckets: Vec<Value> = h
-                .buckets()
-                .iter()
-                .map(|b| {
-                    Value::from(vec![
-                        Value::from(b.lo),
-                        Value::from(b.hi),
-                        Value::from(b.count),
-                    ])
-                })
-                .collect();
-            let line = Value::object()
-                .set("type", "histogram")
-                .set("name", "serve_commit_latency_ns")
-                .set("labels", Value::object())
-                .set("count", h.count())
-                .set("min", h.min())
-                .set("max", h.max())
-                .set("mean", h.mean())
-                .set("p50", h.quantile(0.50))
-                .set("p90", h.quantile(0.90))
-                .set("p99", h.quantile(0.99))
-                .set("buckets", Value::from(buckets));
-            out.push_str(&line.to_compact());
+            out.push_str(
+                &h.export_line("serve_commit_latency_ns", Value::object())
+                    .to_compact(),
+            );
             out.push('\n');
         }
         out

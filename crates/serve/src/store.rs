@@ -124,11 +124,6 @@ impl PolicyStore {
         &self.policy_text
     }
 
-    /// Synthesizer options from the daemon config.
-    pub fn synth(&self) -> SynthOptions {
-        self.synth
-    }
-
     /// Is `name` currently live?
     pub fn is_live(&self, name: &str) -> bool {
         self.live.contains(name)
@@ -139,29 +134,25 @@ impl PolicyStore {
         self.live.len()
     }
 
+    /// Live tenants, in universe declaration order.
+    fn live_tenants(&self) -> impl Iterator<Item = &TenantConfig> {
+        self.universe.iter().filter(|t| self.live.contains(&t.name))
+    }
+
     /// Live tenant names, in universe declaration order.
     pub fn live_names(&self) -> Vec<String> {
-        self.universe
-            .iter()
-            .filter(|t| self.live.contains(&t.name))
-            .map(|t| t.name.clone())
-            .collect()
+        self.live_tenants().map(|t| t.name.clone()).collect()
     }
 
     /// Live tenant ids, in universe declaration order.
     pub fn live_ids(&self) -> Vec<TenantId> {
-        self.universe
-            .iter()
-            .filter(|t| self.live.contains(&t.name))
-            .map(|t| TenantId(t.id))
-            .collect()
+        self.live_tenants().map(|t| TenantId(t.id)).collect()
     }
 
     /// The operator policy projected onto the live set (`None` when no
     /// live tenant is scheduled).
     pub fn projected_policy(&self) -> Option<Policy> {
-        let names = self.live_names();
-        let keep: Vec<&str> = names.iter().map(String::as_str).collect();
+        let keep: Vec<&str> = self.live_tenants().map(|t| t.name.as_str()).collect();
         retain_tenants(&self.policy, &keep)
     }
 
@@ -182,25 +173,24 @@ impl PolicyStore {
                 }
             })
             .collect();
-        let names: Vec<&str> = tenants.iter().map(|t| t.name.as_str()).collect();
-        let policy = retain_tenants(&self.policy, &names)?;
-        Some(DeploymentConfig {
-            tenants,
-            policy: policy.to_string(),
-            synth: self.synth,
-        })
+        self.document(tenants)
     }
 
     /// The candidate deployment document for the current live set without
     /// `name` (a withdrawal under admission); `None` when no remaining
     /// tenant is scheduled.
     pub fn effective_config_without(&self, name: &str) -> Option<DeploymentConfig> {
-        let tenants: Vec<TenantConfig> = self
-            .universe
-            .iter()
-            .filter(|t| self.live.contains(&t.name) && t.name != name)
-            .cloned()
-            .collect();
+        self.document(
+            self.live_tenants()
+                .filter(|t| t.name != name)
+                .cloned()
+                .collect(),
+        )
+    }
+
+    /// The deployment document of `tenants` under the operator policy
+    /// projected onto them; `None` when none of them is scheduled.
+    fn document(&self, tenants: Vec<TenantConfig>) -> Option<DeploymentConfig> {
         let names: Vec<&str> = tenants.iter().map(|t| t.name.as_str()).collect();
         let policy = retain_tenants(&self.policy, &names)?;
         Some(DeploymentConfig {

@@ -7,6 +7,7 @@
 //! enough to report latency percentiles. Around it this type keeps what
 //! buckets cannot: the exact sum, minimum and maximum.
 
+use qvisor_sim::json::Value;
 use qvisor_sim::LogBuckets;
 
 /// Sub-bucket resolution: each power-of-two range has `2^SUB_BITS` buckets.
@@ -98,6 +99,26 @@ impl LogHistogram {
         (self.buckets.occupied())
             .map(|(lo, hi, count)| Bucket { lo, hi, count })
             .collect()
+    }
+
+    /// The telemetry export's `histogram` line for this histogram under
+    /// `name` and `labels`.
+    pub fn export_line(&self, name: &str, labels: Value) -> Value {
+        let buckets: Vec<Value> = (self.buckets().iter())
+            .map(|b| Value::from(vec![b.lo.into(), b.hi.into(), b.count.into()]))
+            .collect();
+        Value::object()
+            .set("type", "histogram")
+            .set("name", name)
+            .set("labels", labels)
+            .set("count", self.count())
+            .set("min", self.min())
+            .set("max", self.max())
+            .set("mean", self.mean())
+            .set("p50", self.quantile(0.50))
+            .set("p90", self.quantile(0.90))
+            .set("p99", self.quantile(0.99))
+            .set("buckets", Value::from(buckets))
     }
 
     /// Reset to empty.

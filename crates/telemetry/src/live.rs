@@ -535,30 +535,7 @@ impl Telemetry {
             out.push('\n');
         }
         for (name, labels, hist) in in_key_order(&reg.histograms, &QUEUE_HISTOGRAMS, &reg.queues) {
-            let h = hist.borrow();
-            let buckets: Vec<Value> = h
-                .buckets()
-                .iter()
-                .map(|b| {
-                    Value::from(vec![
-                        Value::from(b.lo),
-                        Value::from(b.hi),
-                        Value::from(b.count),
-                    ])
-                })
-                .collect();
-            let line = Value::object()
-                .set("type", "histogram")
-                .set("name", name)
-                .set("labels", labels_json(labels))
-                .set("count", h.count())
-                .set("min", h.min())
-                .set("max", h.max())
-                .set("mean", h.mean())
-                .set("p50", h.quantile(0.50))
-                .set("p90", h.quantile(0.90))
-                .set("p99", h.quantile(0.99))
-                .set("buckets", Value::from(buckets));
+            let line = hist.borrow().export_line(name, labels_json(labels));
             out.push_str(&line.to_compact());
             out.push('\n');
         }

@@ -12,7 +12,9 @@
 //! (the command `benchmark/run.sh` starts with), then every run goes
 //! through `benchmark/run.sh --workload W --seed N --seconds S --trace T`,
 //! from that side's checkout, the command `BENCHMARK.json` names. The change
-//! is the working tree, committed or not. Pair `i` runs seed `A + i`, the
+//! is the working tree, committed or not; the file names it by `HEAD` and by
+//! `change_tree`, the tree hash of the working tree as measured (new files
+//! included, ignored ones not). Pair `i` runs seed `A + i`, the
 //! parent first on even pairs and the change first on odd ones, and reads
 //! each run's result from the last line it prints. Nothing under
 //! `benchmark/` is written but what `qbench` itself leaves there: a traced
@@ -160,10 +162,16 @@ struct Run {
 }
 
 fn git(root: &Path, args: &[&str]) -> Result<String, String> {
-    let out = Command::new("git")
-        .current_dir(root)
-        .args(args)
-        .output()
+    git_with_index(root, None, args)
+}
+
+/// `git args` in `root`, with `GIT_INDEX_FILE` set to `index` when given.
+fn git_with_index(root: &Path, index: Option<&Path>, args: &[&str]) -> Result<String, String> {
+    let mut command = Command::new("git");
+    if let Some(index) = index {
+        command.env("GIT_INDEX_FILE", index);
+    }
+    let out = (command.current_dir(root).args(args).output())
         .map_err(|e| format!("git {}: {e}", args.join(" ")))?;
     if !out.status.success() {
         return Err(format!(
@@ -173,6 +181,18 @@ fn git(root: &Path, args: &[&str]) -> Result<String, String> {
         ));
     }
     Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The tree hash of `root`'s working tree as it stands: `git add -A` into
+/// a throwaway index, then `git write-tree`. Untracked files count and
+/// `.gitignore` holds; the real index and the stash do not move. A clean
+/// tree gives `HEAD^{tree}`.
+fn working_tree(root: &Path) -> Result<String, String> {
+    let index = std::env::temp_dir().join(format!("bench-pairs-{}.index", std::process::id()));
+    let tree = git_with_index(root, Some(&index), &["add", "-A"])
+        .and_then(|_| git_with_index(root, Some(&index), &["write-tree"]));
+    let _ = std::fs::remove_file(&index);
+    tree
 }
 
 fn build(side: &Side) -> Result<(), String> {
@@ -444,7 +464,7 @@ fn measure_all(root: &Path, args: &Args) -> Result<bool, String> {
         ],
     )?;
     let head = git(root, &["rev-parse", "HEAD"])?;
-    let dirty = !git(root, &["status", "--porcelain", "--untracked-files=no"])?.is_empty();
+    let tree = working_tree(root)?;
     let pairs_dir = root.join("target/bench-pairs");
     let checkout = pairs_dir.join(format!("parent-{}", &parent[..12]));
     let checkout_arg = checkout.display().to_string();
@@ -482,7 +502,7 @@ fn measure_all(root: &Path, args: &Args) -> Result<bool, String> {
     let doc = Value::object()
         .set("parent", parent.as_str())
         .set("change", head.as_str())
-        .set("change_uncommitted", dirty)
+        .set("change_tree", tree.as_str())
         .set("seconds", seconds)
         .set("trace", args.trace)
         .set(
@@ -532,6 +552,35 @@ mod tests {
         assert!(err("p --workload w --pairs 2 --seeds 1..5").contains("--pr"));
         assert!(err("p --workload w --bogus 1").contains("unknown flag"));
         assert!(err("p --workload").contains("needs a value"));
+    }
+
+    #[test]
+    fn the_change_tree_is_the_working_tree_as_measured() {
+        let repo = std::env::temp_dir().join(format!("bench-pairs-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&repo);
+        std::fs::create_dir_all(&repo).unwrap();
+        let write = |name: &str, text: &str| std::fs::write(repo.join(name), text).unwrap();
+        let git = |args: &[&str]| git(&repo, args).unwrap();
+        git(&["init", "-q"]);
+        write("tracked.txt", "one\n");
+        write(".gitignore", "ignored.txt\n");
+        git(&["add", "-A"]);
+        let who = ["-c", "user.name=t", "-c", "user.email=t@t"];
+        git(&[&who[..], &["commit", "-q", "-m", "seed"]].concat());
+        let head_tree = git(&["rev-parse", "HEAD^{tree}"]);
+        assert_eq!(working_tree(&repo).unwrap(), head_tree);
+        write("ignored.txt", "not measured\n");
+        assert_eq!(working_tree(&repo).unwrap(), head_tree, ".gitignore holds");
+        write("new.txt", "untracked\n");
+        let measured = working_tree(&repo).unwrap();
+        assert_ne!(measured, head_tree, "a new untracked file is measured");
+        assert_eq!(
+            git(&["status", "--porcelain"]),
+            "?? new.txt",
+            "the real index is untouched"
+        );
+        assert_eq!(git(&["stash", "list"]), "");
+        std::fs::remove_dir_all(&repo).unwrap();
     }
 
     #[test]

@@ -8,6 +8,7 @@ use qvisor_core::{
     compile, verify, DeploymentConfig, HardwareModel, QvisorError, SpecPaths, VerifyReport,
 };
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec, SweepSpec};
+use qvisor_serve::ServeOptions;
 use std::fmt::Write as _;
 
 /// CLI-level errors: usage problems or underlying QVISOR errors.
@@ -241,7 +242,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .get(1)
                 .ok_or_else(|| CliError::Usage("serve needs a daemon config file".into()))?;
             let opts = parse_serve_flags(&args[2..])?;
-            cmd_serve(&std::fs::read_to_string(path)?, &opts)
+            cmd_serve(&std::fs::read_to_string(path)?, opts)
         }
         Some("fuzz") => {
             let opts = parse_fuzz_flags(&args[1..])?;
@@ -322,26 +323,8 @@ fn parse_compile_flags(args: &[String]) -> Result<(usize, u32), CliError> {
     Ok((queues, rank_bits))
 }
 
-/// Options for `qvisor serve`.
-#[derive(Clone, Debug)]
-pub struct ServeOpts {
-    /// Listen address (`host:port`; port 0 picks an ephemeral port).
-    pub listen: String,
-    /// Reject submissions whose verification reports warnings.
-    pub deny_warnings: bool,
-}
-
-impl Default for ServeOpts {
-    fn default() -> ServeOpts {
-        ServeOpts {
-            listen: "127.0.0.1:4733".to_string(),
-            deny_warnings: false,
-        }
-    }
-}
-
-fn parse_serve_flags(args: &[String]) -> Result<ServeOpts, CliError> {
-    let mut opts = ServeOpts::default();
+fn parse_serve_flags(args: &[String]) -> Result<ServeOptions, CliError> {
+    let mut opts = ServeOptions::default();
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         match flag {
@@ -357,16 +340,9 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeOpts, CliError> {
 /// `{"op":"shutdown"}`. The bound address is announced on stderr (so
 /// scripts using `--listen 127.0.0.1:0` can discover the port) and the
 /// run summary is returned for stdout.
-fn cmd_serve(config_text: &str, opts: &ServeOpts) -> Result<String, CliError> {
+fn cmd_serve(config_text: &str, opts: ServeOptions) -> Result<String, CliError> {
     let config = DeploymentConfig::from_json(config_text)?;
-    let daemon = qvisor_serve::Daemon::start(
-        config,
-        qvisor_serve::ServeOptions {
-            listen: opts.listen.clone(),
-            deny_warnings: opts.deny_warnings,
-        },
-    )
-    .map_err(CliError::Serve)?;
+    let daemon = qvisor_serve::Daemon::start(config, opts).map_err(CliError::Serve)?;
     eprintln!("serve: listening on {}", daemon.local_addr());
     Ok(daemon.wait())
 }
@@ -970,7 +946,7 @@ fn cmd_monitor_live(addr: &str) -> Result<String, CliError> {
 }
 
 /// `qvisor telemetry report`: render a JSONL telemetry export (as written
-/// by `Telemetry::export_jsonl` or the bench binaries' `--telemetry` flag)
+/// by `Telemetry::export_jsonl` or `qvisor run --telemetry`)
 /// as per-tenant and per-queue summary tables.
 pub fn cmd_telemetry_report(jsonl: &str) -> Result<String, CliError> {
     qvisor_telemetry::report::render(jsonl).map_err(CliError::Telemetry)
