@@ -104,15 +104,6 @@ impl JointPolicy {
             .unwrap_or(first);
         RankRange::new(first, last.max(first))
     }
-
-    /// Layout member entry for `tenant`.
-    pub fn member(&self, tenant: TenantId) -> Option<&MemberLayout> {
-        self.layout
-            .iter()
-            .flat_map(|l| &l.groups)
-            .flat_map(|g| &g.members)
-            .find(|m| m.tenant == tenant)
-    }
 }
 
 /// Synthesize a [`JointPolicy`] from tenant specs and an operator policy.
@@ -278,6 +269,14 @@ pub fn synthesize(
 mod tests {
     use super::*;
 
+    /// The layout member entry of `tenant` in `joint`.
+    fn member(joint: &JointPolicy, tenant: TenantId) -> Option<&MemberLayout> {
+        (joint.layout.iter())
+            .flat_map(|l| &l.groups)
+            .flat_map(|g| &g.members)
+            .find(|m| m.tenant == tenant)
+    }
+
     fn fig3_specs() -> Vec<TenantSpec> {
         vec![
             TenantSpec::new(TenantId(1), "T1", "pFabric", RankRange::new(7, 9)).with_levels(3),
@@ -335,9 +334,9 @@ mod tests {
         ];
         let policy = Policy::parse("A >> B >> C").unwrap();
         let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-        let a = joint.member(TenantId(1)).unwrap().output;
-        let b = joint.member(TenantId(2)).unwrap().output;
-        let c = joint.member(TenantId(3)).unwrap().output;
+        let a = member(&joint, TenantId(1)).unwrap().output;
+        let b = member(&joint, TenantId(2)).unwrap().output;
+        let c = member(&joint, TenantId(3)).unwrap().output;
         assert!(a.max < b.min, "A {a} must sit strictly above B {b}");
         assert!(b.max < c.min, "B {b} must sit strictly above C {c}");
     }
@@ -367,8 +366,8 @@ mod tests {
         ];
         let policy = Policy::parse("A:2 + B").unwrap();
         let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-        let a = joint.member(TenantId(1)).unwrap();
-        let b = joint.member(TenantId(2)).unwrap();
+        let a = member(&joint, TenantId(1)).unwrap();
+        let b = member(&joint, TenantId(2)).unwrap();
         assert_eq!(a.levels, 4, "weight 2 doubles quantization");
         assert_eq!(b.levels, 2);
         let ca = joint.chain(TenantId(1)).unwrap();
@@ -392,8 +391,8 @@ mod tests {
         ];
         let policy = Policy::parse("A > B").unwrap();
         let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-        let a = joint.member(TenantId(1)).unwrap().output;
-        let b = joint.member(TenantId(2)).unwrap().output;
+        let a = member(&joint, TenantId(1)).unwrap().output;
+        let b = member(&joint, TenantId(2)).unwrap().output;
         // Best-effort: bands overlap (no isolation)...
         assert!(a.overlaps(&b), "preference must not isolate: {a} vs {b}");
         // ...but A is biased ahead.
@@ -408,7 +407,7 @@ mod tests {
             .collect();
         let policy = Policy::parse("T1 >> T2 > T3 + T4 >> T5").unwrap();
         let joint = synthesize(&specs, &policy, SynthConfig::default()).unwrap();
-        let out = |i: u16| joint.member(TenantId(i)).unwrap().output;
+        let out = |i: u16| member(&joint, TenantId(i)).unwrap().output;
         // T1 strictly above everyone.
         for i in 2..=5 {
             assert!(out(1).max < out(i).min);

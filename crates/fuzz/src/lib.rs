@@ -38,10 +38,10 @@
 //!    the verifier proved clean must show zero.
 //! 5. **Scenario oracle**: for non-error verdicts the engine builds the
 //!    dumbbell from that verification — deploying the joint policy it
-//!    judged, not a second synthesis — and runs it end to end with the
-//!    flight recorder on; one pass over the trace, read where the recorder
-//!    keeps it, counts cross-tenant strict-level inversions, and a trace
-//!    the recorder evicted from is reported instead of counted.
+//!    judged, not a second synthesis — and runs it end to end with a
+//!    streaming tracer: each record goes to the cross-level scan as the
+//!    run makes it, which counts cross-tenant strict-level inversions. No
+//!    trace is kept, so none is read back or can lose records.
 //!
 //! Any disagreement is auto-[minimized](minimize::minimize) — tenants
 //! dropped, levels merged, weights and transform parameters pushed toward

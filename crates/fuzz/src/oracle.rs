@@ -26,10 +26,10 @@
 //!   the pop order. No mirror is involved, so the check shares no code
 //!   with the `RankIndex` the `PifoQueue` itself is built on.
 //! * **Scenario oracle** — non-error deployments run through the scenario
-//!   `Engine` with the flight recorder on; one pass over the trace, read
-//!   in place, finds the dequeues that overtook a resident packet of a
-//!   strictly higher-priority tenant. A trace the recorder evicted from is
-//!   refused, not scanned.
+//!   `Engine` with a streaming tracer: each record goes, as the run makes
+//!   it, to a `CrossLevelScan`, which finds the dequeues that overtook a
+//!   resident packet of a strictly higher-priority tenant. No trace is
+//!   kept, so none is read back and none can lose its oldest records.
 //!
 //! A case is synthesized and verified once: it is materialized as a
 //! dumbbell [`ScenarioSpec`] first, the engine's verification judges it
@@ -56,7 +56,10 @@ use qvisor_netsim::scenario::{
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec};
 use qvisor_scheduler::{Capacity, PacketQueue, PifoQueue};
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, TenantId};
-use qvisor_telemetry::{TraceConfig, TraceKind, TraceRecord, Tracer};
+use qvisor_telemetry::trace::NO_LABEL;
+use qvisor_telemetry::{TraceKind, TraceRecord, Tracer};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::gen::{FuzzCase, STREAM_ORACLE, STREAM_PREPROC, STREAM_SCENARIO};
 
@@ -217,7 +220,7 @@ pub fn run_case_with(case: &FuzzCase, run_scenario: bool) -> CaseOutcome {
     let mut scenario_ran = false;
     if run_scenario && !report.gate_fails(false) {
         scenario_ran = true;
-        match scenario_oracle(&spec, verified, &levels) {
+        match scenario_oracle(&spec, verified, levels) {
             Ok(inversions) => {
                 if inversions > 0 && isolation_proven {
                     disagreements.push(format!(
@@ -421,7 +424,8 @@ fn sample_input(rng: &mut qvisor_sim::SimRng, min: u64, max: u64) -> u64 {
 
 /// Strict level of every tenant the verifier placed (0 = highest
 /// priority), in a table indexed by tenant id; a tenant listed twice keeps
-/// its last placement. Built once a case, read by both oracles.
+/// its last placement. Built once a case: the queue oracle reads it, and
+/// the scenario oracle's scan then keeps it.
 pub(crate) struct StrictLevels(Vec<Option<u64>>);
 
 impl StrictLevels {
@@ -573,44 +577,37 @@ fn scenario_spec(case: &FuzzCase) -> ScenarioSpec {
 }
 
 /// Run the case's dumbbell end to end through the scenario `Engine` on an
-/// exact PIFO, deploying the joint policy `verified` judged, with the
-/// flight recorder on, and count cross-tenant strict-level inversions in
-/// the trace. `Err` is the disagreement to report, the engine's refusal
+/// exact PIFO, deploying the joint policy `verified` judged, and count
+/// cross-tenant strict-level inversions as the run records them: a
+/// streaming tracer hands every record to a [`CrossLevelScan`], so no trace
+/// is kept. `Err` is the disagreement to report, the engine's refusal
 /// included.
 fn scenario_oracle(
     spec: &ScenarioSpec,
     verified: Result<Verified<'_>, ScenarioError>,
-    levels: &StrictLevels,
+    levels: StrictLevels,
 ) -> Result<u64, String> {
     let refused = |e: ScenarioError| {
         format!("scenario engine refused a deployment the verifier admitted: {e}")
     };
-    let tracer = Tracer::enabled(TraceConfig::default());
+    let verified = verified.map_err(refused)?;
+    let (tracer, scan) = streaming_scan(levels);
     Engine::new()
         .with_tracer(&tracer)
-        .build_verified(spec, verified.map_err(refused)?)
+        .build_verified(spec, verified)
         .map_err(refused)?
         .run();
-    scan_trace(&tracer, levels)
+    let inversions = scan.borrow().inversions();
+    Ok(inversions)
 }
 
-/// Count the cross-level inversions of everything `tracer` holds, read in
-/// place. A trace the flight recorder evicted records from is refused: a
-/// dequeue whose resident rivals were evicted would pass unseen.
-pub(crate) fn scan_trace(tracer: &Tracer, levels: &StrictLevels) -> Result<u64, String> {
-    tracer.visit(|view| {
-        if view.dropped > 0 {
-            return Err(format!(
-                "flight recorder evicted {} records: the cross-level scan would be partial",
-                view.dropped
-            ));
-        }
-        Ok(trace_cross_level_inversions(
-            view.labels.len(),
-            view.records(),
-            levels,
-        ))
-    })
+/// A streaming tracer whose every record a [`CrossLevelScan`] over
+/// `levels` observes, and that scan.
+fn streaming_scan(levels: StrictLevels) -> (Tracer, Rc<RefCell<CrossLevelScan>>) {
+    let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels)));
+    let sink = Rc::clone(&scan);
+    let tracer = Tracer::streaming(move |r| sink.borrow_mut().observe(r));
+    (tracer, scan)
 }
 
 /// A data packet resident in a traced queue, as the scan knows it.
@@ -622,42 +619,68 @@ struct Resident {
     rank: u64,
 }
 
-/// Count dequeues in `records` that overtook a resident packet of a
-/// strictly higher-priority tenant: for every labelled queue, a dequeue
-/// is a cross-level inversion when some resident data packet belongs to
-/// a strictly lower level (higher priority) *and* carries a strictly
-/// lower transformed rank. ACK records and tenants without a strict
-/// level (unscheduled or unknown traffic) are outside the `>>` contract
-/// and are skipped.
+/// Counts the dequeues of a trace, observed one record at a time in
+/// recording order, that overtook a resident packet of a strictly
+/// higher-priority tenant: for every labelled queue, a dequeue is a
+/// cross-level inversion when some resident data packet belongs to a
+/// strictly lower level (higher priority) *and* carries a strictly lower
+/// transformed rank. ACK records and tenants without a strict level
+/// (unscheduled or unknown traffic) are outside the `>>` contract and are
+/// skipped.
 ///
-/// One pass over the records, whose labels index a table of `labels`
-/// entries. A packet is identified per queue by `(flow, seq)`: enqueueing
-/// one that is still resident replaces its level and rank, and a dequeue
-/// or drop of one that is not resident removes nothing. A fuzz dumbbell's
-/// queues hold a handful of packets at a dequeue (tens at most), so each
-/// is a plain vector searched front to back.
-pub(crate) fn trace_cross_level_inversions(
-    labels: usize,
-    records: impl IntoIterator<Item = TraceRecord>,
-    levels: &StrictLevels,
-) -> u64 {
-    // Resident packets by label, in no particular order. Every label the
-    // table holds indexes it except `NO_LABEL`, which gets the one queue
-    // past the end.
-    let mut queues: Vec<Vec<Resident>> = vec![Vec::new(); labels + 1];
-    let mut inversions = 0;
-    for r in records {
+/// A packet is identified per queue by `(flow, seq)`: enqueueing one that
+/// is still resident replaces its level and rank, and a dequeue or drop of
+/// one that is not resident removes nothing. A fuzz dumbbell's queues hold
+/// a handful of packets at a dequeue (tens at most), so each is a plain
+/// vector searched front to back.
+struct CrossLevelScan {
+    /// The strict level of every placed tenant.
+    levels: StrictLevels,
+    /// Resident packets by label id, in no particular order; grown to the
+    /// highest label seen (a tracer's label ids count up from 0).
+    queues: Vec<Vec<Resident>>,
+    /// Resident packets of records with no label: one more queue.
+    unlabelled: Vec<Resident>,
+    inversions: u64,
+}
+
+impl CrossLevelScan {
+    /// A scan that has seen no record, over the strict levels `levels`.
+    fn new(levels: StrictLevels) -> CrossLevelScan {
+        CrossLevelScan {
+            levels,
+            queues: Vec::new(),
+            unlabelled: Vec::new(),
+            inversions: 0,
+        }
+    }
+
+    /// The cross-level inversions among the records observed so far.
+    fn inversions(&self) -> u64 {
+        self.inversions
+    }
+
+    /// Take the next record of the trace into account.
+    fn observe(&mut self, r: &TraceRecord) {
         let queued = matches!(
             r.kind,
             TraceKind::Enqueue { .. } | TraceKind::Dequeue { .. } | TraceKind::Drop { .. }
         );
         if !queued || r.ack {
-            continue;
+            return;
         }
-        let Some(level) = levels.get(r.tenant) else {
-            continue;
+        let Some(level) = self.levels.get(r.tenant) else {
+            return;
         };
-        let queue = &mut queues[(r.label as usize).min(labels)];
+        let queue = if r.label == NO_LABEL {
+            &mut self.unlabelled
+        } else {
+            let label = r.label as usize;
+            if label >= self.queues.len() {
+                self.queues.resize_with(label + 1, Vec::new);
+            }
+            &mut self.queues[label]
+        };
         let at = queue
             .iter()
             .position(|x| x.flow == r.flow && x.seq == r.seq);
@@ -678,7 +701,8 @@ pub(crate) fn trace_cross_level_inversions(
                 if let Some(at) = at {
                     queue.swap_remove(at);
                 }
-                inversions += u64::from(queue.iter().any(|x| x.level < level && x.rank < rank));
+                self.inversions +=
+                    u64::from(queue.iter().any(|x| x.level < level && x.rank < rank));
             }
             // A drop: the packet leaves without overtaking anyone.
             _ => {
@@ -688,7 +712,6 @@ pub(crate) fn trace_cross_level_inversions(
             }
         }
     }
-    inversions
 }
 
 #[cfg(test)]
@@ -697,7 +720,7 @@ mod tests {
     use crate::gen::generate_case;
     use qvisor_core::DeploymentConfig;
     use qvisor_scheduler::{FifoQueue, InstrumentedQueue};
-    use qvisor_telemetry::{trace::NO_LABEL, Telemetry, TraceData};
+    use qvisor_telemetry::{Telemetry, TraceConfig};
     use std::collections::BTreeMap;
 
     /// The scan's table of the placements in `level_of`.
@@ -949,11 +972,14 @@ mod tests {
 
     /// The trace scan before it was one pass: nested maps, label ->
     /// (flow, seq) -> (level, rank), searched in full at every dequeue.
-    fn reference_trace_scan(data: &TraceData, level_of: &BTreeMap<u16, u64>) -> u64 {
+    fn reference_trace_scan(
+        records: impl IntoIterator<Item = TraceRecord>,
+        level_of: &BTreeMap<u16, u64>,
+    ) -> u64 {
         type Residency = BTreeMap<(u64, u64), (u64, u64)>;
         let mut resident: BTreeMap<u32, Residency> = BTreeMap::new();
         let mut inversions = 0;
-        for r in data.records.iter() {
+        for r in records {
             if r.ack {
                 continue;
             }
@@ -989,10 +1015,13 @@ mod tests {
     /// A random trace over few flows, sequence numbers and labels, so that
     /// re-enqueues of resident packets, dequeues and drops of absent ones,
     /// ACKs, unplaced tenants and `NO_LABEL` records all occur — recorded
-    /// into a flight recorder, as the scenario oracle's trace is.
-    fn random_trace(rng: &mut qvisor_sim::SimRng) -> Tracer {
-        let tracer = Tracer::enabled(TraceConfig::default());
-        let labels = ["q0", "q1", "q2"].map(|l| tracer.intern(l));
+    /// on each of `tracers`, as the scenario oracle's trace is.
+    fn random_trace(rng: &mut qvisor_sim::SimRng, tracers: [&Tracer; 2]) {
+        let labels = ["q0", "q1", "q2"].map(|l| {
+            let id = tracers[0].intern(l);
+            assert_eq!(tracers[1].intern(l), id);
+            id
+        });
         for i in 0..rng.below(400) {
             let rank = [rng.below(5), u64::MAX][usize::from(rng.below(8) == 0)];
             let kind = match rng.below(8) {
@@ -1007,13 +1036,13 @@ mod tests {
             };
             let label = [labels[0], labels[1], labels[2], NO_LABEL][rng.below(4) as usize];
             let tenant = 1 + rng.below(4) as u16;
-            tracer.record(
-                TraceRecord::new(Nanos(i), rng.below(3), rng.below(4), tenant, kind)
-                    .at_label(label)
-                    .as_ack(rng.below(6) == 0),
-            );
+            let record = TraceRecord::new(Nanos(i), rng.below(3), rng.below(4), tenant, kind)
+                .at_label(label)
+                .as_ack(rng.below(6) == 0);
+            for tracer in tracers {
+                tracer.record(record);
+            }
         }
-        tracer
     }
 
     #[test]
@@ -1023,38 +1052,18 @@ mod tests {
         let mut rng = qvisor_sim::SimRng::seed_from(26);
         let mut total = 0;
         for trace in 0..300 {
-            let tracer = random_trace(&mut rng);
-            let count = scan_trace(&tracer, &levels(&level_of)).unwrap();
+            let ring = Tracer::enabled(TraceConfig::default());
+            let (stream, scan) = streaming_scan(levels(&level_of));
+            random_trace(&mut rng, [&ring, &stream]);
+            let count = scan.borrow().inversions();
             assert_eq!(
                 count,
-                reference_trace_scan(&tracer.snapshot(), &level_of),
+                reference_trace_scan(ring.snapshot().records.iter(), &level_of),
                 "trace {trace}"
             );
             total += count;
         }
         assert!(total > 0, "no generated trace holds an inversion");
-    }
-
-    #[test]
-    fn a_trace_the_recorder_evicted_from_is_refused() {
-        let levels = levels(&BTreeMap::from([(1, 0), (2, 1)]));
-        let tracer = Tracer::enabled(TraceConfig {
-            capacity: 1,
-            ..TraceConfig::default()
-        });
-        assert_eq!(scan_trace(&tracer, &levels), Ok(0));
-        for t in 0..2 {
-            let enqueue = TraceKind::Enqueue { rank: t };
-            tracer.record(TraceRecord::new(Nanos(t), 1, t, 1, enqueue));
-        }
-        assert_eq!(
-            scan_trace(&tracer, &levels),
-            Err(
-                "flight recorder evicted 1 records: the cross-level scan would be partial"
-                    .to_string()
-            )
-        );
-        assert_eq!(scan_trace(&Tracer::disabled(), &levels), Ok(0));
     }
 
     /// Generated case 0 with its config replaced by a two-tenant `A >> B`
@@ -1107,14 +1116,79 @@ mod tests {
             flow.size = 50_000;
             flow.start_ns = if flow.tenant == 2 { 0 } else { 10_000 };
         }
-        let tracer = Tracer::enabled(TraceConfig::default());
-        Engine::new().with_tracer(&tracer).run(&spec).unwrap();
-        let count = scan_trace(&tracer, &levels(&level_of)).unwrap();
-        assert_eq!(count, reference_trace_scan(&tracer.snapshot(), &level_of));
+        let ring = Tracer::enabled(TraceConfig::default());
+        Engine::new().with_tracer(&ring).run(&spec).unwrap();
+        let (stream, scan) = streaming_scan(levels(&level_of));
+        Engine::new().with_tracer(&stream).run(&spec).unwrap();
+        let count = scan.borrow().inversions();
+        let recorded = ring.snapshot().records;
+        assert_eq!(count, reference_trace_scan(recorded.iter(), &level_of));
         assert!(
             count > 0,
             "the FIFO dumbbell showed no cross-level inversion"
         );
+    }
+
+    #[test]
+    fn a_streamed_scenario_trace_equals_the_flight_recorders_on_seed_1_cases() {
+        // Every case of the first 300 whose scenario stage runs the engine,
+        // run twice: into a flight recorder, and streamed to a scan. A
+        // dequeue's transformed rank at or above 2^32 takes the ring's wide
+        // form, one from 2^12 its compact form.
+        let (mut ran, mut compact, mut wide) = (0, 0, 0);
+        for index in 0..300 {
+            let case = generate_case(crate::DEFAULT_SEED, index);
+            let spec = scenario_spec(&case);
+            let verify = || Engine::new().verify(&spec, &SpecPaths::config());
+            let Ok(verified) = verify() else { continue };
+            if verified.report().gate_fails(false) {
+                continue;
+            }
+            ran += 1;
+            let level_of = level_map(verified.report());
+            let ring = Tracer::enabled(TraceConfig::default());
+            let built = Engine::new()
+                .with_tracer(&ring)
+                .build_verified(&spec, verified);
+            built.unwrap().run();
+
+            let streamed = Rc::new(RefCell::new(Vec::new()));
+            let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels(&level_of))));
+            let (records, sink) = (Rc::clone(&streamed), Rc::clone(&scan));
+            let stream = Tracer::streaming(move |r| {
+                records.borrow_mut().push(*r);
+                sink.borrow_mut().observe(r);
+            });
+            let built = Engine::new()
+                .with_tracer(&stream)
+                .build_verified(&spec, verify().unwrap());
+            built.unwrap().run();
+
+            ring.visit(|view| {
+                assert_eq!(view.dropped, 0, "case {index}");
+                assert!(
+                    view.records().eq(streamed.borrow().iter().copied()),
+                    "case {index}: the stream is not the recorder's trace"
+                );
+                let mut ring_scan = CrossLevelScan::new(levels(&level_of));
+                view.records().for_each(|r| ring_scan.observe(&r));
+                let count = scan.borrow().inversions();
+                assert_eq!(ring_scan.inversions(), count, "case {index}");
+                assert_eq!(
+                    reference_trace_scan(view.records(), &level_of),
+                    count,
+                    "case {index}"
+                );
+            });
+            for r in streamed.borrow().iter() {
+                if let TraceKind::Dequeue { rank, .. } = r.kind {
+                    compact += u64::from((1 << 12..1 << 32).contains(&rank));
+                    wide += u64::from(rank >= 1 << 32);
+                }
+            }
+        }
+        assert!(ran > 100, "only {ran} cases ran the scenario stage");
+        assert!(compact > 0 && wide > 0, "compact {compact}, wide {wide}");
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl TopologySpec {
     /// Number of hosts the built topology will expose, in canonical order
     /// (leaf–spine: rack-major; dumbbell: senders then receivers; fat
     /// tree: pod order).
-    pub fn host_count(&self) -> usize {
+    fn host_count(&self) -> usize {
         match *self {
             TopologySpec::LeafSpine {
                 leaves,

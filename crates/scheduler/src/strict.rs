@@ -97,11 +97,6 @@ impl<M: QueueMapper> StrictPriorityBank<M> {
             bytes: 0,
         }
     }
-
-    /// Access the mapper (e.g. to inspect adapted SP-PIFO bounds).
-    pub fn mapper(&self) -> &M {
-        &self.mapper
-    }
 }
 
 impl<M: QueueMapper> PacketQueue for StrictPriorityBank<M> {

@@ -8,7 +8,10 @@
 //! each request in turn with `answer`: so the accepted-mutation log is a
 //! faithful sequential history. Shutdown flips the stop flag, wakes the
 //! accept loop with a loopback connect and ends every telemetry stream;
-//! `Daemon::wait` then closes idle connections and joins every thread.
+//! `Daemon::wait` then closes idle connections and joins every thread. The
+//! accept loop drops the handle of each session that has finished before it
+//! keeps the next, so a long-running daemon holds the threads of its open
+//! connections only.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -151,7 +154,7 @@ impl Daemon {
             .recv()
             .map_err(|_| "control thread died during startup".to_string())??;
 
-        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let accept = {
             let shared = Arc::clone(&shared);
             let control_tx = control_tx.clone();
@@ -178,10 +181,12 @@ impl Daemon {
                             shared.deregister(id);
                         }
                     });
-                    sessions
-                        .lock()
-                        .expect("session table poisoned")
-                        .push(handle);
+                    let mut sessions = sessions.lock().expect("session table poisoned");
+                    // A finished session leaves nothing to join: dropping
+                    // its handle releases its thread's stack now, not at
+                    // `wait`.
+                    sessions.retain(|session| !session.is_finished());
+                    sessions.push(handle);
                 }
             })
         };
@@ -378,6 +383,47 @@ mod tests {
         let _idle = TcpStream::connect(daemon.local_addr()).unwrap();
         let summary = stopped(daemon, Daemon::shutdown);
         assert!(summary.contains("shut down"), "{summary}");
+    }
+
+    #[test]
+    fn the_session_table_forgets_finished_connections() {
+        let daemon = start();
+        let shared = Arc::clone(&daemon.shared);
+        let one_request = || {
+            let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
+            stream.set_read_timeout(Some(WATCHDOG)).unwrap();
+            stream.write_all(b"{\"op\":\"status\"}\n").unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            assert_eq!(reply.lines().count(), 1, "{reply}");
+        };
+        (0..50).for_each(|_| one_request());
+        // Each accept drops the handles of the sessions finished by then;
+        // one that was still closing goes at a later accept. A few more
+        // connections, spaced out, must bring the table down: a bounded
+        // number, so that a daemon that keeps every handle fails here
+        // holding 70 threads, not thousands.
+        let held = || daemon.sessions.lock().unwrap().len();
+        let deadline = std::time::Instant::now() + WATCHDOG;
+        for extra in 0.. {
+            if held() <= 2 {
+                break;
+            }
+            assert!(
+                extra < 20 && std::time::Instant::now() < deadline,
+                "{} session handles held after {} finished connections",
+                held(),
+                50 + extra
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            one_request();
+        }
+        let summary = stopped(daemon, Daemon::shutdown);
+        assert!(summary.contains("shut down"), "{summary}");
+        // Every thread that shared the daemon's state has ended.
+        assert!(shared.conns.lock().unwrap().is_empty());
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

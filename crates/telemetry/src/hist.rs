@@ -88,12 +88,6 @@ impl LogHistogram {
         self.buckets.quantile(p).map(|hi| hi.min(self.max))
     }
 
-    /// Width of the bucket that `v` falls in (the quantile error bound at
-    /// that magnitude).
-    pub fn bucket_width(v: u64) -> u64 {
-        LogBuckets::<SUB_BITS>::bucket_width(v)
-    }
-
     /// Occupied buckets in ascending value order.
     pub fn buckets(&self) -> Vec<Bucket> {
         (self.buckets.occupied())
@@ -182,7 +176,7 @@ mod tests {
             let rank = ((p * sorted.len() as f64).ceil() as usize).max(1) - 1;
             let exact = sorted[rank];
             let est = h.quantile(p).unwrap();
-            let width = LogHistogram::bucket_width(exact);
+            let width = LogBuckets::<SUB_BITS>::bucket_width(exact);
             assert!(
                 est >= exact && est - exact <= width,
                 "p={p}: est {est} vs exact {exact}, width {width}"

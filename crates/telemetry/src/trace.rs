@@ -9,8 +9,14 @@
 //! on large runs: whether a flow is sampled is a pure function of
 //! `(seed, flow id)`, so the same run always traces the same flows.
 //!
+//! A recording tracer has one of two stores. [`Tracer::enabled`]'s is the
+//! ring: the newest records, kept for [`Tracer::visit`] and
+//! [`Tracer::snapshot`] to read. [`Tracer::streaming`]'s keeps nothing and
+//! hands each record to a sink as it is recorded, for a reader that looks
+//! at every record once, in order, while the run goes on.
+//!
 //! Like the rest of the crate, tracing is switched off at run time: a
-//! [`Tracer::disabled`] handle holds no ring and each call on it is one
+//! [`Tracer::disabled`] handle holds no store and each call on it is one
 //! branch. The serialized [`TraceData`] model, its JSONL format, and the
 //! [`render_report`] renderer depend only on that format, so they digest
 //! traces from a file as readily as from a live ring (mirroring
@@ -1138,15 +1144,42 @@ mod ring {
     }
 }
 
-#[derive(Default)]
 struct TraceBuf {
-    ring: ring::Ring,
+    store: Store,
     /// Interned labels by id: the one copy of each.
     labels: Vec<String>,
     /// Every label id, sorted by its label: what [`Tracer::intern`]
     /// searches.
     by_label: Vec<u32>,
     dropped: u64,
+}
+
+/// Where a recording [`Tracer`]'s records go.
+enum Store {
+    /// The flight recorder's ring: the newest `capacity` records, kept
+    /// for [`Tracer::visit`] and [`Tracer::snapshot`].
+    Ring(ring::Ring),
+    /// Each record, handed to the sink as it is recorded; nothing is kept.
+    Stream(Box<dyn FnMut(&TraceRecord)>),
+}
+
+impl TraceBuf {
+    fn new(store: Store) -> TraceBuf {
+        TraceBuf {
+            store,
+            labels: Vec::new(),
+            by_label: Vec::new(),
+            dropped: 0,
+        }
+    }
+
+    /// The ring, unless records stream.
+    fn ring(&self) -> Option<&ring::Ring> {
+        match &self.store {
+            Store::Ring(ring) => Some(ring),
+            Store::Stream(_) => None,
+        }
+    }
 }
 
 /// Everything a [`Tracer`] holds, read where it lies: the visitor of
@@ -1189,7 +1222,10 @@ pub struct Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(b) => write!(f, "Tracer(records={})", b.borrow().ring.len()),
+            Some(b) => match b.borrow().ring() {
+                Some(ring) => write!(f, "Tracer(records={})", ring.len()),
+                None => write!(f, "Tracer(streaming)"),
+            },
             None => write!(f, "Tracer(disabled)"),
         }
     }
@@ -1199,10 +1235,30 @@ impl Tracer {
     /// A recording instance with the given configuration.
     pub fn enabled(cfg: TraceConfig) -> Tracer {
         Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceBuf::default()))),
+            inner: Some(Rc::new(RefCell::new(TraceBuf::new(Store::Ring(
+                ring::Ring::default(),
+            ))))),
             capacity: cfg.capacity,
             sample_one_in: cfg.sample_one_in.max(1),
             seed: cfg.seed,
+        }
+    }
+
+    /// A recording instance that keeps nothing: every flow is sampled and
+    /// labels intern as [`Tracer::enabled`]'s do, but each record goes to
+    /// `sink` as it is recorded, in order. [`Tracer::visit`] and
+    /// [`Tracer::snapshot`] see the labels and no record, and
+    /// [`Tracer::len`] and [`Tracer::dropped`] read 0: nothing is retained,
+    /// so nothing is evicted. The recorder stays borrowed while `sink`
+    /// runs: the sink must not call this tracer or a clone of it.
+    pub fn streaming(sink: impl FnMut(&TraceRecord) + 'static) -> Tracer {
+        Tracer {
+            inner: Some(Rc::new(RefCell::new(TraceBuf::new(Store::Stream(
+                Box::new(sink),
+            ))))),
+            capacity: 0,
+            sample_one_in: 1,
+            seed: TraceConfig::default().seed,
         }
     }
 
@@ -1251,27 +1307,32 @@ impl Tracer {
     }
 
     /// Append one record, evicting (and counting) the oldest at
-    /// capacity. Callers are expected to have checked
-    /// [`Tracer::sampled`]; recording is unconditional here so
-    /// non-flow records (if any) can still be traced.
+    /// capacity, or hand it to a [`Tracer::streaming`] sink. Callers are
+    /// expected to have checked [`Tracer::sampled`]; recording is
+    /// unconditional here so non-flow records (if any) can still be traced.
     #[inline]
     pub fn record(&self, record: TraceRecord) {
         if let Some(buf) = &self.inner {
             let buf = &mut *buf.borrow_mut();
-            if buf.ring.push(self.capacity, Slot::pack(record)) {
-                buf.dropped += 1;
+            match &mut buf.store {
+                Store::Ring(ring) => {
+                    if ring.push(self.capacity, Slot::pack(record)) {
+                        buf.dropped += 1;
+                    }
+                }
+                Store::Stream(sink) => sink(&record),
             }
         }
     }
 
-    /// Records evicted so far (0 when disabled).
+    /// Records evicted so far (0 when disabled or streaming).
     pub fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |b| b.borrow().dropped)
     }
 
-    /// Records currently retained (0 when disabled).
+    /// Records currently retained (0 when disabled or streaming).
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |b| b.borrow().ring.len())
+        (self.inner.as_ref()).map_or(0, |b| b.borrow().ring().map_or(0, ring::Ring::len))
     }
 
     /// True when nothing is retained.
@@ -1280,12 +1341,14 @@ impl Tracer {
     }
 
     /// Hand `visitor` everything recorded so far, in place (nothing when
-    /// disabled), and return what it returns. The recorder stays borrowed
-    /// for the call: the visitor must not record on it.
+    /// disabled, the labels alone when streaming), and return what it
+    /// returns. The recorder stays borrowed for the call: the visitor must
+    /// not record on it.
     pub fn visit<R>(&self, visitor: impl FnOnce(TraceView<'_>) -> R) -> R {
         let buf = self.inner.as_ref().map(|buf| buf.borrow());
         let none = Slots::default();
-        let (slots, head) = buf.as_ref().map_or((&none, 0), |b| b.ring.slots());
+        let (slots, head) =
+            (buf.as_ref().and_then(|b| b.ring())).map_or((&none, 0), ring::Ring::slots);
         visitor(TraceView {
             slots,
             head,
@@ -1297,14 +1360,16 @@ impl Tracer {
         })
     }
 
-    /// Snapshot everything recorded so far (empty when disabled). The
-    /// records are the ring itself, lent in O(1): nothing is decoded or
-    /// copied unless the recorder records again while the snapshot lives.
+    /// Snapshot everything recorded so far (empty when disabled, the
+    /// labels alone when streaming). The records are the ring itself, lent
+    /// in O(1): nothing is decoded or copied unless the recorder records
+    /// again while the snapshot lives.
     pub fn snapshot(&self) -> TraceData {
         let mut buf = self.inner.as_ref().map(|buf| buf.borrow_mut());
-        let (slots, head) = buf
-            .as_mut()
-            .map_or_else(Default::default, |b| b.ring.lend());
+        let (slots, head) = match buf.as_deref_mut().map(|b| &mut b.store) {
+            Some(Store::Ring(ring)) => ring.lend(),
+            _ => Default::default(),
+        };
         TraceData {
             records: Records { slots, head },
             labels: buf.as_ref().map_or_else(Vec::new, |b| b.labels.clone()),
@@ -2131,15 +2196,72 @@ mod tests {
     }
 
     #[test]
+    fn a_streaming_tracer_hands_its_sink_what_a_ring_keeps() {
+        let mut rng = SimRng::seed_from(43);
+        let edges: Vec<TraceRecord> = edge_records().into_iter().map(|(r, _)| r).collect();
+        let (mut kinds, mut forms, mut unlabelled) = (BTreeSet::new(), BTreeSet::new(), 0);
+        for sequence in 0..64 {
+            let ring = Tracer::enabled(TraceConfig::default());
+            let streamed = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&streamed);
+            let stream = Tracer::streaming(move |r| sink.borrow_mut().push(*r));
+            assert!((0..100).all(|flow| stream.sampled(flow)), "every flow");
+            // Below the ring's capacity, so that it evicts nothing.
+            let mut records = Vec::new();
+            for _ in 0..rng.below(300) {
+                let mut r = match rng.below(4) {
+                    0 => edges[rng.below(edges.len() as u64) as usize],
+                    _ => any_record(&mut rng),
+                };
+                if rng.below(2) == 0 {
+                    let label = format!("n{}.p{}", rng.below(4), rng.below(3));
+                    r.label = ring.intern(&label);
+                    assert_eq!(stream.intern(&label), r.label, "{label}");
+                }
+                ring.record(r);
+                stream.record(r);
+                records.push(r);
+            }
+            ring.visit(|view| assert!(view.records().eq(records.iter().copied())));
+            assert_eq!(*streamed.borrow(), records, "sequence {sequence}");
+            kinds.extend(records.iter().map(|r| r.kind.tag()));
+            forms.extend(records.iter().map(|&r| Form::of(r)));
+            unlabelled += records.iter().filter(|r| r.label == NO_LABEL).count();
+            // The stream keeps the labels and nothing else.
+            let labels = ring.snapshot().labels;
+            assert_eq!((stream.len(), stream.dropped()), (0, 0));
+            assert!(stream.is_empty());
+            stream.visit(|view| {
+                assert_eq!(view.records().count(), 0);
+                assert_eq!((view.labels, view.dropped), (&labels[..], 0));
+            });
+            let snap = stream.snapshot();
+            assert!(snap.records.is_empty());
+            assert_eq!((snap.labels, snap.dropped), (labels, 0));
+        }
+        assert_eq!(kinds.len(), 10, "every kind streamed");
+        assert_eq!(forms.len(), 3, "every slot form went through the ring");
+        assert!(unlabelled > 0, "no NO_LABEL record");
+    }
+
+    #[test]
     fn a_ring_of_narrow_records_reserves_16_bytes_a_record_and_no_other_part() {
         let capacity = TraceConfig::default().capacity;
         let t = Tracer::enabled(TraceConfig::default());
-        let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let ring = || {
+            t.inner
+                .as_ref()
+                .unwrap()
+                .borrow()
+                .ring()
+                .unwrap()
+                .reserved()
+        };
         let reserved = || ring().1;
         // How far the remainders and the wide halves are zeroed.
         let zeroed = || {
             let buf = t.inner.as_ref().unwrap().borrow();
-            let slots = buf.ring.slots().0;
+            let slots = buf.ring().unwrap().slots().0;
             [slots.mid.len(), slots.hi.len()]
         };
         let dequeue = |i: u64| {
@@ -2210,7 +2332,15 @@ mod tests {
             capacity: 7,
             ..TraceConfig::default()
         });
-        let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let reserved = || {
+            t.inner
+                .as_ref()
+                .unwrap()
+                .borrow()
+                .ring()
+                .unwrap()
+                .reserved()
+        };
         let mut rng = SimRng::seed_from(39);
         let mut model: VecDeque<TraceRecord> = VecDeque::new();
         let mut record = |form: Form, model: &mut VecDeque<TraceRecord>| loop {
@@ -2265,7 +2395,15 @@ mod tests {
             capacity: 7,
             ..TraceConfig::default()
         });
-        let reserved = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let reserved = || {
+            t.inner
+                .as_ref()
+                .unwrap()
+                .borrow()
+                .ring()
+                .unwrap()
+                .reserved()
+        };
         let narrow = stamped(10);
         narrow.iter().for_each(|&r| t.record(r));
         let held = t.snapshot();
@@ -2376,7 +2514,15 @@ mod tests {
             capacity: 800,
             ..TraceConfig::default()
         });
-        let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let ring = || {
+            t.inner
+                .as_ref()
+                .unwrap()
+                .borrow()
+                .ring()
+                .unwrap()
+                .reserved()
+        };
         assert_eq!(ring().1, [0; 3], "an unused tracer owns nothing");
         let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
         t.record(record(0));
@@ -2457,7 +2603,15 @@ mod tests {
             capacity: 100,
             ..TraceConfig::default()
         });
-        let ring = || t.inner.as_ref().unwrap().borrow().ring.reserved();
+        let ring = || {
+            t.inner
+                .as_ref()
+                .unwrap()
+                .borrow()
+                .ring()
+                .unwrap()
+                .reserved()
+        };
         let record = |i| TraceRecord::new(Nanos(i), i, 0, 0, TraceKind::FlowStart { size: i });
         let stamps = |data: &TraceData| -> Vec<u64> {
             data.records.iter().map(|r| r.t.as_nanos()).collect()

@@ -40,7 +40,10 @@
 //! does not keep an item alive. Deliberate API with no such caller is
 //! listed in [`DEAD_PUB_ALLOWED`] with its reason. The scan is textual —
 //! an identifier named anywhere else keeps every item of that name alive
-//! — so it misses some orphans, but every finding is real.
+//! — so it misses some orphans, but every finding is real. An indented
+//! `pub fn` (a method or an associated fn) is kept alive only by a `.name`
+//! or `::name` elsewhere, so a local or a field that shares a common
+//! method name (`cell`, `stat`) does not hide it.
 
 mod bench_pairs;
 
@@ -241,6 +244,13 @@ const DEAD_PUB_ALLOWED: &[(&str, &str)] = &[
     // The alert counts and sim-times the SLO tests read.
     ("telemetry/src/monitor.rs", "alerts_fired"),
     ("telemetry/src/monitor.rs", "alert_events"),
+    // The quantile error bound the histogram and SLO sketch tests check.
+    ("sim/src/stats.rs", "bucket_width"),
+    // A site's aggregate, which the scheduler's and simulator's tests read.
+    ("telemetry/src/profile.rs", "stat"),
+    // The ring read in place, without a snapshot: a one-pass reader's way in,
+    // and what the tests hold a streamed trace against.
+    ("telemetry/src/trace.rs", "visit"),
 ];
 
 /// Where a reference may come from: every non-test source tree that links
@@ -257,7 +267,7 @@ const ITEM_KINDS: &[&str] = &[
 /// that no other file names, less [`DEAD_PUB_ALLOWED`].
 fn dead_pub_findings(sources: &[(String, String)]) -> Vec<Finding> {
     let live: Vec<Vec<Option<String>>> = sources.iter().map(|(_, text)| live_code(text)).collect();
-    let idents: Vec<BTreeSet<String>> = live.iter().map(|code| referenced_idents(code)).collect();
+    let refs: Vec<References> = live.iter().map(|code| referenced_idents(code)).collect();
     let mut findings = Vec::new();
     for (i, (path, _)) in sources.iter().enumerate() {
         let in_crate_src = path.starts_with("crates/") && path.contains("/src/");
@@ -272,8 +282,16 @@ fn dead_pub_findings(sources: &[(String, String)]) -> Vec<Finding> {
             // A type a public signature of its own file names is part of
             // that signature's interface: it cannot be private.
             let value = matches!(kind, "fn" | "const" | "static");
+            // An indented `pub fn` is a method or an associated fn: it is
+            // called as `.name` or `::name`, so a bare `name` elsewhere (a
+            // local, a field, a free fn) does not keep it alive.
+            let member = kind == "fn" && code.as_deref().is_some_and(|c| c.starts_with(' '));
+            let named_in = |refs: &References| match member {
+                true => refs.members.contains(&name),
+                false => refs.names.contains(&name),
+            };
             let named_elsewhere = (!value && interface.contains(&name))
-                || (idents.iter().enumerate()).any(|(j, names)| j != i && names.contains(&name));
+                || (refs.iter().enumerate()).any(|(j, refs)| j != i && named_in(refs));
             let allowed = (DEAD_PUB_ALLOWED.iter())
                 .any(|(file, item)| path == &format!("crates/{file}") && *item == name);
             if !named_elsewhere && !allowed {
@@ -365,11 +383,20 @@ fn idents_of(code: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
 }
 
+/// The identifiers a file's code names.
+#[derive(Default)]
+struct References {
+    /// Every identifier.
+    names: BTreeSet<String>,
+    /// Those right after a `.` or a `::`: methods, fields and path members.
+    members: BTreeSet<String>,
+}
+
 /// Every identifier named on a non-test, non-`use` line of `live`.
 /// Comments and string literals are not code (see [`code_lines`]); a `use`
 /// statement imports or re-exports a name without using it.
-fn referenced_idents(live: &[Option<String>]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
+fn referenced_idents(live: &[Option<String>]) -> References {
+    let mut refs = References::default();
     let mut in_use = false;
     for code in live.iter().flatten() {
         let trimmed = code.trim_start();
@@ -381,9 +408,16 @@ fn referenced_idents(live: &[Option<String>]) -> BTreeSet<String> {
             in_use = !code.contains(';');
             continue;
         }
-        names.extend(idents_of(code).map(String::from));
+        for ident in idents_of(code) {
+            // Where `ident` starts in `code`, of which it is a slice.
+            let before = &code[..ident.as_ptr() as usize - code.as_ptr() as usize];
+            if before.ends_with('.') || before.ends_with("::") {
+                refs.members.insert(ident.to_string());
+            }
+            refs.names.insert(ident.to_string());
+        }
     }
-    names
+    refs
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -797,6 +831,41 @@ mod tests {
             "pub struct Scratch;\nfn f() { let _s = Scratch; }\n",
         )]);
         assert_eq!(dead_pub_findings(&src).len(), 1);
+    }
+
+    #[test]
+    fn a_method_is_kept_alive_only_by_a_member_reference() {
+        let plane = (
+            "crates/a/src/plane.rs",
+            "pub struct Plane;\nimpl Plane {\n    pub fn new() -> Plane { Plane }\n    \
+             pub fn cell(&self) -> u8 { 0 }\n}\n",
+        );
+        // A local, a field and a free fn of the same name call no method.
+        let bare = "fn f(s: S) {\n    let cell = 1;\n    cell();\n    s.x = S { cell };\n    \
+                    let _p = a::Plane::new();\n}\n";
+        let f = dead_pub_findings(&sources(&[plane, ("crates/b/src/lib.rs", bare)]));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(
+            (f[0].path.as_str(), f[0].line),
+            ("crates/a/src/plane.rs", 4)
+        );
+        assert!(f[0].msg.contains("`pub fn cell`"), "{f:?}");
+        // A method call, a path and a call on the next line of a chain do.
+        for call in [
+            "let _ = p.cell();",
+            "let _ = Plane::cell(&p);",
+            "let _ = p\n        .cell();",
+        ] {
+            let user = format!("fn f(p: a::Plane) {{\n    {call}\n    a::Plane::new();\n}}\n");
+            let src = sources(&[plane, ("crates/b/src/lib.rs", &user)]);
+            assert!(dead_pub_findings(&src).is_empty(), "{call}");
+        }
+        // A free `pub fn` keeps the old rule: any mention elsewhere.
+        let free = sources(&[
+            ("crates/a/src/lib.rs", "pub fn cell() {}\n"),
+            ("crates/b/src/lib.rs", "fn f() { let g = cell; g(); }\n"),
+        ]);
+        assert!(dead_pub_findings(&free).is_empty());
     }
 
     #[test]
