@@ -29,10 +29,12 @@ use crate::policy::Policy;
 use crate::spec::{SynthConfig, TenantSpec};
 use crate::synth::{synthesize, JointPolicy};
 use qvisor_ranking::RankRange;
-use qvisor_sim::json::{self, Value};
+use qvisor_sim::json::{Field, FieldError, Obj, Path, Value};
 use qvisor_sim::TenantId;
 
-/// One tenant's entry in the configuration.
+/// One tenant's declaration: the tenant document of a configuration, a
+/// scenario's `qvisor.tenants`, a `submit-policy` request and the daemon's
+/// log all read and write it through this one codec.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Tenant identifier carried in packet labels.
@@ -47,6 +49,65 @@ pub struct TenantConfig {
     pub rank_max: u64,
     /// Optional quantization override (omitted from JSON when `None`).
     pub levels: Option<u64>,
+}
+
+impl TenantConfig {
+    /// The tenant's own rules: a non-empty rank range and at least one
+    /// quantization level. On failure, what the declaration gets wrong.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        if self.rank_min > self.rank_max {
+            return Err(format!(
+                "declares an empty rank range [{}, {}]",
+                self.rank_min, self.rank_max
+            ));
+        }
+        if self.levels == Some(0) {
+            return Err("declares zero quantization levels".to_string());
+        }
+        Ok(())
+    }
+
+    /// The synthesizer's view of a declaration that passed
+    /// [`TenantConfig::check`].
+    pub fn spec(&self) -> TenantSpec {
+        let mut spec = TenantSpec::new(
+            TenantId(self.id),
+            self.name.clone(),
+            self.algorithm.clone(),
+            RankRange::new(self.rank_min, self.rank_max),
+        );
+        spec.levels = self.levels;
+        spec
+    }
+
+    /// The tenant document (`levels` only when set).
+    pub fn to_value(&self) -> Value {
+        let v = Value::object()
+            .set("id", self.id)
+            .set("name", self.name.as_str())
+            .set("algorithm", self.algorithm.as_str())
+            .set("rank_min", self.rank_min)
+            .set("rank_max", self.rank_max);
+        match self.levels {
+            Some(levels) => v.set("levels", levels),
+            None => v,
+        }
+    }
+}
+
+impl Field<'_> for TenantConfig {
+    fn read(v: &Value, at: Path<'_>) -> std::result::Result<TenantConfig, FieldError> {
+        let keys = &["id", "name", "algorithm", "rank_min", "rank_max", "levels"];
+        let o = Obj::new(v, at, keys)?;
+        Ok(TenantConfig {
+            id: o.req("id")?,
+            name: o.req("name")?,
+            algorithm: o.req("algorithm")?,
+            rank_min: o.req("rank_min")?,
+            rank_max: o.req("rank_max")?,
+            levels: o.opt("levels")?,
+        })
+    }
 }
 
 /// Synthesizer options, all defaulted (each may be omitted from JSON).
@@ -71,6 +132,19 @@ impl Default for SynthOptions {
     }
 }
 
+impl Field<'_> for SynthOptions {
+    fn read(v: &Value, at: Path<'_>) -> std::result::Result<SynthOptions, FieldError> {
+        let d = SynthOptions::default();
+        let keys = &["default_levels", "first_rank", "pref_bias_divisor"];
+        let o = Obj::new(v, at, keys)?;
+        Ok(SynthOptions {
+            default_levels: o.or("default_levels", d.default_levels)?,
+            first_rank: o.or("first_rank", d.first_rank)?,
+            pref_bias_divisor: o.or("pref_bias_divisor", d.pref_bias_divisor)?,
+        })
+    }
+}
+
 /// A complete QVISOR deployment description.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeploymentConfig {
@@ -82,103 +156,35 @@ pub struct DeploymentConfig {
     pub synth: SynthOptions,
 }
 
-fn config_err(e: json::ParseError) -> QvisorError {
-    QvisorError::Parse {
-        at: e.at,
-        msg: format!("configuration JSON: {}", e.msg),
+impl Field<'_> for DeploymentConfig {
+    fn read(v: &Value, at: Path<'_>) -> std::result::Result<DeploymentConfig, FieldError> {
+        let o = Obj::new(v, at, &["tenants", "policy", "synth"])?;
+        Ok(DeploymentConfig {
+            tenants: o.req("tenants")?,
+            policy: o.req("policy")?,
+            synth: o.opt("synth")?.unwrap_or_default(),
+        })
     }
-}
-
-fn semantic(msg: impl Into<String>) -> json::ParseError {
-    json::ParseError {
-        at: 0,
-        msg: msg.into(),
-    }
-}
-
-fn tenant_from_value(v: &Value) -> std::result::Result<TenantConfig, json::ParseError> {
-    let id = json::field_u64(v, "id")?;
-    let id =
-        u16::try_from(id).map_err(|_| semantic("field 'id' does not fit a tenant id (u16)"))?;
-    let levels = match v.get("levels") {
-        None => None,
-        Some(l) if l.is_null() => None,
-        Some(l) => Some(
-            l.as_u64()
-                .ok_or_else(|| semantic("field 'levels' must be a non-negative integer"))?,
-        ),
-    };
-    Ok(TenantConfig {
-        id,
-        name: json::field_str(v, "name")?.to_string(),
-        algorithm: json::field_str(v, "algorithm")?.to_string(),
-        rank_min: json::field_u64(v, "rank_min")?,
-        rank_max: json::field_u64(v, "rank_max")?,
-        levels,
-    })
-}
-
-fn synth_from_value(v: &Value) -> std::result::Result<SynthOptions, json::ParseError> {
-    let defaults = SynthOptions::default();
-    let opt = |key: &str, fallback: u64| match v.get(key) {
-        None => Ok(fallback),
-        Some(x) => x
-            .as_u64()
-            .ok_or_else(|| semantic(format!("field '{key}' must be a non-negative integer"))),
-    };
-    Ok(SynthOptions {
-        default_levels: opt("default_levels", defaults.default_levels)?,
-        first_rank: opt("first_rank", defaults.first_rank)?,
-        pref_bias_divisor: opt("pref_bias_divisor", defaults.pref_bias_divisor)?,
-    })
 }
 
 impl DeploymentConfig {
     /// Parse from JSON.
     pub fn from_json(text: &str) -> Result<DeploymentConfig> {
-        let root = Value::parse(text).map_err(config_err)?;
-        let tenants = json::field(&root, "tenants")
-            .and_then(|t| {
-                t.as_array()
-                    .ok_or_else(|| semantic("field 'tenants' must be an array"))
-            })
-            .map_err(config_err)?
-            .iter()
-            .map(tenant_from_value)
-            .collect::<std::result::Result<Vec<_>, _>>()
-            .map_err(config_err)?;
-        let policy = json::field_str(&root, "policy")
-            .map_err(config_err)?
-            .to_string();
-        let synth = match root.get("synth") {
-            None => SynthOptions::default(),
-            Some(v) => synth_from_value(v).map_err(config_err)?,
-        };
-        Ok(DeploymentConfig {
-            tenants,
-            policy,
-            synth,
-        })
+        let root = Value::parse(text).map_err(|e| QvisorError::Parse {
+            at: e.at,
+            msg: format!("configuration JSON: {}", e.msg),
+        })?;
+        DeploymentConfig::from_value(&root)
     }
 
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        let tenants: Vec<Value> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                let obj = Value::object()
-                    .set("id", u64::from(t.id))
-                    .set("name", t.name.as_str())
-                    .set("algorithm", t.algorithm.as_str())
-                    .set("rank_min", t.rank_min)
-                    .set("rank_max", t.rank_max);
-                match t.levels {
-                    Some(levels) => obj.set("levels", levels),
-                    None => obj,
-                }
-            })
-            .collect();
+    /// Decode a parsed configuration document.
+    pub fn from_value(v: &Value) -> Result<DeploymentConfig> {
+        DeploymentConfig::read(v, Path::Root("")).map_err(QvisorError::Config)
+    }
+
+    /// The configuration document, every synthesizer option explicit.
+    pub fn to_value(&self) -> Value {
+        let tenants: Vec<Value> = self.tenants.iter().map(TenantConfig::to_value).collect();
         Value::object()
             .set("tenants", Value::from(tenants))
             .set("policy", self.policy.as_str())
@@ -189,33 +195,20 @@ impl DeploymentConfig {
                     .set("first_rank", self.synth.first_rank)
                     .set("pref_bias_divisor", self.synth.pref_bias_divisor),
             )
-            .to_pretty()
+    }
+
+    /// Serialize to pretty JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_pretty()
     }
 
     /// Validate and lower into specs, policy, and synth config.
     pub fn build(&self) -> Result<(Vec<TenantSpec>, Policy, SynthConfig)> {
         let mut specs = Vec::with_capacity(self.tenants.len());
         for t in &self.tenants {
-            if t.rank_min > t.rank_max {
-                return Err(QvisorError::Synthesis(format!(
-                    "tenant '{}' declares an empty rank range [{}, {}]",
-                    t.name, t.rank_min, t.rank_max
-                )));
-            }
-            if t.levels == Some(0) {
-                return Err(QvisorError::Synthesis(format!(
-                    "tenant '{}' declares zero quantization levels",
-                    t.name
-                )));
-            }
-            let mut spec = TenantSpec::new(
-                TenantId(t.id),
-                t.name.clone(),
-                t.algorithm.clone(),
-                RankRange::new(t.rank_min, t.rank_max),
-            );
-            spec.levels = t.levels;
-            specs.push(spec);
+            t.check()
+                .map_err(|e| QvisorError::Synthesis(format!("tenant '{}' {e}", t.name)))?;
+            specs.push(t.spec());
         }
         let policy = Policy::parse(&self.policy)?;
         let synth = SynthConfig {
@@ -316,5 +309,42 @@ mod tests {
         let err = DeploymentConfig::from_json("{oops").unwrap_err();
         assert!(matches!(err, QvisorError::Parse { .. }));
         assert!(err.to_string().contains("configuration JSON"));
+        let refused = |json: &str| match DeploymentConfig::from_json(json) {
+            Err(QvisorError::Config(e)) => e,
+            other => panic!("{json}: {other:?}"),
+        };
+        let e = refused(
+            r#"{"tenants": [{"id": 1, "name": "a", "algorithm": "x", "rank_min": 0, "rank_max": 9},
+                           {"id": 2, "name": "b", "algorithm": "x", "rank_min": 0}],
+                "policy": "a >> b"}"#,
+        );
+        assert_eq!(
+            QvisorError::Config(e).to_string(),
+            "configuration field `tenants.1.rank_max`: missing required field"
+        );
+        let e = refused(
+            r#"{"tenants": [{"id": 1, "name": "a", "algorithm": "x", "rank_min": 0, "rank_max": 9,
+                            "levles": 16}], "policy": "a"}"#,
+        );
+        assert_eq!(e.path, "tenants.0.levles");
+        assert_eq!(
+            e.msg,
+            "unknown field (allowed: id, name, algorithm, rank_min, rank_max, levels)"
+        );
+        let e = refused(r#"{"tenants": [], "policy": "a", "synth": 5}"#);
+        assert_eq!(
+            (e.path.as_str(), e.msg.as_str()),
+            ("synth", "must be an object")
+        );
+        let e = refused(r#"{"tenants": [], "policy": "a", "sinth": {}}"#);
+        assert_eq!(e.path, "sinth");
+        let e = refused(
+            r#"{"tenants": [{"id": 65536, "name": "a", "algorithm": "x", "rank_min": 0, "rank_max": 9}],
+                "policy": "a"}"#,
+        );
+        assert_eq!(
+            (e.path.as_str(), e.msg.as_str()),
+            ("tenants.0.id", "must fit a u16")
+        );
     }
 }

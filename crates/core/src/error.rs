@@ -1,17 +1,22 @@
 //! Error types for policy parsing and synthesis.
 
+use qvisor_sim::json::FieldError;
 use std::fmt;
 
 /// Any error QVISOR's control plane can produce.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QvisorError {
-    /// The operator policy string failed to parse.
+    /// A configuration document is not JSON, or the operator policy
+    /// string failed to parse.
     Parse {
         /// Byte offset of the offending token.
         at: usize,
         /// What went wrong.
         msg: String,
     },
+    /// A configuration field is missing, unknown, of the wrong type or out
+    /// of range.
+    Config(FieldError),
     /// The policy references a tenant with no registered specification.
     UnknownTenant(String),
     /// A tenant appears more than once in the policy.
@@ -26,6 +31,7 @@ impl fmt::Display for QvisorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QvisorError::Parse { at, msg } => write!(f, "policy parse error at byte {at}: {msg}"),
+            QvisorError::Config(e) => write!(f, "configuration {e}"),
             QvisorError::UnknownTenant(name) => {
                 write!(
                     f,

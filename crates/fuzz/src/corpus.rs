@@ -21,8 +21,8 @@
 //! `tests/fuzz_regressions.rs` — so every fuzz-found bug stays a
 //! regression test forever.
 
-use qvisor_core::{verify, DeploymentConfig, SpecPaths, VerifyReport};
-use qvisor_sim::json::Value;
+use qvisor_core::{verify, SpecPaths, VerifyReport};
+use qvisor_sim::json::{one_of, FieldError, Obj, Path, Value};
 
 use crate::gen::FuzzCase;
 use crate::oracle::{run_case_with, CaseOutcome, Verdict};
@@ -39,7 +39,6 @@ pub fn corpus_value(case: &FuzzCase, outcome: &CaseOutcome) -> Value {
         .iter()
         .map(|c| Value::from(c.as_str()))
         .collect();
-    let config = Value::parse(&case.config.to_json()).expect("config JSON is well-formed");
     Value::object()
         .set(
             "fuzz",
@@ -47,7 +46,7 @@ pub fn corpus_value(case: &FuzzCase, outcome: &CaseOutcome) -> Value {
                 .set("seed", case.seed)
                 .set("case", case.index),
         )
-        .set("config", config)
+        .set("config", case.config.to_value())
         .set(
             "expect",
             Value::object()
@@ -67,55 +66,38 @@ pub struct ReplayOutcome {
     pub outcome: CaseOutcome,
 }
 
-fn expect_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("corpus document: expect.{key} missing or not a string"))
-}
+/// A corpus document's case, and the verdict, codes and cross-tenant
+/// inversion count it expects of it.
+type Recorded = (FuzzCase, (Verdict, Vec<String>, u64));
 
-/// Replay a corpus document: re-verify the stored config, re-run the
-/// witness and queue oracles, and compare against the recorded
-/// expectation. Returns an error describing the first mismatch.
-pub fn replay_corpus(text: &str) -> Result<ReplayOutcome, String> {
-    let doc = Value::parse(text).map_err(|e| format!("corpus document is not JSON: {e}"))?;
-    if !is_corpus_doc(&doc) {
-        return Err("not a corpus document (missing `config` or `expect`)".into());
-    }
-    let config_value = doc.get("config").expect("checked above");
-    let config = DeploymentConfig::from_json(&config_value.to_pretty())
-        .map_err(|e| format!("corpus config: {e}"))?;
-    let (seed, index) = match doc.get("fuzz") {
-        Some(f) => (
-            f.get("seed").and_then(Value::as_u64).unwrap_or(0),
-            f.get("case").and_then(Value::as_u64).unwrap_or(0),
-        ),
-        None => (0, 0),
-    };
-    let expect = doc.get("expect").expect("checked above");
-    let want_verdict = Verdict::parse(expect_str(expect, "verdict")?)
-        .ok_or_else(|| "corpus document: unknown expect.verdict".to_string())?;
-    let want_codes: Vec<String> = expect
-        .get("codes")
-        .and_then(Value::as_array)
-        .ok_or("corpus document: expect.codes missing or not an array")?
-        .iter()
-        .map(|c| {
-            c.as_str()
-                .map(str::to_string)
-                .ok_or("corpus document: expect.codes entry is not a string".to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let want_inversions = expect
-        .get("cross_inversions")
-        .and_then(Value::as_u64)
-        .ok_or("corpus document: expect.cross_inversions missing")?;
-
+fn read_corpus(doc: &Value) -> Result<Recorded, FieldError> {
+    let o = Obj::new(doc, Path::Root(""), &["fuzz", "config", "expect"])?;
+    let (seed, index) = o
+        .opt_with("fuzz", |v, at| {
+            let f = Obj::new(v, at, &["seed", "case"])?;
+            Ok((f.or("seed", 0)?, f.or("case", 0)?))
+        })?
+        .unwrap_or((0, 0));
     let case = FuzzCase {
         seed,
         index,
-        config,
+        config: o.req("config")?,
         rank_fns: Vec::new(),
     };
+    let expect = o.req_with("expect", |v, at| {
+        let e = Obj::new(v, at, &["verdict", "codes", "cross_inversions"])?;
+        let verdict = e.req_with("verdict", |v, at| one_of(v, at, &Verdict::LABELLED))?;
+        Ok((verdict, e.req("codes")?, e.req("cross_inversions")?))
+    })?;
+    Ok((case, expect))
+}
+
+/// Replay a parsed corpus document: re-verify the stored config, re-run
+/// the witness and queue oracles, and compare against the recorded
+/// expectation. Returns an error describing the first mismatch.
+pub fn replay_corpus(doc: &Value) -> Result<ReplayOutcome, String> {
+    let (case, (want_verdict, want_codes, want_inversions)) =
+        read_corpus(doc).map_err(|e| format!("corpus {e}"))?;
     let outcome = run_case_with(&case, false);
     if !outcome.disagreements.is_empty() {
         return Err(format!(
@@ -165,7 +147,7 @@ mod tests {
             "{:?}",
             outcome.disagreements
         );
-        let doc = corpus_value(&case, &outcome).to_pretty();
+        let doc = Value::parse(&corpus_value(&case, &outcome).to_pretty()).unwrap();
         let replay = replay_corpus(&doc).expect("replay must match its own recording");
         assert_eq!(replay.outcome.verdict, outcome.verdict);
         assert_eq!(replay.outcome.codes, outcome.codes);
@@ -186,7 +168,7 @@ mod tests {
             },
         );
         assert_ne!(wrong, doc, "fixture must actually change the verdict");
-        let err = replay_corpus(&wrong).unwrap_err();
+        let err = replay_corpus(&Value::parse(&wrong).unwrap()).unwrap_err();
         assert!(err.contains("verdict drifted"), "{err}");
     }
 
@@ -194,6 +176,30 @@ mod tests {
     fn non_corpus_documents_are_detected() {
         let v = Value::parse("{\"tenants\": []}").unwrap();
         assert!(!is_corpus_doc(&v));
-        assert!(replay_corpus("{\"tenants\": []}").is_err());
+        assert_eq!(
+            replay_corpus(&v).unwrap_err(),
+            "corpus field `tenants`: unknown field (allowed: fuzz, config, expect)"
+        );
+        let case = generate_case(crate::DEFAULT_SEED, 5);
+        let outcome = run_case_with(&case, false);
+        let doc = corpus_value(&case, &outcome).to_pretty();
+        let refused = |from: &str, to: &str| {
+            let broken = doc.replacen(from, to, 1);
+            assert_ne!(broken, doc, "the edit applies");
+            replay_corpus(&Value::parse(&broken).unwrap()).unwrap_err()
+        };
+        let seed = format!("\"seed\": {}", case.seed);
+        assert_eq!(
+            refused(&seed, "\"seed\": \"x\""),
+            "corpus field `fuzz.seed`: must be an unsigned integer"
+        );
+        assert!(refused("\"rank_min\"", "\"rank_mn\"")
+            .starts_with("corpus field `config.tenants.0.rank_mn`: unknown field"));
+        assert_eq!(
+            refused("\"verdict\"", "\"verdikt\""),
+            "corpus field `expect.verdikt`: unknown field (allowed: verdict, codes, cross_inversions)"
+        );
+        assert!(refused("\"verdict\": \"", "\"verdict\": \"x")
+            .starts_with("corpus field `expect.verdict`: unknown value 'x"));
     }
 }

@@ -51,7 +51,7 @@ use qvisor_core::{
     SpecPaths, SynthConfig, UnknownTenantAction, VerifyReport,
 };
 use qvisor_netsim::scenario::{
-    FlowDecl, QvisorSpec, SimSpec, TenantDecl, TimeRef, TopologySpec, Verified, WorkloadSpec,
+    FlowDecl, QvisorSpec, SimSpec, TimeRef, TopologySpec, Verified, WorkloadSpec,
 };
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec};
 use qvisor_scheduler::{Capacity, PacketQueue, PifoQueue};
@@ -93,15 +93,12 @@ impl Verdict {
         }
     }
 
-    /// Parse a corpus label.
-    pub fn parse(s: &str) -> Option<Verdict> {
-        match s {
-            "clean" => Some(Verdict::Clean),
-            "warnings" => Some(Verdict::Warnings),
-            "errors" => Some(Verdict::Errors),
-            _ => None,
-        }
-    }
+    /// Every verdict by its label, as a corpus document names it.
+    pub(crate) const LABELLED: [(&'static str, Verdict); 3] = [
+        ("clean", Verdict::Clean),
+        ("warnings", Verdict::Warnings),
+        ("errors", Verdict::Errors),
+    ];
 }
 
 /// Everything the oracle concluded about one case.
@@ -515,19 +512,6 @@ fn drain_order_inversions(pops: &[(u64, u64)]) -> (u64, u64) {
 fn scenario_spec(case: &FuzzCase) -> ScenarioSpec {
     let mut rng = case.rng(STREAM_SCENARIO);
     let n = case.config.tenants.len();
-    let tenants: Vec<TenantDecl> = case
-        .config
-        .tenants
-        .iter()
-        .map(|t| TenantDecl {
-            id: t.id,
-            name: t.name.clone(),
-            algorithm: t.algorithm.clone(),
-            rank_min: t.rank_min,
-            rank_max: t.rank_max,
-            levels: t.levels,
-        })
-        .collect();
     let flows: Vec<FlowDecl> = case
         .config
         .tenants
@@ -559,7 +543,7 @@ fn scenario_spec(case: &FuzzCase) -> ScenarioSpec {
         scheduler: Backend::Pifo,
         host_scheduler: None,
         qvisor: Some(QvisorSpec {
-            tenants,
+            tenants: case.config.tenants.clone(),
             policy: case.config.policy.clone(),
             unknown_drop: false,
             scope: PreprocScope::Everywhere,

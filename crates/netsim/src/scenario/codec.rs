@@ -1,104 +1,42 @@
 //! JSON round-trip for [`ScenarioSpec`] over `qvisor_sim::json`.
 //!
-//! Parsing is strict: unknown keys anywhere in the document are rejected
-//! with the offending field's dotted path, and
-//! [`ScenarioSpec::validate`] runs automatically so a parsed spec is
-//! always runnable. Serialization always writes the full form (every
-//! default made explicit), so parse → serialize → parse is the identity.
+//! Parsing is strict: every object is read through the one field reader
+//! ([`Obj`]), so an unknown key anywhere in the document is refused with
+//! its dotted path, and [`ScenarioSpec::validate`] runs automatically so a
+//! parsed spec is always runnable. Each top-level section is a path root
+//! of its own (`sim.mss`, not `scenario.sim.mss`); a key of the scenario
+//! itself reads `scenario.<key>`. Serialization always writes the full
+//! form (every default made explicit), so parse → serialize → parse is the
+//! identity.
 
 use super::spec::{
     AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec, SimSpec,
-    SizeDistSpec, TenantDecl, TimeRef, TopologySpec, WorkloadSpec,
+    SizeDistSpec, TimeRef, TopologySpec, WorkloadSpec,
 };
-use super::{field_err, ScenarioError};
+use super::ScenarioError;
+use qvisor_core::config_api::TenantConfig;
 use qvisor_core::{Backend, PreprocScope, SynthConfig, ViolationAction};
 use qvisor_ranking::{RankFnSpec, RankRange};
-use qvisor_sim::json::Value;
+use qvisor_sim::json::{list, one_of, variant, Field, FieldError, Obj, Path, Value};
 
-fn check_keys(v: &Value, path: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| field_err(path, "must be an object"))?;
-    for (key, _) in obj {
-        if !allowed.contains(&key.as_str()) {
-            return Err(field_err(
-                format!("{path}.{key}"),
-                format!("unknown field (allowed: {})", allowed.join(", ")),
-            ));
-        }
-    }
-    Ok(())
-}
+const UNKNOWN: [(&str, bool); 2] = [("best_effort", false), ("drop", true)];
 
-/// The single key of an externally tagged enum object.
-fn sole_key<'v>(
-    v: &'v Value,
-    path: &str,
-    allowed: &[&str],
-) -> Result<(&'v str, &'v Value), ScenarioError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| field_err(path, "must be a single-key object"))?;
-    if obj.len() != 1 {
-        return Err(field_err(
-            path,
-            format!("must have exactly one key of: {}", allowed.join(", ")),
-        ));
-    }
-    let (key, inner) = &obj[0];
-    if !allowed.contains(&key.as_str()) {
-        return Err(field_err(
-            format!("{path}.{key}"),
-            format!("unknown variant (allowed: {})", allowed.join(", ")),
-        ));
-    }
-    Ok((key.as_str(), inner))
-}
+const SCOPES: [(&str, PreprocScope); 3] = [
+    ("everywhere", PreprocScope::Everywhere),
+    ("switches_only", PreprocScope::SwitchesOnly),
+    ("first_hop_only", PreprocScope::FirstHopOnly),
+];
 
-fn get_u64(v: &Value, path: &str, key: &str) -> Result<u64, ScenarioError> {
-    v.get(key)
-        .ok_or_else(|| field_err(format!("{path}.{key}"), "missing required field"))?
-        .as_u64()
-        .ok_or_else(|| field_err(format!("{path}.{key}"), "must be an unsigned integer"))
-}
+const VIOLATION_ACTIONS: [(&str, ViolationAction); 3] = [
+    ("clamp", ViolationAction::Clamp),
+    ("alarm_only", ViolationAction::AlarmOnly),
+    ("drop", ViolationAction::Drop),
+];
 
-fn get_usize(v: &Value, path: &str, key: &str) -> Result<usize, ScenarioError> {
-    Ok(get_u64(v, path, key)? as usize)
-}
-
-fn get_u32(v: &Value, path: &str, key: &str) -> Result<u32, ScenarioError> {
-    u32::try_from(get_u64(v, path, key)?)
-        .map_err(|_| field_err(format!("{path}.{key}"), "must fit a u32"))
-}
-
-fn get_u16(v: &Value, path: &str, key: &str) -> Result<u16, ScenarioError> {
-    u16::try_from(get_u64(v, path, key)?)
-        .map_err(|_| field_err(format!("{path}.{key}"), "must fit a u16"))
-}
-
-fn get_f64(v: &Value, path: &str, key: &str) -> Result<f64, ScenarioError> {
-    v.get(key)
-        .ok_or_else(|| field_err(format!("{path}.{key}"), "missing required field"))?
-        .as_f64()
-        .ok_or_else(|| field_err(format!("{path}.{key}"), "must be a number"))
-}
-
-fn get_str<'v>(v: &'v Value, path: &str, key: &str) -> Result<&'v str, ScenarioError> {
-    v.get(key)
-        .ok_or_else(|| field_err(format!("{path}.{key}"), "missing required field"))?
-        .as_str()
-        .ok_or_else(|| field_err(format!("{path}.{key}"), "must be a string"))
-}
-
-fn opt_u64(v: &Value, path: &str, key: &str) -> Result<Option<u64>, ScenarioError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(val) if val.is_null() => Ok(None),
-        Some(val) => val
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| field_err(format!("{path}.{key}"), "must be an unsigned integer")),
-    }
+/// The name `table` gives `value`.
+fn name_of<T: PartialEq>(table: &[(&'static str, T)], value: T) -> &'static str {
+    let (name, _) = (table.iter().find(|(_, v)| *v == value)).expect("every value is named");
+    name
 }
 
 fn time_ref_value(t: TimeRef) -> Value {
@@ -108,13 +46,15 @@ fn time_ref_value(t: TimeRef) -> Value {
     }
 }
 
-fn time_ref_from(v: &Value, path: &str) -> Result<TimeRef, ScenarioError> {
-    let (key, _) = sole_key(v, path, &["at_ns", "after_last_arrival_ns"])?;
-    let ns = get_u64(v, path, key)?;
-    Ok(match key {
-        "at_ns" => TimeRef::At(ns),
-        _ => TimeRef::AfterLastArrival(ns),
-    })
+impl Field<'_> for TimeRef {
+    fn read(v: &Value, at: Path<'_>) -> Result<TimeRef, FieldError> {
+        let o = Obj::new(v, at, &["at_ns", "after_last_arrival_ns"])?;
+        match (o.opt("at_ns")?, o.opt("after_last_arrival_ns")?) {
+            (Some(ns), None) => Ok(TimeRef::At(ns)),
+            (None, Some(ns)) => Ok(TimeRef::AfterLastArrival(ns)),
+            _ => Err(at.error("must have exactly one key of: at_ns, after_last_arrival_ns")),
+        }
+    }
 }
 
 fn scheduler_value(s: &Backend) -> Value {
@@ -141,79 +81,54 @@ fn scheduler_value(s: &Backend) -> Value {
     }
 }
 
-fn scheduler_from(v: &Value, path: &str) -> Result<Backend, ScenarioError> {
-    let variants = [
-        "fifo",
-        "pifo",
+type ReadBackend = fn(&Obj<'_, '_>) -> Result<Backend, FieldError>;
+
+const SCHEDULERS: [(&str, (&[&str], ReadBackend)); 6] = [
+    ("fifo", (&[], |_| Ok(Backend::Fifo))),
+    ("pifo", (&[], |_| Ok(Backend::Pifo))),
+    (
         "sp_pifo",
+        (&["queues"], |o| {
+            Ok(Backend::SpPifo {
+                queues: o.req("queues")?,
+            })
+        }),
+    ),
+    (
         "strict_static",
-        "aifo",
-        "fair_tree",
-    ];
-    let (key, inner) = sole_key(v, path, &variants)?;
-    let ipath = format!("{path}.{key}");
-    Ok(match key {
-        "fifo" => {
-            check_keys(inner, &ipath, &[])?;
-            Backend::Fifo
-        }
-        "pifo" => {
-            check_keys(inner, &ipath, &[])?;
-            Backend::Pifo
-        }
-        "sp_pifo" => {
-            check_keys(inner, &ipath, &["queues"])?;
-            Backend::SpPifo {
-                queues: get_usize(inner, &ipath, "queues")?,
-            }
-        }
-        "strict_static" => {
-            check_keys(inner, &ipath, &["queues", "span_min", "span_max"])?;
-            Backend::StrictStatic {
-                queues: get_usize(inner, &ipath, "queues")?,
+        (&["queues", "span_min", "span_max"], |o| {
+            Ok(Backend::StrictStatic {
+                queues: o.req("queues")?,
                 // Unchecked: `ScenarioSpec::validate` names an empty span.
                 span: RankRange {
-                    min: get_u64(inner, &ipath, "span_min")?,
-                    max: get_u64(inner, &ipath, "span_max")?,
+                    min: o.req("span_min")?,
+                    max: o.req("span_max")?,
                 },
-            }
-        }
-        "aifo" => {
-            check_keys(inner, &ipath, &["window", "burst"])?;
-            Backend::Aifo {
-                window: get_usize(inner, &ipath, "window")?,
-                burst: get_f64(inner, &ipath, "burst")?,
-            }
-        }
-        _ => {
-            check_keys(inner, &ipath, &["tenants"])?;
-            Backend::FairTree {
-                tenants: get_u16(inner, &ipath, "tenants")?,
-            }
-        }
-    })
-}
+            })
+        }),
+    ),
+    (
+        "aifo",
+        (&["window", "burst"], |o| {
+            Ok(Backend::Aifo {
+                window: o.req("window")?,
+                burst: o.req("burst")?,
+            })
+        }),
+    ),
+    (
+        "fair_tree",
+        (&["tenants"], |o| {
+            Ok(Backend::FairTree {
+                tenants: o.req("tenants")?,
+            })
+        }),
+    ),
+];
 
-/// Allowed keys per rank-function algorithm, so unknown fields inside
-/// `rank_fns[i].fn` are rejected before `RankFnSpec::from_value` (which
-/// ignores extras).
-fn check_rank_fn_keys(v: &Value, path: &str) -> Result<(), ScenarioError> {
-    let algorithm = get_str(v, path, "algorithm")?;
-    let allowed: &[&str] = match algorithm {
-        "p_fabric" | "byte_count_fq" => &["algorithm", "unit_bytes", "max_rank"],
-        "edf" | "arrival_time" => &["algorithm", "unit_ns", "max_rank"],
-        "lstf" => &["algorithm", "unit_ns", "max_rank", "line_rate_bps"],
-        "stfq" => &["algorithm", "max_rank"],
-        "constant" => &["algorithm", "rank"],
-        "multi_objective" => &["algorithm", "components", "resolution"],
-        other => {
-            return Err(field_err(
-                format!("{path}.algorithm"),
-                format!("unknown algorithm '{other}'"),
-            ))
-        }
-    };
-    check_keys(v, path, allowed)
+fn scheduler(v: &Value, at: Path<'_>) -> Result<Backend, FieldError> {
+    let (o, read) = variant(v, &at, &SCHEDULERS)?;
+    read(&o)
 }
 
 fn topology_value(t: &TopologySpec) -> Value {
@@ -264,56 +179,62 @@ fn topology_value(t: &TopologySpec) -> Value {
     }
 }
 
-fn topology_from(v: &Value, path: &str) -> Result<TopologySpec, ScenarioError> {
-    let (key, inner) = sole_key(v, path, &["leaf_spine", "dumbbell", "fat_tree"])?;
-    let ipath = format!("{path}.{key}");
-    Ok(match key {
-        "leaf_spine" => {
-            check_keys(
-                inner,
-                &ipath,
-                &[
-                    "leaves",
-                    "spines",
-                    "hosts_per_leaf",
-                    "access_bps",
-                    "fabric_bps",
-                    "access_delay_ns",
-                    "fabric_delay_ns",
-                ],
-            )?;
-            TopologySpec::LeafSpine {
-                leaves: get_usize(inner, &ipath, "leaves")?,
-                spines: get_usize(inner, &ipath, "spines")?,
-                hosts_per_leaf: get_usize(inner, &ipath, "hosts_per_leaf")?,
-                access_bps: get_u64(inner, &ipath, "access_bps")?,
-                fabric_bps: get_u64(inner, &ipath, "fabric_bps")?,
-                access_delay_ns: get_u64(inner, &ipath, "access_delay_ns")?,
-                fabric_delay_ns: get_u64(inner, &ipath, "fabric_delay_ns")?,
-            }
-        }
-        "dumbbell" => {
-            check_keys(
-                inner,
-                &ipath,
-                &["pairs", "edge_bps", "bottleneck_bps", "delay_ns"],
-            )?;
-            TopologySpec::Dumbbell {
-                pairs: get_usize(inner, &ipath, "pairs")?,
-                edge_bps: get_u64(inner, &ipath, "edge_bps")?,
-                bottleneck_bps: get_u64(inner, &ipath, "bottleneck_bps")?,
-                delay_ns: get_u64(inner, &ipath, "delay_ns")?,
-            }
-        }
-        _ => {
-            check_keys(inner, &ipath, &["arity", "rate_bps", "delay_ns"])?;
-            TopologySpec::FatTree {
-                arity: get_usize(inner, &ipath, "arity")?,
-                rate_bps: get_u64(inner, &ipath, "rate_bps")?,
-                delay_ns: get_u64(inner, &ipath, "delay_ns")?,
-            }
-        }
-    })
+type ReadTopology = fn(&Obj<'_, '_>) -> Result<TopologySpec, FieldError>;
+
+const TOPOLOGIES: [(&str, (&[&str], ReadTopology)); 3] = [
+    (
+        "leaf_spine",
+        (
+            &[
+                "leaves",
+                "spines",
+                "hosts_per_leaf",
+                "access_bps",
+                "fabric_bps",
+                "access_delay_ns",
+                "fabric_delay_ns",
+            ],
+            |o| {
+                Ok(TopologySpec::LeafSpine {
+                    leaves: o.req("leaves")?,
+                    spines: o.req("spines")?,
+                    hosts_per_leaf: o.req("hosts_per_leaf")?,
+                    access_bps: o.req("access_bps")?,
+                    fabric_bps: o.req("fabric_bps")?,
+                    access_delay_ns: o.req("access_delay_ns")?,
+                    fabric_delay_ns: o.req("fabric_delay_ns")?,
+                })
+            },
+        ),
+    ),
+    (
+        "dumbbell",
+        (&["pairs", "edge_bps", "bottleneck_bps", "delay_ns"], |o| {
+            Ok(TopologySpec::Dumbbell {
+                pairs: o.req("pairs")?,
+                edge_bps: o.req("edge_bps")?,
+                bottleneck_bps: o.req("bottleneck_bps")?,
+                delay_ns: o.req("delay_ns")?,
+            })
+        }),
+    ),
+    (
+        "fat_tree",
+        (&["arity", "rate_bps", "delay_ns"], |o| {
+            Ok(TopologySpec::FatTree {
+                arity: o.req("arity")?,
+                rate_bps: o.req("rate_bps")?,
+                delay_ns: o.req("delay_ns")?,
+            })
+        }),
+    ),
+];
+
+impl Field<'_> for TopologySpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<TopologySpec, FieldError> {
+        let (o, read) = variant(v, &at, &TOPOLOGIES)?;
+        read(&o)
+    }
 }
 
 fn sim_value(s: &SimSpec) -> Value {
@@ -335,11 +256,9 @@ fn sim_value(s: &SimSpec) -> Value {
     v
 }
 
-fn sim_from(v: &Value, path: &str) -> Result<SimSpec, ScenarioError> {
-    check_keys(
-        v,
-        path,
-        &[
+impl Field<'_> for SimSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<SimSpec, FieldError> {
+        let keys = &[
             "mss",
             "header_bytes",
             "ack_bytes",
@@ -350,79 +269,38 @@ fn sim_from(v: &Value, path: &str) -> Result<SimSpec, ScenarioError> {
             "random_loss",
             "sample_interval_ns",
             "adaptation_interval_ns",
-        ],
-    )?;
-    let d = SimSpec::default();
-    let opt_or = |key: &str, fallback: u64| -> Result<u64, ScenarioError> {
-        Ok(opt_u64(v, path, key)?.unwrap_or(fallback))
-    };
-    Ok(SimSpec {
-        mss: opt_or("mss", d.mss as u64)? as u32,
-        header_bytes: opt_or("header_bytes", d.header_bytes as u64)? as u32,
-        ack_bytes: opt_or("ack_bytes", d.ack_bytes as u64)? as u32,
-        cwnd: opt_or("cwnd", d.cwnd as u64)? as u32,
-        rto_ns: opt_or("rto_ns", d.rto_ns)?,
-        buffer_bytes: opt_or("buffer_bytes", d.buffer_bytes)?,
-        horizon: match v.get("horizon") {
-            Some(h) => time_ref_from(h, &format!("{path}.horizon"))?,
-            None => d.horizon,
-        },
-        random_loss: match v.get("random_loss") {
-            Some(_) => get_f64(v, path, "random_loss")?,
-            None => 0.0,
-        },
-        sample_interval_ns: opt_u64(v, path, "sample_interval_ns")?,
-        adaptation_interval_ns: opt_u64(v, path, "adaptation_interval_ns")?,
-    })
+        ];
+        let o = Obj::new(v, at, keys)?;
+        let d = SimSpec::default();
+        Ok(SimSpec {
+            mss: o.or("mss", d.mss)?,
+            header_bytes: o.or("header_bytes", d.header_bytes)?,
+            ack_bytes: o.or("ack_bytes", d.ack_bytes)?,
+            cwnd: o.or("cwnd", d.cwnd)?,
+            rto_ns: o.or("rto_ns", d.rto_ns)?,
+            buffer_bytes: o.or("buffer_bytes", d.buffer_bytes)?,
+            horizon: o.or("horizon", d.horizon)?,
+            random_loss: o.or("random_loss", d.random_loss)?,
+            sample_interval_ns: o.opt("sample_interval_ns")?,
+            adaptation_interval_ns: o.opt("adaptation_interval_ns")?,
+        })
+    }
 }
 
 fn qvisor_value(q: &QvisorSpec) -> Value {
-    let tenants: Vec<Value> = q
-        .tenants
-        .iter()
-        .map(|t| {
-            let mut v = Value::object()
-                .set("id", t.id)
-                .set("name", t.name.as_str())
-                .set("algorithm", t.algorithm.as_str())
-                .set("rank_min", t.rank_min)
-                .set("rank_max", t.rank_max);
-            if let Some(levels) = t.levels {
-                v = v.set("levels", levels);
-            }
-            v
-        })
-        .collect();
+    let tenants: Vec<Value> = q.tenants.iter().map(TenantConfig::to_value).collect();
     let mut v = Value::object()
         .set("tenants", Value::from(tenants))
         .set("policy", q.policy.as_str())
-        .set(
-            "unknown",
-            if q.unknown_drop {
-                "drop"
-            } else {
-                "best_effort"
-            },
-        )
-        .set(
-            "scope",
-            match q.scope {
-                PreprocScope::Everywhere => "everywhere",
-                PreprocScope::SwitchesOnly => "switches_only",
-                PreprocScope::FirstHopOnly => "first_hop_only",
-            },
-        );
+        .set("unknown", name_of(&UNKNOWN, q.unknown_drop))
+        .set("scope", name_of(&SCOPES, q.scope));
     if let Some(m) = &q.monitor {
         v = v.set(
             "monitor",
             Value::object()
                 .set(
                     "violation_action",
-                    match m.violation_action {
-                        ViolationAction::Clamp => "clamp",
-                        ViolationAction::AlarmOnly => "alarm_only",
-                        ViolationAction::Drop => "drop",
-                    },
+                    name_of(&VIOLATION_ACTIONS, m.violation_action),
                 )
                 .set("idle_after_ns", m.idle_after_ns)
                 .set("drift_ratio", m.drift_ratio),
@@ -440,110 +318,43 @@ fn qvisor_value(q: &QvisorSpec) -> Value {
     v
 }
 
-fn qvisor_from(v: &Value, path: &str) -> Result<QvisorSpec, ScenarioError> {
-    check_keys(
-        v,
-        path,
-        &["tenants", "policy", "unknown", "scope", "monitor", "synth"],
-    )?;
-    let tenants_v = v
-        .get("tenants")
-        .and_then(|t| t.as_array())
-        .ok_or_else(|| field_err(format!("{path}.tenants"), "must be an array"))?;
-    let mut tenants = Vec::with_capacity(tenants_v.len());
-    for (i, t) in tenants_v.iter().enumerate() {
-        let tp = format!("{path}.tenants.{i}");
-        check_keys(
-            t,
-            &tp,
-            &["id", "name", "algorithm", "rank_min", "rank_max", "levels"],
-        )?;
-        tenants.push(TenantDecl {
-            id: get_u16(t, &tp, "id")?,
-            name: get_str(t, &tp, "name")?.to_string(),
-            algorithm: get_str(t, &tp, "algorithm")?.to_string(),
-            rank_min: get_u64(t, &tp, "rank_min")?,
-            rank_max: get_u64(t, &tp, "rank_max")?,
-            levels: opt_u64(t, &tp, "levels")?,
-        });
+impl Field<'_> for QvisorSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<QvisorSpec, FieldError> {
+        let keys = &["tenants", "policy", "unknown", "scope", "monitor", "synth"];
+        let o = Obj::new(v, at, keys)?;
+        Ok(QvisorSpec {
+            tenants: o.req("tenants")?,
+            policy: o.req("policy")?,
+            unknown_drop: (o.opt_with("unknown", |v, at| one_of(v, at, &UNKNOWN))?)
+                .unwrap_or(false),
+            scope: (o.opt_with("scope", |v, at| one_of(v, at, &SCOPES))?).unwrap_or_default(),
+            monitor: o.opt("monitor")?,
+            synth: o.opt_with("synth", synth_config)?,
+        })
     }
-    let unknown_drop = match v.get("unknown").and_then(|u| u.as_str()) {
-        None => false,
-        Some("best_effort") => false,
-        Some("drop") => true,
-        Some(other) => {
-            return Err(field_err(
-                format!("{path}.unknown"),
-                format!("unknown value '{other}' (allowed: best_effort, drop)"),
-            ))
-        }
-    };
-    let scope = match v.get("scope").and_then(|s| s.as_str()) {
-        None => PreprocScope::Everywhere,
-        Some("everywhere") => PreprocScope::Everywhere,
-        Some("switches_only") => PreprocScope::SwitchesOnly,
-        Some("first_hop_only") => PreprocScope::FirstHopOnly,
-        Some(other) => {
-            return Err(field_err(
-                format!("{path}.scope"),
-                format!(
-                    "unknown value '{other}' (allowed: everywhere, switches_only, first_hop_only)"
-                ),
-            ))
-        }
-    };
-    let monitor = match v.get("monitor") {
-        None => None,
-        Some(m) if m.is_null() => None,
-        Some(m) => {
-            let mp = format!("{path}.monitor");
-            check_keys(
-                m,
-                &mp,
-                &["violation_action", "idle_after_ns", "drift_ratio"],
-            )?;
-            let violation_action = match get_str(m, &mp, "violation_action")? {
-                "clamp" => ViolationAction::Clamp,
-                "alarm_only" => ViolationAction::AlarmOnly,
-                "drop" => ViolationAction::Drop,
-                other => {
-                    return Err(field_err(
-                        format!("{mp}.violation_action"),
-                        format!("unknown value '{other}' (allowed: clamp, alarm_only, drop)"),
-                    ))
-                }
-            };
-            Some(MonitorSpec {
-                violation_action,
-                idle_after_ns: get_u64(m, &mp, "idle_after_ns")?,
-                drift_ratio: get_f64(m, &mp, "drift_ratio")?,
-            })
-        }
-    };
-    let synth = match v.get("synth") {
-        None => None,
-        Some(s) if s.is_null() => None,
-        Some(s) => {
-            let sp = format!("{path}.synth");
-            check_keys(
-                s,
-                &sp,
-                &["default_levels", "first_rank", "pref_bias_divisor"],
-            )?;
-            Some(SynthConfig {
-                default_levels: get_u64(s, &sp, "default_levels")?,
-                first_rank: get_u64(s, &sp, "first_rank")?,
-                pref_bias_divisor: get_u64(s, &sp, "pref_bias_divisor")?,
-            })
-        }
-    };
-    Ok(QvisorSpec {
-        tenants,
-        policy: get_str(v, path, "policy")?.to_string(),
-        unknown_drop,
-        scope,
-        monitor,
-        synth,
+}
+
+impl Field<'_> for MonitorSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<MonitorSpec, FieldError> {
+        let keys = &["violation_action", "idle_after_ns", "drift_ratio"];
+        let o = Obj::new(v, at, keys)?;
+        Ok(MonitorSpec {
+            violation_action: o.req_with("violation_action", |v, at| {
+                one_of(v, at, &VIOLATION_ACTIONS)
+            })?,
+            idle_after_ns: o.req("idle_after_ns")?,
+            drift_ratio: o.req("drift_ratio")?,
+        })
+    }
+}
+
+fn synth_config(v: &Value, at: Path<'_>) -> Result<SynthConfig, FieldError> {
+    let keys = &["default_levels", "first_rank", "pref_bias_divisor"];
+    let o = Obj::new(v, at, keys)?;
+    Ok(SynthConfig {
+        default_levels: o.req("default_levels")?,
+        first_rank: o.req("first_rank")?,
+        pref_bias_divisor: o.req("pref_bias_divisor")?,
     })
 }
 
@@ -564,36 +375,60 @@ fn sizes_value(s: SizeDistSpec) -> Value {
     }
 }
 
-fn sizes_from(v: &Value, path: &str) -> Result<SizeDistSpec, ScenarioError> {
-    let (key, inner) = sole_key(v, path, &["data_mining", "web_search", "fixed", "uniform"])?;
-    let ipath = format!("{path}.{key}");
-    Ok(match key {
-        "data_mining" => {
-            check_keys(inner, &ipath, &["scale_den"])?;
-            SizeDistSpec::DataMining {
-                scale_den: get_u64(inner, &ipath, "scale_den")?,
-            }
+type ReadSizes = fn(&Obj<'_, '_>) -> Result<SizeDistSpec, FieldError>;
+
+const SIZES: [(&str, (&[&str], ReadSizes)); 4] = [
+    (
+        "data_mining",
+        (&["scale_den"], |o| {
+            Ok(SizeDistSpec::DataMining {
+                scale_den: o.req("scale_den")?,
+            })
+        }),
+    ),
+    (
+        "web_search",
+        (&["scale_den"], |o| {
+            Ok(SizeDistSpec::WebSearch {
+                scale_den: o.req("scale_den")?,
+            })
+        }),
+    ),
+    (
+        "fixed",
+        (&["bytes"], |o| {
+            Ok(SizeDistSpec::Fixed {
+                bytes: o.req("bytes")?,
+            })
+        }),
+    ),
+    (
+        "uniform",
+        (&["min", "max"], |o| {
+            Ok(SizeDistSpec::Uniform {
+                min: o.req("min")?,
+                max: o.req("max")?,
+            })
+        }),
+    ),
+];
+
+impl Field<'_> for SizeDistSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<SizeDistSpec, FieldError> {
+        let (o, read) = variant(v, &at, &SIZES)?;
+        read(&o)
+    }
+}
+
+impl Field<'_> for ArrivalSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<ArrivalSpec, FieldError> {
+        let o = Obj::new(v, at, &["load", "rate_flows_per_sec"])?;
+        match (o.opt("load")?, o.opt("rate_flows_per_sec")?) {
+            (Some(load), None) => Ok(ArrivalSpec::Load(load)),
+            (None, Some(rate)) => Ok(ArrivalSpec::RateFlowsPerSec(rate)),
+            _ => Err(at.error("must have exactly one key of: load, rate_flows_per_sec")),
         }
-        "web_search" => {
-            check_keys(inner, &ipath, &["scale_den"])?;
-            SizeDistSpec::WebSearch {
-                scale_den: get_u64(inner, &ipath, "scale_den")?,
-            }
-        }
-        "fixed" => {
-            check_keys(inner, &ipath, &["bytes"])?;
-            SizeDistSpec::Fixed {
-                bytes: get_u64(inner, &ipath, "bytes")?,
-            }
-        }
-        _ => {
-            check_keys(inner, &ipath, &["min", "max"])?;
-            SizeDistSpec::Uniform {
-                min: get_u64(inner, &ipath, "min")?,
-                max: get_u64(inner, &ipath, "max")?,
-            }
-        }
-    })
+    }
 }
 
 fn workload_value(w: &WorkloadSpec) -> Value {
@@ -680,150 +515,124 @@ fn workload_value(w: &WorkloadSpec) -> Value {
     }
 }
 
-fn workload_from(v: &Value, path: &str) -> Result<WorkloadSpec, ScenarioError> {
-    let (key, inner) = sole_key(v, path, &["poisson", "cbr_fleet", "flows", "cbr"])?;
-    let ipath = format!("{path}.{key}");
-    Ok(match key {
-        "poisson" => {
-            check_keys(
-                inner,
-                &ipath,
-                &["tenant", "flows", "sizes", "arrival", "rng_stream"],
-            )?;
-            let arrival_v = inner
-                .get("arrival")
-                .ok_or_else(|| field_err(format!("{ipath}.arrival"), "missing required field"))?;
-            let apath = format!("{ipath}.arrival");
-            let (akey, _) = sole_key(arrival_v, &apath, &["load", "rate_flows_per_sec"])?;
-            let arrival = match akey {
-                "load" => ArrivalSpec::Load(get_f64(arrival_v, &apath, "load")?),
-                _ => {
-                    ArrivalSpec::RateFlowsPerSec(get_f64(arrival_v, &apath, "rate_flows_per_sec")?)
-                }
-            };
-            WorkloadSpec::Poisson {
-                tenant: get_u16(inner, &ipath, "tenant")?,
-                flows: get_usize(inner, &ipath, "flows")?,
-                sizes: sizes_from(
-                    inner.get("sizes").ok_or_else(|| {
-                        field_err(format!("{ipath}.sizes"), "missing required field")
-                    })?,
-                    &format!("{ipath}.sizes"),
-                )?,
-                arrival,
-                rng_stream: get_u64(inner, &ipath, "rng_stream")?,
-            }
-        }
-        "cbr_fleet" => {
-            check_keys(
-                inner,
-                &ipath,
-                &[
-                    "tenant",
-                    "streams",
-                    "rate_bps",
-                    "pkt_size",
-                    "start_ns",
-                    "stop",
-                    "deadline_offset_ns",
-                    "rng_stream",
-                ],
-            )?;
-            WorkloadSpec::CbrFleet {
-                tenant: get_u16(inner, &ipath, "tenant")?,
-                streams: get_usize(inner, &ipath, "streams")?,
-                rate_bps: get_u64(inner, &ipath, "rate_bps")?,
-                pkt_size: get_u32(inner, &ipath, "pkt_size")?,
-                start_ns: get_u64(inner, &ipath, "start_ns")?,
-                stop: time_ref_from(
-                    inner.get("stop").ok_or_else(|| {
-                        field_err(format!("{ipath}.stop"), "missing required field")
-                    })?,
-                    &format!("{ipath}.stop"),
-                )?,
-                deadline_offset_ns: get_u64(inner, &ipath, "deadline_offset_ns")?,
-                rng_stream: get_u64(inner, &ipath, "rng_stream")?,
-            }
-        }
-        "flows" => {
-            check_keys(inner, &ipath, &["list"])?;
-            let items = inner
-                .get("list")
-                .and_then(|l| l.as_array())
-                .ok_or_else(|| field_err(format!("{ipath}.list"), "must be an array"))?;
-            let mut list = Vec::with_capacity(items.len());
-            for (i, f) in items.iter().enumerate() {
-                let fp = format!("{ipath}.list.{i}");
-                check_keys(
-                    f,
-                    &fp,
-                    &[
-                        "tenant",
-                        "src_host",
-                        "dst_host",
-                        "size",
-                        "start_ns",
-                        "deadline_ns",
-                        "weight",
-                    ],
-                )?;
-                list.push(FlowDecl {
-                    tenant: get_u16(f, &fp, "tenant")?,
-                    src_host: get_usize(f, &fp, "src_host")?,
-                    dst_host: get_usize(f, &fp, "dst_host")?,
-                    size: get_u64(f, &fp, "size")?,
-                    start_ns: get_u64(f, &fp, "start_ns")?,
-                    deadline_ns: opt_u64(f, &fp, "deadline_ns")?,
-                    weight: match f.get("weight") {
-                        Some(_) => get_u32(f, &fp, "weight")?,
-                        None => 1,
-                    },
-                });
-            }
-            WorkloadSpec::Flows { list }
-        }
-        _ => {
-            check_keys(inner, &ipath, &["list"])?;
-            let items = inner
-                .get("list")
-                .and_then(|l| l.as_array())
-                .ok_or_else(|| field_err(format!("{ipath}.list"), "must be an array"))?;
-            let mut list = Vec::with_capacity(items.len());
-            for (i, c) in items.iter().enumerate() {
-                let cp = format!("{ipath}.list.{i}");
-                check_keys(
-                    c,
-                    &cp,
-                    &[
-                        "tenant",
-                        "src_host",
-                        "dst_host",
-                        "rate_bps",
-                        "pkt_size",
-                        "start_ns",
-                        "stop",
-                        "deadline_offset_ns",
-                    ],
-                )?;
-                list.push(CbrDecl {
-                    tenant: get_u16(c, &cp, "tenant")?,
-                    src_host: get_usize(c, &cp, "src_host")?,
-                    dst_host: get_usize(c, &cp, "dst_host")?,
-                    rate_bps: get_u64(c, &cp, "rate_bps")?,
-                    pkt_size: get_u32(c, &cp, "pkt_size")?,
-                    start_ns: get_u64(c, &cp, "start_ns")?,
-                    stop: time_ref_from(
-                        c.get("stop").ok_or_else(|| {
-                            field_err(format!("{cp}.stop"), "missing required field")
-                        })?,
-                        &format!("{cp}.stop"),
-                    )?,
-                    deadline_offset_ns: get_u64(c, &cp, "deadline_offset_ns")?,
-                });
-            }
-            WorkloadSpec::Cbr { list }
-        }
-    })
+type ReadWorkload = fn(&Obj<'_, '_>) -> Result<WorkloadSpec, FieldError>;
+
+const WORKLOADS: [(&str, (&[&str], ReadWorkload)); 4] = [
+    (
+        "poisson",
+        (
+            &["tenant", "flows", "sizes", "arrival", "rng_stream"],
+            |o| {
+                Ok(WorkloadSpec::Poisson {
+                    tenant: o.req("tenant")?,
+                    flows: o.req("flows")?,
+                    sizes: o.req("sizes")?,
+                    arrival: o.req("arrival")?,
+                    rng_stream: o.req("rng_stream")?,
+                })
+            },
+        ),
+    ),
+    (
+        "cbr_fleet",
+        (
+            &[
+                "tenant",
+                "streams",
+                "rate_bps",
+                "pkt_size",
+                "start_ns",
+                "stop",
+                "deadline_offset_ns",
+                "rng_stream",
+            ],
+            |o| {
+                Ok(WorkloadSpec::CbrFleet {
+                    tenant: o.req("tenant")?,
+                    streams: o.req("streams")?,
+                    rate_bps: o.req("rate_bps")?,
+                    pkt_size: o.req("pkt_size")?,
+                    start_ns: o.req("start_ns")?,
+                    stop: o.req("stop")?,
+                    deadline_offset_ns: o.req("deadline_offset_ns")?,
+                    rng_stream: o.req("rng_stream")?,
+                })
+            },
+        ),
+    ),
+    (
+        "flows",
+        (&["list"], |o| {
+            Ok(WorkloadSpec::Flows {
+                list: o.req("list")?,
+            })
+        }),
+    ),
+    (
+        "cbr",
+        (&["list"], |o| {
+            Ok(WorkloadSpec::Cbr {
+                list: o.req("list")?,
+            })
+        }),
+    ),
+];
+
+impl Field<'_> for WorkloadSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<WorkloadSpec, FieldError> {
+        let (o, read) = variant(v, &at, &WORKLOADS)?;
+        read(&o)
+    }
+}
+
+impl Field<'_> for FlowDecl {
+    fn read(v: &Value, at: Path<'_>) -> Result<FlowDecl, FieldError> {
+        let keys = &[
+            "tenant",
+            "src_host",
+            "dst_host",
+            "size",
+            "start_ns",
+            "deadline_ns",
+            "weight",
+        ];
+        let o = Obj::new(v, at, keys)?;
+        Ok(FlowDecl {
+            tenant: o.req("tenant")?,
+            src_host: o.req("src_host")?,
+            dst_host: o.req("dst_host")?,
+            size: o.req("size")?,
+            start_ns: o.req("start_ns")?,
+            deadline_ns: o.opt("deadline_ns")?,
+            weight: o.or("weight", 1)?,
+        })
+    }
+}
+
+impl Field<'_> for CbrDecl {
+    fn read(v: &Value, at: Path<'_>) -> Result<CbrDecl, FieldError> {
+        let keys = &[
+            "tenant",
+            "src_host",
+            "dst_host",
+            "rate_bps",
+            "pkt_size",
+            "start_ns",
+            "stop",
+            "deadline_offset_ns",
+        ];
+        let o = Obj::new(v, at, keys)?;
+        Ok(CbrDecl {
+            tenant: o.req("tenant")?,
+            src_host: o.req("src_host")?,
+            dst_host: o.req("dst_host")?,
+            rate_bps: o.req("rate_bps")?,
+            pkt_size: o.req("pkt_size")?,
+            start_ns: o.req("start_ns")?,
+            stop: o.req("stop")?,
+            deadline_offset_ns: o.req("deadline_offset_ns")?,
+        })
+    }
 }
 
 fn alert_value(a: &AlertSpec) -> Value {
@@ -834,14 +643,31 @@ fn alert_value(a: &AlertSpec) -> Value {
         .set("threshold", a.threshold)
 }
 
-fn alert_from(v: &Value, path: &str) -> Result<AlertSpec, ScenarioError> {
-    check_keys(v, path, &["metric", "tenant", "window_ns", "threshold"])?;
-    Ok(AlertSpec {
-        metric: get_str(v, path, "metric")?.to_string(),
-        tenant: get_u16(v, path, "tenant")?,
-        window_ns: get_u64(v, path, "window_ns")?,
-        threshold: get_f64(v, path, "threshold")?,
-    })
+impl Field<'_> for AlertSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<AlertSpec, FieldError> {
+        let o = Obj::new(v, at, &["metric", "tenant", "window_ns", "threshold"])?;
+        Ok(AlertSpec {
+            metric: o.req("metric")?,
+            tenant: o.req("tenant")?,
+            window_ns: o.req("window_ns")?,
+            threshold: o.req("threshold")?,
+        })
+    }
+}
+
+/// One `rank_fns` entry: a tenant and its rank function.
+fn rank_fn(v: &Value, at: Path<'_>) -> Result<(u16, RankFnSpec), FieldError> {
+    let o = Obj::new(v, at, &["tenant", "fn"])?;
+    Ok((o.req("tenant")?, o.req("fn")?))
+}
+
+/// A top-level section of a scenario, read as a path root of its own.
+fn section<'v, T>(
+    o: &Obj<'v, '_>,
+    key: &'static str,
+    read: impl FnOnce(&'v Value, Path<'_>) -> Result<T, FieldError>,
+) -> Result<Option<T>, FieldError> {
+    o.opt_with(key, |v, _| read(v, Path::Root(key)))
 }
 
 impl ScenarioSpec {
@@ -882,99 +708,31 @@ impl ScenarioSpec {
     /// Parse from a JSON value; strict about unknown keys and validates
     /// every cross-field constraint.
     pub fn from_value(v: &Value) -> Result<ScenarioSpec, ScenarioError> {
-        check_keys(
-            v,
-            "scenario",
-            &[
-                "name",
-                "seed",
-                "topology",
-                "sim",
-                "scheduler",
-                "host_scheduler",
-                "qvisor",
-                "rank_fns",
-                "workloads",
-                "alerts",
-            ],
-        )?;
-        let topology = topology_from(
-            v.get("topology")
-                .ok_or_else(|| field_err("topology", "missing required field"))?,
+        let keys = &[
+            "name",
+            "seed",
             "topology",
-        )?;
-        let sim = match v.get("sim") {
-            Some(s) => sim_from(s, "sim")?,
-            None => SimSpec::default(),
-        };
-        let scheduler = match v.get("scheduler") {
-            Some(s) => scheduler_from(s, "scheduler")?,
-            None => Backend::Pifo,
-        };
-        let host_scheduler = match v.get("host_scheduler") {
-            None => None,
-            Some(s) if s.is_null() => None,
-            Some(s) => Some(scheduler_from(s, "host_scheduler")?),
-        };
-        let qvisor = match v.get("qvisor") {
-            None => None,
-            Some(q) if q.is_null() => None,
-            Some(q) => Some(qvisor_from(q, "qvisor")?),
-        };
-        let mut rank_fns = Vec::new();
-        if let Some(list) = v.get("rank_fns") {
-            let items = list
-                .as_array()
-                .ok_or_else(|| field_err("rank_fns", "must be an array"))?;
-            for (i, item) in items.iter().enumerate() {
-                let rp = format!("rank_fns.{i}");
-                check_keys(item, &rp, &["tenant", "fn"])?;
-                let f = item
-                    .get("fn")
-                    .ok_or_else(|| field_err(format!("{rp}.fn"), "missing required field"))?;
-                check_rank_fn_keys(f, &format!("{rp}.fn"))?;
-                let spec = RankFnSpec::from_value(f).map_err(ScenarioError::Json)?;
-                rank_fns.push((get_u16(item, &rp, "tenant")?, spec));
-            }
-        }
-        let mut workloads = Vec::new();
-        if let Some(list) = v.get("workloads") {
-            let items = list
-                .as_array()
-                .ok_or_else(|| field_err("workloads", "must be an array"))?;
-            for (i, item) in items.iter().enumerate() {
-                workloads.push(workload_from(item, &format!("workloads.{i}"))?);
-            }
-        }
-        let mut alerts = Vec::new();
-        if let Some(list) = v.get("alerts") {
-            let items = list
-                .as_array()
-                .ok_or_else(|| field_err("alerts", "must be an array"))?;
-            for (i, item) in items.iter().enumerate() {
-                alerts.push(alert_from(item, &format!("alerts.{i}"))?);
-            }
-        }
+            "sim",
+            "scheduler",
+            "host_scheduler",
+            "qvisor",
+            "rank_fns",
+            "workloads",
+            "alerts",
+        ];
+        let o = Obj::new(v, Path::Root("scenario"), keys)?;
         let spec = ScenarioSpec {
-            name: match v.get("name") {
-                Some(n) => n
-                    .as_str()
-                    .ok_or_else(|| field_err("name", "must be a string"))?
-                    .to_string(),
-                None => String::new(),
-            },
-            seed: match v.get("seed") {
-                Some(_) => get_u64(v, "scenario", "seed")?,
-                None => 1,
-            },
-            topology,
-            sim,
-            scheduler,
-            host_scheduler,
-            qvisor,
-            rank_fns,
-            workloads,
-            alerts,
+            name: o.or("name", String::new())?,
+            seed: o.or("seed", 1)?,
+            topology: section(&o, "topology", TopologySpec::read)?
+                .ok_or_else(|| Path::Root("topology").error("missing required field"))?,
+            sim: section(&o, "sim", SimSpec::read)?.unwrap_or_default(),
+            scheduler: section(&o, "scheduler", scheduler)?.unwrap_or(Backend::Pifo),
+            host_scheduler: section(&o, "host_scheduler", scheduler)?,
+            qvisor: section(&o, "qvisor", QvisorSpec::read)?,
+            rank_fns: section(&o, "rank_fns", |v, at| list(v, at, rank_fn))?.unwrap_or_default(),
+            workloads: section(&o, "workloads", Vec::read)?.unwrap_or_default(),
+            alerts: section(&o, "alerts", Vec::read)?.unwrap_or_default(),
         };
         spec.validate()?;
         Ok(spec)

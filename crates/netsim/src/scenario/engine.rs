@@ -11,11 +11,11 @@ use super::ScenarioError;
 use crate::config::{QvisorSetup, SimConfig};
 use crate::report::SimReport;
 use crate::sim::{judge, Simulation};
+use qvisor_core::config_api::TenantConfig;
 use qvisor_core::{
-    Admitted, JointPolicy, MonitorConfig, Refused, SpecPaths, Target, TenantSpec,
-    UnknownTenantAction, VerifyReport,
+    Admitted, JointPolicy, MonitorConfig, Refused, SpecPaths, Target, UnknownTenantAction,
+    VerifyReport,
 };
-use qvisor_ranking::RankRange;
 use qvisor_scheduler::Capacity;
 use qvisor_sim::{json::Value, EventCore, Nanos, NodeId, SimRng, TenantId};
 use qvisor_telemetry::{SloMonitor, Telemetry, Tracer};
@@ -504,17 +504,7 @@ fn build_sizes(spec: SizeDistSpec) -> Box<dyn FlowSizeDist> {
 
 fn build_qvisor(spec: &QvisorSpec) -> QvisorSetup {
     QvisorSetup {
-        specs: spec
-            .tenants
-            .iter()
-            .map(|t| TenantSpec {
-                id: TenantId(t.id),
-                name: t.name.clone(),
-                algorithm: t.algorithm.clone(),
-                range: RankRange::new(t.rank_min, t.rank_max),
-                levels: t.levels,
-            })
-            .collect(),
+        specs: spec.tenants.iter().map(TenantConfig::spec).collect(),
         policy: spec.policy.clone(),
         synth: spec.synth.unwrap_or_default(),
         unknown: if spec.unknown_drop {

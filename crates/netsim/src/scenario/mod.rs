@@ -8,8 +8,9 @@
 //!   synthesizer), rank functions, and workloads — everything needed to
 //!   reproduce a run from a single JSON file plus a seed.
 //! - the codec (`codec`): a strict JSON round-trip
-//!   (`to_json`/`from_json`) that rejects unknown fields and
-//!   out-of-range values with named-field errors.
+//!   (`to_json`/`from_json`) over `qvisor_sim::json`'s field reader, which
+//!   rejects unknown fields and out-of-range values with named-field
+//!   errors.
 //! - [`Engine`] (`engine`): materializes a spec into a configured
 //!   [`crate::Simulation`] and runs it to a [`crate::SimReport`],
 //!   optionally wiring telemetry, tracing, and an alternate event-queue
@@ -28,7 +29,7 @@ mod view;
 pub use engine::{report_json, Engine, Verified};
 pub use spec::{
     AlertSpec, ArrivalSpec, CbrDecl, FlowDecl, MonitorSpec, QvisorSpec, ScenarioSpec, SimSpec,
-    SizeDistSpec, TenantDecl, TimeRef, TopologySpec, WorkloadSpec,
+    SizeDistSpec, TimeRef, TopologySpec, WorkloadSpec,
 };
 pub use sweep::{
     merged_value, run_sweep, sanitize_export, SweepAxis, SweepPoint, SweepPointResult, SweepSpec,
@@ -82,6 +83,15 @@ impl std::error::Error for ScenarioError {
             ScenarioError::Json(e) => Some(e),
             ScenarioError::Build(e) => Some(e),
             ScenarioError::Verify(_) | ScenarioError::NotVerified => None,
+        }
+    }
+}
+
+impl From<qvisor_sim::json::FieldError> for ScenarioError {
+    fn from(e: qvisor_sim::json::FieldError) -> ScenarioError {
+        ScenarioError::Field {
+            path: e.path,
+            msg: e.msg,
         }
     }
 }

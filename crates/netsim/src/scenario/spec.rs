@@ -3,6 +3,7 @@
 //! measurement windows — as plain data with strict validation.
 
 use super::{field_err, ScenarioError};
+use qvisor_core::config_api::TenantConfig;
 use qvisor_core::{Backend, PreprocScope, SynthConfig, ViolationAction};
 use qvisor_ranking::RankFnSpec;
 use qvisor_scheduler::Capacity;
@@ -134,23 +135,6 @@ impl Default for SimSpec {
     }
 }
 
-/// One tenant declaration inside a QVISOR deployment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TenantDecl {
-    /// Tenant id carried in packet labels.
-    pub id: u16,
-    /// Name used in the operator policy string.
-    pub name: String,
-    /// Human-readable algorithm name.
-    pub algorithm: String,
-    /// Smallest declared rank.
-    pub rank_min: u64,
-    /// Largest declared rank.
-    pub rank_max: u64,
-    /// Quantization levels; `None` lets the synthesizer pick.
-    pub levels: Option<u64>,
-}
-
 /// Runtime monitor configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MonitorSpec {
@@ -167,7 +151,7 @@ pub struct MonitorSpec {
 #[derive(Clone, Debug, PartialEq)]
 pub struct QvisorSpec {
     /// Tenant declarations.
-    pub tenants: Vec<TenantDecl>,
+    pub tenants: Vec<TenantConfig>,
     /// Operator policy string, e.g. `"T1 >> T2 + T3"`.
     pub policy: String,
     /// Unknown-tenant handling: `"best_effort"` or `"drop"`.
@@ -459,17 +443,8 @@ impl ScenarioSpec {
             }
             let mut seen = std::collections::BTreeSet::new();
             for (i, t) in q.tenants.iter().enumerate() {
-                if t.rank_min > t.rank_max {
-                    return Err(field_err(
-                        format!("qvisor.tenants.{i}.rank_min"),
-                        "must be <= rank_max",
-                    ));
-                }
-                if t.levels == Some(0) {
-                    return Err(field_err(
-                        format!("qvisor.tenants.{i}.levels"),
-                        "must be >= 1",
-                    ));
+                if let Err(e) = t.check() {
+                    return Err(field_err(format!("qvisor.tenants.{i}"), e));
                 }
                 if !seen.insert(t.id) {
                     return Err(field_err(

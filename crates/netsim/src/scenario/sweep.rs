@@ -19,7 +19,7 @@
 //! whole report.
 
 use super::{field_err, Engine, ScenarioError, ScenarioSpec, SweepView};
-use qvisor_sim::json::Value;
+use qvisor_sim::json::{list, FieldError, Obj, Path, Value};
 use qvisor_sim::ordered_par_map;
 
 /// One sweep dimension. Each value is a patch: the dotted paths it sets,
@@ -76,67 +76,15 @@ pub struct SweepPointResult {
 impl SweepSpec {
     /// Parse a sweep document.
     pub fn from_value(v: &Value) -> Result<SweepSpec, ScenarioError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| field_err("sweep", "must be an object"))?;
-        for (key, _) in obj {
-            if key != "base" && key != "axes" && key != "view" {
-                return Err(field_err(
-                    format!("sweep.{key}"),
-                    "unknown field (allowed: base, axes, view)",
-                ));
-            }
-        }
-        let base = v
-            .get("base")
-            .ok_or_else(|| field_err("sweep.base", "missing required field"))?
-            .clone();
+        let o = Obj::new(v, Path::Root("sweep"), &["base", "axes", "view"])?;
+        let base: &Value = o.req("base")?;
         // The base must itself be a valid scenario.
-        ScenarioSpec::from_value(&base)?;
-        let axes_v = v
-            .get("axes")
-            .and_then(|a| a.as_array())
-            .ok_or_else(|| field_err("sweep.axes", "must be an array"))?;
-        let mut axes = Vec::with_capacity(axes_v.len());
-        for (i, axis) in axes_v.iter().enumerate() {
-            let ap = format!("sweep.axes.{i}");
-            if let Some(entries) = axis.as_object() {
-                for (key, _) in entries {
-                    if key != "path" && key != "values" {
-                        return Err(field_err(
-                            format!("{ap}.{key}"),
-                            "unknown field (allowed: path, values)",
-                        ));
-                    }
-                }
-            }
-            let values = axis
-                .get("values")
-                .and_then(|vs| vs.as_array())
-                .ok_or_else(|| field_err(format!("{ap}.values"), "must be an array"))?;
-            if values.is_empty() {
-                return Err(field_err(format!("{ap}.values"), "must not be empty"));
-            }
-            let values = match axis.get("path") {
-                Some(path) => {
-                    let path = path
-                        .as_str()
-                        .ok_or_else(|| field_err(format!("{ap}.path"), "must be a string"))?;
-                    values
-                        .iter()
-                        .map(|v| vec![(path.to_string(), v.clone())])
-                        .collect()
-                }
-                None => values
-                    .iter()
-                    .enumerate()
-                    .map(|(j, v)| patch_object(v, &format!("{ap}.values.{j}")))
-                    .collect::<Result<_, _>>()?,
-            };
-            axes.push(SweepAxis { values });
-        }
-        let view = v.get("view").map(SweepView::from_value).transpose()?;
-        Ok(SweepSpec { base, axes, view })
+        ScenarioSpec::from_value(base)?;
+        Ok(SweepSpec {
+            base: base.clone(),
+            axes: o.req_with("axes", |v, at| list(v, at, axis))?,
+            view: o.opt_with("view", SweepView::read)?,
+        })
     }
 
     /// Parse a sweep document from JSON text.
@@ -183,23 +131,33 @@ impl SweepSpec {
     }
 }
 
+/// One axis: a dotted `path` and the values it takes, or patch objects.
+fn axis(v: &Value, at: Path<'_>) -> Result<SweepAxis, FieldError> {
+    let o = Obj::new(v, at, &["path", "values"])?;
+    let path: Option<&str> = o.opt("path")?;
+    let values = o.req_with("values", |v, at| match path {
+        Some(path) => list(v, at, |v, _| Ok(vec![(path.to_string(), v.clone())])),
+        None => list(v, at, patch_object),
+    })?;
+    if values.is_empty() {
+        return Err(Path::Key(&at, "values").error("must not be empty"));
+    }
+    Ok(SweepAxis { values })
+}
+
 /// The `(path, value)` pairs of one patch object, the value of an axis
 /// that names no path of its own.
-fn patch_object(v: &Value, at: &str) -> Result<Vec<(String, Value)>, ScenarioError> {
+fn patch_object(v: &Value, at: Path<'_>) -> Result<Vec<(String, Value)>, FieldError> {
     let entries = v.as_object().ok_or_else(|| {
-        field_err(
-            at,
-            "an axis without a path takes patch objects ({\"dotted.path\": value, ...})",
-        )
+        at.error("an axis without a path takes patch objects ({\"dotted.path\": value, ...})")
     })?;
     if entries.is_empty() {
-        return Err(field_err(at, "a patch object must set at least one path"));
+        return Err(at.error("a patch object must set at least one path"));
     }
     if entries.iter().any(|(key, _)| key == "path") {
-        return Err(field_err(
-            at,
-            "a patch object names its paths as keys; `path` belongs to a one-path axis",
-        ));
+        return Err(
+            at.error("a patch object names its paths as keys; `path` belongs to a one-path axis")
+        );
     }
     Ok(entries.to_vec())
 }

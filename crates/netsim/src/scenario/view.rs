@@ -16,7 +16,7 @@
 
 use super::{field_err, ArrivalSpec, ScenarioError, ScenarioSpec, SizeDistSpec, WorkloadSpec};
 use crate::SimReport;
-use qvisor_sim::json::Value;
+use qvisor_sim::json::{FieldError, Path, Value};
 use qvisor_sim::{jain_fairness, TenantId};
 use qvisor_transport::SizeBucket;
 use std::fmt::Write as _;
@@ -36,17 +36,14 @@ pub enum SweepView {
 }
 
 impl SweepView {
-    pub(super) fn from_value(v: &Value) -> Result<SweepView, ScenarioError> {
+    pub(super) fn read(v: &Value, at: Path<'_>) -> Result<SweepView, FieldError> {
         match v.as_str() {
             Some("fct_buckets") => Ok(SweepView::FctBuckets),
             Some("jain") => Ok(SweepView::Jain),
-            _ => Err(field_err(
-                "sweep.view",
-                format!(
-                    "unknown view {} (allowed: fct_buckets, jain)",
-                    v.to_compact()
-                ),
-            )),
+            _ => Err(at.error(format!(
+                "unknown view {} (allowed: fct_buckets, jain)",
+                v.to_compact()
+            ))),
         }
     }
 

@@ -131,6 +131,10 @@ fn unknown_fields_are_rejected_with_their_path() {
         "\"unit_bytes\": 1000, \"max_rank\": 2000, \"bogus\": 1",
     ));
     assert!(text.contains("rank_fns.0.fn.bogus"), "got: {text}");
+
+    // A tenant declaration is read as strictly as the rest of the document.
+    let text = err_text(&patched("\"levels\": 128", "\"levles\": 128"));
+    assert!(text.contains("qvisor.tenants.0.levles"), "got: {text}");
 }
 
 #[test]
@@ -168,6 +172,43 @@ fn out_of_range_values_are_rejected_with_the_field_name() {
     assert!(text.contains("drop_rate"), "got: {text}");
     let text = err_text(&patched("\"window_ns\": 2000000", "\"window_ns\": 0"));
     assert!(text.contains("window_ns"), "got: {text}");
+
+    // Integers are range-checked into their field's type, never truncated.
+    for field in ["mss", "header_bytes", "ack_bytes", "cwnd"] {
+        let text = err_text(&patched(
+            "\"sample_interval_ns\": 5000000,",
+            &format!("\"sample_interval_ns\": 5000000, \"{field}\": 4294968756,"),
+        ));
+        assert_eq!(
+            text,
+            format!("scenario field `sim.{field}`: must fit a u32"),
+            "got: {text}"
+        );
+    }
+
+    // A string enum of the wrong type is refused, not read as its default.
+    let text = err_text(&patched("\"unknown\": \"drop\"", "\"unknown\": 5"));
+    assert_eq!(text, "scenario field `qvisor.unknown`: must be a string");
+    let text = err_text(&patched("\"scope\": \"switches_only\"", "\"scope\": 7"));
+    assert_eq!(text, "scenario field `qvisor.scope`: must be a string");
+    let text = err_text(&patched(
+        "\"scope\": \"switches_only\"",
+        "\"scope\": \"nowhere\"",
+    ));
+    assert!(
+        text.contains("`qvisor.scope`: unknown value 'nowhere' (allowed: everywhere,"),
+        "got: {text}"
+    );
+
+    // A tenant's own rules are checked once, by the tenant.
+    let text = err_text(&patched(
+        "\"rank_min\": 0, \"rank_max\": 500",
+        "\"rank_min\": 9, \"rank_max\": 5",
+    ));
+    assert_eq!(
+        text,
+        "scenario field `qvisor.tenants.1`: declares an empty rank range [9, 5]"
+    );
 }
 
 #[test]

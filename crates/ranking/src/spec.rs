@@ -9,7 +9,7 @@
 use crate::funcs::{ArrivalTime, ByteCountFq, Constant, Edf, Lstf, PFabric, Stfq};
 use crate::multi::MultiObjective;
 use crate::RankFn;
-use qvisor_sim::json::{self, ParseError, Value};
+use qvisor_sim::json::{tagged, Field, FieldError, Obj, Path, Value};
 use qvisor_sim::Nanos;
 
 /// A rank function as data. See the variants for parameter meanings; all
@@ -76,13 +76,6 @@ pub enum RankFnSpec {
     },
 }
 
-fn semantic(msg: impl Into<String>) -> ParseError {
-    ParseError {
-        at: 0,
-        msg: msg.into(),
-    }
-}
-
 impl RankFnSpec {
     /// Render as a JSON value tagged on `"algorithm"`.
     pub fn to_value(&self) -> Value {
@@ -140,72 +133,6 @@ impl RankFnSpec {
         }
     }
 
-    /// Parse from a JSON value tagged on `"algorithm"`.
-    pub fn from_value(v: &Value) -> Result<RankFnSpec, ParseError> {
-        let algorithm = json::field_str(v, "algorithm")?;
-        Ok(match algorithm {
-            "p_fabric" => RankFnSpec::PFabric {
-                unit_bytes: json::field_u64(v, "unit_bytes")?,
-                max_rank: json::field_u64(v, "max_rank")?,
-            },
-            "edf" => RankFnSpec::Edf {
-                unit_ns: json::field_u64(v, "unit_ns")?,
-                max_rank: json::field_u64(v, "max_rank")?,
-            },
-            "lstf" => RankFnSpec::Lstf {
-                unit_ns: json::field_u64(v, "unit_ns")?,
-                max_rank: json::field_u64(v, "max_rank")?,
-                line_rate_bps: json::field_u64(v, "line_rate_bps")?,
-            },
-            "stfq" => RankFnSpec::Stfq {
-                max_rank: json::field_u64(v, "max_rank")?,
-            },
-            "byte_count_fq" => RankFnSpec::ByteCountFq {
-                unit_bytes: json::field_u64(v, "unit_bytes")?,
-                max_rank: json::field_u64(v, "max_rank")?,
-            },
-            "arrival_time" => RankFnSpec::ArrivalTime {
-                unit_ns: json::field_u64(v, "unit_ns")?,
-                max_rank: json::field_u64(v, "max_rank")?,
-            },
-            "constant" => RankFnSpec::Constant {
-                rank: json::field_u64(v, "rank")?,
-            },
-            "multi_objective" => {
-                let comps = json::field(v, "components")?
-                    .as_array()
-                    .ok_or_else(|| semantic("field 'components' must be an array"))?;
-                let mut components = Vec::with_capacity(comps.len());
-                for comp in comps {
-                    let pair = comp
-                        .as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| semantic("each component must be a [spec, weight] pair"))?;
-                    let weight = pair[1]
-                        .as_u64()
-                        .and_then(|w| u32::try_from(w).ok())
-                        .ok_or_else(|| semantic("component weight must fit a u32"))?;
-                    components.push((RankFnSpec::from_value(&pair[0])?, weight));
-                }
-                RankFnSpec::MultiObjective {
-                    components,
-                    resolution: json::field_u64(v, "resolution")?,
-                }
-            }
-            other => return Err(semantic(format!("unknown algorithm '{other}'"))),
-        })
-    }
-
-    /// Serialize to compact JSON.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_compact()
-    }
-
-    /// Parse from a JSON string.
-    pub fn from_json(text: &str) -> Result<RankFnSpec, ParseError> {
-        RankFnSpec::from_value(&Value::parse(text)?)
-    }
-
     /// Instantiate the described rank function.
     pub fn build(&self) -> Box<dyn RankFn> {
         match self {
@@ -242,11 +169,105 @@ impl RankFnSpec {
     }
 }
 
+/// How each `"algorithm"` reads the rest of its object.
+type ReadAlgorithm = fn(&Obj<'_, '_>) -> Result<RankFnSpec, FieldError>;
+
+/// Each `"algorithm"`, the keys its object holds, and how it reads them.
+const ALGORITHMS: [(&str, (&[&str], ReadAlgorithm)); 8] = [
+    (
+        "p_fabric",
+        (&["algorithm", "unit_bytes", "max_rank"], |o| {
+            Ok(RankFnSpec::PFabric {
+                unit_bytes: o.req("unit_bytes")?,
+                max_rank: o.req("max_rank")?,
+            })
+        }),
+    ),
+    (
+        "edf",
+        (&["algorithm", "unit_ns", "max_rank"], |o| {
+            Ok(RankFnSpec::Edf {
+                unit_ns: o.req("unit_ns")?,
+                max_rank: o.req("max_rank")?,
+            })
+        }),
+    ),
+    (
+        "lstf",
+        (
+            &["algorithm", "unit_ns", "max_rank", "line_rate_bps"],
+            |o| {
+                Ok(RankFnSpec::Lstf {
+                    unit_ns: o.req("unit_ns")?,
+                    max_rank: o.req("max_rank")?,
+                    line_rate_bps: o.req("line_rate_bps")?,
+                })
+            },
+        ),
+    ),
+    (
+        "stfq",
+        (&["algorithm", "max_rank"], |o| {
+            Ok(RankFnSpec::Stfq {
+                max_rank: o.req("max_rank")?,
+            })
+        }),
+    ),
+    (
+        "byte_count_fq",
+        (&["algorithm", "unit_bytes", "max_rank"], |o| {
+            Ok(RankFnSpec::ByteCountFq {
+                unit_bytes: o.req("unit_bytes")?,
+                max_rank: o.req("max_rank")?,
+            })
+        }),
+    ),
+    (
+        "arrival_time",
+        (&["algorithm", "unit_ns", "max_rank"], |o| {
+            Ok(RankFnSpec::ArrivalTime {
+                unit_ns: o.req("unit_ns")?,
+                max_rank: o.req("max_rank")?,
+            })
+        }),
+    ),
+    (
+        "constant",
+        (&["algorithm", "rank"], |o| {
+            Ok(RankFnSpec::Constant {
+                rank: o.req("rank")?,
+            })
+        }),
+    ),
+    (
+        "multi_objective",
+        (&["algorithm", "components", "resolution"], |o| {
+            Ok(RankFnSpec::MultiObjective {
+                components: o.req("components")?,
+                resolution: o.req("resolution")?,
+            })
+        }),
+    ),
+];
+
+/// The object tagged on `"algorithm"`; only that algorithm's keys may
+/// appear beside the tag.
+impl Field<'_> for RankFnSpec {
+    fn read(v: &Value, at: Path<'_>) -> Result<RankFnSpec, FieldError> {
+        let (o, read) = tagged(v, at, "algorithm", &ALGORITHMS)?;
+        read(&o)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::RankCtx;
     use qvisor_sim::FlowId;
+
+    fn from_json(text: &str) -> Result<RankFnSpec, FieldError> {
+        RankFnSpec::read(&Value::parse(text).unwrap(), Path::Root(""))
+    }
 
     #[test]
     fn every_variant_builds_and_ranks() {
@@ -304,8 +325,8 @@ mod tests {
             ],
             resolution: 1_000,
         };
-        let json = spec.to_json();
-        let back = RankFnSpec::from_json(&json).unwrap();
+        let json = spec.to_value().to_compact();
+        let back = from_json(&json).unwrap();
         assert_eq!(spec, back);
         let mut f = back.build();
         assert_eq!(f.name(), "multi-objective");
@@ -316,7 +337,7 @@ mod tests {
     #[test]
     fn json_shape_is_human_writable() {
         let json = r#"{"algorithm": "p_fabric", "unit_bytes": 1000, "max_rank": 100000}"#;
-        let spec = RankFnSpec::from_json(json).unwrap();
+        let spec = from_json(json).unwrap();
         assert_eq!(
             spec,
             RankFnSpec::PFabric {
@@ -328,12 +349,26 @@ mod tests {
 
     #[test]
     fn rejects_unknown_algorithm_and_bad_shapes() {
-        assert!(RankFnSpec::from_json(r#"{"algorithm": "fancy"}"#).is_err());
-        assert!(RankFnSpec::from_json(r#"{"unit_bytes": 1}"#).is_err());
-        assert!(RankFnSpec::from_json("[1, 2]").is_err());
-        assert!(RankFnSpec::from_json(
+        let err = from_json(r#"{"algorithm": "fancy"}"#).unwrap_err();
+        assert_eq!(err.path, "algorithm");
+        assert!(err
+            .msg
+            .starts_with("unknown value 'fancy' (allowed: p_fabric, edf,"));
+        assert!(from_json(r#"{"unit_bytes": 1}"#).is_err());
+        assert!(from_json("[1, 2]").is_err());
+        assert!(from_json(
             r#"{"algorithm": "multi_objective", "components": [3], "resolution": 10}"#
         )
         .is_err());
+        let err = from_json(r#"{"algorithm": "stfq", "max_rank": 9, "unit_ns": 1}"#).unwrap_err();
+        assert_eq!(err.path, "unit_ns");
+        assert_eq!(err.msg, "unknown field (allowed: algorithm, max_rank)");
+        let err = from_json(
+            r#"{"algorithm": "multi_objective", "resolution": 10,
+                "components": [[{"algorithm": "constant", "rank": 1}, 4294967296]]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.path, "components.0.1");
+        assert_eq!(err.msg, "must fit a u32");
     }
 }

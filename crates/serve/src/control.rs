@@ -19,9 +19,8 @@ use std::sync::Arc;
 
 use qvisor_core::config_api::{DeploymentConfig, TenantConfig};
 use qvisor_core::{
-    AdaptError, Adaptation, Admitted, MonitorConfig, RuntimeAdapter, Severity, Target, TenantSpec,
+    AdaptError, Adaptation, Admitted, MonitorConfig, RuntimeAdapter, Severity, Target,
 };
-use qvisor_ranking::RankRange;
 use qvisor_sim::json::Value;
 use qvisor_sim::TenantId;
 use qvisor_telemetry::Telemetry;
@@ -110,20 +109,8 @@ impl ControlPlane {
                 format!("tenant '{}' has id {expected_id}, not {}", t.name, t.id),
             );
         }
-        if t.rank_min > t.rank_max {
-            return self.reject(
-                &t.name,
-                format!(
-                    "tenant '{}' declares an empty rank range [{}, {}]",
-                    t.name, t.rank_min, t.rank_max
-                ),
-            );
-        }
-        if t.levels == Some(0) {
-            return self.reject(
-                &t.name,
-                format!("tenant '{}' declares zero quantization levels", t.name),
-            );
+        if let Err(e) = t.check() {
+            return self.reject(&t.name, format!("tenant '{}' {e}", t.name));
         }
         // Candidate document: current live set plus this submission.
         let Some(candidate) = self.store.effective_config_with(&t) else {
@@ -135,13 +122,7 @@ impl ControlPlane {
         // Admission gate: the adapter re-synthesizes the candidate's live
         // set with this spec swapped in and core's gate judges it. A
         // refusal restores the spec and commits nothing.
-        let mut spec = TenantSpec::new(
-            TenantId(t.id),
-            t.name.clone(),
-            t.algorithm.clone(),
-            RankRange::new(t.rank_min, t.rank_max),
-        );
-        spec.levels = t.levels;
+        let spec = t.spec();
         let previous = self
             .adapter
             .specs()
@@ -234,13 +215,11 @@ impl ControlPlane {
         };
         let report = refused.report;
         let diags: Vec<Value> = report.diagnostics.iter().map(|d| d.to_value()).collect();
-        let config_value = Value::parse(&candidate.to_json())
-            .expect("candidate config serialisation is well-formed JSON");
         self.reject(tenant, "verification gate failed".to_string())
             .set("diagnostics", Value::from(diags))
             .set("errors", report.count(Severity::Error))
             .set("warnings", report.count(Severity::Warning))
-            .set("effective_config", config_value)
+            .set("effective_config", candidate.to_value())
     }
 
     /// Build and publish the snapshot for the current committed state.

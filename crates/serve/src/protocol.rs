@@ -7,7 +7,7 @@
 //! ("Control plane").
 
 use qvisor_core::config_api::TenantConfig;
-use qvisor_sim::json::{self, Value};
+use qvisor_sim::json::{tagged, FieldError, Obj, Path, Value};
 
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,82 +33,47 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parse a tenant document (the `submit-policy` body shape). Errors are
-/// client-facing strings.
-pub fn tenant_config_from_value(v: &Value) -> Result<TenantConfig, String> {
-    let err = |e: json::ParseError| format!("invalid tenant document: {}", e.msg);
-    let levels = match v.get("levels") {
-        None => None,
-        Some(l) if l.is_null() => None,
-        Some(l) => Some(
-            l.as_u64()
-                .ok_or("invalid tenant document: field 'levels' must be a non-negative integer")?,
-        ),
-    };
-    let id = json::field_u64(v, "id").map_err(err)?;
-    let id = u16::try_from(id).map_err(|_| "field 'id' does not fit a tenant id (u16)")?;
-    Ok(TenantConfig {
-        id,
-        name: json::field_str(v, "name").map_err(err)?.to_string(),
-        algorithm: json::field_str(v, "algorithm").map_err(err)?.to_string(),
-        rank_min: json::field_u64(v, "rank_min").map_err(err)?,
-        rank_max: json::field_u64(v, "rank_max").map_err(err)?,
-        levels,
-    })
-}
+/// How each `"op"` reads the rest of its request.
+type ReadOp = fn(&Obj<'_, '_>) -> Result<Request, FieldError>;
 
-/// Serialize a tenant document (the inverse of the `submit-policy` body).
-pub fn tenant_config_value(t: &TenantConfig) -> Value {
-    let obj = Value::object()
-        .set("id", u64::from(t.id))
-        .set("name", t.name.as_str())
-        .set("algorithm", t.algorithm.as_str())
-        .set("rank_min", t.rank_min)
-        .set("rank_max", t.rank_max);
-    match t.levels {
-        Some(levels) => obj.set("levels", levels),
-        None => obj,
-    }
-}
+/// Each `"op"`, the keys its request holds, and how it reads them.
+const OPS: [(&str, (&[&str], ReadOp)); 9] = [
+    (
+        "submit-policy",
+        (&["op", "tenant"], |o| {
+            Ok(Request::SubmitPolicy(o.req("tenant")?))
+        }),
+    ),
+    (
+        "withdraw-tenant",
+        (&["op", "tenant"], |o| {
+            Ok(Request::WithdrawTenant(o.req("tenant")?))
+        }),
+    ),
+    (
+        "get-chain",
+        (&["op", "tenant"], |o| {
+            Ok(Request::GetChain(o.opt("tenant")?))
+        }),
+    ),
+    ("status", (&["op"], |_| Ok(Request::Status))),
+    ("metrics", (&["op"], |_| Ok(Request::Metrics))),
+    ("snapshot", (&["op"], |_| Ok(Request::Snapshot))),
+    ("get-log", (&["op"], |_| Ok(Request::GetLog))),
+    (
+        "subscribe-telemetry",
+        (&["op"], |_| Ok(Request::SubscribeTelemetry)),
+    ),
+    ("shutdown", (&["op"], |_| Ok(Request::Shutdown))),
+];
 
 impl Request {
     /// Parse one request line. Errors are client-facing strings.
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = Value::parse(line).map_err(|e| format!("request is not JSON: {}", e.msg))?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or("request has no string 'op' field")?;
-        match op {
-            "submit-policy" => {
-                let tenant = v
-                    .get("tenant")
-                    .ok_or("submit-policy needs a 'tenant' object")?;
-                Ok(Request::SubmitPolicy(tenant_config_from_value(tenant)?))
-            }
-            "withdraw-tenant" => {
-                let name = v
-                    .get("tenant")
-                    .and_then(Value::as_str)
-                    .ok_or("withdraw-tenant needs a string 'tenant' field")?;
-                Ok(Request::WithdrawTenant(name.to_string()))
-            }
-            "get-chain" => match v.get("tenant") {
-                None => Ok(Request::GetChain(None)),
-                Some(t) => Ok(Request::GetChain(Some(
-                    t.as_str()
-                        .ok_or("get-chain 'tenant' must be a string")?
-                        .to_string(),
-                ))),
-            },
-            "status" => Ok(Request::Status),
-            "metrics" => Ok(Request::Metrics),
-            "snapshot" => Ok(Request::Snapshot),
-            "get-log" => Ok(Request::GetLog),
-            "subscribe-telemetry" => Ok(Request::SubscribeTelemetry),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op '{other}'")),
-        }
+        let (o, read) =
+            tagged(&v, Path::Root(""), "op", &OPS).map_err(|e| format!("request {e}"))?;
+        read(&o).map_err(|e| format!("request {e}"))
     }
 
     /// Serialize back to a request line (used by tests and the harness).
@@ -116,7 +81,7 @@ impl Request {
         let v = match self {
             Request::SubmitPolicy(t) => Value::object()
                 .set("op", "submit-policy")
-                .set("tenant", tenant_config_value(t)),
+                .set("tenant", t.to_value()),
             Request::WithdrawTenant(name) => Value::object()
                 .set("op", "withdraw-tenant")
                 .set("tenant", name.as_str()),
@@ -200,10 +165,13 @@ mod tests {
     #[test]
     fn malformed_requests_are_client_errors() {
         assert!(Request::parse("{oops").unwrap_err().contains("not JSON"));
-        assert!(Request::parse("{}").unwrap_err().contains("'op'"));
+        assert_eq!(
+            Request::parse("{}").unwrap_err(),
+            "request field `op`: missing required field"
+        );
         assert!(Request::parse(r#"{"op":"fly"}"#)
             .unwrap_err()
-            .contains("unknown op"));
+            .contains("unknown value 'fly' (allowed: submit-policy, withdraw-tenant,"));
         assert!(Request::parse(r#"{"op":"submit-policy"}"#)
             .unwrap_err()
             .contains("tenant"));
@@ -212,5 +180,24 @@ mod tests {
         )
         .unwrap_err()
         .contains("u16"));
+        assert_eq!(
+            Request::parse(
+                r#"{"op":"submit-policy","tenant":{"id":1,"name":"a","algorithm":"x","rank_min":0,"rank_max":9,"levles":4}}"#
+            )
+            .unwrap_err(),
+            "request field `tenant.levles`: unknown field \
+             (allowed: id, name, algorithm, rank_min, rank_max, levels)"
+        );
+        assert_eq!(
+            Request::parse(r#"{"op":"status","tenant":"gold"}"#).unwrap_err(),
+            "request field `tenant`: unknown field (allowed: op)"
+        );
+        assert!(Request::parse(r#"{"op":"get-chain","tenant":7}"#)
+            .unwrap_err()
+            .contains("`tenant`: must be a string"));
+        assert_eq!(
+            Request::parse("[]").unwrap_err(),
+            "request document: must be an object"
+        );
     }
 }

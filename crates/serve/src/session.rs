@@ -385,6 +385,35 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_refused_and_the_session_goes_on() {
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000) + "\n";
+        let misspelt = r#"{"op":"submit-policy","tenant":{"id":1,"name":"gold","algorithm":"pFabric","rank_min":0,"rank_max":999,"levles":16}}"#;
+        let script = format!("{deep}{misspelt}\n{{\"op\":\"status\"}}\n");
+        let r = replies(&fresh(&[script.as_bytes()]));
+        assert_eq!(r.len(), 3, "{r:?}");
+        for refused in &r[..2] {
+            assert_eq!(
+                field(refused, &["ok"]).as_bool(),
+                Some(false),
+                "{refused:?}"
+            );
+        }
+        let error = |v: &Value| field(v, &["error"]).as_str().unwrap().to_string();
+        assert!(
+            error(&r[0]).contains("nesting deeper than 128"),
+            "{:?}",
+            r[0]
+        );
+        assert!(
+            error(&r[1]).contains("`tenant.levles`: unknown field"),
+            "{:?}",
+            r[1]
+        );
+        assert_eq!(field(&r[2], &["result"]).as_str(), Some("status"));
+        assert_eq!(field(&r[2], &["version"]).as_u64(), Some(1));
+    }
+
+    #[test]
     fn a_line_that_is_not_utf8_closes_with_no_reply() {
         let (shared, mut plane) = state();
         let outputs = transcript(

@@ -13,10 +13,8 @@ use std::collections::BTreeSet;
 
 use qvisor_core::config_api::{DeploymentConfig, SynthOptions, TenantConfig};
 use qvisor_core::{retain_tenants, Policy};
-use qvisor_sim::json::Value;
+use qvisor_sim::json::{tagged, FieldError, Obj, Path, Value};
 use qvisor_sim::TenantId;
-
-use crate::protocol::tenant_config_value;
 
 /// One accepted mutation, as recorded in the log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,13 +25,32 @@ pub enum LogEntry {
     Withdraw(String),
 }
 
+/// How each log `"op"` reads its entry.
+type ReadEntry = fn(&Obj<'_, '_>) -> Result<LogEntry, FieldError>;
+
+/// Each log `"op"`, the keys its entry holds, and how it reads them.
+const ENTRIES: [(&str, (&[&str], ReadEntry)); 2] = [
+    (
+        "submit",
+        (&["op", "tenant"], |o| {
+            Ok(LogEntry::Submit(o.req("tenant")?))
+        }),
+    ),
+    (
+        "withdraw",
+        (&["op", "tenant"], |o| {
+            Ok(LogEntry::Withdraw(o.req("tenant")?))
+        }),
+    ),
+];
+
 impl LogEntry {
     /// Serialize as one log line object.
     pub fn to_value(&self) -> Value {
         match self {
             LogEntry::Submit(t) => Value::object()
                 .set("op", "submit")
-                .set("tenant", tenant_config_value(t)),
+                .set("tenant", t.to_value()),
             LogEntry::Withdraw(name) => Value::object()
                 .set("op", "withdraw")
                 .set("tenant", name.as_str()),
@@ -41,22 +58,9 @@ impl LogEntry {
     }
 
     /// Parse one log line object (the inverse of [`LogEntry::to_value`]).
-    pub fn from_value(v: &Value) -> Result<LogEntry, String> {
-        match v.get("op").and_then(Value::as_str) {
-            Some("submit") => {
-                let t = v.get("tenant").ok_or("submit log entry has no tenant")?;
-                Ok(LogEntry::Submit(crate::protocol::tenant_config_from_value(
-                    t,
-                )?))
-            }
-            Some("withdraw") => Ok(LogEntry::Withdraw(
-                v.get("tenant")
-                    .and_then(Value::as_str)
-                    .ok_or("withdraw log entry has no tenant name")?
-                    .to_string(),
-            )),
-            _ => Err("log entry has no known 'op'".to_string()),
-        }
+    pub fn from_value(v: &Value) -> Result<LogEntry, FieldError> {
+        let (o, read) = tagged(v, Path::Root(""), "op", &ENTRIES)?;
+        read(&o)
     }
 }
 
@@ -287,6 +291,27 @@ mod tests {
         assert!(store.is_live("gold"), "the store is untouched until commit");
         store.commit_withdraw("gold");
         assert!(store.effective_config_without("bronze").is_none());
+    }
+
+    #[test]
+    fn log_entries_round_trip_and_refuse_keys_they_do_not_read() {
+        let gold = universe().tenants[0].clone();
+        for entry in [LogEntry::Submit(gold), LogEntry::Withdraw("gold".into())] {
+            assert_eq!(LogEntry::from_value(&entry.to_value()), Ok(entry));
+        }
+        let refused = |line: &str| {
+            (LogEntry::from_value(&Value::parse(line).unwrap()).unwrap_err()).to_string()
+        };
+        assert_eq!(
+            refused(r#"{"op":"withdraw","tenant":"gold","at":3}"#),
+            "field `at`: unknown field (allowed: op, tenant)"
+        );
+        assert!(refused(
+            r#"{"op":"submit","tenant":{"id":1,"name":"gold","algorithm":"x","rank_min":0,"rank_max":9,"level":2}}"#
+        )
+        .starts_with("field `tenant.level`: unknown field"));
+        assert!(refused(r#"{"op":"replace","tenant":"gold"}"#)
+            .starts_with("field `op`: unknown value 'replace'"));
     }
 
     #[test]

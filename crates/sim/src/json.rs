@@ -1,12 +1,23 @@
-//! A small, dependency-free JSON tree: parser, writers, and builders.
+//! A small, dependency-free JSON tree: parser, writers, builders, and the
+//! one field reader every input document is decoded through.
 //!
 //! The repo is built to compile offline, so instead of `serde` every
 //! serializable type converts itself to and from [`Value`] explicitly.
 //! Integers are kept as `i128` so the full `u64` range round-trips without
 //! the precision loss a float-only representation would introduce (ranks
 //! and nanosecond timestamps both live near the top of `u64`).
+//!
+//! Every input document is decoded through one field reader: an [`Obj`]
+//! is opened with the keys its object may hold and refuses any other key
+//! first, so a misspelt key is named as such; each typed read names its
+//! key, an absent key and `null` both read as absent, and integers are
+//! range-checked into their type ([`Field`]). String enums ([`one_of`]),
+//! externally tagged objects ([`variant`]) and objects tagged by a key
+//! ([`tagged`]) name the vocabulary they allow. Errors are [`FieldError`]s
+//! naming the field's dotted [`Path`], spelled out only when an error is
+//! reported. Parsing refuses nesting deeper than 128 arrays and objects.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,12 +55,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep arrays and objects may nest in a parsed document. The deepest
+/// committed document nests 10 deep; the bound keeps one hostile line from
+/// overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 impl Value {
     /// Parse a JSON document (must consume the whole input).
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -146,7 +163,7 @@ impl Value {
     }
 
     /// True if `null`.
-    pub fn is_null(&self) -> bool {
+    fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -323,6 +340,8 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -363,8 +382,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -373,6 +392,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing it at its
+    /// opening byte past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -542,28 +576,277 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Convenience: required-field lookup with a contextual error message.
-pub fn field<'v>(obj: &'v Value, key: &str) -> Result<&'v Value, ParseError> {
-    obj.get(key).ok_or(ParseError {
-        at: 0,
-        msg: format!("missing field '{key}'"),
-    })
+/// Where a field sits in a document. Paths live on the decoder's stack and
+/// are spelled out (`workloads.0.poisson.flows`) only when an error names
+/// one, so reading a well-formed document builds no path strings.
+#[derive(Clone, Copy, Debug)]
+pub enum Path<'a> {
+    /// The document itself, by name; an empty name is left out of paths
+    /// below it (`tenants.1.rank_max`, not `.tenants.1.rank_max`).
+    Root(&'a str),
+    /// A key of an object.
+    Key(&'a Path<'a>, &'a str),
+    /// An element of an array.
+    Index(&'a Path<'a>, usize),
 }
 
-/// Convenience: required `u64` field.
-pub fn field_u64(obj: &Value, key: &str) -> Result<u64, ParseError> {
-    field(obj, key)?.as_u64().ok_or(ParseError {
-        at: 0,
-        msg: format!("field '{key}' must be a non-negative integer"),
-    })
+impl Path<'_> {
+    /// The field at this path is wrong: `msg` says how.
+    pub fn error(&self, msg: impl Into<String>) -> FieldError {
+        FieldError {
+            path: self.to_string(),
+            msg: msg.into(),
+        }
+    }
 }
 
-/// Convenience: required string field.
-pub fn field_str<'v>(obj: &'v Value, key: &str) -> Result<&'v str, ParseError> {
-    field(obj, key)?.as_str().ok_or(ParseError {
-        at: 0,
-        msg: format!("field '{key}' must be a string"),
-    })
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (parent, segment): (&Path, &dyn fmt::Display) = match self {
+            Path::Root(name) => return f.write_str(name),
+            Path::Key(parent, key) => (parent, key),
+            Path::Index(parent, i) => (parent, i),
+        };
+        if !matches!(parent, Path::Root("")) {
+            write!(f, "{parent}.")?;
+        }
+        segment.fmt(f)
+    }
+}
+
+/// A document field that is missing, unknown, of the wrong type or out of
+/// range, by its dotted path.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FieldError {
+    /// Dotted path to the field (empty: the document itself).
+    pub path: String,
+    /// What is wrong with it.
+    pub msg: String,
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            write!(f, "document: {}", self.msg)
+        } else {
+            write!(f, "field `{}`: {}", self.path, self.msg)
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// A type a document field reads as.
+pub trait Field<'v>: Sized {
+    /// Read `v`, found at `at`.
+    fn read(v: &'v Value, at: Path<'_>) -> Result<Self, FieldError>;
+}
+
+impl<'v> Field<'v> for &'v Value {
+    fn read(v: &'v Value, _: Path<'_>) -> Result<Self, FieldError> {
+        Ok(v)
+    }
+}
+
+impl<'v> Field<'v> for &'v str {
+    fn read(v: &'v Value, at: Path<'_>) -> Result<Self, FieldError> {
+        v.as_str().ok_or_else(|| at.error("must be a string"))
+    }
+}
+
+impl Field<'_> for String {
+    fn read(v: &Value, at: Path<'_>) -> Result<Self, FieldError> {
+        <&str>::read(v, at).map(str::to_string)
+    }
+}
+
+impl Field<'_> for u64 {
+    fn read(v: &Value, at: Path<'_>) -> Result<Self, FieldError> {
+        v.as_u64()
+            .ok_or_else(|| at.error("must be an unsigned integer"))
+    }
+}
+
+impl Field<'_> for f64 {
+    fn read(v: &Value, at: Path<'_>) -> Result<Self, FieldError> {
+        v.as_f64().ok_or_else(|| at.error("must be a number"))
+    }
+}
+
+/// Narrower unsigned integers: an integer that does not fit is refused,
+/// never truncated.
+macro_rules! narrow_field {
+    ($($t:ty),*) => {$(
+        impl Field<'_> for $t {
+            fn read(v: &Value, at: Path<'_>) -> Result<Self, FieldError> {
+                <$t>::try_from(u64::read(v, at)?)
+                    .map_err(|_| at.error(concat!("must fit a ", stringify!($t))))
+            }
+        }
+    )*};
+}
+narrow_field!(u32, u16, usize);
+
+impl<'v, T: Field<'v>> Field<'v> for Vec<T> {
+    fn read(v: &'v Value, at: Path<'_>) -> Result<Self, FieldError> {
+        list(v, at, T::read)
+    }
+}
+
+/// An array, each element read by `read` at its index.
+pub fn list<'v, T>(
+    v: &'v Value,
+    at: Path<'_>,
+    mut read: impl FnMut(&'v Value, Path<'_>) -> Result<T, FieldError>,
+) -> Result<Vec<T>, FieldError> {
+    let items = v.as_array().ok_or_else(|| at.error("must be an array"))?;
+    (items.iter().enumerate())
+        .map(|(i, item)| read(item, Path::Index(&at, i)))
+        .collect()
+}
+
+/// A pair is a two-element array, `[a, b]`.
+impl<'v, A: Field<'v>, B: Field<'v>> Field<'v> for (A, B) {
+    fn read(v: &'v Value, at: Path<'_>) -> Result<Self, FieldError> {
+        match v.as_array() {
+            Some([a, b]) => Ok((
+                A::read(a, Path::Index(&at, 0))?,
+                B::read(b, Path::Index(&at, 1))?,
+            )),
+            _ => Err(at.error("must be a two-element array")),
+        }
+    }
+}
+
+/// A string from a fixed vocabulary, as the value `table` pairs it with.
+pub fn one_of<T: Copy>(v: &Value, at: Path<'_>, table: &[(&str, T)]) -> Result<T, FieldError> {
+    let s = <&str>::read(v, at)?;
+    match table.iter().find(|(name, _)| *name == s) {
+        Some(&(_, value)) => Ok(value),
+        None => {
+            let allowed: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+            Err(at.error(format!(
+                "unknown value '{s}' (allowed: {})",
+                allowed.join(", ")
+            )))
+        }
+    }
+}
+
+/// An externally tagged object, `{"tag": {...}}`: `table` pairs each tag
+/// with the keys its body holds and what the tag reads as.
+pub fn variant<'v, 'p, T: Copy>(
+    v: &'v Value,
+    at: &'p Path<'p>,
+    table: &[(&'static str, (&'static [&'static str], T))],
+) -> Result<(Obj<'v, 'p>, T), FieldError> {
+    let tags = || {
+        let tags: Vec<&str> = table.iter().map(|(tag, _)| *tag).collect();
+        tags.join(", ")
+    };
+    let entries = v
+        .as_object()
+        .ok_or_else(|| at.error("must be a single-key object"))?;
+    let [(key, body)] = entries else {
+        return Err(at.error(format!("must have exactly one key of: {}", tags())));
+    };
+    match table.iter().find(|(tag, _)| tag == key) {
+        Some(&(tag, (keys, read))) => Ok((Obj::new(body, Path::Key(at, tag), keys)?, read)),
+        None => Err(Path::Key(at, key).error(format!("unknown variant (allowed: {})", tags()))),
+    }
+}
+
+/// An object being decoded, opened with the keys it may hold: any other key
+/// is refused before a field is read, so a misspelt key is named as such
+/// rather than as the required field it was meant to be.
+pub struct Obj<'v, 'p> {
+    entries: &'v [(String, Value)],
+    path: Path<'p>,
+    keys: &'static [&'static str],
+}
+
+impl<'v, 'p> Obj<'v, 'p> {
+    /// Open `v`, found at `path`, as an object of `keys`; the refusal of
+    /// any other key lists them in this order.
+    pub fn new(
+        v: &'v Value,
+        path: Path<'p>,
+        keys: &'static [&'static str],
+    ) -> Result<Obj<'v, 'p>, FieldError> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| path.error("must be an object"))?;
+        if let Some((key, _)) = entries.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+            return Err(Path::Key(&path, key).error(match keys {
+                [] => "unknown field (allowed: none)".to_string(),
+                _ => format!("unknown field (allowed: {})", keys.join(", ")),
+            }));
+        }
+        Ok(Obj {
+            entries,
+            path,
+            keys,
+        })
+    }
+
+    /// A required field.
+    pub fn req<T: Field<'v>>(&self, key: &'static str) -> Result<T, FieldError> {
+        self.req_with(key, T::read)
+    }
+
+    /// An optional field: absent and `null` read as `None`.
+    pub fn opt<T: Field<'v>>(&self, key: &'static str) -> Result<Option<T>, FieldError> {
+        self.opt_with(key, T::read)
+    }
+
+    /// An optional field with a default.
+    pub fn or<T: Field<'v>>(&self, key: &'static str, default: T) -> Result<T, FieldError> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// A required field, read by `read`.
+    pub fn req_with<T>(
+        &self,
+        key: &'static str,
+        read: impl FnOnce(&'v Value, Path<'_>) -> Result<T, FieldError>,
+    ) -> Result<T, FieldError> {
+        self.opt_with(key, read)?
+            .ok_or_else(|| Path::Key(&self.path, key).error("missing required field"))
+    }
+
+    /// An optional field, read by `read`: absent and `null` read as `None`.
+    pub fn opt_with<T>(
+        &self,
+        key: &'static str,
+        read: impl FnOnce(&'v Value, Path<'_>) -> Result<T, FieldError>,
+    ) -> Result<Option<T>, FieldError> {
+        debug_assert!(self.keys.contains(&key), "`{key}` is read but not declared");
+        match lookup(self.entries, key) {
+            Some(v) => read(v, Path::Key(&self.path, key)).map(Some),
+            None => Ok(None),
+        }
+    }
+}
+
+/// The non-`null` value at `key`.
+fn lookup<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
+    (entries.iter().find(|(k, _)| k == key)).and_then(|(_, v)| (!v.is_null()).then_some(v))
+}
+
+/// An object tagged by the string at its `tag` key: `table` pairs each
+/// tag with the object's keys (`tag` among them) and what the tag reads
+/// as.
+pub fn tagged<'v, 'p, T: Copy>(
+    v: &'v Value,
+    at: Path<'p>,
+    tag: &'static str,
+    table: &[(&str, (&'static [&'static str], T))],
+) -> Result<(Obj<'v, 'p>, T), FieldError> {
+    let entries = v.as_object().ok_or_else(|| at.error("must be an object"))?;
+    let name =
+        lookup(entries, tag).ok_or_else(|| Path::Key(&at, tag).error("missing required field"))?;
+    let (keys, read) = one_of(name, Path::Key(&at, tag), table)?;
+    Ok((Obj::new(v, at, keys)?, read))
 }
 
 #[cfg(test)]
@@ -668,5 +951,135 @@ mod tests {
             .set("none", Option::<u64>::None);
         assert_eq!(v.get("some").and_then(Value::as_u64), Some(5));
         assert!(v.get("none").unwrap().is_null());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_offending_byte() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert_eq!(e.msg, format!("nesting deeper than {MAX_DEPTH}"));
+        let deep_object = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(Value::parse(&deep_object).unwrap_err().at, 5 * MAX_DEPTH);
+        // Far past the bound: refused, not a stack overflow.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Point {
+        x: u32,
+        label: String,
+        tags: Vec<u16>,
+        weight: f64,
+    }
+
+    impl Field<'_> for Point {
+        fn read(v: &Value, at: Path<'_>) -> Result<Point, FieldError> {
+            let o = Obj::new(v, at, &["x", "label", "tags", "weight"])?;
+            Ok(Point {
+                x: o.req("x")?,
+                label: o.or("label", "none".to_string())?,
+                tags: o.opt("tags")?.unwrap_or_default(),
+                weight: o.or("weight", 1.0)?,
+            })
+        }
+    }
+
+    fn point(text: &str) -> Result<Point, FieldError> {
+        Vec::<Point>::read(&Value::parse(text).unwrap(), Path::Root("points"))
+            .map(|mut points| points.remove(0))
+    }
+
+    #[test]
+    fn the_reader_decodes_typed_fields_with_defaults() {
+        let p = point(r#"[{"x": 3, "tags": [1, 2], "weight": null}]"#).unwrap();
+        let want = Point {
+            x: 3,
+            label: "none".into(),
+            tags: vec![1, 2],
+            weight: 1.0,
+        };
+        assert_eq!(p, want);
+    }
+
+    #[test]
+    fn the_reader_names_each_refusal_by_its_path() {
+        let refused = |text: &str| point(text).unwrap_err().to_string();
+        assert_eq!(
+            refused(r#"[{"x": 1, "lable": "a"}]"#),
+            "field `points.0.lable`: unknown field (allowed: x, label, tags, weight)"
+        );
+        assert_eq!(
+            refused(r#"[{"label": "a"}]"#),
+            "field `points.0.x`: missing required field"
+        );
+        assert_eq!(
+            refused(r#"[{"x": 4294967296}]"#),
+            "field `points.0.x`: must fit a u32"
+        );
+        assert_eq!(
+            refused(r#"[{"x": -1}]"#),
+            "field `points.0.x`: must be an unsigned integer"
+        );
+        assert_eq!(
+            refused(r#"[{"x": 1, "tags": [1, 70000]}]"#),
+            "field `points.0.tags.1`: must fit a u16"
+        );
+        assert_eq!(
+            refused(r#"[{"x": 1, "label": 7}]"#),
+            "field `points.0.label`: must be a string"
+        );
+        assert_eq!(refused("[5]"), "field `points.0`: must be an object");
+        let unnamed = Point::read(&Value::Int(5), Path::Root("")).unwrap_err();
+        assert_eq!(unnamed.to_string(), "document: must be an object");
+    }
+
+    #[test]
+    fn enums_and_variants_name_their_vocabulary() {
+        let table = [("red", 1), ("green", 2)];
+        let at = Path::Root("colour");
+        assert_eq!(one_of(&Value::from("green"), at, &table), Ok(2));
+        assert_eq!(
+            one_of(&Value::from("blue"), at, &table)
+                .unwrap_err()
+                .to_string(),
+            "field `colour`: unknown value 'blue' (allowed: red, green)"
+        );
+        type Read = fn(&Obj<'_, '_>) -> Result<u64, FieldError>;
+        let shapes: [(&str, (&[&str], Read)); 2] = [
+            ("dot", (&[], |_| Ok(0))),
+            ("line", (&["len"], |o| o.req("len"))),
+        ];
+        let read = |text: &str| {
+            let v = Value::parse(text).unwrap();
+            let at = Path::Root("shape");
+            let (o, read) = variant(&v, &at, &shapes)?;
+            read(&o)
+        };
+        assert_eq!(read(r#"{"line": {"len": 4}}"#), Ok(4));
+        assert_eq!(
+            read(r#"{"dot": {"len": 4}}"#).unwrap_err().to_string(),
+            "field `shape.dot.len`: unknown field (allowed: none)"
+        );
+        assert_eq!(
+            read(r#"{"arc": {}}"#).unwrap_err().to_string(),
+            "field `shape.arc`: unknown variant (allowed: dot, line)"
+        );
+        assert!(read(r#"{"dot": {}, "line": {}}"#)
+            .unwrap_err()
+            .to_string()
+            .contains("exactly one key of: dot, line"));
+        let tagged_read = |text: &str| {
+            let v = Value::parse(text).unwrap();
+            let tags = [("line", (&["kind", "len"][..], ()))];
+            let (o, ()) = tagged(&v, Path::Root(""), "kind", &tags)?;
+            o.req::<u64>("len")
+        };
+        assert_eq!(tagged_read(r#"{"kind": "line", "len": 2}"#), Ok(2));
+        assert_eq!(
+            tagged_read(r#"{"len": 2}"#).unwrap_err().to_string(),
+            "field `kind`: missing required field"
+        );
     }
 }

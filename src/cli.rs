@@ -559,7 +559,7 @@ pub fn cmd_check(json: &str, opts: &CheckOpts) -> Result<String, CliError> {
     use qvisor_sim::json::Value;
     let v = Value::parse(json).map_err(|e| CliError::Scenario(ScenarioError::Json(e)))?;
     if qvisor_fuzz::is_corpus_doc(&v) {
-        return cmd_check_corpus(json, opts);
+        return cmd_check_corpus(&v, opts);
     }
     // `(label, report)` pairs: sweeps produce one per grid point, the
     // other kinds a single unlabeled report.
@@ -581,7 +581,7 @@ pub fn cmd_check(json: &str, opts: &CheckOpts) -> Result<String, CliError> {
         let spec = ScenarioSpec::from_value(&v)?;
         vec![(String::new(), Engine::new().check(&spec)?)]
     } else {
-        let config = DeploymentConfig::from_json(json)?;
+        let config = DeploymentConfig::from_value(&v)?;
         let joint = config.synthesize()?;
         vec![(String::new(), verify(&joint, &SpecPaths::config()))]
     };
@@ -624,9 +624,9 @@ pub fn cmd_check(json: &str, opts: &CheckOpts) -> Result<String, CliError> {
 /// re-run the witness and queue oracles, and require the recorded verdict
 /// to reproduce exactly. A drift (or any verifier-vs-simulation
 /// disagreement) fails like an error-severity check.
-fn cmd_check_corpus(json: &str, opts: &CheckOpts) -> Result<String, CliError> {
+fn cmd_check_corpus(doc: &qvisor_sim::json::Value, opts: &CheckOpts) -> Result<String, CliError> {
     use qvisor_sim::json::Value;
-    match qvisor_fuzz::replay_corpus(json) {
+    match qvisor_fuzz::replay_corpus(doc) {
         Ok(replay) => {
             let mut out = String::new();
             if opts.jsonl {

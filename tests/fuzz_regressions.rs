@@ -8,6 +8,7 @@
 //! queue oracles, and fails on the first drift — so every fuzz-found
 //! (or seeded-known-bad) deployment stays a regression test forever.
 
+use qvisor_sim::json::Value;
 use std::path::PathBuf;
 
 fn corpus_paths() -> Vec<PathBuf> {
@@ -34,8 +35,8 @@ fn the_corpus_is_not_empty() {
 fn every_corpus_document_replays_its_recorded_verdict() {
     for path in corpus_paths() {
         let text = std::fs::read_to_string(&path).expect("corpus file is readable");
-        let replay =
-            qvisor_fuzz::replay_corpus(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let replay = qvisor_fuzz::replay_corpus(&Value::parse(&text).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(
             replay.outcome.disagreements.is_empty(),
             "{}: {:?}",
@@ -57,8 +58,8 @@ fn corpus_files_named_after_a_code_still_contain_that_code() {
         // `quant-clean.json` are exempt from the naming contract.
         let code = format!("QV-{}", stem.to_uppercase());
         let text = std::fs::read_to_string(&path).expect("corpus file is readable");
-        let replay =
-            qvisor_fuzz::replay_corpus(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let replay = qvisor_fuzz::replay_corpus(&Value::parse(&text).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         if replay.outcome.codes.contains(&code) {
             continue;
         }
@@ -80,8 +81,8 @@ fn the_corpus_spans_every_verdict_class() {
     let mut errors = false;
     for path in corpus_paths() {
         let text = std::fs::read_to_string(&path).expect("corpus file is readable");
-        let replay =
-            qvisor_fuzz::replay_corpus(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let replay = qvisor_fuzz::replay_corpus(&Value::parse(&text).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         match replay.outcome.verdict {
             qvisor_fuzz::Verdict::Clean => clean = true,
             qvisor_fuzz::Verdict::Warnings => warnings = true,
