@@ -56,9 +56,10 @@ use qvisor_netsim::scenario::{
 use qvisor_netsim::{Engine, ScenarioError, ScenarioSpec};
 use qvisor_scheduler::{Capacity, PacketQueue, PifoQueue};
 use qvisor_sim::{FlowId, Nanos, NodeId, Packet, TenantId};
-use qvisor_telemetry::trace::NO_LABEL;
-use qvisor_telemetry::{TraceKind, TraceRecord, Tracer};
+use qvisor_telemetry::{TraceKind, TraceReads, TraceRecord, Tracer};
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use crate::gen::{FuzzCase, STREAM_ORACLE, STREAM_PREPROC, STREAM_SCENARIO};
@@ -447,6 +448,12 @@ impl StrictLevels {
     fn get(&self, tenant: u16) -> Option<u64> {
         self.0.get(usize::from(tenant)).copied().flatten()
     }
+
+    /// How many levels there are: one past the deepest placement (levels
+    /// count from 0, one per strict level of the policy).
+    fn count(&self) -> usize {
+        (self.0.iter().flatten().max()).map_or(0, |&deepest| deepest as usize + 1)
+    }
 }
 
 /// Drive sampled per-tenant traffic through an exact PIFO and count the
@@ -585,56 +592,59 @@ fn scenario_oracle(
     Ok(inversions)
 }
 
-/// A streaming tracer whose every record a [`CrossLevelScan`] over
-/// `levels` observes, and that scan.
+/// A streaming tracer that hands a [`CrossLevelScan`] over `levels` the
+/// records it reads, and that scan.
 fn streaming_scan(levels: StrictLevels) -> (Tracer, Rc<RefCell<CrossLevelScan>>) {
     let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels)));
     let sink = Rc::clone(&scan);
-    let tracer = Tracer::streaming(move |r| sink.borrow_mut().observe(r));
+    let tracer = Tracer::streaming(CrossLevelScan::READS, move |r| sink.borrow_mut().observe(r));
     (tracer, scan)
-}
-
-/// A data packet resident in a traced queue, as the scan knows it.
-#[derive(Clone, Copy)]
-struct Resident {
-    flow: u64,
-    seq: u64,
-    level: u64,
-    rank: u64,
 }
 
 /// Counts the dequeues of a trace, observed one record at a time in
 /// recording order, that overtook a resident packet of a strictly
 /// higher-priority tenant: for every labelled queue, a dequeue is a
 /// cross-level inversion when some resident data packet belongs to a
-/// strictly lower level (higher priority) *and* carries a strictly lower
-/// transformed rank. ACK records and tenants without a strict level
-/// (unscheduled or unknown traffic) are outside the `>>` contract and are
-/// skipped.
+/// strictly lower level (higher priority), whatever its rank — the order
+/// `>>` promises, which an exact PIFO keeps only if the transformed ranks
+/// do. ACK records and tenants without a strict level (unscheduled or
+/// unknown traffic) are outside the `>>` contract and are skipped.
 ///
 /// A packet is identified per queue by `(flow, seq)`: enqueueing one that
-/// is still resident replaces its level and rank, and a dequeue or drop of
-/// one that is not resident removes nothing. A fuzz dumbbell's queues hold
-/// a handful of packets at a dequeue (tens at most), so each is a plain
-/// vector searched front to back.
+/// is still resident replaces its level, and a dequeue or drop of one
+/// that is not resident removes nothing. Residents are looked up by
+/// `(label, flow, seq)`, and each queue's are counted per level, so a
+/// dequeue reads its queue's counts at the levels above its own: neither
+/// walks the queue.
 struct CrossLevelScan {
     /// The strict level of every placed tenant.
     levels: StrictLevels,
-    /// Resident packets by label id, in no particular order; grown to the
-    /// highest label seen (a tracer's label ids count up from 0).
-    queues: Vec<Vec<Resident>>,
-    /// Resident packets of records with no label: one more queue.
-    unlabelled: Vec<Resident>,
+    /// The level of every resident data packet, by `(label, flow, seq)`.
+    resident: HashMap<(u32, u64, u64), u64, BuildHasherDefault<IdHasher>>,
+    /// Residents by queue and level: row `q` of `width` entries is the
+    /// queue whose label is `q - 1` (row 0: records with no label), grown
+    /// to the highest label seen.
+    counts: Vec<u32>,
+    /// How many levels there are.
+    width: usize,
     inversions: u64,
 }
 
 impl CrossLevelScan {
+    /// The records the scan reads: data packets entering and leaving
+    /// queues.
+    const READS: TraceReads = TraceReads::ENQUEUE
+        .union(TraceReads::DEQUEUE)
+        .union(TraceReads::DROP);
+
     /// A scan that has seen no record, over the strict levels `levels`.
     fn new(levels: StrictLevels) -> CrossLevelScan {
         CrossLevelScan {
+            width: levels.count(),
             levels,
-            queues: Vec::new(),
-            unlabelled: Vec::new(),
+            // A fuzz dumbbell holds tens of packets at once.
+            resident: HashMap::with_capacity_and_hasher(64, Default::default()),
+            counts: Vec::new(),
             inversions: 0,
         }
     }
@@ -646,55 +656,60 @@ impl CrossLevelScan {
 
     /// Take the next record of the trace into account.
     fn observe(&mut self, r: &TraceRecord) {
-        let queued = matches!(
-            r.kind,
-            TraceKind::Enqueue { .. } | TraceKind::Dequeue { .. } | TraceKind::Drop { .. }
-        );
-        if !queued || r.ack {
+        if !Self::READS.admits(&r.kind, r.ack) {
             return;
         }
         let Some(level) = self.levels.get(r.tenant) else {
             return;
         };
-        let queue = if r.label == NO_LABEL {
-            &mut self.unlabelled
-        } else {
-            let label = r.label as usize;
-            if label >= self.queues.len() {
-                self.queues.resize_with(label + 1, Vec::new);
-            }
-            &mut self.queues[label]
-        };
-        let at = queue
-            .iter()
-            .position(|x| x.flow == r.flow && x.seq == r.seq);
-        match r.kind {
-            TraceKind::Enqueue { rank } => {
-                let resident = Resident {
-                    flow: r.flow,
-                    seq: r.seq,
-                    level,
-                    rank,
-                };
-                match at {
-                    Some(at) => queue[at] = resident,
-                    None => queue.push(resident),
-                }
-            }
-            TraceKind::Dequeue { rank, .. } => {
-                if let Some(at) = at {
-                    queue.swap_remove(at);
-                }
-                self.inversions +=
-                    u64::from(queue.iter().any(|x| x.level < level && x.rank < rank));
-            }
-            // A drop: the packet leaves without overtaking anyone.
-            _ => {
-                if let Some(at) = at {
-                    queue.swap_remove(at);
-                }
-            }
+        let width = self.width;
+        // No label (`u32::MAX`) wraps to row 0.
+        let row = width * r.label.wrapping_add(1) as usize;
+        if self.counts.len() < row + width {
+            self.counts.resize(row + width, 0);
         }
+        let counts = &mut self.counts[row..row + width];
+        let key = (r.label, r.flow, r.seq);
+        if let TraceKind::Enqueue { .. } = r.kind {
+            if let Some(was) = self.resident.insert(key, level) {
+                counts[was as usize] -= 1;
+            }
+            counts[level as usize] += 1;
+            return;
+        }
+        if let Some(was) = self.resident.remove(&key) {
+            counts[was as usize] -= 1;
+        }
+        // A drop leaves without overtaking anyone.
+        if let TraceKind::Dequeue { .. } = r.kind {
+            self.inversions += u64::from(counts[..level as usize].iter().any(|&n| n > 0));
+        }
+    }
+}
+
+/// A multiply-rotate hash for the scan's keys, which are the simulator's
+/// own ids: nothing chooses them to collide, so SipHash's defence would
+/// be cost without use.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
     }
 }
 
@@ -704,6 +719,7 @@ mod tests {
     use crate::gen::generate_case;
     use qvisor_core::DeploymentConfig;
     use qvisor_scheduler::{FifoQueue, InstrumentedQueue};
+    use qvisor_telemetry::trace::NO_LABEL;
     use qvisor_telemetry::{Telemetry, TraceConfig};
     use std::collections::BTreeMap;
 
@@ -955,12 +971,12 @@ mod tests {
     }
 
     /// The trace scan before it was one pass: nested maps, label ->
-    /// (flow, seq) -> (level, rank), searched in full at every dequeue.
+    /// (flow, seq) -> level, searched in full at every dequeue.
     fn reference_trace_scan(
         records: impl IntoIterator<Item = TraceRecord>,
         level_of: &BTreeMap<u16, u64>,
     ) -> u64 {
-        type Residency = BTreeMap<(u64, u64), (u64, u64)>;
+        type Residency = BTreeMap<(u64, u64), u64>;
         let mut resident: BTreeMap<u32, Residency> = BTreeMap::new();
         let mut inversions = 0;
         for r in records {
@@ -971,16 +987,16 @@ mod tests {
                 continue;
             };
             match r.kind {
-                TraceKind::Enqueue { rank } => {
+                TraceKind::Enqueue { .. } => {
                     resident
                         .entry(r.label)
                         .or_default()
-                        .insert((r.flow, r.seq), (level, rank));
+                        .insert((r.flow, r.seq), level);
                 }
-                TraceKind::Dequeue { rank, .. } => {
+                TraceKind::Dequeue { .. } => {
                     let queue = resident.entry(r.label).or_default();
                     queue.remove(&(r.flow, r.seq));
-                    if queue.values().any(|&(l, rk)| l < level && rk < rank) {
+                    if queue.values().any(|&l| l < level) {
                         inversions += 1;
                     }
                 }
@@ -1048,6 +1064,60 @@ mod tests {
             total += count;
         }
         assert!(total > 0, "no generated trace holds an inversion");
+    }
+
+    #[test]
+    fn a_dequeue_over_a_higher_level_resident_counts_whatever_the_ranks() {
+        // Tenant 1 is level 0 (higher priority), tenant 2 level 1. A
+        // level-0 packet at rank 7 waits while a level-1 packet at rank 5
+        // leaves: an exact PIFO's order, and a break of `>>`.
+        let level_of = BTreeMap::from([(1, 0), (2, 1)]);
+        // Flow `f` is tenant `f`'s, at rank `rank`, in queue 0.
+        let at = |t: u64, f: u16, kind: TraceKind| {
+            TraceRecord::new(Nanos(t), u64::from(f), 0, f, kind).at_label(0)
+        };
+        let enqueue = |t, f, rank| at(t, f, TraceKind::Enqueue { rank });
+        let dequeue = |t, f, rank| at(t, f, TraceKind::Dequeue { rank, wait_ns: 1 });
+        let trace = [
+            enqueue(0, 1, 7),
+            enqueue(1, 2, 5),
+            dequeue(2, 2, 5),
+            dequeue(3, 1, 7),
+        ];
+        let mut scan = CrossLevelScan::new(levels(&level_of));
+        trace.iter().for_each(|r| scan.observe(r));
+        assert_eq!(scan.inversions(), 1);
+        assert_eq!(reference_trace_scan(trace, &level_of), 1);
+        // The rule before: a higher level *and* a lower rank. It counts 0.
+        let rank_and_level = |trace: &[TraceRecord]| {
+            let mut resident: Vec<(u64, u64, u64)> = Vec::new();
+            let mut inversions = 0;
+            for r in trace {
+                let level = level_of[&r.tenant];
+                match r.kind {
+                    TraceKind::Enqueue { rank } => resident.push((r.flow, level, rank)),
+                    TraceKind::Dequeue { rank, .. } => {
+                        resident.retain(|x| x.0 != r.flow);
+                        inversions += u64::from(resident.iter().any(|x| x.1 < level && x.2 < rank));
+                    }
+                    _ => {}
+                }
+            }
+            inversions
+        };
+        assert_eq!(rank_and_level(&trace), 0);
+        // Another queue's resident, or an equal level, overtakes nothing.
+        let mut elsewhere = trace;
+        elsewhere[0].label = 1;
+        elsewhere[3].label = 1;
+        let mut same_level = trace;
+        same_level[1].tenant = 1;
+        same_level[2].tenant = 1;
+        for trace in [elsewhere, same_level] {
+            let mut scan = CrossLevelScan::new(levels(&level_of));
+            trace.iter().for_each(|r| scan.observe(r));
+            assert_eq!(scan.inversions(), 0);
+        }
     }
 
     /// Generated case 0 with its config replaced by a two-tenant `A >> B`
@@ -1136,35 +1206,52 @@ mod tests {
                 .build_verified(&spec, verified);
             built.unwrap().run();
 
-            let streamed = Rc::new(RefCell::new(Vec::new()));
-            let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels(&level_of))));
-            let (records, sink) = (Rc::clone(&streamed), Rc::clone(&scan));
-            let stream = Tracer::streaming(move |r| {
-                records.borrow_mut().push(*r);
-                sink.borrow_mut().observe(r);
-            });
-            let built = Engine::new()
-                .with_tracer(&stream)
-                .build_verified(&spec, verify().unwrap());
-            built.unwrap().run();
+            // Everything, and what the scan reads, each streamed.
+            let stream = |reads: TraceReads| {
+                let streamed = Rc::new(RefCell::new(Vec::new()));
+                let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels(&level_of))));
+                let (records, sink) = (Rc::clone(&streamed), Rc::clone(&scan));
+                let stream = Tracer::streaming(reads, move |r| {
+                    records.borrow_mut().push(*r);
+                    sink.borrow_mut().observe(r);
+                });
+                let built = Engine::new()
+                    .with_tracer(&stream)
+                    .build_verified(&spec, verify().unwrap());
+                built.unwrap().run();
+                assert_eq!(
+                    stream.dropped(),
+                    0,
+                    "case {index}: a site built an unread record"
+                );
+                let count = scan.borrow().inversions();
+                (streamed.take(), count)
+            };
+            let (streamed, count) = stream(TraceReads::ALL);
+            let (read, read_count) = stream(CrossLevelScan::READS);
 
             ring.visit(|view| {
                 assert_eq!(view.dropped, 0, "case {index}");
                 assert!(
-                    view.records().eq(streamed.borrow().iter().copied()),
+                    view.records().eq(streamed.iter().copied()),
                     "case {index}: the stream is not the recorder's trace"
+                );
+                let scan_reads = |r: &TraceRecord| CrossLevelScan::READS.admits(&r.kind, r.ack);
+                assert!(
+                    view.records().filter(scan_reads).eq(read.iter().copied()),
+                    "case {index}: the scan's stream is not the recorder's trace of its reads"
                 );
                 let mut ring_scan = CrossLevelScan::new(levels(&level_of));
                 view.records().for_each(|r| ring_scan.observe(&r));
-                let count = scan.borrow().inversions();
                 assert_eq!(ring_scan.inversions(), count, "case {index}");
+                assert_eq!(read_count, count, "case {index}");
                 assert_eq!(
                     reference_trace_scan(view.records(), &level_of),
                     count,
                     "case {index}"
                 );
             });
-            for r in streamed.borrow().iter() {
+            for r in &streamed {
                 if let TraceKind::Dequeue { rank, .. } = r.kind {
                     compact += u64::from((1 << 12..1 << 32).contains(&rank));
                     wide += u64::from(rank >= 1 << 32);
@@ -1173,6 +1260,47 @@ mod tests {
         }
         assert!(ran > 100, "only {ran} cases ran the scenario stage");
         assert!(compact > 0 && wide > 0, "compact {compact}, wide {wide}");
+    }
+
+    #[test]
+    fn the_scan_is_handed_only_the_records_it_reads_on_seed_1_cases() {
+        // Seed 1, cases 0-299: what every recording site builds for a
+        // reader of everything, and what the scenario oracle's scan reads.
+        // Before the scan named its reads, the sites built and streamed
+        // all 255,686 records to it; it now takes 60,080, and no site
+        // builds a record it does not read.
+        let (mut ran, mut all, mut read) = (0, 0, 0);
+        for index in 0..300 {
+            let case = generate_case(1, index);
+            let spec = scenario_spec(&case);
+            let Ok(verified) = Engine::new().verify(&spec, &SpecPaths::config()) else {
+                continue;
+            };
+            if verified.report().gate_fails(false) {
+                continue;
+            }
+            ran += 1;
+            for (reads, count) in [
+                (TraceReads::ALL, &mut all),
+                (CrossLevelScan::READS, &mut read),
+            ] {
+                let received = Rc::new(RefCell::new(0u64));
+                let sink = Rc::clone(&received);
+                let tracer = Tracer::streaming(reads, move |_| *sink.borrow_mut() += 1);
+                let verified = Engine::new().verify(&spec, &SpecPaths::config());
+                let built = Engine::new()
+                    .with_tracer(&tracer)
+                    .build_verified(&spec, verified.unwrap());
+                built.unwrap().run();
+                assert_eq!(
+                    tracer.dropped(),
+                    0,
+                    "case {index}: a record built and not read"
+                );
+                *count += received.take();
+            }
+        }
+        assert_eq!((ran, all, read), (294, 255_686, 60_080));
     }
 
     #[test]

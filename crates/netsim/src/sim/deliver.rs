@@ -17,15 +17,13 @@ impl Simulation {
         self.tenants[t.index()].get_or_insert_with(|| TenantState::new(telemetry, t))
     }
 
-    /// Record a lifecycle span for `p` on the flight recorder, if its flow
-    /// is sampled. Pure observation: never touches simulation state.
+    /// Record a lifecycle span for `p` on the flight recorder, if the
+    /// recorder wants it. Pure observation: never touches simulation state.
     pub(in crate::sim) fn trace_pkt(&self, p: &Packet, now: Nanos, kind: TraceKind) {
         let tracer = &self.cfg.tracer;
-        if tracer.sampled(p.flow.0) {
-            tracer.record(
-                TraceRecord::new(now, p.flow.0, p.seq, p.tenant.0, kind)
-                    .as_ack(p.kind == PacketKind::Ack),
-            );
+        let ack = p.kind == PacketKind::Ack;
+        if tracer.wants(&kind, ack, p.flow.0) {
+            tracer.record(TraceRecord::new(now, p.flow.0, p.seq, p.tenant.0, kind).as_ack(ack));
         }
     }
 

@@ -198,21 +198,17 @@ impl Simulation {
         port_ref.tx_pkts.inc();
         port_ref.tx_bytes.add(p.size as u64);
         let (delay, to) = (port_ref.delay, port_ref.to);
-        if self.cfg.tracer.sampled(p.flow.0) {
+        let kind = TraceKind::TxStart {
+            bytes: p.size as u64,
+            tx_ns: tx.as_nanos(),
+            prop_ns: delay.as_nanos(),
+        };
+        let ack = p.kind == PacketKind::Ack;
+        if self.cfg.tracer.wants(&kind, ack, p.flow.0) {
             self.cfg.tracer.record(
-                TraceRecord::new(
-                    now,
-                    p.flow.0,
-                    p.seq,
-                    p.tenant.0,
-                    TraceKind::TxStart {
-                        bytes: p.size as u64,
-                        tx_ns: tx.as_nanos(),
-                        prop_ns: delay.as_nanos(),
-                    },
-                )
-                .at_label(port_ref.trace_label)
-                .as_ack(p.kind == PacketKind::Ack),
+                TraceRecord::new(now, p.flow.0, p.seq, p.tenant.0, kind)
+                    .at_label(port_ref.trace_label)
+                    .as_ack(ack),
             );
         }
         let arrive_key = EventKey::arrive(to, p);

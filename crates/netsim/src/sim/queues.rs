@@ -25,11 +25,11 @@ pub(in crate::sim) enum BareQueue {
 
 /// A port's queue: bare, or a bare one under its observers. The observed
 /// wrapper holds a [`BareQueue`], never another `PortQueue`, so its calls
-/// into the queue it watches dispatch statically too.
-#[allow(clippy::large_enum_variant)]
+/// into the queue it watches dispatch statically too. It lies in the port
+/// like the bare queue does: observing a port allocates nothing per port.
 pub(in crate::sim) enum PortQueue {
     Bare(BareQueue),
-    Observed(Box<InstrumentedQueue<BareQueue>>),
+    Observed(InstrumentedQueue<BareQueue>),
 }
 
 /// `match` with the same arm for every variant: static dispatch to the
@@ -246,7 +246,7 @@ pub(in crate::sim) fn build_ports(
                     InstrumentedQueue::with_tracer(bare, &cfg.telemetry, &cfg.tracer, &label)
                         .with_monitor(&cfg.monitor);
                 let trace_label = observed.trace_label();
-                (PortQueue::Observed(Box::new(observed)), trace_label)
+                (PortQueue::Observed(observed), trace_label)
             } else {
                 (PortQueue::Bare(bare), NO_LABEL)
             };

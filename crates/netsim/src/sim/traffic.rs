@@ -216,8 +216,8 @@ impl Simulation {
             unreachable!("FlowStart on a CBR stream")
         };
         debug_assert!(transport.is_none(), "{flow} started twice");
-        if self.cfg.tracer.sampled(flow.0) {
-            let kind = TraceKind::FlowStart { size: def.size };
+        let kind = TraceKind::FlowStart { size: def.size };
+        if self.cfg.tracer.wants(&kind, false, flow.0) {
             let record = TraceRecord::new(now, flow.0, 0, def.tenant.0, kind);
             self.cfg.tracer.record(record);
         }

@@ -81,7 +81,8 @@ pub struct InstrumentedQueue<Q: PacketQueue> {
     /// of the inner model, and lets an inversion name the overtaken packet.
     /// `None` over a `pifo`, whose dequeue is the mirror's first entry by
     /// construction; empty when disabled.
-    mirror: Option<RankIndex<Resident>>,
+    /// Boxed: the index's occupancy bitmap is larger than the wrapper.
+    mirror: Option<Box<RankIndex<Resident>>>,
     tracer: Tracer,
     /// Streaming SLO monitor fed per-tenant dequeue waits and inversions
     /// (disabled by default; attach with [`Self::with_monitor`]).
@@ -112,7 +113,7 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         InstrumentedQueue {
             enabled: telemetry.is_enabled() || tracer.is_enabled(),
             exact: matches!(kind, "fifo" | "pifo"),
-            mirror: (kind != "pifo").then(RankIndex::new),
+            mirror: (kind != "pifo").then(|| Box::new(RankIndex::new())),
             tracer: tracer.clone(),
             monitor: SloMonitor::disabled(),
             trace_label: tracer.intern(queue_label),
@@ -217,11 +218,12 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
     }
 
     fn trace(&self, p: &Packet, now: Nanos, kind: TraceKind) {
-        if self.tracer.sampled(p.flow.0) {
+        let ack = matches!(p.kind, PacketKind::Ack);
+        if self.tracer.wants(&kind, ack, p.flow.0) {
             self.tracer.record(
                 TraceRecord::new(now, p.flow.0, p.seq, p.tenant.0, kind)
                     .at_label(self.trace_label)
-                    .as_ack(matches!(p.kind, PacketKind::Ack)),
+                    .as_ack(ack),
             );
         }
     }
@@ -363,7 +365,7 @@ mod tests {
 
     /// Entries in the wrapper's inversion mirror; `None` when it keeps none.
     fn mirrored<Q: PacketQueue>(q: &InstrumentedQueue<Q>) -> Option<usize> {
-        q.mirror.as_ref().map(RankIndex::len)
+        q.mirror.as_deref().map(RankIndex::len)
     }
 
     #[test]
@@ -903,7 +905,10 @@ mod tests {
                 sample_one_in: 1_000_000,
                 ..TraceConfig::default()
             });
-            let skipped = (0..u64::MAX).find(|&f| !tr.sampled(f)).unwrap();
+            let enqueue = TraceKind::Enqueue { rank: 5 };
+            let skipped = (0..u64::MAX)
+                .find(|&f| !tr.wants(&enqueue, false, f))
+                .unwrap();
             let mut q =
                 InstrumentedQueue::with_tracer(FifoQueue::new(Capacity::UNBOUNDED), &t, &tr, "q0");
             q.enqueue(flow_pkt(skipped, 0, 5), Nanos::ZERO);

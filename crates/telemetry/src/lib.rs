@@ -49,7 +49,10 @@ pub use journal::{Journal, JournalEvent};
 pub use monitor::{AlertMetric, AlertRule, SloMonitor, ALERT_METRICS};
 pub use profile::{ProfileSpan, ProfileStat, Profiler};
 pub use stream::{BusReceiver, SnapshotBus};
-pub use trace::{Records, TraceConfig, TraceData, TraceKind, TraceRecord, TraceView, Tracer};
+pub use trace::{
+    Records, TraceConfig, TraceData, TraceKind, TraceLabels, TraceReads, TraceRecord, TraceView,
+    Tracer,
+};
 
 mod live;
 pub use live::{Counter, Gauge, Histogram, QueueMetrics, Telemetry};

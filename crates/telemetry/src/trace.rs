@@ -13,7 +13,10 @@
 //! ring: the newest records, kept for [`Tracer::visit`] and
 //! [`Tracer::snapshot`] to read. [`Tracer::streaming`]'s keeps nothing and
 //! hands each record to a sink as it is recorded, for a reader that looks
-//! at every record once, in order, while the run goes on.
+//! at every record once, in order, while the run goes on. A streaming
+//! reader names the records it reads ([`TraceReads`]); every recording
+//! site asks [`Tracer::wants`] before it builds a record, so a record no
+//! reader reads is never built. The ring reads every record.
 //!
 //! Like the rest of the crate, tracing is switched off at run time: a
 //! [`Tracer::disabled`] handle holds no store and each call on it is one
@@ -39,6 +42,9 @@ use std::sync::Arc;
 
 /// Label id meaning "no queue/link associated with this span".
 pub const NO_LABEL: u32 = u32::MAX;
+
+/// Labels a recorder's first intern makes room for.
+const FIRST_LABELS: usize = 32;
 
 /// Trace schema version written into the `trace_meta` line.
 const TRACE_SCHEMA_VERSION: u64 = 1;
@@ -142,6 +148,23 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
+    /// The kind's bit in a [`TraceReads`] set.
+    #[inline(always)]
+    const fn bit(&self) -> u16 {
+        1 << match self {
+            TraceKind::FlowStart { .. } => 0,
+            TraceKind::RankComputed { .. } => 1,
+            TraceKind::Transform { .. } => 2,
+            TraceKind::Enqueue { .. } => 3,
+            TraceKind::Dequeue { .. } => 4,
+            TraceKind::Drop { .. } => 5,
+            TraceKind::Inversion { .. } => 6,
+            TraceKind::TxStart { .. } => 7,
+            TraceKind::Deliver { .. } => 8,
+            TraceKind::Ack { .. } => 9,
+        }
+    }
+
     /// Machine-readable kind tag used in the JSONL format.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -201,6 +224,57 @@ impl TraceKind {
                 f(b",\"latency_ns\":", latency_ns)
             }
         }
+    }
+}
+
+/// The records a reader of a [`Tracer`] reads: a set of [`TraceKind`]s,
+/// of data packets alone or of ACK packets as well. [`TraceReads::ALL`]
+/// is every record; a streaming reader joins the kinds it reads with
+/// [`TraceReads::union`]. A kind has a constant once some reader reads it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceReads {
+    /// [`TraceKind::bit`]s of the kinds read.
+    kinds: u16,
+    acks: bool,
+}
+
+impl TraceReads {
+    /// Every record: what the flight recorder's ring keeps.
+    pub const ALL: TraceReads = TraceReads {
+        kinds: u16::MAX,
+        acks: true,
+    };
+    /// Data packets' [`TraceKind::Enqueue`] records.
+    pub const ENQUEUE: TraceReads = TraceReads::data(TraceKind::Enqueue { rank: 0 });
+    /// Data packets' [`TraceKind::Dequeue`] records.
+    pub const DEQUEUE: TraceReads = TraceReads::data(TraceKind::Dequeue {
+        rank: 0,
+        wait_ns: 0,
+    });
+    /// Data packets' [`TraceKind::Drop`] records.
+    pub const DROP: TraceReads = TraceReads::data(TraceKind::Drop { rank: 0 });
+
+    /// The data packets' records of `kind`'s kind.
+    const fn data(kind: TraceKind) -> TraceReads {
+        TraceReads {
+            kinds: kind.bit(),
+            acks: false,
+        }
+    }
+
+    /// The records either reads.
+    pub const fn union(self, other: TraceReads) -> TraceReads {
+        TraceReads {
+            kinds: self.kinds | other.kinds,
+            acks: self.acks || other.acks,
+        }
+    }
+
+    /// Does a reader of these records read a record of `kind`, of an ACK
+    /// packet when `ack`?
+    #[inline(always)]
+    pub fn admits(&self, kind: &TraceKind, ack: bool) -> bool {
+        self.kinds & kind.bit() != 0 && (self.acks || !ack)
     }
 }
 
@@ -1146,8 +1220,12 @@ mod ring {
 
 struct TraceBuf {
     store: Store,
-    /// Interned labels by id: the one copy of each.
-    labels: Vec<String>,
+    /// Every interned label's text, end to end in id order: the one copy
+    /// of each, and no allocation of its own.
+    text: String,
+    /// Where each label's text ends in `text`, by id; it starts where the
+    /// previous one's ends.
+    ends: Vec<u32>,
     /// Every label id, sorted by its label: what [`Tracer::intern`]
     /// searches.
     by_label: Vec<u32>,
@@ -1167,9 +1245,17 @@ impl TraceBuf {
     fn new(store: Store) -> TraceBuf {
         TraceBuf {
             store,
-            labels: Vec::new(),
+            text: String::new(),
+            ends: Vec::new(),
             by_label: Vec::new(),
             dropped: 0,
+        }
+    }
+
+    fn labels(&self) -> TraceLabels<'_> {
+        TraceLabels {
+            text: &self.text,
+            ends: &self.ends,
         }
     }
 
@@ -1182,6 +1268,35 @@ impl TraceBuf {
     }
 }
 
+/// A recorder's interned queue/link labels, read where they lie;
+/// `TraceRecord::label` is an id here.
+#[derive(Clone, Copy, Default)]
+pub struct TraceLabels<'a> {
+    text: &'a str,
+    ends: &'a [u32],
+}
+
+impl<'a> TraceLabels<'a> {
+    /// The label whose id is `id`, if there is one.
+    pub fn get(&self, id: u32) -> Option<&'a str> {
+        let end = *self.ends.get(id as usize)? as usize;
+        let start = id
+            .checked_sub(1)
+            .map_or(0, |before| self.ends[before as usize] as usize);
+        Some(&self.text[start..end])
+    }
+
+    /// Every label, by id.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let (text, mut start) = (self.text, 0);
+        self.ends.iter().map(move |&end| {
+            let label = &text[start..end as usize];
+            start = end as usize;
+            label
+        })
+    }
+}
+
 /// Everything a [`Tracer`] holds, read where it lies: the visitor of
 /// [`Tracer::visit`] gets one. Nothing is copied — the records are
 /// unpacked from the ring one at a time as [`TraceView::records`] yields
@@ -1190,8 +1305,9 @@ pub struct TraceView<'a> {
     slots: &'a Slots,
     head: usize,
     /// Interned queue/link labels; `TraceRecord::label` indexes here.
-    pub labels: &'a [String],
-    /// Records evicted from the ring buffer so far.
+    pub labels: TraceLabels<'a>,
+    /// Records evicted from the ring buffer so far (when streaming: the
+    /// records handed to the tracer that its reader does not read).
     pub dropped: u64,
     /// Ring-buffer capacity the recorder runs with.
     pub capacity: u64,
@@ -1209,11 +1325,13 @@ impl<'a> TraceView<'a> {
 }
 
 /// The flight recorder. Cheaply cloneable; clones share one buffer.
-/// The default value is *disabled*: sampling answers `false`,
-/// recording is a no-op, and snapshots are empty.
+/// The default value is *disabled*: it wants no record, recording is a
+/// no-op, and snapshots are empty.
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Rc<RefCell<TraceBuf>>>,
+    /// What the store's reader reads: every record for the ring.
+    reads: TraceReads,
     capacity: usize,
     sample_one_in: u64,
     seed: u64,
@@ -1238,6 +1356,7 @@ impl Tracer {
             inner: Some(Rc::new(RefCell::new(TraceBuf::new(Store::Ring(
                 ring::Ring::default(),
             ))))),
+            reads: TraceReads::ALL,
             capacity: cfg.capacity,
             sample_one_in: cfg.sample_one_in.max(1),
             seed: cfg.seed,
@@ -1245,17 +1364,20 @@ impl Tracer {
     }
 
     /// A recording instance that keeps nothing: every flow is sampled and
-    /// labels intern as [`Tracer::enabled`]'s do, but each record goes to
-    /// `sink` as it is recorded, in order. [`Tracer::visit`] and
-    /// [`Tracer::snapshot`] see the labels and no record, and
-    /// [`Tracer::len`] and [`Tracer::dropped`] read 0: nothing is retained,
-    /// so nothing is evicted. The recorder stays borrowed while `sink`
-    /// runs: the sink must not call this tracer or a clone of it.
-    pub fn streaming(sink: impl FnMut(&TraceRecord) + 'static) -> Tracer {
+    /// labels intern as [`Tracer::enabled`]'s do, but each record `reads`
+    /// admits goes to `sink` as it is recorded, in order, and no site
+    /// builds any other ([`Tracer::wants`]). [`Tracer::visit`] and
+    /// [`Tracer::snapshot`] see the labels and no record, [`Tracer::len`]
+    /// reads 0, and [`Tracer::dropped`] counts the records handed to
+    /// [`Tracer::record`] that `reads` does not admit. The recorder stays
+    /// borrowed while `sink` runs: the sink must not call this tracer or a
+    /// clone of it.
+    pub fn streaming(reads: TraceReads, sink: impl FnMut(&TraceRecord) + 'static) -> Tracer {
         Tracer {
             inner: Some(Rc::new(RefCell::new(TraceBuf::new(Store::Stream(
                 Box::new(sink),
             ))))),
+            reads,
             capacity: 0,
             sample_one_in: 1,
             seed: TraceConfig::default().seed,
@@ -1273,18 +1395,18 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Whether `flow` is in the sampled subset: a pure function of the
-    /// configured seed and the flow id, so reruns trace the same flows.
-    /// Always `false` when disabled.
+    /// Whether a record of `kind` about a packet of `flow` (an ACK when
+    /// `ack`) is to be built and recorded: its reader reads it, and `flow`
+    /// is in the sampled subset — a pure function of the configured seed
+    /// and the flow id, so reruns trace the same flows. Every recording
+    /// site asks before it builds a record. Always `false` when disabled,
+    /// which is the first test.
     #[inline]
-    pub fn sampled(&self, flow: u64) -> bool {
-        match &self.inner {
-            Some(_) => {
-                self.sample_one_in <= 1
-                    || stable_hash(&[self.seed, flow]).is_multiple_of(self.sample_one_in)
-            }
-            None => false,
-        }
+    pub fn wants(&self, kind: &TraceKind, ack: bool, flow: u64) -> bool {
+        self.inner.is_some()
+            && self.reads.admits(kind, ack)
+            && (self.sample_one_in <= 1
+                || stable_hash(&[self.seed, flow]).is_multiple_of(self.sample_one_in))
     }
 
     /// Intern a queue/link label, returning its stable id (first-seen
@@ -1294,12 +1416,21 @@ impl Tracer {
             return NO_LABEL;
         };
         let buf = &mut *buf.borrow_mut();
-        let labels = &buf.labels;
-        match (buf.by_label).binary_search_by(|&id| labels[id as usize].as_str().cmp(label)) {
+        let labels = buf.labels();
+        let found = (buf.by_label).binary_search_by(|&id| labels.get(id).cmp(&Some(label)));
+        match found {
             Ok(at) => buf.by_label[at],
             Err(at) => {
-                let id = buf.labels.len() as u32;
-                buf.labels.push(label.to_string());
+                let id = buf.ends.len() as u32;
+                if id == 0 {
+                    // A fuzz dumbbell's ports, at most, in one reservation.
+                    buf.text.reserve(FIRST_LABELS * 8);
+                    buf.ends.reserve(FIRST_LABELS);
+                    buf.by_label.reserve(FIRST_LABELS);
+                }
+                buf.text.push_str(label);
+                let end = u32::try_from(buf.text.len()).expect("labels exceed 4 GiB");
+                buf.ends.push(end);
                 buf.by_label.insert(at, id);
                 id
             }
@@ -1307,9 +1438,9 @@ impl Tracer {
     }
 
     /// Append one record, evicting (and counting) the oldest at
-    /// capacity, or hand it to a [`Tracer::streaming`] sink. Callers are
-    /// expected to have checked [`Tracer::sampled`]; recording is
-    /// unconditional here so non-flow records (if any) can still be traced.
+    /// capacity, or hand it to a [`Tracer::streaming`] sink if the sink
+    /// reads it (counting it dropped if not). Callers are expected to have
+    /// asked [`Tracer::wants`]; sampling is not tested again here.
     #[inline]
     pub fn record(&self, record: TraceRecord) {
         if let Some(buf) = &self.inner {
@@ -1320,12 +1451,19 @@ impl Tracer {
                         buf.dropped += 1;
                     }
                 }
-                Store::Stream(sink) => sink(&record),
+                Store::Stream(sink) => {
+                    if self.reads.admits(&record.kind, record.ack) {
+                        sink(&record);
+                    } else {
+                        buf.dropped += 1;
+                    }
+                }
             }
         }
     }
 
-    /// Records evicted so far (0 when disabled or streaming).
+    /// Records evicted so far, or recorded and not read when streaming
+    /// (0 when disabled).
     pub fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |b| b.borrow().dropped)
     }
@@ -1352,7 +1490,9 @@ impl Tracer {
         visitor(TraceView {
             slots,
             head,
-            labels: buf.as_ref().map_or(&[][..], |b| &b.labels),
+            labels: buf
+                .as_ref()
+                .map_or_else(TraceLabels::default, |b| b.labels()),
             dropped: buf.as_ref().map_or(0, |b| b.dropped),
             capacity: self.capacity as u64,
             sample_one_in: self.sample_one_in,
@@ -1372,7 +1512,9 @@ impl Tracer {
         };
         TraceData {
             records: Records { slots, head },
-            labels: buf.as_ref().map_or_else(Vec::new, |b| b.labels.clone()),
+            labels: buf.as_ref().map_or_else(Vec::new, |b| {
+                b.labels().iter().map(str::to_string).collect()
+            }),
             dropped: buf.as_ref().map_or(0, |b| b.dropped),
             capacity: self.capacity as u64,
             sample_one_in: self.sample_one_in,
@@ -1825,7 +1967,7 @@ mod tests {
     fn disabled_tracer_is_inert() {
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
-        assert!(!t.sampled(0));
+        assert!(!t.wants(&TraceKind::FlowStart { size: 1 }, false, 0));
         assert_eq!(t.intern("q"), NO_LABEL);
         t.record(TraceRecord::new(
             Nanos(1),
@@ -1847,8 +1989,9 @@ mod tests {
         };
         let a = Tracer::enabled(cfg);
         let b = Tracer::enabled(cfg);
-        let picked: Vec<u64> = (0..1000).filter(|&f| a.sampled(f)).collect();
-        let again: Vec<u64> = (0..1000).filter(|&f| b.sampled(f)).collect();
+        let sampled = |t: &Tracer, f: u64| t.wants(&TraceKind::Drop { rank: 0 }, true, f);
+        let picked: Vec<u64> = (0..1000).filter(|&f| sampled(&a, f)).collect();
+        let again: Vec<u64> = (0..1000).filter(|&f| sampled(&b, f)).collect();
         assert_eq!(picked, again, "sampling must be a pure function");
         assert!(
             picked.len() > 50 && picked.len() < 250,
@@ -1857,14 +2000,89 @@ mod tests {
         );
         // A different seed picks a different subset.
         let c = Tracer::enabled(TraceConfig { seed: 43, ..cfg });
-        let other: Vec<u64> = (0..1000).filter(|&f| c.sampled(f)).collect();
+        let other: Vec<u64> = (0..1000).filter(|&f| sampled(&c, f)).collect();
         assert_ne!(picked, other);
         // 1-in-1 samples everything.
         let all = Tracer::enabled(TraceConfig {
             sample_one_in: 1,
             ..TraceConfig::default()
         });
-        assert!((0..100).all(|f| all.sampled(f)));
+        assert!((0..100).all(|f| sampled(&all, f)));
+    }
+
+    #[test]
+    fn a_streaming_reader_gets_the_records_it_reads_and_no_site_builds_others() {
+        let mut rng = SimRng::seed_from(46);
+        let edges: Vec<TraceRecord> = edge_records().into_iter().map(|(r, _)| r).collect();
+        let queued = (TraceReads::ENQUEUE)
+            .union(TraceReads::DEQUEUE)
+            .union(TraceReads::DROP);
+        let tx = TraceKind::TxStart {
+            bytes: 0,
+            tx_ns: 0,
+            prop_ns: 0,
+        };
+        let ack = TraceKind::Ack { latency_ns: 0 };
+        let reads = [
+            TraceReads::default(),
+            queued,
+            TraceReads {
+                acks: true,
+                ..queued
+            },
+            TraceReads {
+                kinds: tx.bit() | ack.bit(),
+                acks: true,
+            },
+            TraceReads::ALL,
+        ];
+        for (at, &reads) in reads.iter().enumerate() {
+            let streamed = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&streamed);
+            let stream = Tracer::streaming(reads, move |r| sink.borrow_mut().push(*r));
+            let (mut wanted, mut recorded) = (Vec::new(), 0);
+            for _ in 0..400 {
+                let r = match rng.below(4) {
+                    0 => edges[rng.below(edges.len() as u64) as usize],
+                    _ => any_record(&mut rng),
+                };
+                // What a site does: ask, then build and record.
+                if stream.wants(&r.kind, r.ack, r.flow) {
+                    assert!(reads.admits(&r.kind, r.ack));
+                    wanted.push(r);
+                    stream.record(r);
+                }
+                // A record no one asked about is counted, not read.
+                if rng.below(8) == 0 {
+                    stream.record(r);
+                    recorded += u64::from(!reads.admits(&r.kind, r.ack));
+                    if reads.admits(&r.kind, r.ack) {
+                        wanted.push(r);
+                    }
+                }
+            }
+            assert_eq!(*streamed.borrow(), wanted, "reads {at}");
+            assert_eq!(stream.dropped(), recorded, "reads {at}");
+            let ring = Tracer::enabled(TraceConfig::default());
+            assert!(wanted.iter().all(|r| ring.wants(&r.kind, r.ack, r.flow)));
+        }
+        // One kind, data packets only, unless asked for ACKs too.
+        let dequeue = TraceKind::Dequeue {
+            rank: 1,
+            wait_ns: 2,
+        };
+        let with_acks = |reads: TraceReads| TraceReads {
+            acks: true,
+            ..reads
+        };
+        assert!(TraceReads::DEQUEUE.admits(&dequeue, false));
+        assert!(!TraceReads::DEQUEUE.admits(&dequeue, true));
+        assert!(with_acks(TraceReads::DEQUEUE).admits(&dequeue, true));
+        assert!(!with_acks(TraceReads::ENQUEUE).admits(&dequeue, false));
+        assert!(TraceReads::ALL.admits(&ack, true));
+        // The ten kinds' bits are distinct.
+        let bits: BTreeSet<u16> = edge_records().iter().map(|(r, _)| r.kind.bit()).collect();
+        assert_eq!(bits.len(), 10);
     }
 
     /// Push `records` into a ring of `capacity`, checking after every push
@@ -2204,8 +2422,12 @@ mod tests {
             let ring = Tracer::enabled(TraceConfig::default());
             let streamed = Rc::new(RefCell::new(Vec::new()));
             let sink = Rc::clone(&streamed);
-            let stream = Tracer::streaming(move |r| sink.borrow_mut().push(*r));
-            assert!((0..100).all(|flow| stream.sampled(flow)), "every flow");
+            let stream = Tracer::streaming(TraceReads::ALL, move |r| sink.borrow_mut().push(*r));
+            let drop = TraceKind::Drop { rank: 0 };
+            assert!(
+                (0..100).all(|flow| stream.wants(&drop, true, flow)),
+                "every flow"
+            );
             // Below the ring's capacity, so that it evicts nothing.
             let mut records = Vec::new();
             for _ in 0..rng.below(300) {
@@ -2233,7 +2455,8 @@ mod tests {
             assert!(stream.is_empty());
             stream.visit(|view| {
                 assert_eq!(view.records().count(), 0);
-                assert_eq!((view.labels, view.dropped), (&labels[..], 0));
+                assert!(view.labels.iter().eq(labels.iter().map(String::as_str)));
+                assert_eq!(view.dropped, 0);
             });
             let snap = stream.snapshot();
             assert!(snap.records.is_empty());
@@ -2460,6 +2683,11 @@ mod tests {
             }
         }
         assert_eq!(t.snapshot().labels, first_seen);
+        t.visit(|view| {
+            assert!(view.labels.iter().eq(first_seen.iter().map(String::as_str)));
+            let by_id = (0..first_seen.len() as u32).map(|id| view.labels.get(id).unwrap());
+            assert!(by_id.eq(first_seen.iter().map(String::as_str)));
+        });
     }
 
     #[test]
@@ -2476,12 +2704,16 @@ mod tests {
         t.visit(|view| {
             let stamps: Vec<u64> = view.records().map(|r| r.t.as_nanos()).collect();
             assert_eq!(stamps, (700..1_000).collect::<Vec<u64>>());
-            assert_eq!(view.labels, ["n0.p0"]);
+            assert!(view.labels.iter().eq(["n0.p0"]));
+            assert_eq!(
+                (view.labels.get(0), view.labels.get(1)),
+                (Some("n0.p0"), None)
+            );
             assert_eq!((view.dropped, view.capacity), (700, 300));
             assert_eq!((view.sample_one_in, view.seed), (3, 5));
         });
         Tracer::disabled().visit(|view| {
-            assert_eq!(view.records().count() + view.labels.len(), 0);
+            assert_eq!(view.records().count() + view.labels.iter().count(), 0);
             assert_eq!(view.dropped, 0);
         });
     }

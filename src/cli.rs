@@ -24,6 +24,8 @@ pub enum CliError {
     Telemetry(String),
     /// A scenario or sweep document was rejected.
     Scenario(ScenarioError),
+    /// A document of a kind not yet known is not JSON.
+    Json(qvisor_sim::json::ParseError),
     /// An output file could not be written.
     Output {
         /// The path that failed.
@@ -71,6 +73,7 @@ impl std::fmt::Display for CliError {
             CliError::Qvisor(e) => write!(f, "{e}"),
             CliError::Telemetry(msg) => write!(f, "invalid telemetry export: {msg}"),
             CliError::Scenario(e) => write!(f, "{e}"),
+            CliError::Json(e) => write!(f, "malformed JSON: {e}"),
             CliError::Output { path, source } => write!(f, "cannot write {path}: {source}"),
             CliError::Check { report, .. } => write!(f, "{report}check: verification FAILED"),
             CliError::Serve(msg) => write!(f, "serve error: {msg}"),
@@ -557,7 +560,8 @@ fn write_output(path: &str, contents: &str) -> Result<(), CliError> {
 /// verdict), or a raw deployment config (`tenants` + `policy`).
 pub fn cmd_check(json: &str, opts: &CheckOpts) -> Result<String, CliError> {
     use qvisor_sim::json::Value;
-    let v = Value::parse(json).map_err(|e| CliError::Scenario(ScenarioError::Json(e)))?;
+    // The kind is read off the parsed document: a syntax error names none.
+    let v = Value::parse(json).map_err(CliError::Json)?;
     if qvisor_fuzz::is_corpus_doc(&v) {
         return cmd_check_corpus(&v, opts);
     }

@@ -78,3 +78,37 @@ pub mod workloads {
 pub mod telemetry {
     pub use qvisor_telemetry::*;
 }
+
+/// Every `qvisor_*` item the standalone benchmark (`benchmark/`) names —
+/// in a `use` or by its full path — re-exported under one flat path, and
+/// nothing else. The benchmark is built from its own manifest, so these
+/// names are the program's API it depends on; `tests/bench_facade.rs`
+/// names each one here.
+pub mod bench {
+    pub use qvisor_core::config_api::{SynthOptions, TenantConfig};
+    pub use qvisor_core::{
+        synthesize, verify, DeploymentConfig, Policy, PreProcessor, SpecPaths, UnknownTenantAction,
+        Verdict,
+    };
+    pub use qvisor_fuzz::{generate_case, run_campaign, run_case, CampaignOpts};
+    pub use qvisor_netsim::scenario::{report_json, run_sweep, ScenarioError, SweepSpec};
+    pub use qvisor_netsim::{Engine, ScenarioSpec};
+    pub use qvisor_ranking::{RankCtx, RankFnSpec};
+    pub use qvisor_scheduler::{
+        AifoQueue, Capacity, Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PathStep,
+        PifoQueue, PifoTree, SpPifoMapper, StaticRangeMapper, StrictPriorityBank, TreePath,
+        TreeShape,
+    };
+    pub use qvisor_serve::registry::fnv1a;
+    pub use qvisor_serve::{
+        ChainSnapshot, ControlPlane, Daemon, LogEntry, Request, ServeOptions, SnapshotCell,
+    };
+    pub use qvisor_sim::json::Value;
+    pub use qvisor_sim::{
+        gbps, EventCore, EventQueue, FlowId, Nanos, NodeId, Packet, SimRng, TenantId,
+    };
+    pub use qvisor_telemetry::{SloMonitor, Telemetry, TraceConfig, Tracer};
+    pub use qvisor_topology::{FatTree, LeafSpine, LeafSpineConfig, Routes};
+    pub use qvisor_transport::{FlowDef, ReliableReceiver, ReliableSender, SendReq, SizeBucket};
+    pub use qvisor_workloads::{EmpiricalCdf, PoissonFlowGen};
+}

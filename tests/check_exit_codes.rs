@@ -183,6 +183,28 @@ fn a_matching_fuzz_corpus_document_exits_zero() {
     assert!(stdout.contains("fuzz replay"), "{stdout}");
 }
 
+/// `check` tells a document's kind from its keys, so one that is not JSON
+/// has none: a broken deployment config or corpus document is refused,
+/// exit 1, in words that name no kind — not as a scenario.
+#[test]
+fn a_document_that_is_not_json_is_refused_without_a_kind() {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/overflow.json");
+    let corpus = std::fs::read_to_string(corpus).unwrap();
+    for (name, text) in [
+        ("broken_config", &CLEAN[..CLEAN.len() - 2]),
+        ("broken_corpus", &corpus[..corpus.len() / 2]),
+    ] {
+        let path = temp_config(name, text);
+        let out = qvisor(&["check", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("malformed JSON: "), "{name}: {stderr}");
+        assert!(!stderr.contains("scenario"), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: printed a report");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// A trace span whose tenant does not fit the 16-bit tenant id is a
 /// malformed line: `trace report` and `trace export` name it and exit 1
 /// instead of rendering the id truncated (70001 would read as T4465).
