@@ -1,5 +1,4 @@
 #![deny(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! # qvisor-telemetry — unified observability for the QVISOR reproduction
 //!

@@ -971,23 +971,10 @@ impl Slots {
     }
 }
 
-/// The ring of slots, which overwrites its oldest slot around the cache. A
-/// default ring's first parts are 4 MiB and keep 2 % of what a Fig. 4 run
-/// writes into them, so an ordinary store would read each line for
-/// ownership only to evict the simulator's own working set with it. On
-/// x86_64 non-temporal `movnti` stores write each part, one a word (SSE2
-/// is part of the baseline); every other architecture assigns it. Both
-/// write the same bytes.
-///
-/// Streamed stores are weakly ordered, so a [`fence`] must separate them
-/// from any other access to the slots they wrote. Every access to the
-/// slots is in this module, and it fences before any read: when `head`
-/// wraps to 0 (before the lap that overwrites those slots again), in
-/// [`Ring::slots`] (before a visit reads them), in [`Ring::lend`] (before
-/// a snapshot, on any thread, reads them) and in `Drop` (before the
-/// allocator gets the memory back). A fence per record ran 3.6× slower
-/// than none at all.
-#[allow(unsafe_code)]
+/// The ring of slots, which overwrites its oldest slot in place once full.
+/// Every access to the slots is in this module, which also decides how
+/// much memory each part reserves ([`room`]) and when a snapshot's slots
+/// come back to the ring.
 mod ring {
     use super::{Slot, Slots};
     use std::sync::Arc;
@@ -1001,13 +988,13 @@ mod ring {
         /// address space, not memory — so it never holds a half-grown copy
         /// of more than 64 KiB beside it or leaves one behind as a hole in
         /// the heap. It fills by `push`, and from then on the oldest slot,
-        /// at `head`, is overwritten in place by [`stream`]. `slots.mid`
-        /// reserves nothing until the first compact or wide record, and
-        /// `slots.hi` nothing until the first wide one, and each then
-        /// reserves by the same rule; each is zeroed as far as the highest
-        /// index a record that needs it has taken, so it indexes every such
-        /// record and the pages past that stay untouched. All three are
-        /// empty, reserving nothing, while the slots are `lent`.
+        /// at `head`, is overwritten in place. `slots.mid` reserves nothing
+        /// until the first compact or wide record, and `slots.hi` nothing
+        /// until the first wide one, and each then reserves by the same
+        /// rule; each is zeroed as far as the highest index a record that
+        /// needs it has taken, so it indexes every such record and the
+        /// pages past that stay untouched. All three are empty, reserving
+        /// nothing, while the slots are `lent`.
         slots: Slots,
         /// Index of the oldest slot once the ring is full; 0 before.
         head: usize,
@@ -1048,17 +1035,16 @@ mod ring {
             let Slots { lo, mid, hi } = &mut self.slots;
             // `None` only for a ring of capacity 0, which keeps nothing.
             if let Some(oldest) = lo.get_mut(self.head) {
-                stream(oldest, slot.lo);
+                *oldest = slot.lo;
                 if let Some(words) = slot.mid {
-                    stream(part(mid, capacity, self.head), words);
+                    *part(mid, capacity, self.head) = words;
                 }
                 if let Some(words) = slot.hi {
-                    stream(part(hi, capacity, self.head), words);
+                    *part(hi, capacity, self.head) = words;
                 }
                 self.head += 1;
                 if self.head == capacity {
                     self.head = 0;
-                    fence();
                 }
             }
             true
@@ -1094,8 +1080,6 @@ mod ring {
 
         /// The retained slots and the index of the oldest, lent or not.
         pub(super) fn slots(&self) -> (&Slots, usize) {
-            // Slots overwritten since the last lap are still in flight.
-            fence();
             (self.lent.as_deref().unwrap_or(&self.slots), self.head)
         }
 
@@ -1103,8 +1087,6 @@ mod ring {
         /// to keep: the ring's own allocations, not a copy. The ring writes
         /// no slot of them again; its next record takes them back.
         pub(super) fn lend(&mut self) -> (Arc<Slots>, usize) {
-            // Slots overwritten since the last lap are still in flight.
-            fence();
             let slots = &mut self.slots;
             let lent = self
                 .lent
@@ -1118,13 +1100,6 @@ mod ring {
         pub(super) fn reserved(&self) -> (*const super::Quarter, [usize; 3]) {
             let Slots { lo, mid, hi } = &self.slots;
             (lo.as_ptr(), [lo.capacity(), mid.capacity(), hi.capacity()])
-        }
-    }
-
-    impl Drop for Ring {
-        fn drop(&mut self) {
-            // The slots go back to the allocator: streamed stores land first.
-            fence();
         }
     }
 
@@ -1183,38 +1158,6 @@ mod ring {
         let mut copy = Vec::with_capacity(room(part.len(), capacity));
         copy.extend_from_slice(part);
         copy
-    }
-
-    /// Overwrite `dst` with `src` without bringing `dst` into the cache.
-    #[inline(always)]
-    fn stream<const N: usize>(dst: &mut [u64; N], src: [u64; N]) {
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        for (word, value) in dst.iter_mut().zip(src) {
-            // SAFETY: `word` is a live, aligned `&mut u64` inside a part of
-            // the ring, and SSE2 is statically enabled (the `cfg` above).
-            // The ring writes only parts it owns alone: a snapshot's `Arc`
-            // holds lent slots, which the ring takes back only from the
-            // last holder. The ring is reachable only through a non-`Send`
-            // `Rc`, so no thread but this one can touch it, and this one
-            // accesses the part again only in this module, after the lap,
-            // visit, lend or drop fence.
-            unsafe { core::arch::x86_64::_mm_stream_si64((word as *mut u64).cast(), value as i64) };
-        }
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-        {
-            *dst = src;
-        }
-    }
-
-    /// Order every earlier [`stream`] before any later access to memory.
-    #[inline]
-    fn fence() {
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        // SAFETY: SSE2, and with it SSE, is statically enabled (the `cfg`
-        // above); `sfence` touches no memory.
-        unsafe {
-            core::arch::x86_64::_mm_sfence()
-        };
     }
 }
 

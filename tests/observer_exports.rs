@@ -201,7 +201,8 @@ fn weighted_share_exports_are_pinned() {
 /// (all within each run's first hundred records) through the overwrite.
 /// Recorded at the commit before the ring became 64-byte slots written
 /// with non-temporal stores; held since through 32-byte slots with a wide
-/// half for `fairtree_bound`'s inversions.
+/// half for `fairtree_bound`'s inversions, and through the return to plain
+/// stores.
 #[test]
 fn wrapped_ring_exports_are_pinned() {
     for (scenario, expected) in [
