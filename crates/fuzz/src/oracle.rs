@@ -597,7 +597,8 @@ fn scenario_oracle(
 fn streaming_scan(levels: StrictLevels) -> (Tracer, Rc<RefCell<CrossLevelScan>>) {
     let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels)));
     let sink = Rc::clone(&scan);
-    let tracer = Tracer::streaming(CrossLevelScan::READS, move |r| sink.borrow_mut().observe(r));
+    let tracer = Tracer::disabled()
+        .with_reader(CrossLevelScan::READS, move |r| sink.borrow_mut().observe(r));
     (tracer, scan)
 }
 
@@ -1026,7 +1027,11 @@ mod tests {
             let rank = [rng.below(5), u64::MAX][usize::from(rng.below(8) == 0)];
             let kind = match rng.below(8) {
                 0..=2 => TraceKind::Enqueue { rank },
-                3..=5 => TraceKind::Dequeue { rank, wait_ns: i },
+                3..=5 => TraceKind::Dequeue {
+                    rank,
+                    wait_ns: i,
+                    cross_tenant: i % 2 == 0,
+                },
                 6 => TraceKind::Drop { rank },
                 _ => TraceKind::TxStart {
                     bytes: rank,
@@ -1077,7 +1082,18 @@ mod tests {
             TraceRecord::new(Nanos(t), u64::from(f), 0, f, kind).at_label(0)
         };
         let enqueue = |t, f, rank| at(t, f, TraceKind::Enqueue { rank });
-        let dequeue = |t, f, rank| at(t, f, TraceKind::Dequeue { rank, wait_ns: 1 });
+        let dequeue = |t, f, rank| {
+            let cross_tenant = false;
+            at(
+                t,
+                f,
+                TraceKind::Dequeue {
+                    rank,
+                    wait_ns: 1,
+                    cross_tenant,
+                },
+            )
+        };
         let trace = [
             enqueue(0, 1, 7),
             enqueue(1, 2, 5),
@@ -1211,7 +1227,7 @@ mod tests {
                 let streamed = Rc::new(RefCell::new(Vec::new()));
                 let scan = Rc::new(RefCell::new(CrossLevelScan::new(levels(&level_of))));
                 let (records, sink) = (Rc::clone(&streamed), Rc::clone(&scan));
-                let stream = Tracer::streaming(reads, move |r| {
+                let stream = Tracer::disabled().with_reader(reads, move |r| {
                     records.borrow_mut().push(*r);
                     sink.borrow_mut().observe(r);
                 });
@@ -1230,27 +1246,29 @@ mod tests {
             let (streamed, count) = stream(TraceReads::ALL);
             let (read, read_count) = stream(CrossLevelScan::READS);
 
-            ring.visit(|view| {
-                assert_eq!(view.dropped, 0, "case {index}");
-                assert!(
-                    view.records().eq(streamed.iter().copied()),
-                    "case {index}: the stream is not the recorder's trace"
-                );
-                let scan_reads = |r: &TraceRecord| CrossLevelScan::READS.admits(&r.kind, r.ack);
-                assert!(
-                    view.records().filter(scan_reads).eq(read.iter().copied()),
-                    "case {index}: the scan's stream is not the recorder's trace of its reads"
-                );
-                let mut ring_scan = CrossLevelScan::new(levels(&level_of));
-                view.records().for_each(|r| ring_scan.observe(&r));
-                assert_eq!(ring_scan.inversions(), count, "case {index}");
-                assert_eq!(read_count, count, "case {index}");
-                assert_eq!(
-                    reference_trace_scan(view.records(), &level_of),
-                    count,
-                    "case {index}"
-                );
-            });
+            let view = ring.snapshot();
+            assert_eq!(view.dropped, 0, "case {index}");
+            assert!(
+                view.records.iter().eq(streamed.iter().copied()),
+                "case {index}: the stream is not the recorder's trace"
+            );
+            let scan_reads = |r: &TraceRecord| CrossLevelScan::READS.admits(&r.kind, r.ack);
+            assert!(
+                view.records
+                    .iter()
+                    .filter(scan_reads)
+                    .eq(read.iter().copied()),
+                "case {index}: the scan's stream is not the recorder's trace of its reads"
+            );
+            let mut ring_scan = CrossLevelScan::new(levels(&level_of));
+            view.records.iter().for_each(|r| ring_scan.observe(&r));
+            assert_eq!(ring_scan.inversions(), count, "case {index}");
+            assert_eq!(read_count, count, "case {index}");
+            assert_eq!(
+                reference_trace_scan(view.records.iter(), &level_of),
+                count,
+                "case {index}"
+            );
             for r in &streamed {
                 if let TraceKind::Dequeue { rank, .. } = r.kind {
                     compact += u64::from((1 << 12..1 << 32).contains(&rank));
@@ -1286,7 +1304,8 @@ mod tests {
             ] {
                 let received = Rc::new(RefCell::new(0u64));
                 let sink = Rc::clone(&received);
-                let tracer = Tracer::streaming(reads, move |_| *sink.borrow_mut() += 1);
+                let tracer =
+                    Tracer::disabled().with_reader(reads, move |_| *sink.borrow_mut() += 1);
                 let verified = Engine::new().verify(&spec, &SpecPaths::config());
                 let built = Engine::new()
                     .with_tracer(&tracer)

@@ -5,7 +5,7 @@ use qvisor_core::{
 };
 use qvisor_scheduler::Capacity;
 use qvisor_sim::{EventCore, Nanos};
-use qvisor_telemetry::{SloMonitor, Telemetry, Tracer};
+use qvisor_telemetry::{Telemetry, Tracer};
 
 /// QVISOR deployment inside the simulation: the hypervisor's two inputs
 /// plus runtime options.
@@ -90,19 +90,12 @@ pub struct SimConfig {
     /// enabled handle never influences simulation behaviour — reports are
     /// byte-identical either way.
     pub telemetry: Telemetry,
-    /// Per-packet lifecycle flight recorder. Like `telemetry`, the default
-    /// (disabled) handle records nothing; an enabled one captures flow
-    /// start / rank / transform / queue / link / delivery spans for sampled
-    /// flows without ever influencing simulation behaviour. Keep a clone
-    /// and snapshot after [`crate::Simulation::run`].
+    /// Where each packet event is recorded, once, for every reader of the
+    /// records: the flight recorder's ring, a streaming sink, the SLO
+    /// monitor. Like `telemetry`, the default (disabled) handle records
+    /// nothing, and no reader ever influences simulation behaviour. Keep a
+    /// clone of each reader and read it after [`crate::Simulation::run`].
     pub tracer: Tracer,
-    /// Streaming SLO monitor. Like `telemetry`, the default (disabled)
-    /// handle records nothing; an enabled one is fed per-tenant dequeues,
-    /// deliveries, drops, and flow completions, evaluating its alert rules
-    /// on sliding sim-time windows without ever influencing simulation
-    /// behaviour — reports and telemetry exports are byte-identical either
-    /// way. Keep a clone and export after [`crate::Simulation::run`].
-    pub monitor: SloMonitor,
 }
 
 impl SimConfig {
@@ -141,7 +134,6 @@ impl Default for SimConfig {
             event_core: EventCore::default(),
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
-            monitor: SloMonitor::disabled(),
         }
     }
 }

@@ -208,8 +208,9 @@ impl Engine {
             qvisor,
             event_core: self.event_core,
             telemetry: self.telemetry.clone(),
-            tracer: self.tracer.clone(),
-            monitor: self.monitor.clone(),
+            // One handle for every reader of the records; the caller's
+            // tracer is left as it is.
+            tracer: self.monitor.reading(&self.tracer),
         }
     }
 }

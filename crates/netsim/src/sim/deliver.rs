@@ -31,23 +31,18 @@ impl Simulation {
         debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
         let latency_ns = now.saturating_sub(p.sent_at).as_nanos();
-        self.trace_pkt(
-            &p,
-            now,
-            if p.kind == PacketKind::Ack {
-                TraceKind::Ack { latency_ns }
-            } else {
-                TraceKind::Deliver { latency_ns }
-            },
-        );
+        // Each record is made once its verdict is known: after the receiver
+        // or sender has seen the packet, before anything it sends.
         match p.kind {
             PacketKind::Data => {
                 let payload = p.size - self.cfg.header_bytes;
                 // A completed flow has had every sequence delivered.
                 let fresh =
                     (self.transport(p.flow)).is_some_and(|t| t.receiver.on_data(p.seq, payload));
+                let dup = !fresh;
+                self.trace_pkt(&p, now, TraceKind::Deliver { latency_ns, dup });
                 if fresh {
-                    self.count_delivery(p.tenant, payload, now);
+                    self.count_delivery(p.tenant, payload);
                 }
                 // Always ACK (sender dedupes).
                 let mut ack = p.ack_for(self.cfg.ack_bytes, now);
@@ -59,6 +54,8 @@ impl Simulation {
                 let outcome = (self.transport(p.flow))
                     .map(|t| t.sender.on_ack(p.seq, now))
                     .unwrap_or_default();
+                let done = outcome.completed;
+                self.trace_pkt(&p, now, TraceKind::Ack { latency_ns, done });
                 if let Some(req) = outcome.sends {
                     self.send_data(p.flow, req, now);
                     self.arm_timer(p.flow);
@@ -82,7 +79,6 @@ impl Simulation {
                         .metrics
                         .fct_ns
                         .record(fct.as_nanos());
-                    self.cfg.monitor.on_fct(now, def.tenant.0, fct.as_nanos());
                     self.cfg.telemetry.event(
                         now,
                         "flow_complete",
@@ -97,6 +93,8 @@ impl Simulation {
                 }
             }
             PacketKind::Datagram => {
+                let dup = false;
+                self.trace_pkt(&p, now, TraceKind::Deliver { latency_ns, dup });
                 let payload = p.size.saturating_sub(self.cfg.header_bytes);
                 let (met, missed) = match &mut self.flows[p.flow.index()] {
                     FlowState::Cbr(stream) => {
@@ -112,20 +110,19 @@ impl Simulation {
                 let t = self.tenant(p.tenant);
                 t.traffic.deadline_met += met;
                 t.traffic.deadline_missed += missed;
-                self.count_delivery(p.tenant, payload, now);
+                self.count_delivery(p.tenant, payload);
             }
         }
     }
 
     /// Account `payload` fresh bytes delivered to `tenant`: report row,
-    /// sampling window, telemetry and the SLO monitor.
-    fn count_delivery(&mut self, tenant: TenantId, payload: u32, now: Nanos) {
+    /// sampling window and telemetry.
+    fn count_delivery(&mut self, tenant: TenantId, payload: u32) {
         let t = self.tenant(tenant);
         t.traffic.delivered_pkts += 1;
         t.traffic.delivered_bytes += payload as u64;
         t.window_bytes += payload as u64;
         t.metrics.delivered_pkts.inc();
         t.metrics.delivered_bytes.add(payload as u64);
-        self.cfg.monitor.on_delivered(now, tenant.0);
     }
 }

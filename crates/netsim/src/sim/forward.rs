@@ -28,7 +28,7 @@ impl Simulation {
                 self.report.monitor_violations += 1;
                 if action == ViolationAction::Drop {
                     self.trace_pkt(&p, now, TraceKind::Drop { rank: p.txf_rank });
-                    self.drop_packet(&p, at, now);
+                    self.drop_packet(&p, at);
                     return;
                 }
             }
@@ -53,7 +53,7 @@ impl Simulation {
             let p = self.arena.take(slot);
             self.report.random_losses += 1;
             self.trace_pkt(&p, now, TraceKind::Drop { rank: p.txf_rank });
-            self.drop_packet(&p, node, now);
+            self.drop_packet(&p, node);
             return;
         }
         if node == p.dst {
@@ -105,7 +105,7 @@ impl Simulation {
     fn refuse(&mut self, p: &Packet, at: NodeId, now: Nanos) {
         self.report.preproc_dropped += 1;
         self.trace_pkt(p, now, TraceKind::Drop { rank: p.txf_rank });
-        self.drop_packet(p, at, now);
+        self.drop_packet(p, at);
     }
 
     /// The flat port index `p` leaves `at` by.
@@ -128,7 +128,7 @@ impl Simulation {
         }
         let outcome = port_ref.queue.enqueue(p, now);
         for victim in outcome.dropped() {
-            self.drop_packet(&victim, node, now);
+            self.drop_packet(&victim, node);
         }
         let port_ref = &mut self.ports[port as usize];
         if free {
@@ -169,7 +169,9 @@ impl Simulation {
         }
     }
 
-    pub(in crate::sim) fn drop_packet(&mut self, p: &Packet, at: NodeId, now: Nanos) {
+    /// Account `p`, lost at `at`. Its `Drop` record is the caller's (or
+    /// the port queue's) to make.
+    pub(in crate::sim) fn drop_packet(&mut self, p: &Packet, at: NodeId) {
         debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
         *self.report.node_drops.entry(at).or_insert(0) += 1;
@@ -177,7 +179,6 @@ impl Simulation {
             let t = self.tenant(p.tenant);
             t.traffic.dropped_pkts += 1;
             t.metrics.dropped_pkts.inc();
-            self.cfg.monitor.on_drop(now, p.tenant.0);
         }
     }
 

@@ -208,7 +208,7 @@ impl TenantState {
 }
 
 /// Build every output port into one table: one scheduler-model queue per
-/// link (instrumented when telemetry, tracing or the SLO monitor is live).
+/// link (instrumented when telemetry or any reader of the records is live).
 /// Node `n`'s ports are `ports[base[n]..base[n + 1]]`, in the out-link
 /// order `Routes::ecmp_port` counts in.
 pub(in crate::sim) fn build_ports(
@@ -216,8 +216,7 @@ pub(in crate::sim) fn build_ports(
     cfg: &SimConfig,
     joint: Option<&JointPolicy>,
 ) -> Result<(Vec<Port>, Vec<u32>), QvisorError> {
-    let instrument =
-        cfg.telemetry.is_enabled() || cfg.tracer.is_enabled() || cfg.monitor.is_enabled();
+    let instrument = cfg.telemetry.is_enabled() || cfg.tracer.is_enabled();
     let mut ports = Vec::with_capacity(topo.links().len());
     // Neighbouring links mostly share a rate: divide once per run of them.
     let mut rate = LineRate::new(0);
@@ -243,8 +242,7 @@ pub(in crate::sim) fn build_ports(
             // The wrapper interns the label; an unobserved port has no track.
             let (queue, trace_label) = if instrument {
                 let observed =
-                    InstrumentedQueue::with_tracer(bare, &cfg.telemetry, &cfg.tracer, &label)
-                        .with_monitor(&cfg.monitor);
+                    InstrumentedQueue::with_tracer(bare, &cfg.telemetry, &cfg.tracer, &label);
                 let trace_label = observed.trace_label();
                 (PortQueue::Observed(observed), trace_label)
             } else {

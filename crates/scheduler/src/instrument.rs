@@ -11,7 +11,9 @@
 //! flight recorder: when handed an enabled [`Tracer`], every enqueue,
 //! dequeue, drop, and inversion of a sampled flow becomes a lifecycle span
 //! on this queue's track — and inversions name the exact packet that was
-//! overtaken, not just a count.
+//! overtaken, not just a count. A dequeue's span says whether another
+//! tenant's lower-ranked packet kept waiting (`cross_tenant`), which the SLO
+//! monitor, a reader of the same records, counts.
 //!
 //! When both the [`Telemetry`] handle and the [`Tracer`] are disabled the
 //! wrapper keeps no mirror state and each operation adds only a branch.
@@ -26,9 +28,7 @@
 use crate::queue::{Enqueue, PacketQueue};
 use crate::rank_index::RankIndex;
 use qvisor_sim::{Nanos, Packet, PacketKind, Rank};
-use qvisor_telemetry::{
-    Profiler, QueueMetrics, SloMonitor, Telemetry, TraceKind, TraceRecord, Tracer,
-};
+use qvisor_telemetry::{Profiler, QueueMetrics, Telemetry, TraceKind, TraceRecord, Tracer};
 
 /// A resident packet as the mirror knows it. ACKs share `(flow, seq)` with
 /// the data packet they acknowledge, so `ack` keeps the two distinct; the
@@ -84,9 +84,6 @@ pub struct InstrumentedQueue<Q: PacketQueue> {
     /// Boxed: the index's occupancy bitmap is larger than the wrapper.
     mirror: Option<Box<RankIndex<Resident>>>,
     tracer: Tracer,
-    /// Streaming SLO monitor fed per-tenant dequeue waits and inversions
-    /// (disabled by default; attach with [`Self::with_monitor`]).
-    monitor: SloMonitor,
     trace_label: u32,
     metrics: QueueMetrics,
     enq_prof: Profiler,
@@ -115,26 +112,12 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
             exact: matches!(kind, "fifo" | "pifo"),
             mirror: (kind != "pifo").then(|| Box::new(RankIndex::new())),
             tracer: tracer.clone(),
-            monitor: SloMonitor::disabled(),
             trace_label: tracer.intern(queue_label),
             metrics: telemetry.queue_metrics(&[("queue", queue_label), ("kind", kind)]),
             enq_prof: telemetry.profiler("sched_enqueue"),
             deq_prof: telemetry.profiler("sched_dequeue"),
             inner,
         }
-    }
-
-    /// Attach a streaming SLO monitor: every dequeue feeds the packet's
-    /// tenant, its queueing delay, and whether the dequeue was a
-    /// cross-tenant rank inversion — some resident of a *different* tenant
-    /// had a strictly lower rank. (`sched_rank_inversions` and the
-    /// tracer's inversion spans count any lower-ranked resident.) An
-    /// enabled monitor activates the wrapper even when telemetry and
-    /// tracing are both disabled.
-    pub fn with_monitor(mut self, monitor: &SloMonitor) -> InstrumentedQueue<Q> {
-        self.enabled = self.enabled || monitor.is_enabled();
-        self.monitor = monitor.clone();
-        self
     }
 
     /// The wrapped queue.
@@ -193,8 +176,12 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
             self.metrics.admit();
         }
         let _scope = self.deq_prof.time();
-        self.trace(p, now, TraceKind::Dequeue { rank, wait_ns: 0 });
-        self.monitor.on_dequeue(now, p.tenant.0, 0, false);
+        let dequeue = TraceKind::Dequeue {
+            rank,
+            wait_ns: 0,
+            cross_tenant: false,
+        };
+        self.trace(p, now, dequeue);
         self.metrics.dequeue(0, false);
         self.metrics.set_depth(0, 0);
     }
@@ -228,26 +215,12 @@ impl<Q: PacketQueue> InstrumentedQueue<Q> {
         }
     }
 
-    /// `Some(cross_tenant)` when `p` leaving overtook a lower-ranked
-    /// resident, after tracing the span that names it; `None` otherwise,
-    /// and always over a `pifo`. `cross_tenant` (another tenant's packet
-    /// was among those overtaken) is computed only for a monitor.
-    fn inversion(&self, p: &Packet, now: Nanos) -> Option<bool> {
-        let mirror = self.mirror.as_ref()?;
-        // The overtaken packet: oldest resident at the best rank.
-        let (best, loser) = mirror.first().filter(|&(best, _)| best < p.txf_rank)?;
-        self.trace(
-            p,
-            now,
-            TraceKind::Inversion {
-                rank: p.txf_rank,
-                loser_flow: loser.flow,
-                loser_seq: loser.seq,
-                loser_rank: best,
-            },
-        );
-        // Only the monitor asks whose packet was overtaken, and only here.
-        Some(self.monitor.is_enabled() && mirror.any_below(p.txf_rank, |r| r.tenant != p.tenant.0))
+    /// The resident `p` overtook by leaving — the oldest at the best rank,
+    /// when that rank is strictly below `p`'s — and its rank. Always `None`
+    /// over a `pifo`.
+    fn overtaken(&self, p: &Packet) -> Option<(Rank, Resident)> {
+        let (best, loser) = self.mirror.as_ref()?.first()?;
+        (best < p.txf_rank).then_some((best, *loser))
     }
 }
 
@@ -295,18 +268,31 @@ impl<Q: PacketQueue> PacketQueue for InstrumentedQueue<Q> {
         let p = self.inner.dequeue(now)?;
         self.forget_resident(p.txf_rank, identity(&p));
         let wait = now.saturating_sub(p.enqueued_at).as_nanos();
-        self.trace(
-            &p,
-            now,
-            TraceKind::Dequeue {
+        let overtaken = self.overtaken(&p);
+        // Whose packets were overtaken is asked only of an inversion, and
+        // only for a recorder.
+        let cross_tenant = match (&self.mirror, overtaken) {
+            (Some(mirror), Some(_)) if self.tracer.is_enabled() => {
+                mirror.any_below(p.txf_rank, |r| r.tenant != p.tenant.0)
+            }
+            _ => false,
+        };
+        let dequeue = TraceKind::Dequeue {
+            rank: p.txf_rank,
+            wait_ns: wait,
+            cross_tenant,
+        };
+        self.trace(&p, now, dequeue);
+        if let Some((best, loser)) = overtaken {
+            let inversion = TraceKind::Inversion {
                 rank: p.txf_rank,
-                wait_ns: wait,
-            },
-        );
-        let inversion = self.inversion(&p, now);
-        let cross_tenant = inversion == Some(true);
-        self.monitor.on_dequeue(now, p.tenant.0, wait, cross_tenant);
-        self.metrics.dequeue(wait, inversion.is_some());
+                loser_flow: loser.flow,
+                loser_seq: loser.seq,
+                loser_rank: best,
+            };
+            self.trace(&p, now, inversion);
+        }
+        self.metrics.dequeue(wait, overtaken.is_some());
         self.update_depth();
         Some(p)
     }
@@ -418,38 +404,40 @@ mod tests {
         assert_eq!(counter(&t, "sched_dequeued_pkts", "q0", "pifo"), 2);
     }
 
-    fn inversion_monitor() -> SloMonitor {
-        use qvisor_telemetry::{AlertMetric, AlertRule};
-        SloMonitor::enabled(vec![AlertRule {
-            metric: AlertMetric::InversionRate,
-            tenant: 0,
-            window_ns: 1_000,
-            threshold: 0.4,
-        }])
+    /// A FIFO wrapper tracing into a ring, and the ring.
+    fn traced_fifo(t: &Telemetry) -> (InstrumentedQueue<FifoQueue>, Tracer) {
+        let tracer = Tracer::enabled(qvisor_telemetry::TraceConfig::default());
+        let q =
+            InstrumentedQueue::with_tracer(FifoQueue::new(Capacity::UNBOUNDED), t, &tracer, "q0");
+        (q, tracer)
+    }
+
+    /// The `cross_tenant` verdict of each `dequeue` record `tracer` holds.
+    fn cross_tenant_verdicts(tracer: &Tracer) -> Vec<bool> {
+        (tracer.snapshot().records.iter())
+            .filter_map(|r| match r.kind {
+                TraceKind::Dequeue { cross_tenant, .. } => Some(cross_tenant),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
-    fn monitor_feed_sees_waits_and_inversions() {
-        let t = Telemetry::disabled();
-        let monitor = inversion_monitor();
-        let mut q = InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &t, "q0")
-            .with_monitor(&monitor);
+    fn a_dequeue_that_overtakes_another_tenant_says_so() {
+        let (mut q, tracer) = traced_fifo(&Telemetry::disabled());
         q.enqueue(tenant_pkt(0, 1, 0, 9), Nanos::ZERO);
         q.enqueue(tenant_pkt(1, 2, 0, 1), Nanos::ZERO);
-        // Tenant 0's rank 9 leaves while tenant 1's rank 1 waits.
+        // Tenant 0's rank 9 leaves while tenant 1's rank 1 waits; then
+        // tenant 1's leaves with nothing behind it.
         q.dequeue(Nanos(500));
-        assert_eq!(monitor.alerts_fired(), 1, "1/1 inversions over 0.4");
-        let export = monitor.export_jsonl();
-        assert!(export.contains("slo_rank_inversions"), "{export}");
-        assert!(export.contains("slo_queue_delay_p50_ns"), "{export}");
+        q.dequeue(Nanos(600));
+        assert_eq!(cross_tenant_verdicts(&tracer), [true, false]);
     }
 
     #[test]
-    fn monitor_ignores_a_tenants_own_reordering() {
+    fn a_tenants_own_reordering_is_not_cross_tenant() {
         let t = Telemetry::enabled();
-        let monitor = inversion_monitor();
-        let mut q = InstrumentedQueue::new(FifoQueue::new(Capacity::UNBOUNDED), &t, "q0")
-            .with_monitor(&monitor);
+        let (mut q, tracer) = traced_fifo(&t);
         q.enqueue(tenant_pkt(0, 1, 0, 9), Nanos::ZERO);
         q.enqueue(tenant_pkt(0, 1, 1, 1), Nanos::ZERO);
         q.enqueue(tenant_pkt(1, 2, 0, 9), Nanos::ZERO);
@@ -457,14 +445,7 @@ mod tests {
         // packet ranks no lower, so no isolation promise was broken.
         q.dequeue(Nanos(500));
         assert_eq!(q.inversion_count(), 1, "still a scheduling inversion");
-        assert_eq!(monitor.alerts_fired(), 0);
-        assert!(
-            monitor
-                .export_jsonl()
-                .contains(r#""name":"slo_rank_inversions","labels":{"tenant":"T0"},"value":0"#),
-            "{}",
-            monitor.export_jsonl()
-        );
+        assert_eq!(cross_tenant_verdicts(&tracer), [false]);
     }
 
     #[test]
@@ -480,12 +461,11 @@ mod tests {
         assert_eq!(q.dequeued_count(), 0);
     }
 
-    /// The three observers of one wrapper, everything they export about
-    /// simulated behaviour, and the self-profiler's scope counts.
+    /// The two observer handles of one wrapper, everything they export
+    /// about simulated behaviour, and the self-profiler's scope counts.
     struct Observers {
         telemetry: Telemetry,
         tracer: Tracer,
-        monitor: SloMonitor,
     }
 
     impl Observers {
@@ -493,28 +473,22 @@ mod tests {
             Observers {
                 telemetry: Telemetry::enabled(),
                 tracer: Tracer::enabled(qvisor_telemetry::TraceConfig::default()),
-                monitor: inversion_monitor(),
             }
         }
 
         fn wrap<Q: PacketQueue>(&self, inner: Q) -> InstrumentedQueue<Q> {
             InstrumentedQueue::with_tracer(inner, &self.telemetry, &self.tracer, "q0")
-                .with_monitor(&self.monitor)
         }
 
-        /// `[trace, monitor, telemetry minus its host-wall-clock lines]`,
-        /// then the `sched_enqueue` / `sched_dequeue` scope counts.
-        fn exports(&self) -> ([String; 3], [u64; 2]) {
+        /// `[trace, telemetry minus its host-wall-clock lines]`, then the
+        /// `sched_enqueue` / `sched_dequeue` scope counts.
+        fn exports(&self) -> ([String; 2], [u64; 2]) {
             let simulated: String = (self.telemetry.export_jsonl().lines())
                 .filter(|line| !line.starts_with("{\"type\":\"profile\""))
                 .flat_map(|line| [line, "\n"])
                 .collect();
             (
-                [
-                    self.tracer.snapshot().to_jsonl(),
-                    self.monitor.export_jsonl(),
-                    simulated,
-                ],
+                [self.tracer.snapshot().to_jsonl(), simulated],
                 ["sched_enqueue", "sched_dequeue"]
                     .map(|site| self.telemetry.profiler(site).stat().count),
             )
@@ -623,18 +597,6 @@ mod tests {
         }
     }
 
-    /// Cross-tenant inversions the monitor has counted against `tenant`.
-    fn monitored_inversions(monitor: &SloMonitor, tenant: u16) -> u64 {
-        let key =
-            format!(r#""name":"slo_rank_inversions","labels":{{"tenant":"T{tenant}"}},"value":"#);
-        let export = monitor.export_jsonl();
-        let Some(at) = export.find(&key) else {
-            return 0;
-        };
-        let digits = export[at + key.len()..].split(|c: char| !c.is_ascii_digit());
-        digits.into_iter().next().unwrap().parse().unwrap()
-    }
-
     /// A random enqueue / evicting enqueue / reject / dequeue stream: at
     /// each step, `Some(packet)` to offer or `None` to dequeue. Ranks on
     /// both sides of `DENSE_RANKS`, four tenants, ACKs, and few flows and
@@ -661,8 +623,8 @@ mod tests {
     }
 
     /// Over [`random_ops`]: after every dequeue the wrapper's inversion
-    /// count, the span naming the overtaken packet and the monitor's
-    /// cross-tenant count are what the model mirror says.
+    /// count, the span naming the overtaken packet and the dequeue span's
+    /// `cross_tenant` verdict are what the model mirror says.
     fn mirror_matches_model<Q: PacketQueue>(inner: Q, seed: u64) {
         let obs = Observers {
             // A four-record ring: the newest spans, cheap to snapshot.
@@ -697,12 +659,18 @@ mod tests {
             } else if let Some(p) = q.dequeue(now) {
                 model.forget(&p);
                 let expected = model.overtaken_by(&p);
-                let newest = obs.tracer.snapshot().records.last().unwrap();
+                let ring: Vec<TraceRecord> = obs.tracer.snapshot().records.iter().collect();
+                let (newest, before) = (ring[ring.len() - 1], ring[ring.len() - 2]);
+                let dequeued = |r: TraceRecord| match r.kind {
+                    TraceKind::Dequeue { cross_tenant, .. } => Some(cross_tenant),
+                    _ => None,
+                };
                 match expected {
-                    None => assert_eq!(newest.kind.tag(), "dequeue", "step {step}"),
+                    None => assert_eq!(dequeued(newest), Some(false), "step {step}"),
                     Some((loser, loser_rank, cross_tenant)) => {
                         inversions += 1;
                         cross[p.tenant.index()] += u64::from(cross_tenant);
+                        assert_eq!(dequeued(before), Some(cross_tenant), "step {step}");
                         assert_eq!(
                             (newest.flow, newest.seq, newest.ack, newest.kind),
                             (
@@ -721,11 +689,6 @@ mod tests {
                     }
                 }
                 assert_eq!(q.inversion_count(), inversions, "step {step}");
-                assert_eq!(
-                    monitored_inversions(&obs.monitor, p.tenant.0),
-                    cross[p.tenant.index()],
-                    "step {step}"
-                );
             }
             let resident: usize = model.0.values().map(Vec::len).sum();
             assert_eq!(q.len(), resident);
@@ -799,10 +762,9 @@ mod tests {
                 assert_eq!(x, y, "seed {seed} at {now:?}");
             }
             assert!(a.dropped_count() > 0 && a.dequeued_count() > 0);
-            let ([trace, monitor, telemetry], scopes) = bare.exports();
-            let ([trace_b, monitor_b, telemetry_b], scopes_b) = mirrored_obs.exports();
+            let ([trace, telemetry], scopes) = bare.exports();
+            let ([trace_b, telemetry_b], scopes_b) = mirrored_obs.exports();
             assert_eq!(trace, trace_b, "seed {seed}");
-            assert_eq!(monitor, monitor_b, "seed {seed}");
             let renamed = telemetry_b.replace(r#""kind":"pifo_mirrored""#, r#""kind":"pifo""#);
             assert_eq!(telemetry, renamed, "seed {seed}");
             assert_eq!(scopes, scopes_b);
@@ -844,7 +806,8 @@ mod tests {
                 dq.kind,
                 TraceKind::Dequeue {
                     rank: 9,
-                    wait_ns: 500
+                    wait_ns: 500,
+                    cross_tenant: false,
                 }
             );
             assert_eq!(data.labels[dq.label as usize], "q0");
@@ -913,7 +876,7 @@ mod tests {
                 InstrumentedQueue::with_tracer(FifoQueue::new(Capacity::UNBOUNDED), &t, &tr, "q0");
             q.enqueue(flow_pkt(skipped, 0, 5), Nanos::ZERO);
             q.dequeue(Nanos(10));
-            assert!(tr.is_empty());
+            assert!(tr.snapshot().records.is_empty());
         }
     }
 }

@@ -27,8 +27,8 @@
 //! [`trace`] flight recorder captures per-packet lifecycle spans (exported
 //! to Perfetto via [`perfetto`] or rendered as a latency breakdown), and
 //! the [`profile`] self-profiler aggregates wall-clock scoped timers around
-//! the simulator's own hot paths. The [`monitor`] module layers a streaming
-//! per-tenant SLO view on the same feed points — sliding sim-time-windowed
+//! the simulator's own hot paths. The [`monitor`] module reads the flight
+//! recorder's records beside its ring — sliding sim-time-windowed per-tenant
 //! rates and latency quantiles with declarative alert rules — and
 //! [`prometheus`] renders any JSONL export in Prometheus text exposition
 //! format for standard scrapers.
@@ -48,10 +48,7 @@ pub use journal::{Journal, JournalEvent};
 pub use monitor::{AlertMetric, AlertRule, SloMonitor, ALERT_METRICS};
 pub use profile::{ProfileSpan, ProfileStat, Profiler};
 pub use stream::{BusReceiver, SnapshotBus};
-pub use trace::{
-    Records, TraceConfig, TraceData, TraceKind, TraceLabels, TraceReads, TraceRecord, TraceView,
-    Tracer,
-};
+pub use trace::{Records, TraceConfig, TraceData, TraceKind, TraceReads, TraceRecord, Tracer};
 
 mod live;
 pub use live::{Counter, Gauge, Histogram, QueueMetrics, Telemetry};

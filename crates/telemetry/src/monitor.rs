@@ -2,22 +2,25 @@
 //!
 //! The static verifier proves a policy clean before deployment and the
 //! trace reports explain a run after it ends; this module watches isolation
-//! *while* the simulation runs. It consumes the same feed points the
-//! telemetry counters already use — enqueue/dequeue on instrumented queues,
-//! delivery and flow completion at the destination, end-to-end drops — and
-//! maintains sliding sim-time-windowed per-tenant health:
+//! *while* the simulation runs. It has no feed points of its own: it is one
+//! more reader of the flight recorder's records ([`SloMonitor::reading`]
+//! joins it to a [`Tracer`]), and reads every flow's dequeues, a data
+//! packet's drops and fresh deliveries, and each flow's start and the ACK
+//! that completes it, whatever the ring samples. From them it maintains
+//! sliding sim-time-windowed per-tenant health:
 //!
 //! * **drop rate** — dropped / (delivered + dropped) over the window,
 //! * **rank-inversion rate** — cross-tenant inversions / dequeues (a
 //!   dequeue counts when a *different* tenant's packet with a strictly
-//!   lower rank kept waiting; a tenant reordering its own packets is not
-//!   an isolation failure),
+//!   lower rank kept waiting — the `dequeue` record's `cross_tenant`; a
+//!   tenant reordering its own packets is not an isolation failure),
 //! * **queueing-delay and FCT quantiles** — via a deterministic streaming
 //!   `QuantileSketch` (dense log-linear buckets, property-tested against
-//!   exact sorted-vec quantiles).
+//!   exact sorted-vec quantiles). A flow's completion time is its `done`
+//!   ACK's time less its `flow_start`'s.
 //!
 //! Declarative [`AlertRule`]s (`{metric, tenant, window_ns, threshold}`)
-//! are evaluated incrementally on every matching feed event. Alerts are
+//! are evaluated incrementally on every record that feeds them. Alerts are
 //! edge-triggered: one `alert_fired` journal event when the windowed value
 //! first exceeds the threshold, one `alert_resolved` when it falls back.
 //! Fired alerts land in the monitor's own bounded [`Journal`].
@@ -32,6 +35,7 @@
 
 use crate::journal::{Journal, JournalEvent};
 use crate::report::{Export, HistLine, MetricLine};
+use crate::trace::{TraceKind, TraceReads, TraceRecord, Tracer};
 use qvisor_sim::json::Value;
 use qvisor_sim::{LogBuckets, Nanos};
 use std::cell::RefCell;
@@ -412,6 +416,8 @@ struct MonitorState {
     rules: Vec<RuleRt>,
     /// Indexed by tenant id; a row exists once the tenant has been fed.
     tenants: Vec<Option<Tenant>>,
+    /// When each started flow that has not completed started, by flow id.
+    open: BTreeMap<u64, Nanos>,
     journal: Journal,
     alerts_fired: u64,
     alerts_resolved: u64,
@@ -433,10 +439,45 @@ impl MonitorState {
         MonitorState {
             rules: rules.into_iter().map(RuleRt::new).collect(),
             tenants: Vec::new(),
+            open: BTreeMap::new(),
             journal: Journal::default(),
             alerts_fired: 0,
             alerts_resolved: 0,
         }
+    }
+
+    /// Fold one record into `state`'s windows: a dequeue (of any packet), a
+    /// data packet's drop or fresh delivery, and a flow's completion — its
+    /// `done` ACK, timed from its `flow_start`. A record it does not count
+    /// (most are ACKs) leaves the state untouched.
+    fn read(state: &RefCell<MonitorState>, r: &TraceRecord) {
+        let feed = match r.kind {
+            TraceKind::FlowStart { .. } => {
+                state.borrow_mut().open.insert(r.flow, r.t);
+                return;
+            }
+            TraceKind::Dequeue {
+                wait_ns,
+                cross_tenant,
+                ..
+            } => Feed::Dequeue {
+                bucket: QuantileSketch::index(wait_ns),
+                inverted: cross_tenant,
+            },
+            TraceKind::Drop { .. } if !r.ack => Feed::Drop,
+            TraceKind::Deliver { dup: false, .. } if !r.ack => Feed::Delivered,
+            TraceKind::Ack { done: true, .. } => {
+                let st = &mut *state.borrow_mut();
+                let Some(start) = st.open.remove(&r.flow) else {
+                    return;
+                };
+                let fct = r.t.saturating_sub(start).as_nanos();
+                let bucket = QuantileSketch::index(fct);
+                return st.feed(r.t, r.tenant, Feed::Fct { bucket });
+            }
+            _ => return,
+        };
+        state.borrow_mut().feed(r.t, r.tenant, feed);
     }
 
     /// Fold one feed event into `tenant`'s health, route it into the
@@ -539,9 +580,29 @@ impl MonitorState {
     }
 }
 
+/// The records the monitor reads: every packet's dequeues, a data packet's
+/// drops and deliveries, and each flow's start and ACKs (only the `done`
+/// one counts).
+const READS: TraceReads = TraceReads::DEQUEUE
+    .union(TraceReads::acks(TraceKind::Dequeue {
+        rank: 0,
+        wait_ns: 0,
+        cross_tenant: false,
+    }))
+    .union(TraceReads::DROP)
+    .union(TraceReads::data(TraceKind::FlowStart { size: 0 }))
+    .union(TraceReads::data(TraceKind::Deliver {
+        latency_ns: 0,
+        dup: false,
+    }))
+    .union(TraceReads::acks(TraceKind::Ack {
+        latency_ns: 0,
+        done: false,
+    }));
+
 /// Handle to a streaming SLO monitor. Cheap to clone (shared by `Rc`,
 /// mirroring [`Telemetry`](crate::Telemetry)); the default handle is
-/// disabled and every feed call is one branch.
+/// disabled and joins no tracer ([`SloMonitor::reading`]).
 #[derive(Clone, Debug, Default)]
 pub struct SloMonitor {
     inner: Option<Rc<RefCell<MonitorState>>>,
@@ -566,41 +627,16 @@ impl SloMonitor {
         self.inner.is_some()
     }
 
-    /// Feed: an end-to-end payload-packet drop for `tenant` at sim-time `t`.
-    #[inline]
-    pub fn on_drop(&self, t: Nanos, tenant: u16) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().feed(t, tenant, Feed::Drop);
-        }
-    }
-
-    /// Feed: a fresh payload delivery for `tenant` at sim-time `t`.
-    #[inline]
-    pub fn on_delivered(&self, t: Nanos, tenant: u16) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().feed(t, tenant, Feed::Delivered);
-        }
-    }
-
-    /// Feed: a dequeue for `tenant` that waited `wait_ns`; `inverted` marks
-    /// a cross-tenant rank inversion (a strictly lower-ranked packet of
-    /// *another* tenant kept waiting while this one left).
-    #[inline]
-    pub fn on_dequeue(&self, t: Nanos, tenant: u16, wait_ns: u64, inverted: bool) {
-        if let Some(inner) = &self.inner {
-            let bucket = QuantileSketch::index(wait_ns);
-            inner
-                .borrow_mut()
-                .feed(t, tenant, Feed::Dequeue { bucket, inverted });
-        }
-    }
-
-    /// Feed: a completed flow for `tenant` with completion time `fct_ns`.
-    #[inline]
-    pub fn on_fct(&self, t: Nanos, tenant: u16, fct_ns: u64) {
-        if let Some(inner) = &self.inner {
-            let bucket = QuantileSketch::index(fct_ns);
-            inner.borrow_mut().feed(t, tenant, Feed::Fct { bucket });
+    /// `tracer` with this monitor joined as one more reader of its
+    /// records ([`Tracer::with_reader`]): the handle a simulation records
+    /// on. `tracer` goes on as it was; a disabled monitor joins nothing.
+    pub fn reading(&self, tracer: &Tracer) -> Tracer {
+        match &self.inner {
+            Some(state) => {
+                let state = Rc::clone(state);
+                tracer.with_reader(READS, move |r| MonitorState::read(&state, r))
+            }
+            None => tracer.clone(),
         }
     }
 
@@ -661,49 +697,23 @@ impl SloMonitor {
         let rows = (st.tenants.iter().enumerate())
             .filter_map(|(id, row)| Some((id as u16, &row.as_ref()?.stats)));
         for (tenant, s) in rows {
-            push(metric(
-                "counter",
-                "slo_delivered_pkts",
-                tenant,
-                Value::from(s.delivered),
-            ));
-            push(metric(
-                "counter",
-                "slo_dropped_pkts",
-                tenant,
-                Value::from(s.dropped),
-            ));
-            push(metric(
-                "counter",
-                "slo_dequeues",
-                tenant,
-                Value::from(s.dequeues),
-            ));
-            push(metric(
-                "counter",
-                "slo_rank_inversions",
-                tenant,
-                Value::from(s.inversions),
-            ));
-            let ppm = |num: u64, den: u64| -> Value {
-                if den == 0 {
-                    Value::from(0u64)
-                } else {
-                    Value::from((num as u128 * 1_000_000 / den as u128) as u64)
-                }
-            };
-            push(metric(
-                "gauge",
-                "slo_drop_rate_ppm",
-                tenant,
-                ppm(s.dropped, s.delivered + s.dropped),
-            ));
-            push(metric(
-                "gauge",
-                "slo_inversion_rate_ppm",
-                tenant,
-                ppm(s.inversions, s.dequeues),
-            ));
+            let counters = [
+                ("slo_delivered_pkts", s.delivered),
+                ("slo_dropped_pkts", s.dropped),
+                ("slo_dequeues", s.dequeues),
+                ("slo_rank_inversions", s.inversions),
+            ];
+            for (name, value) in counters {
+                push(metric("counter", name, tenant, Value::from(value)));
+            }
+            let ppm = |num: u64, den: u64| (num as u128 * 1_000_000 / den.max(1) as u128) as u64;
+            let rates = [
+                ("slo_drop_rate_ppm", ppm(s.dropped, s.delivered + s.dropped)),
+                ("slo_inversion_rate_ppm", ppm(s.inversions, s.dequeues)),
+            ];
+            for (name, value) in rates {
+                push(metric("gauge", name, tenant, Value::from(value)));
+            }
             for (name, sketch) in [("slo_queue_delay", &s.queue_delay), ("slo_fct", &s.fct)] {
                 for (suffix, p) in [("p50_ns", 0.5), ("p90_ns", 0.9), ("p99_ns", 0.99)] {
                     if let Some(q) = sketch.quantile(p) {
@@ -803,6 +813,55 @@ pub fn render_health(export: &Export) -> String {
 mod tests {
     use super::*;
     use qvisor_sim::rng::SimRng;
+    use std::collections::BTreeSet;
+
+    /// A tracer `m` reads, and the records a simulation would make on it.
+    struct Recorder(Tracer);
+
+    impl Recorder {
+        fn of(m: &SloMonitor) -> Recorder {
+            Recorder(m.reading(&Tracer::disabled()))
+        }
+
+        fn record(&self, t: u64, flow: u64, tenant: u16, kind: TraceKind, ack: bool) {
+            let record = TraceRecord::new(Nanos(t), flow, 0, tenant, kind);
+            self.0.record(record.as_ack(ack));
+        }
+
+        fn dropped(&self, t: u64, tenant: u16) {
+            self.record(t, 0, tenant, TraceKind::Drop { rank: 0 }, false);
+        }
+
+        fn delivered(&self, t: u64, tenant: u16) {
+            let kind = TraceKind::Deliver {
+                latency_ns: 1,
+                dup: false,
+            };
+            self.record(t, 0, tenant, kind, false);
+        }
+
+        fn dequeued(&self, t: u64, tenant: u16, wait_ns: u64, cross_tenant: bool) {
+            let kind = TraceKind::Dequeue {
+                rank: 0,
+                wait_ns,
+                cross_tenant,
+            };
+            self.record(t, 0, tenant, kind, false);
+        }
+
+        /// A flow of `tenant` that started `fct_ns` before `t` and whose
+        /// last ACK arrives at `t`.
+        fn completed(&self, t: u64, tenant: u16, fct_ns: u64) {
+            let flow = t;
+            let start = TraceKind::FlowStart { size: 1 };
+            self.record(t - fct_ns, flow, tenant, start, false);
+            let done = TraceKind::Ack {
+                latency_ns: 1,
+                done: true,
+            };
+            self.record(t, flow, tenant, done, true);
+        }
+    }
 
     fn rule(metric: AlertMetric, tenant: u16, window_ns: u64, threshold: f64) -> AlertRule {
         AlertRule {
@@ -1056,22 +1115,23 @@ mod tests {
     #[test]
     fn drop_rate_alert_fires_and_resolves_edge_triggered() {
         let m = SloMonitor::enabled(vec![rule(AlertMetric::DropRate, 1, 1_000, 0.5)]);
+        let r = Recorder::of(&m);
         // Two deliveries, then three drops: rate crosses 0.5 at the 3rd drop.
-        m.on_delivered(Nanos(10), 1);
-        m.on_delivered(Nanos(20), 1);
-        m.on_drop(Nanos(30), 1);
-        m.on_drop(Nanos(40), 1);
+        r.delivered(10, 1);
+        r.delivered(20, 1);
+        r.dropped(30, 1);
+        r.dropped(40, 1);
         assert_eq!(m.alerts_fired(), 0, "rate 2/4 is not above 0.5");
-        m.on_drop(Nanos(50), 1);
+        r.dropped(50, 1);
         assert_eq!(m.alerts_fired(), 1, "rate 3/5 crossed the threshold");
-        m.on_drop(Nanos(60), 1);
+        r.dropped(60, 1);
         assert_eq!(
             m.alerts_fired(),
             1,
             "edge-triggered: no refire while firing"
         );
         for t in 0..10u64 {
-            m.on_delivered(Nanos(70 + t), 1);
+            r.delivered(70 + t, 1);
         }
         assert_eq!(m.alerts_resolved(), 1, "rate fell back under the threshold");
         let events = m.alert_events();
@@ -1084,41 +1144,45 @@ mod tests {
     #[test]
     fn other_tenants_do_not_trip_a_rule() {
         let m = SloMonitor::enabled(vec![rule(AlertMetric::DropRate, 1, 1_000, 0.0)]);
-        m.on_drop(Nanos(5), 2);
+        let r = Recorder::of(&m);
+        r.dropped(5, 2);
         assert_eq!(m.alerts_fired(), 0);
-        m.on_drop(Nanos(6), 1);
+        r.dropped(6, 1);
         assert_eq!(m.alerts_fired(), 1);
     }
 
     #[test]
     fn latency_quantile_alert_uses_the_sliding_window() {
         let m = SloMonitor::enabled(vec![rule(AlertMetric::QueueDelayP99, 3, 800, 5_000.0)]);
-        m.on_dequeue(Nanos(10), 3, 100, false);
+        let r = Recorder::of(&m);
+        r.dequeued(10, 3, 100, false);
         assert_eq!(m.alerts_fired(), 0);
-        m.on_dequeue(Nanos(20), 3, 50_000, false);
+        r.dequeued(20, 3, 50_000, false);
         assert_eq!(m.alerts_fired(), 1);
         // The slow sample expires out of the window; the next dequeue
         // re-evaluates and resolves.
-        m.on_dequeue(Nanos(2_000), 3, 10, false);
+        r.dequeued(2_000, 3, 10, false);
         assert_eq!(m.alerts_resolved(), 1);
     }
 
     #[test]
     fn inversion_rate_alert() {
         let m = SloMonitor::enabled(vec![rule(AlertMetric::InversionRate, 2, 1_000, 0.4)]);
-        m.on_dequeue(Nanos(1), 2, 10, false);
-        m.on_dequeue(Nanos(2), 2, 10, true);
+        let r = Recorder::of(&m);
+        r.dequeued(1, 2, 10, false);
+        r.dequeued(2, 2, 10, true);
         assert_eq!(m.alerts_fired(), 1, "1/2 inversions over threshold 0.4");
     }
 
     #[test]
     fn disabled_monitor_is_inert() {
         let m = SloMonitor::disabled();
+        let r = Recorder::of(&m);
         assert!(!m.is_enabled());
-        m.on_drop(Nanos(1), 1);
-        m.on_delivered(Nanos(2), 1);
-        m.on_dequeue(Nanos(3), 1, 10, true);
-        m.on_fct(Nanos(4), 1, 100);
+        r.dropped(1, 1);
+        r.delivered(2, 1);
+        r.dequeued(3, 1, 10, true);
+        r.completed(4, 1, 3);
         assert_eq!(m.alerts_fired(), 0);
         assert_eq!(m.export_jsonl(), "");
         assert!(m.alert_events().is_empty());
@@ -1127,11 +1191,12 @@ mod tests {
     #[test]
     fn export_parses_and_renders_a_health_table() {
         let m = SloMonitor::enabled(vec![rule(AlertMetric::DropRate, 1, 1_000, 0.0)]);
-        m.on_delivered(Nanos(10), 1);
-        m.on_drop(Nanos(20), 1);
-        m.on_dequeue(Nanos(30), 1, 500, true);
-        m.on_fct(Nanos(40), 1, 9_000);
-        m.on_delivered(Nanos(50), 2);
+        let r = Recorder::of(&m);
+        r.delivered(10, 1);
+        r.dropped(20, 1);
+        r.dequeued(30, 1, 500, true);
+        r.completed(40, 1, 30);
+        r.delivered(50, 2);
         let jsonl = m.export_jsonl();
         let export = crate::report::parse(&jsonl).unwrap();
         assert!(export
@@ -1150,12 +1215,90 @@ mod tests {
         assert!(table.contains("slo_drop_rate_ppm"), "{table}");
         // Two runs over the same feed produce identical bytes.
         let m2 = SloMonitor::enabled(vec![rule(AlertMetric::DropRate, 1, 1_000, 0.0)]);
-        m2.on_delivered(Nanos(10), 1);
-        m2.on_drop(Nanos(20), 1);
-        m2.on_dequeue(Nanos(30), 1, 500, true);
-        m2.on_fct(Nanos(40), 1, 9_000);
-        m2.on_delivered(Nanos(50), 2);
+        let r2 = Recorder::of(&m2);
+        r2.delivered(10, 1);
+        r2.dropped(20, 1);
+        r2.dequeued(30, 1, 500, true);
+        r2.completed(40, 1, 30);
+        r2.delivered(50, 2);
         assert_eq!(jsonl, m2.export_jsonl());
+    }
+
+    /// `name`'s value for tenant `T1` in `m`'s export.
+    fn t1(m: &SloMonitor, name: &str) -> u64 {
+        let key = format!(r#""name":"{name}","labels":{{"tenant":"T1"}},"value":"#);
+        let export = m.export_jsonl();
+        let at = export
+            .find(&key)
+            .unwrap_or_else(|| panic!("no {name}:\n{export}"))
+            + key.len();
+        let digits = export[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn the_monitor_reads_every_flow_beside_a_sampled_ring() {
+        let m = SloMonitor::enabled(vec![rule(AlertMetric::FctP50, 1, 1_000, 1e9)]);
+        let ring = Tracer::enabled(crate::trace::TraceConfig {
+            sample_one_in: 4,
+            ..Default::default()
+        });
+        let joined = m.reading(&ring);
+        let drop = TraceKind::Drop { rank: 0 };
+        let tx = TraceKind::TxStart {
+            bytes: 1,
+            tx_ns: 1,
+            prop_ns: 1,
+        };
+        let sampled: Vec<u64> = (0..64).filter(|&f| ring.wants(&drop, false, f)).collect();
+        assert!(!sampled.is_empty() && sampled.len() < 32, "{sampled:?}");
+        let record = |t: u64, flow: u64, kind: TraceKind, ack: bool| {
+            if joined.wants(&kind, ack, flow) {
+                joined.record(TraceRecord::new(Nanos(t), flow, 0, 1, kind).as_ack(ack));
+            }
+        };
+        for flow in 0..64 {
+            assert!(joined.wants(&drop, false, flow), "flow {flow}");
+            assert_eq!(joined.wants(&tx, false, flow), sampled.contains(&flow));
+            let t = 100 * flow;
+            record(t, flow, TraceKind::FlowStart { size: 1 }, false);
+            record(t + 1, flow, drop, false);
+            record(t + 2, flow, drop, true);
+            for (dup, done) in [(false, false), (true, false), (false, true), (false, true)] {
+                record(
+                    t + 20,
+                    flow,
+                    TraceKind::Deliver { latency_ns: 1, dup },
+                    false,
+                );
+                record(
+                    t + 20,
+                    flow,
+                    TraceKind::Ack {
+                        latency_ns: 1,
+                        done,
+                    },
+                    true,
+                );
+            }
+            record(t + 60, flow, tx, false);
+        }
+        // Every flow's data drop, fresh delivery and completion, and no
+        // ACK's drop, duplicate delivery or second completion.
+        assert_eq!(t1(&m, "slo_dropped_pkts"), 64);
+        assert_eq!(t1(&m, "slo_delivered_pkts"), 3 * 64);
+        assert_eq!(t1(&m, "slo_fct_p99_ns"), 20);
+        // The ring kept the sampled flows' records alone, and evicted none.
+        let kept = ring.snapshot();
+        assert!(kept.records.iter().all(|r| sampled.contains(&r.flow)));
+        let flows: BTreeSet<u64> = kept.records.iter().map(|r| r.flow).collect();
+        assert!(flows.into_iter().eq(sampled.iter().copied()));
+        assert_eq!(kept.records.len(), sampled.len() * 12);
+        assert_eq!((ring.dropped(), joined.dropped()), (0, 0));
+        // The caller's handle still records into the ring alone.
+        ring.record(TraceRecord::new(Nanos(9_999), sampled[0], 0, 1, drop));
+        assert_eq!(ring.snapshot().records.len(), sampled.len() * 12 + 1);
+        assert_eq!(t1(&m, "slo_dropped_pkts"), 64);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! digits. All numbers are formatted from integers, so the export is
 //! byte-deterministic — the determinism suite relies on this.
 
-use crate::trace::{TraceData, TraceKind, TraceRecord, NO_LABEL};
+use crate::trace::{TraceData, TraceKind, NO_LABEL};
 use qvisor_sim::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -53,12 +53,12 @@ fn js(s: &str) -> String {
     Value::from(s).to_compact()
 }
 
-/// Async-span identity of a record's packet: `f<flow>.<seq>`, `.a` for ACKs.
-fn span_id(r: &TraceRecord) -> String {
-    if r.ack {
-        format!("f{}.{}.a", r.flow, r.seq)
+/// Async-span identity of a packet: `f<flow>.<seq>`, `.a` for ACKs.
+fn span_id(flow: u64, seq: u64, ack: bool) -> String {
+    if ack {
+        format!("f{flow}.{seq}.a")
     } else {
-        format!("f{}.{}", r.flow, r.seq)
+        format!("f{flow}.{seq}")
     }
 }
 
@@ -106,11 +106,7 @@ pub fn export_chrome(data: &TraceData) -> String {
             .or_insert((t, t, r.tenant));
     }
     for (&(flow, seq, ack), &(first, last, tenant)) in &spans {
-        let id = if ack {
-            format!("f{flow}.{seq}.a")
-        } else {
-            format!("f{flow}.{seq}")
-        };
+        let id = span_id(flow, seq, ack);
         let name = if ack {
             format!("T{tenant} ack f{flow}#{seq}")
         } else {
@@ -135,7 +131,7 @@ pub fn export_chrome(data: &TraceData) -> String {
     // phase, plus slices/markers on the owning queue/link track.
     for r in data.records.iter() {
         let t = r.t.as_nanos();
-        let id = span_id(&r);
+        let id = span_id(r.flow, r.seq, r.ack);
         let mut args = String::new();
         let mut phase_name = r.kind.tag();
         match r.kind {
@@ -151,7 +147,7 @@ pub fn export_chrome(data: &TraceData) -> String {
             TraceKind::Enqueue { rank } | TraceKind::Drop { rank } => {
                 let _ = write!(args, "\"rank\":{rank}");
             }
-            TraceKind::Dequeue { rank, wait_ns } => {
+            TraceKind::Dequeue { rank, wait_ns, .. } => {
                 let _ = write!(args, "\"rank\":{rank},\"wait_ns\":{wait_ns}");
             }
             TraceKind::Inversion {
@@ -175,7 +171,7 @@ pub fn export_chrome(data: &TraceData) -> String {
                     "\"bytes\":{bytes},\"tx_ns\":{tx_ns},\"prop_ns\":{prop_ns}"
                 );
             }
-            TraceKind::Deliver { latency_ns } | TraceKind::Ack { latency_ns } => {
+            TraceKind::Deliver { latency_ns, .. } | TraceKind::Ack { latency_ns, .. } => {
                 let _ = write!(args, "\"latency_ns\":{latency_ns}");
             }
         }
@@ -199,7 +195,7 @@ pub fn export_chrome(data: &TraceData) -> String {
             format!("f{}#{}", r.flow, r.seq)
         };
         match r.kind {
-            TraceKind::Dequeue { rank, wait_ns } => {
+            TraceKind::Dequeue { rank, wait_ns, .. } => {
                 // The residency slice: enqueue time to dequeue time.
                 events.push(format!(
                     "{{\"ph\":\"X\",\"cat\":\"queue\",{},\"dur\":{},\"name\":{},\"cname\":{},\"args\":{{\"tenant\":{},\"rank\":{rank}}}}}",
@@ -262,6 +258,7 @@ pub fn export_chrome(data: &TraceData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceRecord;
     use qvisor_sim::Nanos;
 
     fn data() -> TraceData {
@@ -279,6 +276,7 @@ mod tests {
                     TraceKind::Dequeue {
                         rank: 4,
                         wait_ns: 1_498,
+                        cross_tenant: false,
                     },
                 )
                 .at_label(0),
@@ -299,10 +297,22 @@ mod tests {
                     1,
                     0,
                     0,
-                    TraceKind::Deliver { latency_ns: 3_300 },
+                    TraceKind::Deliver {
+                        latency_ns: 3_300,
+                        dup: false,
+                    },
                 ),
-                TraceRecord::new(Nanos(4_000), 1, 0, 7, TraceKind::Ack { latency_ns: 700 })
-                    .as_ack(true),
+                TraceRecord::new(
+                    Nanos(4_000),
+                    1,
+                    0,
+                    7,
+                    TraceKind::Ack {
+                        latency_ns: 700,
+                        done: true,
+                    },
+                )
+                .as_ack(true),
             ]
             .into_iter()
             .collect(),

@@ -9,14 +9,14 @@
 //! on large runs: whether a flow is sampled is a pure function of
 //! `(seed, flow id)`, so the same run always traces the same flows.
 //!
-//! A recording tracer has one of two stores. [`Tracer::enabled`]'s is the
-//! ring: the newest records, kept for [`Tracer::visit`] and
-//! [`Tracer::snapshot`] to read. [`Tracer::streaming`]'s keeps nothing and
-//! hands each record to a sink as it is recorded, for a reader that looks
-//! at every record once, in order, while the run goes on. A streaming
-//! reader names the records it reads ([`TraceReads`]); every recording
-//! site asks [`Tracer::wants`] before it builds a record, so a record no
-//! reader reads is never built. The ring reads every record.
+//! A recording tracer hands each record to every reader that reads it.
+//! [`Tracer::enabled`]'s is the ring: the newest records of the sampled
+//! flows, kept for [`Tracer::snapshot`] to read. [`Tracer::with_reader`]
+//! joins a sink beside it, or to a disabled tracer with no ring, that gets
+//! every flow's records as they are recorded; the SLO monitor is one.
+//! Such a reader names the records it reads ([`TraceReads`]); every
+//! recording site asks [`Tracer::wants`] before it builds a record, so a
+//! record no reader reads is never built.
 //!
 //! Like the rest of the crate, tracing is switched off at run time: a
 //! [`Tracer::disabled`] handle holds no store and each call on it is one
@@ -107,6 +107,9 @@ pub enum TraceKind {
         rank: u64,
         /// Queueing delay (dequeue time minus enqueue time).
         wait_ns: u64,
+        /// A resident of *another* tenant with a strictly lower rank kept
+        /// waiting: the dequeue broke isolation, not just rank order.
+        cross_tenant: bool,
     },
     /// The packet was dropped (queue rejection/eviction when labelled;
     /// monitor/pre-processor/fault-injection drops otherwise).
@@ -139,11 +142,16 @@ pub enum TraceKind {
     Deliver {
         /// End-to-end latency since the packet was first sent.
         latency_ns: u64,
+        /// The receiver had already delivered this data packet, or its
+        /// flow had already completed: no fresh payload.
+        dup: bool,
     },
     /// An acknowledgement reached the original sender.
     Ack {
         /// Latency since the ACK was emitted.
         latency_ns: u64,
+        /// This ACK completed its flow.
+        done: bool,
     },
 }
 
@@ -196,7 +204,7 @@ impl TraceKind {
                 f(b",\"pre\":", pre)?;
                 f(b",\"post\":", post)
             }
-            TraceKind::Dequeue { rank, wait_ns } => {
+            TraceKind::Dequeue { rank, wait_ns, .. } => {
                 f(b",\"rank\":", rank)?;
                 f(b",\"wait_ns\":", wait_ns)
             }
@@ -220,29 +228,30 @@ impl TraceKind {
                 f(b",\"tx_ns\":", tx_ns)?;
                 f(b",\"prop_ns\":", prop_ns)
             }
-            TraceKind::Deliver { latency_ns } | TraceKind::Ack { latency_ns } => {
+            TraceKind::Deliver { latency_ns, .. } | TraceKind::Ack { latency_ns, .. } => {
                 f(b",\"latency_ns\":", latency_ns)
             }
         }
     }
 }
 
-/// The records a reader of a [`Tracer`] reads: a set of [`TraceKind`]s,
-/// of data packets alone or of ACK packets as well. [`TraceReads::ALL`]
-/// is every record; a streaming reader joins the kinds it reads with
-/// [`TraceReads::union`]. A kind has a constant once some reader reads it.
+/// The records a reader of a [`Tracer`] reads: a set of [`TraceKind`]s of
+/// data packets and a set of ACK packets. [`TraceReads::ALL`] is every
+/// record; a reader joins the kinds it reads with [`TraceReads::union`]. A
+/// kind has a constant once some reader outside this crate reads it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceReads {
-    /// [`TraceKind::bit`]s of the kinds read.
-    kinds: u16,
-    acks: bool,
+    /// [`TraceKind::bit`]s of the kinds read of data packets.
+    data: u16,
+    /// [`TraceKind::bit`]s of the kinds read of ACK packets.
+    acks: u16,
 }
 
 impl TraceReads {
     /// Every record: what the flight recorder's ring keeps.
     pub const ALL: TraceReads = TraceReads {
-        kinds: u16::MAX,
-        acks: true,
+        data: u16::MAX,
+        acks: u16::MAX,
     };
     /// Data packets' [`TraceKind::Enqueue`] records.
     pub const ENQUEUE: TraceReads = TraceReads::data(TraceKind::Enqueue { rank: 0 });
@@ -250,23 +259,32 @@ impl TraceReads {
     pub const DEQUEUE: TraceReads = TraceReads::data(TraceKind::Dequeue {
         rank: 0,
         wait_ns: 0,
+        cross_tenant: false,
     });
     /// Data packets' [`TraceKind::Drop`] records.
     pub const DROP: TraceReads = TraceReads::data(TraceKind::Drop { rank: 0 });
 
     /// The data packets' records of `kind`'s kind.
-    const fn data(kind: TraceKind) -> TraceReads {
+    pub(crate) const fn data(kind: TraceKind) -> TraceReads {
         TraceReads {
-            kinds: kind.bit(),
-            acks: false,
+            data: kind.bit(),
+            acks: 0,
+        }
+    }
+
+    /// The ACK packets' records of `kind`'s kind.
+    pub(crate) const fn acks(kind: TraceKind) -> TraceReads {
+        TraceReads {
+            data: 0,
+            acks: kind.bit(),
         }
     }
 
     /// The records either reads.
     pub const fn union(self, other: TraceReads) -> TraceReads {
         TraceReads {
-            kinds: self.kinds | other.kinds,
-            acks: self.acks || other.acks,
+            data: self.data | other.data,
+            acks: self.acks | other.acks,
         }
     }
 
@@ -274,7 +292,8 @@ impl TraceReads {
     /// packet when `ack`?
     #[inline(always)]
     pub fn admits(&self, kind: &TraceKind, ack: bool) -> bool {
-        self.kinds & kind.bit() != 0 && (self.acks || !ack)
+        let kinds = if ack { self.acks } else { self.data };
+        kinds & kind.bit() != 0
     }
 }
 
@@ -394,7 +413,8 @@ impl Records {
     }
 
     /// The newest record.
-    pub fn last(&self) -> Option<TraceRecord> {
+    #[cfg(test)]
+    fn last(&self) -> Option<TraceRecord> {
         let newest = self.head.checked_sub(1).or(self.len().checked_sub(1))?;
         Some(self.slots.record(newest))
     }
@@ -409,7 +429,7 @@ impl Records {
 impl FromIterator<TraceRecord> for Records {
     fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Records {
         let mut slots = Slots::default();
-        records.into_iter().for_each(|r| slots.push(Slot::pack(r)));
+        records.into_iter().for_each(|r| slots.push(Slot::pack(&r)));
         Records {
             slots: Arc::new(slots),
             head: 0,
@@ -442,8 +462,8 @@ fn oldest_first(slots: &Slots, head: usize) -> OldestFirst<'_> {
 /// [`oldest_first`]'s iterator: one index run from `head`, wrapped past the
 /// end. Its `next` is always inlined, and the decode with it, so a reader's
 /// loop unpacks in place and drops the fields it never reads; a closure
-/// over two chained ranges was decoded out of line, and a `visit` scan of
-/// a full ring ran ≈ 4× slower than over 32-byte slots.
+/// over two chained ranges was decoded out of line, and a scan of a full
+/// ring ran ≈ 4× slower than over 32-byte slots.
 struct OldestFirst<'a> {
     slots: &'a Slots,
     at: usize,
@@ -549,6 +569,15 @@ impl TraceData {
             out.write_all(b"\"")?;
             r.kind
                 .for_each_field(|prefix, value| write_field(out, prefix, value))?;
+            // A verdict is written, like `"ack":true`, only when true.
+            out.write_all(match r.kind {
+                TraceKind::Dequeue {
+                    cross_tenant: true, ..
+                } => b",\"cross_tenant\":true",
+                TraceKind::Deliver { dup: true, .. } => b",\"dup\":true",
+                TraceKind::Ack { done: true, .. } => b",\"done\":true",
+                _ => b"",
+            })?;
             out.write_all(b"}\n")?;
         }
         Ok(())
@@ -573,6 +602,7 @@ impl TraceData {
             }
             let v = Value::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+            let flag = |key: &str| v.get(key).and_then(Value::as_bool).unwrap_or(false);
             match v.get("type").and_then(Value::as_str) {
                 Some("trace_meta") => {
                     data.dropped = u("dropped");
@@ -592,6 +622,7 @@ impl TraceData {
                         Some("dequeue") => TraceKind::Dequeue {
                             rank: u("rank"),
                             wait_ns: u("wait_ns"),
+                            cross_tenant: flag("cross_tenant"),
                         },
                         Some("drop") => TraceKind::Drop { rank: u("rank") },
                         Some("inversion") => TraceKind::Inversion {
@@ -607,9 +638,11 @@ impl TraceData {
                         },
                         Some("deliver") => TraceKind::Deliver {
                             latency_ns: u("latency_ns"),
+                            dup: flag("dup"),
                         },
                         Some("ack") => TraceKind::Ack {
                             latency_ns: u("latency_ns"),
+                            done: flag("done"),
                         },
                         _ => continue,
                     };
@@ -624,12 +657,12 @@ impl TraceData {
                     let tenant = u16::try_from(tenant).map_err(|_| {
                         format!("line {}: tenant {tenant} out of range", lineno + 1)
                     })?;
-                    slots.push(Slot::pack(TraceRecord {
+                    slots.push(Slot::pack(&TraceRecord {
                         t: Nanos(u("t_ns")),
                         flow: u("flow"),
                         seq: u("seq"),
                         tenant,
-                        ack: v.get("ack").and_then(Value::as_bool).unwrap_or(false),
+                        ack: flag("ack"),
                         label,
                         kind,
                     }));
@@ -660,32 +693,39 @@ const COMPACT: u64 = 1 << 21;
 const NARROW: u64 = 1 << 22;
 
 /// How a form splits a kind's payload into one word: each field's width
-/// in bits, lowest first. `Inversion`'s four fields never fit one word.
+/// in bits, lowest first, a verdict one bit. `Inversion`'s four fields
+/// never fit one word.
 struct Split {
     transform: [u32; 2],
-    dequeue: [u32; 2],
+    /// `rank`, `wait_ns`, `cross_tenant`.
+    dequeue: [u32; 3],
     tx: [u32; 3],
-    /// Every one-field kind.
+    /// `Deliver`'s and `Ack`'s latency and verdict (`dup`, `done`).
+    latency: [u32; 2],
+    /// Every other one-field kind.
     one: u32,
 }
 
 /// A narrow record's 41 payload bits. On the full-size Fig. 4 point the
 /// transformed rank (a `transform`'s second field, a `dequeue`'s first)
-/// stays below 2^10, so it gets 12 bits and the other field 29: a queueing
-/// delay stays below 2^27. A `tx` carries at most 1,500 bytes, 12,000 ns
-/// of serialization and 1,000 ns of propagation.
+/// stays below 2^10, so it gets 12 bits and the other field 29, less a
+/// `dequeue`'s verdict bit: a queueing delay stays below 2^27. A `tx`
+/// carries at most 1,500 bytes, 12,000 ns of serialization and 1,000 ns of
+/// propagation.
 const NARROW_SPLIT: Split = Split {
     transform: [29, 12],
-    dequeue: [12, 29],
+    dequeue: [12, 28, 1],
     tx: [11, 16, 14],
+    latency: [40, 1],
     one: 41,
 };
 
 /// A compact record's payload word.
 const COMPACT_SPLIT: Split = Split {
     transform: [32, 32],
-    dequeue: [32, 32],
+    dequeue: [32, 31, 1],
     tx: [20, 24, 20],
+    latency: [63, 1],
     one: 64,
 };
 
@@ -697,9 +737,10 @@ impl Split {
     fn join(&self, tag: u64, [p0, p1, p2, _]: [u64; 4]) -> Option<u64> {
         match tag {
             2 => join([p0, p1], self.transform),
-            4 => join([p0, p1], self.dequeue),
+            4 => join([p0, p1, p2], self.dequeue),
             6 => None,
             7 => join([p0, p1, p2], self.tx),
+            8 | 9 => join([p0, p1], self.latency),
             _ => join([p0], [self.one]),
         }
     }
@@ -720,6 +761,7 @@ impl Split {
             2 => fields(&self.transform),
             4 => fields(&self.dequeue),
             7 => fields(&self.tx),
+            8 | 9 => fields(&self.latency),
             _ => fields(&[self.one]),
         }
     }
@@ -778,7 +820,7 @@ struct Slot {
 
 impl Slot {
     #[inline]
-    fn pack(r: TraceRecord) -> Slot {
+    fn pack(r: &TraceRecord) -> Slot {
         // Each arm joins its own narrow payload, so a record branches on
         // its kind once; `NARROW_SPLIT.join` would match on the tag again.
         let n = &NARROW_SPLIT;
@@ -789,8 +831,14 @@ impl Slot {
                 (2, [pre, post, 0, 0], join([pre, post], n.transform))
             }
             TraceKind::Enqueue { rank } => (3, [rank, 0, 0, 0], join([rank], [n.one])),
-            TraceKind::Dequeue { rank, wait_ns } => {
-                (4, [rank, wait_ns, 0, 0], join([rank, wait_ns], n.dequeue))
+            TraceKind::Dequeue {
+                rank,
+                wait_ns,
+                cross_tenant,
+            } => {
+                let cross = u64::from(cross_tenant);
+                let narrow = join([rank, wait_ns, cross], n.dequeue);
+                (4, [rank, wait_ns, cross, 0], narrow)
             }
             TraceKind::Drop { rank } => (5, [rank, 0, 0, 0], join([rank], [n.one])),
             TraceKind::Inversion {
@@ -808,11 +856,21 @@ impl Slot {
                 [bytes, tx_ns, prop_ns, 0],
                 join([bytes, tx_ns, prop_ns], n.tx),
             ),
-            TraceKind::Deliver { latency_ns } => {
-                (8, [latency_ns, 0, 0, 0], join([latency_ns], [n.one]))
+            TraceKind::Deliver { latency_ns, dup } => {
+                let dup = u64::from(dup);
+                (
+                    8,
+                    [latency_ns, dup, 0, 0],
+                    join([latency_ns, dup], n.latency),
+                )
             }
-            TraceKind::Ack { latency_ns } => {
-                (9, [latency_ns, 0, 0, 0], join([latency_ns], [n.one]))
+            TraceKind::Ack { latency_ns, done } => {
+                let done = u64::from(done);
+                (
+                    9,
+                    [latency_ns, done, 0, 0],
+                    join([latency_ns, done], n.latency),
+                )
             }
         };
         let t = r.t.as_nanos();
@@ -897,6 +955,7 @@ impl Slot {
             4 => TraceKind::Dequeue {
                 rank: p0,
                 wait_ns: p1,
+                cross_tenant: p2 != 0,
             },
             5 => TraceKind::Drop { rank: p0 },
             6 => TraceKind::Inversion {
@@ -910,8 +969,14 @@ impl Slot {
                 tx_ns: p1,
                 prop_ns: p2,
             },
-            8 => TraceKind::Deliver { latency_ns: p0 },
-            9 => TraceKind::Ack { latency_ns: p0 },
+            8 => TraceKind::Deliver {
+                latency_ns: p0,
+                dup: p1 != 0,
+            },
+            9 => TraceKind::Ack {
+                latency_ns: p0,
+                done: p1 != 0,
+            },
             tag => unreachable!("slot kind tag {tag} was not written by Slot::pack"),
         };
         TraceRecord {
@@ -1079,6 +1144,7 @@ mod ring {
         }
 
         /// The retained slots and the index of the oldest, lent or not.
+        #[cfg(test)]
         pub(super) fn slots(&self) -> (&Slots, usize) {
             (self.lent.as_deref().unwrap_or(&self.slots), self.head)
         }
@@ -1162,7 +1228,10 @@ mod ring {
 }
 
 struct TraceBuf {
-    store: Store,
+    /// The flight recorder's ring: the newest `capacity` records of the
+    /// sampled flows, kept for [`Tracer::snapshot`]. `None` for a recorder
+    /// that only hands its records to readers.
+    ring: Option<ring::Ring>,
     /// Every interned label's text, end to end in id order: the one copy
     /// of each, and no allocation of its own.
     text: String,
@@ -1175,19 +1244,10 @@ struct TraceBuf {
     dropped: u64,
 }
 
-/// Where a recording [`Tracer`]'s records go.
-enum Store {
-    /// The flight recorder's ring: the newest `capacity` records, kept
-    /// for [`Tracer::visit`] and [`Tracer::snapshot`].
-    Ring(ring::Ring),
-    /// Each record, handed to the sink as it is recorded; nothing is kept.
-    Stream(Box<dyn FnMut(&TraceRecord)>),
-}
-
 impl TraceBuf {
-    fn new(store: Store) -> TraceBuf {
+    fn new(ring: Option<ring::Ring>) -> TraceBuf {
         TraceBuf {
-            store,
+            ring,
             text: String::new(),
             ends: Vec::new(),
             by_label: Vec::new(),
@@ -1201,27 +1261,19 @@ impl TraceBuf {
             ends: &self.ends,
         }
     }
-
-    /// The ring, unless records stream.
-    fn ring(&self) -> Option<&ring::Ring> {
-        match &self.store {
-            Store::Ring(ring) => Some(ring),
-            Store::Stream(_) => None,
-        }
-    }
 }
 
 /// A recorder's interned queue/link labels, read where they lie;
 /// `TraceRecord::label` is an id here.
-#[derive(Clone, Copy, Default)]
-pub struct TraceLabels<'a> {
+#[derive(Clone, Copy)]
+struct TraceLabels<'a> {
     text: &'a str,
     ends: &'a [u32],
 }
 
 impl<'a> TraceLabels<'a> {
     /// The label whose id is `id`, if there is one.
-    pub fn get(&self, id: u32) -> Option<&'a str> {
+    fn get(&self, id: u32) -> Option<&'a str> {
         let end = *self.ends.get(id as usize)? as usize;
         let start = id
             .checked_sub(1)
@@ -1230,7 +1282,7 @@ impl<'a> TraceLabels<'a> {
     }
 
     /// Every label, by id.
-    pub fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
+    fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
         let (text, mut start) = (self.text, 0);
         self.ends.iter().map(move |&end| {
             let label = &text[start..end as usize];
@@ -1240,41 +1292,27 @@ impl<'a> TraceLabels<'a> {
     }
 }
 
-/// Everything a [`Tracer`] holds, read where it lies: the visitor of
-/// [`Tracer::visit`] gets one. Nothing is copied — the records are
-/// unpacked from the ring one at a time as [`TraceView::records`] yields
-/// them — so a reader that scans once pays for no [`TraceData`].
-pub struct TraceView<'a> {
-    slots: &'a Slots,
-    head: usize,
-    /// Interned queue/link labels; `TraceRecord::label` indexes here.
-    pub labels: TraceLabels<'a>,
-    /// Records evicted from the ring buffer so far (when streaming: the
-    /// records handed to the tracer that its reader does not read).
-    pub dropped: u64,
-    /// Ring-buffer capacity the recorder runs with.
-    pub capacity: u64,
-    /// Sampling modulus the recorder runs with.
-    pub sample_one_in: u64,
-    /// Sampling seed the recorder runs with.
-    pub seed: u64,
+/// A reader of every flow's records beside the ring: a streaming sink or
+/// the SLO monitor.
+#[derive(Clone)]
+struct Reader {
+    reads: TraceReads,
+    sink: Rc<dyn Fn(&TraceRecord)>,
 }
 
-impl<'a> TraceView<'a> {
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = TraceRecord> + 'a {
-        oldest_first(self.slots, self.head)
-    }
-}
-
-/// The flight recorder. Cheaply cloneable; clones share one buffer.
-/// The default value is *disabled*: it wants no record, recording is a
-/// no-op, and snapshots are empty.
+/// The flight recorder and the readers of its records. Cheaply cloneable;
+/// clones share one buffer and one set of readers. The default value is
+/// *disabled*: it wants no record, recording is a no-op, and snapshots are
+/// empty. Sampling belongs to the ring alone.
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Rc<RefCell<TraceBuf>>>,
-    /// What the store's reader reads: every record for the ring.
+    /// The readers beside the ring, in the order they were joined.
+    readers: Option<Rc<[Reader]>>,
+    /// What those readers read, together.
     reads: TraceReads,
+    /// Whether there is a ring, which reads every record of a sampled flow.
+    ring: bool,
     capacity: usize,
     sample_one_in: u64,
     seed: u64,
@@ -1283,7 +1321,7 @@ pub struct Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(b) => match b.borrow().ring() {
+            Some(b) => match &b.borrow().ring {
                 Some(ring) => write!(f, "Tracer(records={})", ring.len()),
                 None => write!(f, "Tracer(streaming)"),
             },
@@ -1296,34 +1334,47 @@ impl Tracer {
     /// A recording instance with the given configuration.
     pub fn enabled(cfg: TraceConfig) -> Tracer {
         Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceBuf::new(Store::Ring(
+            inner: Some(Rc::new(RefCell::new(TraceBuf::new(Some(
                 ring::Ring::default(),
             ))))),
-            reads: TraceReads::ALL,
+            ring: true,
             capacity: cfg.capacity,
             sample_one_in: cfg.sample_one_in.max(1),
             seed: cfg.seed,
+            ..Tracer::default()
         }
     }
 
-    /// A recording instance that keeps nothing: every flow is sampled and
-    /// labels intern as [`Tracer::enabled`]'s do, but each record `reads`
-    /// admits goes to `sink` as it is recorded, in order, and no site
-    /// builds any other ([`Tracer::wants`]). [`Tracer::visit`] and
-    /// [`Tracer::snapshot`] see the labels and no record, [`Tracer::len`]
-    /// reads 0, and [`Tracer::dropped`] counts the records handed to
-    /// [`Tracer::record`] that `reads` does not admit. The recorder stays
-    /// borrowed while `sink` runs: the sink must not call this tracer or a
-    /// clone of it.
-    pub fn streaming(reads: TraceReads, sink: impl FnMut(&TraceRecord) + 'static) -> Tracer {
-        Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceBuf::new(Store::Stream(
-                Box::new(sink),
-            ))))),
+    /// This recorder with one more reader: `sink` gets each record of any
+    /// flow that `reads` admits, in order, as it is recorded. The new
+    /// handle shares the ring and labels with `self`, which goes on as it
+    /// was, not feeding `sink`. The sink must not call the new handle.
+    ///
+    /// Joined to a disabled tracer, the reader is the only one: the
+    /// recorder keeps nothing but labels, no site builds a record `reads`
+    /// does not admit ([`Tracer::wants`]), and [`Tracer::dropped`] counts
+    /// the records handed to [`Tracer::record`] that it does not admit.
+    pub fn with_reader(&self, reads: TraceReads, sink: impl Fn(&TraceRecord) + 'static) -> Tracer {
+        let reader = Reader {
             reads,
-            capacity: 0,
-            sample_one_in: 1,
-            seed: TraceConfig::default().seed,
+            sink: Rc::new(sink),
+        };
+        let readers = (self.readers.iter().flat_map(|r| r.iter().cloned()))
+            .chain([reader])
+            .collect();
+        let joined = Tracer {
+            readers: Some(readers),
+            reads: self.reads.union(reads),
+            ..self.clone()
+        };
+        match self.inner {
+            Some(_) => joined,
+            None => Tracer {
+                inner: Some(Rc::new(RefCell::new(TraceBuf::new(None)))),
+                sample_one_in: 1,
+                seed: TraceConfig::default().seed,
+                ..joined
+            },
         }
     }
 
@@ -1339,17 +1390,21 @@ impl Tracer {
     }
 
     /// Whether a record of `kind` about a packet of `flow` (an ACK when
-    /// `ack`) is to be built and recorded: its reader reads it, and `flow`
-    /// is in the sampled subset — a pure function of the configured seed
-    /// and the flow id, so reruns trace the same flows. Every recording
-    /// site asks before it builds a record. Always `false` when disabled,
-    /// which is the first test.
+    /// `ack`) is to be built and recorded: a reader of every flow reads
+    /// it, or the ring does and `flow` is in the sampled subset — a pure
+    /// function of the configured seed and the flow id, so reruns trace
+    /// the same flows. Every recording site asks before it builds a
+    /// record. Always `false` when disabled, which is the first test.
     #[inline]
     pub fn wants(&self, kind: &TraceKind, ack: bool, flow: u64) -> bool {
-        self.inner.is_some()
-            && self.reads.admits(kind, ack)
-            && (self.sample_one_in <= 1
-                || stable_hash(&[self.seed, flow]).is_multiple_of(self.sample_one_in))
+        self.inner.is_some() && (self.reads.admits(kind, ack) || (self.ring && self.samples(flow)))
+    }
+
+    /// Whether the ring's sampling picks `flow`.
+    #[inline]
+    fn samples(&self, flow: u64) -> bool {
+        self.sample_one_in <= 1
+            || stable_hash(&[self.seed, flow]).is_multiple_of(self.sample_one_in)
     }
 
     /// Intern a queue/link label, returning its stable id (first-seen
@@ -1380,67 +1435,48 @@ impl Tracer {
         }
     }
 
-    /// Append one record, evicting (and counting) the oldest at
-    /// capacity, or hand it to a [`Tracer::streaming`] sink if the sink
-    /// reads it (counting it dropped if not). Callers are expected to have
-    /// asked [`Tracer::wants`]; sampling is not tested again here.
+    /// Keep one record in the ring, evicting (and counting) the oldest at
+    /// capacity, then hand it to every reader that reads it. A record some
+    /// reader reads is kept only if the ring samples its flow; without a
+    /// ring, one no reader reads is counted dropped. Callers are expected
+    /// to have asked [`Tracer::wants`].
     #[inline]
     pub fn record(&self, record: TraceRecord) {
-        if let Some(buf) = &self.inner {
+        let Some(buf) = &self.inner else {
+            return;
+        };
+        let read = self.reads.admits(&record.kind, record.ack);
+        // The ring first, then the readers, and those only for a record
+        // one of them reads: most records are the ring's alone.
+        if self.ring && (!read || self.samples(record.flow)) {
             let buf = &mut *buf.borrow_mut();
-            match &mut buf.store {
-                Store::Ring(ring) => {
-                    if ring.push(self.capacity, Slot::pack(record)) {
-                        buf.dropped += 1;
-                    }
+            if let Some(ring) = &mut buf.ring {
+                if ring.push(self.capacity, Slot::pack(&record)) {
+                    buf.dropped += 1;
                 }
-                Store::Stream(sink) => {
-                    if self.reads.admits(&record.kind, record.ack) {
-                        sink(&record);
-                    } else {
-                        buf.dropped += 1;
-                    }
+            }
+        } else if !read {
+            buf.borrow_mut().dropped += 1;
+        }
+        if let (true, Some(readers)) = (read, &self.readers) {
+            for reader in readers.iter() {
+                if reader.reads.admits(&record.kind, record.ack) {
+                    (reader.sink)(&record);
                 }
             }
         }
     }
 
-    /// Records evicted so far, or recorded and not read when streaming
-    /// (0 when disabled).
+    /// Records evicted from the ring so far, or recorded and read by no
+    /// reader when there is no ring (0 when disabled).
     pub fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |b| b.borrow().dropped)
     }
 
     /// Records currently retained (0 when disabled or streaming).
-    pub fn len(&self) -> usize {
-        (self.inner.as_ref()).map_or(0, |b| b.borrow().ring().map_or(0, ring::Ring::len))
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hand `visitor` everything recorded so far, in place (nothing when
-    /// disabled, the labels alone when streaming), and return what it
-    /// returns. The recorder stays borrowed for the call: the visitor must
-    /// not record on it.
-    pub fn visit<R>(&self, visitor: impl FnOnce(TraceView<'_>) -> R) -> R {
-        let buf = self.inner.as_ref().map(|buf| buf.borrow());
-        let none = Slots::default();
-        let (slots, head) =
-            (buf.as_ref().and_then(|b| b.ring())).map_or((&none, 0), ring::Ring::slots);
-        visitor(TraceView {
-            slots,
-            head,
-            labels: buf
-                .as_ref()
-                .map_or_else(TraceLabels::default, |b| b.labels()),
-            dropped: buf.as_ref().map_or(0, |b| b.dropped),
-            capacity: self.capacity as u64,
-            sample_one_in: self.sample_one_in,
-            seed: self.seed,
-        })
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        (self.inner.as_ref()).map_or(0, |b| b.borrow().ring.as_ref().map_or(0, ring::Ring::len))
     }
 
     /// Snapshot everything recorded so far (empty when disabled, the
@@ -1449,9 +1485,9 @@ impl Tracer {
     /// again while the snapshot lives.
     pub fn snapshot(&self) -> TraceData {
         let mut buf = self.inner.as_ref().map(|buf| buf.borrow_mut());
-        let (slots, head) = match buf.as_deref_mut().map(|b| &mut b.store) {
-            Some(Store::Ring(ring)) => ring.lend(),
-            _ => Default::default(),
+        let (slots, head) = match buf.as_deref_mut().and_then(|b| b.ring.as_mut()) {
+            Some(ring) => ring.lend(),
+            None => Default::default(),
         };
         TraceData {
             records: Records { slots, head },
@@ -1505,28 +1541,20 @@ pub fn render_report(data: &TraceData) -> String {
         out.push_str("warning: ring buffer overflowed — the oldest spans are missing\n");
     }
 
-    // (tenant, queue) -> queueing waits; queue -> (tx, prop) times.
-    let mut queueing: BTreeMap<(u16, u32), Vec<u64>> = BTreeMap::new();
-    let mut serialization: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    let mut propagation: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    let mut delivery: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
+    // Queueing waits by (tenant, queue); serialization and propagation
+    // times by (0, link); delivery latencies by (tenant, no label).
+    let mut tables: [BTreeMap<(u16, u32), Vec<u64>>; 4] = Default::default();
     let mut inversions: Vec<TraceRecord> = Vec::new();
     let mut drops = 0u64;
     for r in data.records.iter() {
+        let mut add = |table: usize, key, value| tables[table].entry(key).or_default().push(value);
         match r.kind {
-            TraceKind::Dequeue { wait_ns, .. } => {
-                queueing
-                    .entry((r.tenant, r.label))
-                    .or_default()
-                    .push(wait_ns);
-            }
+            TraceKind::Dequeue { wait_ns, .. } => add(0, (r.tenant, r.label), wait_ns),
             TraceKind::TxStart { tx_ns, prop_ns, .. } => {
-                serialization.entry(r.label).or_default().push(tx_ns);
-                propagation.entry(r.label).or_default().push(prop_ns);
+                add(1, (0, r.label), tx_ns);
+                add(2, (0, r.label), prop_ns);
             }
-            TraceKind::Deliver { latency_ns } => {
-                delivery.entry(r.tenant).or_default().push(latency_ns);
-            }
+            TraceKind::Deliver { latency_ns, .. } => add(3, (r.tenant, NO_LABEL), latency_ns),
             TraceKind::Inversion { .. } => inversions.push(r),
             TraceKind::Drop { .. } => drops += 1,
             _ => {}
@@ -1543,38 +1571,26 @@ pub fn render_report(data: &TraceData) -> String {
         .iter()
         .map(|s| s.to_string())
         .collect();
-
-    if !queueing.is_empty() {
-        out.push_str("\nqueueing delay (ns), per tenant and hop:\n");
-        let rows: Vec<Vec<String>> = queueing
-            .iter_mut()
-            .map(|(&(tenant, label), waits)| {
-                percentile_row(format!("T{tenant} @ {}", label_name(label)), waits)
+    let titles = [
+        "queueing delay (ns), per tenant and hop",
+        "link serialization (ns), per hop",
+        "propagation (ns), per hop",
+        "end-to-end delivery latency (ns), per tenant",
+    ];
+    for (i, (title, table)) in titles.iter().zip(&mut tables).enumerate() {
+        if table.is_empty() {
+            continue;
+        }
+        out.push_str(&format!("\n{title}:\n"));
+        let rows: Vec<Vec<String>> = (table.iter_mut())
+            .map(|(&(tenant, label), values)| {
+                let name = match i {
+                    0 => format!("T{tenant} @ {}", label_name(label)),
+                    3 => format!("T{tenant}"),
+                    _ => label_name(label),
+                };
+                percentile_row(name, values)
             })
-            .collect();
-        crate::report::render_table(&mut out, &headers, &rows);
-    }
-    if !serialization.is_empty() {
-        out.push_str("\nlink serialization (ns), per hop:\n");
-        let rows: Vec<Vec<String>> = serialization
-            .iter_mut()
-            .map(|(&label, txs)| percentile_row(label_name(label), txs))
-            .collect();
-        crate::report::render_table(&mut out, &headers, &rows);
-    }
-    if !propagation.is_empty() {
-        out.push_str("\npropagation (ns), per hop:\n");
-        let rows: Vec<Vec<String>> = propagation
-            .iter_mut()
-            .map(|(&label, props)| percentile_row(label_name(label), props))
-            .collect();
-        crate::report::render_table(&mut out, &headers, &rows);
-    }
-    if !delivery.is_empty() {
-        out.push_str("\nend-to-end delivery latency (ns), per tenant:\n");
-        let rows: Vec<Vec<String>> = delivery
-            .iter_mut()
-            .map(|(&tenant, lats)| percentile_row(format!("T{tenant}"), lats))
             .collect();
         crate::report::render_table(&mut out, &headers, &rows);
     }
@@ -1630,6 +1646,7 @@ mod tests {
                     TraceKind::Dequeue {
                         rank: 4,
                         wait_ns: 488,
+                        cross_tenant: true,
                     },
                 )
                 .at_label(q),
@@ -1663,10 +1680,22 @@ mod tests {
                     1,
                     0,
                     1,
-                    TraceKind::Deliver { latency_ns: 13_500 },
+                    TraceKind::Deliver {
+                        latency_ns: 13_500,
+                        dup: false,
+                    },
                 ),
-                TraceRecord::new(Nanos(14_000), 1, 0, 1, TraceKind::Ack { latency_ns: 400 })
-                    .as_ack(true),
+                TraceRecord::new(
+                    Nanos(14_000),
+                    1,
+                    0,
+                    1,
+                    TraceKind::Ack {
+                        latency_ns: 400,
+                        done: true,
+                    },
+                )
+                .as_ack(true),
             ]
             .into_iter()
             .collect(),
@@ -1709,7 +1738,7 @@ mod tests {
                 TraceKind::RankComputed { rank } => line.set("rank", rank),
                 TraceKind::Transform { pre, post } => line.set("pre", pre).set("post", post),
                 TraceKind::Enqueue { rank } => line.set("rank", rank),
-                TraceKind::Dequeue { rank, wait_ns } => {
+                TraceKind::Dequeue { rank, wait_ns, .. } => {
                     line.set("rank", rank).set("wait_ns", wait_ns)
                 }
                 TraceKind::Drop { rank } => line.set("rank", rank),
@@ -1731,8 +1760,16 @@ mod tests {
                     .set("bytes", bytes)
                     .set("tx_ns", tx_ns)
                     .set("prop_ns", prop_ns),
-                TraceKind::Deliver { latency_ns } => line.set("latency_ns", latency_ns),
-                TraceKind::Ack { latency_ns } => line.set("latency_ns", latency_ns),
+                TraceKind::Deliver { latency_ns, .. } => line.set("latency_ns", latency_ns),
+                TraceKind::Ack { latency_ns, .. } => line.set("latency_ns", latency_ns),
+            };
+            line = match r.kind {
+                TraceKind::Dequeue {
+                    cross_tenant: true, ..
+                } => line.set("cross_tenant", true),
+                TraceKind::Deliver { dup: true, .. } => line.set("dup", true),
+                TraceKind::Ack { done: true, .. } => line.set("done", true),
+                _ => line,
             };
             out.push_str(&line.to_compact());
             out.push('\n');
@@ -1752,6 +1789,7 @@ mod tests {
             TraceKind::Dequeue {
                 rank: 7,
                 wait_ns: max,
+                cross_tenant: true,
             },
             TraceKind::Drop { rank: max },
             TraceKind::Inversion {
@@ -1765,8 +1803,14 @@ mod tests {
                 tx_ns: 0,
                 prop_ns: max,
             },
-            TraceKind::Deliver { latency_ns: max },
-            TraceKind::Ack { latency_ns: 0 },
+            TraceKind::Deliver {
+                latency_ns: max,
+                dup: true,
+            },
+            TraceKind::Ack {
+                latency_ns: 0,
+                done: true,
+            },
         ];
         let mut records = Vec::new();
         for (i, &kind) in kinds.iter().enumerate() {
@@ -1919,7 +1963,7 @@ mod tests {
             0,
             TraceKind::FlowStart { size: 1 },
         ));
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.snapshot(), TraceData::default());
     }
 
@@ -1965,24 +2009,24 @@ mod tests {
             tx_ns: 0,
             prop_ns: 0,
         };
-        let ack = TraceKind::Ack { latency_ns: 0 };
+        let ack = TraceKind::Ack {
+            latency_ns: 0,
+            done: false,
+        };
         let reads = [
             TraceReads::default(),
             queued,
             TraceReads {
-                acks: true,
+                acks: queued.data,
                 ..queued
             },
-            TraceReads {
-                kinds: tx.bit() | ack.bit(),
-                acks: true,
-            },
+            TraceReads::data(tx).union(TraceReads::acks(ack)),
             TraceReads::ALL,
         ];
         for (at, &reads) in reads.iter().enumerate() {
             let streamed = Rc::new(RefCell::new(Vec::new()));
             let sink = Rc::clone(&streamed);
-            let stream = Tracer::streaming(reads, move |r| sink.borrow_mut().push(*r));
+            let stream = Tracer::disabled().with_reader(reads, move |r| sink.borrow_mut().push(*r));
             let (mut wanted, mut recorded) = (Vec::new(), 0);
             for _ in 0..400 {
                 let r = match rng.below(4) {
@@ -2013,15 +2057,15 @@ mod tests {
         let dequeue = TraceKind::Dequeue {
             rank: 1,
             wait_ns: 2,
+            cross_tenant: false,
         };
-        let with_acks = |reads: TraceReads| TraceReads {
-            acks: true,
-            ..reads
-        };
+        let with_acks = |reads: TraceReads| reads.union(TraceReads::acks(dequeue));
         assert!(TraceReads::DEQUEUE.admits(&dequeue, false));
         assert!(!TraceReads::DEQUEUE.admits(&dequeue, true));
         assert!(with_acks(TraceReads::DEQUEUE).admits(&dequeue, true));
         assert!(!with_acks(TraceReads::ENQUEUE).admits(&dequeue, false));
+        assert!(with_acks(TraceReads::ENQUEUE).admits(&dequeue, true));
+        assert!(!TraceReads::acks(ack).admits(&ack, false));
         assert!(TraceReads::ALL.admits(&ack, true));
         // The ten kinds' bits are distinct.
         let bits: BTreeSet<u16> = edge_records().iter().map(|(r, _)| r.kind.bit()).collect();
@@ -2091,6 +2135,7 @@ mod tests {
             4 => TraceKind::Dequeue {
                 rank: a,
                 wait_ns: b,
+                cross_tenant: c % 2 == 1,
             },
             5 => TraceKind::Drop { rank: a },
             6 => TraceKind::Inversion {
@@ -2104,8 +2149,14 @@ mod tests {
                 tx_ns: b,
                 prop_ns: c,
             },
-            8 => TraceKind::Deliver { latency_ns: a },
-            _ => TraceKind::Ack { latency_ns: a },
+            8 => TraceKind::Deliver {
+                latency_ns: a,
+                dup: b % 2 == 1,
+            },
+            _ => TraceKind::Ack {
+                latency_ns: a,
+                done: b % 2 == 1,
+            },
         };
         let tenant = [0, 63, u16::MAX, rng.next() as u16][rng.below(4) as usize];
         let label = [NO_LABEL, 2_046, 2_047, u32::MAX - 1, 0][rng.below(5) as usize];
@@ -2142,7 +2193,7 @@ mod tests {
         /// The form `r` packs into, checked against what its first 16
         /// bytes say.
         fn of(r: TraceRecord) -> Form {
-            let slot = Slot::pack(r);
+            let slot = Slot::pack(&r);
             let form = match (slot.mid, slot.hi) {
                 (None, None) => Form::Narrow,
                 (Some(_), None) => Form::Compact,
@@ -2198,7 +2249,7 @@ mod tests {
         assert_eq!(kinds.len(), 10, "every kind went through a ring");
         assert_eq!(forms.len(), 3, "every slot form went through a ring");
         for r in exhaustive_records() {
-            assert_eq!(Slot::pack(r).unpack(), r);
+            assert_eq!(Slot::pack(&r).unpack(), r);
         }
     }
 
@@ -2208,9 +2259,9 @@ mod tests {
     /// value that fits — is varied one identity field at a time (`t` at
     /// 2^32, `flow` and `seq` at 2^16, 2^32 − 1 and 2^32, tenant 64, label
     /// 2,047) for every kind with its payload at each edge of each split:
-    /// one field at 2^41 − 1 and 2^41, each field of the two-field kinds
-    /// and of `TxStart` at the top of its narrow width, one past it, and at
-    /// its compact edge, and `Inversion` however small.
+    /// one field at 2^41 − 1 and 2^41, each field of the other kinds at
+    /// the top of its narrow width, one past it, and at its compact edge,
+    /// with a verdict either way, and `Inversion` however small.
     fn edge_records() -> Vec<(TraceRecord, Form)> {
         use Form::{Compact, Narrow, Wide};
         let p = |bits: u32| 1u64 << bits;
@@ -2221,8 +2272,6 @@ mod tests {
                 (TraceKind::RankComputed { rank: value }, form),
                 (TraceKind::Enqueue { rank: value }, form),
                 (TraceKind::Drop { rank: value }, form),
-                (TraceKind::Deliver { latency_ns: value }, form),
-                (TraceKind::Ack { latency_ns: value }, form),
             ]);
         }
         // Each field one past its narrow width, then one past its compact
@@ -2255,12 +2304,36 @@ mod tests {
                 form,
             ));
         }
-        for (v, form) in edges(&n.dequeue, &c.dequeue) {
-            let kind = TraceKind::Dequeue {
-                rank: v[0],
-                wait_ns: v[1],
-            };
-            kinds.push((kind, form));
+        // The verdict is a field's last bit: the edges are the others'.
+        for (v, form) in edges(&n.dequeue[..2], &c.dequeue[..2]) {
+            for cross_tenant in [false, true] {
+                let kind = TraceKind::Dequeue {
+                    rank: v[0],
+                    wait_ns: v[1],
+                    cross_tenant,
+                };
+                kinds.push((kind, form));
+            }
+        }
+        for (v, form) in edges(&n.latency[..1], &c.latency[..1]) {
+            for flag in [false, true] {
+                kinds.extend([
+                    (
+                        TraceKind::Deliver {
+                            latency_ns: v[0],
+                            dup: flag,
+                        },
+                        form,
+                    ),
+                    (
+                        TraceKind::Ack {
+                            latency_ns: v[0],
+                            done: flag,
+                        },
+                        form,
+                    ),
+                ]);
+            }
         }
         for (v, form) in edges(&n.tx, &c.tx) {
             let kind = TraceKind::TxStart {
@@ -2341,7 +2414,7 @@ mod tests {
         let edges = edge_records();
         for &(r, form) in &edges {
             assert_eq!(Form::of(r), form, "{r:?}");
-            assert_eq!(Slot::pack(r).unpack(), r);
+            assert_eq!(Slot::pack(&r).unpack(), r);
         }
         let forms: BTreeSet<Form> = edges.iter().map(|&(_, form)| form).collect();
         assert_eq!(forms.len(), 3, "every form");
@@ -2365,7 +2438,8 @@ mod tests {
             let ring = Tracer::enabled(TraceConfig::default());
             let streamed = Rc::new(RefCell::new(Vec::new()));
             let sink = Rc::clone(&streamed);
-            let stream = Tracer::streaming(TraceReads::ALL, move |r| sink.borrow_mut().push(*r));
+            let stream = Tracer::disabled()
+                .with_reader(TraceReads::ALL, move |r| sink.borrow_mut().push(*r));
             let drop = TraceKind::Drop { rank: 0 };
             assert!(
                 (0..100).all(|flow| stream.wants(&drop, true, flow)),
@@ -2387,7 +2461,7 @@ mod tests {
                 stream.record(r);
                 records.push(r);
             }
-            ring.visit(|view| assert!(view.records().eq(records.iter().copied())));
+            assert!(ring.snapshot().records.iter().eq(records.iter().copied()));
             assert_eq!(*streamed.borrow(), records, "sequence {sequence}");
             kinds.extend(records.iter().map(|r| r.kind.tag()));
             forms.extend(records.iter().map(|&r| Form::of(r)));
@@ -2395,12 +2469,6 @@ mod tests {
             // The stream keeps the labels and nothing else.
             let labels = ring.snapshot().labels;
             assert_eq!((stream.len(), stream.dropped()), (0, 0));
-            assert!(stream.is_empty());
-            stream.visit(|view| {
-                assert_eq!(view.records().count(), 0);
-                assert!(view.labels.iter().eq(labels.iter().map(String::as_str)));
-                assert_eq!(view.dropped, 0);
-            });
             let snap = stream.snapshot();
             assert!(snap.records.is_empty());
             assert_eq!((snap.labels, snap.dropped), (labels, 0));
@@ -2419,7 +2487,8 @@ mod tests {
                 .as_ref()
                 .unwrap()
                 .borrow()
-                .ring()
+                .ring
+                .as_ref()
                 .unwrap()
                 .reserved()
         };
@@ -2427,13 +2496,14 @@ mod tests {
         // How far the remainders and the wide halves are zeroed.
         let zeroed = || {
             let buf = t.inner.as_ref().unwrap().borrow();
-            let slots = buf.ring().unwrap().slots().0;
+            let slots = buf.ring.as_ref().unwrap().slots().0;
             [slots.mid.len(), slots.hi.len()]
         };
         let dequeue = |i: u64| {
             let kind = TraceKind::Dequeue {
                 rank: i % 4_096,
                 wait_ns: 2 * i,
+                cross_tenant: i.is_multiple_of(3),
             };
             TraceRecord::new(Nanos(i), i % 2_048, i % 8_192, 1, kind)
         };
@@ -2503,7 +2573,8 @@ mod tests {
                 .as_ref()
                 .unwrap()
                 .borrow()
-                .ring()
+                .ring
+                .as_ref()
                 .unwrap()
                 .reserved()
         };
@@ -2541,7 +2612,7 @@ mod tests {
             assert_ne!(copy, storage, "step {step}");
             assert_eq!(copied, [7, 7, 7], "step {step}: every part copied whole");
             assert_eq!(records_of(&held), kept, "step {step}");
-            t.visit(|view| assert!(view.records().eq(model.iter().copied())));
+            assert!(retained(&t).eq(model.iter().copied()));
         }
         assert_eq!(held.records.storage(), storage);
         drop(held);
@@ -2552,7 +2623,7 @@ mod tests {
         drop(again);
         record(Narrow, &mut model);
         assert_eq!(reserved(), copy, "every part taken back");
-        t.visit(|view| assert!(view.records().eq(model.iter().copied())));
+        assert!(retained(&t).eq(model.iter().copied()));
     }
 
     #[test]
@@ -2566,7 +2637,8 @@ mod tests {
                 .as_ref()
                 .unwrap()
                 .borrow()
-                .ring()
+                .ring
+                .as_ref()
                 .unwrap()
                 .reserved()
         };
@@ -2594,7 +2666,7 @@ mod tests {
         assert_eq!(reserved(), storage, "every part taken back");
         model.remove(0);
         model.push(narrow[0]);
-        t.visit(|view| assert!(view.records().eq(model.iter().copied())));
+        assert!(retained(&t).eq(model.iter().copied()));
     }
 
     #[test]
@@ -2626,15 +2698,14 @@ mod tests {
             }
         }
         assert_eq!(t.snapshot().labels, first_seen);
-        t.visit(|view| {
-            assert!(view.labels.iter().eq(first_seen.iter().map(String::as_str)));
-            let by_id = (0..first_seen.len() as u32).map(|id| view.labels.get(id).unwrap());
-            assert!(by_id.eq(first_seen.iter().map(String::as_str)));
-        });
+        let buf = t.inner.as_ref().unwrap().borrow();
+        let by_id = (0..first_seen.len() as u32).map(|id| buf.labels().get(id).unwrap());
+        assert!(by_id.eq(first_seen.iter().map(String::as_str)));
+        assert_eq!(buf.labels().get(first_seen.len() as u32), None);
     }
 
     #[test]
-    fn the_visitor_reads_a_wrapped_ring_oldest_first_in_place() {
+    fn a_snapshot_reads_a_wrapped_ring_oldest_first() {
         let t = Tracer::enabled(TraceConfig {
             capacity: 300,
             sample_one_in: 3,
@@ -2644,21 +2715,13 @@ mod tests {
         stamped(1_000)
             .into_iter()
             .for_each(|r| t.record(r.at_label(label)));
-        t.visit(|view| {
-            let stamps: Vec<u64> = view.records().map(|r| r.t.as_nanos()).collect();
-            assert_eq!(stamps, (700..1_000).collect::<Vec<u64>>());
-            assert!(view.labels.iter().eq(["n0.p0"]));
-            assert_eq!(
-                (view.labels.get(0), view.labels.get(1)),
-                (Some("n0.p0"), None)
-            );
-            assert_eq!((view.dropped, view.capacity), (700, 300));
-            assert_eq!((view.sample_one_in, view.seed), (3, 5));
-        });
-        Tracer::disabled().visit(|view| {
-            assert_eq!(view.records().count() + view.labels.iter().count(), 0);
-            assert_eq!(view.dropped, 0);
-        });
+        // Handed straight to `record`, unsampled flows' records too.
+        let snap = t.snapshot();
+        let stamps: Vec<u64> = snap.records.iter().map(|r| r.t.as_nanos()).collect();
+        assert_eq!(stamps, (700..1_000).collect::<Vec<u64>>());
+        assert_eq!(snap.labels, ["n0.p0"]);
+        assert_eq!((snap.dropped, snap.capacity), (700, 300));
+        assert_eq!((snap.sample_one_in, snap.seed), (3, 5));
     }
 
     #[test]
@@ -2675,7 +2738,10 @@ mod tests {
             3,
             1,
             2,
-            TraceKind::Deliver { latency_ns: 4 },
+            TraceKind::Deliver {
+                latency_ns: 4,
+                dup: true,
+            },
         ));
         let snap = t.snapshot();
         let parsed = TraceData::parse(&snap.to_jsonl()).unwrap();
@@ -2694,7 +2760,8 @@ mod tests {
                 .as_ref()
                 .unwrap()
                 .borrow()
-                .ring()
+                .ring
+                .as_ref()
                 .unwrap()
                 .reserved()
         };
@@ -2710,6 +2777,13 @@ mod tests {
             "filled and overwritten where it was reserved"
         );
         assert_eq!((t.len(), t.dropped()), (800, 1_200));
+    }
+
+    /// The records `t`'s ring retains, read in place: nothing is lent.
+    fn retained(t: &Tracer) -> impl Iterator<Item = TraceRecord> {
+        let buf = t.inner.as_ref().unwrap().borrow();
+        let (slots, head) = buf.ring.as_ref().unwrap().slots();
+        oldest_first(slots, head).collect::<Vec<_>>().into_iter()
     }
 
     /// The records of `data`, oldest first.
@@ -2763,7 +2837,7 @@ mod tests {
                     }
                 }
                 assert_eq!((t.len(), t.dropped()), (model.len(), evicted));
-                t.visit(|view| assert!(view.records().eq(model.iter().copied())));
+                assert!(retained(&t).eq(model.iter().copied()));
                 for (snap, kept, dropped) in &held {
                     assert_eq!(&records_of(snap), kept, "capacity {capacity}, step {step}");
                     assert_eq!(snap.dropped, *dropped, "capacity {capacity}, step {step}");
@@ -2783,7 +2857,8 @@ mod tests {
                 .as_ref()
                 .unwrap()
                 .borrow()
-                .ring()
+                .ring
+                .as_ref()
                 .unwrap()
                 .reserved()
         };
@@ -2804,7 +2879,7 @@ mod tests {
         assert_eq!(a.records.storage(), storage, "the snapshot is the ring");
         assert_eq!(b.records.storage(), storage, "two snapshots, one ring");
         assert_eq!(stamps(&a), (150..250).collect::<Vec<u64>>());
-        assert_eq!((t.len(), t.dropped(), t.is_empty()), (100, 150, false));
+        assert_eq!((t.len(), t.dropped()), (100, 150));
         assert_eq!(format!("{t:?}"), "Tracer(records=100)");
         drop((a, b));
         t.record(record(250));
@@ -2841,6 +2916,7 @@ mod tests {
                     0 => TraceKind::Dequeue {
                         rank: i,
                         wait_ns: 10 * i,
+                        cross_tenant: i % 2 == 0,
                     },
                     1 => TraceKind::Inversion {
                         rank: i,
@@ -2848,7 +2924,10 @@ mod tests {
                         loser_seq: 0,
                         loser_rank: 0,
                     },
-                    _ => TraceKind::Deliver { latency_ns: i },
+                    _ => TraceKind::Deliver {
+                        latency_ns: i,
+                        dup: i % 4 == 1,
+                    },
                 };
                 TraceRecord::new(Nanos(i), i, 0, rng.below(3) as u16, kind).at_label(q)
             })

@@ -35,10 +35,11 @@
 //! distance exceeds the bound as a share of its median (unless every change
 //! run reads better than every parent run), `gain` when the
 //! change won at least nine pairs in ten and its median is better by more
-//! than the parent's inter-quartile distance, `unchanged` otherwise.
-//! Per-layer metrics (`--trace 1`) have no bound and read `gain`, `loss` or
-//! `unchanged`. A workload whose run is incorrect, or whose change fails a
-//! larger share of operations, reads `failed`.
+//! than the parent's inter-quartile distance, `loss` when the parent did,
+//! `unchanged` otherwise. Per-layer metrics (`--trace 1`) have no bound and
+//! read `gain`, `loss` or `unchanged` by the same tests. A workload whose
+//! run is incorrect, or whose change fails a larger share of operations,
+//! reads `failed`.
 
 use qvisor_sim::json::Value;
 use std::path::{Path, PathBuf};
@@ -309,7 +310,7 @@ fn judge(
         Some(bound) if !apart && spread(p).max(spread(c)) > bound => "unresolved",
         Some(bound) if worse_by > bound => "regressed",
         _ if gain => "gain",
-        None if loss => "loss",
+        _ if loss => "loss",
         _ => "unchanged",
     };
     let mut v = Value::object()
@@ -608,6 +609,16 @@ mod tests {
             "regressed"
         );
         assert_eq!(verdict(None, &parent.map(|x| x + 8.0)), "loss");
+        // Worse in every pair, by less than the bound: a loss, bound or not.
+        let worse = parent.map(|x| x + 3.0);
+        assert_eq!(verdict(Some(&lower(Some(0.2))), &worse), "loss");
+        assert_eq!(verdict(None, &worse), "loss");
+        // Nine pairs lost in ten is a loss too; eight is not.
+        let mut nine = worse;
+        nine[0] = 50.0;
+        assert_eq!(verdict(Some(&lower(Some(0.2))), &nine), "loss");
+        nine[1] = 50.0;
+        assert_eq!(verdict(Some(&lower(Some(0.2))), &nine), "unchanged");
         // Eight wins in ten is not a gain, however far apart the medians.
         let mut eight = smaller;
         eight[0] = 70.0;

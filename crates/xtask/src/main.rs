@@ -248,9 +248,6 @@ const DEAD_PUB_ALLOWED: &[(&str, &str)] = &[
     ("sim/src/stats.rs", "bucket_width"),
     // A site's aggregate, which the scheduler's and simulator's tests read.
     ("telemetry/src/profile.rs", "stat"),
-    // The ring read in place, without a snapshot: a one-pass reader's way in,
-    // and what the tests hold a streamed trace against.
-    ("telemetry/src/trace.rs", "visit"),
 ];
 
 /// Where a reference may come from: every non-test source tree that links

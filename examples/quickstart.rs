@@ -107,6 +107,7 @@ fn main() {
             p.tenant.0,
             TraceKind::Deliver {
                 latency_ns: now.as_nanos() - p.flow.0 * 1_000,
+                dup: false,
             },
         ));
         print!("T{}({}) ", p.tenant.0, p.txf_rank);

@@ -1172,6 +1172,7 @@ mod tests {
                 TraceKind::Dequeue {
                     rank: 5,
                     wait_ns: 2_000,
+                    cross_tenant: false,
                 },
             )
             .at_label(q),
@@ -1181,7 +1182,10 @@ mod tests {
             7,
             0,
             1,
-            TraceKind::Deliver { latency_ns: 8_000 },
+            TraceKind::Deliver {
+                latency_ns: 8_000,
+                dup: false,
+            },
         ));
         let jsonl = tracer.snapshot().to_jsonl();
         let report = cmd_trace_report(&jsonl).unwrap();
