@@ -1,9 +1,10 @@
 //! Destination-side delivery, ACK generation, and per-tenant stats
-//! collection (report counters plus cached telemetry handles).
+//! collection into the report (telemetry's per-tenant metrics and
+//! `flow_complete` events are written from it when the run ends).
 
 use super::queues::TenantState;
 use super::{arrival_tie, FlowState, Simulation};
-use qvisor_sim::{json::Value, Nanos, Packet, PacketKind, TenantId};
+use qvisor_sim::{Nanos, Packet, PacketKind, TenantId};
 use qvisor_telemetry::{TraceKind, TraceRecord};
 use qvisor_transport::FlowRecord;
 
@@ -13,8 +14,7 @@ impl Simulation {
         if self.tenants.len() <= t.index() {
             self.tenants.resize_with(t.index() + 1, || None);
         }
-        let telemetry = &self.cfg.telemetry;
-        self.tenants[t.index()].get_or_insert_with(|| TenantState::new(telemetry, t))
+        self.tenants[t.index()].get_or_insert_with(TenantState::default)
     }
 
     /// Record a lifecycle span for `p` on the flight recorder, if the
@@ -66,7 +66,6 @@ impl Simulation {
                         unreachable!("ACK on a CBR stream")
                     };
                     *transport = None;
-                    let def = *def;
                     self.report.fct.record(FlowRecord {
                         flow: p.flow,
                         tenant: def.tenant,
@@ -74,22 +73,6 @@ impl Simulation {
                         start: def.start,
                         end: now,
                     });
-                    let fct = now.saturating_sub(def.start);
-                    self.tenant(def.tenant)
-                        .metrics
-                        .fct_ns
-                        .record(fct.as_nanos());
-                    self.cfg.telemetry.event(
-                        now,
-                        "flow_complete",
-                        &[
-                            ("flow", Value::from(p.flow.0)),
-                            ("tenant", Value::from(def.tenant.0 as u64)),
-                            ("size_bytes", Value::from(def.size)),
-                            ("fct_ns", Value::from(fct)),
-                        ],
-                    );
-                    self.reliable_done += 1;
                 }
             }
             PacketKind::Datagram => {
@@ -115,14 +98,12 @@ impl Simulation {
         }
     }
 
-    /// Account `payload` fresh bytes delivered to `tenant`: report row,
-    /// sampling window and telemetry.
+    /// Account `payload` fresh bytes delivered to `tenant`: report row and
+    /// sampling window.
     fn count_delivery(&mut self, tenant: TenantId, payload: u32) {
         let t = self.tenant(tenant);
         t.traffic.delivered_pkts += 1;
         t.traffic.delivered_bytes += payload as u64;
         t.window_bytes += payload as u64;
-        t.metrics.delivered_pkts.inc();
-        t.metrics.delivered_bytes.add(payload as u64);
     }
 }

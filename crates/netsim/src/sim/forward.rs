@@ -176,9 +176,7 @@ impl Simulation {
         self.in_flight -= 1;
         *self.report.node_drops.entry(at).or_insert(0) += 1;
         if p.is_payload() {
-            let t = self.tenant(p.tenant);
-            t.traffic.dropped_pkts += 1;
-            t.metrics.dropped_pkts.inc();
+            self.tenant(p.tenant).traffic.dropped_pkts += 1;
         }
     }
 

@@ -52,7 +52,7 @@ use qvisor_sim::{
     json::Value, stable_hash, EventQueue, FlowId, Nanos, NodeId, Packet, PacketArena, PacketKind,
     PacketSlot, TenantId,
 };
-use qvisor_telemetry::Profiler;
+use qvisor_telemetry::{JournalEvent, Profiler, Telemetry};
 use qvisor_topology::{NodeKind, Routes, Topology};
 use qvisor_transport::Expiry;
 
@@ -209,6 +209,37 @@ pub(crate) fn judge(
     Ok((admit(joint, target, paths, deny_warnings), synth_ns))
 }
 
+/// Add the run's report to `telemetry` (so a shared registry sums runs):
+/// each tenant row to the `net_*` counters, each completed flow to its
+/// tenant's `net_fct_ns` and a `flow_complete` event, journalled among the
+/// `live` events the run journalled itself ([`Simulation::journal`]).
+fn publish(telemetry: &Telemetry, report: &SimReport, live: usize) {
+    if !telemetry.is_enabled() {
+        return;
+    }
+    for (t, row) in &report.tenants {
+        let tenant = format!("T{}", t.0);
+        let labels = [("tenant", tenant.as_str())];
+        (telemetry.counter("net_sent_pkts", &labels)).add(row.sent_pkts);
+        (telemetry.counter("net_delivered_pkts", &labels)).add(row.delivered_pkts);
+        (telemetry.counter("net_delivered_bytes", &labels)).add(row.delivered_bytes);
+        (telemetry.counter("net_dropped_pkts", &labels)).add(row.dropped_pkts);
+        let fct_ns = telemetry.histogram("net_fct_ns", &labels);
+        let flows = report.fct.records().iter().filter(|r| r.tenant == *t);
+        flows.for_each(|r| fct_ns.record(r.fct().as_nanos()));
+    }
+    let completed = report.fct.records().iter().map(|r| {
+        let fields = [
+            ("flow", Value::from(r.flow.0)),
+            ("tenant", Value::from(r.tenant.0 as u64)),
+            ("size_bytes", Value::from(r.size)),
+            ("fct_ns", Value::from(r.fct())),
+        ];
+        JournalEvent::new(r.end, "flow_complete", &fields)
+    });
+    telemetry.events_late(live, completed);
+}
+
 /// The simulator. Build with [`Simulation::new`], register tenant rank
 /// functions, add traffic, then [`Simulation::run`].
 pub struct Simulation {
@@ -250,10 +281,11 @@ pub struct Simulation {
     pub(in crate::sim) rank_fns: Vec<Option<Box<dyn RankFn>>>,
     pub(in crate::sim) report: SimReport,
     pub(in crate::sim) reliable_total: u64,
-    pub(in crate::sim) reliable_done: u64,
     pub(in crate::sim) cbr_live: u64,
     /// Packets emitted and not yet delivered or dropped.
     pub(in crate::sim) in_flight: u64,
+    /// Events this run journalled live ([`Simulation::journal`]).
+    journalled: usize,
     /// Indexed by `TenantId`; `None` for a tenant not seen here.
     pub(in crate::sim) tenants: Vec<Option<TenantState>>,
     /// Wall-clock cost of handling one event (self-profiler site).
@@ -363,9 +395,9 @@ impl Simulation {
             rank_fns: Vec::new(),
             report: SimReport::default(),
             reliable_total: 0,
-            reliable_done: 0,
             cbr_live: 0,
             in_flight: 0,
+            journalled: 0,
             tenants: Vec::new(),
             dispatch_prof,
         })
@@ -397,7 +429,8 @@ impl Simulation {
     }
 
     fn all_traffic_done(&self) -> bool {
-        self.reliable_done == self.reliable_total && self.cbr_live == 0 && self.in_flight == 0
+        let done = self.report.fct.records().len() as u64;
+        done == self.reliable_total && self.cbr_live == 0 && self.in_flight == 0
     }
 
     /// Count one event of the run at `t` — ahead of the clock for a
@@ -405,6 +438,12 @@ impl Simulation {
     pub(in crate::sim) fn count_event(&mut self, t: Nanos) {
         self.report.events += 1;
         self.report.end_time = self.report.end_time.max(t);
+    }
+
+    /// Journal an event live, counted for [`publish`]: the run's one such site.
+    fn journal(&mut self, now: Nanos, kind: &str, fields: &[(&str, Value)]) {
+        self.cfg.telemetry.event(now, kind, fields);
+        self.journalled += 1;
     }
 
     /// One control-plane tick: feed the monitor's view to the adapter;
@@ -434,11 +473,8 @@ impl Simulation {
                 preproc.reload(&deployment);
                 self.deployment = Some(deployment);
                 self.report.reconfigurations += 1;
-                self.cfg.telemetry.event(
-                    now,
-                    "reconfiguration",
-                    &[("total", Value::from(self.report.reconfigurations))],
-                );
+                let total = ("total", Value::from(self.report.reconfigurations));
+                self.journal(now, "reconfiguration", &[total]);
             }
             Ok(None) => {}
             Err(err) => {
@@ -451,7 +487,7 @@ impl Simulation {
                     AdaptError::Synthesis(e) => ("error", Value::from(e.to_string())),
                 };
                 let total = ("total", Value::from(self.report.reconfigurations_refused));
-                (self.cfg.telemetry).event(now, "reconfiguration_refused", &[total, why]);
+                self.journal(now, "reconfiguration_refused", &[total, why]);
             }
         }
     }
@@ -545,11 +581,13 @@ impl Simulation {
     /// Run to quiescence or the horizon; returns the report.
     pub fn run(mut self) -> SimReport {
         self.run_events();
+        self.report.incomplete_flows = self.reliable_total - self.report.fct.records().len() as u64;
         let mut report = self.report;
         report.tenants = (self.tenants.iter().enumerate())
             .filter_map(|(id, state)| Some((TenantId(id as u16), state.as_ref()?.traffic)))
             .collect();
-        report.incomplete_flows = self.reliable_total - self.reliable_done;
+        // Before the sort: completion order is the order a live journal had.
+        publish(&self.cfg.telemetry, &report, self.journalled);
         report.fct.sort_canonical();
         report
     }

@@ -1,5 +1,5 @@
 //! Per-port scheduler-model queue construction, the port state machine's
-//! state, and the per-tenant table.
+//! state, and the per-tenant table: the report's rows, no telemetry handle.
 
 use std::fmt::Write;
 
@@ -7,8 +7,8 @@ use crate::config::SimConfig;
 use crate::report::TenantTraffic;
 use qvisor_core::{Backend, JointPolicy, QvisorError};
 use qvisor_scheduler::{Enqueue, FifoQueue, InstrumentedQueue, PacketQueue, PifoQueue};
-use qvisor_sim::{LineRate, Nanos, NodeId, Packet, Rank, TenantId};
-use qvisor_telemetry::{trace::NO_LABEL, Counter, Histogram, Telemetry};
+use qvisor_sim::{LineRate, Nanos, NodeId, Packet, Rank};
+use qvisor_telemetry::{trace::NO_LABEL, Counter};
 use qvisor_topology::{NodeKind, Topology};
 
 /// A port's scheduler-model queue as it runs unobserved: the two stateless
@@ -164,47 +164,14 @@ impl Port {
     }
 }
 
-/// Cached per-tenant telemetry handles (one registry lookup per tenant,
-/// not per packet).
-pub(in crate::sim) struct TenantMetrics {
-    pub(in crate::sim) sent_pkts: Counter,
-    pub(in crate::sim) delivered_pkts: Counter,
-    pub(in crate::sim) delivered_bytes: Counter,
-    pub(in crate::sim) dropped_pkts: Counter,
-    pub(in crate::sim) fct_ns: Histogram,
-}
-
 /// One slot of the per-tenant table (indexed by `TenantId`; a slot exists
 /// once the tenant has sent, lost or received a packet here).
+#[derive(Default)]
 pub(in crate::sim) struct TenantState {
     /// The tenant's row of `SimReport::tenants`.
     pub(in crate::sim) traffic: TenantTraffic,
     /// Bytes delivered since the last sampling tick.
     pub(in crate::sim) window_bytes: u64,
-    pub(in crate::sim) metrics: TenantMetrics,
-}
-
-impl TenantState {
-    pub(in crate::sim) fn new(telemetry: &Telemetry, t: TenantId) -> TenantState {
-        // A disabled registry never reads the label.
-        let tenant = if telemetry.is_enabled() {
-            format!("T{}", t.0)
-        } else {
-            String::new()
-        };
-        let labels = [("tenant", tenant.as_str())];
-        TenantState {
-            traffic: TenantTraffic::default(),
-            window_bytes: 0,
-            metrics: TenantMetrics {
-                sent_pkts: telemetry.counter("net_sent_pkts", &labels),
-                delivered_pkts: telemetry.counter("net_delivered_pkts", &labels),
-                delivered_bytes: telemetry.counter("net_delivered_bytes", &labels),
-                dropped_pkts: telemetry.counter("net_dropped_pkts", &labels),
-                fct_ns: telemetry.histogram("net_fct_ns", &labels),
-            },
-        }
-    }
 }
 
 /// Build every output port into one table: one scheduler-model queue per

@@ -175,25 +175,31 @@ fn telemetry_observes_the_run() {
         telemetry: telemetry.clone(),
         ..base_cfg()
     };
-    let mut sim = Simulation::new(d.topology.clone(), cfg).unwrap();
-    sim.register_rank_fn(TenantId(1), Box::new(PFabric::default_datacenter()));
-    sim.add_flow(NewFlow::new(
-        TenantId(1),
-        d.senders[0],
-        d.receivers[0],
-        150_000,
-        Nanos::ZERO,
-    ));
-    let r = sim.run();
+    let run = || {
+        let mut sim = Simulation::new(d.topology.clone(), cfg.clone()).unwrap();
+        sim.register_rank_fn(TenantId(1), Box::new(PFabric::default_datacenter()));
+        sim.add_flow(NewFlow::new(
+            TenantId(1),
+            d.senders[0],
+            d.receivers[0],
+            150_000,
+            Nanos::ZERO,
+        ));
+        sim.run()
+    };
+    let r = run();
     assert_eq!(r.incomplete_flows, 0);
-    // Per-tenant counters agree with the report.
+    // Per-tenant metrics are written from the report.
     let t1 = [("tenant", "T1")];
-    assert_eq!(
-        telemetry.counter("net_sent_pkts", &t1).get(),
-        r.tenant(TenantId(1)).sent_pkts
-    );
+    let sent = r.tenant(TenantId(1)).sent_pkts;
+    assert_eq!(telemetry.counter("net_sent_pkts", &t1).get(), sent);
     assert_eq!(telemetry.counter("net_delivered_bytes", &t1).get(), 150_000);
+    assert_eq!(telemetry.counter("net_dropped_pkts", &t1).get(), 0);
     assert_eq!(telemetry.histogram("net_fct_ns", &t1).count(), 1);
+    // A registry shared by two runs sums them.
+    assert_eq!(run(), r);
+    assert_eq!(telemetry.counter("net_sent_pkts", &t1).get(), 2 * sent);
+    assert_eq!(telemetry.histogram("net_fct_ns", &t1).count(), 2);
     // Port queues and links reported through the same registry, and the
     // export round-trips through the report parser.
     let jsonl = telemetry.export_jsonl();
@@ -424,7 +430,7 @@ fn port_free_is_armed_at_most_once_per_port() {
     let mut sim = contended_world(Nanos::from_secs(2));
     let port_frees = step_through(&mut sim, Nanos::from_secs(2));
     assert!(port_frees > 200, "the world is contended: {port_frees}");
-    assert_eq!(sim.reliable_done, 3);
+    assert_eq!(sim.report.fct.records().len() as u64, 3);
     assert!(sim.ports.iter().all(|p| !p.armed && p.queue.is_empty()));
 }
 
@@ -658,7 +664,7 @@ fn pending_events_scale_with_flows_not_packets() {
             continue;
         }
         let waking = sim.ports.iter().filter(|p| p.armed).count() as u64;
-        let unstarted = sim.reliable_total - sim.reliable_done - live;
+        let unstarted = sim.reliable_total - sim.report.fct.records().len() as u64 - live;
         let bound = sim.in_flight + waking + unstarted + 2 * live;
         let pending = sim.events.len() as u64;
         assert!(
@@ -693,7 +699,11 @@ fn an_idle_path_occupies_one_arena_slot() {
         }
         assert!(sim.arena.len() <= 1, "{} parked at {now}", sim.arena.len());
     }
-    assert_eq!(sim.reliable_done, 1, "the flow completed");
+    assert_eq!(
+        sim.report.fct.records().len() as u64,
+        1,
+        "the flow completed"
+    );
     assert_eq!(arrivals, 8, "4 hops out, 4 back");
     assert_eq!(slots.len(), 1);
     assert_eq!(sim.arena.capacity(), 1);

@@ -195,9 +195,7 @@ impl Simulation {
 
     /// Account one payload packet entering the network.
     fn count_sent(&mut self, tenant: TenantId) {
-        let t = self.tenant(tenant);
-        t.traffic.sent_pkts += 1;
-        t.metrics.sent_pkts.inc();
+        self.tenant(tenant).traffic.sent_pkts += 1;
         self.in_flight += 1;
     }
 

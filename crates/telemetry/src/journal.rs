@@ -21,6 +21,15 @@ pub struct JournalEvent {
 }
 
 impl JournalEvent {
+    /// The event `kind` at `t` with `fields`, in that order.
+    pub fn new(t: Nanos, kind: &str, fields: &[(&str, Value)]) -> JournalEvent {
+        let kind = kind.to_string();
+        let fields = (fields.iter())
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
+        JournalEvent { t, kind, fields }
+    }
+
     /// Render as a JSON object (`{"type":"event","t_ns":...,...}`).
     pub fn to_json(&self) -> Value {
         let mut fields = Value::object();
@@ -77,19 +86,27 @@ impl Journal {
         evicting
     }
 
+    /// Push `late`, in time order, as if each had been pushed at its time
+    /// among the last `among` events pushed, after any of the same instant;
+    /// returns how many were evicted. Any of the `among` already evicted came
+    /// before all that this push can keep.
+    pub fn push_late(&mut self, among: usize, late: impl IntoIterator<Item = JournalEvent>) -> u64 {
+        let retained = self.events.len();
+        let live = self.events.split_off(retained - among.min(retained));
+        let mut live = live.into_iter().peekable();
+        let mut evicted = 0;
+        for event in late {
+            while let Some(earlier) = live.next_if(|l| l.t <= event.t) {
+                evicted += u64::from(self.push(earlier));
+            }
+            evicted += u64::from(self.push(event));
+        }
+        evicted + live.map(|e| u64::from(self.push(e))).sum::<u64>()
+    }
+
     /// Events currently retained, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &JournalEvent> {
         self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Events evicted (or refused, at capacity 0) since creation.
@@ -121,7 +138,6 @@ mod tests {
         for t in 0..5 {
             j.push(ev(t, "tick"));
         }
-        assert_eq!(j.len(), 3);
         assert_eq!(j.evicted(), 2);
         let ts: Vec<Nanos> = j.events().map(|e| e.t).collect();
         assert_eq!(ts, vec![Nanos(2), Nanos(3), Nanos(4)]);
@@ -131,7 +147,7 @@ mod tests {
     fn zero_capacity_counts_but_keeps_nothing() {
         let mut j = Journal::new(0);
         j.push(ev(1, "tick"));
-        assert!(j.is_empty());
+        assert_eq!(j.events().count(), 0);
         assert_eq!(j.evicted(), 1);
     }
 

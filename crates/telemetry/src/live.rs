@@ -187,14 +187,6 @@ impl Gauge {
         }
     }
 
-    /// Adjust the value by `delta`.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if let Some(g) = &self.0 {
-            g.set(g.get().wrapping_add(delta));
-        }
-    }
-
     /// Current value (0 when disabled).
     pub fn get(&self) -> i64 {
         self.0.as_ref().map_or(0, |g| g.get())
@@ -468,28 +460,24 @@ impl Telemetry {
         }))
     }
 
-    /// Append a structured event to the journal at simulated time `t`.
-    ///
-    /// When the bounded journal evicts an older event to make room, the
-    /// `telemetry_journal_dropped` counter is bumped so a truncated journal
-    /// is visible in reports instead of silently looking complete.
+    /// Append a structured event to the journal at simulated time `t`. An
+    /// eviction it causes bumps the `telemetry_journal_dropped` counter, so a
+    /// truncated journal does not look complete.
     pub fn event(&self, t: Nanos, kind: &str, fields: &[(&str, Value)]) {
+        let event = std::iter::once_with(|| JournalEvent::new(t, kind, fields));
+        self.events_late(0, event);
+    }
+
+    /// Journal `events` late, among the last `among` events journalled, as
+    /// [`Journal::push_late`] does; evictions count as [`Telemetry::event`]'s.
+    pub fn events_late(&self, among: usize, events: impl IntoIterator<Item = JournalEvent>) {
         if let Some(reg) = &self.inner {
             let mut reg = reg.borrow_mut();
-            let dropped = reg.journal.push(JournalEvent {
-                t,
-                kind: kind.to_string(),
-                fields: fields
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            });
-            if dropped {
-                let cell = reg
-                    .counters
-                    .entry(metric_key("telemetry_journal_dropped", &[]))
-                    .or_default();
-                cell.set(cell.get() + 1);
+            let dropped = reg.journal.push_late(among, events);
+            if dropped > 0 {
+                let key = metric_key("telemetry_journal_dropped", &[]);
+                let cell = reg.counters.entry(key).or_default();
+                cell.set(cell.get() + dropped);
             }
         }
     }
@@ -563,15 +551,6 @@ impl Telemetry {
             out.push('\n');
         }
         out
-    }
-
-    /// Human-readable multi-line summary of everything collected so far.
-    pub fn summary(&self) -> String {
-        match &self.inner {
-            Some(_) => crate::report::render(&self.export_jsonl())
-                .unwrap_or_else(|e| format!("telemetry summary unavailable: {e}")),
-            None => "telemetry disabled".to_string(),
-        }
     }
 }
 
@@ -666,6 +645,57 @@ mod tests {
         let roomy = Telemetry::enabled();
         roomy.event(Nanos(1), "tick", &[]);
         assert!(!roomy.export_jsonl().contains("telemetry_journal_dropped"));
+    }
+
+    #[test]
+    fn events_journalled_late_are_kept_as_if_journalled_live_in_time_order() {
+        // A run's live events, and the events it journals when it ends;
+        // same-instant pairs either side of each other, and late ones
+        // before, between and after the live ones.
+        let live = [
+            (2, "reconfiguration"),
+            (5, "reconfiguration"),
+            (9, "refused"),
+        ];
+        let late = [1, 2, 5, 7, 12].map(|t| (t, "flow_complete"));
+        let fields = |i: usize| [("i", Value::from(i as u64))];
+        let event = |i, &(t, kind): &(u64, &str)| JournalEvent::new(Nanos(t), kind, &fields(i));
+        let journal =
+            |t: &Telemetry, i, &(at, kind): &(u64, &str)| t.event(Nanos(at), kind, &fields(i));
+        // Time order; a live event first at a tie.
+        let mut in_time: Vec<(usize, &(u64, &str))> =
+            live.iter().chain(&late).enumerate().collect();
+        in_time.sort_by_key(|(_, e)| e.0);
+        for capacity in 0..=10 {
+            // A registry that an earlier run already journalled into.
+            for earlier in 0..3 {
+                let (fed_live, fed_late) = (
+                    Telemetry::with_journal_capacity(capacity),
+                    Telemetry::with_journal_capacity(capacity),
+                );
+                for t in [&fed_live, &fed_late] {
+                    for i in 0..earlier {
+                        journal(t, 100 + i, &(50 + i as u64, "earlier"));
+                    }
+                }
+                for &(i, e) in &in_time {
+                    journal(&fed_live, i, e);
+                }
+                for (i, e) in live.iter().enumerate() {
+                    journal(&fed_late, i, e);
+                }
+                let late_events = late.iter().enumerate();
+                let late_events = late_events.map(|(i, e)| event(live.len() + i, e));
+                fed_late.events_late(live.len(), late_events);
+                assert_eq!(
+                    fed_late.export_jsonl(),
+                    fed_live.export_jsonl(),
+                    "capacity {capacity}, {earlier} earlier events"
+                );
+                let dropped = fed_late.counter("telemetry_journal_dropped", &[]).get();
+                assert_eq!(dropped, (earlier + 8).saturating_sub(capacity) as u64);
+            }
+        }
     }
 
     #[test]

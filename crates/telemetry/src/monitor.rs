@@ -555,26 +555,20 @@ impl MonitorState {
         for (i, value) in transitions {
             let rt = &self.rules[i];
             let kind = if rt.firing {
+                self.alerts_fired += 1;
                 "alert_fired"
             } else {
+                self.alerts_resolved += 1;
                 "alert_resolved"
             };
-            let event = JournalEvent {
-                t,
-                kind: kind.to_string(),
-                fields: vec![
-                    ("metric".to_string(), Value::from(rt.rule.metric.name())),
-                    ("tenant".to_string(), Value::from(rt.rule.tenant)),
-                    ("window_ns".to_string(), Value::from(rt.rule.window_ns)),
-                    ("threshold".to_string(), Value::from(rt.rule.threshold)),
-                    ("value".to_string(), Value::from(value)),
-                ],
-            };
-            if rt.firing {
-                self.alerts_fired += 1;
-            } else {
-                self.alerts_resolved += 1;
-            }
+            let fields = [
+                ("metric", Value::from(rt.rule.metric.name())),
+                ("tenant", Value::from(rt.rule.tenant)),
+                ("window_ns", Value::from(rt.rule.window_ns)),
+                ("threshold", Value::from(rt.rule.threshold)),
+                ("value", Value::from(value)),
+            ];
+            let event = JournalEvent::new(t, kind, &fields);
             self.journal.push(event);
         }
     }

@@ -28,20 +28,22 @@
 //! parent's wins wherever both set a key. A change to the build profile is
 //! measured from a clone outside the repository instead.
 //!
-//! Per metric, the file holds both sides' runs, their medians and
-//! quartiles, the pairs the change won, and a verdict against
-//! `BENCHMARK.json`: `regressed` when the change's median is worse by more
-//! than the metric's bound, `unresolved` when either side's inter-quartile
-//! distance exceeds the bound as a share of its median (unless every change
-//! run reads better than every parent run), `gain` when the
-//! change won at least nine pairs in ten and its median is better by more
-//! than the parent's inter-quartile distance, `loss` when the parent did,
-//! `unchanged` otherwise. Per-layer metrics (`--trace 1`) have no bound and
-//! read `gain`, `loss` or `unchanged` by the same tests. A workload whose
-//! run is incorrect, or whose change fails a larger share of operations,
-//! reads `failed`.
+//! Per metric, the file holds both sides' runs, medians and quartiles, the
+//! pairs the change was ahead and behind in, and the median per-pair ratio
+//! `change / parent` with a seeded 95 % bootstrap interval. The pairs read
+//! `gain` (`loss`) when the interval lies wholly on the better (worse) side
+//! of 1 and the change was ahead in 9 pairs in 10 (behind in 8). The verdict
+//! is the first that holds of: `unresolved` when either side's quartiles lie
+//! further apart than the metric's bound as a share of its median, unless
+//! the pairs read `loss` or every change run is better than every parent
+//! run; `regressed` when the change's median is worse by more than the
+//! bound; `gain`; `loss`; `unchanged`. A workload whose run is
+//! incorrect, or whose change fails a larger share of operations, reads
+//! `failed`. The command exits 2 unless every workload reads `unchanged`
+//! or `gain`.
 
 use qvisor_sim::json::Value;
+use qvisor_sim::SimRng;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -274,6 +276,29 @@ fn summary(samples: &[f64]) -> (f64, f64, f64) {
     (median, rank(0.25), rank(0.75))
 }
 
+/// Resamples behind a ratio's interval.
+const RESAMPLES: usize = 4_000;
+
+/// The per-pair ratios `change / parent` (1 where both read 0), and the
+/// nearest-rank 2.5 % and 97.5 % of the medians of [`RESAMPLES`] seeded
+/// resamples of them: a percentile-bootstrap 95 % interval of their median.
+fn paired_ratios(parent: &[f64], change: &[f64]) -> (Vec<f64>, (f64, f64)) {
+    let ratios: Vec<f64> = (parent.iter().zip(change))
+        .map(|(p, c)| if *p == 0.0 && *c == 0.0 { 1.0 } else { c / p })
+        .collect();
+    let mut rng = SimRng::seed_from(0xB007_5712);
+    let n = ratios.len() as u64;
+    let mut medians: Vec<f64> = (0..RESAMPLES)
+        .map(|_| {
+            let resample: Vec<f64> = (0..n).map(|_| ratios[rng.below(n) as usize]).collect();
+            summary(&resample).0
+        })
+        .collect();
+    medians.sort_by(f64::total_cmp);
+    let tail = RESAMPLES / 40;
+    (ratios, (medians[tail - 1], medians[RESAMPLES - tail - 1]))
+}
+
 fn summary_value((median, q1, q3): (f64, f64, f64)) -> Value {
     Value::object()
         .set("median", median)
@@ -291,23 +316,20 @@ fn judge(
     let higher = declared.is_some_and(|d| d.higher_is_better);
     let better = |a: f64, b: f64| if higher { a > b } else { a < b };
     let (p, c) = (summary(parent), summary(change));
-    let wins = parent
-        .iter()
-        .zip(change)
-        .filter(|(p, c)| better(**c, **p))
-        .count();
-    let worse_by = if higher {
-        (p.0 - c.0) / p.0
-    } else {
-        (c.0 - p.0) / p.0
-    };
+    let change_vs_parent = (c.0 - p.0) / p.0;
+    let worse_by = change_vs_parent * if higher { -1.0 } else { 1.0 };
+    let (ratios, (lo, hi)) = paired_ratios(parent, change);
+    let r = summary(&ratios);
+    let pairs = ratios.len();
+    let ahead = ratios.iter().filter(|&&x| better(x, 1.0)).count();
+    let behind = ratios.iter().filter(|&&x| better(1.0, x)).count();
+    let gain = better(lo, 1.0) && better(hi, 1.0) && ahead * 10 >= pairs * 9;
+    let loss = better(1.0, lo) && better(1.0, hi) && behind * 10 >= pairs * 8;
     let spread = |(median, q1, q3): (f64, f64, f64)| (q3 - q1) / median.abs();
-    let gain = wins * 10 >= parent.len() * 9 && better(c.0, p.0) && (c.0 - p.0).abs() > p.2 - p.1;
-    let loss = wins * 10 <= parent.len() && better(p.0, c.0) && (c.0 - p.0).abs() > p.2 - p.1;
     let bound = declared.and_then(|d| d.bound);
     let apart = (parent.iter()).all(|p| change.iter().all(|c| better(*c, *p)));
     let verdict = match bound {
-        Some(bound) if !apart && spread(p).max(spread(c)) > bound => "unresolved",
+        Some(bound) if !apart && !loss && spread(p).max(spread(c)) > bound => "unresolved",
         Some(bound) if worse_by > bound => "regressed",
         _ if gain => "gain",
         _ if loss => "loss",
@@ -330,9 +352,11 @@ fn judge(
         )
         .set("parent", summary_value(p))
         .set("change", summary_value(c))
-        .set("change_vs_parent", (c.0 - p.0) / p.0)
-        .set("wins", wins)
-        .set("pairs", parent.len())
+        .set("change_vs_parent", change_vs_parent)
+        .set("ratio", summary_value(r).set("lo95", lo).set("hi95", hi))
+        .set("wins", ahead)
+        .set("behind", behind)
+        .set("pairs", pairs)
         .set("verdict", verdict);
     (value, verdict)
 }
@@ -413,13 +437,11 @@ fn measure(
     };
     let verdict = if !correct || failed_share(&runs[1]) > failed_share(&runs[0]) {
         "failed".to_string()
-    } else if let Some(first) = ["regressed", "unresolved"]
+    } else if let Some(first) = ["regressed", "unresolved", "loss", "gain"]
         .into_iter()
         .find(|v| !named(v).is_empty())
     {
         format!("{first}: {}", named(first).join(", "))
-    } else if !named("gain").is_empty() {
-        format!("gain: {}", named("gain").join(", "))
     } else {
         "unchanged".to_string()
     };
@@ -451,8 +473,8 @@ pub fn bench_pairs(root: &Path, raw: &[String]) -> ExitCode {
 }
 
 /// Check the parent out, measure, write the file, and remove the
-/// checkout again. `Ok(false)` when a workload regressed, failed or is
-/// unresolved.
+/// checkout again. `Ok(false)` when a workload regressed, failed, is
+/// unresolved or lost.
 fn measure_all(root: &Path, args: &Args) -> Result<bool, String> {
     let (declared, run_seconds) = declared(root)?;
     let seconds = args.seconds.unwrap_or(run_seconds);
@@ -613,17 +635,20 @@ mod tests {
         let worse = parent.map(|x| x + 3.0);
         assert_eq!(verdict(Some(&lower(Some(0.2))), &worse), "loss");
         assert_eq!(verdict(None, &worse), "loss");
-        // Nine pairs lost in ten is a loss too; eight is not.
-        let mut nine = worse;
-        nine[0] = 50.0;
-        assert_eq!(verdict(Some(&lower(Some(0.2))), &nine), "loss");
-        nine[1] = 50.0;
-        assert_eq!(verdict(Some(&lower(Some(0.2))), &nine), "unchanged");
-        // Eight wins in ten is not a gain, however far apart the medians.
-        let mut eight = smaller;
-        eight[0] = 70.0;
-        eight[1] = 70.0;
+        // Eight pairs lost in ten is a loss too; seven is not.
+        let mut eight = worse;
+        eight[0] = 61.0;
+        eight[1] = 61.0;
+        assert_eq!(verdict(Some(&lower(Some(0.2))), &eight), "loss");
+        eight[2] = 61.0;
         assert_eq!(verdict(Some(&lower(Some(0.2))), &eight), "unchanged");
+        // Eight wins in ten is not a gain, however far apart the medians;
+        // nine is.
+        let mut won = smaller;
+        won[..2].fill(70.0);
+        assert_eq!(verdict(Some(&lower(Some(0.2))), &won), "unchanged");
+        won[1] = smaller[1];
+        assert_eq!(verdict(Some(&lower(Some(0.2))), &won), "gain");
         // A side whose quartiles are further apart than the bound.
         let wide = [50.0, 75.0, 50.0, 75.0, 50.0, 75.0, 50.0, 75.0, 50.0, 75.0];
         assert_eq!(verdict(Some(&lower(Some(0.2))), &wide), "unresolved");
@@ -632,5 +657,100 @@ mod tests {
         assert_eq!(verdict(Some(&lower(Some(0.2))), &apart), "gain");
         let (value, _) = judge(Some(&lower(Some(0.2))), "peak_rss_mb", &parent, &smaller);
         assert_eq!(value.get("wins").and_then(Value::as_u64), Some(10));
+
+        // Paired: sides that each spread wider than the bound.
+        let higher = Declared {
+            name: "work_per_s".into(),
+            higher_is_better: true,
+            bound: Some(0.25),
+        };
+        let noisy = [
+            400.0, 600.0, 450.0, 650.0, 420.0, 610.0, 480.0, 590.0, 400.0, 640.0,
+        ];
+        let judged = |c: &[f64]| judge(Some(&higher), "work_per_s", &noisy, c).1;
+        // The change a few percent behind in every pair resolves; ahead in
+        // every pair, it is a gain only where the sides do not spread.
+        assert_eq!(judged(&noisy.map(|x| x * 0.94)), "loss");
+        assert_eq!(judged(&noisy.map(|x| x * 1.04)), "unresolved");
+        let per_layer = Declared {
+            name: "m".into(),
+            higher_is_better: true,
+            bound: None,
+        };
+        let ahead = noisy.map(|x| x * 1.04);
+        assert_eq!(judge(Some(&per_layer), "m", &noisy, &ahead).1, "gain");
+        // Ratios about 1, ahead in half the pairs: still unresolved.
+        let mut even = noisy;
+        even.iter_mut().enumerate().for_each(|(i, x)| {
+            *x *= if i % 2 == 0 { 1.01 } else { 0.99 };
+        });
+        assert_eq!(judged(&even), "unresolved");
+        // Behind in four pairs of five, whose interval of the median ratio
+        // reaches 1: no loss, so the wide sides leave it unresolved.
+        let five = [400.0, 600.0, 450.0, 650.0, 420.0];
+        let four_behind = [396.0, 594.0, 445.5, 643.5, 504.0];
+        assert_eq!(
+            judge(Some(&higher), "m", &five, &four_behind).1,
+            "unresolved"
+        );
+        assert_eq!(
+            judge(Some(&higher), "m", &five, &five.map(|x| x * 0.99)).1,
+            "loss"
+        );
+        let (value, _) = judge(Some(&higher), "m", &noisy, &noisy.map(|x| x * 0.94));
+        let ratio = value.get("ratio").expect("the paired ratio");
+        let median = ratio.get("median").and_then(Value::as_f64).unwrap();
+        assert!((median - 0.94).abs() < 1e-9, "{median}");
+        assert_eq!(value.get("behind").and_then(Value::as_u64), Some(10));
+    }
+
+    /// The committed ledgers, judged again by the paired rule.
+    #[test]
+    fn the_committed_ledgers_rejudged_on_pairs() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (declared, _) = declared(&root).unwrap();
+        // The entry of `doc[list]` whose `key` reads `name`.
+        let find = |doc: &Value, list: &str, key: &str, name: &str| -> Value {
+            let list = doc.get(list).and_then(Value::as_array).unwrap();
+            let named = |v: &&Value| v.get(key).and_then(Value::as_str) == Some(name);
+            list.iter().find(named).unwrap().clone()
+        };
+        // The paired ratio to three places, the verdict now and as written.
+        let rejudge_metric = |ledger: &str, workload: &str, metric: &str| {
+            let path = root.join(format!("{ledger}.json"));
+            let doc = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            let w = find(&doc, "workloads", "workload", workload);
+            let m = find(&w, "metrics", "name", metric);
+            let runs = |side: &str| -> Vec<f64> {
+                let runs = m.get(side).and_then(Value::as_array).unwrap();
+                runs.iter().map(|v| v.as_f64().unwrap()).collect()
+            };
+            let declared = declared.iter().find(|d| d.name == metric);
+            let (parent, change) = (runs("parent_runs"), runs("change_runs"));
+            let (value, verdict) = judge(declared, metric, &parent, &change);
+            let ratio = value.get("ratio").and_then(|r| r.get("median")?.as_f64());
+            let written = m.get("verdict").and_then(Value::as_str).unwrap();
+            (
+                (ratio.unwrap() * 1000.0).round() / 1000.0,
+                verdict,
+                written.to_string(),
+            )
+        };
+        let rejudge = |ledger: &str, workload: &str| {
+            let (ratio, verdict, _) = rejudge_metric(ledger, workload, "work_per_s");
+            (ratio, verdict)
+        };
+        // The first ledger written by this rule reads as it was written.
+        for workload in ["fig4_observed", "fuzz_campaign"] {
+            for metric in ["work_per_s", "op_p50_ms", "setup_s", "peak_rss_mb"] {
+                let (_, now, written) = rejudge_metric("BENCH_51", workload, metric);
+                assert_eq!(now, written, "{workload} {metric}");
+            }
+        }
+        assert_eq!(rejudge("BENCH_48", "fig4_observed"), (0.94, "loss"));
+        assert_eq!(rejudge("BENCH_49", "fuzz_campaign"), (0.961, "loss"));
+        assert_eq!(rejudge("BENCH_46", "fig4_fabric"), (1.032, "gain"));
+        assert_eq!(rejudge("BENCH_43", "fuzz_campaign"), (1.199, "gain"));
+        assert_eq!(rejudge("BENCH_46", "fuzz_campaign"), (1.138, "gain"));
     }
 }
